@@ -188,6 +188,17 @@ else
   grep -q "conn-smoke: $CONN_SMOKE_TARGET connections, .* 0 errors, drained cleanly" /tmp/lbsp_conn_smoke.txt
 fi
 
+echo "== lbsbench self-tests + smoke (every workload and the ladder, 1 s each) =="
+# The harness is a package of its own (not a workspace member), so the
+# stages above never build it. Its self-tests need --release: the host
+# clock's reference kernel is sized for an optimized build and ticks too
+# rarely for `the_thread_ticks_and_stops` in a debug one. They share
+# run.sh's target directory so the dependencies compile once. The smoke
+# exits non-zero on a wrong output.
+CARGO_TARGET_DIR=target/lbsbench-build \
+  cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --smoke
+
 echo "== benches compile =="
 cargo bench --workspace --offline --no-run
 

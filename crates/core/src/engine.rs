@@ -75,7 +75,9 @@ type RowResults = Arc<TrackedMutex<Vec<Option<Result<CloakedUpdate, CloakError>>
 ///
 /// [`WorkerPool::run`] is a barrier: it returns only after every
 /// submitted job has finished, which is what separates the engine's
-/// upsert phase from its cloak phase.
+/// upsert phase from its cloak phase. The caller is one of the phase's
+/// threads — it runs the last job itself — so a one-job phase (every
+/// phase of a one-row update) crosses no thread boundary.
 pub struct WorkerPool {
     tx: Option<Sender<(Job, Sender<bool>)>>,
     handles: Vec<JoinHandle<()>>,
@@ -116,20 +118,23 @@ impl WorkerPool {
         self.workers
     }
 
-    /// Runs every job to completion (a barrier).
+    /// Runs every job to completion (a barrier): all but the last go to
+    /// the workers, the last runs on the calling thread.
     ///
     /// # Panics
-    /// Panics when any job panicked; the pool itself stays usable.
-    pub fn run(&self, jobs: Vec<Job>) {
-        let n = jobs.len();
+    /// Panics when any job panicked — after every job has finished, so
+    /// no job outlives the call; the pool itself stays usable.
+    pub fn run(&self, mut jobs: Vec<Job>) {
+        let Some(own) = jobs.pop() else { return };
         let (done_tx, done_rx): (Sender<bool>, Receiver<bool>) = mpsc::channel();
         let tx = self.tx.as_ref().expect("pool is live");
+        let handed_off = jobs.len();
         for job in jobs {
             tx.send((job, done_tx.clone())).expect("worker alive");
         }
         drop(done_tx);
-        let mut ok = true;
-        for _ in 0..n {
+        let mut ok = catch_unwind(AssertUnwindSafe(own)).is_ok();
+        for _ in 0..handed_off {
             ok &= done_rx.recv().expect("worker alive");
         }
         assert!(ok, "a worker job panicked");
@@ -758,8 +763,8 @@ impl ShardedEngine {
     }
 
     /// Executes a private range query (Fig. 5a) for `user`: cloaks the
-    /// querier, fans `private_range_candidates` out over the public
-    /// shards, and merges the per-shard lists in canonical id order.
+    /// querier, collects `private_range_candidates` from every public
+    /// shard, and merges the per-shard lists in canonical id order.
     /// Both hops are returned as wire bytes.
     pub fn range_query(
         &self,
@@ -794,13 +799,16 @@ impl ShardedEngine {
             .ok_or(CloakError::UnknownUser(user))?;
         let req = profile.requirement_at(time.time_of_day());
         req.validate()?;
+        let shard = *self.owner.get(&user).ok_or(CloakError::UnknownUser(user))?;
         let region = {
             // Closure variable hides the receiver from the static
             // lock-order pass; name the rank explicitly.
             // lint: lock(AnonShard)
             let guards: Vec<_> = self.anon.iter().map(|s| s.read()).collect();
+            let pos = guards[shard]
+                .location(user)
+                .ok_or(CloakError::UnknownUser(user))?;
             let view = SummedGrids::new(guards.iter().map(|g| &**g).collect());
-            let pos = view.location(user).ok_or(CloakError::UnknownUser(user))?;
             cloak_with_counts(&view, pos, &req, self.cfg.refine, DEFAULT_MAX_REFINE_DEPTH)
         };
         let msg = RangeQueryMsg {
@@ -810,32 +818,15 @@ impl ShardedEngine {
             time,
         };
         let request = wire::encode_range_query(&msg);
-        // Fan out: each shard computes its candidates independently.
-        let per_shard: Arc<TrackedMutex<Vec<Vec<PublicObject>>>> = Arc::new(TrackedMutex::new(
-            LockRank::ResultSink,
-            vec![Vec::new(); self.cfg.shards],
-        ));
-        let jobs: Vec<Job> = self
-            .public
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                let shard = Arc::clone(shard);
-                let per_shard = Arc::clone(&per_shard);
-                let cloak = region.region;
-                Box::new(move || {
-                    let found = private_range_candidates(&shard.read(), &cloak, radius);
-                    per_shard.lock()[i] = found;
-                }) as Job
-            })
-            .collect();
-        self.mode.run(jobs);
-        let mut candidates: Vec<PublicObject> = Arc::try_unwrap(per_shard)
-            .expect("query jobs done")
-            .into_inner()
-            .into_iter()
-            .flatten()
-            .collect();
+        // Each shard's candidates cost about a microsecond: a plain loop
+        // beats any hand-off. Read concurrency comes from concurrent
+        // callers of this `&self` path, not from splitting one query.
+        let mut candidates: Vec<PublicObject> = Vec::new();
+        for shard in &self.public {
+            // lint: lock(PublicShard)
+            let store = shard.read();
+            candidates.extend(private_range_candidates(&store, &region.region, radius));
+        }
         // Canonical merge order: ascending object id. Shards partition
         // the objects, so ids are unique and the order is total.
         candidates.sort_unstable_by_key(|o| o.id);
@@ -852,27 +843,10 @@ impl ShardedEngine {
     /// Number of private records whose cloaked rectangle intersects `r`,
     /// summed across shards (each record lives in exactly one shard).
     pub fn private_intersecting(&self, r: &Rect) -> usize {
-        let counts: Arc<TrackedMutex<Vec<usize>>> = Arc::new(TrackedMutex::new(
-            LockRank::ResultSink,
-            vec![0; self.cfg.shards],
-        ));
-        let jobs: Vec<Job> = self
-            .private
+        self.private
             .iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                let shard = Arc::clone(shard);
-                let counts = Arc::clone(&counts);
-                let r = *r;
-                Box::new(move || {
-                    let n = shard.read().intersecting(&r).len();
-                    counts.lock()[i] = n;
-                }) as Job
-            })
-            .collect();
-        self.mode.run(jobs);
-        let counts = Arc::try_unwrap(counts).expect("jobs done").into_inner();
-        counts.into_iter().sum()
+            .map(|shard| shard.read().intersecting(r).len())
+            .sum()
     }
 
     /// Registers a standing count query over `area`, seeded from every
@@ -1437,6 +1411,107 @@ mod tests {
         }
     }
 
+    /// Test-only count surface: the grid's geometry (from an empty
+    /// grid) over counts made by testing every point.
+    struct BruteCounts {
+        geometry: UniformGrid,
+        points: Vec<Point>,
+    }
+
+    impl CellCounts for BruteCounts {
+        fn world(&self) -> Rect {
+            self.geometry.world()
+        }
+        fn nx(&self) -> u32 {
+            self.geometry.nx()
+        }
+        fn ny(&self) -> u32 {
+            self.geometry.ny()
+        }
+        fn cell_of(&self, p: Point) -> lbsp_index::CellCoord {
+            self.geometry.cell_of(p)
+        }
+        fn block_rect(&self, c0: lbsp_index::CellCoord, c1: lbsp_index::CellCoord) -> Rect {
+            self.geometry.block_rect(c0, c1)
+        }
+        fn block_count(&self, c0: lbsp_index::CellCoord, c1: lbsp_index::CellCoord) -> usize {
+            let inside = |p: &&Point| {
+                let c = self.geometry.cell_of(**p);
+                (c0.ix..=c1.ix).contains(&c.ix) && (c0.iy..=c1.iy).contains(&c.iy)
+            };
+            self.points.iter().filter(inside).count()
+        }
+        fn count_in_rect(&self, r: &Rect) -> usize {
+            self.points.iter().filter(|p| r.contains_point(**p)).count()
+        }
+    }
+
+    #[test]
+    fn crowded_cell_cloaks_match_brute_force_counts() {
+        // 5 500 users in cell (5, 5) of the 16x16 grid — every fourth on
+        // a sub-cell corner — and 500 spread over the world, so the
+        // refinement counts run over a deeply split cell.
+        let cfg = EngineConfig {
+            refine: true,
+            ..EngineConfig::new(world())
+        };
+        let mut e = ShardedEngine::new(cfg, 2);
+        let frac = |i: u64, step: f64| (i as f64 * step) % 1.0;
+        let place = |i: u64, round: u64| {
+            let (fx, fy) = (
+                frac(i + 7 * round, 0.618_033_988_749),
+                frac(i + 3 * round, 0.414_213_562_373),
+            );
+            if i >= 5_500 {
+                Point::new(fx, fy)
+            } else if i.is_multiple_of(4) {
+                let snap = |f: f64| (f * 16.0).floor() / 16.0;
+                Point::new((5.0 + snap(fx)) / 16.0, (5.0 + snap(fy)) / 16.0)
+            } else {
+                Point::new((5.0 + fx) / 16.0, (5.0 + fy) / 16.0)
+            }
+        };
+        let mut positions: Vec<Point> = (0..6_000).map(|i| place(i, 0)).collect();
+        for i in 0..6_000u64 {
+            let req = CloakRequirement {
+                k: [2, 5, 10, 25, 400][(i % 5) as usize],
+                a_min: if i.is_multiple_of(7) { 1e-5 } else { 0.0 },
+                a_max: f64::INFINITY,
+            };
+            e.register(i, PrivacyProfile::uniform(req).unwrap());
+        }
+        let everyone: Vec<_> = (0..6_000u64)
+            .map(|i| (i, positions[i as usize], SimTime::ZERO))
+            .collect();
+        let movers: Vec<_> = (0..6_000u64)
+            .step_by(11)
+            .map(|i| (i, place(i, 1), SimTime::from_secs(1.0)))
+            .collect();
+        for batch in [everyone, movers] {
+            let got = e.process_updates_wire(&batch);
+            for &(id, p, _) in &batch {
+                positions[id as usize] = p;
+            }
+            let brute = BruteCounts {
+                geometry: UniformGrid::new(cfg.world, cfg.grid_side, cfg.grid_side),
+                points: positions.clone(),
+            };
+            let crowd = brute.cell_of(Point::new(5.5 / 16.0, 5.5 / 16.0));
+            assert!(brute.block_count(crowd, crowd) >= 5_000);
+            // Every third row keeps the brute force affordable and still
+            // meets every (k, a_min, snapped) combination.
+            for (&(id, pos, time), got) in batch.iter().zip(&got).step_by(3) {
+                let req = e.profiles[&id].requirement_at(time.time_of_day());
+                let want = wire::encode_cloaked_update(&CloakedUpdate {
+                    pseudonym: e.pseudonym(id),
+                    region: cloak_with_counts(&brute, pos, &req, true, DEFAULT_MAX_REFINE_DEPTH),
+                    time,
+                });
+                assert_eq!(got.as_ref().unwrap(), &want, "user {id}");
+            }
+        }
+    }
+
     #[test]
     fn moves_across_stripes_keep_one_copy() {
         let mut e = engine(4);
@@ -1736,22 +1811,64 @@ mod tests {
     fn pool_survives_job_panics() {
         let pool = WorkerPool::new(2);
         let ran = Arc::new(AtomicU64::new(0));
-        let r = ran.clone();
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run(vec![
-                Box::new(|| panic!("boom")) as Job,
-                Box::new(move || {
-                    r.fetch_add(1, Ordering::Relaxed);
-                }) as Job,
-            ]);
-        }));
-        assert!(outcome.is_err(), "run reports the panic");
-        // The pool still executes new jobs afterwards.
-        let r = ran.clone();
+        let count = |ran: &Arc<AtomicU64>| {
+            let r = Arc::clone(ran);
+            Box::new(move || {
+                r.fetch_add(1, Ordering::Relaxed);
+            }) as Job
+        };
+        // Once with a handed-off job panicking, once with the job the
+        // caller runs itself (the last): the others still finish before
+        // `run` reports the panic.
+        for caller_panics in [false, true] {
+            ran.store(0, Ordering::Relaxed);
+            let mut jobs = vec![count(&ran), count(&ran), count(&ran)];
+            let at = if caller_panics { jobs.len() } else { 0 };
+            jobs.insert(at, Box::new(|| panic!("boom")) as Job);
+            let outcome = catch_unwind(AssertUnwindSafe(|| pool.run(jobs)));
+            assert!(outcome.is_err(), "run reports the panic");
+            assert_eq!(ran.load(Ordering::Relaxed), 3, "no job was abandoned");
+            // The pool still executes new jobs afterwards.
+            pool.run(vec![count(&ran), count(&ran)]);
+            assert_eq!(ran.load(Ordering::Relaxed), 5);
+        }
+    }
+
+    #[test]
+    fn one_job_phase_runs_on_the_calling_thread() {
+        let pool = WorkerPool::new(2);
+        let ran_on = Arc::new(Mutex::new(None));
+        let slot = Arc::clone(&ran_on);
         pool.run(vec![Box::new(move || {
-            r.fetch_add(1, Ordering::Relaxed);
+            *slot.lock().unwrap() = Some(std::thread::current().id());
         }) as Job]);
-        assert!(ran.load(Ordering::Relaxed) >= 2);
+        assert_eq!(*ran_on.lock().unwrap(), Some(std::thread::current().id()));
+        pool.run(Vec::new());
+    }
+
+    #[test]
+    fn n_job_phase_is_a_barrier() {
+        // Each job waits until all five have started, so `run` can only
+        // return if the jobs really run beside each other (four workers
+        // plus the caller), and it must not return before the last one
+        // has finished.
+        let pool = WorkerPool::new(4);
+        let started = Arc::new(std::sync::Barrier::new(5));
+        let finished = Arc::new(AtomicU64::new(0));
+        for _ in 0..3 {
+            finished.store(0, Ordering::SeqCst);
+            let jobs: Vec<Job> = (0..5)
+                .map(|_| {
+                    let (started, finished) = (Arc::clone(&started), Arc::clone(&finished));
+                    Box::new(move || {
+                        started.wait();
+                        finished.fetch_add(1, Ordering::SeqCst);
+                    }) as Job
+                })
+                .collect();
+            pool.run(jobs);
+            assert_eq!(finished.load(Ordering::SeqCst), 5);
+        }
     }
 
     #[test]

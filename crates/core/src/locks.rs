@@ -87,7 +87,7 @@ pub enum LockRank {
     /// `lbsp-core`: the per-shard public-object stores.
     PublicShard,
     /// `lbsp-core`: phase-result collection sinks (row results,
-    /// per-shard query answers, counters).
+    /// displaced rectangles).
     ResultSink,
 }
 

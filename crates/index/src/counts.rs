@@ -108,11 +108,6 @@ impl<'a> SummedGrids<'a> {
     pub fn is_empty(&self) -> bool {
         self.grids.iter().all(|g| g.is_empty())
     }
-
-    /// Location of an object in whichever member grid tracks it.
-    pub fn location(&self, id: crate::ObjectId) -> Option<Point> {
-        self.grids.iter().find_map(|g| g.location(id))
-    }
 }
 
 impl CellCounts for SummedGrids<'_> {
@@ -183,19 +178,6 @@ mod tests {
             merged.cell_of(Point::new(0.5, 0.5))
         );
         assert_eq!(CellCounts::world(&view), UniformGrid::world(&merged));
-    }
-
-    #[test]
-    fn location_searches_all_members() {
-        let mut a = UniformGrid::new(unit_world(), 4, 4);
-        let mut b = UniformGrid::new(unit_world(), 4, 4);
-        a.insert(1, Point::new(0.1, 0.1));
-        b.insert(2, Point::new(0.9, 0.9));
-        let view = SummedGrids::new(vec![&a, &b]);
-        assert_eq!(view.location(1), Some(Point::new(0.1, 0.1)));
-        assert_eq!(view.location(2), Some(Point::new(0.9, 0.9)));
-        assert_eq!(view.location(3), None);
-        assert!(!view.is_empty());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! arbitrary point sets and query shapes.
 
 use lbsp_geom::{Point, Rect};
-use lbsp_index::{PointQuadTree, PyramidCell, PyramidGrid, RTree, UniformGrid};
+use lbsp_index::{CellCoord, PointQuadTree, PyramidCell, PyramidGrid, RTree, UniformGrid};
 use proptest::prelude::*;
 
 fn unit_world() -> Rect {
@@ -19,6 +19,128 @@ prop_compose! {
     fn urect()(x0 in 0.0f64..1.0, y0 in 0.0f64..1.0, w in 0.0f64..1.0, h in 0.0f64..1.0) -> Rect {
         Rect::new_unchecked(x0, y0, (x0 + w).min(1.0), (y0 + h).min(1.0))
     }
+}
+
+/// The count surface of a `UniformGrid` recomputed from a flat list,
+/// with the cell formula written out independently of the grid's.
+struct BruteGrid {
+    world: Rect,
+    side: u32,
+    pts: Vec<(u64, Point)>,
+}
+
+impl BruteGrid {
+    fn upsert(&mut self, id: u64, p: Point) {
+        self.remove(id);
+        self.pts.push((id, p));
+    }
+
+    fn remove(&mut self, id: u64) {
+        self.pts.retain(|&(i, _)| i != id);
+    }
+
+    fn cell_of(&self, p: Point) -> (u32, u32) {
+        let w = self.world.width() / self.side as f64;
+        let h = self.world.height() / self.side as f64;
+        let fx = ((p.x - self.world.min_x()) / w).floor().max(0.0);
+        let fy = ((p.y - self.world.min_y()) / h).floor().max(0.0);
+        (
+            (fx as u32).min(self.side - 1),
+            (fy as u32).min(self.side - 1),
+        )
+    }
+
+    fn in_rect(&self, r: &Rect) -> Vec<u64> {
+        let mut ids: Vec<u64> = self
+            .pts
+            .iter()
+            .filter(|(_, p)| r.contains_point(*p))
+            .map(|&(id, _)| id)
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    fn block_count(&self, c0: CellCoord, c1: CellCoord) -> usize {
+        self.pts
+            .iter()
+            .filter(|(_, p)| {
+                let (ix, iy) = self.cell_of(*p);
+                (c0.ix..=c1.ix).contains(&ix) && (c0.iy..=c1.iy).contains(&iy)
+            })
+            .count()
+    }
+}
+
+/// Compares every count surface of `g` with `brute` over `rects` plus
+/// the rectangles a cloak asks about: each occupied cell, its block with
+/// a neighbour, its refinement quadrants, one point, and the world.
+fn assert_grid_matches(g: &UniformGrid, brute: &BruteGrid, rects: &[Rect]) -> Result<(), String> {
+    let side = brute.side;
+    let mut rects = rects.to_vec();
+    rects.push(brute.world);
+    rects.push(Rect::new_unchecked(-1e9, -1e9, 1e9, 1e9));
+    for &(_, p) in brute.pts.iter().take(6) {
+        rects.push(Rect::from_point(p));
+        let (ix, iy) = brute.cell_of(p);
+        let c = CellCoord { ix, iy };
+        if g.cell_of(p) != c {
+            return Err(format!("cell_of({p:?}) = {:?}, brute {c:?}", g.cell_of(p)));
+        }
+        let hi = CellCoord {
+            ix: (ix + 1).min(side - 1),
+            iy: (iy + 2).min(side - 1),
+        };
+        rects.push(g.block_rect(c, hi));
+        let mut region = g.cell_rect(c);
+        for _ in 0..5 {
+            rects.push(region);
+            region = region.quadrants()[region.quadrant_of(p)];
+        }
+    }
+    for r in &rects {
+        let want = brute.in_rect(r);
+        if g.count_in_rect(r) != want.len() {
+            return Err(format!(
+                "count_in_rect({r:?}) = {}, brute {}",
+                g.count_in_rect(r),
+                want.len()
+            ));
+        }
+        let mut got: Vec<u64> = g.query_rect(r).into_iter().map(|(id, _)| id).collect();
+        got.sort_unstable();
+        if got != want {
+            return Err(format!("query_rect({r:?}) = {got:?}, brute {want:?}"));
+        }
+    }
+    let mut total = 0;
+    for iy in 0..side {
+        for ix in 0..side {
+            let c = CellCoord { ix, iy };
+            let want = brute.block_count(c, c);
+            if g.cell_count(c) != want {
+                return Err(format!(
+                    "cell_count({c:?}) = {}, brute {want}",
+                    g.cell_count(c)
+                ));
+            }
+            total += want;
+        }
+    }
+    let (lo, hi) = (
+        CellCoord { ix: 1, iy: 0 },
+        CellCoord {
+            ix: side - 1,
+            iy: side / 2,
+        },
+    );
+    if g.block_count(lo, hi) != brute.block_count(lo, hi) {
+        return Err(format!("block_count({lo:?}, {hi:?})"));
+    }
+    if total != g.len() || g.len() != brute.pts.len() {
+        return Err(format!("len {} vs cells {total}", g.len()));
+    }
+    Ok(())
 }
 
 proptest! {
@@ -38,6 +160,93 @@ proptest! {
         prop_assert_eq!(g.count_in_rect(&q), brute);
         prop_assert_eq!(g.query_rect(&q).len(), brute);
         prop_assert_eq!(g.len(), pts.len());
+    }
+
+    #[test]
+    fn grid_sub_cell_index_matches_brute_force_under_edits(
+        steps in prop::collection::vec((0u64..160, 0u8..8, -0.04f64..1.04, -0.04f64..1.04), 0..400),
+        corners in prop::collection::vec((-0.04f64..1.04, -0.04f64..1.04, 0.0f64..0.6, 0.0f64..0.6, 0u8..2), 1..8),
+        geometry in 0usize..4,
+    ) {
+        // A step is `(id, mode, tx, ty)`: `mode` decides how the draw
+        // `(tx, ty)` becomes a point — snapped onto the half-sub-cell
+        // lattice (every second value is exactly a sub-cell edge, every
+        // 32nd a cell edge), squeezed into one "hot" cell so it crosses
+        // the split threshold, left raw (some out of the world), or a
+        // removal. Sides are a power of two and not; worlds are dyadic,
+        // E2's 6x6-mile city, and one whose cell width is inexact.
+        let (world, side) = [
+            (unit_world(), 16u32),
+            (Rect::new_unchecked(0.0, 0.0, 6.0, 6.0), 10),
+            (Rect::new_unchecked(-0.3, 0.1, 0.8, 1.7), 6),
+            (unit_world(), 6),
+        ][geometry];
+        let lattice = f64::from(side * 32);
+        let snap = |t: f64| (t * lattice).round() / lattice;
+        let at = |tx: f64, ty: f64| {
+            Point::new(
+                world.min_x() + tx * world.width(),
+                world.min_y() + ty * world.height(),
+            )
+        };
+        let rects: Vec<Rect> = corners
+            .iter()
+            .map(|&(tx, ty, w, h, snapped)| {
+                let (a, b) = if snapped == 1 {
+                    (at(snap(tx), snap(ty)), at(snap(tx + w), snap(ty + h)))
+                } else {
+                    (at(tx, ty), at(tx + w, ty + h))
+                };
+                Rect::new_unchecked(a.x, a.y, b.x, b.y)
+            })
+            .collect();
+        let mut g = UniformGrid::new(world, side, side);
+        let mut brute = BruteGrid { world, side, pts: Vec::new() };
+        let hot = |t: f64| (1.0 + t.clamp(0.0, 0.999)) / f64::from(side);
+        for (i, &(id, mode, tx, ty)) in steps.iter().enumerate() {
+            let p = match mode {
+                0 => None,
+                1 => Some(at(snap(tx), snap(ty))),
+                2 => Some(at(snap(tx), ty)),
+                3..=5 => Some(at(hot(tx), hot(ty))),
+                6 => Some(at(snap(hot(tx)), snap(hot(ty)))),
+                _ => Some(at(tx, ty)),
+            };
+            let prev = brute.pts.iter().find(|&&(i, _)| i == id).map(|&(_, p)| p);
+            match p {
+                Some(p) => {
+                    prop_assert_eq!(g.insert(id, p), prev);
+                    brute.upsert(id, p);
+                }
+                None => {
+                    prop_assert_eq!(g.remove(id), prev);
+                    brute.remove(id);
+                }
+            }
+            if i % 97 == 96 {
+                prop_assert_eq!(assert_grid_matches(&g, &brute, &rects), Ok(()), "after step {}", i);
+            }
+        }
+        prop_assert_eq!(assert_grid_matches(&g, &brute, &rects), Ok(()));
+        // Empty the hot cell again: a grid that split and merged must
+        // answer like one that never held the crowd.
+        let hot_cell = brute.cell_of(at(hot(0.5), hot(0.5)));
+        let crowd: Vec<u64> = brute
+            .pts
+            .iter()
+            .filter(|(_, p)| brute.cell_of(*p) == hot_cell)
+            .map(|&(id, _)| id)
+            .collect();
+        for id in crowd {
+            prop_assert!(g.remove(id).is_some());
+            brute.remove(id);
+        }
+        prop_assert_eq!(assert_grid_matches(&g, &brute, &rects), Ok(()));
+        let mut fresh = UniformGrid::new(world, side, side);
+        for &(id, p) in &brute.pts {
+            fresh.insert(id, p);
+        }
+        prop_assert_eq!(assert_grid_matches(&fresh, &brute, &rects), Ok(()));
     }
 
     #[test]

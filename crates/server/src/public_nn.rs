@@ -95,13 +95,17 @@ impl PublicNnQuery {
     }
 
     /// The paper's pruning rule: keep a record iff no other record's
-    /// max-distance beats its min-distance.
+    /// max-distance beats its min-distance. Survivors come in ascending
+    /// pseudonym order: the store iterates a randomly keyed hash map,
+    /// and [`Self::evaluate`] draws one sample per candidate in turn, so
+    /// any other order would tie the estimates to the process.
     pub fn candidate_records(&self, store: &PrivateStore) -> Vec<(PseudonymId, Rect)> {
-        let records: Vec<(PseudonymId, Rect)> =
+        let mut records: Vec<(PseudonymId, Rect)> =
             store.iter().map(|r| (r.pseudonym, r.region)).collect();
         if records.is_empty() {
             return Vec::new();
         }
+        records.sort_unstable_by_key(|&(pseudonym, _)| pseudonym);
         let best_max = records
             .iter()
             .map(|(_, r)| max_dist_point_rect(self.from, r))
@@ -288,6 +292,30 @@ mod tests {
         let c = PublicNnQuery::new(q).with_seed(8).evaluate(&store);
         // Same candidates, slightly different estimates.
         assert_eq!(a.candidate_set().len(), c.candidate_set().len());
+    }
+
+    #[test]
+    fn answers_do_not_depend_on_store_iteration_order() {
+        // Eight overlapping candidates in two stores filled in opposite
+        // orders: each store's hash map iterates in its own order, and
+        // the estimates must not notice.
+        let q = Point::new(0.5, 0.5);
+        let records: Vec<PrivateRecord> = (0..8u64)
+            .map(|i| {
+                let x = 0.52 + 0.01 * i as f64;
+                PrivateRecord::new(i, rect(x, 0.45, x + 0.1, 0.55))
+            })
+            .collect();
+        let mut forward = PrivateStore::new();
+        let mut backward = PrivateStore::new();
+        for (a, b) in records.iter().zip(records.iter().rev()) {
+            forward.upsert(*a);
+            backward.upsert(*b);
+        }
+        let query = PublicNnQuery::new(q).with_samples(2_000);
+        let a = query.evaluate(&forward);
+        assert_eq!(a.candidates.len(), 8);
+        assert_eq!(a, query.evaluate(&backward));
     }
 
     #[test]
