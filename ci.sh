@@ -165,6 +165,10 @@ done
 # an in-process sequential engine; exits non-zero on any divergence.
 ./target/release/repro --cluster-verify 127.0.0.1:7647 | tee /tmp/lbsp_cluster_verify.txt
 grep -q "byte-identical to the sequential engine" /tmp/lbsp_cluster_verify.txt
+# The router serves through the same front door as a node, so its own
+# STATS attributes the router hop: replies were written, and timed.
+./target/release/repro --stats 127.0.0.1:7647 >/tmp/lbsp_cluster_router_stats.txt
+grep -Eq 'lbsp_stage_micros_count\{stage="outbound_wait"\} [1-9]' /tmp/lbsp_cluster_router_stats.txt
 # EOF on stdin must drain the router cleanly — with handoffs performed
 # and zero route failures.
 exec 9>&-

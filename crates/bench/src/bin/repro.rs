@@ -1218,11 +1218,15 @@ fn run_e1<A: CloakingAlgorithm>(
     let updates: usize = reports.iter().map(|r| r.updates).sum();
     let queries: usize = reports.iter().map(|r| r.range_queries + r.nn_queries).sum();
     let unsat: usize = reports.iter().map(|r| r.unsatisfied).sum();
-    let m = &engine.system().metrics;
     (
         updates as f64 / wall,
         queries as f64 / wall,
-        m.cloak_area.summary().mean,
+        engine
+            .system()
+            .metrics_registry()
+            .cloak_area()
+            .summary()
+            .mean,
         100.0 * unsat as f64 / updates as f64,
     )
 }
@@ -1251,8 +1255,10 @@ fn e2_profiles() {
         SimulationEngine::new(QuadCloak::new(w, 7), cfg, PrivacyProfile::paper_example());
     // Aggregate per profile entry.
     let mut per_entry: [(f64, f64, usize); 3] = [(0.0, 0.0, 0); 3];
+    let m = std::sync::Arc::clone(engine.system().metrics_registry());
     for _ in 0..24 {
-        engine.system_mut().metrics.reset();
+        m.cloak_area().reset();
+        m.candidate_set_size().reset();
         engine.tick();
         let hour = engine.now().time_of_day().hour();
         let idx = match hour {
@@ -1260,9 +1266,8 @@ fn e2_profiles() {
             17..=21 => 1,
             _ => 2,
         };
-        let m = &engine.system().metrics;
-        per_entry[idx].0 += m.cloak_area.summary().mean;
-        per_entry[idx].1 += m.candidate_set_size.summary().mean;
+        per_entry[idx].0 += m.cloak_area().summary().mean;
+        per_entry[idx].1 += m.candidate_set_size().summary().mean;
         per_entry[idx].2 += 1;
     }
     header(&[
@@ -1852,7 +1857,6 @@ fn e10_scalability() {
             .process_update(i as u64, *p, lbsp_geom::SimTime::ZERO)
             .unwrap();
     }
-    system.metrics.reset();
     let start = Instant::now();
     for (i, p) in positions.iter().enumerate().take(20_000) {
         system

@@ -347,9 +347,9 @@ pub mod clusterload {
             .collect::<io::Result<_>>()?;
         let addrs: Vec<String> = servers.iter().map(|s| s.local_addr().to_string()).collect();
         let addr_refs: Vec<&str> = addrs.iter().map(|s| s.as_str()).collect();
-        // The router front door is a thread-per-connection worker pool;
-        // give it one worker per driven connection so the client side
-        // is never queued behind itself.
+        // A front-door shard routes one request at a time; give the
+        // router one shard per driven connection so the client side is
+        // never queued behind itself.
         let mut net = NetConfig::default();
         net.workers = conns.max(net.workers);
         net.accept_backlog = conns.max(net.accept_backlog);

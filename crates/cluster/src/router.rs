@@ -1,10 +1,12 @@
-//! The cluster's routing front door.
+//! The cluster's routing tier.
 //!
-//! A [`Router`] speaks the ordinary client wire protocol on its public
-//! socket and owns one pipelined connection to each cluster node.
-//! Clients never learn the cluster topology: they connect to the router
-//! exactly as they would to a single [`lbsp_net::NetServer`], and the
-//! router forwards each request to the node owning it.
+//! A [`Router`] is an [`lbsp_net::FrontDoor`] — the same listener,
+//! poller shards and connection doctrine a single
+//! [`lbsp_net::NetServer`] serves through — whose [`Service`] forwards
+//! each request to the node owning it over one pipelined connection per
+//! cluster node, plus one reconnect supervisor per node. Clients never
+//! learn the cluster topology: they connect to the router exactly as
+//! they would to a single node.
 //!
 //! ## Replication and ownership
 //!
@@ -40,8 +42,8 @@
 //! depending on every node allocating in lockstep; the client sees
 //! node 0's reply. Deltas pushed by
 //! whichever node processed an update are fanned out to subscribed
-//! router connections through the same subscription-table idiom the
-//! single-node server uses.
+//! router connections through the front door's subscription registry
+//! ([`lbsp_net::route_deltas`]), as on a single node.
 //!
 //! ## Concurrency
 //!
@@ -52,7 +54,10 @@
 //! the owner and the `SHADOW_UPDATE` mirrors to every other node — and
 //! only then *waits* for the replies, so one update costs roughly two
 //! node round-trips regardless of cluster size, and updates owned by
-//! distinct nodes make progress concurrently.
+//! distinct nodes make progress concurrently. A front-door shard
+//! routes one request at a time, so `net.workers` requests are in
+//! flight at once; a shard's other connections wait behind a node round
+//! trip exactly as a node's wait behind its engine mutex.
 //!
 //! What replaces the old global request mutex is a single
 //! [`LockRank::ClusterRouter`] read/write gate. Per-user requests
@@ -111,18 +116,18 @@ use lbsp_core::metrics::NetCounters;
 use lbsp_core::{wire, LockRank, MetricsRegistry, TrackedMutex, TrackedRwLock};
 use lbsp_geom::Rect;
 use lbsp_net::frame::write_frame;
-use lbsp_net::{classify_reply, Frame, FrameReader, NetConfig, Poll, Reply, MAX_FRAME_LEN};
+use lbsp_net::{
+    classify_reply, drop_query, route_deltas, subscribe, Frame, FrameReader, FrontDoor, NetConfig,
+    Outbound, Poll, Reply, Service, SharedSubs, MAX_FRAME_LEN,
+};
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{self, TrySendError};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// One queued outbound frame: (tag, payload bytes).
-type Outbound = (u8, Vec<u8>);
 
 /// Changed standing-query states drained from node connections during
 /// one routed request: ((kind code, query id), state bytes).
@@ -141,8 +146,9 @@ const NODE_DOWN: u8 = 2;
 /// Tuning knobs of a [`Router`].
 #[derive(Debug, Clone, Copy)]
 pub struct RouterConfig {
-    /// Client-facing connection handling (same knobs as the single-node
-    /// server: worker pool, timeouts, bounded queues).
+    /// The client-facing front door — the same knobs, meaning the same
+    /// thing, as on a single node: `workers` poller shards (and so
+    /// requests routed at once), timeouts, bounded queues.
     pub net: NetConfig,
     /// Read/write timeout on each router→node connection. A node that
     /// stays quiet past this bound is demoted to `Reconnecting`.
@@ -857,7 +863,7 @@ impl Core {
         frame: &Frame,
         deltas: &mut DeltaBatch,
         subs_out: &mut Vec<SubAction>,
-    ) -> io::Result<Vec<Outbound>> {
+    ) -> io::Result<Outbound> {
         match frame.tag {
             wire::tag::EXACT_UPDATE => self.route_update(frame, deltas),
             wire::tag::REGISTER => self.route_register(frame, deltas),
@@ -873,18 +879,15 @@ impl Core {
             _ => {
                 let _gate = self.gate.read();
                 self.call(0, frame.tag, &frame.payload, deltas)
-                    .map(|f| vec![f])
             }
         }
     }
 
-    fn route_register(&self, frame: &Frame, deltas: &mut DeltaBatch) -> io::Result<Vec<Outbound>> {
+    fn route_register(&self, frame: &Frame, deltas: &mut DeltaBatch) -> io::Result<Outbound> {
         let Some(msg) = wire::decode_register(&frame.payload) else {
             // Malformed: let node 0 produce the canonical error text.
             let _gate = self.gate.read();
-            return self
-                .call(0, frame.tag, &frame.payload, deltas)
-                .map(|f| vec![f]);
+            return self.call(0, frame.tag, &frame.payload, deltas);
         };
         let _gate = self.gate.read();
         // Re-registration refreshes the profile wherever it currently
@@ -900,15 +903,13 @@ impl Core {
         if reply.0 == wire::tag::OK {
             self.tables.lock().owner.insert(msg.user, target);
         }
-        Ok(vec![reply])
+        Ok(reply)
     }
 
-    fn route_update(&self, frame: &Frame, deltas: &mut DeltaBatch) -> io::Result<Vec<Outbound>> {
+    fn route_update(&self, frame: &Frame, deltas: &mut DeltaBatch) -> io::Result<Outbound> {
         let Some(msg) = wire::decode_exact_update(&frame.payload) else {
             let _gate = self.gate.read();
-            return self
-                .call(0, frame.tag, &frame.payload, deltas)
-                .map(|f| vec![f]);
+            return self.call(0, frame.tag, &frame.payload, deltas);
         };
         let target = self.partition.node_of(msg.position);
         let gate = self.gate.read();
@@ -917,9 +918,7 @@ impl Core {
             // with the same unknown-user error the sequential engine
             // gives, and no node's position plane moves — a reference
             // no-op must stay a no-op fleet-wide.
-            return self
-                .call(target, frame.tag, &frame.payload, deltas)
-                .map(|f| vec![f]);
+            return self.call(target, frame.tag, &frame.payload, deltas);
         };
         if cur == target {
             return self.fan_out_update(target, frame, deltas);
@@ -955,7 +954,7 @@ impl Core {
         target: usize,
         frame: &Frame,
         deltas: &mut DeltaBatch,
-    ) -> io::Result<Vec<Outbound>> {
+    ) -> io::Result<Outbound> {
         let main = self
             .channel(target)?
             .begin(wire::tag::EXACT_UPDATE, &frame.payload)?;
@@ -1018,19 +1017,13 @@ impl Core {
                 return Err(e);
             }
         }
-        Ok(vec![reply])
+        Ok(reply)
     }
 
-    fn route_user_query(
-        &self,
-        frame: &Frame,
-        deltas: &mut DeltaBatch,
-    ) -> io::Result<Vec<Outbound>> {
+    fn route_user_query(&self, frame: &Frame, deltas: &mut DeltaBatch) -> io::Result<Outbound> {
         let Some(msg) = wire::decode_user_query(&frame.payload) else {
             let _gate = self.gate.read();
-            return self
-                .call(0, frame.tag, &frame.payload, deltas)
-                .map(|f| vec![f]);
+            return self.call(0, frame.tag, &frame.payload, deltas);
         };
         let _gate = self.gate.read();
         // Queries need the user's profile, which lives on the owner;
@@ -1043,7 +1036,6 @@ impl Core {
             .copied()
             .unwrap_or(0);
         self.call(target, frame.tag, &frame.payload, deltas)
-            .map(|f| vec![f])
     }
 
     /// Fans one frame out to every mirror node (1..n), waiting each
@@ -1092,7 +1084,7 @@ impl Core {
         frame: &Frame,
         deltas: &mut DeltaBatch,
         subs_out: &mut Vec<SubAction>,
-    ) -> io::Result<Vec<Outbound>> {
+    ) -> io::Result<Outbound> {
         let _gate = self.gate.write();
         if frame.tag == wire::tag::DEREGISTER_STANDING {
             // Deregistration names an id, so mirrors need nothing from
@@ -1115,7 +1107,7 @@ impl Core {
                     self.tables.lock().range_user.remove(&r.id);
                 }
             }
-            return Ok(vec![reply]);
+            return Ok(reply);
         }
         // Registration cannot pipeline the same way: mirrors install
         // the id node 0 grants, and that id only exists once node 0 has
@@ -1127,7 +1119,7 @@ impl Core {
         if reply.0 != wire::tag::STANDING_REGISTERED {
             // Node 0 refused (malformed frame, engine error): nothing
             // was allocated, so the mirrors must not observe it either.
-            return Ok(vec![reply]);
+            return Ok(reply);
         }
         let r = wire::decode_standing_ref(&reply.1).ok_or_else(|| {
             io::Error::new(
@@ -1168,15 +1160,13 @@ impl Core {
                 self.tables.lock().range_user.insert(r.id, user);
             }
         }
-        Ok(vec![reply])
+        Ok(reply)
     }
 
-    fn route_snapshot(&self, frame: &Frame, deltas: &mut DeltaBatch) -> io::Result<Vec<Outbound>> {
+    fn route_snapshot(&self, frame: &Frame, deltas: &mut DeltaBatch) -> io::Result<Outbound> {
         let Some(msg) = wire::decode_standing_ref(&frame.payload) else {
             let _gate = self.gate.read();
-            return self
-                .call(0, frame.tag, &frame.payload, deltas)
-                .map(|f| vec![f]);
+            return self.call(0, frame.tag, &frame.payload, deltas);
         };
         let _gate = self.gate.read();
         // Count registries are replicated in lockstep, so any node can
@@ -1195,7 +1185,6 @@ impl Core {
             }
         };
         self.call(target, frame.tag, &frame.payload, deltas)
-            .map(|f| vec![f])
     }
 }
 
@@ -1239,26 +1228,16 @@ fn is_internal(tag: u8) -> bool {
     )
 }
 
-/// Who hears about which standing query — same shape and semantics as
-/// the single-node server's subscription table.
-#[derive(Default)]
-struct StandingSubs {
-    by_query: HashMap<(u8, u64), Vec<u64>>,
-    senders: HashMap<u64, mpsc::SyncSender<Outbound>>,
-}
-
-type SharedSubs = Arc<TrackedMutex<StandingSubs>>;
 type SharedCore = Arc<Core>;
 
-/// The cluster's client-facing front door.
+/// The cluster's client-facing tier: a front door whose service is the
+/// routing core, and the per-node reconnect supervisors.
 pub struct Router {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    door: FrontDoor,
+    /// Tells the supervisors to exit (the door has its own flag).
+    stopping: Arc<AtomicBool>,
     supervisors: Vec<JoinHandle<()>>,
     core: SharedCore,
-    obs: Arc<MetricsRegistry>,
 }
 
 impl Router {
@@ -1280,10 +1259,7 @@ impl Router {
                 "a cluster needs at least one node",
             ));
         }
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
         let obs = Arc::new(MetricsRegistry::new());
-        let shutdown = Arc::new(AtomicBool::new(false));
         let core: SharedCore = Arc::new(Core {
             partition: PartitionMap::new(world, node_addrs.len()),
             channels: node_addrs
@@ -1302,48 +1278,9 @@ impl Router {
             tables: TrackedMutex::new(LockRank::ClusterCore, Tables::default()),
             obs: Arc::clone(&obs),
         });
-        let subs: SharedSubs = Arc::new(TrackedMutex::new(
-            LockRank::NetStandingSubs,
-            StandingSubs::default(),
-        ));
-        let conn_ids = Arc::new(AtomicU64::new(1));
-
-        let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(cfg.net.accept_backlog.max(1));
-        let conn_rx = Arc::new(TrackedMutex::new(LockRank::NetConnQueue, conn_rx));
-
-        let workers = (0..cfg.net.workers.max(1))
-            .map(|_| {
-                let conn_rx = Arc::clone(&conn_rx);
-                let core = Arc::clone(&core);
-                let obs = Arc::clone(&obs);
-                let shutdown = Arc::clone(&shutdown);
-                let subs = Arc::clone(&subs);
-                let conn_ids = Arc::clone(&conn_ids);
-                let net = cfg.net;
-                std::thread::spawn(move || loop {
-                    let next = conn_rx.lock().recv_timeout(Duration::from_millis(50));
-                    match next {
-                        Ok(stream) => {
-                            if shutdown.load(Ordering::Relaxed) {
-                                let _ = stream.shutdown(Shutdown::Both);
-                                NetCounters::add(&obs.net().connections_closed, 1);
-                                continue;
-                            }
-                            serve_connection(
-                                stream, &core, &obs, &net, &shutdown, &subs, &conn_ids,
-                            );
-                        }
-                        Err(mpsc::RecvTimeoutError::Timeout) => {
-                            if shutdown.load(Ordering::Relaxed) {
-                                break;
-                            }
-                        }
-                        Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                    }
-                })
-            })
-            .collect();
-
+        let service: Arc<dyn Service> = core.clone();
+        let door = FrontDoor::bind(addr, cfg.net, Arc::clone(&obs), service)?;
+        let stopping = Arc::new(AtomicBool::new(false));
         let supervisors = (0..core.channels.len())
             .map(|i| {
                 spawn_supervisor(
@@ -1351,47 +1288,21 @@ impl Router {
                     i,
                     Arc::clone(&obs),
                     cfg,
-                    Arc::clone(&shutdown),
+                    Arc::clone(&stopping),
                 )
             })
             .collect();
-
-        let acceptor = {
-            let obs = Arc::clone(&obs);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if shutdown.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    match stream {
-                        Ok(s) => {
-                            NetCounters::add(&obs.net().connections_accepted, 1);
-                            if let Err(TrySendError::Full(s)) = conn_tx.try_send(s) {
-                                NetCounters::add(&obs.net().connections_refused, 1);
-                                let _ = s.shutdown(Shutdown::Both);
-                            }
-                        }
-                        Err(_) => continue,
-                    }
-                }
-            })
-        };
-
         Ok(Router {
-            addr,
-            shutdown,
-            acceptor: Some(acceptor),
-            workers,
+            door,
+            stopping,
             supervisors,
             core,
-            obs,
         })
     }
 
     /// The bound public address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.door.local_addr()
     }
 
     /// The router's own observability registry (connection counters,
@@ -1399,7 +1310,7 @@ impl Router {
     /// node-downtime histogram; scraped by `STATS` on the public
     /// socket).
     pub fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
-        &self.obs
+        &self.core.obs
     }
 
     /// Boundary-crossing migrations completed so far.
@@ -1407,15 +1318,12 @@ impl Router {
         self.core.tables.lock().handoffs
     }
 
+    /// Door first: draining connections finish their requests against
+    /// live node channels, with the supervisors still healing. Only
+    /// then are the channels cut and the supervisors joined.
     fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+        self.door.stop();
+        self.stopping.store(true, Ordering::Relaxed);
         for ch in &self.core.channels {
             ch.close();
         }
@@ -1430,7 +1338,7 @@ impl Router {
     /// what the cluster did.
     pub fn shutdown(mut self) -> RouterReport {
         self.stop();
-        let snap = self.obs.net().snapshot();
+        let snap = self.core.obs.net().snapshot();
         RouterReport {
             handoffs: self.core.tables.lock().handoffs,
             route_failures: snap.route_failures,
@@ -1441,7 +1349,7 @@ impl Router {
 
 impl Drop for Router {
     fn drop(&mut self) {
-        if self.acceptor.is_some() || !self.workers.is_empty() {
+        if !self.supervisors.is_empty() {
             self.stop();
         }
     }
@@ -1705,268 +1613,64 @@ fn sleep_backoff(cfg: &RouterConfig, node: usize, attempt: u32, shutdown: &Arc<A
     }
 }
 
-/// Why a client connection ended (drives which counter is bumped).
-enum CloseReason {
-    Normal,
-    BadFrame,
-    Slow,
-    Idle,
+impl Service for Core {
+    fn serve(&self, ready: Vec<(u64, Frame)>, subs: &SharedSubs) -> Vec<(u64, Outbound)> {
+        let mut emitted = Vec::with_capacity(ready.len());
+        for (conn_id, frame) in ready {
+            self.handle_frame(frame, conn_id, subs, &mut emitted);
+        }
+        emitted
+    }
 }
 
-/// Serves one client connection to completion; every exit path closes
-/// the socket, forgets the connection's subscriptions, and bumps the
-/// right counter.
-fn serve_connection(
-    stream: TcpStream,
-    core: &SharedCore,
-    obs: &Arc<MetricsRegistry>,
-    cfg: &NetConfig,
-    shutdown: &Arc<AtomicBool>,
-    subs: &SharedSubs,
-    conn_ids: &Arc<AtomicU64>,
-) {
-    let conn_id = conn_ids.fetch_add(1, Ordering::Relaxed);
-    let reason = serve_connection_inner(&stream, core, obs, cfg, shutdown, subs, conn_id)
-        .unwrap_or_else(|_| {
-            unsubscribe_connection(subs, conn_id);
-            CloseReason::Normal
-        });
-    let counters = obs.net();
-    match reason {
-        CloseReason::Normal => {}
-        CloseReason::BadFrame => NetCounters::add(&counters.frames_rejected, 1),
-        CloseReason::Slow => NetCounters::add(&counters.slow_disconnects, 1),
-        CloseReason::Idle => NetCounters::add(&counters.idle_disconnects, 1),
-    }
-    let _ = stream.shutdown(Shutdown::Both);
-    NetCounters::add(&counters.connections_closed, 1);
-}
-
-fn serve_connection_inner(
-    stream: &TcpStream,
-    core: &SharedCore,
-    obs: &Arc<MetricsRegistry>,
-    cfg: &NetConfig,
-    shutdown: &Arc<AtomicBool>,
-    subs: &SharedSubs,
-    conn_id: u64,
-) -> io::Result<CloseReason> {
-    let counters = obs.net();
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(cfg.read_poll))?;
-    let mut rstream = stream.try_clone()?;
-
-    let wstream = stream.try_clone()?;
-    wstream.set_write_timeout(Some(cfg.write_timeout))?;
-    let (out_tx, out_rx) = mpsc::sync_channel::<Outbound>(cfg.outbound_bound.max(1));
-    subs.lock().senders.insert(conn_id, out_tx.clone());
-    let writer = {
-        let obs = Arc::clone(obs);
-        let max_frame = cfg.max_frame;
-        let mut wstream = wstream;
-        std::thread::spawn(move || -> bool {
-            while let Ok((tag, payload)) = out_rx.recv() {
-                let len = payload.len();
-                if write_frame(&mut wstream, tag, &payload, max_frame).is_err() {
-                    return false;
-                }
-                NetCounters::add(
-                    &obs.net().bytes_out,
-                    (len + lbsp_net::FRAME_OVERHEAD) as u64,
-                );
-            }
-            true
-        })
-    };
-
-    let mut reader = FrameReader::new(cfg.max_frame);
-    let mut last_frame = Instant::now();
-    let mut draining_since: Option<Instant> = None;
-    let mut reason = CloseReason::Normal;
-
-    'conn: loop {
-        if shutdown.load(Ordering::Relaxed) && draining_since.is_none() {
-            draining_since = Some(Instant::now());
-        }
-        if let Some(t) = draining_since {
-            if t.elapsed() > cfg.drain_grace {
-                break 'conn;
-            }
-        }
-        match reader.poll(&mut rstream) {
-            Ok(Poll::Frame(frame)) => {
-                last_frame = Instant::now();
-                NetCounters::add(&counters.bytes_in, frame.wire_len() as u64);
-                let frames = handle_frame(core, obs, frame, conn_id, subs);
-                NetCounters::add(&counters.requests_served, 1);
-                if frames.last().is_some_and(|(t, _)| *t == wire::tag::ERROR) {
-                    NetCounters::add(&counters.errors_returned, 1);
-                }
-                let deadline = Instant::now() + cfg.backpressure_timeout;
-                for mut item in frames {
-                    loop {
-                        match out_tx.try_send(item) {
-                            Ok(()) => break,
-                            Err(TrySendError::Full(it)) => {
-                                if Instant::now() >= deadline {
-                                    reason = CloseReason::Slow;
-                                    break 'conn;
-                                }
-                                item = it;
-                                std::thread::sleep(Duration::from_millis(1));
-                            }
-                            Err(TrySendError::Disconnected(_)) => {
-                                reason = CloseReason::Slow;
-                                break 'conn;
-                            }
-                        }
-                    }
-                }
-            }
-            Ok(Poll::Pending) => {
-                if draining_since.is_some() {
-                    break 'conn;
-                }
-                if last_frame.elapsed() > cfg.idle_timeout {
-                    reason = CloseReason::Idle;
-                    break 'conn;
-                }
-            }
-            Ok(Poll::Eof) => break 'conn,
-            Err(e) => {
-                reason = match e.kind() {
-                    io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof => {
-                        CloseReason::BadFrame
-                    }
-                    _ => CloseReason::Normal,
-                };
-                break 'conn;
-            }
-        }
-    }
-
-    unsubscribe_connection(subs, conn_id);
-    drop(out_tx);
-    if let Ok(false) = writer.join().map_err(|_| ()) {
-        if !matches!(reason, CloseReason::Slow) {
-            reason = CloseReason::Slow;
-        }
-    }
-    Ok(reason)
-}
-
-/// Routes one client frame end to end: answers liveness and stats
-/// probes locally, refuses cluster-internal tags, and sends everything
-/// else through the routing core (concurrently with other connections'
-/// requests — only the gate serializes, and only against lockstep
-/// operations). Standing deltas drained from node connections are
-/// fanned out to subscribers; this connection's own deltas precede the
-/// reply. Routing errors become kinded [`wire::tag::ROUTE_FAIL`]
-/// replies: `WouldBlock` means a node is mid-reconnect (`RETRYABLE`,
-/// bumping `retryable_failures`); anything else is fatal (`DOWN`,
-/// bumping `route_failures`).
-fn handle_frame(
-    core: &SharedCore,
-    obs: &Arc<MetricsRegistry>,
-    frame: Frame,
-    conn_id: u64,
-    subs: &SharedSubs,
-) -> Vec<Outbound> {
-    let counters = obs.net();
-    match frame.tag {
-        wire::tag::PING => return vec![(wire::tag::PONG, frame.payload)],
-        wire::tag::STATS => {
-            if !frame.payload.is_empty() {
-                NetCounters::add(&counters.frames_rejected, 1);
-                return vec![(
-                    wire::tag::ERROR,
-                    b"stats request carries a payload".to_vec(),
-                )];
-            }
-            let snap = obs.snapshot();
-            return vec![(
-                wire::tag::STATS_SNAPSHOT,
-                wire::encode_stats_snapshot(&snap).to_vec(),
-            )];
-        }
-        t if is_internal(t) => {
+impl Core {
+    /// Routes one client frame end to end: refuses cluster-internal
+    /// tags and sends everything else through [`Core::route`]
+    /// (concurrently with other shards' requests — only the gate
+    /// serializes, and only against lockstep operations). Standing
+    /// deltas drained from node connections are fanned out to
+    /// subscribers; this connection's own deltas precede the reply.
+    /// Routing errors become kinded [`wire::tag::ROUTE_FAIL`] replies:
+    /// `WouldBlock` means a node is mid-reconnect (`RETRYABLE`, bumping
+    /// `retryable_failures`); anything else is fatal (`DOWN`, bumping
+    /// `route_failures`).
+    fn handle_frame(
+        &self,
+        frame: Frame,
+        conn_id: u64,
+        subs: &SharedSubs,
+        emitted: &mut Vec<(u64, Outbound)>,
+    ) {
+        let counters = self.obs.net();
+        if is_internal(frame.tag) {
             NetCounters::add(&counters.frames_rejected, 1);
-            return vec![(
-                wire::tag::ERROR,
-                format!("cluster-internal request tag 0x{t:02x}").into_bytes(),
-            )];
+            let text = format!("cluster-internal request tag 0x{:02x}", frame.tag);
+            emitted.push((conn_id, (wire::tag::ERROR, text.into_bytes())));
+            return;
         }
-        _ => {}
-    }
-    let mut deltas: DeltaBatch = Vec::new();
-    let mut sub_actions: Vec<SubAction> = Vec::new();
-    let result = core.route(&frame, &mut deltas, &mut sub_actions);
-    for action in sub_actions {
-        match action {
-            SubAction::Subscribe(key) => subscribe(subs, conn_id, key),
-            SubAction::DropQuery(key) => {
-                subs.lock().by_query.remove(&key);
+        let mut deltas: DeltaBatch = Vec::new();
+        let mut sub_actions: Vec<SubAction> = Vec::new();
+        let result = self.route(&frame, &mut deltas, &mut sub_actions);
+        for action in sub_actions {
+            match action {
+                SubAction::Subscribe(key) => subscribe(subs, conn_id, key),
+                SubAction::DropQuery(key) => drop_query(subs, key),
+            }
+        }
+        emitted.extend(route_deltas(subs, deltas, |cid| cid == conn_id));
+        match result {
+            Ok(reply) => emitted.push((conn_id, reply)),
+            Err(e) => {
+                let kind = if e.kind() == io::ErrorKind::WouldBlock {
+                    NetCounters::add(&counters.retryable_failures, 1);
+                    wire::ROUTE_FAIL_RETRYABLE
+                } else {
+                    NetCounters::add(&counters.route_failures, 1);
+                    wire::ROUTE_FAIL_DOWN
+                };
+                let body = wire::encode_route_fail(kind, &e.to_string()).to_vec();
+                emitted.push((conn_id, (wire::tag::ROUTE_FAIL, body)));
             }
         }
     }
-    let mut frames = route_deltas(subs, conn_id, deltas);
-    match result {
-        Ok(mut reply) => frames.append(&mut reply),
-        Err(e) => {
-            let kind = if e.kind() == io::ErrorKind::WouldBlock {
-                NetCounters::add(&counters.retryable_failures, 1);
-                wire::ROUTE_FAIL_RETRYABLE
-            } else {
-                NetCounters::add(&counters.route_failures, 1);
-                wire::ROUTE_FAIL_DOWN
-            };
-            frames.push((
-                wire::tag::ROUTE_FAIL,
-                wire::encode_route_fail(kind, &e.to_string()).to_vec(),
-            ));
-        }
-    }
-    frames
-}
-
-fn unsubscribe_connection(subs: &SharedSubs, conn_id: u64) {
-    let mut subs = subs.lock();
-    subs.senders.remove(&conn_id);
-    subs.by_query.retain(|_, conns| {
-        conns.retain(|&c| c != conn_id);
-        !conns.is_empty()
-    });
-}
-
-fn subscribe(subs: &SharedSubs, conn_id: u64, key: (u8, u64)) {
-    let mut subs = subs.lock();
-    let conns = subs.by_query.entry(key).or_default();
-    if !conns.contains(&conn_id) {
-        conns.push(conn_id);
-    }
-}
-
-/// Same fan-out contract as the single-node server: the requesting
-/// connection's deltas are returned (they ride ahead of its reply);
-/// other subscribers get best-effort pushes through their writer
-/// queues.
-fn route_deltas(subs: &SharedSubs, conn_id: u64, deltas: DeltaBatch) -> Vec<Outbound> {
-    let mut own = Vec::new();
-    if deltas.is_empty() {
-        return own;
-    }
-    let subs = subs.lock();
-    for (key, bytes) in deltas {
-        let Some(conns) = subs.by_query.get(&key) else {
-            continue;
-        };
-        for &cid in conns {
-            if cid == conn_id {
-                own.push((wire::tag::STANDING_DELTA, bytes.clone()));
-            } else if let Some(tx) = subs.senders.get(&cid) {
-                let _ = tx.try_send((wire::tag::STANDING_DELTA, bytes.clone()));
-            }
-        }
-    }
-    own
 }

@@ -37,7 +37,7 @@ use std::fmt;
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Number of declared lock ranks.
-pub const LOCK_RANK_COUNT: usize = 14;
+pub const LOCK_RANK_COUNT: usize = 13;
 
 /// The ordered lock registry. Declaration order *is* acquisition order:
 /// a thread holding a lock of some rank may only acquire locks of equal
@@ -62,13 +62,12 @@ pub enum LockRank {
     /// pipelined node channel (equal-rank array, acquired in ascending
     /// node-index order when a fan-out touches several nodes).
     ClusterNode,
-    /// `lbsp-net`: the acceptor → worker connection hand-off queue.
-    NetConnQueue,
     /// `lbsp-net`: the engine mutex serializing requests into the
     /// sharded engine.
     Engine,
-    /// `lbsp-net`: the standing-query subscription map (query -> conn
-    /// ids, conn id -> writer queue). Ranked after `Engine` so delta
+    /// `lbsp-net`: the front door's standing-query subscription map
+    /// (query -> conn ids, conn id -> delta-push channel), shared by the
+    /// node and router tiers. Ranked after `Engine` so delta
     /// fan-out may acquire it while the engine is held.
     NetStandingSubs,
     /// `lbsp-anonymizer`: the `ConcurrentAnonymizer` service lock
@@ -98,7 +97,6 @@ impl LockRank {
         LockRank::ClusterCore,
         LockRank::ClusterRecovery,
         LockRank::ClusterNode,
-        LockRank::NetConnQueue,
         LockRank::Engine,
         LockRank::NetStandingSubs,
         LockRank::AnonService,
@@ -122,7 +120,6 @@ impl LockRank {
             LockRank::ClusterCore => "ClusterCore",
             LockRank::ClusterRecovery => "ClusterRecovery",
             LockRank::ClusterNode => "ClusterNode",
-            LockRank::NetConnQueue => "NetConnQueue",
             LockRank::Engine => "Engine",
             LockRank::NetStandingSubs => "NetStandingSubs",
             LockRank::AnonService => "AnonService",

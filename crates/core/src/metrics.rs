@@ -3,62 +3,14 @@
 //! The paper frames the whole design as a *trade-off*: "users would have
 //! the ability to tune a set of parameters to achieve a personal
 //! trade-off between the amount of information they would like to reveal
-//! about their locations and the quality of service". These recorders
-//! quantify both sides: privacy (cloaked area, achieved k) and QoS
-//! (candidate-set sizes — which the user pays for in transmission and
-//! local computation — plus processing latencies).
+//! about their locations and the quality of service". The streaming
+//! histograms of [`crate::obs`] quantify both sides: privacy (cloaked
+//! area, achieved k) and QoS (candidate-set sizes — which the user pays
+//! for in transmission and local computation — plus processing
+//! latencies). This module holds what they report through ([`Summary`])
+//! and the transport and lock counters.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
-
-/// A streaming recorder of scalar samples with summary statistics.
-///
-/// Backed by a fixed-footprint [`crate::obs::Histogram`] — recording is
-/// O(1) in memory no matter how many samples arrive, and `summary()` is
-/// O(buckets) instead of the old clone-and-sort over every retained
-/// sample. `count`, `mean`, `min`, and `max` are exact; `p50`/`p95`
-/// carry the factor-2 log2-bucket bound documented in [`crate::obs`].
-#[derive(Debug, Clone, Default)]
-pub struct Recorder {
-    hist: crate::obs::Histogram,
-}
-
-impl Recorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Recorder {
-        Recorder::default()
-    }
-
-    /// Records one sample (non-finite samples are dropped).
-    pub fn record(&mut self, v: f64) {
-        self.hist.record(v);
-    }
-
-    /// Records a duration in microseconds.
-    pub fn record_duration(&mut self, d: Duration) {
-        self.hist.record_duration(d);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> usize {
-        usize::try_from(self.hist.count()).unwrap_or(usize::MAX)
-    }
-
-    /// Summary of everything recorded so far.
-    pub fn summary(&self) -> Summary {
-        self.hist.summary()
-    }
-
-    /// The backing histogram's plain-value snapshot.
-    pub fn snapshot(&self) -> crate::obs::HistogramSnapshot {
-        self.hist.snapshot()
-    }
-
-    /// Clears all samples.
-    pub fn reset(&mut self) {
-        self.hist.reset();
-    }
-}
 
 /// Descriptive statistics of a sample set.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -98,37 +50,6 @@ impl Summary {
             p95: pct(0.95),
             max: sorted[n - 1],
         }
-    }
-}
-
-/// The standard metric set every experiment reports.
-#[derive(Debug, Clone, Default)]
-pub struct SystemMetrics {
-    /// Cloaked region areas (square world units).
-    pub cloak_area: Recorder,
-    /// Achieved anonymity levels.
-    pub achieved_k: Recorder,
-    /// Cloaking latencies (µs).
-    pub cloak_latency: Recorder,
-    /// Candidate-set sizes returned by private queries.
-    pub candidate_set_size: Recorder,
-    /// Query processing latencies (µs).
-    pub query_latency: Recorder,
-}
-
-impl SystemMetrics {
-    /// Creates an empty metric set.
-    pub fn new() -> SystemMetrics {
-        SystemMetrics::default()
-    }
-
-    /// Resets every recorder.
-    pub fn reset(&mut self) {
-        self.cloak_area.reset();
-        self.achieved_k.reset();
-        self.cloak_latency.reset();
-        self.candidate_set_size.reset();
-        self.query_latency.reset();
     }
 }
 
@@ -292,52 +213,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_summary_is_zeroed() {
-        let s = Recorder::new().summary();
-        assert_eq!(s.count, 0);
-        assert_eq!(s.mean, 0.0);
-        assert_eq!(s.max, 0.0);
-    }
-
-    #[test]
-    fn summary_statistics() {
-        let mut r = Recorder::new();
-        for v in [5.0, 1.0, 3.0, 2.0, 4.0] {
-            r.record(v);
-        }
-        let s = r.summary();
-        assert_eq!(s.count, 5);
-        assert!((s.mean - 3.0).abs() < 1e-12);
-        assert_eq!(s.min, 1.0);
-        // p50 is bucket-interpolated: exact value 3.0, factor-2 bound.
-        assert!(s.p50 >= 1.5 && s.p50 <= 6.0, "p50 = {}", s.p50);
-        assert_eq!(s.max, 5.0);
-    }
-
-    #[test]
-    fn percentiles_on_larger_sets() {
-        let mut r = Recorder::new();
-        for i in 1..=100 {
-            r.record(i as f64);
-        }
-        let s = r.summary();
-        // Exact p50 = 50, p95 = 95; the histogram reports within a
-        // factor of 2 (and never outside [min, max]).
-        assert!(s.p50 >= 25.0 && s.p50 <= 100.0, "p50 = {}", s.p50);
-        assert!(s.p95 >= 47.5 && s.p95 <= 100.0, "p95 = {}", s.p95);
-        assert!(s.p95 >= s.p50);
-    }
-
-    #[test]
-    fn non_finite_samples_dropped() {
-        let mut r = Recorder::new();
-        r.record(f64::NAN);
-        r.record(f64::INFINITY);
-        r.record(1.0);
-        assert_eq!(r.count(), 1);
-    }
-
-    #[test]
     fn single_sample_collapses_all_statistics() {
         let s = Summary::of(&[7.25]);
         assert_eq!(s.count, 1);
@@ -369,14 +244,6 @@ mod tests {
     #[test]
     fn empty_slice_equals_default_summary() {
         assert_eq!(Summary::of(&[]), Summary::default());
-    }
-
-    #[test]
-    fn zero_duration_counts_as_a_sample() {
-        let mut r = Recorder::new();
-        r.record_duration(Duration::ZERO);
-        assert_eq!(r.count(), 1);
-        assert_eq!(r.summary().max, 0.0);
     }
 
     #[test]
@@ -413,18 +280,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(c.snapshot().requests_served, 4000);
-    }
-
-    #[test]
-    fn duration_recording_and_reset() {
-        let mut r = Recorder::new();
-        r.record_duration(Duration::from_micros(250));
-        assert!((r.summary().mean - 250.0).abs() < 1.0);
-        r.reset();
-        assert_eq!(r.count(), 0);
-        let mut m = SystemMetrics::new();
-        m.cloak_area.record(0.5);
-        m.reset();
-        assert_eq!(m.cloak_area.count(), 0);
     }
 }

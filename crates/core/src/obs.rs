@@ -4,11 +4,10 @@
 //! The paper sells the whole architecture as a *tunable* trade-off
 //! between privacy and quality of service — which makes the system only
 //! as good as its ability to measure cloak areas, achieved `k`,
-//! candidate-set sizes, and latencies *continuously*. The original
-//! [`crate::metrics::Recorder`] hoarded every sample in a `Vec<f64>`
-//! (unbounded memory) and clone+sorted it on every `summary()` call
-//! (O(n log n) per read) — fine for a bench run, fatal for a server
-//! meant to stay up. This module replaces that with:
+//! candidate-set sizes, and latencies *continuously*. Hoarding every
+//! sample in a `Vec<f64>` (unbounded memory) and clone+sorting it on
+//! every read (O(n log n)) is fine for a bench run, fatal for a server
+//! meant to stay up. This module provides instead:
 //!
 //! * [`Histogram`] — a fixed-footprint streaming histogram: 64 log2
 //!   buckets (the same power-of-two scheme as the lock hold-time
@@ -157,9 +156,8 @@ impl Histogram {
         }
     }
 
-    /// Records one sample. Non-finite samples are dropped (matching the
-    /// old `Recorder` contract). Takes `&self`: shards record into a
-    /// shared histogram without locking.
+    /// Records one sample. Non-finite samples are dropped. Takes
+    /// `&self`: shards record into a shared histogram without locking.
     pub fn record(&self, v: f64) {
         if !v.is_finite() {
             return;
@@ -868,6 +866,16 @@ mod tests {
         assert!(text.contains("lbsp_cloak_failures{kind=\"unknown_user\"} 1"));
         assert!(text.contains("lbsp_net_requests_served 7"));
         assert!(text.contains("lbsp_cloak_area_count 1"));
+    }
+
+    #[test]
+    fn durations_record_as_microseconds() {
+        let h = Histogram::new();
+        h.record_duration(Duration::ZERO);
+        assert_eq!(h.count(), 1, "a zero duration is still a sample");
+        assert_eq!(h.summary().max, 0.0);
+        h.record_duration(Duration::from_micros(500));
+        assert!((h.summary().mean - 250.0).abs() < 1.0);
     }
 
     #[test]

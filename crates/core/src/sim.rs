@@ -111,7 +111,10 @@ impl<A: CloakingAlgorithm> SimulationEngine<A> {
         }
         // Cold-start cloaks (computed while the index was still filling)
         // are not representative; measurements start at the first tick.
-        system.metrics.reset();
+        let obs = system.metrics_registry();
+        obs.cloak_area().reset();
+        obs.achieved_k().reset();
+        obs.candidate_set_size().reset();
         let rng = SmallRng::seed_from_u64(config.seed ^ 0x51A1);
         SimulationEngine {
             population,
@@ -213,9 +216,9 @@ mod tests {
             assert!((r.now.as_secs() - 60.0 * (i + 1) as f64).abs() < 1e-9);
         }
         // Metrics accumulated across ticks.
-        let m = &engine.system().metrics;
-        assert!(m.cloak_area.count() >= 600);
-        assert!(m.candidate_set_size.count() >= 60);
+        let m = engine.system().metrics_registry();
+        assert!(m.cloak_area().count() >= 600);
+        assert!(m.candidate_set_size().count() >= 60);
     }
 
     #[test]
@@ -234,7 +237,15 @@ mod tests {
         // (Later movement can erode a stored region's occupancy — the
         // snapshot-staleness problem the paper raises in Sec. 2.2 — which
         // is why each new update re-cloaks.)
-        assert!(engine.system().metrics.achieved_k.summary().min >= 20.0);
+        assert!(
+            engine
+                .system()
+                .metrics_registry()
+                .achieved_k()
+                .summary()
+                .min
+                >= 20.0
+        );
     }
 
     #[test]
@@ -247,10 +258,20 @@ mod tests {
         let mut engine = SimulationEngine::new(QuadCloak::new(world(), 5), cfg, engine_profile);
         // Tick 1 ends at 06:00 (night entry), tick 2 at 12:00 (day).
         engine.tick();
-        let night_area = engine.system().metrics.cloak_area.summary().max;
-        engine.system_mut().metrics.reset();
+        let night_area = engine
+            .system()
+            .metrics_registry()
+            .cloak_area()
+            .summary()
+            .max;
+        engine.system().metrics_registry().cloak_area().reset();
         engine.tick();
-        let noon_area = engine.system().metrics.cloak_area.summary().max;
+        let noon_area = engine
+            .system()
+            .metrics_registry()
+            .cloak_area()
+            .summary()
+            .max;
         assert!(night_area >= 1.0 - 1e-9, "night cloaks are world-sized");
         assert_eq!(noon_area, 0.0, "noon cloaks are exact points");
     }

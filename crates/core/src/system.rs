@@ -1,7 +1,6 @@
 //! The end-to-end privacy-aware system (Fig. 1).
 
 use crate::journal::{Durability, DurabilitySink, DurableHook, EngineOp, JournalRecord};
-use crate::metrics::SystemMetrics;
 use crate::obs::{MetricsRegistry, Stage};
 use crate::standing::{StandingPrivateRanges, StandingQueryId};
 use crate::{MobileUser, UserId, UserMode};
@@ -54,11 +53,10 @@ pub struct PrivacyAwareSystem<A> {
     users: HashMap<UserId, MobileUser>,
     /// Device-side state: each user's last exact position ("the GPS").
     device_positions: HashMap<UserId, Point>,
-    /// QoS / performance instrumentation.
-    pub metrics: SystemMetrics,
-    /// The unified streaming registry (per-stage timing histograms and
-    /// cloak-failure counters) — same registry type the sharded engine
-    /// and the network front-end feed.
+    /// QoS / performance instrumentation: the unified streaming
+    /// registry (per-stage timing histograms, cloak area / achieved k /
+    /// candidate-set histograms, cloak-failure counters) — same registry
+    /// type the sharded engine and the network front-end feed.
     obs: Arc<MetricsRegistry>,
     /// Optional write-ahead journal. Unlike the sharded engine, the
     /// system never takes snapshots: the cloaking algorithm `A` is an
@@ -77,7 +75,6 @@ impl<A: CloakingAlgorithm> PrivacyAwareSystem<A> {
             standing_ranges: StandingPrivateRanges::new(),
             users: HashMap::new(),
             device_positions: HashMap::new(),
-            metrics: SystemMetrics::new(),
             obs: Arc::new(MetricsRegistry::new()),
             durable: None,
         }
@@ -265,15 +262,10 @@ impl<A: CloakingAlgorithm> PrivacyAwareSystem<A> {
                 return Err(e);
             }
         };
-        self.metrics.cloak_latency.record_duration(start.elapsed());
         self.obs
             .stage(Stage::Cloak)
             .record_duration(start.elapsed());
-        self.metrics.cloak_area.record(update.region.area());
         self.obs.cloak_area().record(update.region.area());
-        self.metrics
-            .achieved_k
-            .record(update.region.achieved_k as f64);
         self.obs
             .achieved_k()
             .record(update.region.achieved_k as f64);
@@ -298,13 +290,9 @@ impl<A: CloakingAlgorithm> PrivacyAwareSystem<A> {
         let query = self.anonymizer.cloak_query(id, time)?;
         let start = Instant::now();
         let candidates = self.server.private_range(&query.region.region, radius);
-        self.metrics.query_latency.record_duration(start.elapsed());
         self.obs
             .stage(Stage::PrivateQuery)
             .record_duration(start.elapsed());
-        self.metrics
-            .candidate_set_size
-            .record(candidates.len() as f64);
         self.obs
             .candidate_set_size()
             .record(candidates.len() as f64);
@@ -326,13 +314,9 @@ impl<A: CloakingAlgorithm> PrivacyAwareSystem<A> {
         let query = self.anonymizer.cloak_query(id, time)?;
         let start = Instant::now();
         let candidates = self.server.private_nn(&query.region.region);
-        self.metrics.query_latency.record_duration(start.elapsed());
         self.obs
             .stage(Stage::PrivateQuery)
             .record_duration(start.elapsed());
-        self.metrics
-            .candidate_set_size
-            .record(candidates.len() as f64);
         self.obs
             .candidate_set_size()
             .record(candidates.len() as f64);
@@ -356,13 +340,9 @@ impl<A: CloakingAlgorithm> PrivacyAwareSystem<A> {
         let query = self.anonymizer.cloak_query(id, time)?;
         let start = Instant::now();
         let candidates = self.server.private_knn(&query.region.region, k);
-        self.metrics.query_latency.record_duration(start.elapsed());
         self.obs
             .stage(Stage::PrivateQuery)
             .record_duration(start.elapsed());
-        self.metrics
-            .candidate_set_size
-            .record(candidates.len() as f64);
         self.obs
             .candidate_set_size()
             .record(candidates.len() as f64);
@@ -388,7 +368,6 @@ impl<A: CloakingAlgorithm> PrivacyAwareSystem<A> {
         let ans = self
             .server
             .private_friend_nn(&query.region.region, query.pseudonym.0);
-        self.metrics.query_latency.record_duration(start.elapsed());
         self.obs
             .stage(Stage::PrivateQuery)
             .record_duration(start.elapsed());
@@ -408,7 +387,6 @@ impl<A: CloakingAlgorithm> PrivacyAwareSystem<A> {
         let ans = self
             .server
             .private_friend_count(&query.region.region, query.pseudonym.0, radius);
-        self.metrics.query_latency.record_duration(start.elapsed());
         self.obs
             .stage(Stage::PrivateQuery)
             .record_duration(start.elapsed());
@@ -420,7 +398,6 @@ impl<A: CloakingAlgorithm> PrivacyAwareSystem<A> {
     pub fn public_count_query(&mut self, area: Rect) -> CountAnswer {
         let start = Instant::now();
         let ans = self.server.public_count(area);
-        self.metrics.query_latency.record_duration(start.elapsed());
         self.obs
             .stage(Stage::PublicQuery)
             .record_duration(start.elapsed());
@@ -431,7 +408,6 @@ impl<A: CloakingAlgorithm> PrivacyAwareSystem<A> {
     pub fn public_nn_query(&mut self, from: Point) -> PublicNnAnswer {
         let start = Instant::now();
         let ans = self.server.public_nn(from);
-        self.metrics.query_latency.record_duration(start.elapsed());
         self.obs
             .stage(Stage::PublicQuery)
             .record_duration(start.elapsed());
@@ -556,7 +532,7 @@ mod tests {
             assert!(rec.region.area() > 0.0, "k=10 regions are never points");
             assert!(sys.anonymizer().algorithm().count_in_region(&rec.region) >= 10);
         }
-        assert_eq!(sys.metrics.cloak_area.count(), 100);
+        assert_eq!(sys.metrics_registry().cloak_area().count(), 100);
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! - every `encode_X` has a `decode_X` and vice versa (a one-sided
 //!   codec means one end of the protocol is guessing);
 //! - every request-plane tag (value < 0x80) has a dispatch arm in
-//!   `NetServer::handle_request`, and every client-plane tag
-//!   (value < 0x20) is routed by the cluster `Router`;
+//!   the node tier (`handle_request`, or `serve` for the batched
+//!   update run) or is a front-door built-in (`is_builtin`), and every
+//!   client-plane tag (value < 0x20) is a built-in or routed by the
+//!   cluster `Router`;
 //! - every struct marked `server-bound` is pinned in
 //!   [`crate::REQUIRED_SERVER_BOUND`], so the boundary set cannot grow
 //!   without a reviewed registry edit;
@@ -159,10 +161,12 @@ fn parse_u8(text: &str) -> Option<u8> {
     }
 }
 
-/// Every request-plane tag must have a `tag::NAME` arm inside
-/// `NetServer::handle_request`; every client-plane tag must appear in
-/// the cluster router. Skipped when those files are not in the source
-/// set (fixture runs analyze a wire file in isolation).
+/// Every request-plane tag must have a `tag::NAME` arm in the node
+/// tier's dispatch (`handle_request` / `serve`) or be one the front
+/// door answers for every tier (`is_builtin`); every client-plane tag
+/// must be such a built-in or appear in the cluster router. Skipped when
+/// those files are not in the source set (fixture runs analyze a wire
+/// file in isolation).
 fn check_dispatch(
     files: &[SourceFile],
     syms: &SymbolTable,
@@ -170,21 +174,27 @@ fn check_dispatch(
     tags: &[TagDecl],
     findings: &mut Vec<Finding>,
 ) {
-    // Server dispatch: the `tag::NAME` mentions inside handle_request.
+    // The `tag::NAME` mentions inside the named functions of server.rs.
     let server = files
         .iter()
         .position(|f| f.rel == "crates/net/src/server.rs");
-    if let Some(si) = server {
+    let refs_in = |names: &[&str]| {
         let mut seen = HashSet::new();
         for f in syms
             .fns
             .iter()
-            .filter(|f| f.file == si && f.name == "handle_request")
+            .filter(|f| Some(f.file) == server && names.contains(&f.name.as_str()))
         {
-            if let Some(body) = f.body {
+            if let (Some(si), Some(body)) = (server, f.body) {
                 collect_tag_refs(&files[si], body, &mut seen);
             }
         }
+        seen
+    };
+    let builtin = refs_in(&["is_builtin"]);
+    if server.is_some() {
+        let mut seen = refs_in(&["handle_request", "serve"]);
+        seen.extend(builtin.iter().cloned());
         for t in tags.iter().filter(|t| t.value < 0x80) {
             if !seen.contains(&t.name) {
                 findings.push(Finding {
@@ -192,8 +202,8 @@ fn check_dispatch(
                     line: t.line,
                     rule: "wire",
                     message: format!(
-                        "request tag `{}` (0x{:02X}) has no dispatch arm in \
-                         NetServer::handle_request",
+                        "request tag `{}` (0x{:02X}) has no dispatch arm in the node \
+                         tier and is not a front-door built-in",
                         t.name, t.value
                     ),
                 });
@@ -201,13 +211,13 @@ fn check_dispatch(
         }
     }
 
-    // Router coverage: client-plane tags only; PING/STATS are answered
-    // outside `route()`, so this is a whole-file check.
+    // Router coverage: client-plane tags only; a whole-file check, plus
+    // the built-ins the front door answers before the router sees them.
     let router = files
         .iter()
         .position(|f| f.rel == "crates/cluster/src/router.rs");
     if let Some(ri) = router {
-        let mut seen = HashSet::new();
+        let mut seen = builtin;
         let end = files[ri].toks.len();
         collect_tag_refs(&files[ri], (0, end), &mut seen);
         for t in tags.iter().filter(|t| t.value < 0x20) {

@@ -8,9 +8,10 @@
 //!
 //! Std-only by design — the build is offline, so the transport is
 //! `std::net` + OS threads: a length-prefixed frame layer over the
-//! `lbsp-core::wire` codecs, a multi-threaded [`NetServer`] bridging
-//! frames into the deterministic `ShardedEngine`, and a blocking
-//! [`NetClient`] for closed-loop load generation.
+//! `lbsp-core::wire` codecs, one [`FrontDoor`] that serves connections
+//! for whatever [`Service`] a tier plugs in, the [`NetServer`] tier
+//! bridging frames into the deterministic `ShardedEngine`, and a
+//! blocking [`NetClient`] for closed-loop load generation.
 //!
 //! Determinism is preserved across the wire: a closed-loop client
 //! driving the server produces byte-identical responses to the
@@ -37,4 +38,7 @@ pub mod server;
 pub use chaos::ChaosProxy;
 pub use client::{classify_reply, is_retryable_route_failure, is_route_failure, NetClient, Reply};
 pub use frame::{Frame, FrameReader, Poll, FRAME_OVERHEAD, MAX_FRAME_LEN};
-pub use server::{sim_time_since, NetConfig, NetServer, RecoveryReport};
+pub use server::{
+    drop_query, route_deltas, sim_time_since, subscribe, FrontDoor, NetConfig, NetServer, Outbound,
+    RecoveryReport, Service, SharedSubs,
+};

@@ -1,4 +1,4 @@
-//! The sharded readiness loop at the heart of [`crate::NetServer`].
+//! The sharded readiness loop at the heart of [`crate::FrontDoor`].
 //!
 //! Std-only event-driven serving: with no `libc` (and `unsafe`
 //! forbidden) there is no `epoll`, so readiness is discovered by
@@ -14,11 +14,10 @@
 //! Each connection keeps a resumable [`FrameReader`], so a frame split
 //! across `WouldBlock` boundaries at any byte offset resumes exactly
 //! where it stopped. Frames completed during one read sweep are
-//! collected in arrival order and processed together: contiguous runs
-//! of `EXACT_UPDATE` frames — the hot path of the paper's workload —
-//! become *one* `process_updates` engine crossing, so a single lock
-//! acquisition and one journal append amortize every update the sweep
-//! found ready (see `handle_update_batch` in the server module).
+//! collected in arrival order and handed to the door's
+//! [`Service`] in one call, so a service can amortize a lock
+//! acquisition or a journal append over everything the sweep found
+//! ready. The shard answers `PING` and `STATS` itself, in place.
 //!
 //! Fairness: the read sweep starts at a rotating offset and takes at
 //! most [`FRAMES_PER_SWEEP`] frames per connection per sweep, so one
@@ -27,7 +26,7 @@
 //! backpressure propagates to the peer's socket instead of growing
 //! server memory.
 //!
-//! The disconnect doctrine matches the threaded server this replaced:
+//! The disconnect doctrine:
 //!
 //! * **BadFrame** — protocol violation from the reader (zero,
 //!   oversized, or truncated frame): counted in `frames_rejected`.
@@ -47,11 +46,11 @@
 
 use crate::frame::{frame_bytes, Frame, FrameReader, Poll};
 use crate::server::{
-    handle_request, handle_update_batch, unsubscribe_connection, CloseReason, NetConfig, Outbound,
+    builtin_reply, is_builtin, unsubscribe_connection, CloseReason, NetConfig, Outbound, Service,
     SharedSubs,
 };
 use lbsp_core::metrics::NetCounters;
-use lbsp_core::{wire, MetricsRegistry, ShardedEngine, Stage, TrackedMutex};
+use lbsp_core::{wire, MetricsRegistry, Stage};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
 use std::net::{Shutdown, TcpStream};
@@ -65,8 +64,7 @@ use std::time::{Duration, Instant};
 /// queue can overshoot its bound within one sweep).
 pub(crate) const FRAMES_PER_SWEEP: usize = 32;
 
-/// One outbound frame, already encoded, with a resumable write offset —
-/// the nonblocking mirror of the old writer thread's queue slot.
+/// One outbound frame, already encoded, with a resumable write offset.
 struct OutFrame {
     bytes: Vec<u8>,
     written: usize,
@@ -152,7 +150,7 @@ fn enqueue_outbound(
 /// from `incoming` until the acceptor hangs up; exits after shutdown
 /// once every connection has drained (bounded by `drain_grace`).
 pub(crate) fn run_shard(
-    engine: Arc<TrackedMutex<ShardedEngine>>,
+    service: Arc<dyn Service>,
     obs: Arc<MetricsRegistry>,
     cfg: NetConfig,
     shutdown: Arc<AtomicBool>,
@@ -175,7 +173,7 @@ pub(crate) fn run_shard(
 
         // Phase 1: adopt connections handed over by the acceptor. A
         // connection that arrives after shutdown began is closed, not
-        // served (same doctrine as the old worker pool).
+        // served.
         while incoming_open {
             match incoming.try_recv() {
                 Ok(stream) => {
@@ -201,8 +199,7 @@ pub(crate) fn run_shard(
         // *before* this sweep's requests are processed so a push that
         // was already waiting is written ahead of any reply produced
         // by this sweep — a subscriber that sends a request after the
-        // delta was routed reads the delta first, as it did when
-        // pushes landed directly on the old writer queue.
+        // delta was routed reads the delta first.
         for conn in &mut conns {
             while let Ok((tag, payload)) = conn.push_rx.try_recv() {
                 did_work = true;
@@ -289,12 +286,12 @@ pub(crate) fn run_shard(
         }
         rotate = rotate.wrapping_add(1);
 
-        // Phase 4: process the ready frames in arrival order. Contiguous
-        // runs of EXACT_UPDATE collapse into one engine crossing; every
-        // other tag is handled singly, exactly as the worker loop did.
+        // Phase 4: serve the ready frames in arrival order — built-in
+        // probes here, each run of everything else in one `serve` call.
         // Frames read before a connection's close was discovered still
         // get replies — they were accepted, and Normal/BadFrame closes
-        // flush before the socket shuts.
+        // flush before the socket shuts. A request is counted once it
+        // has been served, so a scrape never counts itself.
         if !ready.is_empty() {
             did_work = true;
             let index: HashMap<u64, usize> = conns
@@ -302,39 +299,37 @@ pub(crate) fn run_shard(
                 .enumerate()
                 .map(|(i, c)| (c.conn_id, i))
                 .collect();
+            let mut emit = |served: usize, frames: Vec<(u64, Outbound)>| {
+                let errors = frames
+                    .iter()
+                    .filter(|(_, (tag, _))| *tag == wire::tag::ERROR)
+                    .count();
+                NetCounters::add(&obs.net().requests_served, served as u64);
+                if errors > 0 {
+                    NetCounters::add(&obs.net().errors_returned, errors as u64);
+                }
+                for (to, out) in frames {
+                    enqueue_outbound(&mut conns, &index, to, out, &cfg);
+                }
+            };
             let mut it = ready.into_iter().peekable();
             while let Some((cid, frame)) = it.next() {
-                if frame.tag == wire::tag::EXACT_UPDATE {
-                    let mut batch: Vec<(u64, Frame)> = vec![(cid, frame)];
-                    while it
-                        .peek()
-                        .is_some_and(|(_, f)| f.tag == wire::tag::EXACT_UPDATE)
-                    {
-                        if let Some(next) = it.next() {
-                            batch.push(next);
-                        }
-                    }
-                    for (to, out) in handle_update_batch(&engine, &obs, &subs, batch) {
-                        enqueue_outbound(&mut conns, &index, to, out, &cfg);
-                    }
-                } else {
-                    let frames = handle_request(&engine, &obs, frame, cid, &subs);
-                    NetCounters::add(&obs.net().requests_served, 1);
-                    if frames.last().is_some_and(|(t, _)| *t == wire::tag::ERROR) {
-                        NetCounters::add(&obs.net().errors_returned, 1);
-                    }
-                    for out in frames {
-                        enqueue_outbound(&mut conns, &index, cid, out, &cfg);
-                    }
+                if is_builtin(frame.tag) {
+                    emit(1, vec![(cid, builtin_reply(&obs, frame))]);
+                    continue;
                 }
+                let mut run = vec![(cid, frame)];
+                run.extend(std::iter::from_fn(|| {
+                    it.next_if(|(_, f)| !is_builtin(f.tag))
+                }));
+                emit(run.len(), service.serve(run, &subs));
             }
         }
 
         // Phase 5: write sweep. Each connection writes as much as its
         // socket will take; a stall past `write_timeout` or a queue
         // stuck over its bound past `backpressure_timeout` marks the
-        // consumer slow — even a connection already closing normally,
-        // matching the old writer-thread doctrine.
+        // consumer slow — even a connection already closing normally.
         for conn in &mut conns {
             if matches!(conn.close, Some(CloseReason::Slow)) {
                 continue;

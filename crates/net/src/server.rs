@@ -1,4 +1,9 @@
-//! The network server: acceptor → poller shards → `ShardedEngine`.
+//! The TCP front door, and the node tier built on it.
+//!
+//! [`FrontDoor`] is the one connection-serving stack in the workspace;
+//! a tier plugs in as a [`Service`]. [`NetServer`] is the door plus a
+//! service over a `ShardedEngine`; the cluster `Router` is the door
+//! plus a service that routes each frame to the node owning it.
 //!
 //! Threading model (std-only, no async runtime):
 //!
@@ -9,22 +14,22 @@
 //!   (counted, never silently dropped into an unbounded buffer).
 //! * **Poller shards** — `workers` threads each own a *set* of
 //!   nonblocking connections and run the readiness loop in
-//!   [`crate::poller`]: sweep for readable bytes, batch the ready
-//!   frames into the shared [`ShardedEngine`] (contiguous
-//!   `EXACT_UPDATE` runs become one `process_updates` crossing), and
-//!   write replies as the sockets accept them. The engine is the same
-//!   deterministic sharded engine the in-process pipeline uses, behind
-//!   one mutex — requests from one connection are processed in arrival
+//!   [`crate::poller`]: sweep for readable bytes, hand the ready frames
+//!   to the service in arrival order, and write replies as the sockets
+//!   accept them. Requests from one connection are served in arrival
 //!   order, which is what makes the network path byte-identical to the
 //!   in-process path for a closed-loop client. Idle connections cost a
-//!   nonblocking read per shard sweep, not a blocked thread plus a
-//!   25 ms wakeup each.
+//!   nonblocking read per shard sweep, not a blocked thread each.
 //! * **Outbound queues** — each connection's replies queue on its
 //!   shard, bounded by `outbound_bound`. A consumer that stops reading
 //!   stalls its socket write (bounded by `write_timeout`) and then its
 //!   queue (bounded by `backpressure_timeout`); either way the
 //!   connection is disconnected instead of buffering without limit,
 //!   and a connection at its bound is not even read (read-gating).
+//!
+//! `PING` and `STATS` are answered by the door itself, from the
+//! registry it was bound with, so every tier answers them identically
+//! and a service never sees them.
 //!
 //! Shutdown is graceful: the acceptor stops, each live connection
 //! finishes the requests already buffered on its socket (bounded by
@@ -50,7 +55,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// One queued outbound frame: (tag, payload bytes).
-pub(crate) type Outbound = (u8, Vec<u8>);
+pub type Outbound = (u8, Vec<u8>);
 
 /// Who hears about which standing query.
 ///
@@ -62,24 +67,41 @@ pub(crate) type Outbound = (u8, Vec<u8>);
 /// dropped when full — a slow subscriber must never stall the
 /// updater); the updating connection's own deltas ride in front of its
 /// reply on its ordinary outbound queue and get the normal
-/// backpressure treatment.
+/// backpressure treatment (see [`route_deltas`]).
 #[derive(Default)]
-pub(crate) struct StandingSubs {
+pub struct StandingSubs {
     /// (kind code, query id) → subscribed connection ids.
-    pub(crate) by_query: HashMap<(u8, u64), Vec<u64>>,
+    by_query: HashMap<(u8, u64), Vec<u64>>,
     /// Live connections' delta-push channels, by connection id.
     pub(crate) senders: HashMap<u64, mpsc::SyncSender<Outbound>>,
 }
 
-/// The subscription registry handle shared by all server threads.
-pub(crate) type SharedSubs = Arc<TrackedMutex<StandingSubs>>;
+/// The subscription registry handle a [`FrontDoor`] shares with its
+/// poller shards and passes to every [`Service::serve`] call.
+pub type SharedSubs = Arc<TrackedMutex<StandingSubs>>;
 
-/// Tuning knobs of a [`NetServer`].
+/// What a tier does with the frames its front door read.
+pub trait Service: Send + Sync {
+    /// Serves one sweep's ready frames — in arrival order, each tagged
+    /// with the id of the connection it arrived on — and returns
+    /// `(conn_id, frame)` pairs in emit order: per request, any
+    /// [`wire::tag::STANDING_DELTA`] frames for that connection, then
+    /// exactly one reply. `PING` and `STATS` never reach a service.
+    ///
+    /// `serve` runs on the shard's thread, so whatever it blocks on
+    /// (an engine mutex, a WAL fsync, a node round trip) the shard's
+    /// other connections wait behind.
+    fn serve(&self, ready: Vec<(u64, Frame)>, subs: &SharedSubs) -> Vec<(u64, Outbound)>;
+}
+
+/// Tuning knobs of a [`FrontDoor`].
 #[derive(Debug, Clone, Copy)]
 pub struct NetConfig {
-    /// Poller shards serving connections (at least 1). Each shard is
-    /// one thread owning a set of nonblocking connections; a
-    /// connection is pinned to its shard for life.
+    /// Poller shards serving connections (at least 1), on a node and on
+    /// a router alike. Each shard is one thread owning a set of
+    /// nonblocking connections; a connection is pinned to its shard for
+    /// life, and a shard serves one sweep's requests at a time, so this
+    /// is also the number of requests in flight.
     pub workers: usize,
     /// Accepted connections that may wait *per shard* for adoption
     /// before the acceptor starts refusing new ones (it tries every
@@ -145,46 +167,29 @@ pub(crate) enum CloseReason {
     Idle,
 }
 
-/// What [`NetServer::bind_durable`] found in the WAL directory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// `true` when state was recovered from an existing log, `false`
-    /// for a freshly initialized directory.
-    pub recovered: bool,
-    /// Registered users after recovery (0 for a fresh directory).
-    pub users: usize,
-    /// Journal ops replayed during recovery.
-    pub ops_replayed: u64,
-}
-
-/// The framed TCP front-end of the privacy-aware LBS service.
-pub struct NetServer {
+/// The one TCP front door: listener, acceptor, poller shards,
+/// connection ids and the standing-query subscription registry, serving
+/// whatever [`Service`] it was bound with.
+pub struct FrontDoor {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
     shards: Vec<JoinHandle<()>>,
-    engine: Option<Arc<TrackedMutex<ShardedEngine>>>,
-    /// The engine's own metrics registry, shared (not copied) so the
-    /// network counters, per-stage timings, and cloaking histograms all
-    /// land in one place — and one STATS scrape reports all of them.
-    obs: Arc<MetricsRegistry>,
 }
 
-impl NetServer {
+impl FrontDoor {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts serving `engine` with the given configuration.
+    /// starts serving `service`. Connection counters and the
+    /// frame-decode / outbound-wait stage timings land in `obs`, which
+    /// is also what the built-in `STATS` reply snapshots.
     pub fn bind<A: ToSocketAddrs>(
         addr: A,
-        engine: ShardedEngine,
         cfg: NetConfig,
-    ) -> io::Result<NetServer> {
+        obs: Arc<MetricsRegistry>,
+        service: Arc<dyn Service>,
+    ) -> io::Result<FrontDoor> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        // Share the engine's registry rather than keeping a separate
-        // counter set: scrapes then see engine stages and net counters
-        // in one consistent snapshot.
-        let obs = Arc::clone(engine.metrics_registry());
-        let engine = Arc::new(TrackedMutex::new(LockRank::Engine, engine));
         let shutdown = Arc::new(AtomicBool::new(false));
         let subs: SharedSubs = Arc::new(TrackedMutex::new(
             LockRank::NetStandingSubs,
@@ -201,19 +206,18 @@ impl NetServer {
             .map(|_| {
                 let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(cfg.accept_backlog.max(1));
                 shard_txs.push(conn_tx);
-                let engine = Arc::clone(&engine);
+                let service = Arc::clone(&service);
                 let obs = Arc::clone(&obs);
                 let shutdown = Arc::clone(&shutdown);
                 let subs = Arc::clone(&subs);
                 let conn_ids = Arc::clone(&conn_ids);
                 std::thread::spawn(move || {
-                    crate::poller::run_shard(engine, obs, cfg, shutdown, subs, conn_ids, conn_rx);
+                    crate::poller::run_shard(service, obs, cfg, shutdown, subs, conn_ids, conn_rx);
                 })
             })
             .collect();
 
         let acceptor = {
-            let obs = Arc::clone(&obs);
             let shutdown = Arc::clone(&shutdown);
             std::thread::spawn(move || {
                 let mut next = 0usize;
@@ -252,14 +256,85 @@ impl NetServer {
             })
         };
 
-        Ok(NetServer {
+        Ok(FrontDoor {
             addr,
             shutdown,
             acceptor: Some(acceptor),
             shards,
-            engine: Some(engine),
-            obs,
         })
+    }
+
+    /// The bound address (useful with port 0).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stops accepting, lets every connection finish the requests
+    /// already on its socket (bounded by `drain_grace`), and joins every
+    /// thread; the service is dropped with the last shard. Idempotent,
+    /// and run on drop.
+    pub fn stop(&mut self) {
+        self.shutdown.store(true, Ordering::Relaxed);
+        if let Some(h) = self.acceptor.take() {
+            // Wake the acceptor out of its blocking accept.
+            let _ = TcpStream::connect(self.addr);
+            let _ = h.join();
+        }
+        // The acceptor dropped the shard hand-off senders on exit, so
+        // each shard finishes its drain and sees a closed queue.
+        for h in self.shards.drain(..) {
+            let _ = h.join();
+        }
+    }
+}
+
+impl Drop for FrontDoor {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// What [`NetServer::bind_durable`] found in the WAL directory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecoveryReport {
+    /// `true` when state was recovered from an existing log, `false`
+    /// for a freshly initialized directory.
+    pub recovered: bool,
+    /// Registered users after recovery (0 for a fresh directory).
+    pub users: usize,
+    /// Journal ops replayed during recovery.
+    pub ops_replayed: u64,
+}
+
+/// The node tier: a [`FrontDoor`] serving one `ShardedEngine`.
+pub struct NetServer {
+    door: FrontDoor,
+    engine: Arc<TrackedMutex<ShardedEngine>>,
+    /// The engine's own metrics registry, shared (not copied) so the
+    /// network counters, per-stage timings, and cloaking histograms all
+    /// land in one place — and one STATS scrape reports all of them.
+    obs: Arc<MetricsRegistry>,
+}
+
+impl NetServer {
+    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
+    /// starts serving `engine` with the given configuration.
+    pub fn bind<A: ToSocketAddrs>(
+        addr: A,
+        engine: ShardedEngine,
+        cfg: NetConfig,
+    ) -> io::Result<NetServer> {
+        // Share the engine's registry rather than keeping a separate
+        // counter set: scrapes then see engine stages and net counters
+        // in one consistent snapshot.
+        let obs = Arc::clone(engine.metrics_registry());
+        let engine = Arc::new(TrackedMutex::new(LockRank::Engine, engine));
+        let service = Arc::new(EngineService {
+            engine: Arc::clone(&engine),
+            obs: Arc::clone(&obs),
+        });
+        let door = FrontDoor::bind(addr, cfg, Arc::clone(&obs), service)?;
+        Ok(NetServer { door, engine, obs })
     }
 
     /// Binds `addr` serving an engine journaled durably under
@@ -289,7 +364,7 @@ impl NetServer {
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.door.local_addr()
     }
 
     /// The live counter set (shared with every server thread).
@@ -304,44 +379,49 @@ impl NetServer {
         &self.obs
     }
 
-    /// Stops accepting, drains in-flight requests, joins every thread.
-    fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        // Wake the acceptor out of its blocking accept.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        // The acceptor dropped the shard hand-off senders on exit, so
-        // each shard finishes its drain and sees a closed queue.
-        for h in self.shards.drain(..) {
-            let _ = h.join();
-        }
-    }
-
     /// Graceful shutdown: connections finish the requests already on
     /// their sockets (bounded by `drain_grace`), outbound queues flush,
     /// and the engine — with every state change the network workload
     /// made — is returned to the caller.
-    pub fn shutdown(mut self) -> ShardedEngine {
-        self.stop();
-        self.engine
-            .take()
-            .and_then(|arc| Arc::try_unwrap(arc).ok())
+    pub fn shutdown(self) -> ShardedEngine {
+        let NetServer {
+            mut door, engine, ..
+        } = self;
+        door.stop();
+        Arc::into_inner(engine)
             // lint: allow(panic) -- invariant: stop() joined every shard
-            // thread, so the engine Arc is present and uniquely owned here;
-            // a miss is a server bug, not hostile input.
+            // thread and with them dropped the service, so the engine Arc
+            // is uniquely owned here; a miss is a server bug, not hostile
+            // input.
             .expect("engine uniquely owned after stop()")
             .into_inner()
     }
 }
 
-impl Drop for NetServer {
-    fn drop(&mut self) {
-        if self.acceptor.is_some() || !self.shards.is_empty() {
-            self.stop();
-        }
+/// The tags the front door answers itself, for every tier.
+pub(crate) fn is_builtin(tag: u8) -> bool {
+    matches!(tag, wire::tag::PING | wire::tag::STATS)
+}
+
+/// Answers an [`is_builtin`] frame from the registry the door was
+/// bound with.
+pub(crate) fn builtin_reply(obs: &MetricsRegistry, frame: Frame) -> Outbound {
+    if frame.tag == wire::tag::PING {
+        return (wire::tag::PONG, frame.payload);
     }
+    // A scrape takes no arguments; a payload means the peer is
+    // confused, and silently ignoring it would hide that.
+    if !frame.payload.is_empty() {
+        NetCounters::add(&obs.net().frames_rejected, 1);
+        return (
+            wire::tag::ERROR,
+            b"stats request carries a payload".to_vec(),
+        );
+    }
+    (
+        wire::tag::STATS_SNAPSHOT,
+        wire::encode_stats_snapshot(&obs.snapshot()).to_vec(),
+    )
 }
 
 /// Removes a closing connection from the subscription registry: its
@@ -356,7 +436,7 @@ pub(crate) fn unsubscribe_connection(subs: &SharedSubs, conn_id: u64) {
 }
 
 /// Subscribes `conn_id` to a standing query key (idempotent).
-fn subscribe(subs: &SharedSubs, conn_id: u64, key: (u8, u64)) {
+pub fn subscribe(subs: &SharedSubs, conn_id: u64, key: (u8, u64)) {
     let mut subs = subs.lock();
     let conns = subs.by_query.entry(key).or_default();
     if !conns.contains(&conn_id) {
@@ -364,343 +444,344 @@ fn subscribe(subs: &SharedSubs, conn_id: u64, key: (u8, u64)) {
     }
 }
 
-/// Runs one batch of `EXACT_UPDATE` frames — a contiguous ready run
-/// from one poller sweep, each tagged with the connection it arrived
-/// on — through a *single* engine crossing, and routes the results.
-///
-/// Rows are fed to `process_updates_wire` in arrival order, so for a
-/// closed-loop client (at most one update in flight per connection)
-/// the cloaked bytes are identical to processing each frame alone —
-/// a batch of one *is* the old per-frame call. A client that pipelines
-/// several updates for the same user into one sweep gets the engine's
-/// documented batch semantics: every row settles against the user's
-/// final position in the batch, exactly as the in-process pipeline's
-/// batched reference does.
-///
-/// Standing-query changes are captured once, after the whole batch,
-/// while the engine is still locked. Deltas for connections *in* the
-/// batch are returned ahead of the replies (they precede the reply on
-/// the wire, per the standing-delta contract); deltas for other
-/// connections go best-effort through their push channels, dropped
-/// when full — the `seq` field lets those subscribers resynchronize.
-///
-/// Returns `(conn_id, frame)` pairs in emit order; the caller enqueues
-/// each on the connection that owns it. Counters: one
-/// `requests_served` per frame, one `engine_batches` per crossing,
-/// `frames_rejected`/`errors_returned` per malformed or rejected row.
-pub(crate) fn handle_update_batch(
-    engine: &Arc<TrackedMutex<ShardedEngine>>,
-    obs: &Arc<MetricsRegistry>,
-    subs: &SharedSubs,
-    batch: Vec<(u64, Frame)>,
-) -> Vec<(u64, Outbound)> {
-    let counters = obs.net();
-    NetCounters::add(&counters.requests_served, batch.len() as u64);
-    // Decode every frame first; malformed payloads keep their reply
-    // slot (an ERROR in arrival order) without joining the engine rows.
-    let mut rows: Vec<(u64, lbsp_geom::Point, SimTime)> = Vec::with_capacity(batch.len());
-    let mut slots: Vec<(u64, bool)> = Vec::with_capacity(batch.len());
-    for (cid, frame) in &batch {
-        match wire::decode_exact_update(&frame.payload) {
-            Some(msg) => {
-                rows.push((msg.user, msg.position, msg.time));
-                slots.push((*cid, true));
-            }
-            None => {
-                NetCounters::add(&counters.frames_rejected, 1);
-                slots.push((*cid, false));
-            }
-        }
-    }
-    // One lock, one journal append, one standing-query capture for the
-    // whole run. The wire state of every standing query the batch
-    // changed is read while the engine is still locked: a delta is
-    // exactly the state right after this batch, before any later
-    // request.
-    let (out, deltas) = if rows.is_empty() {
-        (Vec::new(), Vec::new())
-    } else {
-        let mut eng = engine.lock();
-        let out = eng.process_updates_wire(&rows);
-        let changed = eng.take_standing_changes();
-        let mut deltas: Vec<((u8, u64), Vec<u8>)> = Vec::with_capacity(changed.len());
-        for (kind, id) in changed {
-            if let Some(state) = eng.standing_state(kind, id) {
-                deltas.push((
-                    (kind.code(), id),
-                    wire::encode_standing_state(&state).to_vec(),
-                ));
-            }
-        }
-        NetCounters::add(&counters.engine_batches, 1);
-        obs.net_batch_size().record(rows.len() as f64);
-        (out, deltas)
-    };
-    let mut emitted: Vec<(u64, Outbound)> = Vec::with_capacity(slots.len() + deltas.len());
-    if !deltas.is_empty() {
-        let batch_conns: HashSet<u64> = slots.iter().map(|&(cid, _)| cid).collect();
-        let subs = subs.lock();
-        for (key, bytes) in deltas {
-            let Some(conns) = subs.by_query.get(&key) else {
-                continue;
-            };
-            for &cid in conns {
-                if batch_conns.contains(&cid) {
-                    emitted.push((cid, (wire::tag::STANDING_DELTA, bytes.clone())));
-                } else if let Some(tx) = subs.senders.get(&cid) {
-                    let _ = tx.try_send((wire::tag::STANDING_DELTA, bytes.clone()));
-                }
-            }
-        }
-    }
-    let mut results = out.into_iter();
-    let mut errors = 0u64;
-    for (cid, decoded) in slots {
-        let reply: Outbound = if decoded {
-            match results.next() {
-                Some(Ok(bytes)) => (wire::tag::CLOAKED_UPDATE, bytes.to_vec()),
-                Some(Err(e)) => (wire::tag::ERROR, e.to_string().into_bytes()),
-                None => (
-                    wire::tag::ERROR,
-                    "internal error: engine returned no result row"
-                        .to_string()
-                        .into_bytes(),
-                ),
-            }
-        } else {
-            (
-                wire::tag::ERROR,
-                "malformed update payload".to_string().into_bytes(),
-            )
-        };
-        if reply.0 == wire::tag::ERROR {
-            errors = errors.saturating_add(1);
-        }
-        emitted.push((cid, reply));
-    }
-    if errors > 0 {
-        NetCounters::add(&counters.errors_returned, errors);
-    }
-    emitted
+/// Forgets every subscription to a deregistered standing query.
+pub fn drop_query(subs: &SharedSubs, key: (u8, u64)) {
+    subs.lock().by_query.remove(&key);
 }
 
-/// Decodes one request frame and runs it against the engine. Always
-/// yields at least one response frame, the reply last — malformed
-/// payloads and engine errors come back as [`wire::tag::ERROR`] with a
-/// UTF-8 message, so the client can tell a rejected request from a dead
-/// connection. An update whose row changed standing-query answers this
-/// connection subscribed to yields those [`wire::tag::STANDING_DELTA`]
-/// frames ahead of the reply.
-pub(crate) fn handle_request(
-    engine: &Arc<TrackedMutex<ShardedEngine>>,
-    obs: &Arc<MetricsRegistry>,
-    frame: Frame,
-    conn_id: u64,
+/// Fans changed standing-query states — `((kind code, query id), state
+/// bytes)` — out to their subscribers. Deltas for a connection the
+/// current `serve` call is answering (`is_own`) are returned, to be
+/// emitted ahead of its reply per the standing-delta contract; every
+/// other subscriber gets a best-effort push through its channel, dropped
+/// when full — the `seq` field lets those subscribers resynchronize.
+pub fn route_deltas(
     subs: &SharedSubs,
-) -> Vec<Outbound> {
-    let counters = obs.net();
-    let err = |msg: String| vec![(wire::tag::ERROR, msg.into_bytes())];
-    match frame.tag {
-        wire::tag::PING => vec![(wire::tag::PONG, frame.payload)],
-        wire::tag::STATS => {
-            // A scrape takes no arguments; a payload means the peer is
-            // confused, and silently ignoring it would hide that.
-            if !frame.payload.is_empty() {
-                NetCounters::add(&counters.frames_rejected, 1);
-                return err("stats request carries a payload".into());
-            }
-            let snap = obs.snapshot();
-            vec![(
-                wire::tag::STATS_SNAPSHOT,
-                wire::encode_stats_snapshot(&snap).to_vec(),
-            )]
-        }
-        wire::tag::REGISTER => {
-            let Some(msg) = wire::decode_register(&frame.payload) else {
-                NetCounters::add(&counters.frames_rejected, 1);
-                return err("malformed register payload".into());
-            };
-            let req = CloakRequirement {
-                k: msg.k,
-                a_min: msg.a_min,
-                a_max: msg.a_max,
-            };
-            match PrivacyProfile::uniform(req) {
-                Ok(profile) => {
-                    engine.lock().register(msg.user, profile);
-                    vec![(wire::tag::OK, Vec::new())]
-                }
-                Err(e) => err(e.to_string()),
+    deltas: Vec<((u8, u64), Vec<u8>)>,
+    is_own: impl Fn(u64) -> bool,
+) -> Vec<(u64, Outbound)> {
+    let mut own = Vec::new();
+    if deltas.is_empty() {
+        return own;
+    }
+    let subs = subs.lock();
+    for (key, bytes) in deltas {
+        for &cid in subs.by_query.get(&key).into_iter().flatten() {
+            if is_own(cid) {
+                own.push((cid, (wire::tag::STANDING_DELTA, bytes.clone())));
+            } else if let Some(tx) = subs.senders.get(&cid) {
+                let _ = tx.try_send((wire::tag::STANDING_DELTA, bytes.clone()));
             }
         }
-        wire::tag::EXACT_UPDATE => {
-            // One frame = a batch of one, in arrival order — the same
-            // call the in-process reference makes, so the cloaked bytes
-            // are identical by construction. The poller short-circuits
-            // contiguous update runs straight into
-            // [`handle_update_batch`]; this arm serves the general
-            // dispatch path with the identical single-row batch.
-            // Counters (requests_served, errors, rejects) are all
-            // accounted inside the batch handler for this tag.
-            handle_update_batch(engine, obs, subs, vec![(conn_id, frame)])
-                .into_iter()
-                .map(|(_, out)| out)
-                .collect()
-        }
-        wire::tag::USER_QUERY => {
-            let Some(msg) = wire::decode_user_query(&frame.payload) else {
-                NetCounters::add(&counters.frames_rejected, 1);
-                return err("malformed query payload".into());
-            };
-            let ans = engine.lock().range_query(msg.user, msg.time, msg.radius);
-            match ans {
-                Ok(a) => vec![(wire::tag::CANDIDATES, a.response.to_vec())],
-                Err(e) => err(e.to_string()),
-            }
-        }
-        wire::tag::REGISTER_STANDING_COUNT => {
-            let Some(msg) = wire::decode_register_standing_count(&frame.payload) else {
-                NetCounters::add(&counters.frames_rejected, 1);
-                return err("malformed standing-count registration".into());
-            };
-            let id = engine.lock().add_standing_count(msg.area);
-            let kind = wire::StandingKind::Count;
-            subscribe(subs, conn_id, (kind.code(), id));
-            vec![(
-                wire::tag::STANDING_REGISTERED,
-                wire::encode_standing_ref(&wire::StandingRefMsg { kind, id }).to_vec(),
-            )]
-        }
-        wire::tag::REGISTER_STANDING_RANGE => {
-            let Some(msg) = wire::decode_register_standing_range(&frame.payload) else {
-                NetCounters::add(&counters.frames_rejected, 1);
-                return err("malformed standing-range registration".into());
-            };
-            let id = engine.lock().add_standing_range(msg.user, msg.radius);
-            let kind = wire::StandingKind::Range;
-            subscribe(subs, conn_id, (kind.code(), id));
-            vec![(
-                wire::tag::STANDING_REGISTERED,
-                wire::encode_standing_ref(&wire::StandingRefMsg { kind, id }).to_vec(),
-            )]
-        }
-        wire::tag::DEREGISTER_STANDING => {
-            let Some(msg) = wire::decode_standing_ref(&frame.payload) else {
-                NetCounters::add(&counters.frames_rejected, 1);
-                return err("malformed standing-query reference".into());
-            };
-            if engine.lock().deregister_standing(msg.kind, msg.id) {
-                subs.lock().by_query.remove(&(msg.kind.code(), msg.id));
-                vec![(wire::tag::OK, Vec::new())]
+    }
+    own
+}
+
+/// The node tier's [`Service`]: frames into the shared engine. The
+/// engine is the same deterministic sharded engine the in-process
+/// pipeline uses, behind one mutex.
+struct EngineService {
+    engine: Arc<TrackedMutex<ShardedEngine>>,
+    obs: Arc<MetricsRegistry>,
+}
+
+impl Service for EngineService {
+    /// Contiguous runs of `EXACT_UPDATE` — the hot path of the paper's
+    /// workload — collapse into one engine crossing; every other tag is
+    /// handled singly.
+    fn serve(&self, ready: Vec<(u64, Frame)>, subs: &SharedSubs) -> Vec<(u64, Outbound)> {
+        let mut emitted = Vec::with_capacity(ready.len());
+        let mut it = ready.into_iter().peekable();
+        while let Some((cid, frame)) = it.next() {
+            if frame.tag == wire::tag::EXACT_UPDATE {
+                let mut batch = vec![(cid, frame)];
+                batch.extend(std::iter::from_fn(|| {
+                    it.next_if(|(_, f)| f.tag == wire::tag::EXACT_UPDATE)
+                }));
+                emitted.extend(self.handle_update_batch(subs, batch));
             } else {
-                err("unknown standing query".into())
+                emitted.push((cid, self.handle_request(frame, cid, subs)));
             }
         }
-        wire::tag::STANDING_SNAPSHOT => {
-            let Some(msg) = wire::decode_standing_ref(&frame.payload) else {
-                NetCounters::add(&counters.frames_rejected, 1);
-                return err("malformed standing-query reference".into());
-            };
-            match engine.lock().standing_state(msg.kind, msg.id) {
-                Some(state) => vec![(
-                    wire::tag::STANDING_STATE,
-                    wire::encode_standing_state(&state).to_vec(),
-                )],
-                None => err("unknown standing query".into()),
-            }
-        }
-        // Cluster-internal frames (trusted anonymizer-tier hops from a
-        // router peer). Shadow updates never touch the registries and a
-        // cloak ingest drains its changed set internally, so neither
-        // routes standing deltas. STANDING_INSTALL is the exception: a
-        // mirror node owns some users and pushes deltas for the queries
-        // it installs, so that arm subscribes like a registration does.
-        wire::tag::SHADOW_UPDATE => {
-            let Some(msg) = wire::decode_exact_update(&frame.payload) else {
-                NetCounters::add(&counters.frames_rejected, 1);
-                return err("malformed shadow-update payload".into());
-            };
-            engine
-                .lock()
-                .apply_shadow_update(&[(msg.user, msg.position, msg.time)]);
-            vec![(wire::tag::OK, Vec::new())]
-        }
-        wire::tag::CLOAK_INGEST => {
-            let Some(update) = wire::decode_cloaked_update(&frame.payload) else {
-                NetCounters::add(&counters.frames_rejected, 1);
-                return err("malformed cloak-ingest payload".into());
-            };
-            engine.lock().apply_cloak_ingest(&update);
-            vec![(wire::tag::OK, Vec::new())]
-        }
-        wire::tag::HANDOFF_PULL => {
-            let Some(subject) = wire::decode_handoff_pull(&frame.payload) else {
-                NetCounters::add(&counters.frames_rejected, 1);
-                return err("malformed handoff-pull payload".into());
-            };
-            match engine.lock().handoff_export(subject) {
-                Some(msg) => vec![(wire::tag::USER_HANDOFF, wire::encode_handoff(&msg).to_vec())],
-                None => err("handoff pull for a user not registered here".into()),
-            }
-        }
-        wire::tag::HANDOFF_PUSH => {
-            let Some(msg) = wire::decode_handoff(&frame.payload) else {
-                NetCounters::add(&counters.frames_rejected, 1);
-                return err("malformed handoff payload".into());
-            };
-            engine.lock().handoff_install(&msg);
-            vec![(wire::tag::OK, Vec::new())]
-        }
-        wire::tag::STANDING_INSTALL => {
-            let Some(msg) = wire::decode_standing_install(&frame.payload) else {
-                NetCounters::add(&counters.frames_rejected, 1);
-                return err("malformed standing-install payload".into());
-            };
-            // Install the id node 0 granted; a duplicate id means this
-            // is an ack-lost replay and the install is a no-op. Either
-            // way the connection is (re)subscribed — subscribe is
-            // idempotent — so delta push survives the replayed path.
-            let (kind, id) = match msg {
-                wire::StandingInstallMsg::Count { id, area } => {
-                    engine.lock().install_standing_count(id, area);
-                    (wire::StandingKind::Count, id)
+        emitted
+    }
+}
+
+impl EngineService {
+    /// Runs one batch of `EXACT_UPDATE` frames — a contiguous ready run
+    /// from one poller sweep, each tagged with the connection it arrived
+    /// on — through a *single* engine crossing, and routes the results.
+    ///
+    /// Rows are fed to `process_updates_wire` in arrival order, so for a
+    /// closed-loop client (at most one update in flight per connection)
+    /// the cloaked bytes are identical to processing each frame alone —
+    /// a batch of one is the same call the in-process reference makes.
+    /// A client that pipelines several updates for the same user into
+    /// one sweep gets the engine's documented batch semantics: every row
+    /// settles against the user's final position in the batch, exactly
+    /// as the in-process pipeline's batched reference does.
+    ///
+    /// Standing-query changes are captured once, after the whole batch,
+    /// while the engine is still locked, and fanned out by
+    /// [`route_deltas`]: deltas for connections *in* the batch are
+    /// returned ahead of the replies.
+    ///
+    /// Returns `(conn_id, frame)` pairs in emit order. Counters: one
+    /// `engine_batches` per crossing, `frames_rejected` per malformed
+    /// row.
+    fn handle_update_batch(
+        &self,
+        subs: &SharedSubs,
+        batch: Vec<(u64, Frame)>,
+    ) -> Vec<(u64, Outbound)> {
+        let counters = self.obs.net();
+        // Decode every frame first; malformed payloads keep their reply
+        // slot (an ERROR in arrival order) without joining the engine rows.
+        let mut rows: Vec<(u64, lbsp_geom::Point, SimTime)> = Vec::with_capacity(batch.len());
+        let mut slots: Vec<(u64, bool)> = Vec::with_capacity(batch.len());
+        for (cid, frame) in &batch {
+            match wire::decode_exact_update(&frame.payload) {
+                Some(msg) => {
+                    rows.push((msg.user, msg.position, msg.time));
+                    slots.push((*cid, true));
                 }
-                wire::StandingInstallMsg::Range { id, user, radius } => {
-                    engine.lock().install_standing_range(id, user, radius);
-                    (wire::StandingKind::Range, id)
+                None => {
+                    NetCounters::add(&counters.frames_rejected, 1);
+                    slots.push((*cid, false));
                 }
-            };
-            subscribe(subs, conn_id, (kind.code(), id));
-            vec![(wire::tag::OK, Vec::new())]
-        }
-        wire::tag::RESYNC_PULL => {
-            // Bulk rejoin donation: the router asks a healthy node for a
-            // full image of its replicated planes (positions + cloaks).
-            // Read-only and unjournaled — the donor's state is the
-            // source of truth, not an event.
-            if !frame.payload.is_empty() {
-                NetCounters::add(&counters.frames_rejected, 1);
-                return err("malformed resync-pull payload".into());
             }
-            let state = engine.lock().resync_export();
-            vec![(
-                wire::tag::RESYNC_STATE,
-                wire::encode_resync_state(&state).to_vec(),
-            )]
         }
-        wire::tag::RESYNC_PUSH => {
-            let Some(state) = wire::decode_resync_state(&frame.payload) else {
-                NetCounters::add(&counters.frames_rejected, 1);
-                return err("malformed resync-state payload".into());
+        // One lock, one journal append, one standing-query capture for
+        // the whole run. The wire state of every standing query the batch
+        // changed is read while the engine is still locked: a delta is
+        // exactly the state right after this batch, before any later
+        // request.
+        let (out, deltas) = if rows.is_empty() {
+            (Vec::new(), Vec::new())
+        } else {
+            let mut eng = self.engine.lock();
+            let out = eng.process_updates_wire(&rows);
+            let changed = eng.take_standing_changes();
+            let mut deltas: Vec<((u8, u64), Vec<u8>)> = Vec::with_capacity(changed.len());
+            for (kind, id) in changed {
+                if let Some(state) = eng.standing_state(kind, id) {
+                    deltas.push((
+                        (kind.code(), id),
+                        wire::encode_standing_state(&state).to_vec(),
+                    ));
+                }
+            }
+            NetCounters::add(&counters.engine_batches, 1);
+            self.obs.net_batch_size().record(rows.len() as f64);
+            (out, deltas)
+        };
+        let mut emitted = if deltas.is_empty() {
+            Vec::with_capacity(slots.len())
+        } else {
+            let batch_conns: HashSet<u64> = slots.iter().map(|&(cid, _)| cid).collect();
+            route_deltas(subs, deltas, |cid| batch_conns.contains(&cid))
+        };
+        let mut results = out.into_iter();
+        for (cid, decoded) in slots {
+            let reply: Outbound = if decoded {
+                match results.next() {
+                    Some(Ok(bytes)) => (wire::tag::CLOAKED_UPDATE, bytes.to_vec()),
+                    Some(Err(e)) => (wire::tag::ERROR, e.to_string().into_bytes()),
+                    None => (
+                        wire::tag::ERROR,
+                        b"internal error: engine returned no result row".to_vec(),
+                    ),
+                }
+            } else {
+                (wire::tag::ERROR, b"malformed update payload".to_vec())
             };
-            // Journals through the existing shadow/ingest ops, so the
-            // installed image survives a second crash of the rejoiner.
-            engine.lock().resync_install(&state);
-            vec![(wire::tag::OK, Vec::new())]
+            emitted.push((cid, reply));
         }
-        other => {
-            NetCounters::add(&counters.frames_rejected, 1);
-            err(format!("unknown request tag 0x{other:02x}"))
+        emitted
+    }
+
+    /// Decodes one request frame and runs it against the engine, giving
+    /// its one reply — malformed payloads and engine errors come back as
+    /// [`wire::tag::ERROR`] with a UTF-8 message, so the client can tell
+    /// a rejected request from a dead connection.
+    fn handle_request(&self, frame: Frame, conn_id: u64, subs: &SharedSubs) -> Outbound {
+        let engine = &self.engine;
+        let counters = self.obs.net();
+        let err = |msg: String| (wire::tag::ERROR, msg.into_bytes());
+        match frame.tag {
+            wire::tag::REGISTER => {
+                let Some(msg) = wire::decode_register(&frame.payload) else {
+                    NetCounters::add(&counters.frames_rejected, 1);
+                    return err("malformed register payload".into());
+                };
+                let req = CloakRequirement {
+                    k: msg.k,
+                    a_min: msg.a_min,
+                    a_max: msg.a_max,
+                };
+                match PrivacyProfile::uniform(req) {
+                    Ok(profile) => {
+                        engine.lock().register(msg.user, profile);
+                        (wire::tag::OK, Vec::new())
+                    }
+                    Err(e) => err(e.to_string()),
+                }
+            }
+            wire::tag::USER_QUERY => {
+                let Some(msg) = wire::decode_user_query(&frame.payload) else {
+                    NetCounters::add(&counters.frames_rejected, 1);
+                    return err("malformed query payload".into());
+                };
+                let ans = engine.lock().range_query(msg.user, msg.time, msg.radius);
+                match ans {
+                    Ok(a) => (wire::tag::CANDIDATES, a.response.to_vec()),
+                    Err(e) => err(e.to_string()),
+                }
+            }
+            wire::tag::REGISTER_STANDING_COUNT => {
+                let Some(msg) = wire::decode_register_standing_count(&frame.payload) else {
+                    NetCounters::add(&counters.frames_rejected, 1);
+                    return err("malformed standing-count registration".into());
+                };
+                let id = engine.lock().add_standing_count(msg.area);
+                let kind = wire::StandingKind::Count;
+                subscribe(subs, conn_id, (kind.code(), id));
+                (
+                    wire::tag::STANDING_REGISTERED,
+                    wire::encode_standing_ref(&wire::StandingRefMsg { kind, id }).to_vec(),
+                )
+            }
+            wire::tag::REGISTER_STANDING_RANGE => {
+                let Some(msg) = wire::decode_register_standing_range(&frame.payload) else {
+                    NetCounters::add(&counters.frames_rejected, 1);
+                    return err("malformed standing-range registration".into());
+                };
+                let id = engine.lock().add_standing_range(msg.user, msg.radius);
+                let kind = wire::StandingKind::Range;
+                subscribe(subs, conn_id, (kind.code(), id));
+                (
+                    wire::tag::STANDING_REGISTERED,
+                    wire::encode_standing_ref(&wire::StandingRefMsg { kind, id }).to_vec(),
+                )
+            }
+            wire::tag::DEREGISTER_STANDING => {
+                let Some(msg) = wire::decode_standing_ref(&frame.payload) else {
+                    NetCounters::add(&counters.frames_rejected, 1);
+                    return err("malformed standing-query reference".into());
+                };
+                if engine.lock().deregister_standing(msg.kind, msg.id) {
+                    drop_query(subs, (msg.kind.code(), msg.id));
+                    (wire::tag::OK, Vec::new())
+                } else {
+                    err("unknown standing query".into())
+                }
+            }
+            wire::tag::STANDING_SNAPSHOT => {
+                let Some(msg) = wire::decode_standing_ref(&frame.payload) else {
+                    NetCounters::add(&counters.frames_rejected, 1);
+                    return err("malformed standing-query reference".into());
+                };
+                match engine.lock().standing_state(msg.kind, msg.id) {
+                    Some(state) => (
+                        wire::tag::STANDING_STATE,
+                        wire::encode_standing_state(&state).to_vec(),
+                    ),
+                    None => err("unknown standing query".into()),
+                }
+            }
+            // Cluster-internal frames (trusted anonymizer-tier hops from a
+            // router peer). Shadow updates never touch the registries and a
+            // cloak ingest drains its changed set internally, so neither
+            // routes standing deltas. STANDING_INSTALL is the exception: a
+            // mirror node owns some users and pushes deltas for the queries
+            // it installs, so that arm subscribes like a registration does.
+            wire::tag::SHADOW_UPDATE => {
+                let Some(msg) = wire::decode_exact_update(&frame.payload) else {
+                    NetCounters::add(&counters.frames_rejected, 1);
+                    return err("malformed shadow-update payload".into());
+                };
+                engine
+                    .lock()
+                    .apply_shadow_update(&[(msg.user, msg.position, msg.time)]);
+                (wire::tag::OK, Vec::new())
+            }
+            wire::tag::CLOAK_INGEST => {
+                let Some(update) = wire::decode_cloaked_update(&frame.payload) else {
+                    NetCounters::add(&counters.frames_rejected, 1);
+                    return err("malformed cloak-ingest payload".into());
+                };
+                engine.lock().apply_cloak_ingest(&update);
+                (wire::tag::OK, Vec::new())
+            }
+            wire::tag::HANDOFF_PULL => {
+                let Some(subject) = wire::decode_handoff_pull(&frame.payload) else {
+                    NetCounters::add(&counters.frames_rejected, 1);
+                    return err("malformed handoff-pull payload".into());
+                };
+                match engine.lock().handoff_export(subject) {
+                    Some(msg) => (wire::tag::USER_HANDOFF, wire::encode_handoff(&msg).to_vec()),
+                    None => err("handoff pull for a user not registered here".into()),
+                }
+            }
+            wire::tag::HANDOFF_PUSH => {
+                let Some(msg) = wire::decode_handoff(&frame.payload) else {
+                    NetCounters::add(&counters.frames_rejected, 1);
+                    return err("malformed handoff payload".into());
+                };
+                engine.lock().handoff_install(&msg);
+                (wire::tag::OK, Vec::new())
+            }
+            wire::tag::STANDING_INSTALL => {
+                let Some(msg) = wire::decode_standing_install(&frame.payload) else {
+                    NetCounters::add(&counters.frames_rejected, 1);
+                    return err("malformed standing-install payload".into());
+                };
+                // Install the id node 0 granted; a duplicate id means this
+                // is an ack-lost replay and the install is a no-op. Either
+                // way the connection is (re)subscribed — subscribe is
+                // idempotent — so delta push survives the replayed path.
+                let (kind, id) = match msg {
+                    wire::StandingInstallMsg::Count { id, area } => {
+                        engine.lock().install_standing_count(id, area);
+                        (wire::StandingKind::Count, id)
+                    }
+                    wire::StandingInstallMsg::Range { id, user, radius } => {
+                        engine.lock().install_standing_range(id, user, radius);
+                        (wire::StandingKind::Range, id)
+                    }
+                };
+                subscribe(subs, conn_id, (kind.code(), id));
+                (wire::tag::OK, Vec::new())
+            }
+            wire::tag::RESYNC_PULL => {
+                // Bulk rejoin donation: the router asks a healthy node for a
+                // full image of its replicated planes (positions + cloaks).
+                // Read-only and unjournaled — the donor's state is the
+                // source of truth, not an event.
+                if !frame.payload.is_empty() {
+                    NetCounters::add(&counters.frames_rejected, 1);
+                    return err("malformed resync-pull payload".into());
+                }
+                let state = engine.lock().resync_export();
+                (
+                    wire::tag::RESYNC_STATE,
+                    wire::encode_resync_state(&state).to_vec(),
+                )
+            }
+            wire::tag::RESYNC_PUSH => {
+                let Some(state) = wire::decode_resync_state(&frame.payload) else {
+                    NetCounters::add(&counters.frames_rejected, 1);
+                    return err("malformed resync-state payload".into());
+                };
+                // Journals through the existing shadow/ingest ops, so the
+                // installed image survives a second crash of the rejoiner.
+                engine.lock().resync_install(&state);
+                (wire::tag::OK, Vec::new())
+            }
+            other => {
+                NetCounters::add(&counters.frames_rejected, 1);
+                err(format!("unknown request tag 0x{other:02x}"))
+            }
         }
     }
 }

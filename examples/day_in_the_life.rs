@@ -41,12 +41,13 @@ fn main() {
 
     println!("hour | entry            | mean cloak area | mean candidates | QoS");
     println!("-----+------------------+-----------------+-----------------+--------");
+    let m = std::sync::Arc::clone(engine.system().metrics_registry());
     for _hour in 1..=24u32 {
-        engine.system_mut().metrics.reset();
+        m.cloak_area().reset();
+        m.candidate_set_size().reset();
         engine.tick();
-        let m = &engine.system().metrics;
-        let area = m.cloak_area.summary().mean;
-        let cands = m.candidate_set_size.summary().mean;
+        let area = m.cloak_area().summary().mean;
+        let cands = m.candidate_set_size().summary().mean;
         let tod = engine.now().time_of_day();
         let entry = match tod.hour() {
             8..=16 => "k=1 (exact)",

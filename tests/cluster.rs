@@ -418,3 +418,104 @@ fn dead_node_is_a_loud_kinded_error() {
     assert!(report.route_failures >= 1);
     drop(good.shutdown());
 }
+
+/// The router serves through the same poller as a node, so connections
+/// beyond `net.workers` are multiplexed, not parked until a worker
+/// frees up: with two shards, all of 64 idle-but-open connections get
+/// their `PONG`, and the last one then does real work and reads the
+/// bytes an in-process engine gives. The same run pins the router's own
+/// observability: its `STATS` counts exactly the requests sent and
+/// carries the front door's frame-decode and outbound-wait stages, and
+/// shutdown closes every connection it accepted.
+#[test]
+fn router_serves_more_connections_than_workers() {
+    const CONNS: usize = 64;
+    const FRAME_DECODE: usize = 3;
+    const OUTBOUND_WAIT: usize = 4;
+
+    let node = NetServer::bind("127.0.0.1:0", fresh_engine(), NetConfig::default()).unwrap();
+    let node_addr = node.local_addr().to_string();
+    let router = Router::bind(
+        "127.0.0.1:0",
+        &[node_addr.as_str()],
+        world(),
+        RouterConfig {
+            net: NetConfig::with_workers(2),
+            ..RouterConfig::default()
+        },
+    )
+    .unwrap();
+
+    let mut clients: Vec<NetClient> = (0..CONNS)
+        .map(|_| {
+            let c = NetClient::connect(router.local_addr()).unwrap();
+            c.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+            c
+        })
+        .collect();
+    for (i, c) in clients.iter_mut().enumerate() {
+        match c.ping(b"hello") {
+            Ok(Reply::Pong(p)) => assert_eq!(p, b"hello"),
+            other => panic!("connection {i} of {CONNS} got no PONG: {other:?}"),
+        }
+    }
+
+    let (user, k, pos, radius) = (42u64, 2u32, Point::new(0.3, 0.6), 0.2);
+    let (t_update, t_query) = (SimTime::from_secs(1.0), SimTime::from_secs(2.0));
+    let mut reference = fresh_engine();
+    let profile = PrivacyProfile::uniform(CloakRequirement {
+        k,
+        a_min: 0.0,
+        a_max: f64::INFINITY,
+    })
+    .unwrap();
+    reference.register(user, profile);
+    let want_update = reference
+        .process_updates_wire(&[(user, pos, t_update)])
+        .remove(0)
+        .unwrap()
+        .to_vec();
+    let want_query = reference
+        .range_query(user, t_query, radius)
+        .unwrap()
+        .response
+        .to_vec();
+
+    let last = clients.last_mut().unwrap();
+    assert_eq!(
+        last.register(user, k, 0.0, f64::INFINITY).unwrap(),
+        Reply::Ok
+    );
+    assert_eq!(
+        last.update(user, pos, t_update).unwrap(),
+        Reply::Cloaked(want_update)
+    );
+    assert_eq!(
+        last.range_query(user, radius, t_query).unwrap(),
+        Reply::Candidates(want_query)
+    );
+
+    let Reply::Stats(bytes) = last.stats().unwrap() else {
+        panic!("router scrape did not return a stats snapshot");
+    };
+    let scraped = wire::decode_stats_snapshot(&bytes).expect("decodable snapshot");
+    let sent = CONNS as u64 + 3;
+    assert_eq!(scraped.net.requests_served, sent, "the scrape is not in it");
+    assert_eq!(scraped.net.connections_accepted, CONNS as u64);
+    assert_eq!(scraped.stages[FRAME_DECODE].count, sent + 1);
+    let waited = scraped.stages[OUTBOUND_WAIT].count;
+    assert!(
+        (1..=sent).contains(&waited),
+        "outbound_wait counts replies written: {waited}"
+    );
+
+    let obs = std::sync::Arc::clone(router.metrics_registry());
+    let report = router.shutdown();
+    assert_eq!(report.requests_served, sent + 1);
+    assert_eq!(report.route_failures, 0);
+    let net = obs.net().snapshot();
+    assert_eq!(net.connections_accepted, CONNS as u64);
+    assert_eq!(net.connections_closed, net.connections_accepted);
+    drop(clients);
+    drop(node.shutdown());
+}

@@ -32,8 +32,8 @@ fn hundred_thousand_users_end_to_end() {
     let unsat: usize = reports.iter().map(|r| r.unsatisfied).sum();
     assert_eq!(updates, 300_000);
     assert_eq!(unsat, 0, "k=50 over 100k users always satisfiable");
-    let m = &engine.system().metrics;
-    assert!(m.achieved_k.summary().min >= 50.0);
+    let m = engine.system().metrics_registry();
+    assert!(m.achieved_k().summary().min >= 50.0);
     assert_eq!(engine.system().private_store().len(), 100_000);
     // Sampled end-to-end correctness after the run.
     for id in (0..100_000u64).step_by(9973) {
