@@ -16,15 +16,27 @@
 //! node sees the full position plane. The router therefore maintains
 //! two replicated planes and one single-copy plane:
 //!
-//! * **Position plane** — after forwarding an `EXACT_UPDATE` to the
-//!   owning node, the router mirrors the same row to every other node
-//!   as a [`wire::tag::SHADOW_UPDATE`] frame (positions advance even
-//!   when the cloak failed, exactly like the sequential engine).
-//! * **Cloak plane** — when the owner answers with cloaked bytes, the
-//!   router relays those exact bytes to every other node as a
-//!   [`wire::tag::CLOAK_INGEST`] frame, so the private stores and
+//! * **Position plane** — once the owning node has answered an
+//!   `EXACT_UPDATE`, every other node is owed the same row (positions
+//!   advance even when the cloak failed, exactly like the sequential
+//!   engine).
+//! * **Cloak plane** — when the owner answered with a cloak, every
+//!   other node is owed that too, so the private stores and
 //!   standing-count registries stay in lockstep. Non-owners drain the
 //!   resulting changed-set internally; only the owner pushes deltas.
+//!
+//!   Row and cloak are one [`wire::tag::MIRROR_UPDATE`] entry in each
+//!   other node's *outbox*. Nothing is sent for it: the entry rides
+//!   the next frame the router begins on that node — an update the
+//!   node owns, a query, a handoff, a standing install — inside one
+//!   [`wire::tag::CARRY`] envelope, which the node opens by applying
+//!   the carried entries in order and then serving the request, whose
+//!   reply acknowledges them. The router is a node's only writer and
+//!   each channel is FIFO, so a node never serves a frame before every
+//!   mirror row the router produced before that frame: a closed-loop
+//!   client still reads the sequential engine's bytes. A node that is
+//!   asked nothing is sent its outbox once 32 rows are waiting, and
+//!   [`Router::shutdown`] sends what is left.
 //! * **User state (single copy)** — a user's privacy profile and
 //!   standing-range registrations live on exactly one node. When a
 //!   movement crosses a partition boundary the router performs an
@@ -50,11 +62,10 @@
 //! Each node connection is a [`NodeChannel`]: a pipelined send half
 //! (serialized by a [`LockRank::ClusterNode`] mutex) plus a dedicated
 //! reader thread that matches reply frames to an in-order ticket queue.
-//! A routed request *begins* every hop it needs — the `EXACT_UPDATE` to
-//! the owner and the `SHADOW_UPDATE` mirrors to every other node — and
-//! only then *waits* for the replies, so one update costs roughly two
-//! node round-trips regardless of cluster size, and updates owned by
-//! distinct nodes make progress concurrently. A front-door shard
+//! An update costs one node round trip — the owner's — whatever the
+//! cluster size; broadcasts *begin* every hop they need and only then
+//! *wait* for the replies; and requests owned by distinct nodes make
+//! progress concurrently. A front-door shard
 //! routes one request at a time, so `net.workers` requests are in
 //! flight at once; a shard's other connections wait behind a node round
 //! trip exactly as a node's wait behind its engine mutex.
@@ -87,17 +98,22 @@
 //!   [`wire::tag::ROUTE_FAIL`] marked [`wire::ROUTE_FAIL_RETRYABLE`] —
 //!   the client should simply retry. These bump `retryable_failures`,
 //!   **not** `route_failures`.
-//! * Replicated-plane traffic the node merely *mirrors* (shadow
-//!   updates, cloak ingests, standing installs and deregisters,
-//!   parked handoffs) is absorbed into a bounded per-node catch-up
-//!   buffer and replayed in arrival order on rejoin, so a transient
-//!   outage is invisible to clients of other nodes. Every such frame
-//!   is idempotent by key, so replaying one that already landed
-//!   before the cut is a no-op. A preserved-class frame is dropped
-//!   only when its node turns terminally `Down`; the drop bumps the
-//!   `mirror_drops` counter and logs, because it marks real
-//!   divergence.
-//! * If the buffer overflows its byte bound, reconstructible plane
+//! * Replicated-plane traffic the node merely *mirrors* (mirrored
+//!   updates, standing installs and deregisters, parked handoffs)
+//!   accumulates in the node's outbox — bounded in bytes — and is
+//!   replayed in the order it was produced on rejoin, an envelope per
+//!   round trip, so a transient outage is invisible to clients of
+//!   other nodes. The outbox is one structure, not an in-flight list
+//!   and a backlog: an entry leaves it only when the reply to the
+//!   frame that carried it arrives, and demotion moves nothing, so
+//!   rows that were on the wire when the link died are replayed ahead
+//!   of rows produced later, never after them. Every such frame is
+//!   idempotent by key — but not commutative — so replaying, in
+//!   order, some that already landed before the cut ends in the same
+//!   state. A preserved-class frame is dropped only when its node
+//!   turns terminally `Down`; the drop bumps the `mirror_drops`
+//!   counter and logs, because it marks real divergence.
+//! * If the outbox overflows its byte bound, reconstructible plane
 //!   frames are dropped and the rejoin instead performs a bulk
 //!   [`wire::tag::RESYNC_PULL`] / [`wire::tag::RESYNC_PUSH`] transfer
 //!   from a healthy donor under the exclusive gate. Broadcast-class
@@ -105,8 +121,9 @@
 //!   not reconstructible from plane state — and replayed after the
 //!   bulk image lands.
 //!
-//! Only when every reconnect attempt is exhausted does the node turn
-//! `Down` — terminal, as before — and requests needing it answer
+//! Only when every reconnect attempt is exhausted — or the node refuses
+//! a carried mirror frame, which no reconnect can mend — does the node
+//! turn `Down`, terminally, and requests needing it answer
 //! `ROUTE_FAIL` kind [`wire::ROUTE_FAIL_DOWN`], bumping
 //! `route_failures`. Failure text names nodes by *index only*: socket
 //! addresses are cluster topology and never cross the public socket.
@@ -123,7 +140,7 @@ use lbsp_net::{
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -198,7 +215,15 @@ type TicketResult = io::Result<(Frame, Vec<Vec<u8>>)>;
 /// One outstanding request on a node channel, waiting for its reply.
 struct Ticket {
     tx: mpsc::SyncSender<TicketResult>,
+    /// Outbox entries that left in this request's envelope: its reply
+    /// acknowledges them, whether or not anyone still waits for it.
+    carried: usize,
 }
+
+/// Unsent outbox entries at which an `Up` node is sent an envelope with
+/// no request: a node with no traffic of its own is never more rows
+/// behind than this, and pays one hop per this many.
+const FLUSH_AT: usize = 32;
 
 /// The mutable send half of a node channel, serialized so pipelined
 /// frames (and their tickets) leave in one well-defined order.
@@ -211,11 +236,20 @@ struct SendHalf {
     reader: Option<JoinHandle<()>>,
 }
 
-/// What a node missed while it was away: mirror frames queued for
-/// ordered replay on rejoin, under [`LockRank::ClusterRecovery`].
+/// A node's outbox, under [`LockRank::ClusterRecovery`]: every mirror
+/// frame the router produced for the node that the node has not
+/// acknowledged, oldest first. While the node is `Up` these are
+/// [`wire::tag::MIRROR_UPDATE`] rows waiting for (or riding) the next
+/// frame to it; while it reconnects, everything it misses. An entry
+/// leaves only when the reply to the frame that carried it arrives, so
+/// whatever happens to the connection the outbox is what a rejoin has
+/// to replay, in the order it was produced.
 struct Recovery {
-    /// Frames to replay in arrival order.
+    /// The unacknowledged frames, in the order they were produced.
     buffer: VecDeque<Outbound>,
+    /// How many at the head are on the wire, their carrier's reply
+    /// outstanding; the rest are unsent.
+    sent: usize,
     /// Approximate bytes queued (payload + per-frame overhead).
     buffered_bytes: usize,
     /// The buffer overflowed: plane frames were dropped and the rejoin
@@ -241,7 +275,13 @@ struct NodeChannel {
     state: Arc<AtomicU8>,
     send: TrackedMutex<SendHalf>,
     recovery: TrackedMutex<Recovery>,
-    /// Byte bound on `recovery.buffer` (from [`RouterConfig`]).
+    /// Outbox entries the reader thread has seen acknowledged (their
+    /// carrier's reply arrived) and the outbox has yet to drop: the
+    /// reader never takes a lock, so acknowledging does not wait on a
+    /// request thread mid-send.
+    acked: Arc<AtomicUsize>,
+    /// Byte bound on the outbox of a reconnecting node (from
+    /// [`RouterConfig`]).
     catchup_buffer_bytes: usize,
 }
 
@@ -269,22 +309,19 @@ fn frame_cost(payload: &[u8]) -> usize {
     payload.len() + 8
 }
 
-/// Installs a fresh connection on a locked send half: joins the old
-/// reader (it has already exited — its socket was cut), then wires the
-/// write stream, ticket queue, and a new reader thread.
-fn install_streams(
-    send: &mut SendHalf,
-    state: &Arc<AtomicU8>,
-    wstream: TcpStream,
-    rstream: TcpStream,
-) {
-    if let Some(old) = send.reader.take() {
-        let _ = old.join();
+impl Recovery {
+    fn push(&mut self, tag: u8, payload: &[u8]) {
+        self.buffered_bytes += frame_cost(payload);
+        self.buffer.push_back((tag, payload.to_vec()));
     }
-    let (ticket_tx, ticket_rx) = mpsc::channel::<Ticket>();
-    send.reader = Some(spawn_node_reader(rstream, ticket_rx, Arc::clone(state)));
-    send.stream = Some(wstream);
-    send.tickets = Some(ticket_tx);
+
+    /// Drops the `n` oldest entries: their carrier was answered.
+    fn acknowledge(&mut self, n: usize) {
+        for (_, payload) in self.buffer.drain(..n.min(self.buffer.len())) {
+            self.buffered_bytes = self.buffered_bytes.saturating_sub(frame_cost(&payload));
+        }
+        self.sent = self.sent.saturating_sub(n);
+    }
 }
 
 impl NodeChannel {
@@ -311,11 +348,13 @@ impl NodeChannel {
                 LockRank::ClusterRecovery,
                 Recovery {
                     buffer: VecDeque::new(),
+                    sent: 0,
                     buffered_bytes: 0,
                     overflowed: false,
                     down_since: None,
                 },
             ),
+            acked: Arc::new(AtomicUsize::new(0)),
             catchup_buffer_bytes,
         }
     }
@@ -399,49 +438,96 @@ impl NodeChannel {
         }
     }
 
-    /// Sends one request frame and returns a handle to its future
+    /// Installs a fresh connection on a locked send half: joins the old
+    /// reader (it has already exited — its socket was cut), then wires
+    /// the write stream, ticket queue, and a new reader thread.
+    fn install_streams(&self, send: &mut SendHalf, wstream: TcpStream, rstream: TcpStream) {
+        if let Some(old) = send.reader.take() {
+            let _ = old.join();
+        }
+        let (ticket_tx, ticket_rx) = mpsc::channel::<Ticket>();
+        send.reader = Some(spawn_node_reader(
+            self.index,
+            rstream,
+            ticket_rx,
+            Arc::clone(&self.state),
+            Arc::clone(&self.acked),
+        ));
+        send.stream = Some(wstream);
+        send.tickets = Some(ticket_tx);
+    }
+
+    /// Sends one request frame — and, in the same envelope, every
+    /// outbox entry not yet sent — and returns a handle to its future
     /// reply, fast-failing with the kinded error the recovery doctrine
     /// promises when the node is reconnecting or down.
+    ///
+    /// The outbox lock is held from picking the entries to the write,
+    /// so frames leave in the order their `begin`s were ordered: a node
+    /// never serves a frame before every mirror row produced before
+    /// that frame was begun.
     fn begin(&self, tag: u8, payload: &[u8]) -> io::Result<PendingCall<'_>> {
-        match self.state.load(Ordering::SeqCst) {
-            NODE_UP => self.begin_on_wire(tag, payload),
-            NODE_RECONNECTING => Err(self.retryable_error("is reconnecting")),
-            _ => Err(self.down_error()),
-        }
+        let begun = {
+            let mut rec = self.recovery.lock();
+            match self.state.load(Ordering::SeqCst) {
+                NODE_UP => self.send_carrying(&mut rec, Some((tag, payload))),
+                NODE_RECONNECTING => return Err(self.retryable_error("is reconnecting")),
+                _ => return Err(self.down_error()),
+            }
+        };
+        self.demote_on_err(begun)
     }
 
-    /// [`NodeChannel::begin`] without the state gate: the supervisor
-    /// replays buffered frames (and pushes resync images) while the
-    /// node is still officially `Reconnecting`.
+    /// [`NodeChannel::begin`] without the state gate and with nothing
+    /// riding along: the supervisor's liveness `PING`, resync image and
+    /// replay go out exactly as written, while the node is still
+    /// officially `Reconnecting`.
     fn begin_internal(&self, tag: u8, payload: &[u8]) -> io::Result<PendingCall<'_>> {
-        self.begin_on_wire(tag, payload)
+        self.demote_on_err(self.begin_locked(tag, payload, 0))
     }
 
-    /// The shared send path. Every failure here is a transport fault:
-    /// demote and surface the kinded retryable error. The demotion
-    /// lives in this wrapper — outside any guard scope — so the locked
-    /// half below never reaches for the recovery lock (rank
+    /// Every failure to put a frame on the wire is a transport fault:
+    /// demote. The demotion lives here — outside any guard scope — so
+    /// the locked halves never reach for the recovery lock (rank
     /// `ClusterRecovery`) while the send lock (rank `ClusterNode`) is
     /// live.
-    fn begin_on_wire(&self, tag: u8, payload: &[u8]) -> io::Result<PendingCall<'_>> {
-        match self.begin_locked(tag, payload) {
-            Ok(call) => Ok(call),
-            Err(e) => {
-                self.demote();
-                Err(e)
-            }
+    fn demote_on_err<'a>(&self, begun: io::Result<PendingCall<'a>>) -> io::Result<PendingCall<'a>> {
+        if begun.is_err() {
+            self.demote();
         }
+        begun
+    }
+
+    /// Puts `request` on the wire together with the unsent outbox
+    /// entries (an envelope with no request when there is none — a
+    /// flush), and marks those entries sent. Caller holds the outbox.
+    fn send_carrying(
+        &self,
+        rec: &mut Recovery,
+        request: Option<(u8, &[u8])>,
+    ) -> io::Result<PendingCall<'_>> {
+        rec.acknowledge(self.acked.swap(0, Ordering::SeqCst));
+        let unsent = rec.buffer.len().saturating_sub(rec.sent);
+        if let (0, Some((tag, payload))) = (unsent, request) {
+            return self.begin_locked(tag, payload, 0);
+        }
+        let carried = unsent.min(wire::CARRY_MAX_FRAMES);
+        let entries = rec.buffer.iter().skip(rec.sent).take(carried);
+        let envelope = wire::encode_carry(entries.map(|(t, p)| (*t, p.as_slice())), request)
+            .ok_or_else(|| self.retryable_error("holds a frame no envelope can carry"))?;
+        let call = self.begin_locked(wire::tag::CARRY, &envelope, carried)?;
+        rec.sent += carried;
+        Ok(call)
     }
 
     /// Lazy connect, ticket, frame — all under the send lock; errors
     /// are returned pre-kinded but the caller performs the demotion.
-    fn begin_locked(&self, tag: u8, payload: &[u8]) -> io::Result<PendingCall<'_>> {
+    /// `carried` outbox entries ride in the frame.
+    fn begin_locked(&self, tag: u8, payload: &[u8], carried: usize) -> io::Result<PendingCall<'_>> {
         let mut send = self.send.lock();
         if send.stream.is_none() {
             match self.connect() {
-                Ok((wstream, rstream)) => {
-                    install_streams(&mut send, &self.state, wstream, rstream);
-                }
+                Ok((wstream, rstream)) => self.install_streams(&mut send, wstream, rstream),
                 Err(e) => {
                     return Err(self.retryable_error(&format!("is unreachable ({e})")));
                 }
@@ -457,7 +543,7 @@ impl NodeChannel {
         // matters: a closed ticket queue means the reader thread is
         // gone, and an orphaned ticket would burn the caller's full
         // node timeout discovering that.
-        if tickets.send(Ticket { tx }).is_err() {
+        if tickets.send(Ticket { tx, carried }).is_err() {
             return Err(self.retryable_error("lost its reader"));
         }
         let written = match send.stream.as_mut() {
@@ -484,47 +570,85 @@ impl NodeChannel {
         Ok((stream, rstream))
     }
 
-    /// Queues a mirror frame the reconnecting node will replay on
-    /// rejoin. Returns `false` — nothing queued — if the node is no
-    /// longer `Reconnecting` (the state is re-checked under the
-    /// recovery lock, the same lock the supervisor holds when it flips
-    /// the node back up, so a buffered frame is never stranded).
+    /// Appends a mirror frame to the node's outbox, if the node's state
+    /// lets it wait there: any frame while the node reconnects (replayed
+    /// on rejoin), a [`wire::tag::MIRROR_UPDATE`] row while it is `Up`
+    /// (it rides the next frame to the node). `false` — nothing queued —
+    /// otherwise; the state is read under the outbox lock, the same
+    /// lock the supervisor holds when it flips the node back up, so a
+    /// queued frame is never stranded.
     ///
-    /// Overflow policy: plane frames (shadow updates, cloak ingests)
-    /// are dropped once the byte bound is hit — a bulk donor resync
-    /// reconstructs them wholesale — while broadcast-class and handoff
-    /// frames are retained regardless, because no state image can
-    /// replace them. The first overflow also purges already-queued
-    /// plane frames: the bulk image supersedes them.
-    fn buffer_frame(&self, tag: u8, payload: &[u8]) -> bool {
-        let mut rec = self.recovery.lock();
-        if self.state.load(Ordering::SeqCst) != NODE_RECONNECTING {
-            return false;
-        }
-        let cost = frame_cost(payload);
-        let over = rec.overflowed || rec.buffered_bytes + cost > self.catchup_buffer_bytes;
-        if over && !retained_on_overflow(tag) {
-            if !rec.overflowed {
-                rec.overflowed = true;
-                rec.buffer.retain(|(t, _)| retained_on_overflow(*t));
-                rec.buffered_bytes = rec.buffer.iter().map(|(_, p)| frame_cost(p)).sum();
+    /// The [`FLUSH_AT`]th unsent row of an `Up` node sends the outbox
+    /// in an envelope of its own. Nobody waits for it: the reader
+    /// acknowledges its entries when the node answers, and a node that
+    /// has stopped answering is found out by whoever next waits on it,
+    /// or by the write that fills its socket (`node_timeout`).
+    ///
+    /// Overflow policy, while reconnecting: plane frames (mirrored
+    /// updates) are dropped once the byte bound is hit — a bulk donor
+    /// resync reconstructs them wholesale, and purges the ones already
+    /// queued — while broadcast-class and handoff frames are retained
+    /// regardless, because no state image can replace them.
+    fn queue(&self, tag: u8, payload: &[u8]) -> bool {
+        let flush = {
+            let mut rec = self.recovery.lock();
+            match self.state.load(Ordering::SeqCst) {
+                NODE_RECONNECTING => {
+                    let cost = frame_cost(payload);
+                    let over =
+                        rec.overflowed || rec.buffered_bytes + cost > self.catchup_buffer_bytes;
+                    if !over || retained_on_overflow(tag) {
+                        rec.push(tag, payload);
+                    } else {
+                        rec.overflowed = true;
+                    }
+                    return true;
+                }
+                NODE_UP if tag == wire::tag::MIRROR_UPDATE => {
+                    rec.push(tag, payload);
+                    if rec.buffer.len().saturating_sub(rec.sent) < FLUSH_AT {
+                        return true;
+                    }
+                    self.send_carrying(&mut rec, None)
+                }
+                _ => return false,
             }
-            return true;
-        }
-        rec.buffered_bytes += cost;
-        rec.buffer.push_back((tag, payload.to_vec()));
+        };
+        // A flush that did not get out costs nothing: the rows are
+        // still in the outbox of a node that is now reconnecting.
+        let _ = self.demote_on_err(flush);
         true
+    }
+
+    /// Sends whatever the outbox of an `Up` node still holds unsent;
+    /// the reply also says that everything sent before it has landed.
+    fn flush(&self) -> Option<PendingCall<'_>> {
+        let flush = {
+            let mut rec = self.recovery.lock();
+            if self.state.load(Ordering::SeqCst) != NODE_UP || rec.buffer.is_empty() {
+                return None;
+            }
+            self.send_carrying(&mut rec, None)
+        };
+        self.demote_on_err(flush).ok()
     }
 }
 
 /// The per-channel reply demultiplexer: stashes standing-delta pushes,
-/// matches every other frame to the next ticket in send order, and on
-/// any connection failure demotes the node to `Reconnecting` and fails
-/// the remaining tickets so no caller ever hangs past its own timeout.
+/// matches every other frame to the next ticket in send order —
+/// counting the outbox entries that reply acknowledges, so a caller
+/// that stopped waiting still acknowledges — and on any connection
+/// failure demotes the node to `Reconnecting` and fails the remaining
+/// tickets so no caller ever hangs past its own timeout. A reply that
+/// says the node refused a carried frame condemns the node instead:
+/// its planes no longer match the cluster's, and no reconnect mends
+/// that.
 fn spawn_node_reader(
+    index: usize,
     mut stream: TcpStream,
     tickets: mpsc::Receiver<Ticket>,
     state: Arc<AtomicU8>,
+    acked: Arc<AtomicUsize>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
         let mut reader = FrameReader::new(MAX_FRAME_LEN);
@@ -537,17 +661,29 @@ fn spawn_node_reader(
                 Ok(Poll::Frame(f)) if f.tag == wire::tag::STANDING_DELTA => {
                     pushed.push(f.payload);
                 }
-                Ok(Poll::Frame(f)) => match tickets.try_recv() {
-                    Ok(t) => {
-                        let _ = t.tx.send(Ok((f, std::mem::take(&mut pushed))));
-                    }
+                Ok(Poll::Frame(f)) => {
                     // A reply with no request outstanding: the stream
                     // desynchronized; drop the connection.
-                    Err(_) => break,
-                },
-                // Read-timeout tick — liveness deadlines belong to the
-                // waiting callers, not the reader.
-                Ok(Poll::Pending) => {}
+                    let Ok(t) = tickets.try_recv() else { break };
+                    let refused = (f.tag == wire::tag::ERROR)
+                        .then(|| wire::decode_carry_rejected(&f.payload))
+                        .flatten();
+                    if let Some(at) = refused {
+                        let text = String::from_utf8_lossy(&f.payload);
+                        eprintln!("router: node {index} rejected carried frame {at}: {text}");
+                        state.store(NODE_DOWN, Ordering::SeqCst);
+                        let _ = t.tx.send(Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            text.into_owned(),
+                        )));
+                        break;
+                    }
+                    acked.fetch_add(t.carried, Ordering::SeqCst);
+                    let _ = t.tx.send(Ok((f, std::mem::take(&mut pushed))));
+                }
+                // Read-timeout tick (or a skipped read) — liveness
+                // deadlines belong to the waiting callers, not the reader.
+                Ok(Poll::Pending | Poll::Drained) => {}
                 Ok(Poll::Eof) | Err(_) => break,
             }
         }
@@ -571,8 +707,9 @@ fn spawn_node_reader(
 impl PendingCall<'_> {
     /// Blocks for the reply; delta pushes that rode ahead of it are
     /// appended to `deltas`. A timeout or transport failure demotes the
-    /// node (retryable); a protocol-violating reply poisons it (fatal —
-    /// reconnecting cannot fix a node that answers garbage).
+    /// node (retryable); a protocol-violating reply, or one refusing a
+    /// carried frame, poisons it (fatal — reconnecting cannot fix a
+    /// node that answers garbage or has diverged).
     fn wait(self, deltas: &mut DeltaBatch) -> io::Result<Outbound> {
         match self.rx.recv_timeout(self.channel.node_timeout) {
             Ok(Ok((frame, pushed))) => {
@@ -588,6 +725,10 @@ impl PendingCall<'_> {
                         Err(self.channel.failed_error(&e))
                     }
                 }
+            }
+            Ok(Err(e)) if e.kind() == io::ErrorKind::InvalidData => {
+                self.channel.poison();
+                Err(self.channel.failed_error(&e))
             }
             Ok(Err(e)) => {
                 self.channel.demote();
@@ -683,31 +824,32 @@ impl Core {
         }
     }
 
-    /// Absorbs a mirror frame a node cannot take right now: buffered
-    /// while it reconnects, delivered inline if it raced back up
-    /// between checks, dropped only when the node is terminally `Down`.
-    /// Returns `false` on a drop; doctrine-preserved frames
-    /// (broadcast-class installs/deregisters, handoff pushes) addi-
-    /// tionally bump `mirror_drops` and log, because losing one means
-    /// state diverged and stays diverged.
+    /// Hands node `i` a mirror frame it is not being asked to answer:
+    /// into its outbox when the frame may wait there (anything while
+    /// the node reconnects, a [`wire::tag::MIRROR_UPDATE`] row while it
+    /// is up — see [`NodeChannel::queue`]), delivered inline otherwise
+    /// (a broadcast or handoff frame that lost its first delivery and
+    /// found the node back up), dropped only when the node is
+    /// terminally `Down`. Returns `false` on a drop;
+    /// doctrine-preserved frames (broadcast-class installs/deregisters,
+    /// handoff pushes) additionally bump `mirror_drops` and log,
+    /// because losing one means state diverged and stays diverged.
     ///
     /// The loop is unbounded on purpose — a flapping node must not
     /// shake a preserved frame loose — but it cannot spin hot: every
-    /// arm consumes a state transition. A failed `begin`/`wait`
-    /// demotes the node, a failed `buffer_frame` means the state
-    /// changed under the recovery lock, and `Down` is terminal.
+    /// turn consumes a state transition. A failed `begin`/`wait`
+    /// demotes the node, a refused `queue` means the state changed
+    /// under the outbox lock, and `Down` is terminal.
     fn absorb_mirror(&self, i: usize, tag: u8, payload: &[u8]) -> bool {
         let Ok(ch) = self.channel(i) else {
             return false;
         };
         let mut scratch: DeltaBatch = Vec::new();
         loop {
+            if ch.queue(tag, payload) {
+                return true;
+            }
             match ch.state.load(Ordering::SeqCst) {
-                NODE_RECONNECTING => {
-                    if ch.buffer_frame(tag, payload) {
-                        return true;
-                    }
-                }
                 NODE_UP => {
                     if let Ok(call) = ch.begin(tag, payload) {
                         if call.wait(&mut scratch).is_ok() {
@@ -715,6 +857,7 @@ impl Core {
                         }
                     }
                 }
+                NODE_RECONNECTING => {}
                 _ => {
                     if retained_on_overflow(tag) {
                         NetCounters::add(&self.obs.net().mirror_drops, 1);
@@ -729,9 +872,9 @@ impl Core {
         }
     }
 
-    /// Begins a mirror-plane frame on node `i`. Only an `Up` node
-    /// yields a pending call; a reconnecting node absorbs the frame
-    /// into its catch-up buffer (to replay on rejoin) and a terminally
+    /// Begins a broadcast-class frame on mirror node `i`. Only an `Up`
+    /// node yields a pending call; a reconnecting node absorbs the frame
+    /// into its outbox (to replay on rejoin) and a terminally
     /// down node drops it (counted by [`Core::absorb_mirror`] when the
     /// frame class is preserved) — either way the client request
     /// proceeds, because a `Down` node is lost as a whole, not one
@@ -921,7 +1064,7 @@ impl Core {
             return self.call(target, frame.tag, &frame.payload, deltas);
         };
         if cur == target {
-            return self.fan_out_update(target, frame, deltas);
+            return self.fan_out_update(target, frame, msg, deltas);
         }
         // Boundary crossing: trade the shared gate for the exclusive
         // one, which quiesces in-flight updates so the handoff is the
@@ -940,82 +1083,46 @@ impl Core {
         if cur != target {
             self.handoff(msg.user, cur, target, deltas)?;
         }
-        self.fan_out_update(target, frame, deltas)
+        self.fan_out_update(target, frame, msg, deltas)
     }
 
-    /// The update fan-out: begin the `EXACT_UPDATE` on the owner and
-    /// the `SHADOW_UPDATE` mirror on every other node, then wait all;
-    /// if the owner cloaked, begin the `CLOAK_INGEST` relay on every
-    /// other node and wait all. Two round-trip phases regardless of
-    /// cluster size. Unavailable mirrors never fail the request — their
-    /// frames are absorbed into catch-up buffers for rejoin replay.
+    /// The update fan-out: one round trip to the owner, whose reply is
+    /// the client's. What the other nodes need of the update — the
+    /// row, and the owner's cloak when it produced one (positions
+    /// advance even when the cloak failed, exactly like the sequential
+    /// engine) — goes into their outboxes as one
+    /// [`wire::tag::MIRROR_UPDATE`] entry each and rides the next frame
+    /// begun on that node. An unavailable mirror never fails the
+    /// request; its entry waits for the rejoin replay.
     fn fan_out_update(
         &self,
         target: usize,
         frame: &Frame,
+        row: wire::ExactUpdateMsg,
         deltas: &mut DeltaBatch,
     ) -> io::Result<Outbound> {
-        let main = self
-            .channel(target)?
-            .begin(wire::tag::EXACT_UPDATE, &frame.payload)?;
-        let mut shadows = Vec::new();
-        for i in 0..self.channels.len() {
-            if i == target {
-                continue;
-            }
-            if let Some(call) = self.begin_mirror(i, wire::tag::SHADOW_UPDATE, &frame.payload) {
-                shadows.push((i, call));
-            }
+        let owner = self.channel(target)?;
+        let reply = owner
+            .begin(wire::tag::EXACT_UPDATE, &frame.payload)?
+            .wait(deltas)?;
+        if self.channels.len() == 1 {
+            return Ok(reply);
         }
-        // Owner first: its deltas ride ahead of its reply and must land
-        // ahead of the mirrors' (empty) batches, exactly as the old
-        // sequential order appended them.
-        let reply = main.wait(deltas);
-        let mut mirror_err: Option<io::Error> = None;
-        for (i, call) in shadows {
-            if let Err(e) = self.wait_mirror(
-                i,
-                wire::tag::SHADOW_UPDATE,
-                &frame.payload,
-                call,
-                true,
-                deltas,
-            ) {
-                if mirror_err.is_none() {
-                    mirror_err = Some(e);
-                }
-            }
-        }
-        let reply = reply?;
-        if let Some(e) = mirror_err {
-            return Err(e);
-        }
-        // A successful cloak also replicates into every non-owner's
-        // private store / standing-count registry, as the exact bytes
-        // the owner produced.
-        if reply.0 == wire::tag::CLOAKED_UPDATE {
-            let mut ingests = Vec::new();
-            for i in 0..self.channels.len() {
-                if i == target {
-                    continue;
-                }
-                if let Some(call) = self.begin_mirror(i, wire::tag::CLOAK_INGEST, &reply.1) {
-                    ingests.push((i, call));
-                }
-            }
-            let mut ingest_err: Option<io::Error> = None;
-            for (i, call) in ingests {
-                if let Err(e) =
-                    self.wait_mirror(i, wire::tag::CLOAK_INGEST, &reply.1, call, true, deltas)
-                {
-                    if ingest_err.is_none() {
-                        ingest_err = Some(e);
-                    }
-                }
-            }
-            if let Some(e) = ingest_err {
-                return Err(e);
-            }
+        let cloak = if reply.0 == wire::tag::CLOAKED_UPDATE {
+            let Some(cloak) = wire::decode_cloaked_update(&reply.1) else {
+                owner.poison();
+                return Err(owner.failed_error(&io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "undecodable cloaked update",
+                )));
+            };
+            Some(cloak)
+        } else {
+            None
+        };
+        let mirror = wire::encode_mirror_update(&wire::MirrorUpdateMsg { row, cloak });
+        for i in (0..self.channels.len()).filter(|&i| i != target) {
+            self.absorb_mirror(i, wire::tag::MIRROR_UPDATE, &mirror);
         }
         Ok(reply)
     }
@@ -1218,8 +1325,8 @@ fn delta_key(payload: &[u8]) -> Option<(u8, u64)> {
 fn is_internal(tag: u8) -> bool {
     matches!(
         tag,
-        wire::tag::SHADOW_UPDATE
-            | wire::tag::CLOAK_INGEST
+        wire::tag::MIRROR_UPDATE
+            | wire::tag::CARRY
             | wire::tag::HANDOFF_PULL
             | wire::tag::HANDOFF_PUSH
             | wire::tag::RESYNC_PULL
@@ -1319,10 +1426,22 @@ impl Router {
     }
 
     /// Door first: draining connections finish their requests against
-    /// live node channels, with the supervisors still healing. Only
-    /// then are the channels cut and the supervisors joined.
+    /// live node channels, with the supervisors still healing. Then
+    /// every `Up` node is sent what its outbox still holds (each wait
+    /// bounded by `node_timeout`), so the engines the nodes hand back
+    /// hold every row the router answered for. Only then are the
+    /// channels cut and the supervisors joined.
     fn stop(&mut self) {
         self.door.stop();
+        let flushes: Vec<PendingCall<'_>> = self
+            .core
+            .channels
+            .iter()
+            .filter_map(NodeChannel::flush)
+            .collect();
+        for call in flushes {
+            let _ = call.wait(&mut Vec::new());
+        }
         self.stopping.store(true, Ordering::Relaxed);
         for ch in &self.core.channels {
             ch.close();
@@ -1418,7 +1537,7 @@ fn supervise_outage(
             Ok((wstream, rstream)) => {
                 {
                     let mut send = ch.send.lock();
-                    install_streams(&mut send, &ch.state, wstream, rstream);
+                    ch.install_streams(&mut send, wstream, rstream);
                 }
                 match resync_node(core, index, obs) {
                     Ok(summary) => {
@@ -1468,8 +1587,8 @@ fn finish_outage(ch: &NodeChannel, obs: &MetricsRegistry) -> u64 {
 }
 
 /// Brings a freshly reconnected node's planes back in sync and flips it
-/// `Up`. The normal path replays the catch-up buffer in arrival order;
-/// an overflowed buffer triggers a bulk donor resync under the
+/// `Up`. The normal path replays the outbox in the order it was
+/// produced; an overflowed outbox triggers a bulk donor resync under the
 /// exclusive gate first, then replays the retained (non-reconstructible)
 /// frames. Returns a human-readable summary for the rejoin log line.
 fn resync_node(core: &SharedCore, index: usize, obs: &Arc<MetricsRegistry>) -> io::Result<String> {
@@ -1489,22 +1608,36 @@ fn resync_node(core: &SharedCore, index: usize, obs: &Arc<MetricsRegistry>) -> i
             format!("node {index} failed the rejoin liveness check"),
         ));
     }
-    let overflowed = ch.recovery.lock().overflowed;
+    let overflowed = {
+        // The connection the outbox was last sent on is gone and its
+        // reader joined: nothing is on the wire, and no acknowledgement
+        // counted from here on is for an entry of this outbox.
+        let mut rec = ch.recovery.lock();
+        rec.sent = 0;
+        ch.acked.store(0, Ordering::SeqCst);
+        rec.overflowed
+    };
     if overflowed {
         // Quiesce routing: the donor's image and the replayed tail must
         // land as one atomic step in the cluster's request stream.
         let _gate = core.gate.write();
+        {
+            // The image supersedes every plane frame still queued.
+            let mut rec = ch.recovery.lock();
+            rec.buffer.retain(|(t, _)| retained_on_overflow(*t));
+            rec.buffered_bytes = rec.buffer.iter().map(|(_, p)| frame_cost(p)).sum();
+        }
         let bulk = bulk_resync(core, ch)?;
         NetCounters::add(
             &obs.net().resync_bytes,
             u64::try_from(bulk).unwrap_or(u64::MAX),
         );
-        let replayed = replay_buffer(ch)?;
+        let replayed = replay_buffer(ch, true)?;
         Ok(format!(
             "bulk resync {bulk} bytes + {replayed} retained frames"
         ))
     } else {
-        let replayed = replay_buffer(ch)?;
+        let replayed = replay_buffer(ch, false)?;
         Ok(format!("replayed {replayed} buffered frames"))
     }
 }
@@ -1551,38 +1684,76 @@ fn bulk_resync(core: &Core, ch: &NodeChannel) -> io::Result<usize> {
     Ok(body.len())
 }
 
-/// Replays the catch-up buffer head-first until it drains, then flips
-/// the node `Up` *under the recovery lock* — the same lock appenders
-/// hold — so no frame can slip in behind the flip and strand. Mirror
-/// traffic arriving mid-replay simply queues behind the head and is
-/// replayed in turn.
-fn replay_buffer(ch: &NodeChannel) -> io::Result<usize> {
+/// How many entries at the head of an outbox one replay envelope takes:
+/// those whose only acceptable answer is `OK` and that fit the
+/// envelope's framing, within half a frame's bytes. 0: the head goes
+/// bare — a deregistration (client-plane, and a replay whose first
+/// delivery landed answers an unknown-id error: the no-op outcome
+/// idempotence promises) or a payload past the envelope's `u16` length.
+fn replay_run(buffer: &VecDeque<Outbound>) -> usize {
+    let mut bytes = 0usize;
+    buffer
+        .iter()
+        .take(wire::CARRY_MAX_FRAMES)
+        .take_while(|(tag, payload)| {
+            bytes += frame_cost(payload);
+            *tag != wire::tag::DEREGISTER_STANDING
+                && payload.len() <= usize::from(u16::MAX)
+                && bytes <= MAX_FRAME_LEN / 2
+        })
+        .count()
+}
+
+/// Replays the outbox head-first, an envelope of entries per round trip,
+/// until it drains, then flips the node `Up` *under the outbox lock* —
+/// the same lock appenders hold — so no frame can slip in behind the
+/// flip and strand. Mirror traffic arriving mid-replay simply queues
+/// behind the head and is replayed in turn. An entry is dropped only
+/// once the node answered for it; a transport failure propagates
+/// (retryable) and the supervisor starts the outage over with the
+/// outbox as it stands.
+///
+/// `after_bulk`: a donor image was just installed under the exclusive
+/// gate, which is what clears the overflow mark. Without one, an outbox
+/// that overflowed *while* it was being replayed has dropped rows no
+/// replay will bring back, and the rejoin must start over through the
+/// bulk path.
+fn replay_buffer(ch: &NodeChannel, after_bulk: bool) -> io::Result<usize> {
     let mut replayed = 0usize;
     loop {
-        let next = {
+        let (tag, payload, run) = {
             let mut rec = ch.recovery.lock();
-            let head = rec.buffer.front().cloned();
-            if head.is_none() {
+            let Some((tag, payload)) = rec.buffer.front() else {
+                if rec.overflowed && !after_bulk {
+                    return Err(ch.retryable_error("overflowed its outbox mid-replay"));
+                }
                 rec.overflowed = false;
                 ch.state.store(NODE_UP, Ordering::SeqCst);
+                return Ok(replayed);
+            };
+            let run = replay_run(&rec.buffer);
+            let entries = rec.buffer.iter().take(run);
+            match wire::encode_carry(entries.map(|(t, p)| (*t, p.as_slice())), None) {
+                Some(envelope) if run > 0 => (wire::tag::CARRY, envelope.to_vec(), run),
+                _ => (*tag, payload.clone(), 0),
             }
-            head
-        };
-        let Some((tag, payload)) = next else {
-            return Ok(replayed);
         };
         let mut scratch: DeltaBatch = Vec::new();
-        // Any well-formed reply is acceptance: replayed installs,
-        // plane and handoff frames answer `OK`, and a replayed
-        // deregister whose first delivery landed answers an unknown-id
-        // error — the no-op outcome idempotence promises. Transport
-        // failures propagate (retryable) and the supervisor starts the
-        // outage over.
-        let _ = ch.begin_internal(tag, &payload)?.wait(&mut scratch)?;
-        let mut rec = ch.recovery.lock();
-        rec.buffer.pop_front();
-        rec.buffered_bytes = rec.buffered_bytes.saturating_sub(frame_cost(&payload));
-        replayed += 1;
+        let reply = ch.begin_internal(tag, &payload)?.wait(&mut scratch)?;
+        // A bare frame is accepted by any well-formed reply; an
+        // envelope (whose refusal the reader already turned into a
+        // fatal error) only by `OK`.
+        if run > 0 && reply.0 != wire::tag::OK {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "node {} answered a replay envelope with 0x{:02x}",
+                    ch.index, reply.0
+                ),
+            ));
+        }
+        ch.recovery.lock().acknowledge(run.max(1));
+        replayed += run.max(1);
     }
 }
 

@@ -47,19 +47,10 @@ pub mod tag {
     /// Client → server: read a standing query's current state
     /// (payload: [`super::StandingRefMsg`]).
     pub const STANDING_SNAPSHOT: u8 = 0x09;
-    /// Cluster router → node (`0x2_` = intra-cluster requests): mirror
-    /// another node's exact update into this node's position plane
-    /// (payload: [`super::ExactUpdateMsg`]). Cluster-internal trusted
-    /// hop — both ends are anonymizer processes.
-    pub const SHADOW_UPDATE: u8 = 0x20;
-    /// Cluster router → node: mirror the owning node's cloaked reply
-    /// into this node's private store and standing-count registry
-    /// (payload: the [`super::encode_cloaked_update`] bytes). Carries a
-    /// cloak only — never an exact point.
-    pub const CLOAK_INGEST: u8 = 0x21;
-    /// Cluster router → node: extract a user's live state for migration
-    /// (payload: [`super::encode_handoff_pull`]); the node answers with
-    /// a [`USER_HANDOFF`] frame.
+    /// Cluster router → node (`0x2_` = intra-cluster requests): extract
+    /// a user's live state for migration (payload:
+    /// [`super::encode_handoff_pull`]); the node answers with a
+    /// [`USER_HANDOFF`] frame.
     pub const HANDOFF_PULL: u8 = 0x22;
     /// Cluster router → node: install a migrated user's state
     /// (payload: the [`super::HandoffMsg`] bytes).
@@ -81,6 +72,22 @@ pub mod tag {
     /// granted id out in this frame, so replaying it after an ack-lost
     /// outage is a keyed no-op instead of a second allocation.
     pub const STANDING_INSTALL: u8 = 0x26;
+    /// Cluster router → node: mirror an update another node owns
+    /// (payload: [`super::MirrorUpdateMsg`]) — the exact row into this
+    /// node's position plane and, when the owner cloaked, the owner's
+    /// cloaked reply into its private store and standing-count
+    /// registry. Cluster-internal trusted hop — both ends are
+    /// anonymizer processes. It travels inside a [`CARRY`] envelope.
+    pub const MIRROR_UPDATE: u8 = 0x27;
+    /// Cluster router → node: an envelope (payload:
+    /// [`super::CarryMsg`]) of mirror frames the node applies
+    /// in order, followed by the one request the envelope was begun
+    /// for, which the node then serves; that request's reply
+    /// acknowledges the carried frames. An envelope with no request is
+    /// a flush, answered [`OK`]. A carried frame the node refuses
+    /// answers [`ERROR`] with [`super::encode_carry_rejected`] text and
+    /// nothing after it is applied.
+    pub const CARRY: u8 = 0x28;
     /// Server → client: request acknowledged, empty payload.
     pub const OK: u8 = 0x80;
     /// Server → client: a cloaked update (payload: the
@@ -210,6 +217,153 @@ pub fn decode_cloaked_update(mut buf: &[u8]) -> Option<CloakedUpdate> {
         },
         time,
     })
+}
+
+/// Byte length of a [`MirrorUpdateMsg`] whose owner produced no cloak.
+pub const MIRROR_UPDATE_ROW_LEN: usize = EXACT_UPDATE_LEN;
+/// Byte length of a [`MirrorUpdateMsg`] carrying the owner's cloak.
+pub const MIRROR_UPDATE_CLOAKED_LEN: usize = EXACT_UPDATE_LEN + CLOAKED_UPDATE_LEN;
+
+/// What a node that does not own an update needs of it
+/// ([`tag::MIRROR_UPDATE`]): the exact row for its position plane —
+/// positions advance even when the owner's cloak failed, exactly like
+/// the sequential engine — and the owner's cloaked reply, when there is
+/// one, for its private store. Cluster-internal trusted hop, same
+/// doctrine as [`ExactUpdateMsg`]: the struct is deliberately *not*
+/// server-bound.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MirrorUpdateMsg {
+    /// The update as the client sent it.
+    pub row: ExactUpdateMsg,
+    /// The owner's reply, when it cloaked.
+    pub cloak: Option<CloakedUpdate>,
+}
+
+/// Encodes a mirrored update: the row, then the cloak if there is one.
+pub fn encode_mirror_update(msg: &MirrorUpdateMsg) -> Bytes {
+    let mut b = BytesMut::with_capacity(MIRROR_UPDATE_CLOAKED_LEN);
+    b.put_slice(&encode_exact_update(&msg.row));
+    if let Some(cloak) = &msg.cloak {
+        b.put_slice(&encode_cloaked_update(cloak));
+    }
+    b.freeze()
+}
+
+/// Decodes a mirrored update. Strict: exactly one of the two legal
+/// lengths, and the cloak passes [`decode_cloaked_update`]'s validation.
+pub fn decode_mirror_update(buf: &[u8]) -> Option<MirrorUpdateMsg> {
+    let (row, cloak) = buf.split_at_checked(EXACT_UPDATE_LEN)?;
+    Some(MirrorUpdateMsg {
+        row: decode_exact_update(row)?,
+        cloak: if cloak.is_empty() {
+            None
+        } else {
+            Some(decode_cloaked_update(cloak)?)
+        },
+    })
+}
+
+/// Most frames one [`tag::CARRY`] envelope may carry.
+pub const CARRY_MAX_FRAMES: usize = 1024;
+
+/// A [`tag::CARRY`] envelope: mirror frames to apply, in order, and
+/// the request to serve after them.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct CarryMsg {
+    /// The carried frames, `(tag, payload)`, oldest first.
+    pub carried: Vec<(u8, Vec<u8>)>,
+    /// The request the envelope was begun for; `None` is a flush.
+    pub request: Option<(u8, Vec<u8>)>,
+}
+
+/// `true` for a tag a [`tag::CARRY`] envelope may carry: the frames a
+/// router mirrors to a node without needing anything back but `OK`.
+fn is_carriable(tag: u8) -> bool {
+    matches!(
+        tag,
+        tag::MIRROR_UPDATE | tag::STANDING_INSTALL | tag::HANDOFF_PUSH
+    )
+}
+
+/// Encodes an envelope: a `u16` count, `tag + u16 length + payload` per
+/// carried frame, then the request's tag and payload to the end of the
+/// buffer (nothing, for a flush). `None` when the envelope is one
+/// [`decode_carry`] would refuse: more than [`CARRY_MAX_FRAMES`]
+/// frames, a carried tag that is not a mirror frame, a carried payload
+/// over `u16::MAX` bytes, or an envelope for a request.
+pub fn encode_carry<'a>(
+    carried: impl ExactSizeIterator<Item = (u8, &'a [u8])>,
+    request: Option<(u8, &[u8])>,
+) -> Option<Bytes> {
+    if carried.len() > CARRY_MAX_FRAMES || request.is_some_and(|(t, _)| t == tag::CARRY) {
+        return None;
+    }
+    let mut b = BytesMut::new();
+    b.put_slice(&u16::try_from(carried.len()).ok()?.to_le_bytes());
+    for (tag, payload) in carried {
+        if !is_carriable(tag) {
+            return None;
+        }
+        b.put_u8(tag);
+        b.put_slice(&u16::try_from(payload.len()).ok()?.to_le_bytes());
+        b.put_slice(payload);
+    }
+    if let Some((tag, payload)) = request {
+        b.put_u8(tag);
+        b.put_slice(payload);
+    }
+    Some(b.freeze())
+}
+
+/// Decodes an envelope. Strict: the count is within
+/// [`CARRY_MAX_FRAMES`], every carried frame is whole and is a mirror
+/// frame (so nothing a client may send rides along, nothing that needs
+/// an answer of its own, and envelopes do not nest), and the request is
+/// not an envelope. Whatever follows the carried frames *is*
+/// the request, so surplus bytes fail that request's own strict codec.
+pub fn decode_carry(buf: &[u8]) -> Option<CarryMsg> {
+    let (count, mut buf) = buf.split_first_chunk::<2>()?;
+    let count = usize::from(u16::from_le_bytes(*count));
+    if count > CARRY_MAX_FRAMES {
+        return None;
+    }
+    let mut carried = Vec::with_capacity(count);
+    for _ in 0..count {
+        let (&tag, rest) = buf.split_first()?;
+        let (len, rest) = rest.split_first_chunk::<2>()?;
+        let (payload, rest) = rest.split_at_checked(usize::from(u16::from_le_bytes(*len)))?;
+        if !is_carriable(tag) {
+            return None;
+        }
+        carried.push((tag, payload.to_vec()));
+        buf = rest;
+    }
+    let request = match buf.split_first() {
+        None => None,
+        Some((&tag::CARRY, _)) => return None,
+        Some((&tag, payload)) => Some((tag, payload.to_vec())),
+    };
+    Some(CarryMsg { carried, request })
+}
+
+/// What every [`encode_carry_rejected`] text starts with.
+const CARRY_REJECTED: &str = "carried frame ";
+
+/// The [`tag::ERROR`] text answering an envelope whose carried frame
+/// `index` the node refused: that frame and everything after it,
+/// request included, were not applied.
+pub fn encode_carry_rejected(index: usize, reason: &str) -> Bytes {
+    Bytes::from(format!("{CARRY_REJECTED}{index} rejected: {reason}").into_bytes())
+}
+
+/// The index named by an [`encode_carry_rejected`] text; `None` for any
+/// other error text.
+pub fn decode_carry_rejected(buf: &[u8]) -> Option<usize> {
+    let text = std::str::from_utf8(buf).ok()?;
+    let (index, _) = text
+        .strip_prefix(CARRY_REJECTED)?
+        .split_once(" rejected: ")?;
+    index.parse().ok()
 }
 
 /// Byte length of an encoded cloaked private-range-query request.
@@ -978,7 +1132,7 @@ pub fn decode_route_fail(buf: &[u8]) -> Option<(u8, String)> {
 /// overflowed: every tracked position (the shadow plane) and every
 /// private cloak record (the ingest plane). Cluster-internal trusted
 /// hop — both ends are anonymizer processes, same doctrine as
-/// [`ExactUpdateMsg`] on [`tag::SHADOW_UPDATE`] — so position rows are
+/// [`MirrorUpdateMsg`] on [`tag::MIRROR_UPDATE`] — so position rows are
 /// legal here and the struct is deliberately *not* server-bound.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ResyncState {
@@ -1719,6 +1873,134 @@ mod tests {
     }
 
     #[test]
+    fn mirror_update_has_two_legal_lengths_and_no_other() {
+        let row = ExactUpdateMsg {
+            user: 17,
+            position: Point::new(0.25, 0.75),
+            time: SimTime::from_secs(9.5),
+        };
+        let bare = MirrorUpdateMsg { row, cloak: None };
+        let bytes = encode_mirror_update(&bare);
+        assert_eq!(bytes.len(), MIRROR_UPDATE_ROW_LEN);
+        assert_eq!(decode_mirror_update(&bytes), Some(bare));
+        let cloaked = MirrorUpdateMsg {
+            row,
+            cloak: Some(sample_cloaked()),
+        };
+        let bytes = encode_mirror_update(&cloaked);
+        assert_eq!(bytes.len(), MIRROR_UPDATE_CLOAKED_LEN);
+        assert_eq!(decode_mirror_update(&bytes), Some(cloaked));
+        // Every other length — every cut, one byte more — is refused.
+        let mut long = bytes.to_vec();
+        long.push(0);
+        assert_eq!(decode_mirror_update(&long), None);
+        for cut in (0..bytes.len()).filter(|&c| c != MIRROR_UPDATE_ROW_LEN) {
+            assert_eq!(decode_mirror_update(&bytes[..cut]), None, "cut {cut}");
+        }
+        // The cloak half is held to the cloak codec: an inverted
+        // rectangle (max_x, at row + pseudonym + min_x + min_y) fails.
+        let off = EXACT_UPDATE_LEN + 8 + 16;
+        let mut bad = bytes.to_vec();
+        bad[off..off + 8].copy_from_slice(&(-5.0f64).to_le_bytes());
+        assert_eq!(decode_mirror_update(&bad), None);
+    }
+
+    #[test]
+    fn carry_roundtrip_and_validation() {
+        let row = encode_exact_update(&ExactUpdateMsg {
+            user: 3,
+            position: Point::new(0.5, 0.5),
+            time: SimTime::ZERO,
+        });
+        let carried = vec![
+            (tag::MIRROR_UPDATE, row.to_vec()),
+            (tag::STANDING_INSTALL, vec![1, 2, 3]),
+            (tag::HANDOFF_PUSH, Vec::new()),
+        ];
+        let encode = |carried: &[(u8, Vec<u8>)], request: Option<(u8, &[u8])>| {
+            encode_carry(carried.iter().map(|(t, p)| (*t, p.as_slice())), request)
+        };
+        // With a request, with an empty-payload request, and as a flush.
+        for request in [
+            Some((tag::USER_QUERY, &b"query"[..])),
+            Some((tag::PING, &[][..])),
+            None,
+        ] {
+            let bytes = encode(&carried, request).expect("legal envelope");
+            let want = CarryMsg {
+                carried: carried.clone(),
+                request: request.map(|(t, p)| (t, p.to_vec())),
+            };
+            assert_eq!(decode_carry(&bytes), Some(want));
+        }
+        // Nothing carried, nothing asked: still an envelope.
+        let empty = encode(&[], None).expect("empty envelope");
+        assert_eq!(empty.len(), 2);
+        assert_eq!(decode_carry(&empty), Some(CarryMsg::default()));
+
+        // Truncated anywhere inside the carried frames: refused. (Past
+        // them every cut is a shorter request, which is that request's
+        // codec's business.)
+        let bytes = encode(&carried, None).expect("legal envelope");
+        for cut in 0..bytes.len() {
+            assert_eq!(decode_carry(&bytes[..cut]), None, "cut {cut}");
+        }
+        // Envelopes do not nest, neither as a carried frame nor as the
+        // request, and nothing a client may send rides along.
+        for inner in [
+            tag::CARRY,
+            tag::EXACT_UPDATE,
+            tag::DEREGISTER_STANDING,
+            tag::HANDOFF_PULL,
+            tag::OK,
+        ] {
+            let smuggled = vec![(inner, vec![0; 4])];
+            assert!(encode(&smuggled, None).is_none(), "tag 0x{inner:02x}");
+            let mut raw = 1u16.to_le_bytes().to_vec();
+            raw.push(inner);
+            raw.extend(4u16.to_le_bytes());
+            raw.extend([0; 4]);
+            assert_eq!(decode_carry(&raw), None, "tag 0x{inner:02x}");
+        }
+        assert!(encode(&carried, Some((tag::CARRY, &[][..]))).is_none());
+        let mut nested = encode(&carried, None).expect("legal envelope").to_vec();
+        nested.push(tag::CARRY);
+        assert_eq!(decode_carry(&nested), None);
+        // The count is capped, whatever follows it.
+        let many: Vec<(u8, Vec<u8>)> = vec![(tag::MIRROR_UPDATE, Vec::new()); CARRY_MAX_FRAMES + 1];
+        assert!(encode(&many, None).is_none());
+        let mut raw = (CARRY_MAX_FRAMES as u16 + 1).to_le_bytes().to_vec();
+        raw.extend(many.iter().flat_map(|(t, _)| [*t, 0, 0]));
+        assert_eq!(decode_carry(&raw), None);
+        assert!(decode_carry(&raw[..raw.len() - 3]).is_none());
+        assert!(encode(&many[..CARRY_MAX_FRAMES], None).is_some());
+        // A carried payload the u16 length cannot express is refused at
+        // the encoder.
+        let huge = vec![(tag::HANDOFF_PUSH, vec![0; usize::from(u16::MAX) + 1])];
+        assert!(encode(&huge, None).is_none());
+    }
+
+    #[test]
+    fn carry_rejection_text_is_recognised_and_nothing_else_is() {
+        let text = encode_carry_rejected(7, "malformed mirror-update payload");
+        assert_eq!(decode_carry_rejected(&text), Some(7));
+        assert!(std::str::from_utf8(&text)
+            .unwrap()
+            .contains("malformed mirror-update"));
+        for other in [
+            &b"unknown user"[..],
+            b"malformed update payload",
+            b"carried frame",
+            b"carried frame x rejected: y",
+            b"carried frame 3 was fine",
+            b"",
+            &[0xFF, 0xFE],
+        ] {
+            assert_eq!(decode_carry_rejected(other), None);
+        }
+    }
+
+    #[test]
     fn tags_are_distinct() {
         let tags = [
             tag::REGISTER,
@@ -1730,12 +2012,13 @@ mod tests {
             tag::REGISTER_STANDING_RANGE,
             tag::DEREGISTER_STANDING,
             tag::STANDING_SNAPSHOT,
-            tag::SHADOW_UPDATE,
-            tag::CLOAK_INGEST,
             tag::HANDOFF_PULL,
             tag::HANDOFF_PUSH,
             tag::RESYNC_PULL,
             tag::RESYNC_PUSH,
+            tag::STANDING_INSTALL,
+            tag::MIRROR_UPDATE,
+            tag::CARRY,
             tag::OK,
             tag::CLOAKED_UPDATE,
             tag::CANDIDATES,

@@ -5,7 +5,7 @@ use lbsp_anonymizer::{
     CloakRequirement, CloakedRegion, CloakedUpdate, PrivacyProfile, Pseudonym, QuadCloak,
 };
 use lbsp_core::wire::{
-    decode_candidates, decode_cloaked_update, decode_exact_update, decode_range_query,
+    self, decode_candidates, decode_cloaked_update, decode_exact_update, decode_range_query,
     decode_register, decode_user_query, encode_candidates, encode_cloaked_update,
     encode_exact_update, encode_range_query, encode_register, encode_user_query, ExactUpdateMsg,
     RangeQueryMsg, RegisterMsg, UserQueryMsg,
@@ -223,6 +223,111 @@ proptest! {
     }
 
     #[test]
+    fn mirror_update_wire_roundtrip_and_strictness(
+        user in any::<u64>(),
+        p in upoint(),
+        secs in 0.0f64..1e9,
+        pseudo in any::<u64>(),
+        region in urect(),
+        cloaked in any::<bool>(),
+        junk in prop::collection::vec(any::<u8>(), 1..16),
+    ) {
+        let msg = wire::MirrorUpdateMsg {
+            row: ExactUpdateMsg { user, position: p, time: SimTime::from_secs(secs) },
+            cloak: cloaked.then_some(CloakedUpdate {
+                pseudonym: Pseudonym(pseudo),
+                region: CloakedRegion {
+                    region,
+                    achieved_k: 4,
+                    k_satisfied: true,
+                    area_satisfied: false,
+                },
+                time: SimTime::from_secs(secs),
+            }),
+        };
+        let bytes = wire::encode_mirror_update(&msg);
+        prop_assert_eq!(wire::decode_mirror_update(&bytes), Some(msg));
+        // Two legal lengths, nothing else: every proper prefix but the
+        // bare row fails, and so does anything appended.
+        for cut in (0..bytes.len()).filter(|&c| c != wire::MIRROR_UPDATE_ROW_LEN) {
+            prop_assert_eq!(wire::decode_mirror_update(&bytes[..cut]), None, "cut {}", cut);
+        }
+        let mut long = bytes.to_vec();
+        long.extend_from_slice(&junk);
+        if long.len() != wire::MIRROR_UPDATE_CLOAKED_LEN {
+            prop_assert_eq!(wire::decode_mirror_update(&long), None);
+        }
+    }
+
+    #[test]
+    fn carry_wire_roundtrip_and_strictness(
+        frames in prop::collection::vec(
+            (0usize..3, prop::collection::vec(any::<u8>(), 0..100)),
+            0..12,
+        ),
+        request in prop::collection::vec(any::<u8>(), 0..40),
+        smuggled in 0u8..0x26,
+        at in any::<usize>(),
+    ) {
+        const MIRRORED: [u8; 3] = [
+            wire::tag::MIRROR_UPDATE,
+            wire::tag::STANDING_INSTALL,
+            wire::tag::HANDOFF_PUSH,
+        ];
+        prop_assume!(smuggled != wire::tag::HANDOFF_PUSH);
+        let frames: Vec<(u8, Vec<u8>)> = frames
+            .into_iter()
+            .map(|(t, p)| (MIRRORED[t], p))
+            .collect();
+        // The request is whatever follows the carried frames: a tag and
+        // a payload, or nothing at all.
+        let request = request
+            .split_first()
+            .filter(|(t, _)| **t != wire::tag::CARRY)
+            .map(|(t, p)| (*t, p.to_vec()));
+        let encode = |frames: &[(u8, Vec<u8>)]| {
+            wire::encode_carry(
+                frames.iter().map(|(t, p)| (*t, p.as_slice())),
+                request.as_ref().map(|(t, p)| (*t, p.as_slice())),
+            )
+        };
+        let bytes = encode(&frames).expect("a legal envelope encodes");
+        let want = wire::CarryMsg { carried: frames.clone(), request: request.clone() };
+        prop_assert_eq!(wire::decode_carry(&bytes), Some(want));
+
+        // Cut anywhere before the last carried frame ends: refused.
+        let carried_end = 2 + frames.iter().map(|(_, p)| 3 + p.len()).sum::<usize>();
+        for cut in 0..carried_end {
+            prop_assert_eq!(wire::decode_carry(&bytes[..cut]), None, "cut {}", cut);
+        }
+        // A client-facing tag, a frame that wants an answer, or an
+        // envelope among the carried frames: refused by both ends,
+        // wherever it sits.
+        if !frames.is_empty() {
+            for bad in [smuggled, wire::tag::CARRY] {
+                let mut tampered = frames.clone();
+                tampered[at % frames.len()].0 = bad;
+                prop_assert!(encode(&tampered).is_none());
+                let mut raw = bytes.to_vec();
+                let off = 2 + frames[..at % frames.len()]
+                    .iter()
+                    .map(|(_, p)| 3 + p.len())
+                    .sum::<usize>();
+                raw[off] = bad;
+                prop_assert_eq!(wire::decode_carry(&raw), None);
+            }
+        }
+        // An envelope as the request: refused.
+        let mut nested = bytes[..carried_end].to_vec();
+        nested.push(wire::tag::CARRY);
+        prop_assert_eq!(wire::decode_carry(&nested), None);
+        // A count over the cap: refused before anything is read.
+        let mut over = bytes.to_vec();
+        over[..2].copy_from_slice(&(wire::CARRY_MAX_FRAMES as u16 + 1).to_le_bytes());
+        prop_assert_eq!(wire::decode_carry(&over), None);
+    }
+
+    #[test]
     fn hostile_candidate_length_prefixes_never_decode(
         n_claimed in 1u32..=u32::MAX,
         body in prop::collection::vec(any::<u8>(), 0..64),
@@ -250,6 +355,12 @@ proptest! {
         }
         let _ = lbsp_core::wire::decode_range_query(&bytes);
         let _ = lbsp_core::wire::decode_candidates(&bytes);
+        let _ = wire::decode_mirror_update(&bytes);
+        let _ = wire::decode_carry_rejected(&bytes);
+        if let Some(msg) = wire::decode_carry(&bytes) {
+            prop_assert!(msg.carried.len() <= wire::CARRY_MAX_FRAMES);
+            prop_assert!(msg.carried.iter().all(|(t, _)| (0x23..0x28).contains(t)));
+        }
         if let Some(msg) = decode_register(&bytes) {
             prop_assert!(msg.a_min >= 0.0 && msg.a_max >= msg.a_min);
         }

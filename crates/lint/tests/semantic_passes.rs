@@ -209,6 +209,13 @@ fn workspace_proofs_are_not_vacuous() {
         .wire_tags
         .contains(&("STANDING_INSTALL".to_string(), 0x26)));
     assert!(a.wire_tags.contains(&("ROUTE_FAIL".to_string(), 0xEF)));
+    // One mirror frame and its envelope, in place of the two mirror
+    // frames they replaced.
+    assert!(a.wire_tags.contains(&("MIRROR_UPDATE".to_string(), 0x27)));
+    assert!(a.wire_tags.contains(&("CARRY".to_string(), 0x28)));
+    for gone in ["SHADOW_UPDATE", "CLOAK_INGEST"] {
+        assert!(!a.wire_tags.iter().any(|(name, _)| name == gone), "{gone}");
+    }
 }
 
 #[test]

@@ -122,6 +122,9 @@ impl NetClient {
                         ));
                     }
                 }
+                // The reader skipped a read it expected to find
+                // nothing behind; this caller would rather wait.
+                Poll::Drained => {}
                 Poll::Eof => {
                     return Err(io::Error::new(
                         io::ErrorKind::ConnectionAborted,

@@ -91,26 +91,47 @@ pub enum Poll {
     /// No data available right now (the underlying read timed out or
     /// would block); partial progress is retained for the next poll.
     Pending,
+    /// No complete frame is buffered and the last read came back short
+    /// — the source had no more to give — so it was not asked again.
+    /// The next poll reads. A sweep over nonblocking sockets ends the
+    /// connection's turn here; a caller that blocks polls again.
+    Drained,
     /// The peer closed the connection cleanly at a frame boundary.
     Eof,
 }
 
-/// Incremental frame decoder that survives read timeouts.
+/// Bytes asked of the source per read: room for a sweep's worth of
+/// small frames. A frame whose header promised more is read straight
+/// into a buffer sized for it.
+const READ_CHUNK: usize = 4096;
+
+/// Incremental frame decoder over one connection's byte stream.
 ///
-/// The server reads with a short socket timeout so it can poll its
-/// shutdown flag and idle clock between frames; a timeout can therefore
-/// fire *mid-frame*. `FrameReader` keeps the partial header/body across
-/// [`Poll::Pending`] returns and resumes exactly where it stopped, so a
-/// slow-trickling peer is handled correctly (and an EOF mid-frame is
-/// reported as `UnexpectedEof`, distinct from a clean close between
-/// frames).
+/// One growable buffer holds what has been read and not yet returned.
+/// [`FrameReader::poll`] hands out complete frames from it and reads
+/// only when none is left, so a burst of frames costs one `read`, and a
+/// read that came back short answers the next frame-less poll with
+/// [`Poll::Drained`] instead of a second `read`.
+///
+/// The reader is resumable at any byte: the server reads nonblocking
+/// and the client with a socket timeout, so either can fire
+/// *mid-frame*; the partial frame stays buffered across
+/// [`Poll::Pending`] returns. An EOF mid-frame is `UnexpectedEof`,
+/// distinct from a clean close between frames. A length prefix is
+/// checked against `max_frame` as soon as its four bytes are buffered,
+/// before anything is reserved for the body. An empty reader holds no
+/// allocation.
 #[derive(Debug)]
 pub struct FrameReader {
     max_frame: usize,
-    header: [u8; 4],
-    have_header: usize,
-    body: Vec<u8>,
-    have_body: usize,
+    /// `buf[pos..end]` is what has been read and not yet returned.
+    /// Past `end` there is only room: a large frame's buffer is sized
+    /// (and zeroed) once, however many reads it takes to arrive.
+    buf: Vec<u8>,
+    pos: usize,
+    end: usize,
+    /// The last read returned fewer bytes than it asked for.
+    drained: bool,
 }
 
 impl FrameReader {
@@ -118,29 +139,31 @@ impl FrameReader {
     pub fn new(max_frame: usize) -> FrameReader {
         FrameReader {
             max_frame,
-            header: [0; 4],
-            have_header: 0,
-            body: Vec::new(),
-            have_body: 0,
+            buf: Vec::new(),
+            pos: 0,
+            end: 0,
+            drained: false,
         }
     }
 
-    /// `true` when no partial frame is buffered (a clean close here is a
+    /// `true` when nothing is buffered (a clean close here is a
     /// graceful EOF, not a truncation).
     pub fn at_boundary(&self) -> bool {
-        self.have_header == 0
+        self.buffered() == 0
     }
 
-    /// Bytes of the in-progress frame buffered so far (header + body).
-    /// Strictly increases while a frame is arriving and resets to 0 when
-    /// one completes, so callers can distinguish "no data at all" from
-    /// "a frame is trickling in" across [`Poll::Pending`] returns.
+    /// Bytes read and not yet returned in a frame: the in-progress
+    /// frame's header and body so far, plus any complete frames still
+    /// waiting their turn. Strictly increases while a frame is arriving
+    /// and is 0 once everything read has been returned, so callers can
+    /// distinguish "no data at all" from "a frame is trickling in"
+    /// across [`Poll::Pending`] returns.
     pub fn buffered(&self) -> usize {
-        self.have_header + self.have_body
+        self.end.saturating_sub(self.pos)
     }
 
-    /// Pulls bytes from `r` until a frame completes, the source would
-    /// block, or the stream ends.
+    /// Returns the next complete frame, reading from `r` — once — only
+    /// when the buffer holds none.
     ///
     /// # Errors
     /// * `InvalidData` — zero or oversized length prefix (protocol
@@ -149,13 +172,15 @@ impl FrameReader {
     /// * Any other I/O error from `r` except `WouldBlock`/`TimedOut`
     ///   (reported as [`Poll::Pending`]) and `Interrupted` (retried).
     pub fn poll<R: Read>(&mut self, r: &mut R) -> io::Result<Poll> {
-        // Phase 1: the 4-byte length prefix, read straight into the
-        // remaining tail of the header buffer.
-        while self.have_header < self.header.len() {
-            let Some(dst) = self.header.get_mut(self.have_header..) else {
-                return Err(corrupt_state());
-            };
-            match r.read(dst) {
+        loop {
+            if let Some(frame) = self.next_buffered()? {
+                return Ok(Poll::Frame(frame));
+            }
+            if self.drained {
+                self.drained = false;
+                return Ok(Poll::Drained);
+            }
+            match self.fill(r) {
                 Ok(0) => {
                     return if self.at_boundary() {
                         Ok(Poll::Eof)
@@ -163,40 +188,8 @@ impl FrameReader {
                         Err(io::ErrorKind::UnexpectedEof.into())
                     };
                 }
-                Ok(n) => {
-                    self.have_header = self.have_header.saturating_add(n).min(self.header.len());
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return Ok(Poll::Pending);
-                }
-                Err(e) => return Err(e),
-            }
-            if self.have_header == 4 {
-                let len = u32::from_le_bytes(self.header) as usize;
-                if len == 0 || len > self.max_frame {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("frame length {len} outside 1..={}", self.max_frame),
-                    ));
-                }
-                self.body = vec![0; len];
-                self.have_body = 0;
-            }
-        }
-        // Phase 2: the body (tag + payload).
-        while self.have_body < self.body.len() {
-            let len = self.body.len();
-            let Some(dst) = self.body.get_mut(self.have_body..) else {
-                return Err(corrupt_state());
-            };
-            match r.read(dst) {
-                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-                Ok(n) => self.have_body = self.have_body.saturating_add(n).min(len),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut =>
@@ -206,22 +199,87 @@ impl FrameReader {
                 Err(e) => return Err(e),
             }
         }
-        // Frame complete. The body is never empty (a zero length prefix
-        // was rejected in phase 1), but decompose it fallibly anyway.
-        let body = std::mem::take(&mut self.body);
-        self.have_header = 0;
-        self.have_body = 0;
-        let Some((&tag, payload)) = body.split_first() else {
-            return Err(corrupt_state());
+    }
+
+    /// Splits the first complete frame off the pending bytes, if there
+    /// is one; a length prefix is checked as soon as it is the first
+    /// thing pending.
+    fn next_buffered(&mut self) -> io::Result<Option<Frame>> {
+        let pending = self.buf.get(self.pos..self.end).unwrap_or_default();
+        let Some((header, rest)) = pending.split_first_chunk::<4>() else {
+            return Ok(None);
         };
-        let payload = payload.to_vec();
-        Ok(Poll::Frame(Frame { tag, payload }))
+        let len = u32::from_le_bytes(*header) as usize;
+        if len == 0 || len > self.max_frame {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("frame length {len} outside 1..={}", self.max_frame),
+            ));
+        }
+        let Some((&tag, payload)) = rest.get(..len).and_then(<[u8]>::split_first) else {
+            return Ok(None);
+        };
+        let frame = Frame {
+            tag,
+            payload: payload.to_vec(),
+        };
+        self.pos = self.pos.saturating_add(4 + len);
+        if self.pos >= self.end {
+            // Everything read has been returned: an idle connection
+            // holds no read buffer.
+            self.buf = Vec::new();
+            self.pos = 0;
+            self.end = 0;
+        }
+        Ok(Some(frame))
+    }
+
+    /// One `read` into the buffer; the count it returned. Only called
+    /// when the pending bytes are an incomplete frame (or nothing),
+    /// which is moved to the front of the buffer first.
+    fn fill<R: Read>(&mut self, r: &mut R) -> io::Result<usize> {
+        if self.pos > 0 {
+            self.buf.drain(..self.pos.min(self.buf.len()));
+            self.end = self.end.saturating_sub(self.pos);
+            self.pos = 0;
+        }
+        // Where the in-progress frame ends, once its (already checked)
+        // length prefix is in.
+        let frame_end = self
+            .buf
+            .first_chunk::<4>()
+            .filter(|_| self.end >= 4)
+            .map_or(0, |header| 4 + u32::from_le_bytes(*header) as usize);
+        let n = if frame_end > self.end.saturating_add(READ_CHUNK) || self.buf.len() > self.end {
+            // A large frame: read the rest of it, and no further,
+            // straight into place.
+            if self.buf.len() < frame_end {
+                self.buf.resize(frame_end, 0);
+            }
+            let dst = self
+                .buf
+                .get_mut(self.end..frame_end)
+                .ok_or_else(corrupt_state)?;
+            let want = dst.len();
+            let n = r.read(dst)?.min(want);
+            self.drained = n < want;
+            n
+        } else {
+            let mut chunk = [0u8; READ_CHUNK];
+            let n = r.read(&mut chunk)?.min(READ_CHUNK);
+            self.drained = n < READ_CHUNK;
+            self.buf
+                .extend_from_slice(chunk.get(..n).unwrap_or_default());
+            n
+        };
+        self.end = self.end.saturating_add(n);
+        Ok(n)
     }
 }
 
-/// Internal invariant violation in the reader's resume state. Reaching
-/// this is a bug, but the connection handler treats it like any other
-/// protocol error: disconnect, never panic.
+/// Internal invariant violation in the reader's buffer bookkeeping.
+/// Reaching this is a bug, but the connection handler treats it like
+/// any other protocol error: disconnect, never panic.
 fn corrupt_state() -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
@@ -274,6 +332,15 @@ mod tests {
         }
     }
 
+    /// A poll that asks the source: past the one `Drained` a short
+    /// read leaves behind.
+    fn poll_read<R: Read>(r: &mut FrameReader, src: &mut R) -> io::Result<Poll> {
+        match r.poll(src)? {
+            Poll::Drained => r.poll(src),
+            other => Ok(other),
+        }
+    }
+
     #[test]
     fn roundtrip_single_frame() {
         let bytes = frame_bytes(0x42, b"hello", MAX_FRAME_LEN).unwrap();
@@ -288,7 +355,7 @@ mod tests {
             }
             other => panic!("expected frame, got {other:?}"),
         }
-        assert_eq!(r.poll(&mut cur).unwrap(), Poll::Eof);
+        assert_eq!(poll_read(&mut r, &mut cur).unwrap(), Poll::Eof);
     }
 
     #[test]
@@ -317,7 +384,7 @@ mod tests {
             })
             .collect();
         assert_eq!(tags, vec![1, 2]);
-        assert_eq!(r.poll(&mut cur).unwrap(), Poll::Eof);
+        assert_eq!(poll_read(&mut r, &mut cur).unwrap(), Poll::Eof);
     }
 
     #[test]
@@ -344,7 +411,8 @@ mod tests {
         let bytes = frame_bytes(7, b"payload", MAX_FRAME_LEN).unwrap();
         for cut in 1..bytes.len() {
             let mut r = FrameReader::new(MAX_FRAME_LEN);
-            let err = r.poll(&mut Cursor::new(bytes[..cut].to_vec())).unwrap_err();
+            let mut cur = Cursor::new(bytes[..cut].to_vec());
+            let err = poll_read(&mut r, &mut cur).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut {cut}");
         }
     }
@@ -369,7 +437,7 @@ mod tests {
                     assert_eq!(f.payload, b"resume");
                     frames += 1;
                 }
-                Poll::Pending => continue,
+                Poll::Pending | Poll::Drained => continue,
                 Poll::Eof => break,
             }
         }

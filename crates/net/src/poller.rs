@@ -11,20 +11,25 @@
 //! the sweep cadence (bounded by `read_poll`) is paid per *shard*, not
 //! per connection.
 //!
-//! Each connection keeps a resumable [`FrameReader`], so a frame split
-//! across `WouldBlock` boundaries at any byte offset resumes exactly
-//! where it stopped. Frames completed during one read sweep are
-//! collected in arrival order and handed to the door's
+//! Each connection keeps a [`FrameReader`] — one buffer, filled by one
+//! `read` per sweep in the common case: the frames it brought are taken
+//! out of the buffer, and when the read came back short the reader says
+//! [`Poll::Drained`] rather than ask a socket it knows to be empty. A
+//! frame split across `WouldBlock` boundaries at any byte offset
+//! resumes exactly where it stopped. Frames completed during one read
+//! sweep are collected in arrival order and handed to the door's
 //! [`Service`] in one call, so a service can amortize a lock
 //! acquisition or a journal append over everything the sweep found
 //! ready. The shard answers `PING` and `STATS` itself, in place.
 //!
 //! Fairness: the read sweep starts at a rotating offset and takes at
-//! most [`FRAMES_PER_SWEEP`] frames per connection per sweep, so one
-//! firehose client cannot starve its shard-mates. A connection whose
-//! outbound queue is at its bound is not read at all (read-gating):
-//! backpressure propagates to the peer's socket instead of growing
-//! server memory.
+//! most [`FRAMES_PER_SWEEP`] frames per connection per sweep — what was
+//! read beyond that waits in the connection's buffer — so one firehose
+//! client cannot starve its shard-mates. A connection whose outbound
+//! queue is at its bound is not read at all (read-gating): backpressure
+//! propagates to the peer's socket, and what the connection holds on
+//! the server stays at its queue plus one read buffer (4 KiB, or one
+//! frame).
 //!
 //! The disconnect doctrine:
 //!
@@ -249,7 +254,7 @@ pub(crate) fn run_shard(
                         ready.push((conn.conn_id, frame));
                         taken = taken.saturating_add(1);
                     }
-                    Ok(Poll::Pending) => {
+                    Ok(Poll::Pending | Poll::Drained) => {
                         if conn.reader.buffered() > before {
                             // Bytes arrived but the frame is still
                             // incomplete: this slice is decode work.

@@ -499,6 +499,8 @@ impl Service for EngineService {
                     it.next_if(|(_, f)| f.tag == wire::tag::EXACT_UPDATE)
                 }));
                 emitted.extend(self.handle_update_batch(subs, batch));
+            } else if frame.tag == wire::tag::CARRY {
+                emitted.extend(self.handle_carry(&frame.payload, cid, subs));
             } else {
                 emitted.push((cid, self.handle_request(frame, cid, subs)));
             }
@@ -600,6 +602,41 @@ impl EngineService {
         emitted
     }
 
+    /// Opens a [`wire::tag::CARRY`] envelope from a router peer: the
+    /// carried frames go through [`EngineService::handle_request`] in
+    /// order, then the request the envelope was begun for is served as
+    /// if it had arrived bare — its reply (after any deltas of its own)
+    /// is the envelope's, and tells the router the carried frames
+    /// landed. A carried frame that answers anything but `OK` stops the
+    /// envelope there: nothing after it is applied and the reply names
+    /// it, because the router takes a refused mirror frame as this node
+    /// having diverged.
+    fn handle_carry(
+        &self,
+        payload: &[u8],
+        conn_id: u64,
+        subs: &SharedSubs,
+    ) -> Vec<(u64, Outbound)> {
+        let rejected = |index: usize, reason: &str| {
+            let text = wire::encode_carry_rejected(index, reason).to_vec();
+            vec![(conn_id, (wire::tag::ERROR, text))]
+        };
+        let Some(msg) = wire::decode_carry(payload) else {
+            NetCounters::add(&self.obs.net().frames_rejected, 1);
+            return rejected(0, "malformed carry envelope");
+        };
+        for (index, (tag, payload)) in msg.carried.into_iter().enumerate() {
+            let (rtag, body) = self.handle_request(Frame { tag, payload }, conn_id, subs);
+            if rtag != wire::tag::OK {
+                return rejected(index, &String::from_utf8_lossy(&body));
+            }
+        }
+        match msg.request {
+            Some((tag, payload)) => self.serve(vec![(conn_id, Frame { tag, payload })], subs),
+            None => vec![(conn_id, (wire::tag::OK, Vec::new()))],
+        }
+    }
+
     /// Decodes one request frame and runs it against the engine, giving
     /// its one reply — malformed payloads and engine errors come back as
     /// [`wire::tag::ERROR`] with a UTF-8 message, so the client can tell
@@ -690,27 +727,22 @@ impl EngineService {
                 }
             }
             // Cluster-internal frames (trusted anonymizer-tier hops from a
-            // router peer). Shadow updates never touch the registries and a
-            // cloak ingest drains its changed set internally, so neither
-            // routes standing deltas. STANDING_INSTALL is the exception: a
-            // mirror node owns some users and pushes deltas for the queries
-            // it installs, so that arm subscribes like a registration does.
-            wire::tag::SHADOW_UPDATE => {
-                let Some(msg) = wire::decode_exact_update(&frame.payload) else {
+            // router peer). A mirrored update never touches the range
+            // registry and its cloak ingest drains its changed set
+            // internally, so it routes no standing deltas. STANDING_INSTALL
+            // is the exception: a mirror node owns some users and pushes
+            // deltas for the queries it installs, so that arm subscribes
+            // like a registration does.
+            wire::tag::MIRROR_UPDATE => {
+                let Some(msg) = wire::decode_mirror_update(&frame.payload) else {
                     NetCounters::add(&counters.frames_rejected, 1);
-                    return err("malformed shadow-update payload".into());
+                    return err("malformed mirror-update payload".into());
                 };
-                engine
-                    .lock()
-                    .apply_shadow_update(&[(msg.user, msg.position, msg.time)]);
-                (wire::tag::OK, Vec::new())
-            }
-            wire::tag::CLOAK_INGEST => {
-                let Some(update) = wire::decode_cloaked_update(&frame.payload) else {
-                    NetCounters::add(&counters.frames_rejected, 1);
-                    return err("malformed cloak-ingest payload".into());
-                };
-                engine.lock().apply_cloak_ingest(&update);
+                let mut eng = engine.lock();
+                eng.apply_shadow_update(&[(msg.row.user, msg.row.position, msg.row.time)]);
+                if let Some(cloak) = &msg.cloak {
+                    eng.apply_cloak_ingest(cloak);
+                }
                 (wire::tag::OK, Vec::new())
             }
             wire::tag::HANDOFF_PULL => {

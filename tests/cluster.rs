@@ -519,3 +519,230 @@ fn router_serves_more_connections_than_workers() {
     drop(clients);
     drop(node.shutdown());
 }
+
+/// One node frame per update. `N` in-stripe updates over one connection
+/// cost the owning node `N` frames and every other node a flush per 32
+/// rows — the mirror rows wait in the router's per-node outbox and ride
+/// the next frame to their node. They ride *ahead* of it: a query served
+/// by a node that was up to 31 rows behind still answers the sequential
+/// engine's bytes. And nothing is left behind: after the router shuts
+/// down, every node holds the same positions and the same cloaks.
+#[test]
+fn an_update_costs_its_owner_one_frame_and_the_mirrors_a_thirty_second() {
+    const MOVERS: u64 = 24;
+    const N: u64 = 200;
+    // Lives in the last stripe at every K, and never moves.
+    const ASKER: u64 = MOVERS;
+    let home = |i: u64, step: u64| Point::new(0.02 + 0.008 * i as f64 + 1e-4 * step as f64, 0.4);
+    let profile = |i: u64| PrivacyProfile::uniform(requirement_for(i)).unwrap();
+
+    for k in [2usize, 4] {
+        let (servers, router) = spawn_cluster(k);
+        let mut reference = fresh_engine();
+        let mut client = NetClient::connect(router.local_addr()).unwrap();
+        let mut clock = 0.0;
+        let mut update = |client: &mut NetClient, reference: &mut ShardedEngine, i, p| {
+            clock += 1.0;
+            let t = SimTime::from_secs(clock);
+            let want = reference
+                .process_updates_wire(&[(i, p, t)])
+                .remove(0)
+                .unwrap();
+            assert_eq!(
+                client.update(i, p, t).unwrap(),
+                Reply::Cloaked(want.to_vec()),
+                "update of user {i} (K={k})"
+            );
+        };
+        for i in 0..=ASKER {
+            let r = requirement_for(i);
+            reference.register(i, profile(i));
+            assert_eq!(
+                client.register(i, r.k, r.a_min, r.a_max).unwrap(),
+                Reply::Ok
+            );
+        }
+        update(&mut client, &mut reference, ASKER, Point::new(0.9, 0.6));
+        for i in 0..MOVERS {
+            update(&mut client, &mut reference, i, home(i, 0));
+        }
+
+        let served = |servers: &[NetServer]| -> Vec<u64> {
+            servers
+                .iter()
+                .map(|s| s.counters().snapshot().requests_served)
+                .collect()
+        };
+        let before = served(&servers);
+        for step in 1..=N {
+            let i = step % MOVERS;
+            update(&mut client, &mut reference, i, home(i, step));
+            if step == 100 {
+                // Asked nothing of its own, a node is still never more
+                // than 31 rows behind. (Nobody waits for a flush, so
+                // the third may still be on its way in.)
+                let deadline = std::time::Instant::now() + Duration::from_secs(5);
+                while served(&servers)
+                    .iter()
+                    .zip(&before)
+                    .skip(1)
+                    .any(|(now, then)| now - then < 3)
+                {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "100 rows, and some node not flushed 3 times: {:?} (K={k})",
+                        served(&servers)
+                    );
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+            }
+        }
+        let after = served(&servers);
+        assert_eq!(
+            after[0] - before[0],
+            N,
+            "the owner: a frame per update (K={k})"
+        );
+        for n in 1..k {
+            let flushes = after[n] - before[n];
+            assert!(
+                flushes <= N.div_ceil(32),
+                "node {n} was sent {flushes} frames for {N} updates it does not own (K={k})"
+            );
+        }
+
+        // The last node is some rows behind; the asker's query is
+        // served there, and the rows ride in on it.
+        let t = SimTime::from_secs(clock + 1.0);
+        let want = reference.range_query(ASKER, t, 0.8).unwrap().response;
+        assert_eq!(
+            client.range_query(ASKER, 0.8, t).unwrap(),
+            Reply::Candidates(want.to_vec()),
+            "query on a mirror (K={k})"
+        );
+
+        drop(client);
+        let report = router.shutdown();
+        assert_eq!(report.route_failures, 0);
+        let states: Vec<_> = servers
+            .into_iter()
+            .map(|s| s.shutdown().export_state())
+            .collect();
+        for (n, state) in states.iter().enumerate().skip(1) {
+            assert_eq!(
+                state.positions, states[0].positions,
+                "node {n} positions (K={k})"
+            );
+            assert_eq!(state.records, states[0].records, "node {n} cloaks (K={k})");
+        }
+        assert_eq!(states[0].positions.len() as u64, MOVERS + 1);
+    }
+}
+
+/// A stand-in for a node that has diverged: it speaks the frame
+/// protocol, acknowledges everything, and refuses the first envelope of
+/// mirror rows it is sent.
+fn spawn_refusing_node() -> String {
+    use lbsp_net::frame::write_frame;
+    use lbsp_net::{FrameReader, Poll, MAX_FRAME_LEN};
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        let mut refused = false;
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { return };
+            let mut reader = FrameReader::new(MAX_FRAME_LEN);
+            loop {
+                let frame = match reader.poll(&mut stream) {
+                    Ok(Poll::Frame(f)) => f,
+                    Ok(Poll::Pending | Poll::Drained) => continue,
+                    Ok(Poll::Eof) | Err(_) => break,
+                };
+                let (tag, body) = match frame.tag {
+                    wire::tag::PING => (wire::tag::PONG, frame.payload),
+                    wire::tag::CARRY if !refused => {
+                        refused = true;
+                        let text = wire::encode_carry_rejected(0, "scripted refusal");
+                        (wire::tag::ERROR, text.to_vec())
+                    }
+                    _ => (wire::tag::OK, Vec::new()),
+                };
+                if write_frame(&mut stream, tag, &body, MAX_FRAME_LEN).is_err() {
+                    break;
+                }
+            }
+        }
+    });
+    addr
+}
+
+/// A node that refuses a mirror row no longer holds the cluster's
+/// planes, and reconnecting cannot mend that: it is taken out of
+/// routing — its stripe answers `DOWN`, at once and from then on — while
+/// the other stripes keep serving. (The parent failed the one request
+/// and went on routing to the node.)
+#[test]
+fn a_node_that_refuses_a_mirror_row_is_taken_out_of_routing() {
+    let good = NetServer::bind("127.0.0.1:0", fresh_engine(), NetConfig::default()).unwrap();
+    let good_addr = good.local_addr().to_string();
+    let bad_addr = spawn_refusing_node();
+    let router = Router::bind(
+        "127.0.0.1:0",
+        &[good_addr.as_str(), bad_addr.as_str()],
+        world(),
+        RouterConfig::default(),
+    )
+    .unwrap();
+    let mut client = NetClient::connect(router.local_addr()).unwrap();
+    let failures = || router.metrics_registry().net().snapshot().route_failures;
+    for user in [1, 2] {
+        assert_eq!(
+            client.register(user, 2, 0.0, f64::INFINITY).unwrap(),
+            Reply::Ok
+        );
+    }
+    let here = Point::new(0.1, 0.1);
+    let there = Point::new(0.9, 0.9);
+    // Served by node 0; node 1 is owed the row.
+    assert!(matches!(
+        client.update(1, here, SimTime::from_secs(1.0)),
+        Ok(Reply::Cloaked(_))
+    ));
+    assert_eq!(failures(), 0);
+    // The first frame node 1 is sent — user 2 moving in — carries that
+    // row, and node 1 refuses it.
+    let err = client
+        .update(2, there, SimTime::from_secs(2.0))
+        .expect_err("the refusing node's stripe");
+    assert!(is_route_failure(&err) && !is_retryable_route_failure(&err));
+    assert!(err.to_string().contains("node 1"), "names the node: {err}");
+    assert_eq!(failures(), 1, "one request failed, and was counted once");
+    // From then on the stripe is dark…
+    for secs in [3.0, 4.0] {
+        let err = client
+            .update(2, there, SimTime::from_secs(secs))
+            .expect_err("a condemned node is not asked again");
+        assert!(
+            is_route_failure(&err) && !is_retryable_route_failure(&err),
+            "DOWN, not a retry: {err}"
+        );
+    }
+    // …and the other stripe is not.
+    for secs in [5.0, 6.0] {
+        assert!(matches!(
+            client.update(1, here, SimTime::from_secs(secs)),
+            Ok(Reply::Cloaked(_))
+        ));
+    }
+    assert!(matches!(
+        client.range_query(1, 0.2, SimTime::from_secs(7.0)),
+        Ok(Reply::Candidates(_))
+    ));
+    let snap = router.metrics_registry().net().snapshot();
+    assert_eq!(snap.route_failures, 3);
+    assert_eq!(snap.retryable_failures, 0, "nobody was told to retry");
+    assert_eq!(snap.reconnect_attempts, 0, "nor was the node redialled");
+    drop(client);
+    router.shutdown();
+    drop(good.shutdown());
+}

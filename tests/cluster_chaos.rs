@@ -13,6 +13,9 @@
 //! * **slow node** — a node answering slower than `node_timeout` is
 //!   demoted and held in `Reconnecting` (RETRYABLE, never a hang)
 //!   until it speeds back up;
+//! * **sever under a loaded envelope** — mirror rows that were on the
+//!   wire when the link died are replayed *ahead of* the rows produced
+//!   during the outage, never after them: the latest position wins;
 //! * **catch-up overflow** — a tiny buffer forces the rejoin through
 //!   the bulk `NODE_RESYNC` path (`resync_bytes` moves) and replies
 //!   stay byte-identical after it;
@@ -364,6 +367,59 @@ fn ack_lost_standing_install_replays_as_a_noop() {
             _ => panic!("count query answered with a non-count state"),
         }
     }
+}
+
+#[test]
+fn rows_on_the_wire_when_the_link_dies_are_replayed_before_later_ones() {
+    // Mirror rows are idempotent by key but not commutative: replayed
+    // out of order, a stale position lands last and stays. The window
+    // is an envelope that reached node 1 — two rows for the same user
+    // on it — whose acknowledgement was cut: the router cannot know
+    // whether they landed, more rows for that user pile up behind them
+    // during the outage, and the rejoin has to replay all of them in
+    // the order they were produced.
+    let (node0, node1, proxy, router) = spawn(fast_recovery());
+    let mut reference = fresh_engine();
+    let mut client = connect(&router);
+    register_all(&mut client, &mut reference);
+    run_wave(&mut client, &mut reference, &all_users(), 0);
+
+    // User 0 lives on node 0; node 1 is owed both rows and has been
+    // sent neither.
+    run_wave(&mut client, &mut reference, &[0], 1);
+    run_wave(&mut client, &mut reference, &[0], 2);
+    // The next thing node 1 says is lost, and the link with it.
+    proxy.sever_after_downstream_bytes(0);
+    // User 1 lives on node 1: its query takes the two rows along. They
+    // arrive; the answer does not.
+    match client.range_query(1, 0.2, stamp(1, 2)) {
+        Err(e) => assert!(is_retryable_route_failure(&e), "outcome unknown: {e}"),
+        Ok(r) => panic!("the reply was cut, yet the client read {r:?}"),
+    }
+    // The outage goes on and user 0 keeps moving.
+    for wave in 3..=5 {
+        run_wave(&mut client, &mut reference, &[0], wave);
+    }
+
+    proxy.restore();
+    // Every cloak depends on where everybody is: were user 0 anywhere
+    // on node 1 but where wave 5 left it, node 1's users would read
+    // different bytes here.
+    run_wave(&mut client, &mut reference, &all_users(), 6);
+
+    let snap = router.metrics_registry().net().snapshot();
+    assert!(snap.node_rejoins >= 1, "rejoin counted");
+    assert!(snap.retryable_failures >= 1, "the cut query was retryable");
+    assert_eq!(snap.mirror_drops, 0, "nothing was dropped");
+    let report = router.shutdown();
+    assert_eq!(report.route_failures, 0, "no fatal failures");
+    // The planes themselves, not just what a client can see of them.
+    let (planes0, planes1) = (
+        node0.shutdown().export_state(),
+        node1.shutdown().export_state(),
+    );
+    assert_eq!(planes1.positions, planes0.positions, "position plane");
+    assert_eq!(planes1.records, planes0.records, "cloak plane");
 }
 
 #[test]
