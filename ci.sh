@@ -20,7 +20,12 @@ if ! cargo run -q -p lbsp-lint --offline -- --json >target/lint-findings.json; t
 fi
 
 echo "== concurrency + loopback under debug_assertions (lock-order checker armed) =="
+# The concurrency suite holds the batch-size equivalence test (batches of
+# 1 to 256 rows on a 4-worker pool, a 1-worker pool and replayed
+# schedules), so the runtime checker walks the engine's inline path as
+# well as its job bodies; the engine's own inline-path tests ride along.
 cargo test -q --offline --test concurrency
+cargo test -q --offline -p lbsp-core --lib -- inline threshold
 cargo test -q --offline --test net_loopback
 
 echo "== loopback byte-identity (network vs in-process) =="

@@ -171,24 +171,29 @@ fn expand_once<C: CellCounts>(
 
 /// Multi-level descent: repeatedly quarter the region, following the
 /// quadrant that contains the user, while `(k, a_min)` still holds.
+/// Returns the region with its population when the descent counted it,
+/// i.e. when at least one quadrant was accepted.
 fn refine_region<C: CellCounts>(
     counts: &C,
     mut region: Rect,
     pos: Point,
     req: &CloakRequirement,
     max_depth: u8,
-) -> Rect {
+) -> (Rect, Option<usize>) {
+    let mut counted = None;
     for _ in 0..max_depth {
-        let quads = region.quadrants();
-        let qi = region.quadrant_of(pos);
-        let sub = quads[qi];
-        if sub.area() >= req.a_min && counts.count_in_rect(&sub) >= req.k as usize {
-            region = sub;
-        } else {
+        let sub = region.quadrants()[region.quadrant_of(pos)];
+        if sub.area() < req.a_min {
             break;
         }
+        let inside = counts.count_in_rect(&sub);
+        if inside < req.k as usize {
+            break;
+        }
+        region = sub;
+        counted = Some(inside);
     }
-    region
+    (region, counted)
 }
 
 /// The full fixed-grid merge (and optional multi-level refinement)
@@ -222,12 +227,14 @@ pub fn cloak_with_counts<C: CellCounts>(
         let count = counts.block_count(c0, c1) as u32;
         let rect = counts.block_rect(c0, c1);
         if count >= req.k && rect.area() >= req.a_min {
-            let rect = if refine && c0 == c1 {
+            let (rect, counted) = if refine && c0 == c1 {
                 refine_region(counts, rect, pos, req, max_refine_depth)
             } else {
-                rect
+                (rect, None)
             };
-            let achieved = counts.count_in_rect(&rect) as u32;
+            // `count` is no substitute: it goes by cell membership, and
+            // a closed rectangle also holds the users on its far edges.
+            let achieved = counted.unwrap_or_else(|| counts.count_in_rect(&rect)) as u32;
             return finalize_region(rect, achieved, req);
         }
         // Alternate growth axes so blocks stay near-square.
@@ -485,5 +492,158 @@ mod tests {
             GridCloak::new(world(), 4).with_refinement(true).name(),
             "grid+multilevel"
         );
+    }
+
+    /// `cloak_with_counts` as it was before the descent handed its last
+    /// count back: the achieved k is always counted again.
+    fn cloak_recounting(
+        counts: &UniformGrid,
+        pos: Point,
+        req: &CloakRequirement,
+        refine: bool,
+    ) -> CloakedRegion {
+        if !req.wants_privacy() {
+            let region = Rect::from_point(pos);
+            let k = counts.count_in_rect(&region) as u32;
+            return finalize_region(region, k.max(1), req);
+        }
+        let start = counts.cell_of(pos);
+        let (mut c0, mut c1, mut grow_x) = (start, start, true);
+        loop {
+            let count = counts.block_count(c0, c1) as u32;
+            let mut rect = counts.block_rect(c0, c1);
+            if count >= req.k && rect.area() >= req.a_min {
+                if refine && c0 == c1 {
+                    for _ in 0..DEFAULT_MAX_REFINE_DEPTH {
+                        let sub = rect.quadrants()[rect.quadrant_of(pos)];
+                        if sub.area() >= req.a_min && counts.count_in_rect(&sub) >= req.k as usize {
+                            rect = sub;
+                        } else {
+                            break;
+                        }
+                    }
+                }
+                return finalize_region(rect, counts.count_in_rect(&rect) as u32, req);
+            }
+            match expand_once(counts, c0, c1, grow_x)
+                .or_else(|| expand_once(counts, c0, c1, !grow_x))
+            {
+                Some(grown) => {
+                    (c0, c1) = grown;
+                    grow_x = !grow_x;
+                }
+                None => return finalize_region(rect, count, req),
+            }
+        }
+    }
+
+    #[test]
+    fn cloaks_are_bit_equal_to_the_recounting_reference() {
+        let bits = |r: &CloakedRegion| {
+            let g = r.region;
+            (
+                [g.min_x(), g.min_y(), g.max_x(), g.max_y()].map(f64::to_bits),
+                r.achieved_k,
+                r.k_satisfied,
+                r.area_satisfied,
+            )
+        };
+        for side in [2u32, 4, 8, 16] {
+            let mut c = populated(side);
+            // Users on cell and quadrant edges, where a closed rectangle
+            // and a cell block disagree on who is inside.
+            for (i, v) in [0.5, 0.25, 0.75, 0.625, 1.0].into_iter().enumerate() {
+                c.upsert(100 + i as u64, Point::new(v, 0.5));
+                c.upsert(110 + i as u64, Point::new(v, v));
+            }
+            for refine in [false, true] {
+                for id in (0..100u64).step_by(3).chain(100..105).chain(110..115) {
+                    for (k, a_min) in [
+                        (1, 0.0),
+                        (2, 0.0),
+                        (3, 0.002),
+                        (7, 0.0),
+                        (30, 0.05),
+                        (500, 0.0),
+                    ] {
+                        let req = CloakRequirement {
+                            k,
+                            a_min,
+                            a_max: f64::INFINITY,
+                        };
+                        let pos = c.location(id).unwrap();
+                        let got =
+                            cloak_with_counts(&c.grid, pos, &req, refine, DEFAULT_MAX_REFINE_DEPTH);
+                        let want = cloak_recounting(&c.grid, pos, &req, refine);
+                        assert_eq!(bits(&got), bits(&want), "side {side} user {id} k {k}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A grid that counts the rectangle counts asked of it.
+    struct CountingGrid {
+        grid: UniformGrid,
+        rect_counts: std::cell::Cell<usize>,
+    }
+
+    impl CellCounts for CountingGrid {
+        fn world(&self) -> Rect {
+            self.grid.world()
+        }
+        fn nx(&self) -> u32 {
+            self.grid.nx()
+        }
+        fn ny(&self) -> u32 {
+            self.grid.ny()
+        }
+        fn cell_of(&self, p: Point) -> CellCoord {
+            self.grid.cell_of(p)
+        }
+        fn block_rect(&self, c0: CellCoord, c1: CellCoord) -> Rect {
+            self.grid.block_rect(c0, c1)
+        }
+        fn block_count(&self, c0: CellCoord, c1: CellCoord) -> usize {
+            self.grid.block_count(c0, c1)
+        }
+        fn count_in_rect(&self, r: &Rect) -> usize {
+            self.rect_counts.set(self.rect_counts.get() + 1);
+            self.grid.count_in_rect(r)
+        }
+    }
+
+    #[test]
+    fn a_refined_cloak_counts_each_quadrant_once() {
+        // Subject at (0.51, 0.51) in cell [0.5, 1]^2 of a 2x2 grid; nine
+        // companions placed so the k = 2 descent stops where we want.
+        let subject = Point::new(0.51, 0.51);
+        let rect_counts = |companions: Point| {
+            let mut grid = UniformGrid::new(world(), 2, 2);
+            grid.insert(0, subject);
+            for i in 1..10u64 {
+                grid.insert(i, companions);
+            }
+            let counting = CountingGrid {
+                grid,
+                rect_counts: std::cell::Cell::new(0),
+            };
+            let r = cloak_with_counts(
+                &counting,
+                subject,
+                &CloakRequirement::k_only(2),
+                true,
+                DEFAULT_MAX_REFINE_DEPTH,
+            );
+            (r.region.width(), r.achieved_k, counting.rect_counts.get())
+        };
+        // Depth 0: the first quadrant is refused, then the cell itself
+        // is counted — the block count would not do.
+        assert_eq!(rect_counts(Point::new(0.9, 0.9)), (0.5, 10, 2));
+        // Depth 2: two quadrants accepted, the third refused, no recount
+        // (three counts where there were four).
+        assert_eq!(rect_counts(Point::new(0.6, 0.6)), (0.125, 10, 3));
+        // Depth 4, the limit: four accepted, none refused, no recount.
+        assert_eq!(rect_counts(Point::new(0.511, 0.511)), (0.03125, 10, 4));
     }
 }

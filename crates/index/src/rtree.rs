@@ -527,7 +527,9 @@ fn remove_rec(
         }
         Node::Internal(children) => {
             for i in 0..children.len() {
-                if !children[i].0.contains_rect(rect) && !children[i].0.intersects(rect) {
+                // An entry sits only under MBRs that contain it: insert
+                // unions, removal recomputes, bulk load packs exact unions.
+                if !children[i].0.contains_rect(rect) {
                     continue;
                 }
                 if remove_rec(&mut children[i].1, rect, id, orphans, orphan_nodes) {
@@ -753,6 +755,46 @@ mod tests {
         for (i, nb) in got.iter().enumerate() {
             assert!(approx_eq(nb.dist, q.dist(brute[i].0)));
         }
+    }
+
+    #[test]
+    fn remove_finds_entries_among_overlapping_equal_edge_rects() {
+        // Grid cloaks: cells, their quadrants and cell blocks, shared by
+        // many entries each, so sibling MBRs overlap and share edges.
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut live: Vec<(Rect, ObjectId)> = (0..600u64)
+            .map(|id| {
+                let n = [4u32, 8, 16][rng.random_range(0..3usize)];
+                let span = rng.random_range(1..3u32);
+                let (ix, iy) = (rng.random_range(0..n - 1), rng.random_range(0..n - 1));
+                let at = |i: u32| f64::from(i) / f64::from(n);
+                (
+                    Rect::new_unchecked(at(ix), at(iy), at(ix + span), at(iy + span)),
+                    id,
+                )
+            })
+            .collect();
+        let mut t = RTree::new();
+        for (r, id) in &live {
+            t.insert(*r, *id);
+        }
+        let world = Rect::new_unchecked(0.0, 0.0, 1.0, 1.0);
+        let probe = Rect::new_unchecked(0.25, 0.25, 0.5, 0.5);
+        let ids = |mut v: Vec<(Rect, ObjectId)>| {
+            v.sort_by_key(|e| e.1);
+            v
+        };
+        while !live.is_empty() {
+            let (r, id) = live.swap_remove(rng.random_range(0..live.len()));
+            assert!(t.remove(&r, id), "entry {id} is found");
+            assert!(!t.remove(&r, id), "and only once");
+            if live.len().is_multiple_of(50) {
+                assert_eq!(ids(t.search_rect(&world)), ids(live.clone()));
+                let brute = live.iter().filter(|e| e.0.intersects(&probe)).copied();
+                assert_eq!(ids(t.search_rect(&probe)), ids(brute.collect()));
+            }
+        }
+        assert!(t.is_empty());
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!
 //! 1. a `// lint: lock(Rank)` annotation directly above the acquiring
 //!    line (needed for closure variables the name scan cannot see);
-//! 2. the receiver name, resolved through a workspace-wide map built
-//!    from `TrackedMutex::new(LockRank::X, ..)` construction sites and
-//!    annotated raw-lock constructions.
+//! 2. the receiver name (`name.lock()`, or `name[i].lock()` for a member
+//!    of a sharded lock array), resolved through a workspace-wide map
+//!    built from `TrackedMutex::new(LockRank::X, ..)` construction sites
+//!    and annotated raw-lock constructions.
 //!
 //! Unresolvable receivers are skipped — the pass over-approximates
 //! flows on what it resolves and stays silent on what it cannot, and
@@ -374,10 +375,7 @@ fn acquisitions(
         let rank = match annotated {
             Some(r) => r,
             None => {
-                let recv = i
-                    .checked_sub(2)
-                    .and_then(|p| toks.get(p))
-                    .filter(|r| r.kind == TokKind::Ident);
+                let recv = receiver_before(toks, i).filter(|r| r.kind == TokKind::Ident);
                 match recv.and_then(|r| names.get(&r.text)) {
                     Some(r) => r.clone(),
                     None => continue,
@@ -392,6 +390,29 @@ fn acquisitions(
         });
     }
     out
+}
+
+/// The token naming the receiver of the method call at `method`:
+/// `name` in `name.lock()`, and also in `name[i].lock()` — a member of a
+/// sharded lock array carries the array's rank.
+fn receiver_before(toks: &[Tok], method: usize) -> Option<&Tok> {
+    let mut p = method.checked_sub(2)?;
+    if toks[p].is_punct(']') {
+        let mut depth = 0usize;
+        loop {
+            if toks[p].is_punct(']') {
+                depth += 1;
+            } else if toks[p].is_punct('[') {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            p = p.checked_sub(1)?;
+        }
+        p = p.checked_sub(1)?;
+    }
+    toks.get(p)
 }
 
 /// One past the last token where the guard from the acquisition at

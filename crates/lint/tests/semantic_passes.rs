@@ -117,6 +117,41 @@ fn lock_graph_catches_rank_cycle() {
 }
 
 #[test]
+fn lock_graph_sees_a_shard_array_member_through_its_index() {
+    // `shards[i].write()` has no receiver name of its own; the member
+    // carries the rank the array was built with.
+    let src = "pub struct Engine {\n\
+                   shards: Vec<TrackedRwLock<u64>>,\n\
+                   sink: TrackedMutex<Vec<u64>>,\n\
+               }\n\
+               \n\
+               impl Engine {\n\
+                   pub fn new() -> Engine {\n\
+                       Engine {\n\
+                           shards: vec![TrackedRwLock::new(LockRank::AnonShard, 0)],\n\
+                           sink: TrackedMutex::new(LockRank::ResultSink, Vec::new()),\n\
+                       }\n\
+                   }\n\
+               \n\
+                   pub fn backwards(&self, to: [usize; 2]) {\n\
+                       let out = self.sink.lock();\n\
+                       *self.shards[to[1]].write() += out.len() as u64;\n\
+                   }\n\
+               }\n";
+    let rel = "crates/core/src/mini.rs";
+    let a = analyze(&[(rel, src)]);
+    assert!(
+        a.findings.iter().any(|f| f.rule == "lock-order"
+            && f.file == rel
+            && f.line == 16
+            && f.message.contains("`AnonShard`")
+            && f.message.contains("`ResultSink`")),
+        "descending edge through the indexed receiver at mini.rs:16: {:?}",
+        a.findings
+    );
+}
+
+#[test]
 fn wire_conformance_catches_registry_and_dispatch_drift() {
     // A mini server whose handle_request only dispatches REGISTER, so
     // the two 0x02 tags are both undispatched *and* one duplicates the

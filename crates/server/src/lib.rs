@@ -6,7 +6,8 @@
 //!   police cars; exact locations, indexed in an R-tree.
 //! * **Private data** ([`PrivateStore`]) — mobile users represented
 //!   *only* by the cloaked rectangles received from the location
-//!   anonymizer, keyed by pseudonym. The server never sees an exact
+//!   anonymizer, keyed by pseudonym and indexed in a size-class grid
+//!   where moving a cloak is O(1). The server never sees an exact
 //!   private location; this module enforces that by construction (there
 //!   is no API to store one).
 //!

@@ -1,9 +1,10 @@
-//! Public and private data stores.
+//! Public and private data stores: an R-tree under the public objects,
+//! a size-class grid under the cloaked regions.
 
 use crate::{ObjectId, PrivateRecord, PseudonymId, PublicObject};
 use lbsp_geom::{Point, Rect};
 use lbsp_index::RTree;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Store of public objects: R-tree over exact locations plus an id map.
 ///
@@ -113,16 +114,85 @@ impl PublicStore {
     }
 }
 
-/// Store of private (cloaked) records: R-tree over regions + id map.
+/// Longer sides below `2^FLOOR_EXP` (points among them) share one level:
+/// a finer level would hold a cell per record and answer nothing faster.
+const FLOOR_EXP: i32 = -12;
+
+/// Integer cell coordinates within one level.
+type Cell = (i64, i64);
+
+/// One size class of the private index: the records whose longer side
+/// is in `(2^(exp-1), 2^exp]`, bucketed by the `2^exp` cell of their
+/// low corner.
+type Level = HashMap<Cell, Vec<PrivateRecord>>;
+
+/// `2^-exp`; `0` once `2^exp` overflows, which keeps [`cell`] monotone.
+fn inv_side(exp: i32) -> f64 {
+    2f64.powi(-exp)
+}
+
+/// The cell of coordinate `v` on an axis cut every `1 / inv`. Exactness
+/// is not needed anywhere: the index relies only on this being a
+/// non-decreasing function of `v` (multiply, floor and the saturating
+/// cast all are).
+fn cell(v: f64, inv: f64) -> i64 {
+    (v * inv).floor() as i64
+}
+
+/// Smallest `e` with `side <= 2^e`, read off the exponent bits.
+fn size_class(side: f64) -> i32 {
+    let bits = side.to_bits();
+    let exp = ((bits >> 52) & 0x7ff) as i32 - 1023;
+    if bits & ((1 << 52) - 1) == 0 {
+        exp
+    } else {
+        exp + 1
+    }
+}
+
+/// Level and cell of a region. The size class bounds the reach in exact
+/// arithmetic; the loop makes the bound hold for the computed cells too
+/// (a width that rounded down can hide a third cell), and it is the only
+/// thing [`PrivateStore::intersecting`] relies on: at its level a
+/// region's high corner is at most one cell up and right of its low one.
+fn place(region: &Rect) -> (i32, Cell) {
+    let mut exp = size_class(region.width().max(region.height())).max(FLOOR_EXP);
+    loop {
+        let inv = inv_side(exp);
+        let lo = (cell(region.min_x(), inv), cell(region.min_y(), inv));
+        let hi = (cell(region.max_x(), inv), cell(region.max_y(), inv));
+        if hi.0.saturating_sub(lo.0) <= 1 && hi.1.saturating_sub(lo.1) <= 1 {
+            return (exp, lo);
+        }
+        exp += 1;
+    }
+}
+
+/// Store of private (cloaked) records: an id map plus a size-class grid
+/// over the regions.
 ///
 /// Each pseudonym holds exactly one current region; an update replaces
 /// the previous one, which is how "the location anonymizer does not need
 /// to store the exact location information" materializes server-side —
 /// history is the *query's* problem, not the store's.
+///
+/// The paper indexes public data in an R-tree and private data in a
+/// grid, and so does this store. A cloak moves on every location update,
+/// and cloaks of one grid share edges and whole rectangles by the
+/// thousand, which is the worst case for an R-tree removal. Here a
+/// region lives at the level of its size class, in the bucket of its
+/// low corner's cell, and the id map remembers its slot in that bucket:
+/// a move is one `swap_remove` and one `push` whatever the overlap and
+/// the population. A region reaches at most one cell up and right of its
+/// bucket (see [`place`]), so a query visits, per occupied level, the
+/// cells from one below its low corner to its high corner and filters
+/// what it finds — an exact answer for any rectangles, aligned or not.
 #[derive(Debug, Default)]
 pub struct PrivateStore {
-    tree: RTree,
-    records: HashMap<PseudonymId, Rect>,
+    /// Region of every pseudonym and its slot in its bucket.
+    records: HashMap<PseudonymId, (Rect, usize)>,
+    /// Occupied levels by exponent; no empty level or bucket is kept.
+    levels: BTreeMap<i32, Level>,
 }
 
 impl PrivateStore {
@@ -144,46 +214,109 @@ impl PrivateStore {
     /// Inserts or replaces the region for a pseudonym. Returns the
     /// previous region when the record existed.
     pub fn upsert(&mut self, rec: PrivateRecord) -> Option<Rect> {
-        let prev = self.records.insert(rec.pseudonym, rec.region);
-        if let Some(old) = prev {
-            self.tree.remove(&old, rec.pseudonym);
+        let prev = self.records.get(&rec.pseudonym).copied();
+        if let Some((old, slot)) = prev {
+            if old == rec.region {
+                return Some(old);
+            }
+            self.unlink(&old, slot);
         }
-        self.tree.insert(rec.region, rec.pseudonym);
-        prev
+        let slot = self.link(rec);
+        self.records.insert(rec.pseudonym, (rec.region, slot));
+        prev.map(|(old, _)| old)
     }
 
     /// Removes a record.
     pub fn remove(&mut self, pseudonym: PseudonymId) -> Option<Rect> {
-        let old = self.records.remove(&pseudonym)?;
-        self.tree.remove(&old, pseudonym);
+        let (old, slot) = self.records.remove(&pseudonym)?;
+        self.unlink(&old, slot);
         Some(old)
     }
 
     /// Current region of a pseudonym.
     pub fn get(&self, pseudonym: PseudonymId) -> Option<Rect> {
-        self.records.get(&pseudonym).copied()
+        self.records.get(&pseudonym).map(|&(region, _)| region)
     }
 
-    /// All records whose region intersects `r`.
+    /// All records whose region intersects `r` (unspecified order).
     pub fn intersecting(&self, r: &Rect) -> Vec<PrivateRecord> {
-        self.tree
-            .search_rect(r)
-            .into_iter()
-            .map(|(region, pseudonym)| PrivateRecord { pseudonym, region })
-            .collect()
+        let mut out = Vec::new();
+        let mut take = |bucket: &[PrivateRecord]| {
+            out.extend(bucket.iter().filter(|rec| rec.region.intersects(r)));
+        };
+        for (&exp, cells) in &self.levels {
+            let inv = inv_side(exp);
+            let xs = cell(r.min_x(), inv).saturating_sub(1)..=cell(r.max_x(), inv);
+            let ys = cell(r.min_y(), inv).saturating_sub(1)..=cell(r.max_y(), inv);
+            let span = |c: &std::ops::RangeInclusive<i64>| {
+                (*c.end() as i128 - *c.start() as i128 + 1) as u128
+            };
+            if span(&xs).saturating_mul(span(&ys)) < cells.len() as u128 {
+                for cx in xs {
+                    for cy in ys.clone() {
+                        if let Some(bucket) = cells.get(&(cx, cy)) {
+                            take(bucket);
+                        }
+                    }
+                }
+            } else {
+                // A query wide for this level: its occupied cells are
+                // fewer than the cells the query covers.
+                for ((cx, cy), bucket) in cells {
+                    if xs.contains(cx) && ys.contains(cy) {
+                        take(bucket);
+                    }
+                }
+            }
+        }
+        out
     }
 
     /// Iterates over all records (unspecified order).
     pub fn iter(&self) -> impl Iterator<Item = PrivateRecord> + '_ {
         self.records
             .iter()
-            .map(|(&pseudonym, &region)| PrivateRecord { pseudonym, region })
+            .map(|(&pseudonym, &(region, _))| PrivateRecord { pseudonym, region })
+    }
+
+    /// Appends `rec` to its bucket and returns its slot there.
+    fn link(&mut self, rec: PrivateRecord) -> usize {
+        let (exp, at) = place(&rec.region);
+        let bucket = self.levels.entry(exp).or_default().entry(at).or_default();
+        bucket.push(rec);
+        bucket.len() - 1
+    }
+
+    /// Takes the record at `slot` of `region`'s bucket out of the grid.
+    /// The bucket's last record moves into the hole, and the id map
+    /// learns its new slot.
+    fn unlink(&mut self, region: &Rect, slot: usize) {
+        let (exp, at) = place(region);
+        let cells = self
+            .levels
+            .get_mut(&exp)
+            .expect("a stored record's level is occupied");
+        let bucket = cells.get_mut(&at).expect("a stored record has a bucket");
+        bucket.swap_remove(slot);
+        if let Some(moved) = bucket.get(slot) {
+            self.records
+                .get_mut(&moved.pseudonym)
+                .expect("a bucketed record is in the id map")
+                .1 = slot;
+        } else if bucket.is_empty() {
+            cells.remove(&at);
+            if cells.is_empty() {
+                self.levels.remove(&exp);
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt as _, SeedableRng};
 
     fn obj(id: ObjectId, x: f64, y: f64) -> PublicObject {
         PublicObject::new(id, Point::new(x, y), 0)
@@ -274,5 +407,187 @@ mod tests {
         // Regions starting at 0.0, 0.1, 0.2, 0.3 intersect.
         assert_eq!(hits.len(), 4);
         assert_eq!(s.iter().count(), 10);
+    }
+
+    /// Every rectangle family the server can be handed: points, grid
+    /// cells and their quadrants, cell blocks, the world, sides at and
+    /// one ulp either side of a power of two, all of them also away from
+    /// the unit square (negative and large coordinates).
+    fn any_region(rng: &mut StdRng) -> Rect {
+        let shift = [0.0, 0.0, -3.0, 5.0, 1e6][rng.random_range(0..5usize)];
+        let at = |x: f64, y: f64, w: f64, h: f64| {
+            Rect::new_unchecked(x + shift, y + shift, x + shift + w, y + shift + h)
+        };
+        let cells = |rng: &mut StdRng, n: u32| f64::from(rng.random_range(0..n)) / f64::from(n);
+        match rng.random_range(0..6u32) {
+            0 => at(
+                rng.random_range(0.0..1.0),
+                rng.random_range(0.0..1.0),
+                0.0,
+                0.0,
+            ),
+            1 => {
+                // A 16x16 cell quartered 0 to 4 times.
+                let n = 16 << rng.random_range(0..5u32);
+                let side = 1.0 / f64::from(n);
+                at(cells(rng, n), cells(rng, n), side, side)
+            }
+            2 => {
+                let (w, h) = (rng.random_range(1..5u32), rng.random_range(1..5u32));
+                at(
+                    cells(rng, 12),
+                    cells(rng, 12),
+                    f64::from(w) / 16.0,
+                    f64::from(h) / 16.0,
+                )
+            }
+            3 => at(0.0, 0.0, 1.0, 1.0),
+            4 => {
+                // A side at, or one ulp either side of, a power of two,
+                // from a low corner on, or one ulp below, a cell edge:
+                // the width can round to the class below the reach.
+                let side = 2f64.powi(rng.random_range(-14..3));
+                let edge = side * f64::from(rng.random_range(0..4u32)) + shift;
+                let lo = [edge.next_down(), edge, rng.random_range(0.0..1.0) + shift];
+                let lo = lo[rng.random_range(0..3usize)];
+                let hi = [side.next_down(), side, side.next_up()][rng.random_range(0..3usize)];
+                let y = rng.random_range(0.0..1.0) + shift;
+                Rect::new_unchecked(lo, y, edge.max(lo) + hi, y + side * 0.5)
+            }
+            _ => at(
+                rng.random_range(0.0..1.0),
+                rng.random_range(0.0..1.0),
+                rng.random_range(0.0..0.4),
+                rng.random_range(0.0..0.4),
+            ),
+        }
+    }
+
+    /// The grid's own bookkeeping: every record is in the bucket and
+    /// slot the id map says, and nothing empty is kept.
+    fn check_structure(s: &PrivateStore) {
+        let mut bucketed = 0;
+        for (&exp, cells) in &s.levels {
+            assert!(!cells.is_empty(), "no empty level");
+            for (at, bucket) in cells {
+                assert!(!bucket.is_empty(), "no empty bucket");
+                for (slot, rec) in bucket.iter().enumerate() {
+                    assert_eq!(s.records[&rec.pseudonym], (rec.region, slot));
+                    assert_eq!(place(&rec.region), (exp, *at));
+                    bucketed += 1;
+                }
+            }
+        }
+        assert_eq!(bucketed, s.records.len());
+    }
+
+    fn sorted(mut v: Vec<PrivateRecord>) -> Vec<(PseudonymId, [u64; 4])> {
+        v.sort_by_key(|r| r.pseudonym);
+        v.iter()
+            .map(|r| {
+                let g = r.region;
+                let bits = [g.min_x(), g.min_y(), g.max_x(), g.max_y()].map(f64::to_bits);
+                (r.pseudonym, bits)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn private_store_matches_a_brute_force_scan() {
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut s = PrivateStore::new();
+            let mut model: HashMap<PseudonymId, Rect> = HashMap::new();
+            for step in 0..600u32 {
+                let id = rng.random_range(0..80u64);
+                match rng.random_range(0..10u32) {
+                    0 | 1 => assert_eq!(s.remove(id), model.remove(&id)),
+                    2 => {
+                        // Re-upsert of the region already stored.
+                        if let Some(&same) = model.get(&id) {
+                            assert_eq!(s.upsert(PrivateRecord::new(id, same)), Some(same));
+                        }
+                    }
+                    _ => {
+                        let region = any_region(&mut rng);
+                        let prev = s.upsert(PrivateRecord::new(id, region));
+                        assert_eq!(prev, model.insert(id, region));
+                    }
+                }
+                assert_eq!(s.len(), model.len());
+                if !step.is_multiple_of(20) {
+                    continue;
+                }
+                check_structure(&s);
+                assert_eq!(s.get(id), model.get(&id).copied());
+                let all: Vec<PrivateRecord> = model
+                    .iter()
+                    .map(|(&p, &r)| PrivateRecord::new(p, r))
+                    .collect();
+                assert_eq!(sorted(s.iter().collect()), sorted(all.clone()));
+                // Queries: a stored region (edge- and corner-touching
+                // its neighbours), a point, a sliver, the world and
+                // everything.
+                let stored = all
+                    .first()
+                    .map_or(Rect::from_point(Point::ORIGIN), |r| r.region);
+                let queries = [
+                    stored,
+                    Rect::from_point(Point::new(stored.max_x(), stored.max_y())),
+                    Rect::new_unchecked(
+                        stored.max_x(),
+                        stored.min_y(),
+                        stored.max_x() + 1e-9,
+                        stored.max_y(),
+                    ),
+                    any_region(&mut rng),
+                    Rect::new_unchecked(0.0, 0.0, 1.0, 1.0),
+                    Rect::new_unchecked(-1e9, -1e9, 1e9, 1e9),
+                ];
+                for q in &queries {
+                    let brute = all.iter().filter(|r| r.region.intersects(q)).copied();
+                    assert_eq!(
+                        sorted(s.intersecting(q)),
+                        sorted(brute.collect()),
+                        "seed {seed} step {step} query {q:?}"
+                    );
+                }
+            }
+            for id in 0..80 {
+                assert_eq!(s.remove(id), model.remove(&id));
+            }
+            assert!(
+                s.is_empty() && s.levels.is_empty(),
+                "emptied: no level left"
+            );
+        }
+    }
+
+    #[test]
+    fn a_side_of_exactly_a_power_of_two_stays_in_its_own_class() {
+        for e in [-14, -8, -4, 0, 3] {
+            let side = 2f64.powi(e);
+            assert_eq!(size_class(side), e);
+            assert_eq!(size_class(side.next_down()), e);
+            assert_eq!(size_class(side.next_up()), e + 1);
+            // Aligned, it fills one cell and touches the next.
+            let aligned = Rect::new_unchecked(side, side, 2.0 * side, 2.0 * side);
+            assert_eq!(
+                place(&aligned),
+                (
+                    e.max(FLOOR_EXP),
+                    if e < FLOOR_EXP { (0, 0) } else { (1, 1) }
+                )
+            );
+        }
+        assert_eq!(place(&Rect::from_point(Point::new(0.5, 0.5))).0, FLOOR_EXP);
+        // Width 1 + 2^-53 rounds to 1, class 0, yet the corners sit in
+        // cells 0 and 2: the region moves up a level, not out of reach.
+        let straddling = Rect::new_unchecked(1f64.next_down(), 0.0, 2.0, 0.5);
+        assert_eq!(size_class(straddling.width()), 0);
+        let (exp, at) = place(&straddling);
+        assert_eq!(exp, 1);
+        let inv = inv_side(exp);
+        assert!(cell(straddling.max_x(), inv) - at.0 <= 1);
     }
 }

@@ -10,7 +10,8 @@
 
 use lbsp_anonymizer::{CloakRequirement, GridCloak, LocationAnonymizer, PrivacyProfile};
 use lbsp_core::engine::{EngineConfig, ShardedEngine};
-use lbsp_core::wire;
+use lbsp_core::wire::{self, StandingKind};
+use lbsp_core::{journal, Stage};
 use lbsp_geom::{Point, Rect, SimTime};
 use lbsp_server::{private_range_candidates, PublicObject, PublicStore, Server};
 use rand::rngs::StdRng;
@@ -248,5 +249,119 @@ fn candidate_predicate_is_partition_invariant() {
         let mut expect = private_range_candidates(&whole, &cloak, radius);
         expect.sort_unstable_by_key(|o| o.id);
         assert_eq!(merged, expect, "radius {radius}");
+    }
+}
+
+/// What one engine made of the batch-size script: every reply, every
+/// drained standing change, the final standing frames and state dump,
+/// and the sample counts of the histograms an update feeds.
+#[derive(Debug, PartialEq)]
+struct Transcript {
+    replies: Vec<Result<Vec<u8>, String>>,
+    changes: Vec<Vec<(StandingKind, u64)>>,
+    standing: Vec<Vec<u8>>,
+    state: Vec<u8>,
+    /// `cloak` and `standing_update` stage counts, `cloak_area` and
+    /// `achieved_k` sample counts.
+    samples: [u64; 4],
+}
+
+/// One script — duplicate users inside a batch, cross-stripe moves,
+/// unknown users, a `k = 1` point cloak, a standing count and a standing
+/// range registered — cut into batches of `rows`.
+fn run_batch_size_script(e: &mut ShardedEngine, rows: usize) -> Transcript {
+    const USERS: u64 = 120;
+    const POINT_USER: u64 = 7;
+    for i in 0..USERS {
+        e.register(i, profile_for(i));
+    }
+    e.register(
+        POINT_USER,
+        PrivacyProfile::uniform(CloakRequirement::k_only(1)).unwrap(),
+    );
+    let mut rng = StdRng::seed_from_u64(2024);
+    let point =
+        |rng: &mut StdRng| Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
+    e.load_public(
+        (0..60u64)
+            .map(|id| PublicObject::new(id, point(&mut rng), 0))
+            .collect(),
+    );
+    e.process_updates(&random_updates(3, USERS));
+    let count = e.add_standing_count(Rect::new_unchecked(0.2, 0.2, 0.8, 0.8));
+    let range = e.add_standing_range(11, 0.15);
+
+    let mut script: Vec<(u64, Point, SimTime)> = Vec::new();
+    for row in 0..700u64 {
+        let user = match row {
+            // The same user twice running, at two positions: both rows
+            // must cloak where the second one lands.
+            _ if row % 7 == 6 => script[row as usize - 1].0,
+            _ if row.is_multiple_of(53) => 9_000 + row,
+            _ if row.is_multiple_of(29) => POINT_USER,
+            _ if row.is_multiple_of(13) => 11,
+            _ => rng.random_range(0..USERS),
+        };
+        // Uniform positions: three moves in four change stripe.
+        script.push((user, point(&mut rng), SimTime::from_secs(row as f64)));
+    }
+
+    let mut t = Transcript {
+        replies: Vec::new(),
+        changes: Vec::new(),
+        standing: Vec::new(),
+        state: Vec::new(),
+        samples: [0; 4],
+    };
+    for batch in script.chunks(rows) {
+        for reply in e.process_updates_wire(batch) {
+            t.replies
+                .push(reply.map(|b| b.to_vec()).map_err(|e| e.to_string()));
+        }
+        t.changes.push(e.take_standing_changes());
+    }
+    for (kind, id) in [(StandingKind::Count, count), (StandingKind::Range, range)] {
+        let frame = wire::encode_standing_state(&e.standing_state(kind, id).unwrap());
+        t.standing.push(frame.to_vec());
+    }
+    t.state = journal::encode_engine_state(&e.export_state()).to_vec();
+    let obs = e.metrics_registry();
+    t.samples = [
+        obs.stage(Stage::Cloak).count(),
+        obs.stage(Stage::StandingUpdate).count(),
+        obs.cloak_area().count(),
+        obs.achieved_k().count(),
+    ];
+    t
+}
+
+/// A batch below the engine's inline threshold (32 rows) runs as plain
+/// loops on the caller, a larger one as pool jobs, and a one-worker
+/// engine runs everything inline; replay never inlines. At every batch
+/// size around the threshold the three agree on every byte they emit,
+/// on the state they end in and on how often they sampled.
+#[test]
+fn batch_sizes_agree_bytewise_inline_pool_and_replay() {
+    let mut cfg = EngineConfig::new(world());
+    cfg.refine = true;
+    for rows in [1usize, 2, 31, 32, 33, 256] {
+        let pool = run_batch_size_script(&mut ShardedEngine::new(cfg, 4), rows);
+        let batches = 700usize.div_ceil(rows) as u64;
+        assert_eq!(pool.replies.len(), 700);
+        assert!(
+            pool.replies.iter().any(Result::is_err),
+            "unknown users fail"
+        );
+        assert!(pool.changes.iter().any(|c| !c.is_empty()));
+        // One cloak-stage sample per call (plus the placement batch),
+        // one area and one k sample per cloaked row.
+        let ok = pool.replies.iter().filter(|r| r.is_ok()).count() as u64;
+        assert_eq!(pool.samples, [batches + 1, batches, ok + 120, ok + 120]);
+        let single = run_batch_size_script(&mut ShardedEngine::new(cfg, 1), rows);
+        assert_eq!(single, pool, "1 worker vs 4, {rows}-row batches");
+        for seed in 0..8u64 {
+            let replay = run_batch_size_script(&mut ShardedEngine::with_replay(cfg, seed), rows);
+            assert_eq!(replay, pool, "replay seed {seed}, {rows}-row batches");
+        }
     }
 }
