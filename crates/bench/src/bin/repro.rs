@@ -213,10 +213,14 @@ fn route(addr: &str, nodes_csv: &str) {
 /// `--cluster-verify ADDR`: drive a deterministic workload through a
 /// running router AND through an identically-configured in-process
 /// engine, and require every reply — cloaked updates and query
-/// candidates — to be byte-identical. Exits non-zero on the first
-/// divergence.
+/// candidates — to be byte-identical. A closed-loop pass (registrations,
+/// boundary-crossing updates, queries) is followed by a pipelined one:
+/// registrations and range queries in 32-deep `send_only` /
+/// `read_reply` windows, which the router serves as same-node runs.
+/// Exits non-zero on the first divergence.
 fn cluster_verify(addr: &str) {
     use lbsp_bench::netload::serve_engine;
+    use lbsp_core::wire;
     use lbsp_net::{NetClient, Reply};
     use rand::rngs::StdRng;
     use rand::{RngExt as _, SeedableRng};
@@ -281,6 +285,75 @@ fn cluster_verify(addr: &str) {
                         }
                         other => return Err(format!("query {i} wave {w}: {other:?}")),
                     }
+                }
+            }
+        }
+
+        // Pipelined: a second cohort registers in 32-deep windows, is
+        // placed closed-loop, then every user is queried in windows.
+        const WINDOW: usize = 32;
+        let cohort: Vec<u64> = (users..2 * users).collect();
+        for chunk in cohort.chunks(WINDOW) {
+            for &i in chunk {
+                let msg = wire::RegisterMsg {
+                    user: i,
+                    k: [2u32, 5, 10, 25][(i % 4) as usize],
+                    a_min: 0.0,
+                    a_max: f64::INFINITY,
+                };
+                let profile = PrivacyProfile::uniform(CloakRequirement::k_only(msg.k))
+                    .map_err(|e| e.to_string())?;
+                engine.register(i, profile);
+                client
+                    .send_only(wire::tag::REGISTER, &wire::encode_register(&msg))
+                    .map_err(|e| format!("pipelined register {i}: {e}"))?;
+            }
+            for &i in chunk {
+                match client.read_reply() {
+                    Ok(Reply::Ok) => compared += 1,
+                    other => return Err(format!("pipelined register {i}: {other:?}")),
+                }
+            }
+        }
+        let t = SimTime::from_secs((waves * users) as f64 * 0.25);
+        for &i in &cohort {
+            let p = Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
+            let want = match engine.process_updates_wire(&[(i, p, t)]).into_iter().next() {
+                Some(Ok(bytes)) => bytes.to_vec(),
+                other => return Err(format!("reference update {i}: {other:?}")),
+            };
+            match client
+                .update(i, p, t)
+                .map_err(|e| format!("update {i}: {e}"))?
+            {
+                Reply::Cloaked(bytes) if bytes == want => compared += 1,
+                other => return Err(format!("placement of pipelined user {i}: {other:?}")),
+            }
+        }
+        let everyone: Vec<u64> = (0..2 * users).collect();
+        for chunk in everyone.chunks(WINDOW) {
+            for &i in chunk {
+                let msg = wire::UserQueryMsg {
+                    user: i,
+                    radius: 0.05,
+                    time: t,
+                };
+                client
+                    .send_only(wire::tag::USER_QUERY, &wire::encode_user_query(&msg))
+                    .map_err(|e| format!("pipelined query {i}: {e}"))?;
+            }
+            for &i in chunk {
+                let want = engine
+                    .range_query(i, t, 0.05)
+                    .map_err(|e| e.to_string())?
+                    .response
+                    .to_vec();
+                match client.read_reply() {
+                    Ok(Reply::Candidates(bytes)) if bytes == want => compared += 1,
+                    Ok(Reply::Candidates(_)) => {
+                        return Err(format!("pipelined query {i}: candidate bytes diverge"))
+                    }
+                    other => return Err(format!("pipelined query {i}: {other:?}")),
                 }
             }
         }

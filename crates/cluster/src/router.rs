@@ -40,10 +40,10 @@
 //! * **User state (single copy)** — a user's privacy profile and
 //!   standing-range registrations live on exactly one node. When a
 //!   movement crosses a partition boundary the router performs an
-//!   explicit handoff *before* forwarding the update:
-//!   [`wire::tag::HANDOFF_PULL`] extracts the state from the old owner
-//!   as a [`wire::tag::USER_HANDOFF`] reply, and
-//!   [`wire::tag::HANDOFF_PUSH`] installs it on the new owner.
+//!   explicit handoff: [`wire::tag::HANDOFF_PULL`] extracts the state
+//!   from the old owner as a [`wire::tag::USER_HANDOFF`] reply, and
+//!   [`wire::tag::HANDOFF_PUSH`], staged in the new owner's outbox,
+//!   installs it there in the envelope of the update itself.
 //!
 //! Standing-query registrations go to node 0, the sole id allocator;
 //! the granted id is then fanned to every other node in a
@@ -65,10 +65,13 @@
 //! An update costs one node round trip — the owner's — whatever the
 //! cluster size; broadcasts *begin* every hop they need and only then
 //! *wait* for the replies; and requests owned by distinct nodes make
-//! progress concurrently. A front-door shard
-//! routes one request at a time, so `net.workers` requests are in
-//! flight at once; a shard's other connections wait behind a node round
-//! trip exactly as a node's wait behind its engine mutex.
+//! progress concurrently. A front-door shard routes one sweep at a
+//! time, so `net.workers` sweeps are in flight at once; a shard's other
+//! connections wait behind a node round trip exactly as a node's wait
+//! behind its engine mutex. Within a sweep, a run of registrations,
+//! queries and in-stripe updates bound for one node — no user twice —
+//! is begun in one write and then waited in order (`Core::serve_run`);
+//! everything else goes one round trip at a time.
 //!
 //! What replaces the old global request mutex is a single
 //! [`LockRank::ClusterRouter`] read/write gate. Per-user requests
@@ -132,13 +135,13 @@ use crate::partition::PartitionMap;
 use lbsp_core::metrics::NetCounters;
 use lbsp_core::{wire, LockRank, MetricsRegistry, TrackedMutex, TrackedRwLock};
 use lbsp_geom::Rect;
-use lbsp_net::frame::write_frame;
+use lbsp_net::frame::append_frame;
 use lbsp_net::{
     classify_reply, drop_query, route_deltas, subscribe, Frame, FrameReader, FrontDoor, NetConfig,
     Outbound, Poll, Reply, Service, SharedSubs, MAX_FRAME_LEN,
 };
-use std::collections::{HashMap, VecDeque};
-use std::io;
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -304,6 +307,15 @@ fn retained_on_overflow(tag: u8) -> bool {
     )
 }
 
+/// `true` for the frames that wait in an `Up` node's outbox for the
+/// next frame to the node: mirror rows, and the handoff push staged for
+/// the update that crossed into the node's stripe. A payload no
+/// envelope can carry goes on its own instead.
+fn rides(tag: u8, payload: &[u8]) -> bool {
+    matches!(tag, wire::tag::MIRROR_UPDATE | wire::tag::HANDOFF_PUSH)
+        && payload.len() <= usize::from(u16::MAX)
+}
+
 /// Rough accounting cost of one buffered frame.
 fn frame_cost(payload: &[u8]) -> usize {
     payload.len() + 8
@@ -461,16 +473,23 @@ impl NodeChannel {
     /// outbox entry not yet sent — and returns a handle to its future
     /// reply, fast-failing with the kinded error the recovery doctrine
     /// promises when the node is reconnecting or down.
+    fn begin(&self, tag: u8, payload: &[u8]) -> io::Result<PendingCall<'_>> {
+        self.single(self.begin_all(&[(tag, payload)]))
+    }
+
+    /// [`NodeChannel::begin`] for a run of requests: the unsent outbox
+    /// entries ride the first, and every frame leaves in one write. The
+    /// calls come back in request order; all of them are begun or none.
     ///
     /// The outbox lock is held from picking the entries to the write,
     /// so frames leave in the order their `begin`s were ordered: a node
     /// never serves a frame before every mirror row produced before
     /// that frame was begun.
-    fn begin(&self, tag: u8, payload: &[u8]) -> io::Result<PendingCall<'_>> {
+    fn begin_all(&self, requests: &[(u8, &[u8])]) -> io::Result<Vec<PendingCall<'_>>> {
         let begun = {
             let mut rec = self.recovery.lock();
             match self.state.load(Ordering::SeqCst) {
-                NODE_UP => self.send_carrying(&mut rec, Some((tag, payload))),
+                NODE_UP => self.send_carrying(&mut rec, requests),
                 NODE_RECONNECTING => return Err(self.retryable_error("is reconnecting")),
                 _ => return Err(self.down_error()),
             }
@@ -483,7 +502,15 @@ impl NodeChannel {
     /// replay go out exactly as written, while the node is still
     /// officially `Reconnecting`.
     fn begin_internal(&self, tag: u8, payload: &[u8]) -> io::Result<PendingCall<'_>> {
-        self.demote_on_err(self.begin_locked(tag, payload, 0))
+        let begun = self.single(self.begin_locked(&[(tag, payload)], 0));
+        self.demote_on_err(begun)
+    }
+
+    /// The call a one-frame begin began.
+    fn single<'a>(&self, begun: io::Result<Vec<PendingCall<'a>>>) -> io::Result<PendingCall<'a>> {
+        begun?
+            .pop()
+            .ok_or_else(|| self.retryable_error("began no call"))
     }
 
     /// Every failure to put a frame on the wire is a transport fault:
@@ -491,39 +518,57 @@ impl NodeChannel {
     /// the locked halves never reach for the recovery lock (rank
     /// `ClusterRecovery`) while the send lock (rank `ClusterNode`) is
     /// live.
-    fn demote_on_err<'a>(&self, begun: io::Result<PendingCall<'a>>) -> io::Result<PendingCall<'a>> {
+    fn demote_on_err<T>(&self, begun: io::Result<T>) -> io::Result<T> {
         if begun.is_err() {
             self.demote();
         }
         begun
     }
 
-    /// Puts `request` on the wire together with the unsent outbox
-    /// entries (an envelope with no request when there is none — a
-    /// flush), and marks those entries sent. Caller holds the outbox.
+    /// Puts `requests` on the wire, the unsent outbox entries riding in
+    /// an envelope around the first (an envelope with no request when
+    /// there is none — a flush), and marks those entries sent. Caller
+    /// holds the outbox.
     fn send_carrying(
         &self,
         rec: &mut Recovery,
-        request: Option<(u8, &[u8])>,
-    ) -> io::Result<PendingCall<'_>> {
+        requests: &[(u8, &[u8])],
+    ) -> io::Result<Vec<PendingCall<'_>>> {
         rec.acknowledge(self.acked.swap(0, Ordering::SeqCst));
         let unsent = rec.buffer.len().saturating_sub(rec.sent);
-        if let (0, Some((tag, payload))) = (unsent, request) {
-            return self.begin_locked(tag, payload, 0);
+        if unsent == 0 && !requests.is_empty() {
+            return self.begin_locked(requests, 0);
         }
         let carried = unsent.min(wire::CARRY_MAX_FRAMES);
         let entries = rec.buffer.iter().skip(rec.sent).take(carried);
-        let envelope = wire::encode_carry(entries.map(|(t, p)| (*t, p.as_slice())), request)
+        let (first, rest) = match requests.split_first() {
+            Some((first, rest)) => (Some(*first), rest),
+            None => (None, requests),
+        };
+        let envelope = wire::encode_carry(entries.map(|(t, p)| (*t, p.as_slice())), first)
             .ok_or_else(|| self.retryable_error("holds a frame no envelope can carry"))?;
-        let call = self.begin_locked(wire::tag::CARRY, &envelope, carried)?;
+        let mut frames = Vec::with_capacity(1 + rest.len());
+        frames.push((wire::tag::CARRY, envelope.as_ref()));
+        frames.extend_from_slice(rest);
+        let calls = self.begin_locked(&frames, carried)?;
         rec.sent += carried;
-        Ok(call)
+        Ok(calls)
     }
 
-    /// Lazy connect, ticket, frame — all under the send lock; errors
-    /// are returned pre-kinded but the caller performs the demotion.
-    /// `carried` outbox entries ride in the frame.
-    fn begin_locked(&self, tag: u8, payload: &[u8], carried: usize) -> io::Result<PendingCall<'_>> {
+    /// Lazy connect, tickets, frames — all under the send lock, the
+    /// frames in one write; errors are returned pre-kinded but the
+    /// caller performs the demotion. `carried` outbox entries ride in
+    /// the first frame.
+    fn begin_locked(
+        &self,
+        frames: &[(u8, &[u8])],
+        carried: usize,
+    ) -> io::Result<Vec<PendingCall<'_>>> {
+        let mut bytes = Vec::new();
+        for &(tag, payload) in frames {
+            append_frame(&mut bytes, tag, payload, MAX_FRAME_LEN)
+                .map_err(|e| self.retryable_error(&format!("cannot frame a request ({e})")))?;
+        }
         let mut send = self.send.lock();
         if send.stream.is_none() {
             match self.connect() {
@@ -533,21 +578,26 @@ impl NodeChannel {
                 }
             }
         }
-        let (tx, rx) = mpsc::sync_channel::<TicketResult>(1);
         let Some(tickets) = send.tickets.as_ref() else {
             return Err(self.retryable_error("has no live connection"));
         };
-        // Ticket before frame: the reply cannot arrive before the
+        // Tickets before frames: a reply cannot arrive before its
         // request bytes leave, so the reader always finds the ticket
         // already queued when it pops the reply. The send result
         // matters: a closed ticket queue means the reader thread is
         // gone, and an orphaned ticket would burn the caller's full
         // node timeout discovering that.
-        if tickets.send(Ticket { tx, carried }).is_err() {
-            return Err(self.retryable_error("lost its reader"));
+        let mut calls = Vec::with_capacity(frames.len());
+        for i in 0..frames.len() {
+            let (tx, rx) = mpsc::sync_channel::<TicketResult>(1);
+            let carried = if i == 0 { carried } else { 0 };
+            if tickets.send(Ticket { tx, carried }).is_err() {
+                return Err(self.retryable_error("lost its reader"));
+            }
+            calls.push(PendingCall { channel: self, rx });
         }
         let written = match send.stream.as_mut() {
-            Some(s) => write_frame(s, tag, payload, MAX_FRAME_LEN),
+            Some(s) => s.write_all(&bytes),
             None => Err(io::Error::new(
                 io::ErrorKind::NotConnected,
                 "channel has no stream",
@@ -556,7 +606,7 @@ impl NodeChannel {
         if let Err(e) = written {
             return Err(self.retryable_error(&format!("write failed ({e})")));
         }
-        Ok(PendingCall { channel: self, rx })
+        Ok(calls)
     }
 
     /// Establishes the node connection: write half + cloned read half
@@ -572,11 +622,11 @@ impl NodeChannel {
 
     /// Appends a mirror frame to the node's outbox, if the node's state
     /// lets it wait there: any frame while the node reconnects (replayed
-    /// on rejoin), a [`wire::tag::MIRROR_UPDATE`] row while it is `Up`
-    /// (it rides the next frame to the node). `false` — nothing queued —
-    /// otherwise; the state is read under the outbox lock, the same
-    /// lock the supervisor holds when it flips the node back up, so a
-    /// queued frame is never stranded.
+    /// on rejoin), a frame that [`rides`] while it is `Up` (it goes in
+    /// the envelope of the next frame to the node). `false` — nothing
+    /// queued — otherwise; the state is read under the outbox lock, the
+    /// same lock the supervisor holds when it flips the node back up, so
+    /// a queued frame is never stranded.
     ///
     /// The [`FLUSH_AT`]th unsent row of an `Up` node sends the outbox
     /// in an envelope of its own. Nobody waits for it: the reader
@@ -604,12 +654,16 @@ impl NodeChannel {
                     }
                     return true;
                 }
-                NODE_UP if tag == wire::tag::MIRROR_UPDATE => {
+                NODE_UP if rides(tag, payload) => {
                     rec.push(tag, payload);
-                    if rec.buffer.len().saturating_sub(rec.sent) < FLUSH_AT {
+                    // A staged handoff push has its carrier right behind
+                    // it: the update it was pulled for.
+                    if tag != wire::tag::MIRROR_UPDATE
+                        || rec.buffer.len().saturating_sub(rec.sent) < FLUSH_AT
+                    {
                         return true;
                     }
-                    self.send_carrying(&mut rec, None)
+                    self.send_carrying(&mut rec, &[])
                 }
                 _ => return false,
             }
@@ -628,9 +682,9 @@ impl NodeChannel {
             if self.state.load(Ordering::SeqCst) != NODE_UP || rec.buffer.is_empty() {
                 return None;
             }
-            self.send_carrying(&mut rec, None)
+            self.send_carrying(&mut rec, &[])
         };
-        self.demote_on_err(flush).ok()
+        self.demote_on_err(flush).ok()?.pop()
     }
 }
 
@@ -800,36 +854,12 @@ impl Core {
         self.channel(i)?.begin(tag, payload)?.wait(deltas)
     }
 
-    /// Like [`Core::call`] but for cluster-internal frames whose only
-    /// acceptable answer is `OK`; anything else is a cluster-consistency
-    /// failure and surfaces loudly.
-    fn expect_ok(
-        &self,
-        i: usize,
-        tag: u8,
-        payload: &[u8],
-        deltas: &mut DeltaBatch,
-    ) -> io::Result<()> {
-        let (rtag, body) = self.call(i, tag, payload, deltas)?;
-        if rtag == wire::tag::OK {
-            Ok(())
-        } else {
-            Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "node {i} rejected internal frame 0x{tag:02x}: {}",
-                    String::from_utf8_lossy(&body)
-                ),
-            ))
-        }
-    }
-
     /// Hands node `i` a mirror frame it is not being asked to answer:
     /// into its outbox when the frame may wait there (anything while
-    /// the node reconnects, a [`wire::tag::MIRROR_UPDATE`] row while it
-    /// is up — see [`NodeChannel::queue`]), delivered inline otherwise
-    /// (a broadcast or handoff frame that lost its first delivery and
-    /// found the node back up), dropped only when the node is
+    /// the node reconnects, a mirror row or handoff push while it is up
+    /// — see [`NodeChannel::queue`]), delivered inline otherwise (a
+    /// broadcast frame that lost its first delivery and found the node
+    /// back up), dropped only when the node is
     /// terminally `Down`. Returns `false` on a drop;
     /// doctrine-preserved frames (broadcast-class installs/deregisters,
     /// handoff pushes) additionally bump `mirror_drops` and log,
@@ -932,69 +962,72 @@ impl Core {
         }
     }
 
-    /// Migrates `user`'s single-copy state from node `from` to node
-    /// `to`: pull, push, then flip the ownership table. Caller holds
-    /// the exclusive gate.
+    /// Migrates `user`'s single-copy state from node `from` to node `to`
+    /// and serves the update that crossed with it: the pull is one round
+    /// trip to `from`; the push is staged in `to`'s outbox, so it rides
+    /// the update's envelope — one round trip to `to` — and then the
+    /// ownership table flips. Caller holds the exclusive gate.
     ///
     /// A migration never *starts* toward a node that cannot take it —
     /// the pull is destructive (the old owner forgets the user), so
     /// extracting state with nowhere to put it would strand the user if
     /// the target never comes back. But once the pull has happened, a
-    /// push lost to a transport cut is parked in `to`'s catch-up buffer
-    /// (handoff frames survive overflow) and the table flips anyway:
-    /// rejoin replay installs the state before any retried update can
-    /// reach the node. If `to` instead dies *terminally* after the
-    /// pull, the table does not flip: the state is pushed back into
-    /// `from` — still up, it just answered the pull — and the request
-    /// fails with the fatal kind, leaving ownership where the bytes
-    /// are.
+    /// push lost to a transport cut stays in `to`'s outbox (handoff
+    /// frames survive overflow) and the table flips anyway: rejoin
+    /// replay installs the state before any retried update can reach
+    /// the node. If `to` instead turns terminally `Down` after the pull
+    /// — it refused the push, answered garbage, or ran out of
+    /// reconnects — the table does not flip: the state is pushed back
+    /// into `from`, still up, it just answered the pull, and the request
+    /// fails with the fatal kind, leaving ownership where the bytes are.
     fn handoff(
         &self,
-        user: u64,
         from: usize,
         to: usize,
+        frame: &Frame,
+        row: wire::ExactUpdateMsg,
         deltas: &mut DeltaBatch,
-    ) -> io::Result<()> {
-        match self.channel(to)?.state.load(Ordering::SeqCst) {
+    ) -> io::Result<Outbound> {
+        let dest = self.channel(to)?;
+        match dest.state.load(Ordering::SeqCst) {
             NODE_UP => {}
-            NODE_RECONNECTING => return Err(self.channel(to)?.retryable_error("is reconnecting")),
-            _ => return Err(self.channel(to)?.down_error()),
+            NODE_RECONNECTING => return Err(dest.retryable_error("is reconnecting")),
+            _ => return Err(dest.down_error()),
         }
-        let pull = self.call(
+        let (tag, state) = self.call(
             from,
             wire::tag::HANDOFF_PULL,
-            &wire::encode_handoff_pull(user),
+            &wire::encode_handoff_pull(row.user),
             deltas,
         )?;
-        if pull.0 != wire::tag::USER_HANDOFF {
+        if tag != wire::tag::USER_HANDOFF {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!(
-                    "node {from} failed handoff pull for subject {user}: {}",
-                    String::from_utf8_lossy(&pull.1)
+                    "node {from} failed handoff pull for subject {}: {}",
+                    row.user,
+                    String::from_utf8_lossy(&state)
                 ),
             ));
         }
-        match self.expect_ok(to, wire::tag::HANDOFF_PUSH, &pull.1, deltas) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if !self.absorb_mirror(to, wire::tag::HANDOFF_PUSH, &pull.1) {
-                    // `to` is terminally down and the pull already
-                    // happened: reinstall on the old owner and abort
-                    // the migration instead of flipping ownership
-                    // toward a grave. If `from` also cannot take the
-                    // state back, the drop was already counted and the
-                    // user's state is genuinely lost with the node.
-                    self.absorb_mirror(from, wire::tag::HANDOFF_PUSH, &pull.1);
-                    return Err(self.channel(to)?.down_error());
-                }
-            }
-            Err(e) => return Err(e),
+        let served = if self.absorb_mirror(to, wire::tag::HANDOFF_PUSH, &state) {
+            self.fan_out_update(to, frame, row, deltas)
+        } else {
+            Err(dest.down_error())
+        };
+        if served.is_err() && dest.state.load(Ordering::SeqCst) == NODE_DOWN {
+            // If `from` cannot take the state back either, the drop is
+            // counted and the user's state is lost with the node.
+            self.absorb_mirror(from, wire::tag::HANDOFF_PUSH, &state);
+            return Err(match served {
+                Err(e) if e.kind() != io::ErrorKind::WouldBlock => e,
+                _ => dest.down_error(),
+            });
         }
         let mut tables = self.tables.lock();
-        tables.owner.insert(user, to);
+        tables.owner.insert(row.user, to);
         tables.handoffs += 1;
-        Ok(())
+        served
     }
 
     /// Routes one client frame. `Err` means a node needed for the
@@ -1080,20 +1113,14 @@ impl Core {
             .get(&msg.user)
             .copied()
             .unwrap_or(cur);
-        if cur != target {
-            self.handoff(msg.user, cur, target, deltas)?;
+        if cur == target {
+            return self.fan_out_update(target, frame, msg, deltas);
         }
-        self.fan_out_update(target, frame, msg, deltas)
+        self.handoff(cur, target, frame, msg, deltas)
     }
 
     /// The update fan-out: one round trip to the owner, whose reply is
-    /// the client's. What the other nodes need of the update — the
-    /// row, and the owner's cloak when it produced one (positions
-    /// advance even when the cloak failed, exactly like the sequential
-    /// engine) — goes into their outboxes as one
-    /// [`wire::tag::MIRROR_UPDATE`] entry each and rides the next frame
-    /// begun on that node. An unavailable mirror never fails the
-    /// request; its entry waits for the rejoin replay.
+    /// the client's; then [`Core::mirror_update`].
     fn fan_out_update(
         &self,
         target: usize,
@@ -1101,15 +1128,32 @@ impl Core {
         row: wire::ExactUpdateMsg,
         deltas: &mut DeltaBatch,
     ) -> io::Result<Outbound> {
-        let owner = self.channel(target)?;
-        let reply = owner
+        let reply = self
+            .channel(target)?
             .begin(wire::tag::EXACT_UPDATE, &frame.payload)?
             .wait(deltas)?;
+        self.mirror_update(target, row, reply)
+    }
+
+    /// What the other nodes need of an update node `target` answered
+    /// with `reply` — the row, and the owner's cloak when it produced
+    /// one (positions advance even when the cloak failed, exactly like
+    /// the sequential engine) — goes into their outboxes as one
+    /// [`wire::tag::MIRROR_UPDATE`] entry each and rides the next frame
+    /// begun on that node. An unavailable mirror never fails the
+    /// request; its entry waits for the rejoin replay.
+    fn mirror_update(
+        &self,
+        target: usize,
+        row: wire::ExactUpdateMsg,
+        reply: Outbound,
+    ) -> io::Result<Outbound> {
         if self.channels.len() == 1 {
             return Ok(reply);
         }
         let cloak = if reply.0 == wire::tag::CLOAKED_UPDATE {
             let Some(cloak) = wire::decode_cloaked_update(&reply.1) else {
+                let owner = self.channel(target)?;
                 owner.poison();
                 return Err(owner.failed_error(&io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -1784,27 +1828,143 @@ fn sleep_backoff(cfg: &RouterConfig, node: usize, attempt: u32, shutdown: &Arc<A
     }
 }
 
+/// A frame that may join a same-node run, decoded once: the node
+/// serving it, whose it is, and — for an update — the row its mirrors
+/// are owed.
+struct Lane {
+    node: usize,
+    user: u64,
+    row: Option<wire::ExactUpdateMsg>,
+}
+
 impl Service for Core {
+    /// A sweep's frames in arrival order. A maximal run of
+    /// registrations, queries and in-stripe updates bound for one node,
+    /// no user twice, is served by [`Core::serve_run`] — one write to
+    /// the node, then the replies in order; everything else — and a run
+    /// of one — goes through [`Core::handle_frame`], one round trip at a
+    /// time.
     fn serve(&self, ready: Vec<(u64, Frame)>, subs: &SharedSubs) -> Vec<(u64, Outbound)> {
         let mut emitted = Vec::with_capacity(ready.len());
-        for (conn_id, frame) in ready {
-            self.handle_frame(frame, conn_id, subs, &mut emitted);
+        let mut ready = ready.into_iter().peekable();
+        while let Some((conn_id, frame)) = ready.next() {
+            if ready.peek().is_none() {
+                // Nothing to share a write with: the closed-loop case.
+                self.handle_frame(frame, conn_id, subs, &mut emitted);
+                break;
+            }
+            let gate = self.gate.read();
+            let Some(lane) = self.lane(&frame) else {
+                drop(gate);
+                self.handle_frame(frame, conn_id, subs, &mut emitted);
+                continue;
+            };
+            let node = lane.node;
+            let mut users = HashSet::from([lane.user]);
+            let mut run = vec![(conn_id, frame, lane)];
+            while let Some((_, next)) = ready.peek() {
+                match self.lane(next) {
+                    Some(lane) if lane.node == node && users.insert(lane.user) => {
+                        if let Some((conn_id, frame)) = ready.next() {
+                            run.push((conn_id, frame, lane));
+                        }
+                    }
+                    _ => break,
+                }
+            }
+            let run = if run.len() > 1 {
+                self.serve_run(run, subs, &mut emitted)
+            } else {
+                run
+            };
+            drop(gate);
+            for (conn_id, frame, _) in run {
+                self.handle_frame(frame, conn_id, subs, &mut emitted);
+            }
         }
         emitted
     }
 }
 
 impl Core {
+    /// Where `frame` would go as part of a run: a registration or query
+    /// to its user's owner (node 0 for a new user), an update of a known
+    /// user to its owner when it stays in the owner's stripe. `None` for
+    /// everything else — a crossing, an unknown user's update, a
+    /// broadcast, a snapshot, any other tag, an undecodable payload —
+    /// which takes the sequential path. Caller holds the gate.
+    fn lane(&self, frame: &Frame) -> Option<Lane> {
+        let owner = |user: u64| self.tables.lock().owner.get(&user).copied();
+        match frame.tag {
+            wire::tag::REGISTER => wire::decode_register(&frame.payload).map(|m| Lane {
+                node: owner(m.user).unwrap_or(0),
+                user: m.user,
+                row: None,
+            }),
+            wire::tag::USER_QUERY => wire::decode_user_query(&frame.payload).map(|m| Lane {
+                node: owner(m.user).unwrap_or(0),
+                user: m.user,
+                row: None,
+            }),
+            wire::tag::EXACT_UPDATE => {
+                let row = wire::decode_exact_update(&frame.payload)?;
+                let node = self.partition.node_of(row.position);
+                (owner(row.user)? == node).then_some(Lane {
+                    node,
+                    user: row.user,
+                    row: Some(row),
+                })
+            }
+            _ => None,
+        }
+    }
+
+    /// Serves a same-node run: every frame begun back to back in one
+    /// write — the node's unsent outbox entries riding the first — then
+    /// each reply waited in order and settled as the frame's own route
+    /// would settle it: an update's mirror rows queued, a registration's
+    /// owner recorded. Caller holds the gate, so no crossing or
+    /// broadcast interleaves, and the next frame for another node is
+    /// begun only after this run's mirror rows are queued.
+    ///
+    /// Returns what was not served: the whole run when it could not be
+    /// begun, for the sequential path to answer frame by frame.
+    fn serve_run(
+        &self,
+        run: Vec<(u64, Frame, Lane)>,
+        subs: &SharedSubs,
+        emitted: &mut Vec<(u64, Outbound)>,
+    ) -> Vec<(u64, Frame, Lane)> {
+        let Some(node) = run.first().map(|(_, _, lane)| lane.node) else {
+            return run;
+        };
+        let requests: Vec<(u8, &[u8])> = run
+            .iter()
+            .map(|(_, f, _)| (f.tag, f.payload.as_slice()))
+            .collect();
+        let Ok(calls) = self.channel(node).and_then(|ch| ch.begin_all(&requests)) else {
+            return run;
+        };
+        for ((conn_id, frame, lane), call) in run.into_iter().zip(calls) {
+            let mut deltas: DeltaBatch = Vec::new();
+            let result = call.wait(&mut deltas).and_then(|reply| match lane.row {
+                Some(row) => self.mirror_update(node, row, reply),
+                None => {
+                    if frame.tag == wire::tag::REGISTER && reply.0 == wire::tag::OK {
+                        self.tables.lock().owner.insert(lane.user, node);
+                    }
+                    Ok(reply)
+                }
+            });
+            self.answer(conn_id, result, deltas, Vec::new(), subs, emitted);
+        }
+        Vec::new()
+    }
+
     /// Routes one client frame end to end: refuses cluster-internal
     /// tags and sends everything else through [`Core::route`]
     /// (concurrently with other shards' requests — only the gate
-    /// serializes, and only against lockstep operations). Standing
-    /// deltas drained from node connections are fanned out to
-    /// subscribers; this connection's own deltas precede the reply.
-    /// Routing errors become kinded [`wire::tag::ROUTE_FAIL`] replies:
-    /// `WouldBlock` means a node is mid-reconnect (`RETRYABLE`, bumping
-    /// `retryable_failures`); anything else is fatal (`DOWN`, bumping
-    /// `route_failures`).
+    /// serializes, and only against lockstep operations).
     fn handle_frame(
         &self,
         frame: Frame,
@@ -1812,9 +1972,8 @@ impl Core {
         subs: &SharedSubs,
         emitted: &mut Vec<(u64, Outbound)>,
     ) {
-        let counters = self.obs.net();
         if is_internal(frame.tag) {
-            NetCounters::add(&counters.frames_rejected, 1);
+            NetCounters::add(&self.obs.net().frames_rejected, 1);
             let text = format!("cluster-internal request tag 0x{:02x}", frame.tag);
             emitted.push((conn_id, (wire::tag::ERROR, text.into_bytes())));
             return;
@@ -1822,6 +1981,25 @@ impl Core {
         let mut deltas: DeltaBatch = Vec::new();
         let mut sub_actions: Vec<SubAction> = Vec::new();
         let result = self.route(&frame, &mut deltas, &mut sub_actions);
+        self.answer(conn_id, result, deltas, sub_actions, subs, emitted);
+    }
+
+    /// Emits one routed frame's outcome: its subscription actions
+    /// applied, standing deltas drained from node connections fanned
+    /// out to subscribers — this connection's own ahead of the reply —
+    /// then the reply. Routing errors become kinded
+    /// [`wire::tag::ROUTE_FAIL`] replies: `WouldBlock` means a node is
+    /// mid-reconnect (`RETRYABLE`, bumping `retryable_failures`);
+    /// anything else is fatal (`DOWN`, bumping `route_failures`).
+    fn answer(
+        &self,
+        conn_id: u64,
+        result: io::Result<Outbound>,
+        deltas: DeltaBatch,
+        sub_actions: Vec<SubAction>,
+        subs: &SharedSubs,
+        emitted: &mut Vec<(u64, Outbound)>,
+    ) {
         for action in sub_actions {
             match action {
                 SubAction::Subscribe(key) => subscribe(subs, conn_id, key),
@@ -1832,6 +2010,7 @@ impl Core {
         match result {
             Ok(reply) => emitted.push((conn_id, reply)),
             Err(e) => {
+                let counters = self.obs.net();
                 let kind = if e.kind() == io::ErrorKind::WouldBlock {
                     NetCounters::add(&counters.retryable_failures, 1);
                     wire::ROUTE_FAIL_RETRYABLE

@@ -5,13 +5,14 @@
 //! [`NetClient::range_query`], [`NetClient::ping`]) are closed-loop:
 //! send one frame, wait for its reply. For load generators and tests
 //! that need pipelining, the [`NetClient::send_only`] /
-//! [`NetClient::read_reply`] halves are exposed separately.
+//! [`NetClient::read_reply`] halves are exposed separately; a window of
+//! `send_only` frames is queued on the client and leaves in one `write`.
 
-use crate::frame::{write_frame, Frame, FrameReader, Poll, MAX_FRAME_LEN};
+use crate::frame::{append_frame, Frame, FrameReader, Poll, MAX_FRAME_LEN};
 use lbsp_core::wire;
 use lbsp_geom::{Point, Rect, SimTime};
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -52,10 +53,22 @@ pub enum Reply {
     Error(String),
 }
 
+/// Queued request bytes past which [`NetClient::send_only`] writes
+/// without waiting for a read: a window never holds more than this plus
+/// one frame on the client.
+const FLUSH_AT: usize = 64 * 1024;
+
 /// A blocking connection to a [`crate::NetServer`].
+///
+/// Requests are encoded into one per-client buffer and written when the
+/// client next needs the server: by [`NetClient::read_reply`] (and so by
+/// every closed-loop request method), by [`NetClient::flush`], by `Drop`,
+/// or when the buffer passes 64 KiB.
 pub struct NetClient {
     stream: TcpStream,
     reader: FrameReader,
+    /// Encoded frames not yet written, oldest first.
+    queued: Vec<u8>,
     /// Unsolicited [`wire::tag::STANDING_DELTA`] payloads received while
     /// waiting for replies, in arrival order. Drained with
     /// [`NetClient::take_standing_deltas`].
@@ -71,6 +84,7 @@ impl NetClient {
         Ok(NetClient {
             stream,
             reader: FrameReader::new(MAX_FRAME_LEN),
+            queued: Vec::new(),
             deltas: VecDeque::new(),
         })
     }
@@ -86,12 +100,46 @@ impl NetClient {
         self.stream.set_write_timeout(t)
     }
 
-    /// Sends one frame without waiting for a reply (pipelining half).
+    /// Queues one frame without waiting for a reply (pipelining half).
+    ///
+    /// Nothing reaches the socket yet: the frame is encoded onto the
+    /// client's buffer, which the next [`NetClient::read_reply`],
+    /// [`NetClient::flush`] or drop writes in one `write` — so a window
+    /// of frames arrives at the server together — or this call writes
+    /// itself once the buffer passes 64 KiB.
+    ///
+    /// # Errors
+    /// `InvalidInput` for a payload over the frame cap (nothing is
+    /// queued); otherwise whatever a flush this call triggers returns.
     pub fn send_only(&mut self, tag: u8, payload: &[u8]) -> io::Result<()> {
-        write_frame(&mut self.stream, tag, payload, MAX_FRAME_LEN)
+        append_frame(&mut self.queued, tag, payload, MAX_FRAME_LEN)?;
+        if self.queued.len() > FLUSH_AT {
+            self.flush()?;
+        }
+        Ok(())
     }
 
-    /// Blocks until the next reply frame arrives (pipelining half).
+    /// Writes every frame [`NetClient::send_only`] queued, in one
+    /// `write_all`. A no-op when nothing is queued.
+    ///
+    /// # Errors
+    /// The socket's write error (a write timeout, a closed peer). The
+    /// queued frames are discarded either way: after a failed write the
+    /// server may hold any prefix of them, so the connection is no
+    /// longer in a state a retry could repair.
+    pub fn flush(&mut self) -> io::Result<()> {
+        if self.queued.is_empty() {
+            return Ok(());
+        }
+        let written = self.stream.write_all(&self.queued);
+        self.queued.clear();
+        // A one-off large frame does not pin its buffer for life.
+        self.queued.shrink_to(FLUSH_AT);
+        written
+    }
+
+    /// Writes what is queued, then blocks until the next reply frame
+    /// arrives (pipelining half).
     ///
     /// With a read timeout set, each `Pending` poll is allowed as long
     /// as the frame made *progress* during the interval — a server
@@ -103,6 +151,7 @@ impl NetClient {
     /// are not replies: they are stashed in arrival order for
     /// [`NetClient::take_standing_deltas`] and the wait continues.
     pub fn read_reply(&mut self) -> io::Result<Reply> {
+        self.flush()?;
         loop {
             let before = self.reader.buffered();
             match self.reader.poll(&mut self.stream)? {
@@ -135,7 +184,8 @@ impl NetClient {
         }
     }
 
-    /// One closed-loop request: send, then wait for the reply.
+    /// One closed-loop request: queue, then write and wait for the
+    /// reply.
     pub fn request(&mut self, tag: u8, payload: &[u8]) -> io::Result<Reply> {
         self.send_only(tag, payload)?;
         self.read_reply()
@@ -163,8 +213,9 @@ impl NetClient {
         self.request(wire::tag::EXACT_UPDATE, &wire::encode_exact_update(&msg))
     }
 
-    /// Pipelined variant of [`NetClient::update`]: sends the update
-    /// frame without waiting; pair with [`NetClient::read_reply`].
+    /// Pipelined variant of [`NetClient::update`]: queues the update
+    /// frame (see [`NetClient::send_only`]); pair with
+    /// [`NetClient::read_reply`].
     pub fn update_send_only(
         &mut self,
         user: u64,
@@ -241,6 +292,16 @@ impl NetClient {
     /// order (each decodable with [`wire::decode_standing_state`]).
     pub fn take_standing_deltas(&mut self) -> Vec<Vec<u8>> {
         self.deltas.drain(..).collect()
+    }
+}
+
+impl Drop for NetClient {
+    /// Writes what is still queued, like a `BufWriter`: frames sent with
+    /// [`NetClient::send_only`] reach the server even when nobody reads
+    /// their replies. Errors are ignored; call [`NetClient::flush`] to
+    /// see them.
+    fn drop(&mut self) {
+        let _ = self.flush();
     }
 }
 

@@ -50,6 +50,23 @@ impl Frame {
 /// # Errors
 /// `InvalidInput` when the body would exceed `max_frame`.
 pub fn frame_bytes(tag: u8, payload: &[u8], max_frame: usize) -> io::Result<Vec<u8>> {
+    let mut out = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
+    append_frame(&mut out, tag, payload, max_frame)?;
+    Ok(out)
+}
+
+/// Encodes one frame onto the end of `out`, so a window of frames is
+/// one buffer and one `write`.
+///
+/// # Errors
+/// `InvalidInput` when the body would exceed `max_frame`; `out` is then
+/// unchanged.
+pub fn append_frame(
+    out: &mut Vec<u8>,
+    tag: u8,
+    payload: &[u8],
+    max_frame: usize,
+) -> io::Result<()> {
     let body_len = payload.len() + 1;
     if body_len > max_frame {
         return Err(io::Error::new(
@@ -63,11 +80,11 @@ pub fn frame_bytes(tag: u8, payload: &[u8], max_frame: usize) -> io::Result<Vec<
             format!("frame body {body_len} exceeds the u32 length prefix"),
         )
     })?;
-    let mut out = Vec::with_capacity(4 + body_len);
+    out.reserve(4 + body_len);
     out.extend_from_slice(&prefix.to_le_bytes());
     out.push(tag);
     out.extend_from_slice(payload);
-    Ok(out)
+    Ok(())
 }
 
 /// Writes one frame to `w` as a single `write_all` (one syscall in the

@@ -57,7 +57,7 @@ use crate::server::{
 use lbsp_core::metrics::NetCounters;
 use lbsp_core::{wire, MetricsRegistry, Stage};
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Write};
+use std::io::{self, IoSlice, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, TryRecvError};
@@ -68,6 +68,11 @@ use std::time::{Duration, Instant};
 /// the shard moves on (fairness bound; also caps how far the outbound
 /// queue can overshoot its bound within one sweep).
 pub(crate) const FRAMES_PER_SWEEP: usize = 32;
+
+/// Queued frames one `write_vectored` offers the socket: a sweep's
+/// replies to one connection ([`FRAMES_PER_SWEEP`]) plus the deltas
+/// pushed to it, in the common case.
+const IOV_PER_WRITE: usize = 64;
 
 /// One outbound frame, already encoded, with a resumable write offset.
 struct OutFrame {
@@ -148,6 +153,24 @@ fn enqueue_outbound(
             enqueued: Instant::now(),
         }),
         Err(_) => conn.close = Some(CloseReason::Slow),
+    }
+}
+
+/// Accounts `n` bytes the socket took from the front of `conn`'s queue:
+/// every frame they complete is counted (`bytes_out`, its outbound
+/// wait) and dropped, and a frame they end inside keeps its offset.
+fn written_out(conn: &mut Conn, mut n: usize, obs: &MetricsRegistry) {
+    while let Some(front) = conn.outbound.front_mut() {
+        let left = front.bytes.len().saturating_sub(front.written);
+        if n < left {
+            front.written = front.written.saturating_add(n);
+            return;
+        }
+        n -= left;
+        NetCounters::add(&obs.net().bytes_out, front.bytes.len() as u64);
+        obs.stage(Stage::OutboundWait)
+            .record_duration(front.enqueued.elapsed());
+        conn.outbound.pop_front();
     }
 }
 
@@ -331,28 +354,29 @@ pub(crate) fn run_shard(
             }
         }
 
-        // Phase 5: write sweep. Each connection writes as much as its
-        // socket will take; a stall past `write_timeout` or a queue
-        // stuck over its bound past `backpressure_timeout` marks the
-        // consumer slow — even a connection already closing normally.
+        // Phase 5: write sweep. Each connection writes as much of its
+        // queue as its socket will take — every queued frame in one
+        // `write_vectored`, resumed mid-frame next time round; a stall
+        // past `write_timeout` or a queue stuck over its bound past
+        // `backpressure_timeout` marks the consumer slow — even a
+        // connection already closing normally.
         for conn in &mut conns {
             if matches!(conn.close, Some(CloseReason::Slow)) {
                 continue;
             }
             loop {
-                let Some(front) = conn.outbound.front_mut() else {
+                if conn.outbound.is_empty() {
                     conn.stalled_since = None;
                     break;
-                };
-                let Some(remain) = front.bytes.get(front.written..) else {
-                    conn.outbound.pop_front();
-                    continue;
-                };
-                if remain.is_empty() {
-                    conn.outbound.pop_front();
-                    continue;
                 }
-                match (&conn.stream).write(remain) {
+                let mut slices = [IoSlice::new(&[]); IOV_PER_WRITE];
+                let mut count = 0usize;
+                for (slot, frame) in slices.iter_mut().zip(&conn.outbound) {
+                    *slot = IoSlice::new(frame.bytes.get(frame.written..).unwrap_or_default());
+                    count = count.saturating_add(1);
+                }
+                let slices = slices.get(..count).unwrap_or_default();
+                match (&conn.stream).write_vectored(slices) {
                     Ok(0) => {
                         conn.close = Some(CloseReason::Slow);
                         break;
@@ -360,13 +384,7 @@ pub(crate) fn run_shard(
                     Ok(n) => {
                         did_work = true;
                         conn.stalled_since = None;
-                        front.written = front.written.saturating_add(n);
-                        if front.written >= front.bytes.len() {
-                            NetCounters::add(&obs.net().bytes_out, front.bytes.len() as u64);
-                            obs.stage(Stage::OutboundWait)
-                                .record_duration(front.enqueued.elapsed());
-                            conn.outbound.pop_front();
-                        }
+                        written_out(conn, n, &obs);
                     }
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {

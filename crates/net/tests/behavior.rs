@@ -119,6 +119,8 @@ fn graceful_shutdown_drains_in_flight_requests() {
             .update_send_only(1, p, SimTime::from_secs(f64::from(i)))
             .unwrap();
     }
+    // The burst is queued on the client until written.
+    client.flush().unwrap();
     // Give loopback a moment to land the frames in the server's socket
     // buffer, then shut down while none of them have been read by us.
     std::thread::sleep(Duration::from_millis(200));

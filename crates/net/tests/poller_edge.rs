@@ -259,6 +259,8 @@ fn graceful_drain_answers_requests_already_on_the_socket() {
         c.update_send_only(user, Point::new(0.1 + 0.8 * frac, 0.5), t)
             .unwrap();
     }
+    // On the socket before shutdown begins, not racing it.
+    c.flush().unwrap();
 
     let drainer = std::thread::spawn(move || server.shutdown());
     let mut answered = 0usize;

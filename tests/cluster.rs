@@ -621,6 +621,27 @@ fn an_update_costs_its_owner_one_frame_and_the_mirrors_a_thirty_second() {
             "query on a mirror (K={k})"
         );
 
+        // A crossing costs the old owner the pull and the new owner one
+        // frame: the push rides the update, CARRY[HANDOFF_PUSH,
+        // EXACT_UPDATE].
+        let before = served(&servers);
+        let handoffs = router.handoffs();
+        let (p, t) = (Point::new(0.97, 0.4), SimTime::from_secs(clock + 2.0));
+        let want = reference.process_updates_wire(&[(0, p, t)]).remove(0);
+        assert_eq!(
+            client.update(0, p, t).unwrap(),
+            Reply::Cloaked(want.unwrap().to_vec()),
+            "the crossing update (K={k})"
+        );
+        let after = served(&servers);
+        assert_eq!(router.handoffs(), handoffs + 1, "a handoff (K={k})");
+        assert_eq!(after[0] - before[0], 1, "the old owner: the pull (K={k})");
+        assert_eq!(
+            after[k - 1] - before[k - 1],
+            1,
+            "the new owner: push and update in one frame (K={k})"
+        );
+
         drop(client);
         let report = router.shutdown();
         assert_eq!(report.route_failures, 0);

@@ -422,6 +422,70 @@ fn rows_on_the_wire_when_the_link_dies_are_replayed_before_later_ones() {
     assert_eq!(planes1.records, planes0.records, "cloak plane");
 }
 
+fn odd_users() -> Vec<u64> {
+    (1..USERS).step_by(2).collect()
+}
+
+#[test]
+fn sever_mid_run_fails_every_frame_retryable_and_applies_nothing_twice() {
+    let (node0, node1, proxy, router) = spawn(fast_recovery());
+    let mut reference = fresh_engine();
+    let mut client = connect(&router);
+    register_all(&mut client, &mut reference);
+    run_wave(&mut client, &mut reference, &all_users(), 0);
+
+    // A window of wave-1 updates for node 1's users is one run: one
+    // write to node 1, which the link carries four frames and a bit of
+    // before it dies. What arrived whole is applied; no reply gets back.
+    let odd = odd_users();
+    let frame_len = (lbsp_net::FRAME_OVERHEAD + wire::EXACT_UPDATE_LEN) as u64;
+    proxy.sever_after_upstream_bytes(4 * frame_len + 7);
+    for &i in &odd {
+        client.update_send_only(i, pos(i, 1), stamp(i, 1)).unwrap();
+    }
+    for &i in &odd {
+        match client.read_reply() {
+            Err(e) => assert!(is_retryable_route_failure(&e), "update {i}: {e}"),
+            Ok(r) => panic!("update {i} answered through a cut link: {r:?}"),
+        }
+    }
+
+    // The sequential doctrine for an unknown outcome: heal, retry.
+    proxy.restore();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    for &i in &odd {
+        reference.process_updates_wire(&[(i, pos(i, 1), stamp(i, 1))]);
+        loop {
+            match client.update(i, pos(i, 1), stamp(i, 1)) {
+                Ok(Reply::Cloaked(_)) => break,
+                Err(e) if is_retryable_route_failure(&e) && Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                other => panic!("retried update {i}: {other:?}"),
+            }
+        }
+    }
+    // Positions are all a cloak depends on: the next wave reads the
+    // sequential engine's bytes on both stripes.
+    run_wave(&mut client, &mut reference, &all_users(), 2);
+
+    let snap = router.metrics_registry().net().snapshot();
+    assert!(
+        snap.retryable_failures >= odd.len() as u64,
+        "every frame of the run"
+    );
+    assert!(snap.node_rejoins >= 1, "rejoin counted");
+    assert_eq!(snap.mirror_drops, 0, "nothing was dropped");
+    let report = router.shutdown();
+    assert_eq!(report.route_failures, 0, "no fatal failures");
+    let (planes0, planes1) = (
+        node0.shutdown().export_state(),
+        node1.shutdown().export_state(),
+    );
+    assert_eq!(planes1.positions, planes0.positions, "position plane");
+    assert_eq!(planes1.records, planes0.records, "cloak plane");
+}
+
 #[test]
 fn slow_node_is_demoted_retryable_and_heals_when_it_speeds_up() {
     let mut cfg = fast_recovery();
