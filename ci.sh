@@ -23,9 +23,12 @@ echo "== concurrency + loopback under debug_assertions (lock-order checker armed
 # The concurrency suite holds the batch-size equivalence test (batches of
 # 1 to 256 rows on a 4-worker pool, a 1-worker pool and replayed
 # schedules), so the runtime checker walks the engine's inline path as
-# well as its job bodies; the engine's own inline-path tests ride along.
+# well as its job bodies; the engine's own inline-path tests ride along,
+# and so do its stripe-crossing tests (users on and across stripe, cell
+# and world edges against the sequential cloak, on the pool, inline and
+# replayed), which walk the one anonymizer grid on every path.
 cargo test -q --offline --test concurrency
-cargo test -q --offline -p lbsp-core --lib -- inline threshold
+cargo test -q --offline -p lbsp-core --lib -- inline threshold stripes sequential_anonymizer
 cargo test -q --offline --test net_loopback
 
 echo "== loopback byte-identity (network vs in-process) =="

@@ -200,12 +200,12 @@ fn refine_region<C: CellCounts>(
 /// against any [`CellCounts`] view.
 ///
 /// This is [`GridCloak::cloak`] with the user lookup factored out: the
-/// caller supplies the subject's exact position and a count view, which
-/// may be a single [`UniformGrid`] or a [`lbsp_index::SummedGrids`]
-/// spanning several shards. Because the algorithm consumes only integer
-/// cell counts and cell-aligned rectangles, any two views reporting
-/// identical counts produce bit-identical regions — the property the
-/// sharded engine's equivalence tests assert.
+/// caller supplies the subject's exact position and a count view — the
+/// concurrent engine's [`UniformGrid`], or a test's brute-force counter.
+/// Because the algorithm consumes only integer cell counts and
+/// cell-aligned rectangles, any two views reporting identical counts
+/// produce bit-identical regions — the property the engine's
+/// equivalence tests assert.
 ///
 /// `req` must already be validated ([`CloakRequirement::validate`]).
 pub fn cloak_with_counts<C: CellCounts>(

@@ -1,25 +1,24 @@
-//! Sharded concurrent anonymizer/server engine.
+//! Concurrent anonymizer/server engine.
 //!
 //! The paper's scalability story (Sec. 7, experiment 10) asks the
 //! anonymizer and the server to "cope with the continuous movement of
-//! mobile users" — an ingest-throughput problem. This module shards both
-//! components by spatial region and batches work across a fixed worker
-//! pool, while keeping every externally visible byte identical to the
-//! single-threaded pipeline:
+//! mobile users" — an ingest-throughput problem. This module batches
+//! that work across a fixed worker pool while keeping every externally
+//! visible byte identical to the single-threaded pipeline:
 //!
-//! * **Anonymizer side** — the user registry is split into `shards`
-//!   vertical stripes of the world. Each shard owns a private
-//!   [`UniformGrid`] over the *whole* world holding only the users whose
-//!   exact position falls in its stripe. Cloaking reads a
-//!   [`SummedGrids`] view across all shards, so the fixed-grid merge
-//!   ([`cloak_with_counts`]) sees exactly the counts a single merged
-//!   grid would report — integer sums are order-independent, which makes
-//!   the cloaks *bit-identical* regardless of worker count or schedule.
+//! * **Anonymizer side** — one [`UniformGrid`] over the world holds every
+//!   tracked user, as in the paper's space-dependent cloaking (Fig. 4b),
+//!   which partitions space with *one* grid. Every cloak reads that
+//!   grid's counts through [`cloak_with_counts`], the generic code the
+//!   sequential [`lbsp_anonymizer::GridCloak`] runs too. A cloak reads
+//!   counts of cells anywhere in the world, so a grid split into stripes
+//!   would have every cloak read every stripe and gain no parallelism.
 //! * **Server side** — the private store (pseudonym → cloaked rectangle)
-//!   and the public-object store are sharded by the same stripes.
-//!   `private_range_candidates` applies a per-object predicate, so the
-//!   union of per-shard candidate lists equals the unsharded answer;
-//!   merging sorts by object id to give the canonical wire order.
+//!   is split into `shards` vertical stripes of the world, keyed by the
+//!   center of each record's region; phase 3 ingests into the stripes as
+//!   one job per stripe touched. The public objects live in one store:
+//!   `private_range_candidates` already answers in ascending id order,
+//!   the canonical wire order.
 //! * **Trust boundary** — everything leaving the engine flows through
 //!   the typed [`crate::wire`] messages: cloaked updates and range-query
 //!   requests carry pseudonyms and rectangles only, never an exact
@@ -27,18 +26,19 @@
 //!
 //! Batches run in barrier-separated phases mirroring
 //! [`LocationAnonymizer::handle_updates_batch`][hub]: phase 1 applies
-//! every position upsert (per-shard jobs on disjoint state), phase 2
-//! cloaks every row against the settled population, phase 3 ingests the
-//! cloaks into the private shards. A batch too small to pay for a
+//! every position upsert (a loop on the calling thread, inside the
+//! coordinator pass), phase 2 cloaks every row against the settled
+//! population (a contiguous run of rows per job), phase 3 ingests the
+//! cloaks into the private stripes. A batch too small to pay for a
 //! hand-off — every single-row update off a socket — and any batch on a
-//! one-worker pool runs the same phases as three plain loops on the
-//! calling thread, through the same row-level helpers and per-shard
-//! functions, with no job, `Arc` or result sink built. The
-//! [`ReplayScheduler`] execution mode never takes that shortcut: it
-//! replays any seeded permutation of the per-phase jobs sequentially —
-//! every such permutation is a possible concurrent schedule, so the
-//! concurrency tests assert that all of them, the real thread pool at
-//! any width and the inline path produce the same bytes.
+//! one-worker pool runs phases 2 and 3 as plain loops on the calling
+//! thread too, through the same row- and stripe-level functions, with no
+//! job, `Arc` or result sink built. The [`ReplayScheduler`] execution
+//! mode never takes that shortcut: it replays any seeded permutation of
+//! the per-phase jobs sequentially — every such permutation is a
+//! possible concurrent schedule, so the concurrency tests assert that
+//! all of them, the real thread pool at any width and the inline path
+//! produce the same bytes.
 //!
 //! [hub]: lbsp_anonymizer::LocationAnonymizer::handle_updates_batch
 
@@ -56,7 +56,7 @@ use lbsp_anonymizer::{
     Pseudonym, DEFAULT_MAX_REFINE_DEPTH,
 };
 use lbsp_geom::{Point, Rect, SimTime};
-use lbsp_index::{CellCounts, SummedGrids, UniformGrid};
+use lbsp_index::UniformGrid;
 use lbsp_server::{
     private_range_candidates, ContinuousRangeCount, PrivateRecord, PrivateStore, PublicObject,
     PublicStore,
@@ -76,7 +76,7 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 type RowResults = Vec<Result<CloakedUpdate, CloakError>>;
 
 /// A batch with fewer rows than this runs on the calling thread: each of
-/// the three phases would hand off at about 2 µs on one CPU and 20 µs
+/// the two job phases would hand off at about 2 µs on one CPU and 20 µs
 /// across two, a row costs 2–3 µs, so a smaller batch cannot pay for it.
 const INLINE_BELOW: usize = 32;
 
@@ -85,7 +85,7 @@ const INLINE_BELOW: usize = 32;
 ///
 /// [`WorkerPool::run`] is a barrier: it returns only after every
 /// submitted job has finished, which is what separates the engine's
-/// upsert phase from its cloak phase. The caller is one of the phase's
+/// cloak phase from its ingest phase. The caller is one of the phase's
 /// threads — it runs the last job itself — so a one-job phase (every
 /// phase of a one-row update) crosses no thread boundary.
 pub struct WorkerPool {
@@ -163,8 +163,9 @@ impl Drop for WorkerPool {
 
 /// Deterministic replay of concurrent schedules.
 ///
-/// Within each engine phase, jobs touch pairwise-disjoint shard state,
-/// so any execution order is a legal concurrent schedule. The scheduler
+/// Within each engine phase, jobs only read shared state (the cloak
+/// phase) or touch pairwise-disjoint stripes (the ingest phase), so any
+/// execution order is a legal concurrent schedule. The scheduler
 /// runs each phase's jobs *sequentially* in the order given by a seeded
 /// Fisher–Yates permutation (a fresh permutation per phase, derived from
 /// `seed` and a phase counter). Replaying many seeds and asserting
@@ -260,8 +261,9 @@ pub struct EngineConfig {
     pub grid_side: u32,
     /// Enable the multi-level refinement optimization.
     pub refine: bool,
-    /// Number of spatial shards (vertical stripes). Fixed independently
-    /// of the worker count so results never depend on parallelism.
+    /// Number of vertical stripes the private store is split into.
+    /// Fixed independently of the worker count so results never depend
+    /// on parallelism.
     pub shards: usize,
     /// Secret keying the pseudonym bijection.
     pub secret: u64,
@@ -294,20 +296,11 @@ impl EngineConfig {
     }
 }
 
-/// A mutation applied to one anonymizer shard during phase 1.
-enum ShardOp {
-    Insert(UserId, Point),
-    Remove(UserId),
-}
-
 /// Per-row plan computed by the coordinator before the parallel phases.
 enum RowPlan {
     Fail(CloakError),
     Cloak {
         id: UserId,
-        /// Shard holding the user after all of phase 1 (its grid is the
-        /// authority for the user's final position).
-        shard: usize,
         req: CloakRequirement,
         time: SimTime,
     },
@@ -320,35 +313,33 @@ pub struct RangeQueryAnswer {
     pub region: CloakedRegion,
     /// The anonymizer→server request message bytes.
     pub request: Bytes,
-    /// Candidate objects, sorted by id (the canonical merge order).
+    /// Candidate objects, sorted by id (the canonical wire order).
     pub candidates: Vec<PublicObject>,
     /// The server→user candidate-list bytes.
     pub response: Bytes,
 }
 
-/// The sharded concurrent engine: anonymizer registry + private grid +
-/// public store, each split into spatial stripes behind per-shard locks.
+/// The concurrent engine: one anonymizer grid, a private store split
+/// into spatial stripes behind per-stripe locks, and one public store.
 pub struct ShardedEngine {
     cfg: EngineConfig,
     mode: ExecutionMode,
     /// Coordinator-owned profile registry (read-only during batches).
     profiles: HashMap<UserId, PrivacyProfile>,
-    /// Which anonymizer shard currently tracks each user.
-    owner: HashMap<UserId, usize>,
-    /// Which private-store shard holds each pseudonym's record.
+    /// Which private-store stripe holds each pseudonym's record.
     record_owner: HashMap<u64, usize>,
-    anon: Vec<Arc<TrackedRwLock<UniformGrid>>>,
+    /// Every tracked user's exact position: the count view each cloak
+    /// reads. Shared with the cloak-phase jobs, which only read it.
+    anon: Arc<TrackedRwLock<UniformGrid>>,
     private: Vec<Arc<TrackedRwLock<PrivateStore>>>,
-    public: Vec<Arc<TrackedRwLock<PublicStore>>>,
     /// Standing count queries over the private population, maintained
     /// incrementally from per-row `(old, new)` cloak deltas.
     standing_counts: ContinuousRangeCount,
     /// Standing private range queries, refreshed per updating user.
     standing_ranges: StandingPrivateRanges,
-    /// Unsharded copy of the public dataset: standing-range recomputes
-    /// need the whole object set, and keeping a merged store avoids a
-    /// cross-shard collect on every cloak change.
-    public_all: PublicStore,
+    /// The public dataset, read by range queries and standing-range
+    /// recomputes.
+    public: PublicStore,
     /// Unified observability registry (shared with the network
     /// front-end when one wraps this engine). All recording paths are
     /// `&self` and lock-free, so metrics never perturb batch semantics.
@@ -380,16 +371,11 @@ impl ShardedEngine {
             cfg,
             mode,
             profiles: HashMap::new(),
-            owner: HashMap::new(),
             record_owner: HashMap::new(),
-            anon: (0..shards)
-                .map(|_| {
-                    Arc::new(TrackedRwLock::new(
-                        LockRank::AnonShard,
-                        UniformGrid::new(cfg.world, cfg.grid_side, cfg.grid_side),
-                    ))
-                })
-                .collect(),
+            anon: Arc::new(TrackedRwLock::new(
+                LockRank::AnonShard,
+                UniformGrid::new(cfg.world, cfg.grid_side, cfg.grid_side),
+            )),
             private: (0..shards)
                 .map(|_| {
                     Arc::new(TrackedRwLock::new(
@@ -398,17 +384,9 @@ impl ShardedEngine {
                     ))
                 })
                 .collect(),
-            public: (0..shards)
-                .map(|_| {
-                    Arc::new(TrackedRwLock::new(
-                        LockRank::PublicShard,
-                        PublicStore::new(),
-                    ))
-                })
-                .collect(),
             standing_counts: ContinuousRangeCount::new(),
             standing_ranges: StandingPrivateRanges::new(),
-            public_all: PublicStore::new(),
+            public: PublicStore::new(),
             obs: Arc::new(MetricsRegistry::new()),
             durable: None,
         }
@@ -483,8 +461,9 @@ impl ShardedEngine {
         &self.obs
     }
 
-    /// Shard owning positions at `p`: vertical stripes of equal width,
-    /// with out-of-world points clamped to the border stripes.
+    /// Private-store stripe owning records centered at `p`: vertical
+    /// stripes of equal width, with out-of-world points clamped to the
+    /// border stripes.
     pub fn shard_of(&self, p: Point) -> usize {
         let f = (p.x - self.cfg.world.min_x()) / self.cfg.world.width();
         let s = (f * self.cfg.shards as f64).floor();
@@ -507,9 +486,9 @@ impl ShardedEngine {
         self.profiles.len()
     }
 
-    /// Number of users with a tracked location, across all shards.
+    /// Number of users with a tracked location.
     pub fn population(&self) -> usize {
-        self.anon.iter().map(|s| s.read().len()).sum()
+        self.anon.read().len()
     }
 
     /// Number of private records, across all shards.
@@ -517,20 +496,12 @@ impl ShardedEngine {
         self.private.iter().map(|s| s.read().len()).sum()
     }
 
-    /// Loads the public-object dataset, partitioned into shards by
-    /// object position.
+    /// Loads the public-object dataset, replacing any loaded before.
     pub fn load_public(&mut self, objects: Vec<PublicObject>) {
         self.journal_op(|| EngineOp::LoadPublic {
             objects: objects.clone(),
         });
-        self.public_all = PublicStore::bulk_load(objects.clone());
-        let mut parts: Vec<Vec<PublicObject>> = vec![Vec::new(); self.cfg.shards];
-        for o in objects {
-            parts[self.shard_of(o.pos)].push(o);
-        }
-        for (shard, part) in self.public.iter().zip(parts) {
-            *shard.write() = PublicStore::bulk_load(part);
-        }
+        self.public = PublicStore::bulk_load(objects);
         self.maybe_snapshot();
     }
 
@@ -545,12 +516,13 @@ impl ShardedEngine {
 
     /// Processes one batch of exact location updates: phase 1 applies
     /// every upsert, phase 2 cloaks every row against the settled
-    /// population, phase 3 ingests the cloaked regions into the sharded
+    /// population, phase 3 ingests the cloaked regions into the striped
     /// private store. Results are in input order; unknown users error
-    /// in place, exactly like the sequential batch path. A batch too
-    /// small to share (see `INLINE_BELOW`) runs as three plain loops on
-    /// the calling thread, a larger one as per-shard jobs; both settle,
-    /// cloak and ingest through the same row- and shard-level functions.
+    /// in place, exactly like the sequential batch path. Phase 1 is
+    /// always a loop on the calling thread. A batch too small to share
+    /// (see `INLINE_BELOW`) runs phases 2 and 3 as plain loops there
+    /// too, a larger one as jobs; both cloak and ingest through the same
+    /// row- and stripe-level functions.
     pub fn process_updates(
         &mut self,
         updates: &[(UserId, Point, SimTime)],
@@ -587,9 +559,9 @@ impl ShardedEngine {
                 let fan_count =
                     self.standing_counts
                         .on_update(u.pseudonym.0, old.as_ref(), Some(region));
-                let fan_range =
-                    self.standing_ranges
-                        .on_cloak_update(user, region, &self.public_all);
+                let fan_range = self
+                    .standing_ranges
+                    .on_cloak_update(user, region, &self.public);
                 self.obs
                     .standing_fanout()
                     .record((fan_count + fan_range) as f64);
@@ -602,56 +574,31 @@ impl ShardedEngine {
         results
     }
 
-    /// The coordinator pass of a batch: resolves each row's profile and
-    /// hands every known user's new position to `settle`. Scanning in
-    /// input order makes duplicate-user rows settle on the row that
-    /// appears last, matching the sequential upsert order — and every
-    /// row must cloak at the user's *final* position, so once all rows
-    /// are routed each plan is pointed at its user's final owner shard.
-    fn plan_rows(
-        &mut self,
-        updates: &[(UserId, Point, SimTime)],
-        mut settle: impl FnMut(&mut ShardedEngine, UserId, Point),
-    ) -> Vec<RowPlan> {
-        let mut plans: Vec<RowPlan> = Vec::with_capacity(updates.len());
-        for &(id, pos, time) in updates {
-            let req = self
-                .profiles
-                .get(&id)
-                .map(|profile| profile.requirement_at(time.time_of_day()));
-            plans.push(match req {
+    /// The coordinator pass of a batch, which is also phase 1: resolves
+    /// each row's profile and moves every known user to its new
+    /// position in the anonymizer grid. Scanning in input order makes
+    /// duplicate-user rows settle on the row that appears last, matching
+    /// the sequential upsert order, so every row cloaks (phase 2) at its
+    /// user's *final* position.
+    fn plan_rows(&self, updates: &[(UserId, Point, SimTime)]) -> Vec<RowPlan> {
+        let mut grid = self.anon.write();
+        updates
+            .iter()
+            .map(|&(id, pos, time)| match self.profiles.get(&id) {
                 None => RowPlan::Fail(CloakError::UnknownUser(id)),
-                Some(req) => {
-                    settle(self, id, pos);
+                Some(profile) => {
+                    grid.insert(id, pos);
                     RowPlan::Cloak {
                         id,
-                        shard: 0,
-                        req,
+                        req: profile.requirement_at(time.time_of_day()),
                         time,
                     }
                 }
-            });
-        }
-        // Only now is each user's final owner known.
-        for plan in &mut plans {
-            if let RowPlan::Cloak { id, shard, .. } = plan {
-                *shard = self.owner[id];
-            }
-        }
-        plans
+            })
+            .collect()
     }
 
-    /// Moves a user to `pos`: off the anon shard that tracked it when
-    /// that is another stripe, onto (or within) the one `pos` falls in.
-    fn move_user(&mut self, id: UserId, pos: Point) {
-        let target = self.shard_of(pos);
-        if let Some(prev) = reassign(&mut self.owner, id, target) {
-            self.anon[prev].write().remove(id);
-        }
-        self.anon[target].write().insert(id, pos);
-    }
-
-    /// Upserts a private record on the shard of its region's center —
+    /// Upserts a private record on the stripe of its region's center —
     /// so placement never depends on worker count — and forgets it on
     /// the shard that held it before. Returns the rectangle displaced,
     /// the `old` half of the standing-query delta.
@@ -672,7 +619,7 @@ impl ShardedEngine {
         &mut self,
         updates: &[(UserId, Point, SimTime)],
     ) -> (RowResults, Vec<Option<Rect>>) {
-        let plans = self.plan_rows(updates, ShardedEngine::move_user);
+        let plans = self.plan_rows(updates);
         let cloak_start = Instant::now();
         let results = cloak_rows(&self.anon, &self.cfg, &plans);
         self.obs
@@ -688,50 +635,17 @@ impl ShardedEngine {
         (results, displaced)
     }
 
-    /// The three phases as barrier-separated job sets, one job per
-    /// touched shard (phases 1 and 3) or per slot's run of rows (phase
-    /// 2), under the pool or a replayed schedule.
+    /// Phase 1 as a loop, then phases 2 and 3 as barrier-separated job
+    /// sets — one job per slot's run of rows (phase 2) or per touched
+    /// private stripe (phase 3) — under the pool or a replayed schedule.
     fn run_phases_as_jobs(
         &mut self,
         updates: &[(UserId, Point, SimTime)],
     ) -> (RowResults, Vec<Option<Rect>>) {
-        // Cross-shard moves become remove+insert pairs on two shards.
-        let mut ops: Vec<Vec<ShardOp>> = (0..self.cfg.shards).map(|_| Vec::new()).collect();
-        let plans = self.plan_rows(updates, |engine, id, pos| {
-            let target = engine.shard_of(pos);
-            if let Some(prev) = reassign(&mut engine.owner, id, target) {
-                ops[prev].push(ShardOp::Remove(id));
-            }
-            ops[target].push(ShardOp::Insert(id, pos));
-        });
+        let plans = Arc::new(self.plan_rows(updates));
 
-        // Phase 1 (barrier): apply shard-local mutations in parallel.
-        let phase1: Vec<Job> = ops
-            .into_iter()
-            .zip(&self.anon)
-            .filter(|(ops, _)| !ops.is_empty())
-            .map(|(ops, shard)| {
-                let shard = Arc::clone(shard);
-                Box::new(move || {
-                    let mut grid = shard.write();
-                    for op in ops {
-                        match op {
-                            ShardOp::Insert(id, p) => {
-                                grid.insert(id, p);
-                            }
-                            ShardOp::Remove(id) => {
-                                grid.remove(id);
-                            }
-                        }
-                    }
-                }) as Job
-            })
-            .collect();
-        self.mode.run(phase1);
-
-        // Phase 2 (barrier): cloak every row against the summed view,
-        // a contiguous run of rows per slot.
-        let plans = Arc::new(plans);
+        // Phase 2 (barrier): cloak every row against the grid, a
+        // contiguous run of rows per slot.
         let sink: Arc<TrackedMutex<Vec<(usize, RowResults)>>> =
             Arc::new(TrackedMutex::new(LockRank::ResultSink, Vec::new()));
         let chunk = updates.len().div_ceil(self.mode.slots().max(1)).max(1);
@@ -740,7 +654,7 @@ impl ShardedEngine {
             .map(|start| {
                 let plans = Arc::clone(&plans);
                 let sink = Arc::clone(&sink);
-                let anon: Vec<_> = self.anon.iter().map(Arc::clone).collect();
+                let anon = Arc::clone(&self.anon);
                 let cfg = self.cfg;
                 Box::new(move || {
                     let end = (start + chunk).min(plans.len());
@@ -761,15 +675,15 @@ impl ShardedEngine {
         // Phase 3 (barrier): ingest cloaked regions into the private
         // store. Each op is tagged with its input row so the shards can
         // report the rectangle it displaced.
-        let mut ingest: Vec<Vec<ShardOp2>> = (0..self.cfg.shards).map(|_| Vec::new()).collect();
+        let mut ingest: Vec<Vec<IngestOp>> = (0..self.cfg.shards).map(|_| Vec::new()).collect();
         for (row, res) in results.iter().enumerate() {
             let Ok(res) = res else { continue };
             let (key, region) = (res.pseudonym.0, res.region.region);
             let target = self.shard_of(region.center());
             if let Some(prev) = reassign(&mut self.record_owner, key, target) {
-                ingest[prev].push(ShardOp2::Forget(row, key));
+                ingest[prev].push(IngestOp::Forget(row, key));
             }
-            ingest[target].push(ShardOp2::Upsert(row, PrivateRecord::new(key, region)));
+            ingest[target].push(IngestOp::Upsert(row, PrivateRecord::new(key, region)));
         }
         // One slot per input row; a row's ops can span two shards (a
         // cross-shard move), but at most one of them displaces a
@@ -791,8 +705,8 @@ impl ShardedEngine {
                         let mut store = shard.write();
                         for op in ops {
                             let (row, old) = match op {
-                                ShardOp2::Upsert(row, rec) => (row, store.upsert(rec)),
-                                ShardOp2::Forget(row, p) => (row, store.remove(p)),
+                                IngestOp::Upsert(row, rec) => (row, store.upsert(rec)),
+                                IngestOp::Forget(row, p) => (row, store.remove(p)),
                             };
                             if let Some(r) = old {
                                 displaced.push((row, r));
@@ -824,9 +738,10 @@ impl ShardedEngine {
     }
 
     /// Executes a private range query (Fig. 5a) for `user`: cloaks the
-    /// querier, collects `private_range_candidates` from every public
-    /// shard, and merges the per-shard lists in canonical id order.
-    /// Both hops are returned as wire bytes.
+    /// querier and collects `private_range_candidates` from the public
+    /// store, in canonical id order. Both hops are returned as wire
+    /// bytes. Read concurrency comes from concurrent callers of this
+    /// `&self` path, not from splitting one query.
     pub fn range_query(
         &self,
         user: UserId,
@@ -860,17 +775,10 @@ impl ShardedEngine {
             .ok_or(CloakError::UnknownUser(user))?;
         let req = profile.requirement_at(time.time_of_day());
         req.validate()?;
-        let shard = *self.owner.get(&user).ok_or(CloakError::UnknownUser(user))?;
         let region = {
-            // Closure variable hides the receiver from the static
-            // lock-order pass; name the rank explicitly.
-            // lint: lock(AnonShard)
-            let guards: Vec<_> = self.anon.iter().map(|s| s.read()).collect();
-            let pos = guards[shard]
-                .location(user)
-                .ok_or(CloakError::UnknownUser(user))?;
-            let view = SummedGrids::new(guards.iter().map(|g| &**g).collect());
-            cloak_with_counts(&view, pos, &req, self.cfg.refine, DEFAULT_MAX_REFINE_DEPTH)
+            let grid = self.anon.read();
+            let pos = grid.location(user).ok_or(CloakError::UnknownUser(user))?;
+            cloak_with_counts(&*grid, pos, &req, self.cfg.refine, DEFAULT_MAX_REFINE_DEPTH)
         };
         let msg = RangeQueryMsg {
             pseudonym: self.pseudonym(user),
@@ -879,18 +787,8 @@ impl ShardedEngine {
             time,
         };
         let request = wire::encode_range_query(&msg);
-        // Each shard's candidates cost about a microsecond: a plain loop
-        // beats any hand-off. Read concurrency comes from concurrent
-        // callers of this `&self` path, not from splitting one query.
-        let mut candidates: Vec<PublicObject> = Vec::new();
-        for shard in &self.public {
-            // lint: lock(PublicShard)
-            let store = shard.read();
-            candidates.extend(private_range_candidates(&store, &region.region, radius));
-        }
-        // Canonical merge order: ascending object id. Shards partition
-        // the objects, so ids are unique and the order is total.
-        candidates.sort_unstable_by_key(|o| o.id);
+        // Already in ascending object id, the canonical wire order.
+        let candidates = private_range_candidates(&self.public, &region.region, radius);
         let response =
             wire::encode_candidates(&candidates.iter().map(|o| (o.id, o.pos)).collect::<Vec<_>>());
         Ok(RangeQueryAnswer {
@@ -1055,8 +953,11 @@ impl ShardedEngine {
         self.journal_op(|| EngineOp::ShadowBatch {
             rows: rows.to_vec(),
         });
-        for &(id, pos, _time) in rows {
-            self.move_user(id, pos);
+        {
+            let mut grid = self.anon.write();
+            for &(id, pos, _time) in rows {
+                grid.insert(id, pos);
+            }
         }
         self.maybe_snapshot();
     }
@@ -1137,7 +1038,7 @@ impl ShardedEngine {
         }
         for &(id, seq) in &msg.ranges {
             self.standing_ranges
-                .install(id, msg.cloak, seq, &self.public_all);
+                .install(id, msg.cloak, seq, &self.public);
         }
         self.maybe_snapshot();
     }
@@ -1149,10 +1050,12 @@ impl ShardedEngine {
     /// user state (profiles, standing ownership) deliberately stays
     /// out: it lives on exactly one node and never went stale.
     pub fn resync_export(&self) -> wire::ResyncState {
-        let mut rows: Vec<(UserId, Point, SimTime)> = Vec::new();
-        for shard in &self.anon {
-            rows.extend(shard.read().iter().map(|(id, p)| (id, p, SimTime::ZERO)));
-        }
+        let mut rows: Vec<(UserId, Point, SimTime)> = self
+            .anon
+            .read()
+            .iter()
+            .map(|(id, p)| (id, p, SimTime::ZERO))
+            .collect();
         rows.sort_unstable_by_key(|&(id, _, _)| id);
         let mut cloaks: Vec<CloakedUpdate> = Vec::new();
         for shard in &self.private {
@@ -1213,17 +1116,14 @@ impl ShardedEngine {
             .map(|(&id, p)| (id, p.clone()))
             .collect();
         profiles.sort_unstable_by_key(|&(id, _)| id);
-        let mut positions: Vec<(UserId, Point)> = Vec::new();
-        for shard in &self.anon {
-            positions.extend(shard.read().iter());
-        }
+        let mut positions: Vec<(UserId, Point)> = self.anon.read().iter().collect();
         positions.sort_unstable_by_key(|&(id, _)| id);
         let mut records: Vec<(u64, Rect)> = Vec::new();
         for shard in &self.private {
             records.extend(shard.read().iter().map(|r| (r.pseudonym, r.region)));
         }
         records.sort_unstable_by_key(|&(p, _)| p);
-        let mut public: Vec<PublicObject> = self.public_all.iter().cloned().collect();
+        let mut public: Vec<PublicObject> = self.public.iter().cloned().collect();
         public.sort_unstable_by_key(|o| o.id);
         EngineState {
             config: self.cfg,
@@ -1244,10 +1144,11 @@ impl ShardedEngine {
         for (id, profile) in &state.profiles {
             e.profiles.insert(*id, profile.clone());
         }
-        for &(id, p) in &state.positions {
-            let shard = e.shard_of(p);
-            e.anon[shard].write().insert(id, p);
-            e.owner.insert(id, shard);
+        {
+            let mut grid = e.anon.write();
+            for &(id, p) in &state.positions {
+                grid.insert(id, p);
+            }
         }
         for &(pseudonym, rect) in &state.records {
             let shard = e.shard_of(rect.center());
@@ -1303,11 +1204,11 @@ impl ShardedEngine {
     }
 }
 
-/// Second mutation kind, for the private-store ingest phase. The
+/// A mutation of one private stripe during phase 3. The
 /// leading `usize` is the input-row index the op belongs to, so the
 /// displaced rectangle can be routed back to that row's standing-query
 /// delta.
-enum ShardOp2 {
+enum IngestOp {
     Upsert(usize, PrivateRecord),
     Forget(usize, u64),
 }
@@ -1329,44 +1230,33 @@ fn reassign<K: std::hash::Hash + Eq>(
     owners.insert(key, target).filter(|&prev| prev != target)
 }
 
-/// Phase 2 for a run of rows: takes every anon shard's read guard once
-/// and cloaks each planned row against the summed view.
+/// Phase 2 for a run of rows: takes the grid's read guard once and
+/// cloaks each planned row against it.
 fn cloak_rows(
-    anon: &[Arc<TrackedRwLock<UniformGrid>>],
+    anon: &TrackedRwLock<UniformGrid>,
     cfg: &EngineConfig,
     plans: &[RowPlan],
 ) -> RowResults {
-    // The closure variable hides the receiver from the static
-    // lock-order pass; name the rank explicitly.
-    // lint: lock(AnonShard)
-    let guards: Vec<_> = anon.iter().map(|s| s.read()).collect();
-    let view = SummedGrids::new(guards.iter().map(|g| &**g).collect());
+    let grid = anon.read();
     // Shared execution (Sec. 5.3): one cloak per (cell, requirement)
     // group, as in the sequential batch path. The cache changes which
     // rows recompute, never the value — cloaks are pure functions of
-    // the view.
+    // the grid's counts.
     let mut cache: HashMap<(u64, u32, u64, u64), CloakedRegion> = HashMap::new();
     plans
         .iter()
         .map(|plan| match plan {
             RowPlan::Fail(e) => Err(e.clone()),
-            RowPlan::Cloak {
-                id,
-                shard,
-                req,
-                time,
-            } => cloak_row(&view, &guards[*shard], *id, req, *time, cfg, &mut cache),
+            RowPlan::Cloak { id, req, time } => cloak_row(&grid, *id, req, *time, cfg, &mut cache),
         })
         .collect()
 }
 
-/// Cloaks one row against the summed view, mirroring the sequential
-/// batch path: validate, look up the final position, consult the
+/// Cloaks one row against the grid, mirroring the sequential batch
+/// path: validate, look up the final position, consult the
 /// shared-execution cache, run the grid merge.
-#[allow(clippy::too_many_arguments)]
 fn cloak_row(
-    view: &SummedGrids<'_>,
-    owner_grid: &UniformGrid,
+    grid: &UniformGrid,
     id: UserId,
     req: &CloakRequirement,
     time: SimTime,
@@ -1374,22 +1264,22 @@ fn cloak_row(
     cache: &mut HashMap<(u64, u32, u64, u64), CloakedRegion>,
 ) -> Result<CloakedUpdate, CloakError> {
     req.validate()?;
-    let pos = owner_grid.location(id).ok_or(CloakError::UnknownUser(id))?;
+    let pos = grid.location(id).ok_or(CloakError::UnknownUser(id))?;
     // Sharing key: the occupied cell — sound only without refinement,
     // exactly as GridCloak::sharing_key declares.
     let region = if cfg.refine {
-        cloak_with_counts(view, pos, req, true, DEFAULT_MAX_REFINE_DEPTH)
+        cloak_with_counts(grid, pos, req, true, DEFAULT_MAX_REFINE_DEPTH)
     } else {
-        let c = view.cell_of(pos);
+        let c = grid.cell_of(pos);
         let key = (
-            u64::from(c.iy) * u64::from(view.nx()) + u64::from(c.ix),
+            u64::from(c.iy) * u64::from(grid.nx()) + u64::from(c.ix),
             req.k,
             req.a_min.to_bits(),
             req.a_max.to_bits(),
         );
         *cache
             .entry(key)
-            .or_insert_with(|| cloak_with_counts(view, pos, req, false, DEFAULT_MAX_REFINE_DEPTH))
+            .or_insert_with(|| cloak_with_counts(grid, pos, req, false, DEFAULT_MAX_REFINE_DEPTH))
     };
     let mut z = cfg.secret ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = splitmix64_raw(z);
@@ -1404,6 +1294,7 @@ fn cloak_row(
 mod tests {
     use super::*;
     use lbsp_anonymizer::{GridCloak, LocationAnonymizer};
+    use lbsp_index::CellCounts;
     use std::sync::Mutex;
 
     fn world() -> Rect {
@@ -1431,25 +1322,81 @@ mod tests {
         e
     }
 
+    /// Coordinates on the lines a cloak or an old anonymizer stripe could
+    /// split at — the stripe lines 1/4, 1/2 and 3/4, the cell edges 3/16
+    /// and 13/16, the sub-cell edge 67/256 — and on and just past the
+    /// world's edges, which clamp into the border cells.
+    const EDGES: [f64; 10] = [
+        -1.0 / 1024.0,
+        0.0,
+        3.0 / 16.0,
+        0.25,
+        67.0 / 256.0,
+        0.5,
+        0.75,
+        13.0 / 16.0,
+        1.0,
+        1.0 + 1.0 / 1024.0,
+    ];
+
+    /// The lattice, then three waves on `EDGES`, every user on other
+    /// lines than the wave before: 64 rows (the pool's job path), 24
+    /// (inline), and 64 more with a third of the users moving a second
+    /// time within the batch, across a stripe line.
+    fn edge_batches() -> Vec<Vec<(UserId, Point, SimTime)>> {
+        let at = |i: u64, w: u64| {
+            let x = EDGES[((i + w) % 10) as usize];
+            Point::new(x, EDGES[((3 * i + 7 * w) % 10) as usize])
+        };
+        let mut batches = vec![lattice_updates(64)];
+        for (w, users) in [(1u64, 64u64), (2, 24), (3, 64)] {
+            let t = SimTime::from_secs(w as f64);
+            let mut batch: Vec<_> = (0..users).map(|i| (i, at(i, w), t)).collect();
+            if w == 3 {
+                batch.extend((0..users).step_by(3).map(|i| (i, at(i, w + 5), t)));
+            }
+            batches.push(batch);
+        }
+        batches
+    }
+
     #[test]
     fn engine_matches_sequential_anonymizer() {
-        let cfg = EngineConfig::new(world());
-        let mut seq = LocationAnonymizer::new(GridCloak::new(world(), cfg.grid_side), cfg.secret);
-        let mut eng = engine(4);
-        for i in 0..64u64 {
-            seq.register(
-                i,
-                PrivacyProfile::uniform(CloakRequirement::k_only(5)).unwrap(),
-            );
-        }
-        let updates = lattice_updates(64);
-        let a = seq.handle_updates_batch(&updates);
-        let b = eng.process_updates(&updates);
-        for (x, y) in a.iter().zip(&b) {
-            let (x, y) = (x.as_ref().unwrap(), y.as_ref().unwrap());
-            assert_eq!(x.pseudonym, y.pseudonym);
-            assert_eq!(x.region, y.region);
-            assert_eq!(x.time, y.time);
+        let k5 = || PrivacyProfile::uniform(CloakRequirement::k_only(5)).unwrap();
+        for refine in [false, true] {
+            let cfg = EngineConfig {
+                refine,
+                ..EngineConfig::new(world())
+            };
+            let algo = GridCloak::new(world(), cfg.grid_side).with_refinement(refine);
+            let mut seq = LocationAnonymizer::new(algo, cfg.secret);
+            for i in 0..64u64 {
+                seq.register(i, k5());
+            }
+            let want: Vec<Vec<Bytes>> = edge_batches()
+                .iter()
+                .map(|batch| {
+                    let rows = seq.handle_updates_batch(batch).into_iter();
+                    rows.map(|u| wire::encode_cloaked_update(&u.unwrap()))
+                        .collect()
+                })
+                .collect();
+            let engines = [ShardedEngine::new(cfg, 4), ShardedEngine::new(cfg, 1)]
+                .into_iter()
+                .chain((0..4).map(|seed| ShardedEngine::with_replay(cfg, seed)));
+            for (n, mut eng) in engines.enumerate() {
+                for i in 0..64u64 {
+                    eng.register(i, k5());
+                }
+                for (batch, want) in edge_batches().iter().zip(&want) {
+                    let got: Vec<Bytes> = eng
+                        .process_updates_wire(batch)
+                        .into_iter()
+                        .map(Result::unwrap)
+                        .collect();
+                    assert_eq!(&got, want, "engine {n}, refine {refine}");
+                }
+            }
         }
     }
 
@@ -1597,14 +1544,21 @@ mod tests {
     }
 
     #[test]
-    fn moves_across_stripes_keep_one_copy() {
+    fn a_cloak_moving_across_private_stripes_keeps_one_record() {
         let mut e = engine(4);
+        // A point cloak: the record's stripe is the user's.
+        e.register(
+            1,
+            PrivacyProfile::uniform(CloakRequirement::k_only(1)).unwrap(),
+        );
         e.process_updates(&[(1, Point::new(0.1, 0.5), SimTime::ZERO)]);
-        assert_eq!(e.population(), 1);
+        let key = e.pseudonym(1).0;
+        assert_eq!(e.record_owner[&key], 0);
         // Move across every stripe boundary.
         e.process_updates(&[(1, Point::new(0.9, 0.5), SimTime::from_secs(1.0))]);
-        assert_eq!(e.population(), 1, "old shard dropped the user");
-        assert_eq!(e.private_len(), 1, "one private record survives");
+        assert_eq!(e.record_owner[&key], 3);
+        assert_eq!(e.population(), 1);
+        assert_eq!(e.private_len(), 1, "the old stripe dropped the record");
     }
 
     #[test]
@@ -1640,7 +1594,7 @@ mod tests {
     }
 
     #[test]
-    fn range_query_merges_shards_in_id_order() {
+    fn range_query_answers_in_id_order() {
         let mut e = engine(4);
         let objects: Vec<PublicObject> = (0..40)
             .map(|i| PublicObject::new(i, Point::new(((i as f64) * 0.025).min(0.999), 0.5), 0))

@@ -5,9 +5,9 @@
 //! registry encodes is the classic deadlock-freedom discipline: a
 //! thread may only acquire a lock whose rank is **greater than or equal
 //! to** every rank it already holds. Equal ranks are reserved for
-//! sharded lock arrays (`AnonShard`, `PrivateShard`, `PublicShard`),
-//! whose members are always acquired in ascending shard-index order by
-//! construction — so equal-rank acquisition cannot cycle either.
+//! lock arrays (`PrivateShard`, `ClusterNode`), whose members are always
+//! acquired in ascending index order by construction — so equal-rank
+//! acquisition cannot cycle either.
 //!
 //! [`TrackedMutex`] and [`TrackedRwLock`] wrap `std::sync` locks with
 //! that discipline:
@@ -37,7 +37,7 @@ use std::fmt;
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Number of declared lock ranks.
-pub const LOCK_RANK_COUNT: usize = 13;
+pub const LOCK_RANK_COUNT: usize = 12;
 
 /// The ordered lock registry. Declaration order *is* acquisition order:
 /// a thread holding a lock of some rank may only acquire locks of equal
@@ -78,13 +78,12 @@ pub enum LockRank {
     HilbertRanks,
     /// `lbsp-core`: the `WorkerPool` shared job-queue receiver.
     PoolQueue,
-    /// `lbsp-core`: the per-shard anonymizer registry grids (equal-rank
-    /// array, acquired in ascending shard order).
+    /// `lbsp-core`: the anonymizer grid every cloak reads (one lock;
+    /// the user-position plane).
     AnonShard,
-    /// `lbsp-core`: the per-shard private (pseudonym → cloak) stores.
+    /// `lbsp-core`: the per-stripe private (pseudonym → cloak) stores
+    /// (equal-rank array, acquired in ascending stripe order).
     PrivateShard,
-    /// `lbsp-core`: the per-shard public-object stores.
-    PublicShard,
     /// `lbsp-core`: phase-result collection sinks (row results,
     /// displaced rectangles).
     ResultSink,
@@ -104,7 +103,6 @@ impl LockRank {
         LockRank::PoolQueue,
         LockRank::AnonShard,
         LockRank::PrivateShard,
-        LockRank::PublicShard,
         LockRank::ResultSink,
     ];
 
@@ -127,7 +125,6 @@ impl LockRank {
             LockRank::PoolQueue => "PoolQueue",
             LockRank::AnonShard => "AnonShard",
             LockRank::PrivateShard => "PrivateShard",
-            LockRank::PublicShard => "PublicShard",
             LockRank::ResultSink => "ResultSink",
         }
     }
@@ -468,10 +465,10 @@ mod tests {
 
     #[test]
     fn equal_rank_reacquisition_is_legal() {
-        // Sharded lock arrays: every shard shares one rank and is
-        // acquired in ascending index order.
+        // Lock arrays: every stripe shares one rank and is acquired in
+        // ascending index order.
         let shards: Vec<TrackedRwLock<usize>> = (0..4)
-            .map(|i| TrackedRwLock::new(LockRank::AnonShard, i))
+            .map(|i| TrackedRwLock::new(LockRank::PrivateShard, i))
             .collect();
         let guards: Vec<_> = shards.iter().map(|s| s.read()).collect();
         let total: usize = guards.iter().map(|g| **g).sum();
@@ -529,7 +526,9 @@ mod tests {
 
     #[test]
     fn hold_stats_accumulate_in_debug() {
-        let m = TrackedMutex::new(LockRank::PublicShard, ());
+        // A rank no other test in this binary takes, so no concurrent
+        // test moves its counts between the two reads below.
+        let m = TrackedMutex::new(LockRank::HilbertRanks, ());
         for _ in 0..5 {
             drop(m.lock());
         }
@@ -537,7 +536,7 @@ mod tests {
         assert_eq!(stats.len(), LOCK_RANK_COUNT);
         let row = stats
             .iter()
-            .find(|s| s.rank == "PublicShard")
+            .find(|s| s.rank == "HilbertRanks")
             .expect("every rank reported");
         if cfg!(debug_assertions) {
             assert!(row.acquisitions >= 5, "acquisitions counted");

@@ -31,7 +31,7 @@ mod pyramid;
 mod quadtree;
 mod rtree;
 
-pub use counts::{CellCounts, SummedGrids};
+pub use counts::CellCounts;
 pub use grid::{CellCoord, UniformGrid};
 pub use pyramid::{PyramidCell, PyramidGrid};
 pub use quadtree::PointQuadTree;

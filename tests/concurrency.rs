@@ -4,9 +4,8 @@
 //! *implementation detail* — every byte that crosses the anonymizer →
 //! server trust boundary is identical to what the single-threaded
 //! pipeline emits, for every worker count and every replayed schedule.
-//! Cloaking consumes only integer cell counts, summing per-shard counts
-//! is order-independent, and per-shard query results merge in canonical
-//! id order, so equivalence is exact, not approximate.
+//! Cloaking consumes only integer cell counts and query candidates come
+//! back in canonical id order, so equivalence is exact, not approximate.
 
 use lbsp_anonymizer::{CloakRequirement, GridCloak, LocationAnonymizer, PrivacyProfile};
 use lbsp_core::engine::{EngineConfig, ShardedEngine};
@@ -266,9 +265,27 @@ struct Transcript {
     samples: [u64; 4],
 }
 
+/// Coordinates on the lines a cloak or a stripe could split at — the
+/// stripe lines 1/4, 1/2 and 3/4, the cell edges 3/16 and 13/16, the
+/// sub-cell edge 67/256 — and on and just past the world's edges, which
+/// clamp into the border cells.
+const EDGES: [f64; 10] = [
+    -1.0 / 1024.0,
+    0.0,
+    3.0 / 16.0,
+    0.25,
+    67.0 / 256.0,
+    0.5,
+    0.75,
+    13.0 / 16.0,
+    1.0,
+    1.0 + 1.0 / 1024.0,
+];
+
 /// One script — duplicate users inside a batch, cross-stripe moves,
-/// unknown users, a `k = 1` point cloak, a standing count and a standing
-/// range registered — cut into batches of `rows`.
+/// users on stripe, cell and world edges, unknown users, a `k = 1` point
+/// cloak, a standing count and a standing range registered — cut into
+/// batches of `rows`.
 fn run_batch_size_script(e: &mut ShardedEngine, rows: usize) -> Transcript {
     const USERS: u64 = 120;
     const POINT_USER: u64 = 7;
@@ -302,8 +319,16 @@ fn run_batch_size_script(e: &mut ShardedEngine, rows: usize) -> Transcript {
             _ if row.is_multiple_of(13) => 11,
             _ => rng.random_range(0..USERS),
         };
-        // Uniform positions: three moves in four change stripe.
-        script.push((user, point(&mut rng), SimTime::from_secs(row as f64)));
+        // Uniform positions: three moves in four change stripe. Every
+        // third row lands on `EDGES` lines instead, so users move onto,
+        // off and across them within a batch and between batches.
+        let pos = if row % 3 == 1 {
+            let mut edge = || EDGES[rng.random_range(0..EDGES.len())];
+            Point::new(edge(), edge())
+        } else {
+            point(&mut rng)
+        };
+        script.push((user, pos, SimTime::from_secs(row as f64)));
     }
 
     let mut t = Transcript {
