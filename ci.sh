@@ -24,11 +24,12 @@ echo "== concurrency + loopback under debug_assertions (lock-order checker armed
 # 1 to 256 rows on a 4-worker pool, a 1-worker pool and replayed
 # schedules), so the runtime checker walks the engine's inline path as
 # well as its job bodies; the engine's own inline-path tests ride along,
-# and so do its stripe-crossing tests (users on and across stripe, cell
+# and so do its edge-crossing tests (users on and across quarter, cell
 # and world edges against the sequential cloak, on the pool, inline and
-# replayed), which walk the one anonymizer grid on every path.
+# replayed; a cloak moving across the world staying one record), which
+# walk the one anonymizer grid and the one private store on every path.
 cargo test -q --offline --test concurrency
-cargo test -q --offline -p lbsp-core --lib -- inline threshold stripes sequential_anonymizer
+cargo test -q --offline -p lbsp-core --lib -- inline threshold across_the_world sequential_anonymizer
 cargo test -q --offline --test net_loopback
 
 echo "== loopback byte-identity (network vs in-process) =="

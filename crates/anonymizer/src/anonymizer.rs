@@ -7,7 +7,7 @@
 //! identity (unless the profile says `k = 1`, the paper's opt-out).
 
 use crate::cloak::{CloakRequirement, CloakedRegion, CloakingAlgorithm};
-use crate::{Billing, CloakError, PrivacyProfile, Tariff, UserId};
+use crate::{CloakError, PrivacyProfile, UserId};
 use lbsp_geom::{Point, Rect, SimTime};
 use std::collections::HashMap;
 use std::sync::RwLock;
@@ -51,7 +51,6 @@ pub struct LocationAnonymizer<A> {
     algo: A,
     profiles: HashMap<UserId, PrivacyProfile>,
     secret: u64,
-    billing: Option<Billing>,
 }
 
 /// Redacting formatter: the pseudonym secret must never reach a log
@@ -62,7 +61,6 @@ impl<A> std::fmt::Debug for LocationAnonymizer<A> {
         f.debug_struct("LocationAnonymizer")
             .field("registered", &self.profiles.len())
             .field("secret", &"<redacted>")
-            .field("billing", &self.billing.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -75,22 +73,7 @@ impl<A: CloakingAlgorithm> LocationAnonymizer<A> {
             algo,
             profiles: HashMap::new(),
             secret,
-            billing: None,
         }
-    }
-
-    /// Enables protection-level billing (Sec. 5: "the location
-    /// anonymizer may charge the mobile users based on their required
-    /// protection level"). Every cloaked update is charged under
-    /// `tariff`.
-    pub fn with_billing(mut self, tariff: Tariff) -> LocationAnonymizer<A> {
-        self.billing = Some(Billing::new(tariff));
-        self
-    }
-
-    /// The billing ledger, when enabled.
-    pub fn billing(&self) -> Option<&Billing> {
-        self.billing.as_ref()
     }
 
     /// The underlying cloaking algorithm (read access).
@@ -175,9 +158,6 @@ impl<A: CloakingAlgorithm> LocationAnonymizer<A> {
         };
         self.algo.upsert(id, position);
         let region = self.algo.cloak(id, &req)?;
-        if let Some(billing) = &mut self.billing {
-            billing.record(id, &req);
-        }
         Ok(CloakedUpdate {
             pseudonym: self.pseudonym(id),
             region,
@@ -215,9 +195,6 @@ impl<A: CloakingAlgorithm> LocationAnonymizer<A> {
             .zip(reqs)
             .map(|(&(id, _, time), req)| {
                 let req = req?;
-                if let Some(billing) = &mut self.billing {
-                    billing.record(id, &req);
-                }
                 let region = match self.algo.sharing_key(id) {
                     Some(key) => cache
                         .entry((key, req.k, req.a_min.to_bits(), req.a_max.to_bits()))
@@ -475,35 +452,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn billing_charges_by_protection_level() {
-        let mut a =
-            LocationAnonymizer::new(QuadCloak::new(world(), 5), 3).with_billing(Tariff::default());
-        a.register(
-            1,
-            PrivacyProfile::uniform(CloakRequirement::k_only(2)).unwrap(),
-        );
-        a.register(
-            2,
-            PrivacyProfile::uniform(CloakRequirement::k_only(512)).unwrap(),
-        );
-        for t in 0..3 {
-            for id in [1u64, 2] {
-                a.handle_update(id, Point::new(0.5, 0.5), SimTime::from_secs(t as f64))
-                    .unwrap();
-            }
-        }
-        let billing = a.billing().expect("enabled");
-        let (n1, total1) = billing.statement(1);
-        let (n2, total2) = billing.statement(2);
-        assert_eq!((n1, n2), (3, 3));
-        assert!(total2 > total1, "k=512 costs more than k=2");
-        assert!((billing.revenue() - (total1 + total2)).abs() < 1e-12);
-        // Billing is off by default.
-        let plain = LocationAnonymizer::new(QuadCloak::new(world(), 3), 3);
-        assert!(plain.billing().is_none());
     }
 
     #[test]

@@ -26,17 +26,15 @@
 //!   (HilbASR-style reciprocal bucketing) and [`TemporalCloak`]
 //!   (Gruteser–Grunwald delay-for-area trading).
 //! * **The anonymizer service** ([`LocationAnonymizer`]): registration,
-//!   pseudonymization, batched shared execution, optional
-//!   protection-level [`Billing`], and the update/query cloaking entry
-//!   points that sit between mobile users and the database server
-//!   (Fig. 1).
+//!   pseudonymization, batched shared execution, and the update/query
+//!   cloaking entry points that sit between mobile users and the
+//!   database server (Fig. 1).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod anonymizer;
 pub mod attack;
-mod billing;
 mod cloak;
 mod error;
 mod grid_cloak;
@@ -52,7 +50,6 @@ mod temporal;
 pub use anonymizer::{
     CloakedQuery, CloakedUpdate, ConcurrentAnonymizer, LocationAnonymizer, Pseudonym,
 };
-pub use billing::{Billing, Tariff};
 pub use cloak::{CloakRequirement, CloakedRegion, CloakingAlgorithm};
 pub use error::CloakError;
 pub use grid_cloak::{cloak_with_counts, GridCloak, DEFAULT_MAX_REFINE_DEPTH};

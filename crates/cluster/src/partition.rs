@@ -1,12 +1,8 @@
 //! The cluster's region → node map.
 //!
-//! Node ownership follows the same rule the in-process engine uses for
-//! shard ownership: the world is cut into `n` equal-width vertical
-//! stripes and a position belongs to the stripe containing its `x`
-//! coordinate, clamped at the edges. Using the identical formula keeps
-//! the two levels of partitioning (shards inside a node, nodes inside
-//! the cluster) congruent, so reasoning that holds for one transfers to
-//! the other.
+//! The world is cut into `n` equal-width vertical stripes and a position
+//! belongs to the stripe containing its `x` coordinate, clamped at the
+//! edges, so every point has exactly one owner.
 
 use lbsp_geom::{Point, Rect};
 
@@ -37,9 +33,9 @@ impl PartitionMap {
         self.world
     }
 
-    /// The node owning position `p` — the same clamped-stripe rule as
-    /// the engine's shard assignment, so out-of-world positions land on
-    /// the nearest edge node rather than erroring.
+    /// The node owning position `p`: a clamped floor over equal
+    /// vertical stripes, so out-of-world positions land on the nearest
+    /// edge node rather than erroring.
     // The cast is a clamped floor: NaN and negatives collapse to 0 via
     // `max`, and the `min` below bounds the top end.
     #[allow(clippy::cast_possible_truncation)]

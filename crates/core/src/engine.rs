@@ -13,32 +13,28 @@
 //!   sequential [`lbsp_anonymizer::GridCloak`] runs too. A cloak reads
 //!   counts of cells anywhere in the world, so a grid split into stripes
 //!   would have every cloak read every stripe and gain no parallelism.
-//! * **Server side** — the private store (pseudonym → cloaked rectangle)
-//!   is split into `shards` vertical stripes of the world, keyed by the
-//!   center of each record's region; phase 3 ingests into the stripes as
-//!   one job per stripe touched. The public objects live in one store:
-//!   `private_range_candidates` already answers in ascending id order,
-//!   the canonical wire order.
+//! * **Server side** — one private store (pseudonym → cloaked
+//!   rectangle), the paper's table of cloaked records, written only by
+//!   the coordinator, and one public store: `private_range_candidates`
+//!   already answers in ascending id order, the canonical wire order.
 //! * **Trust boundary** — everything leaving the engine flows through
 //!   the typed [`crate::wire`] messages: cloaked updates and range-query
 //!   requests carry pseudonyms and rectangles only, never an exact
 //!   point or a true identity.
 //!
-//! Batches run in barrier-separated phases mirroring
+//! Batches run in phases mirroring
 //! [`LocationAnonymizer::handle_updates_batch`][hub]: phase 1 applies
-//! every position upsert (a loop on the calling thread, inside the
-//! coordinator pass), phase 2 cloaks every row against the settled
-//! population (a contiguous run of rows per job), phase 3 ingests the
-//! cloaks into the private stripes. A batch too small to pay for a
-//! hand-off — every single-row update off a socket — and any batch on a
-//! one-worker pool runs phases 2 and 3 as plain loops on the calling
-//! thread too, through the same row- and stripe-level functions, with no
-//! job, `Arc` or result sink built. The [`ReplayScheduler`] execution
-//! mode never takes that shortcut: it replays any seeded permutation of
-//! the per-phase jobs sequentially — every such permutation is a
-//! possible concurrent schedule, so the concurrency tests assert that
-//! all of them, the real thread pool at any width and the inline path
-//! produce the same bytes.
+//! every position upsert, phase 2 cloaks every row against the settled
+//! population, phase 3 ingests the cloaks into the private store.
+//! Phases 1 and 3 are loops on the calling thread. Phase 2 is one
+//! `cloak_rows` call there too when the batch is too small to pay for a
+//! hand-off — every single-row update off a socket — or the pool has one
+//! worker; otherwise it is one job per slot's contiguous run of rows.
+//! The [`ReplayScheduler`] execution mode never takes the shortcut: it
+//! replays any seeded permutation of the phase-2 jobs sequentially —
+//! every such permutation is a possible concurrent schedule, so the
+//! concurrency tests assert that all of them, the real thread pool at
+//! any width and the inline path produce the same bytes.
 //!
 //! [hub]: lbsp_anonymizer::LocationAnonymizer::handle_updates_batch
 
@@ -75,8 +71,8 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// The outcome of a run of rows, in input order.
 type RowResults = Vec<Result<CloakedUpdate, CloakError>>;
 
-/// A batch with fewer rows than this runs on the calling thread: each of
-/// the two job phases would hand off at about 2 µs on one CPU and 20 µs
+/// A batch with fewer rows than this cloaks on the calling thread: the
+/// cloak phase's jobs would hand off at about 2 µs on one CPU and 20 µs
 /// across two, a row costs 2–3 µs, so a smaller batch cannot pay for it.
 const INLINE_BELOW: usize = 32;
 
@@ -86,8 +82,8 @@ const INLINE_BELOW: usize = 32;
 /// [`WorkerPool::run`] is a barrier: it returns only after every
 /// submitted job has finished, which is what separates the engine's
 /// cloak phase from its ingest phase. The caller is one of the phase's
-/// threads — it runs the last job itself — so a one-job phase (every
-/// phase of a one-row update) crosses no thread boundary.
+/// threads — it runs the last job itself — so a one-job phase crosses no
+/// thread boundary.
 pub struct WorkerPool {
     tx: Option<Sender<(Job, Sender<bool>)>>,
     handles: Vec<JoinHandle<()>>,
@@ -163,14 +159,13 @@ impl Drop for WorkerPool {
 
 /// Deterministic replay of concurrent schedules.
 ///
-/// Within each engine phase, jobs only read shared state (the cloak
-/// phase) or touch pairwise-disjoint stripes (the ingest phase), so any
-/// execution order is a legal concurrent schedule. The scheduler
-/// runs each phase's jobs *sequentially* in the order given by a seeded
-/// Fisher–Yates permutation (a fresh permutation per phase, derived from
-/// `seed` and a phase counter). Replaying many seeds and asserting
-/// bit-identical outputs against the real pool demonstrates schedule
-/// independence.
+/// The engine's only job phase, the cloak phase, has jobs that only
+/// read shared state, so any execution order is a legal concurrent
+/// schedule. The scheduler runs each phase's jobs *sequentially* in the
+/// order given by a seeded Fisher–Yates permutation (a fresh permutation
+/// per phase, derived from `seed` and a phase counter). Replaying many
+/// seeds and asserting bit-identical outputs against the real pool
+/// demonstrates schedule independence.
 pub struct ReplayScheduler {
     seed: u64,
     phase: AtomicU64,
@@ -214,7 +209,7 @@ impl ReplayScheduler {
     }
 }
 
-/// How the engine executes its per-phase job sets.
+/// How the engine executes its cloak-phase jobs.
 pub enum ExecutionMode {
     /// A real thread pool: jobs run concurrently.
     Pool(WorkerPool),
@@ -230,7 +225,7 @@ impl ExecutionMode {
         }
     }
 
-    /// Whether a batch of `rows` runs as plain code on the caller: it
+    /// Whether a batch of `rows` cloaks as plain code on the caller: it
     /// is too small to share, or there is nobody to share it with.
     /// Replay never inlines — it is the reference that the inline path,
     /// the pool and every permuted schedule are compared against.
@@ -261,10 +256,6 @@ pub struct EngineConfig {
     pub grid_side: u32,
     /// Enable the multi-level refinement optimization.
     pub refine: bool,
-    /// Number of vertical stripes the private store is split into.
-    /// Fixed independently of the worker count so results never depend
-    /// on parallelism.
-    pub shards: usize,
     /// Secret keying the pseudonym bijection.
     pub secret: u64,
 }
@@ -277,20 +268,18 @@ impl std::fmt::Debug for EngineConfig {
             .field("world", &self.world)
             .field("grid_side", &self.grid_side)
             .field("refine", &self.refine)
-            .field("shards", &self.shards)
             .field("secret", &"<redacted>")
             .finish()
     }
 }
 
 impl EngineConfig {
-    /// A reasonable default: 16×16 cloak grid, 4 stripes, no refinement.
+    /// A reasonable default: 16×16 cloak grid, no refinement.
     pub fn new(world: Rect) -> EngineConfig {
         EngineConfig {
             world,
             grid_side: 16,
             refine: false,
-            shards: 4,
             secret: 0x1BAD_B002_CAFE_F00D,
         }
     }
@@ -319,19 +308,19 @@ pub struct RangeQueryAnswer {
     pub response: Bytes,
 }
 
-/// The concurrent engine: one anonymizer grid, a private store split
-/// into spatial stripes behind per-stripe locks, and one public store.
+/// The concurrent engine: one anonymizer grid, shared with the cloak
+/// jobs, and one private and one public store, which only the
+/// coordinator writes.
 pub struct ShardedEngine {
     cfg: EngineConfig,
     mode: ExecutionMode,
     /// Coordinator-owned profile registry (read-only during batches).
     profiles: HashMap<UserId, PrivacyProfile>,
-    /// Which private-store stripe holds each pseudonym's record.
-    record_owner: HashMap<u64, usize>,
     /// Every tracked user's exact position: the count view each cloak
     /// reads. Shared with the cloak-phase jobs, which only read it.
     anon: Arc<TrackedRwLock<UniformGrid>>,
-    private: Vec<Arc<TrackedRwLock<PrivateStore>>>,
+    /// Every pseudonym's current cloaked rectangle.
+    private: PrivateStore,
     /// Standing count queries over the private population, maintained
     /// incrementally from per-row `(old, new)` cloak deltas.
     standing_counts: ContinuousRangeCount,
@@ -365,25 +354,15 @@ impl ShardedEngine {
 
     /// Builds the engine with an explicit execution mode.
     pub fn with_mode(cfg: EngineConfig, mode: ExecutionMode) -> ShardedEngine {
-        assert!(cfg.shards > 0, "engine needs at least one shard");
-        let shards = cfg.shards;
         ShardedEngine {
             cfg,
             mode,
             profiles: HashMap::new(),
-            record_owner: HashMap::new(),
             anon: Arc::new(TrackedRwLock::new(
                 LockRank::AnonShard,
                 UniformGrid::new(cfg.world, cfg.grid_side, cfg.grid_side),
             )),
-            private: (0..shards)
-                .map(|_| {
-                    Arc::new(TrackedRwLock::new(
-                        LockRank::PrivateShard,
-                        PrivateStore::new(),
-                    ))
-                })
-                .collect(),
+            private: PrivateStore::new(),
             standing_counts: ContinuousRangeCount::new(),
             standing_ranges: StandingPrivateRanges::new(),
             public: PublicStore::new(),
@@ -461,15 +440,6 @@ impl ShardedEngine {
         &self.obs
     }
 
-    /// Private-store stripe owning records centered at `p`: vertical
-    /// stripes of equal width, with out-of-world points clamped to the
-    /// border stripes.
-    pub fn shard_of(&self, p: Point) -> usize {
-        let f = (p.x - self.cfg.world.min_x()) / self.cfg.world.width();
-        let s = (f * self.cfg.shards as f64).floor();
-        (s.max(0.0) as usize).min(self.cfg.shards - 1)
-    }
-
     /// Registers a user with a privacy profile.
     pub fn register(&mut self, id: UserId, profile: PrivacyProfile) {
         self.journal_op(|| EngineOp::RegisterUser {
@@ -491,9 +461,9 @@ impl ShardedEngine {
         self.anon.read().len()
     }
 
-    /// Number of private records, across all shards.
+    /// Number of private records.
     pub fn private_len(&self) -> usize {
-        self.private.iter().map(|s| s.read().len()).sum()
+        self.private.len()
     }
 
     /// Loads the public-object dataset, replacing any loaded before.
@@ -516,13 +486,12 @@ impl ShardedEngine {
 
     /// Processes one batch of exact location updates: phase 1 applies
     /// every upsert, phase 2 cloaks every row against the settled
-    /// population, phase 3 ingests the cloaked regions into the striped
-    /// private store. Results are in input order; unknown users error
-    /// in place, exactly like the sequential batch path. Phase 1 is
-    /// always a loop on the calling thread. A batch too small to share
-    /// (see `INLINE_BELOW`) runs phases 2 and 3 as plain loops there
-    /// too, a larger one as jobs; both cloak and ingest through the same
-    /// row- and stripe-level functions.
+    /// population, phase 3 ingests the cloaked regions into the private
+    /// store. Results are in input order; unknown users error in place,
+    /// exactly like the sequential batch path. Phases 1 and 3 are loops
+    /// on the calling thread. Phase 2 is one `cloak_rows` call there too
+    /// for a batch too small to share (see `INLINE_BELOW`), and one job
+    /// per slot's run of rows otherwise.
     pub fn process_updates(
         &mut self,
         updates: &[(UserId, Point, SimTime)],
@@ -533,11 +502,24 @@ impl ShardedEngine {
         self.journal_op(|| EngineOp::UpdateBatch {
             rows: updates.to_vec(),
         });
-        let (results, displaced) = if self.mode.runs_inline(updates.len()) {
-            self.run_phases_inline(updates)
+        let plans = self.plan_rows(updates);
+        let cloak_start = Instant::now();
+        let results = if self.mode.runs_inline(plans.len()) {
+            cloak_rows(&self.anon, &self.cfg, &plans)
         } else {
-            self.run_phases_as_jobs(updates)
+            self.cloak_rows_as_jobs(plans)
         };
+        self.obs
+            .stage(Stage::Cloak)
+            .record_duration(cloak_start.elapsed());
+        // Phase 3, with the rectangle each row displaced.
+        let displaced: Vec<Option<Rect>> = results
+            .iter()
+            .map(|res| {
+                let u = res.as_ref().ok()?;
+                self.ingest_record(u.pseudonym.0, u.region.region)
+            })
+            .collect();
         // Privacy-side observability: one sample per row outcome.
         for res in &results {
             match res {
@@ -598,58 +580,20 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Upserts a private record on the stripe of its region's center —
-    /// so placement never depends on worker count — and forgets it on
-    /// the shard that held it before. Returns the rectangle displaced,
-    /// the `old` half of the standing-query delta.
+    /// Upserts a private record. Returns the rectangle displaced, the
+    /// `old` half of the standing-query delta.
     fn ingest_record(&mut self, key: u64, region: Rect) -> Option<Rect> {
-        let target = self.shard_of(region.center());
-        let forgotten = reassign(&mut self.record_owner, key, target)
-            .and_then(|prev| self.private[prev].write().remove(key));
-        let replaced = self.private[target]
-            .write()
-            .upsert(PrivateRecord::new(key, region));
-        // A record lives on one shard: at most one of the two is `Some`.
-        replaced.or(forgotten)
+        self.private.upsert(PrivateRecord::new(key, region))
     }
 
-    /// The three phases as plain loops on the calling thread. Returns
-    /// the row results and the rectangle each row displaced.
-    fn run_phases_inline(
-        &mut self,
-        updates: &[(UserId, Point, SimTime)],
-    ) -> (RowResults, Vec<Option<Rect>>) {
-        let plans = self.plan_rows(updates);
-        let cloak_start = Instant::now();
-        let results = cloak_rows(&self.anon, &self.cfg, &plans);
-        self.obs
-            .stage(Stage::Cloak)
-            .record_duration(cloak_start.elapsed());
-        let displaced = results
-            .iter()
-            .map(|res| {
-                let u = res.as_ref().ok()?;
-                self.ingest_record(u.pseudonym.0, u.region.region)
-            })
-            .collect();
-        (results, displaced)
-    }
-
-    /// Phase 1 as a loop, then phases 2 and 3 as barrier-separated job
-    /// sets — one job per slot's run of rows (phase 2) or per touched
-    /// private stripe (phase 3) — under the pool or a replayed schedule.
-    fn run_phases_as_jobs(
-        &mut self,
-        updates: &[(UserId, Point, SimTime)],
-    ) -> (RowResults, Vec<Option<Rect>>) {
-        let plans = Arc::new(self.plan_rows(updates));
-
-        // Phase 2 (barrier): cloak every row against the grid, a
-        // contiguous run of rows per slot.
+    /// Phase 2 as one job per slot's contiguous run of rows, under the
+    /// pool or a replayed schedule.
+    fn cloak_rows_as_jobs(&self, plans: Vec<RowPlan>) -> RowResults {
+        let plans = Arc::new(plans);
         let sink: Arc<TrackedMutex<Vec<(usize, RowResults)>>> =
             Arc::new(TrackedMutex::new(LockRank::ResultSink, Vec::new()));
-        let chunk = updates.len().div_ceil(self.mode.slots().max(1)).max(1);
-        let phase2: Vec<Job> = (0..plans.len())
+        let chunk = plans.len().div_ceil(self.mode.slots().max(1)).max(1);
+        let jobs: Vec<Job> = (0..plans.len())
             .step_by(chunk)
             .map(|start| {
                 let plans = Arc::clone(&plans);
@@ -663,66 +607,10 @@ impl ShardedEngine {
                 }) as Job
             })
             .collect();
-        let cloak_start = Instant::now();
-        self.mode.run(phase2);
-        self.obs
-            .stage(Stage::Cloak)
-            .record_duration(cloak_start.elapsed());
+        self.mode.run(jobs);
         let mut runs = Arc::try_unwrap(sink).expect("phase jobs done").into_inner();
         runs.sort_unstable_by_key(|&(start, _)| start);
-        let results: RowResults = runs.into_iter().flat_map(|(_, run)| run).collect();
-
-        // Phase 3 (barrier): ingest cloaked regions into the private
-        // store. Each op is tagged with its input row so the shards can
-        // report the rectangle it displaced.
-        let mut ingest: Vec<Vec<IngestOp>> = (0..self.cfg.shards).map(|_| Vec::new()).collect();
-        for (row, res) in results.iter().enumerate() {
-            let Ok(res) = res else { continue };
-            let (key, region) = (res.pseudonym.0, res.region.region);
-            let target = self.shard_of(region.center());
-            if let Some(prev) = reassign(&mut self.record_owner, key, target) {
-                ingest[prev].push(IngestOp::Forget(row, key));
-            }
-            ingest[target].push(IngestOp::Upsert(row, PrivateRecord::new(key, region)));
-        }
-        // One slot per input row; a row's ops can span two shards (a
-        // cross-shard move), but at most one of them displaces a
-        // rectangle, so "any Some wins" merges without conflict.
-        let olds: Arc<TrackedMutex<Vec<Option<Rect>>>> = Arc::new(TrackedMutex::new(
-            LockRank::ResultSink,
-            vec![None; updates.len()],
-        ));
-        let phase3: Vec<Job> = ingest
-            .into_iter()
-            .zip(&self.private)
-            .filter(|(ops, _)| !ops.is_empty())
-            .map(|(ops, shard)| {
-                let shard = Arc::clone(shard);
-                let olds = Arc::clone(&olds);
-                Box::new(move || {
-                    let mut displaced: Vec<(usize, Rect)> = Vec::new();
-                    {
-                        let mut store = shard.write();
-                        for op in ops {
-                            let (row, old) = match op {
-                                IngestOp::Upsert(row, rec) => (row, store.upsert(rec)),
-                                IngestOp::Forget(row, p) => (row, store.remove(p)),
-                            };
-                            if let Some(r) = old {
-                                displaced.push((row, r));
-                            }
-                        }
-                    }
-                    let mut olds = olds.lock();
-                    for (row, r) in displaced {
-                        olds[row] = Some(r);
-                    }
-                }) as Job
-            })
-            .collect();
-        self.mode.run(phase3);
-        let displaced = Arc::try_unwrap(olds).expect("phase jobs done").into_inner();
-        (results, displaced)
+        runs.into_iter().flat_map(|(_, run)| run).collect()
     }
 
     /// [`Self::process_updates`], emitting the anonymizer→server wire
@@ -799,31 +687,28 @@ impl ShardedEngine {
         })
     }
 
-    /// Number of private records whose cloaked rectangle intersects `r`,
-    /// summed across shards (each record lives in exactly one shard).
+    /// Number of private records whose cloaked rectangle intersects `r`.
     pub fn private_intersecting(&self, r: &Rect) -> usize {
+        self.private.intersecting(r).len()
+    }
+
+    /// Every private record as a `(pseudonym, rectangle)` pair, in the
+    /// store's order.
+    fn private_records(&self) -> Vec<(u64, Rect)> {
         self.private
             .iter()
-            .map(|shard| shard.read().intersecting(r).len())
-            .sum()
+            .map(|r| (r.pseudonym, r.region))
+            .collect()
     }
 
     /// Registers a standing count query over `area`, seeded from every
-    /// private record across the shards. The registry sorts seeds by
-    /// pseudonym before accumulating, so the engine and the sequential
-    /// server agree bit-for-bit on the expected count no matter which
-    /// order the shards (or the sequential store's hash map) iterate.
+    /// private record. The registry sorts seeds by pseudonym before
+    /// accumulating, so the engine and the sequential server agree
+    /// bit-for-bit on the expected count no matter which order either
+    /// store iterates.
     pub fn add_standing_count(&mut self, area: Rect) -> u64 {
         self.journal_op(|| EngineOp::AddStandingCount { area });
-        let mut seeds: Vec<(u64, Rect)> = Vec::new();
-        for shard in &self.private {
-            // Loop variable hides the receiver from the static
-            // lock-order pass; name the rank explicitly.
-            // lint: lock(PrivateShard)
-            let store = shard.read();
-            seeds.extend(store.iter().map(|r| (r.pseudonym, r.region)));
-        }
-        let id = self.standing_counts.register(area, seeds);
+        let id = self.standing_counts.register(area, self.private_records());
         self.maybe_snapshot();
         id
     }
@@ -840,7 +725,7 @@ impl ShardedEngine {
     /// Installs a standing count query under the id node 0 granted
     /// (cluster mirror path; local clients go through
     /// [`Self::add_standing_count`], which allocates). Seeds from the
-    /// shards exactly like the allocating path. Idempotent: returns
+    /// private store exactly like the allocating path. Idempotent: returns
     /// `false` and changes nothing if `id` is already registered, so an
     /// ack-lost mirror frame can be replayed safely.
     pub fn install_standing_count(&mut self, id: u64, area: Rect) -> bool {
@@ -848,13 +733,9 @@ impl ShardedEngine {
             return false;
         }
         self.journal_op(|| EngineOp::InstallStandingCount { id, area });
-        let mut seeds: Vec<(u64, Rect)> = Vec::new();
-        for shard in &self.private {
-            // lint: lock(PrivateShard)
-            let store = shard.read();
-            seeds.extend(store.iter().map(|r| (r.pseudonym, r.region)));
-        }
-        let installed = self.standing_counts.register_at(id, area, seeds);
+        let installed = self
+            .standing_counts
+            .register_at(id, area, self.private_records());
         self.maybe_snapshot();
         installed
     }
@@ -1000,12 +881,7 @@ impl ShardedEngine {
         let profile = self.profiles.remove(&user);
         let msg = profile.map(|p| {
             let req = p.default_requirement();
-            let key = self.pseudonym(user).0;
-            let cloak = self
-                .record_owner
-                .get(&key)
-                .and_then(|&shard| self.private.get(shard))
-                .and_then(|s| s.read().get(key));
+            let cloak = self.private.get(self.pseudonym(user).0);
             wire::HandoffMsg {
                 subject: user,
                 k: req.k,
@@ -1057,9 +933,10 @@ impl ShardedEngine {
             .map(|(id, p)| (id, p, SimTime::ZERO))
             .collect();
         rows.sort_unstable_by_key(|&(id, _, _)| id);
-        let mut cloaks: Vec<CloakedUpdate> = Vec::new();
-        for shard in &self.private {
-            cloaks.extend(shard.read().iter().map(|r| CloakedUpdate {
+        let mut cloaks: Vec<CloakedUpdate> = self
+            .private
+            .iter()
+            .map(|r| CloakedUpdate {
                 pseudonym: Pseudonym(r.pseudonym),
                 region: CloakedRegion {
                     region: r.region,
@@ -1071,8 +948,8 @@ impl ShardedEngine {
                     area_satisfied: true,
                 },
                 time: SimTime::ZERO,
-            }));
-        }
+            })
+            .collect();
         cloaks.sort_unstable_by_key(|c| c.pseudonym.0);
         wire::ResyncState { rows, cloaks }
     }
@@ -1105,9 +982,8 @@ impl ShardedEngine {
     /// Dumps the engine's full logical state in canonical (sorted) form.
     /// [`Self::from_state`] of this dump rebuilds an engine whose every
     /// externally visible byte — cloaks, query answers, standing-state
-    /// frames — matches this one exactly: shard placement is a pure
-    /// function of position, outputs never expose internal iteration
-    /// order, and the standing registries dump their accumulators
+    /// frames — matches this one exactly: outputs never expose internal
+    /// iteration order, and the standing registries dump their accumulators
     /// bit-for-bit (Neumaier compensation terms included).
     pub fn export_state(&self) -> EngineState {
         let mut profiles: Vec<(UserId, PrivacyProfile)> = self
@@ -1118,10 +994,7 @@ impl ShardedEngine {
         profiles.sort_unstable_by_key(|&(id, _)| id);
         let mut positions: Vec<(UserId, Point)> = self.anon.read().iter().collect();
         positions.sort_unstable_by_key(|&(id, _)| id);
-        let mut records: Vec<(u64, Rect)> = Vec::new();
-        for shard in &self.private {
-            records.extend(shard.read().iter().map(|r| (r.pseudonym, r.region)));
-        }
+        let mut records = self.private_records();
         records.sort_unstable_by_key(|&(p, _)| p);
         let mut public: Vec<PublicObject> = self.public.iter().cloned().collect();
         public.sort_unstable_by_key(|o| o.id);
@@ -1151,11 +1024,7 @@ impl ShardedEngine {
             }
         }
         for &(pseudonym, rect) in &state.records {
-            let shard = e.shard_of(rect.center());
-            e.private[shard]
-                .write()
-                .upsert(PrivateRecord::new(pseudonym, rect));
-            e.record_owner.insert(pseudonym, shard);
+            e.private.upsert(PrivateRecord::new(pseudonym, rect));
         }
         e.load_public(state.public.clone());
         e.standing_counts = ContinuousRangeCount::restore_state(&state.counts);
@@ -1204,30 +1073,11 @@ impl ShardedEngine {
     }
 }
 
-/// A mutation of one private stripe during phase 3. The
-/// leading `usize` is the input-row index the op belongs to, so the
-/// displaced rectangle can be routed back to that row's standing-query
-/// delta.
-enum IngestOp {
-    Upsert(usize, PrivateRecord),
-    Forget(usize, u64),
-}
-
 /// Raw splitmix64 finalizer (shared with [`ShardedEngine::pseudonym`]).
 fn splitmix64_raw(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Points `owners[key]` at shard `target`; returns the shard the key
-/// leaves when that is another one.
-fn reassign<K: std::hash::Hash + Eq>(
-    owners: &mut HashMap<K, usize>,
-    key: K,
-    target: usize,
-) -> Option<usize> {
-    owners.insert(key, target).filter(|&prev| prev != target)
 }
 
 /// Phase 2 for a run of rows: takes the grid's read guard once and
@@ -1544,21 +1394,25 @@ mod tests {
     }
 
     #[test]
-    fn a_cloak_moving_across_private_stripes_keeps_one_record() {
+    fn a_cloak_moving_across_the_world_stays_one_record() {
         let mut e = engine(4);
-        // A point cloak: the record's stripe is the user's.
+        // A point cloak: the record sits where the user does.
         e.register(
             1,
             PrivacyProfile::uniform(CloakRequirement::k_only(1)).unwrap(),
         );
+        let near = |x: f64| Rect::new_unchecked(x - 0.01, 0.49, x + 0.01, 0.51);
         e.process_updates(&[(1, Point::new(0.1, 0.5), SimTime::ZERO)]);
-        let key = e.pseudonym(1).0;
-        assert_eq!(e.record_owner[&key], 0);
-        // Move across every stripe boundary.
+        assert_eq!(e.private_intersecting(&near(0.1)), 1);
         e.process_updates(&[(1, Point::new(0.9, 0.5), SimTime::from_secs(1.0))]);
-        assert_eq!(e.record_owner[&key], 3);
         assert_eq!(e.population(), 1);
-        assert_eq!(e.private_len(), 1, "the old stripe dropped the record");
+        assert_eq!(e.private_len(), 1, "the move replaced the record");
+        assert_eq!(e.private_intersecting(&near(0.9)), 1);
+        assert_eq!(
+            e.private_intersecting(&near(0.1)),
+            0,
+            "nothing at the old place"
+        );
     }
 
     #[test]
@@ -1686,15 +1540,9 @@ mod tests {
         let area = Rect::new_unchecked(0.1, 0.1, 0.6, 0.6);
         let qc = e.add_standing_count(area);
         e.process_updates(&lattice_updates(64));
-        // Rebuild the private population into one store and recompute.
-        let mut merged = PrivateStore::new();
-        for i in 0..64u64 {
-            let p = e.pseudonym(i).0;
-            let shard = e.record_owner[&p];
-            let rect = e.private[shard].read().get(p).unwrap();
-            merged.upsert(PrivateRecord::new(p, rect));
-        }
-        let full = PublicCountQuery::new(area).evaluate(&merged);
+        // Recompute over the private store from scratch.
+        assert_eq!(e.private_len(), 64);
+        let full = PublicCountQuery::new(area).evaluate(&e.private);
         assert_eq!(
             e.standing_counts().interval(qc).unwrap(),
             (full.certain, full.possible)
@@ -1904,8 +1752,7 @@ mod tests {
         let mut dead = engine_with_dead_pool();
         let mut live = engine(4);
         let rows = lattice_updates(64);
-        // One row at a time (stripe changes included), then the largest
-        // inline batch, which touches every shard in every phase.
+        // One row at a time, then the largest inline batch.
         let mut batches: Vec<&[(UserId, Point, SimTime)]> = rows.chunks(1).collect();
         batches.push(&rows[..INLINE_BELOW - 1]);
         for batch in batches {

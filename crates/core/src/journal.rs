@@ -266,7 +266,7 @@ const TAG_INIT_SYSTEM: u8 = 0xE1;
 
 /// Version byte leading every encoded [`EngineState`]; bumped on any
 /// layout change so recovery fails loudly instead of misreading state.
-pub const ENGINE_STATE_VERSION: u8 = 1;
+pub const ENGINE_STATE_VERSION: u8 = 2;
 
 /// A bit-exact export of a [`crate::ShardedEngine`]. Every vector is
 /// sorted by its id so the encoding is canonical: two engines with the
@@ -274,7 +274,7 @@ pub const ENGINE_STATE_VERSION: u8 = 1;
 /// iteration order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineState {
-    /// The engine configuration (world, grid, shards, secret).
+    /// The engine configuration (world, grid, refinement, secret).
     pub config: EngineConfig,
     /// Registered privacy profiles, sorted by user id.
     pub profiles: Vec<(UserId, PrivacyProfile)>,
@@ -436,10 +436,18 @@ fn put_config(b: &mut BytesMut, cfg: &EngineConfig) {
     b.put_f64_le(cfg.world.max_y());
     b.put_u32_le(cfg.grid_side);
     b.put_u8(u8::from(cfg.refine));
-    b.put_u32_le(u32::try_from(cfg.shards).unwrap_or(u32::MAX));
     b.put_u64_le(cfg.secret);
 }
 
+/// The largest `grid_side` a decoded config may carry: the engine
+/// allocates `grid_side²` cells up front, so a larger side from a
+/// damaged log would exhaust memory instead of failing the decode.
+const MAX_GRID_SIDE: u32 = 4096;
+
+/// Decodes a config the engine can be built from: a world of positive
+/// width and height (the grid divides it into cells) and a grid side in
+/// `1..=MAX_GRID_SIDE`; anything else is refused, not left to panic in
+/// the grid constructor.
 fn get_config(r: &mut Reader<'_>) -> Option<EngineConfig> {
     let world = r.rect()?;
     let grid_side = r.u32()?;
@@ -448,15 +456,15 @@ fn get_config(r: &mut Reader<'_>) -> Option<EngineConfig> {
         1 => true,
         _ => return None,
     };
-    let shards = r.u32()?;
-    if grid_side == 0 || !(1..=4096).contains(&shards) {
+    let buildable =
+        world.width() > 0.0 && world.height() > 0.0 && (1..=MAX_GRID_SIDE).contains(&grid_side);
+    if !buildable {
         return None;
     }
     Some(EngineConfig {
         world,
         grid_side,
         refine,
-        shards: shards as usize,
         secret: r.u64()?,
     })
 }

@@ -5,9 +5,9 @@
 //! registry encodes is the classic deadlock-freedom discipline: a
 //! thread may only acquire a lock whose rank is **greater than or equal
 //! to** every rank it already holds. Equal ranks are reserved for
-//! lock arrays (`PrivateShard`, `ClusterNode`), whose members are always
-//! acquired in ascending index order by construction — so equal-rank
-//! acquisition cannot cycle either.
+//! lock arrays (`ClusterNode`), whose members are always acquired in
+//! ascending index order by construction — so equal-rank acquisition
+//! cannot cycle either.
 //!
 //! [`TrackedMutex`] and [`TrackedRwLock`] wrap `std::sync` locks with
 //! that discipline:
@@ -37,7 +37,7 @@ use std::fmt;
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Number of declared lock ranks.
-pub const LOCK_RANK_COUNT: usize = 12;
+pub const LOCK_RANK_COUNT: usize = 11;
 
 /// The ordered lock registry. Declaration order *is* acquisition order:
 /// a thread holding a lock of some rank may only acquire locks of equal
@@ -81,11 +81,7 @@ pub enum LockRank {
     /// `lbsp-core`: the anonymizer grid every cloak reads (one lock;
     /// the user-position plane).
     AnonShard,
-    /// `lbsp-core`: the per-stripe private (pseudonym → cloak) stores
-    /// (equal-rank array, acquired in ascending stripe order).
-    PrivateShard,
-    /// `lbsp-core`: phase-result collection sinks (row results,
-    /// displaced rectangles).
+    /// `lbsp-core`: the cloak phase's row-result collection sink.
     ResultSink,
 }
 
@@ -102,7 +98,6 @@ impl LockRank {
         LockRank::HilbertRanks,
         LockRank::PoolQueue,
         LockRank::AnonShard,
-        LockRank::PrivateShard,
         LockRank::ResultSink,
     ];
 
@@ -124,7 +119,6 @@ impl LockRank {
             LockRank::HilbertRanks => "HilbertRanks",
             LockRank::PoolQueue => "PoolQueue",
             LockRank::AnonShard => "AnonShard",
-            LockRank::PrivateShard => "PrivateShard",
             LockRank::ResultSink => "ResultSink",
         }
     }
@@ -465,12 +459,12 @@ mod tests {
 
     #[test]
     fn equal_rank_reacquisition_is_legal() {
-        // Lock arrays: every stripe shares one rank and is acquired in
-        // ascending index order.
-        let shards: Vec<TrackedRwLock<usize>> = (0..4)
-            .map(|i| TrackedRwLock::new(LockRank::PrivateShard, i))
+        // Lock arrays: every node channel shares one rank and is
+        // acquired in ascending index order.
+        let nodes: Vec<TrackedMutex<usize>> = (0..4)
+            .map(|i| TrackedMutex::new(LockRank::ClusterNode, i))
             .collect();
-        let guards: Vec<_> = shards.iter().map(|s| s.read()).collect();
+        let guards: Vec<_> = nodes.iter().map(|n| n.lock()).collect();
         let total: usize = guards.iter().map(|g| **g).sum();
         assert_eq!(total, 6);
     }

@@ -10,16 +10,16 @@ pub struct TelemetryFrame {
     pub ay: f64,
 }
 
-fn exact_of(shard: &PrivateShard, id: u64) -> Point {
+fn exact_of(shard: &PositionTable, id: u64) -> Point {
     shard.entry(id)
 }
 
-fn snap(shard: &PrivateShard, id: u64) -> (f64, f64) {
+fn snap(shard: &PositionTable, id: u64) -> (f64, f64) {
     let p = exact_of(shard, id);
     (p.x, p.y)
 }
 
-pub fn emit(shard: &PrivateShard, id: u64, out: &mut Vec<u8>) {
+pub fn emit(shard: &PositionTable, id: u64, out: &mut Vec<u8>) {
     let (ax, ay) = snap(shard, id);
     let frame = TelemetryFrame {
         subject: id,

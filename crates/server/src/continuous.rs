@@ -306,8 +306,8 @@ impl ContinuousRangeCount {
     ///
     /// Seeds are applied in pseudonym order regardless of the caller's
     /// iteration order, so the float accumulation — and therefore the
-    /// wire-encoded expected count — is identical whether the seeds
-    /// come from the sequential store or the sharded engine's shards.
+    /// wire-encoded expected count — is identical whichever store the
+    /// seeds come from and whatever order it iterates in.
     pub fn register<I>(&mut self, area: Rect, initial: I) -> QueryId
     where
         I: IntoIterator<Item = (PseudonymId, Rect)>,

@@ -8,12 +8,15 @@
 //! a record that was durable before the crash.
 
 use lbsp_anonymizer::{CloakRequirement, PrivacyProfile};
-use lbsp_core::journal;
+use lbsp_core::journal::{self, JournalRecord};
 use lbsp_core::{Durability, EngineConfig, ShardedEngine, UserId};
 use lbsp_geom::{Point, Rect, SimTime};
 use lbsp_server::PublicObject;
-use lbsp_store::{open_engine, recover_engine, StoreError, RECORD_HEADER_LEN, SEGMENT_HEADER_LEN};
+use lbsp_store::{
+    crc32, open_engine, recover_engine, StoreError, Wal, RECORD_HEADER_LEN, SEGMENT_HEADER_LEN,
+};
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 mod common;
@@ -457,6 +460,134 @@ fn consecutive_duplicate_of_the_tail_segment_fails_loudly() {
     // seqs, but the embedded header and base chain expose the fraud.
     fs::copy(&segs[2], dir.path().join("wal-0000000000000003.log")).expect("plant duplicate");
     expect_corrupt(dir.path(), "tail segment duplicated as next seq");
+}
+
+// ---------------------------------------------------------------------
+// Genesis configs and layouts this build cannot load.
+// ---------------------------------------------------------------------
+
+/// Length of the encoded config up to and including its `refine` flag:
+/// the world (four f64), `grid_side` (u32), the flag (u8). Logs written
+/// while the private store was striped carried a u32 stripe count here.
+const CONFIG_UP_TO_REFINE: usize = 4 * 8 + 4 + 1;
+
+/// `bytes` with the striped layout's stripe count (4) spliced in after
+/// the config that starts at `config_at`.
+fn with_stripe_count(bytes: &[u8], config_at: usize) -> Vec<u8> {
+    let at = config_at + CONFIG_UP_TO_REFINE;
+    let mut out = bytes[..at].to_vec();
+    out.extend_from_slice(&4u32.to_le_bytes());
+    out.extend_from_slice(&bytes[at..]);
+    out
+}
+
+#[test]
+fn a_genesis_config_no_engine_can_be_built_from_fails_loudly() {
+    let ok = EngineConfig::new(world());
+    let bad = [
+        (
+            "zero-width world",
+            EngineConfig {
+                world: Rect::new_unchecked(0.5, 0.0, 0.5, 1.0),
+                ..ok
+            },
+        ),
+        (
+            "zero-height world",
+            EngineConfig {
+                world: Rect::new_unchecked(0.0, 0.5, 1.0, 0.5),
+                ..ok
+            },
+        ),
+        ("grid side 0", EngineConfig { grid_side: 0, ..ok }),
+        (
+            "grid side 4097",
+            EngineConfig {
+                grid_side: 4097,
+                ..ok
+            },
+        ),
+        (
+            "grid side u32::MAX",
+            EngineConfig {
+                grid_side: u32::MAX,
+                ..ok
+            },
+        ),
+    ];
+    for (what, cfg) in bad {
+        let dir = TempDir::new("bad-config");
+        let mut wal = Wal::create_segment(dir.path(), 0, 0).expect("create segment");
+        wal.append_record(&JournalRecord::InitEngine(cfg))
+            .expect("append genesis");
+        wal.sync_log().expect("sync genesis");
+        drop(wal);
+        expect_corrupt(dir.path(), what);
+        // Opening recovers the persisted config, so it refuses it too.
+        let opened = open_engine(dir.path(), ok, 2, Durability::default());
+        assert!(
+            matches!(opened, Err(StoreError::Corrupt { .. })),
+            "{what}: open_engine must fail loudly"
+        );
+    }
+}
+
+#[test]
+fn a_log_in_the_striped_layout_fails_loudly_naming_the_segment() {
+    let dir = TempDir::new("striped-genesis");
+    // The genesis record as the striped layout wrote it: tag byte, then
+    // the config with its stripe count, framed with a valid CRC.
+    let body = journal::encode_record(&JournalRecord::InitEngine(EngineConfig::new(world())));
+    let body = with_stripe_count(&body, 1);
+    drop(Wal::create_segment(dir.path(), 0, 0).expect("create segment"));
+    let seg = segments(dir.path()).pop().expect("segment exists");
+    let mut frame = u32::try_from(body.len())
+        .expect("short body")
+        .to_le_bytes()
+        .to_vec();
+    frame.extend_from_slice(&crc32(&body).to_le_bytes());
+    frame.extend_from_slice(&body);
+    fs::OpenOptions::new()
+        .append(true)
+        .open(&seg)
+        .expect("open segment")
+        .write_all(&frame)
+        .expect("append genesis");
+    let name = seg.file_name().and_then(|n| n.to_str()).expect("name");
+    match recover_engine(dir.path(), 2) {
+        Ok(_) => panic!("a striped-layout genesis must not recover"),
+        Err(StoreError::Corrupt { file, detail, .. }) => {
+            assert!(file.ends_with(name), "names the segment, got {file}");
+            assert!(detail.contains("does not decode"), "got: {detail}");
+        }
+        Err(StoreError::Io(e)) => panic!("expected Corrupt, got io error {e}"),
+    }
+}
+
+#[test]
+fn a_version_one_snapshot_fails_loudly() {
+    let dir = TempDir::new("snap-v1");
+    let live = build_log(dir.path(), 16);
+    let snaps = snapshots(dir.path());
+    let snap = snaps.last().expect("cadence 16 produced a snapshot");
+    let bytes = fs::read(snap).expect("read snapshot");
+    // Magic, op index, payload length, payload CRC, then the payload.
+    let (header, payload) = bytes.split_at(24);
+    let rewrite = |payload: &[u8]| {
+        let mut out = header[..16].to_vec();
+        out.extend_from_slice(&u32::try_from(payload.len()).expect("fits").to_le_bytes());
+        out.extend_from_slice(&crc32(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        fs::write(snap, out).expect("rewrite snapshot");
+    };
+    // The rewrite itself is faithful: the same payload still recovers.
+    rewrite(payload);
+    assert_eq!(recovered_bytes(dir.path(), 2), live);
+    // Version byte 1 and the config's stripe count, as version 1 wrote it.
+    let mut v1 = with_stripe_count(payload, 1);
+    v1[0] = 1;
+    rewrite(&v1);
+    expect_corrupt(dir.path(), "version-1 snapshot");
 }
 
 // ---------------------------------------------------------------------

@@ -118,15 +118,16 @@ fn thread_counts_and_schedules_are_byte_identical() {
     }
 }
 
-/// Users parked exactly on shard-stripe boundaries — and cloaks that
-/// straddle several stripes — behave identically to the sequential path.
+/// Users parked exactly on the quarter lines a four-node cluster splits
+/// the world at — and cloaks that straddle them — behave identically to
+/// the sequential path.
 #[test]
 fn shard_boundary_users_are_equivalent() {
     let n = 64u64;
     let mut seq = sequential(false, n);
     let mut eng = sharded(false, 4, n);
-    // With 4 stripes the boundaries sit at x = 0.25, 0.5, 0.75; also
-    // test the world edges where clamping applies.
+    // The quarter lines x = 0.25, 0.5, 0.75, and the world edges where
+    // clamping applies.
     let xs = [0.0, 0.25, 0.5, 0.75, 1.0];
     let updates: Vec<(u64, Point, SimTime)> = (0..n)
         .map(|i| {
@@ -140,8 +141,8 @@ fn shard_boundary_users_are_equivalent() {
     for (i, (x, y)) in a.iter().zip(&b).enumerate() {
         let (x, y) = (x.as_ref().unwrap(), y.as_ref().unwrap());
         assert_eq!(x.region, y.region, "boundary row {i}");
-        // Sparse columns force merges across stripe boundaries; the
-        // regions must still contain the subject.
+        // Sparse columns force merges across those lines; the regions
+        // must still contain the subject.
         assert!(y.region.region.contains_point(updates[i].1));
     }
     // A boundary user moving along the boundary line stays single-copy.
@@ -149,8 +150,8 @@ fn shard_boundary_users_are_equivalent() {
     assert_eq!(eng.population(), n as usize);
 }
 
-/// Private range queries: the sharded fan-out merged in id order equals
-/// the unsharded server's candidate set, and the wire request carries
+/// Private range queries: the engine's candidates, in id order, equal
+/// the sequential server's candidate set, and the wire request carries
 /// the same cloak the sequential anonymizer would produce.
 #[test]
 fn range_queries_match_unsharded_server() {
@@ -265,10 +266,11 @@ struct Transcript {
     samples: [u64; 4],
 }
 
-/// Coordinates on the lines a cloak or a stripe could split at — the
-/// stripe lines 1/4, 1/2 and 3/4, the cell edges 3/16 and 13/16, the
-/// sub-cell edge 67/256 — and on and just past the world's edges, which
-/// clamp into the border cells.
+/// Coordinates on the lines a cloak or a cluster could split at — the
+/// quarter lines 1/4, 1/2 and 3/4 (a four-node cluster's stripe
+/// boundaries), the cell edges 3/16 and 13/16, the sub-cell edge
+/// 67/256 — and on and just past the world's edges, which clamp into
+/// the border cells.
 const EDGES: [f64; 10] = [
     -1.0 / 1024.0,
     0.0,
@@ -282,8 +284,8 @@ const EDGES: [f64; 10] = [
     1.0 + 1.0 / 1024.0,
 ];
 
-/// One script — duplicate users inside a batch, cross-stripe moves,
-/// users on stripe, cell and world edges, unknown users, a `k = 1` point
+/// One script — duplicate users inside a batch, moves across the world,
+/// users on quarter, cell and world edges, unknown users, a `k = 1` point
 /// cloak, a standing count and a standing range registered — cut into
 /// batches of `rows`.
 fn run_batch_size_script(e: &mut ShardedEngine, rows: usize) -> Transcript {
@@ -319,7 +321,7 @@ fn run_batch_size_script(e: &mut ShardedEngine, rows: usize) -> Transcript {
             _ if row.is_multiple_of(13) => 11,
             _ => rng.random_range(0..USERS),
         };
-        // Uniform positions: three moves in four change stripe. Every
+        // Uniform positions: three moves in four change quarter. Every
         // third row lands on `EDGES` lines instead, so users move onto,
         // off and across them within a batch and between batches.
         let pos = if row % 3 == 1 {
@@ -360,9 +362,9 @@ fn run_batch_size_script(e: &mut ShardedEngine, rows: usize) -> Transcript {
     t
 }
 
-/// A batch below the engine's inline threshold (32 rows) runs as plain
-/// loops on the caller, a larger one as pool jobs, and a one-worker
-/// engine runs everything inline; replay never inlines. At every batch
+/// A batch below the engine's inline threshold (32 rows) cloaks in one
+/// call on the caller, a larger one as pool jobs, and a one-worker
+/// engine cloaks everything inline; replay never inlines. At every batch
 /// size around the threshold the three agree on every byte they emit,
 /// on the state they end in and on how often they sampled.
 #[test]
