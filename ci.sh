@@ -209,13 +209,16 @@ echo "== lbsbench self-tests + smoke (every workload and the ladder, 1 s each) =
 # run.sh's target directory so the dependencies compile once. The smoke
 # exits non-zero on a wrong output; its ladder also has to show that an
 # update still costs about one node frame (3.07 before mirror rows rode
-# along) and that no mirror frame was dropped.
+# along), that no mirror frame was dropped, and that no cloak failed (so
+# a change to the cloak's count kernel cannot start failing cloaks
+# unseen).
 CARGO_TARGET_DIR=target/lbsbench-build \
   cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --smoke | tee /tmp/lbsp_lbsbench_smoke.txt
 awk '$1 == "cluster.node_frames_per_update" { frames = $2; seen++ }
      $1 == "cluster.mirror_drops" { drops = $2; seen++ }
-     END { exit !(seen == 2 && frames < 1.5 && drops == 0) }' /tmp/lbsp_lbsbench_smoke.txt
+     $1 == "anonymizer.fail_ratio" { fails = $2; seen++ }
+     END { exit !(seen == 3 && frames < 1.5 && drops == 0 && fails == 0) }' /tmp/lbsp_lbsbench_smoke.txt
 
 echo "== benches compile =="
 cargo bench --workspace --offline --no-run

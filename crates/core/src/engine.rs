@@ -677,8 +677,7 @@ impl ShardedEngine {
         let request = wire::encode_range_query(&msg);
         // Already in ascending object id, the canonical wire order.
         let candidates = private_range_candidates(&self.public, &region.region, radius);
-        let response =
-            wire::encode_candidates(&candidates.iter().map(|o| (o.id, o.pos)).collect::<Vec<_>>());
+        let response = wire::candidate_bytes(candidates.iter().map(|o| (o.id, o.pos)));
         Ok(RangeQueryAnswer {
             region,
             request,

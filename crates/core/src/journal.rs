@@ -636,12 +636,13 @@ pub fn decode_record(buf: &[u8]) -> Option<JournalRecord> {
             let n = r.len_u32(wire::EXACT_UPDATE_LEN as u64)?;
             let mut rows = Vec::with_capacity(n);
             for _ in 0..n {
-                // Reuse the strict trusted-hop codec row by row.
+                // Reuse the length-strict row codec, row by row; a
+                // non-finite row an in-process caller logged reads back.
                 if r.remaining() < wire::EXACT_UPDATE_LEN {
                     return None;
                 }
                 let (row, rest) = r.buf.split_at(wire::EXACT_UPDATE_LEN);
-                let msg = wire::decode_exact_update(row)?;
+                let msg = wire::read_exact_row(row)?;
                 r.buf = rest;
                 rows.push((msg.user, msg.position, msg.time));
             }
@@ -715,7 +716,7 @@ pub fn decode_record(buf: &[u8]) -> Option<JournalRecord> {
                     return None;
                 }
                 let (row, rest) = r.buf.split_at(wire::EXACT_UPDATE_LEN);
-                let msg = wire::decode_exact_update(row)?;
+                let msg = wire::read_exact_row(row)?;
                 r.buf = rest;
                 rows.push((msg.user, msg.position, msg.time));
             }
@@ -1078,6 +1079,29 @@ mod tests {
                 }
                 _ => assert_eq!(decoded, rec),
             }
+        }
+    }
+
+    #[test]
+    fn non_finite_batch_rows_roundtrip() {
+        // The network refuses such rows; the journal must still read
+        // back whatever an in-process caller logged.
+        let rows = vec![
+            (1, Point::new(f64::NAN, 0.5), SimTime::from_secs(1.0)),
+            (
+                2,
+                Point::new(0.5, f64::NEG_INFINITY),
+                SimTime::from_secs(f64::INFINITY),
+            ),
+        ];
+        for rec in [
+            JournalRecord::Op(EngineOp::UpdateBatch { rows: rows.clone() }),
+            JournalRecord::Op(EngineOp::ShadowBatch { rows: rows.clone() }),
+        ] {
+            let bytes = encode_record(&rec);
+            let decoded = decode_record(&bytes).unwrap_or_else(|| panic!("decode {rec:?}"));
+            // NaN != NaN, so compare re-encoded bytes.
+            assert_eq!(encode_record(&decoded), bytes);
         }
     }
 

@@ -160,16 +160,41 @@ pub fn encode_exact_update(msg: &ExactUpdateMsg) -> Bytes {
 
 /// Decodes a user→anonymizer update. Strict: the buffer must be exactly
 /// one encoded message — short input *and* trailing bytes are rejected,
-/// so a framed transport cannot smuggle extra data past the codec.
-pub fn decode_exact_update(mut buf: &[u8]) -> Option<ExactUpdateMsg> {
+/// so a framed transport cannot smuggle extra data past the codec — and
+/// a NaN or infinite coordinate or time is rejected, so no such row
+/// from a peer reaches the grid, the cloak, the journal or a mirror.
+pub fn decode_exact_update(buf: &[u8]) -> Option<ExactUpdateMsg> {
+    let (user, position, time) = exact_row_fields(buf)?;
+    (position.is_finite() && time.is_finite()).then(|| ExactUpdateMsg {
+        user,
+        position,
+        time: SimTime::from_secs(time),
+    })
+}
+
+/// Decodes one exact-update row as written, non-finite values included.
+/// Length-strict like [`decode_exact_update`]. The journal reads its
+/// batch rows with this: an in-process caller may log any `f64`, and
+/// replay must read back what was logged.
+pub fn read_exact_row(buf: &[u8]) -> Option<ExactUpdateMsg> {
+    let (user, position, time) = exact_row_fields(buf)?;
+    Some(ExactUpdateMsg {
+        user,
+        position,
+        time: SimTime::from_secs(time),
+    })
+}
+
+/// The user, position and raw seconds of one exact-update row.
+fn exact_row_fields(mut buf: &[u8]) -> Option<(u64, Point, f64)> {
     if buf.len() != EXACT_UPDATE_LEN {
         return None;
     }
-    Some(ExactUpdateMsg {
-        user: buf.get_u64_le(),
-        position: Point::new(buf.get_f64_le(), buf.get_f64_le()),
-        time: SimTime::from_secs(buf.get_f64_le()),
-    })
+    Some((
+        buf.get_u64_le(),
+        Point::new(buf.get_f64_le(), buf.get_f64_le()),
+        buf.get_f64_le(),
+    ))
 }
 
 /// Encodes an anonymizer→server update: pseudonym + rectangle + time +
@@ -430,18 +455,28 @@ pub fn decode_range_query(mut buf: &[u8]) -> Option<RangeQueryMsg> {
 /// server→anonymizer→user, so object coordinates are fine to include —
 /// they are public data.
 pub fn encode_candidates(candidates: &[(u64, Point)]) -> Bytes {
+    candidate_bytes(candidates.iter().copied())
+}
+
+/// The body of [`encode_candidates`], straight from any list that knows
+/// its length — e.g. the public objects a query found — without
+/// collecting the pairs first: one buffer of the reply's exact size,
+/// each entry written in place.
+pub fn candidate_bytes(candidates: impl ExactSizeIterator<Item = (u64, Point)>) -> Bytes {
     // The u32 length prefix caps a single response at ~4 billion
     // entries; a longer list is truncated to what the prefix can
     // describe rather than silently wrapping the count.
     let n = u32::try_from(candidates.len()).unwrap_or(u32::MAX);
-    let mut b = BytesMut::with_capacity(4 + (n as usize) * 24);
-    b.put_u32_le(n);
-    for (id, p) in candidates.iter().take(n as usize) {
-        b.put_u64_le(*id);
-        b.put_f64_le(p.x);
-        b.put_f64_le(p.y);
+    let mut out = vec![0u8; 4 + (n as usize) * 24];
+    let (prefix, entries) = out.split_at_mut(4);
+    prefix.copy_from_slice(&n.to_le_bytes());
+    for (entry, (id, p)) in entries.chunks_exact_mut(24).zip(candidates) {
+        let fields = [id.to_le_bytes(), p.x.to_le_bytes(), p.y.to_le_bytes()];
+        for (dst, src) in entry.chunks_exact_mut(8).zip(fields) {
+            dst.copy_from_slice(&src);
+        }
     }
-    b.freeze()
+    Bytes::from(out)
 }
 
 /// Decodes a candidate list. Strict: the length prefix must account for
@@ -1443,6 +1478,30 @@ mod tests {
         let bytes = encode_exact_update(&msg);
         assert_eq!(bytes.len(), EXACT_UPDATE_LEN);
         assert_eq!(decode_exact_update(&bytes), Some(msg));
+    }
+
+    #[test]
+    fn exact_update_rejects_non_finite_position_or_time() {
+        let good = ExactUpdateMsg {
+            user: 7,
+            position: Point::new(0.5, 0.5),
+            time: SimTime::from_secs(1.0),
+        };
+        let cloak = encode_cloaked_update(&sample_cloaked());
+        // x, y and time, written over the bytes of a good row (a
+        // `SimTime` cannot hold NaN or -inf, a sender's bytes can).
+        for at in [8, 16, 24] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut row = encode_exact_update(&good).to_vec();
+                row[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+                assert_eq!(decode_exact_update(&row), None, "{bad} at {at}");
+                // A mirror reuses the row codec, so it refuses the row too.
+                assert_eq!(decode_mirror_update(&row), None);
+                row.extend_from_slice(&cloak);
+                assert_eq!(decode_mirror_update(&row), None);
+            }
+        }
+        assert_eq!(decode_exact_update(&encode_exact_update(&good)), Some(good));
     }
 
     #[test]

@@ -11,12 +11,21 @@
 //! bucket, crowded ones split, and every split node stores its count.
 //! A rectangle query adds the stored count of every node strictly
 //! inside the rectangle's sub-cell span, skips nodes strictly outside
-//! it, and tests points only in the ring of leaves the rectangle's
-//! edges fall in — so a count costs O(ring), not O(crowd in the cell).
-//! Sub-cell coordinates come from `floor` and a clamp, both monotone,
-//! so "strictly inside the span" implies "inside the rectangle" for
-//! any rectangle and any world (see `Tiling::sub_of`): the answers
-//! are exactly those of testing every point.
+//! it, and is left with the ring of leaves the rectangle's edges fall
+//! in. Every leaf keeps a box holding all of its points (grown on
+//! insert, recomputed on removal, on split and on merge), so a ring leaf
+//! whose box misses the closed rectangle counts 0 and one whose box
+//! lies inside it counts all, both without reading a point; only a leaf
+//! the rectangle's edge actually cuts is scanned. A count costs
+//! O(cut leaves), not O(crowd in the cell).
+//!
+//! Every verdict equals a scan. Sub-cell coordinates come from `floor`
+//! and a clamp, both monotone, so "strictly inside the span" implies
+//! "inside the rectangle" for any rectangle and any world (see
+//! `Tiling::sub_of`); and a leaf's box is a superset of its points, so
+//! a box outside (inside) the rectangle has every point outside
+//! (inside) it. A non-finite point gives its leaf a NaN box, which
+//! passes neither test, so that leaf is always scanned.
 
 use crate::ObjectId;
 use lbsp_geom::{Point, Rect};
@@ -90,6 +99,7 @@ impl Tiling {
         let below = Point::new(r.min_x().next_down(), r.min_y().next_down());
         let (bx, by) = self.sub_of(below);
         Some(Span {
+            rect: *r,
             x0,
             y0,
             x1,
@@ -102,8 +112,9 @@ impl Tiling {
 
 /// A rectangle in sub-cell coordinates: the closed range its corners
 /// map to, and per axis the first coordinate known to lie wholly above
-/// the rectangle's low edge.
+/// the rectangle's low edge; and the rectangle itself, for leaf boxes.
 struct Span {
+    rect: Rect,
     x0: u64,
     y0: u64,
     x1: u64,
@@ -125,8 +136,89 @@ enum Found<'a> {
 /// `2 * (upper half in y) + (upper half in x)`.
 #[derive(Debug, Clone)]
 enum Node {
-    Leaf(Vec<(ObjectId, Point)>),
+    Leaf(Leaf),
     Split { count: usize, kids: Box<[Node; 4]> },
+}
+
+/// A quadtree leaf: its points and a box holding every one of them.
+#[derive(Debug, Clone)]
+struct Leaf {
+    pts: Vec<(ObjectId, Point)>,
+    /// Smallest box holding `pts`.
+    bbox: LeafBox,
+}
+
+/// An axis-aligned box by its low and high corners. Unlike a [`Rect`]
+/// it may be inverted (the box of no point) or NaN (the box of a leaf
+/// holding a non-finite point).
+#[derive(Debug, Clone, Copy)]
+struct LeafBox {
+    lo: Point,
+    hi: Point,
+}
+
+impl LeafBox {
+    /// The box of no point: it misses every rectangle.
+    const EMPTY: LeafBox = LeafBox {
+        lo: Point::new(f64::INFINITY, f64::INFINITY),
+        hi: Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
+    };
+    /// Every comparison with NaN is false, so this box neither misses
+    /// nor lies inside any rectangle: its leaf is always scanned.
+    const NAN: LeafBox = LeafBox {
+        lo: Point::new(f64::NAN, f64::NAN),
+        hi: Point::new(f64::NAN, f64::NAN),
+    };
+
+    /// The box grown to hold `p`. NaN sticks, which `f64::min` would not.
+    fn grown(self, p: Point) -> LeafBox {
+        if !p.is_finite() || self.lo.x.is_nan() {
+            return LeafBox::NAN;
+        }
+        LeafBox {
+            lo: Point::new(self.lo.x.min(p.x), self.lo.y.min(p.y)),
+            hi: Point::new(self.hi.x.max(p.x), self.hi.y.max(p.y)),
+        }
+    }
+
+    /// `true` when no point of the box is in the closed rectangle `r`.
+    fn misses(&self, r: &Rect) -> bool {
+        self.hi.x < r.min_x()
+            || self.lo.x > r.max_x()
+            || self.hi.y < r.min_y()
+            || self.lo.y > r.max_y()
+    }
+
+    /// `true` when every point of the box is in the closed rectangle `r`.
+    fn inside(&self, r: &Rect) -> bool {
+        r.min_x() <= self.lo.x
+            && self.hi.x <= r.max_x()
+            && r.min_y() <= self.lo.y
+            && self.hi.y <= r.max_y()
+    }
+}
+
+impl Leaf {
+    fn new(pts: Vec<(ObjectId, Point)>) -> Leaf {
+        let bbox = pts.iter().fold(LeafBox::EMPTY, |b, &(_, p)| b.grown(p));
+        Leaf { pts, bbox }
+    }
+
+    fn push(&mut self, id: ObjectId, p: Point) {
+        self.pts.push((id, p));
+        self.bbox = self.bbox.grown(p);
+    }
+
+    /// Removes `id` and recomputes the box from the points left.
+    fn remove(&mut self, id: ObjectId) {
+        let pos = self
+            .pts
+            .iter()
+            .position(|(oid, _)| *oid == id)
+            .expect("a located object is in the leaf of its sub-cell");
+        self.pts.swap_remove(pos);
+        *self = Leaf::new(std::mem::take(&mut self.pts));
+    }
 }
 
 /// Child of a node with half-side `half` holding sub-cell `(x, y)`.
@@ -138,14 +230,21 @@ fn quadrant(x: u64, y: u64, half: u64) -> usize {
 impl Node {
     fn count(&self) -> usize {
         match self {
-            Node::Leaf(v) => v.len(),
+            Node::Leaf(leaf) => leaf.pts.len(),
             Node::Split { count, .. } => *count,
+        }
+    }
+
+    fn for_each_leaf<'a, F: FnMut(&'a Leaf)>(&'a self, f: &mut F) {
+        match self {
+            Node::Leaf(leaf) => f(leaf),
+            Node::Split { kids, .. } => kids.iter().for_each(|k| k.for_each_leaf(f)),
         }
     }
 
     fn for_each<F: FnMut(ObjectId, Point)>(&self, f: &mut F) {
         match self {
-            Node::Leaf(v) => v.iter().for_each(|&(id, p)| f(id, p)),
+            Node::Leaf(leaf) => leaf.pts.iter().for_each(|&(id, p)| f(id, p)),
             Node::Split { kids, .. } => kids.iter().for_each(|k| k.for_each(f)),
         }
     }
@@ -153,18 +252,18 @@ impl Node {
     /// Splits an over-full leaf of side `size` (and any child the split
     /// leaves over-full) by its entries' sub-cell coordinates.
     fn split_if_crowded(&mut self, size: u64, tiling: &Tiling) {
-        let Node::Leaf(v) = self else { return };
-        if v.len() <= SPLIT_ABOVE || size == 1 {
+        let Node::Leaf(leaf) = self else { return };
+        if leaf.pts.len() <= SPLIT_ABOVE || size == 1 {
             return;
         }
         let half = size / 2;
         let mut parts: [Vec<(ObjectId, Point)>; 4] = Default::default();
-        for &(id, p) in v.iter() {
+        for &(id, p) in &leaf.pts {
             let (x, y) = tiling.sub_of(p);
             parts[quadrant(x, y, half)].push((id, p));
         }
-        let count = v.len();
-        let mut kids = Box::new(parts.map(Node::Leaf));
+        let count = leaf.pts.len();
+        let mut kids = Box::new(parts.map(|v| Node::Leaf(Leaf::new(v))));
         for kid in kids.iter_mut() {
             kid.split_if_crowded(half, tiling);
         }
@@ -172,7 +271,8 @@ impl Node {
     }
 
     /// Reports the parts of this node (origin `(x0, y0)`, side `size`,
-    /// in global sub-cell coordinates) that `span` does not rule out.
+    /// in global sub-cell coordinates) that `span` does not rule out. A
+    /// ring leaf is settled by its box where the box allows.
     fn visit_span<'a, V: FnMut(Found<'a>)>(
         &'a self,
         (x0, y0): (u64, u64),
@@ -188,7 +288,15 @@ impl Node {
             return visit(Found::Inside(self));
         }
         match self {
-            Node::Leaf(v) => visit(Found::Ring(v)),
+            Node::Leaf(leaf) => {
+                if !leaf.bbox.misses(&span.rect) {
+                    visit(if leaf.bbox.inside(&span.rect) {
+                        Found::Inside(self)
+                    } else {
+                        Found::Ring(&leaf.pts)
+                    });
+                }
+            }
             Node::Split { kids, .. } => {
                 let half = size / 2;
                 for (i, kid) in kids.iter().enumerate() {
@@ -229,7 +337,7 @@ impl UniformGrid {
                 cell_w: world.width() / nx as f64,
                 cell_h: world.height() / ny as f64,
             },
-            cells: vec![Node::Leaf(Vec::new()); (nx as usize) * (ny as usize)],
+            cells: vec![Node::Leaf(Leaf::new(Vec::new())); (nx as usize) * (ny as usize)],
             locations: HashMap::new(),
         }
     }
@@ -317,8 +425,8 @@ impl UniformGrid {
                     size /= 2;
                     node = &mut kids[quadrant(x, y, size)];
                 }
-                Node::Leaf(v) => {
-                    v.push((id, p));
+                Node::Leaf(leaf) => {
+                    leaf.push(id, p);
                     break;
                 }
             }
@@ -339,7 +447,7 @@ impl UniformGrid {
             if matches!(node, Node::Split { count, .. } if *count - 1 <= MERGE_AT) {
                 let mut all = Vec::with_capacity(node.count());
                 node.for_each(&mut |id, p| all.push((id, p)));
-                *node = Node::Leaf(all);
+                *node = Node::Leaf(Leaf::new(all));
             }
             match node {
                 Node::Split { count, kids } => {
@@ -347,12 +455,8 @@ impl UniformGrid {
                     size /= 2;
                     node = &mut kids[quadrant(x, y, size)];
                 }
-                Node::Leaf(v) => {
-                    let pos = v
-                        .iter()
-                        .position(|(oid, _)| *oid == id)
-                        .expect("a located object is in the leaf of its sub-cell");
-                    v.swap_remove(pos);
+                Node::Leaf(leaf) => {
+                    leaf.remove(id);
                     return Some(p);
                 }
             }
@@ -430,6 +534,28 @@ impl UniformGrid {
                 }
             }
         }
+    }
+
+    /// Checks that every quadtree leaf's box holds all of the leaf's
+    /// points (NaN for a non-finite one), the one invariant the box
+    /// verdicts rest on. For tests; `Err` names the first point outside
+    /// its leaf's box.
+    #[doc(hidden)]
+    pub fn check_leaf_boxes(&self) -> Result<(), String> {
+        let mut bad = None;
+        for cell in &self.cells {
+            cell.for_each_leaf(&mut |leaf| {
+                let b = &leaf.bbox;
+                for &(id, p) in &leaf.pts {
+                    let held =
+                        b.lo.x.is_nan() || (p.is_finite() && !b.misses(&Rect::from_point(p)));
+                    if !held && bad.is_none() {
+                        bad = Some(format!("object {id} at {p:?} outside its leaf box {b:?}"));
+                    }
+                }
+            });
+        }
+        bad.map_or(Ok(()), Err)
     }
 
     /// The `k` nearest indexed objects to `p` (excluding ids for which

@@ -220,7 +220,8 @@ impl RTree {
     }
 
     /// The `k` nearest entries to point `q`, by best-first search over
-    /// node MBRs. Results sorted by ascending distance.
+    /// node MBRs. Results sorted by ascending distance, equal distances
+    /// by ascending id.
     pub fn k_nearest(&self, q: Point, k: usize) -> Vec<Neighbor> {
         self.k_nearest_filtered(q, k, |_| true)
     }
@@ -241,9 +242,13 @@ impl RTree {
             return out;
         };
         // Min-heap ordered by distance; entries are either nodes or leaves.
+        // At equal distance a node pops before an entry (it may hold an
+        // entry at that distance with a smaller id) and entries pop by
+        // id, so ties leave in id order; `tie` is `(0, seq)` for a node
+        // and `(1, id)` for an entry.
         struct HeapItem<'a> {
             dist: f64,
-            seq: u64,
+            tie: (u8, u64),
             payload: Payload<'a>,
         }
         enum Payload<'a> {
@@ -252,7 +257,7 @@ impl RTree {
         }
         impl PartialEq for HeapItem<'_> {
             fn eq(&self, other: &Self) -> bool {
-                self.dist == other.dist && self.seq == other.seq
+                self.cmp(other).is_eq()
             }
         }
         impl Eq for HeapItem<'_> {}
@@ -265,14 +270,14 @@ impl RTree {
             fn cmp(&self, other: &Self) -> std::cmp::Ordering {
                 self.dist
                     .total_cmp(&other.dist)
-                    .then(self.seq.cmp(&other.seq))
+                    .then(self.tie.cmp(&other.tie))
             }
         }
         let mut seq = 0u64;
         let mut heap: BinaryHeap<Reverse<HeapItem>> = BinaryHeap::new();
         heap.push(Reverse(HeapItem {
             dist: 0.0,
-            seq,
+            tie: (0, seq),
             payload: Payload::Node(root),
         }));
         while let Some(Reverse(item)) = heap.pop() {
@@ -293,10 +298,9 @@ impl RTree {
                             if !keep(*id) {
                                 continue;
                             }
-                            seq += 1;
                             heap.push(Reverse(HeapItem {
                                 dist: min_dist_point_rect(q, r),
-                                seq,
+                                tie: (1, *id),
                                 payload: Payload::Entry(*r, *id),
                             }));
                         }
@@ -306,7 +310,7 @@ impl RTree {
                             seq += 1;
                             heap.push(Reverse(HeapItem {
                                 dist: min_dist_point_rect(q, r),
-                                seq,
+                                tie: (0, seq),
                                 payload: Payload::Node(child),
                             }));
                         }

@@ -74,8 +74,11 @@ impl BruteGrid {
 
 /// Compares every count surface of `g` with `brute` over `rects` plus
 /// the rectangles a cloak asks about: each occupied cell, its block with
-/// a neighbour, its refinement quadrants, one point, and the world.
+/// a neighbour, all four quadrants at each refinement depth 1–4 along
+/// the descent to a point, the point itself, and the world. Checks the
+/// leaf boxes first: the count verdicts are only as exact as they are.
 fn assert_grid_matches(g: &UniformGrid, brute: &BruteGrid, rects: &[Rect]) -> Result<(), String> {
+    g.check_leaf_boxes()?;
     let side = brute.side;
     let mut rects = rects.to_vec();
     rects.push(brute.world);
@@ -93,9 +96,11 @@ fn assert_grid_matches(g: &UniformGrid, brute: &BruteGrid, rects: &[Rect]) -> Re
         };
         rects.push(g.block_rect(c, hi));
         let mut region = g.cell_rect(c);
-        for _ in 0..5 {
-            rects.push(region);
-            region = region.quadrants()[region.quadrant_of(p)];
+        rects.push(region);
+        for _ in 1..=4 {
+            let quads = region.quadrants();
+            rects.extend(quads);
+            region = quads[region.quadrant_of(p)];
         }
     }
     for r in &rects {
@@ -164,17 +169,21 @@ proptest! {
 
     #[test]
     fn grid_sub_cell_index_matches_brute_force_under_edits(
-        steps in prop::collection::vec((0u64..160, 0u8..8, -0.04f64..1.04, -0.04f64..1.04), 0..400),
+        steps in prop::collection::vec((0u64..160, 0u8..9, -0.04f64..1.04, -0.04f64..1.04), 0..400),
         corners in prop::collection::vec((-0.04f64..1.04, -0.04f64..1.04, 0.0f64..0.6, 0.0f64..0.6, 0u8..2), 1..8),
         geometry in 0usize..4,
+        removal_heavy in any::<bool>(),
     ) {
         // A step is `(id, mode, tx, ty)`: `mode` decides how the draw
         // `(tx, ty)` becomes a point — snapped onto the half-sub-cell
         // lattice (every second value is exactly a sub-cell edge, every
         // 32nd a cell edge), squeezed into one "hot" cell so it crosses
-        // the split threshold, left raw (some out of the world), or a
-        // removal. Sides are a power of two and not; worlds are dyadic,
-        // E2's 6x6-mile city, and one whose cell width is inexact.
+        // the split threshold, left raw (some out of the world), made
+        // non-finite (NaN or infinite in one or both coordinates), or a
+        // removal. In the removal-heavy mode five modes of nine remove,
+        // so crowds thin out, merge, and leaf boxes shrink. Sides are a
+        // power of two and not; worlds are dyadic, E2's 6x6-mile city,
+        // and one whose cell width is inexact.
         let (world, side) = [
             (unit_world(), 16u32),
             (Rect::new_unchecked(0.0, 0.0, 6.0, 6.0), 10),
@@ -203,23 +212,30 @@ proptest! {
         let mut g = UniformGrid::new(world, side, side);
         let mut brute = BruteGrid { world, side, pts: Vec::new() };
         let hot = |t: f64| (1.0 + t.clamp(0.0, 0.999)) / f64::from(side);
+        let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let pick = |t: f64| odd[((t + 0.04) * 100.0) as usize % 3];
         for (i, &(id, mode, tx, ty)) in steps.iter().enumerate() {
             let p = match mode {
                 0 => None,
+                1..=4 if removal_heavy => None,
                 1 => Some(at(snap(tx), snap(ty))),
                 2 => Some(at(snap(tx), ty)),
                 3..=5 => Some(at(hot(tx), hot(ty))),
                 6 => Some(at(snap(hot(tx)), snap(hot(ty)))),
-                _ => Some(at(tx, ty)),
+                7 => Some(at(tx, ty)),
+                _ if ty < 0.5 => Some(Point::new(pick(tx), at(tx, ty).y)),
+                _ => Some(Point::new(pick(tx), pick(ty))),
             };
             let prev = brute.pts.iter().find(|&&(i, _)| i == id).map(|&(_, p)| p);
+            // By bits: a NaN position equals itself.
+            let bits = |p: Option<Point>| p.map(|p| (p.x.to_bits(), p.y.to_bits()));
             match p {
                 Some(p) => {
-                    prop_assert_eq!(g.insert(id, p), prev);
+                    prop_assert_eq!(bits(g.insert(id, p)), bits(prev));
                     brute.upsert(id, p);
                 }
                 None => {
-                    prop_assert_eq!(g.remove(id), prev);
+                    prop_assert_eq!(bits(g.remove(id)), bits(prev));
                     brute.remove(id);
                 }
             }

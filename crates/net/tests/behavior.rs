@@ -5,6 +5,7 @@
 //! must keep serving other connections afterwards.
 
 use lbsp_core::engine::{EngineConfig, ShardedEngine};
+use lbsp_core::wire;
 use lbsp_geom::{Point, Rect, SimTime};
 use lbsp_net::{NetClient, NetConfig, NetServer, Reply, MAX_FRAME_LEN};
 use std::io::{Read, Write};
@@ -142,6 +143,44 @@ fn graceful_shutdown_drains_in_flight_requests() {
     let engine = shutdown.join().unwrap();
     assert_eq!(engine.population(), 1);
     assert_eq!(engine.private_len(), 1);
+}
+
+/// An update whose position or time is NaN or infinite is refused with
+/// an ERROR like any malformed row: it never reaches the engine, and the
+/// connection stays up for the next request.
+#[test]
+fn non_finite_update_is_refused_and_the_connection_stays_up() {
+    let server = NetServer::bind("127.0.0.1:0", engine(), NetConfig::default()).unwrap();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    assert_eq!(
+        client.register(1, 1, 0.0, f64::INFINITY).unwrap(),
+        Reply::Ok
+    );
+    let t = SimTime::from_secs(1.0);
+    let good = wire::encode_exact_update(&wire::ExactUpdateMsg {
+        user: 1,
+        position: Point::new(0.5, 0.5),
+        time: t,
+    });
+    // x, y and time overwritten in the row's bytes.
+    let bad = [(8, f64::NAN), (16, f64::INFINITY), (24, f64::NEG_INFINITY)];
+    for (at, v) in bad {
+        let mut row = good.to_vec();
+        row[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        match client.request(wire::tag::EXACT_UPDATE, &row).unwrap() {
+            Reply::Error(_) => {}
+            other => panic!("{v} at byte {at} answered {other:?}"),
+        }
+    }
+    assert_eq!(server.counters().snapshot().frames_rejected, 3);
+    assert!(matches!(
+        client.update(1, Point::new(0.5, 0.5), t).unwrap(),
+        Reply::Cloaked(_)
+    ));
+    assert_eq!(client.ping(b"up").unwrap(), Reply::Pong(b"up".to_vec()));
+    drop(client);
+    let engine = server.shutdown();
+    assert_eq!(engine.population(), 1);
 }
 
 /// A connection that goes quiet past the idle timeout is closed and

@@ -36,7 +36,7 @@ const TIE_EPS: f64 = 1e-12;
 
 /// Computes the exact candidate set for a private NN query: all public
 /// objects that are the nearest neighbor of at least one point of
-/// `cloak`.
+/// `cloak`, in ascending id order.
 pub fn private_nn_candidates(store: &PublicStore, cloak: &Rect) -> Vec<PublicObject> {
     if store.is_empty() {
         return Vec::new();
@@ -50,12 +50,7 @@ pub fn private_nn_candidates(store: &PublicStore, cloak: &Rect) -> Vec<PublicObj
     let mut bound = max_dist_point_rect(seed.pos, cloak);
     // Gather every object that could beat the bound...
     let search = cloak.expanded(bound).expect("bound is non-negative");
-    let mut pool: Vec<PublicObject> = Vec::new();
-    store.tree().for_each_in_rect(&search, |rect, id| {
-        let o = *store.get(id).expect("id from own tree");
-        debug_assert_eq!(rect.center(), o.pos);
-        pool.push(o);
-    });
+    let mut pool = store.objects_in(&search, |_| true);
     // ...tighten the bound over the pool, then prune the pool with it.
     for o in &pool {
         bound = bound.min(max_dist_point_rect(o.pos, cloak));
@@ -148,7 +143,7 @@ pub fn refine_nn(candidates: &[PublicObject], true_pos: Point) -> Option<PublicO
 /// exceeds `T` can never enter any position's k-NN set. The result is
 /// sound (property-tested) though not minimal — exact minimality for
 /// k > 1 needs k-th-order Voronoi machinery, which the paper's
-/// follow-ups also avoid.
+/// follow-ups also avoid. Candidates come in ascending id order.
 pub fn private_knn_candidates(store: &PublicStore, cloak: &Rect, k: usize) -> Vec<PublicObject> {
     if k == 0 || store.is_empty() {
         return Vec::new();
@@ -164,10 +159,7 @@ pub fn private_knn_candidates(store: &PublicStore, cloak: &Rect, k: usize) -> Ve
         .map(|o| max_dist_point_rect(o.pos, cloak))
         .fold(0.0f64, f64::max);
     let search = cloak.expanded(seed_t).expect("non-negative bound");
-    let mut pool: Vec<PublicObject> = Vec::new();
-    store.tree().for_each_in_rect(&search, |_, id| {
-        pool.push(*store.get(id).expect("id from own tree"));
-    });
+    let mut pool = store.objects_in(&search, |_| true);
     // Tighten T: the k-th smallest max_dist within the pool.
     let mut maxds: Vec<f64> = pool
         .iter()

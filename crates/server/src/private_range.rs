@@ -35,19 +35,8 @@ pub fn private_range_candidates(
     // MBR of the rounded rectangle (paper's stated approximation) as the
     // index prefilter...
     let mbr = cloak.expanded(radius).expect("radius clamped non-negative");
-    let mut out = Vec::new();
-    store.tree().for_each_in_rect(&mbr, |rect, id| {
-        // ...then the exact rounded-rectangle test. Public entries are
-        // degenerate rects (points), so min_dist is point-to-cloak.
-        let p = rect.center();
-        if min_dist_point_rect(p, cloak) <= radius {
-            out.push(id);
-        }
-    });
-    out.sort_unstable();
-    out.into_iter()
-        .map(|id| *store.get(id).expect("id came from the store's own tree"))
-        .collect()
+    // ...then the exact rounded-rectangle test, point to cloak.
+    store.objects_in(&mbr, |p| min_dist_point_rect(p, cloak) <= radius)
 }
 
 /// The client-side refinement step: the mobile user filters the

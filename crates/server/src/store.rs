@@ -1,19 +1,28 @@
-//! Public and private data stores: an R-tree under the public objects,
-//! a size-class grid under the cloaked regions.
+//! Public and private data stores: an R-tree over the slots of an
+//! id-ordered array under the public objects, a size-class grid under
+//! the cloaked regions.
 
 use crate::{ObjectId, PrivateRecord, PseudonymId, PublicObject};
 use lbsp_geom::{Point, Rect};
 use lbsp_index::RTree;
 use std::collections::{BTreeMap, HashMap};
 
-/// Store of public objects: R-tree over exact locations plus an id map.
+/// Store of public objects: an array in ascending id order, and an
+/// R-tree over their locations whose entries carry each object's slot
+/// in that array.
+///
+/// A query reads the objects it finds by index, and because slots
+/// ascend with ids, sorted slots are the canonical id order. An id is
+/// found by binary search. Moving an object touches one slot; adding or
+/// removing one shifts the slots after it and rebuilds the tree — the
+/// public set is bulk loaded and rarely edited.
 ///
 /// Supports both stationary objects (bulk loaded) and moving public
 /// objects like police cars ([`PublicStore::update_position`]).
 #[derive(Debug, Default)]
 pub struct PublicStore {
     tree: RTree,
-    objects: HashMap<ObjectId, PublicObject>,
+    objects: Vec<PublicObject>,
 }
 
 impl PublicStore {
@@ -27,20 +36,17 @@ impl PublicStore {
     /// # Panics
     /// Panics on duplicate ids — the caller owns id assignment and a
     /// duplicate means corrupted input.
-    pub fn bulk_load(objects: Vec<PublicObject>) -> PublicStore {
-        let entries: Vec<(Rect, ObjectId)> = objects
-            .iter()
-            .map(|o| (Rect::from_point(o.pos), o.id))
-            .collect();
-        let mut map = HashMap::with_capacity(objects.len());
-        for o in objects {
-            let prev = map.insert(o.id, o);
-            assert!(prev.is_none(), "duplicate public object id {}", o.id);
+    pub fn bulk_load(mut objects: Vec<PublicObject>) -> PublicStore {
+        objects.sort_unstable_by_key(|o| o.id);
+        if let Some(w) = objects.windows(2).find(|w| w[0].id == w[1].id) {
+            panic!("duplicate public object id {}", w[0].id);
         }
-        PublicStore {
-            tree: RTree::bulk_load(entries),
-            objects: map,
-        }
+        let mut store = PublicStore {
+            tree: RTree::new(),
+            objects,
+        };
+        store.rebuild_tree();
+        store
     }
 
     /// Number of objects.
@@ -55,62 +61,103 @@ impl PublicStore {
 
     /// Inserts a new object (or replaces one with the same id).
     pub fn insert(&mut self, o: PublicObject) {
-        if let Some(old) = self.objects.insert(o.id, o) {
-            self.tree.remove_point(old.pos, old.id);
+        match self.slot(o.id) {
+            Ok(slot) => {
+                self.move_entry(slot, o.pos);
+                self.objects[slot] = o;
+            }
+            Err(slot) => {
+                self.objects.insert(slot, o);
+                self.rebuild_tree();
+            }
         }
-        self.tree.insert_point(o.pos, o.id);
     }
 
     /// Removes an object.
     pub fn remove(&mut self, id: ObjectId) -> Option<PublicObject> {
-        let o = self.objects.remove(&id)?;
-        self.tree.remove_point(o.pos, o.id);
+        let o = self.objects.remove(self.slot(id).ok()?);
+        self.rebuild_tree();
         Some(o)
     }
 
     /// Moves an object (e.g. a police car location update).
     pub fn update_position(&mut self, id: ObjectId, pos: Point) -> bool {
-        let Some(o) = self.objects.get(&id).copied() else {
+        let Ok(slot) = self.slot(id) else {
             return false;
         };
-        self.tree.remove_point(o.pos, o.id);
-        self.tree.insert_point(pos, o.id);
-        self.objects.insert(id, PublicObject { pos, ..o });
+        self.move_entry(slot, pos);
+        self.objects[slot].pos = pos;
         true
     }
 
     /// Looks up an object.
     pub fn get(&self, id: ObjectId) -> Option<&PublicObject> {
-        self.objects.get(&id)
+        self.slot(id).ok().map(|slot| &self.objects[slot])
     }
 
-    /// All objects with locations inside `r`.
+    /// All objects with locations inside `r`, in ascending id order.
     pub fn in_rect(&self, r: &Rect) -> Vec<PublicObject> {
-        self.tree
-            .search_rect(r)
-            .into_iter()
-            .map(|(_, id)| self.objects[&id])
-            .collect()
+        self.objects_in(r, |_| true)
     }
 
-    /// The `k` objects nearest to `q`.
+    /// The `k` objects nearest to `q`, nearest first, equal distances
+    /// in ascending id order.
     pub fn k_nearest(&self, q: Point, k: usize) -> Vec<PublicObject> {
         self.tree
             .k_nearest(q, k)
             .into_iter()
-            .map(|n| self.objects[&n.id])
+            .map(|n| self.objects[n.id as usize])
             .collect()
     }
 
-    /// Iterates over all objects (unspecified order).
+    /// Iterates over all objects in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = &PublicObject> {
-        self.objects.values()
+        self.objects.iter()
     }
 
-    /// Access to the underlying R-tree (used by the query processors for
-    /// incremental pruning).
-    pub(crate) fn tree(&self) -> &RTree {
-        &self.tree
+    /// The objects whose location (as the tree has it) lies in `r` and
+    /// passes `keep`, in ascending id order. The query processors'
+    /// one index pass.
+    pub(crate) fn objects_in(
+        &self,
+        r: &Rect,
+        mut keep: impl FnMut(Point) -> bool,
+    ) -> Vec<PublicObject> {
+        let mut slots = Vec::new();
+        self.tree.for_each_in_rect(r, |rect, slot| {
+            // Entries are degenerate rects, so the center is the point.
+            if keep(rect.center()) {
+                slots.push(slot);
+            }
+        });
+        slots.sort_unstable();
+        slots
+            .into_iter()
+            .map(|slot| self.objects[slot as usize])
+            .collect()
+    }
+
+    /// `Ok(slot)` of `id`, or `Err(slot)` where it would be inserted.
+    fn slot(&self, id: ObjectId) -> Result<usize, usize> {
+        self.objects.binary_search_by_key(&id, |o| o.id)
+    }
+
+    /// Moves the tree entry of `slot` to `pos`.
+    fn move_entry(&mut self, slot: usize, pos: Point) {
+        self.tree
+            .remove_point(self.objects[slot].pos, slot as ObjectId);
+        self.tree.insert_point(pos, slot as ObjectId);
+    }
+
+    /// Rebuilds the tree after slots shifted.
+    fn rebuild_tree(&mut self) {
+        self.tree = RTree::bulk_load(
+            self.objects
+                .iter()
+                .enumerate()
+                .map(|(slot, o)| (Rect::from_point(o.pos), slot as ObjectId))
+                .collect(),
+        );
     }
 }
 
@@ -374,6 +421,122 @@ mod tests {
         assert!(s
             .in_rect(&Rect::new_unchecked(0.0, 0.0, 0.2, 0.2))
             .is_empty());
+    }
+
+    /// Edits that shift slots (an id below the others, a removal) and
+    /// edits that do not (a replace, a move), each followed by every
+    /// query processor and `k_nearest` against a scan of a plain map.
+    /// Positions sit on a coarse lattice, so distances tie and objects
+    /// share positions.
+    #[test]
+    fn public_store_edits_match_a_brute_force_scan() {
+        use crate::{private_knn_candidates, private_nn_candidates, private_range_candidates};
+        use lbsp_geom::{max_dist_point_rect, min_dist_point_rect};
+        let ids = |v: &[PublicObject]| v.iter().map(|o| o.id).collect::<Vec<_>>();
+        for seed in 0..16u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let lattice = |rng: &mut StdRng| {
+                let mut c = || f64::from(rng.random_range(0..9u32)) / 8.0;
+                Point::new(c(), c())
+            };
+            let mut model: BTreeMap<ObjectId, PublicObject> = BTreeMap::new();
+            for id in (60..120).step_by(3) {
+                model.insert(id, PublicObject::new(id, lattice(&mut rng), id as u32));
+            }
+            let mut s = PublicStore::bulk_load(model.values().rev().copied().collect());
+            for step in 0..60u32 {
+                let id = rng.random_range(0..130u64);
+                match step % 4 {
+                    // Below every id at first; later anywhere, or a replace.
+                    0 => {
+                        let o = PublicObject::new(id / 2, lattice(&mut rng), step);
+                        s.insert(o);
+                        model.insert(o.id, o);
+                    }
+                    1 => assert_eq!(s.remove(id), model.remove(&id)),
+                    2 => {
+                        let pos = lattice(&mut rng);
+                        let known = model.get_mut(&id).map(|o| o.pos = pos).is_some();
+                        assert_eq!(s.update_position(id, pos), known);
+                    }
+                    _ => {
+                        // Replace an existing id with a new object.
+                        if let Some(&id) = model.keys().nth(id as usize % model.len().max(1)) {
+                            let o = PublicObject::new(id, lattice(&mut rng), step + 1000);
+                            s.insert(o);
+                            model.insert(id, o);
+                        }
+                    }
+                }
+                let all: Vec<PublicObject> = model.values().copied().collect();
+                assert_eq!(s.len(), all.len());
+                assert_eq!(s.iter().copied().collect::<Vec<_>>(), all);
+                assert_eq!(s.get(id), model.get(&id));
+                let q = lattice(&mut rng);
+                let cloak = Rect::new_unchecked(q.x, q.y, q.x + 0.125, q.y + 0.25);
+                let on = |r: &Rect, o: &PublicObject| min_dist_point_rect(o.pos, r);
+                // Range: the rounded rectangle, in id order.
+                for radius in [0.0, 0.125, 0.3] {
+                    let want: Vec<_> = all
+                        .iter()
+                        .filter(|o| on(&cloak, o) <= radius)
+                        .copied()
+                        .collect();
+                    assert_eq!(private_range_candidates(&s, &cloak, radius), want);
+                }
+                assert_eq!(
+                    ids(&s.in_rect(&cloak)),
+                    ids(&all
+                        .iter()
+                        .filter(|o| cloak.contains_point(o.pos))
+                        .copied()
+                        .collect::<Vec<_>>())
+                );
+                // k nearest: by distance, ties by id.
+                let mut by_dist = all.clone();
+                by_dist.sort_by(|a, b| {
+                    let d = |o: &PublicObject| min_dist_point_rect(q, &Rect::from_point(o.pos));
+                    d(a).total_cmp(&d(b)).then(a.id.cmp(&b.id))
+                });
+                for k in [1, 3, 7] {
+                    let want = &by_dist[..k.min(by_dist.len())];
+                    assert_eq!(
+                        ids(&s.k_nearest(q, k)),
+                        ids(want),
+                        "seed {seed} step {step} k {k}"
+                    );
+                }
+                // kNN: every object within the k-th smallest max-dist.
+                for k in [1, 4] {
+                    let mut maxds: Vec<f64> = all
+                        .iter()
+                        .map(|o| max_dist_point_rect(o.pos, &cloak))
+                        .collect();
+                    maxds.sort_by(f64::total_cmp);
+                    let want: Vec<_> = match maxds.get(k - 1) {
+                        Some(&t) if k < all.len() => all
+                            .iter()
+                            .filter(|o| on(&cloak, o) <= t + 1e-12)
+                            .copied()
+                            .collect(),
+                        _ => all.clone(),
+                    };
+                    assert_eq!(private_knn_candidates(&s, &cloak, k), want);
+                }
+                // NN: in id order, the nearest object of every sampled
+                // position among them, and what a fresh store answers.
+                let nn = private_nn_candidates(&s, &cloak);
+                let fresh = PublicStore::bulk_load(all.clone());
+                assert_eq!(nn, private_nn_candidates(&fresh, &cloak));
+                assert!(ids(&nn).windows(2).all(|w| w[0] < w[1]));
+                for (fx, fy) in [(0.0, 0.0), (0.5, 0.5), (1.0, 0.25), (0.3, 1.0)] {
+                    let pos = Point::new(q.x + fx * 0.125, q.y + fy * 0.25);
+                    if let Some(best) = all.iter().map(|o| pos.dist(o.pos)).min_by(f64::total_cmp) {
+                        assert!(nn.iter().any(|o| pos.dist(o.pos) == best));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -218,6 +218,49 @@ fn reopen_resumes_logging_and_stays_byte_identical() {
     );
 }
 
+#[test]
+fn a_log_holding_non_finite_rows_reopens() {
+    // The network refuses such rows, but an in-process caller may hand
+    // the engine any f64, and whatever it journals must replay.
+    let odd = |salt: f64| {
+        vec![
+            (1, Point::new(f64::NAN, 0.5), SimTime::from_secs(salt)),
+            (
+                2,
+                Point::new(0.5, f64::INFINITY),
+                SimTime::from_secs(f64::NAN),
+            ),
+            (
+                3,
+                Point::new(f64::NEG_INFINITY, 0.25),
+                SimTime::from_secs(f64::INFINITY),
+            ),
+        ]
+    };
+    for snapshot_every in [u64::MAX, 2] {
+        let dir = TempDir::new("non-finite");
+        let policy = Durability {
+            snapshot_every,
+            fsync: true,
+        };
+        let mut opened =
+            open_engine(dir.path(), EngineConfig::new(world()), 2, policy).expect("open fresh log");
+        drive(&mut opened.engine);
+        opened.engine.process_updates(&odd(1.0));
+        opened.engine.apply_shadow_update(&odd(2.0));
+        let live = journal::encode_engine_state(&opened.engine.export_state());
+        drop(opened);
+        assert_eq!(
+            recovered_bytes(dir.path(), 2),
+            live,
+            "snapshot_every={snapshot_every}"
+        );
+        let reopened = open_engine(dir.path(), EngineConfig::new(world()), 2, policy)
+            .expect("reopen a log holding non-finite rows");
+        assert!(reopened.recovered);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Torn tails: truncate at every byte offset of the final record.
 // ---------------------------------------------------------------------
