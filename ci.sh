@@ -19,17 +19,16 @@ if ! cargo run -q -p lbsp-lint --offline -- --json >target/lint-findings.json; t
   exit 1
 fi
 
-echo "== concurrency + loopback under debug_assertions (lock-order checker armed) =="
-# The concurrency suite holds the batch-size equivalence test (batches of
-# 1 to 256 rows on a 4-worker pool, a 1-worker pool and replayed
-# schedules), so the runtime checker walks the engine's inline path as
-# well as its job bodies; the engine's own inline-path tests ride along,
-# and so do its edge-crossing tests (users on and across quarter, cell
-# and world edges against the sequential cloak, on the pool, inline and
-# replayed; a cloak moving across the world staying one record), which
-# walk the one anonymizer grid and the one private store on every path.
+echo "== equivalence + loopback under debug_assertions (lock-order checker armed) =="
+# The equivalence suite holds the batch-size test (batches of 1 to 256
+# rows against the sequential anonymizer) and the engine's own
+# edge-crossing tests ride along (users on and across quarter, cell and
+# world edges against the sequential cloak; a cloak moving across the
+# world staying one record), so debug assertions walk the one anonymizer
+# grid and the one private store on every path; the loopback suite takes
+# the network tier's locks with the checker armed.
 cargo test -q --offline --test concurrency
-cargo test -q --offline -p lbsp-core --lib -- inline threshold across_the_world sequential_anonymizer
+cargo test -q --offline -p lbsp-core --lib -- journal_record across_the_world sequential_anonymizer
 cargo test -q --offline --test net_loopback
 
 echo "== loopback byte-identity (network vs in-process) =="

@@ -2,9 +2,9 @@
 //! transport on loopback.
 //!
 //! One blocking client drives register/update/query traffic through
-//! `NetClient → NetServer → ShardedEngine` at several server
-//! worker-pool sizes, then prints a requests/s summary. With a single
-//! closed-loop client the pool size bounds concurrency, not ordering —
+//! `NetClient → NetServer → ShardedEngine` at several server poller
+//! shard counts, then prints a requests/s summary. With a single
+//! closed-loop client the shard count bounds concurrency, not ordering —
 //! the engine output stays byte-identical (asserted by the
 //! `net_loopback` integration test); this bench quantifies the cost of
 //! the network hop itself.
@@ -41,7 +41,7 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    // Readable summary: loopback requests/s per worker-pool size.
+    // Readable summary: loopback requests/s per poller shard count.
     println!("\nnet_throughput summary: closed-loop client, loopback TCP");
     for workers in [1usize, 2, 4] {
         let server = NetServer::bind(

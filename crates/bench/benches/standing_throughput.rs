@@ -1,4 +1,4 @@
-//! Standing-query maintenance cost inside the sharded engine: batch
+//! Standing-query maintenance cost inside the engine: batch
 //! update throughput with no standing queries, with standing queries
 //! registered far from the traffic (index pays for itself), and with
 //! standing queries overlapping the traffic (real fan-out).
@@ -12,10 +12,10 @@ use lbsp_geom::{Point, Rect, SimTime};
 
 const USERS: usize = 4_000;
 
-fn engine(workers: usize) -> ShardedEngine {
+fn engine() -> ShardedEngine {
     let mut cfg = EngineConfig::new(world());
     cfg.refine = true;
-    let mut eng = ShardedEngine::new(cfg, workers);
+    let mut eng = ShardedEngine::new(cfg, 1);
     for i in 0..USERS as u64 {
         let k = [2u32, 5, 10, 25][(i % 4) as usize];
         eng.register(
@@ -41,14 +41,14 @@ fn bench(c: &mut Criterion) {
 
     // Baseline: the maintenance loop is skipped entirely when no
     // standing query is registered.
-    let mut eng = engine(4);
+    let mut eng = engine();
     group.bench_function("batch_4k/no_standing", |b| {
         b.iter(|| eng.process_updates(&batch))
     });
 
     // 256 count queries in a corner the traffic never reaches: the
     // area index should make this nearly free.
-    let mut eng = engine(4);
+    let mut eng = engine();
     for (j, p) in uniform_positions(256, 31).into_iter().enumerate() {
         let x = p.x * 0.002;
         let y = p.y * 0.002;
@@ -61,7 +61,7 @@ fn bench(c: &mut Criterion) {
 
     // 32 overlapping count queries plus 32 standing private ranges:
     // the price of real fan-out.
-    let mut eng = engine(4);
+    let mut eng = engine();
     for p in uniform_positions(32, 33) {
         let r = Rect::new_unchecked(
             p.x * 0.5,
@@ -83,9 +83,9 @@ fn bench(c: &mut Criterion) {
     // Machine-readable summary: one timed pass per scenario, so the
     // three batch rates land in bench logs as flat JSON lines.
     for (scenario, mut eng) in [
-        ("no_standing", engine(4)),
+        ("no_standing", engine()),
         ("256_far_counts", {
-            let mut eng = engine(4);
+            let mut eng = engine();
             for p in uniform_positions(256, 31) {
                 let x = p.x * 0.002;
                 let y = p.y * 0.002;
@@ -94,7 +94,7 @@ fn bench(c: &mut Criterion) {
             eng
         }),
         ("32_hot_counts_32_ranges", {
-            let mut eng = engine(4);
+            let mut eng = engine();
             for p in uniform_positions(32, 33) {
                 let r = Rect::new_unchecked(
                     p.x * 0.5,

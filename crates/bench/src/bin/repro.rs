@@ -8,8 +8,7 @@
 //!
 //! Each experiment (E1–E14) maps to one figure or section of the paper;
 //! see DESIGN.md for the index and EXPERIMENTS.md for recorded results.
-//! `-- --threads N` runs the sharded-engine experiment (E12) at N
-//! workers.
+//! `-- --threads N` sets the poller shards of `--serve` (default 4).
 //!
 //! Network mode (see DESIGN.md "Network architecture"):
 //! ```text
@@ -66,13 +65,12 @@ use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `--threads N` selects the worker count for the sharded-engine
-    // experiment (E12) and, when given alone, runs just that experiment.
-    let threads_flag = args
+    // `--threads N` sets the poller shards of `--serve`.
+    let threads = args
         .windows(2)
         .find(|w| w[0] == "--threads")
-        .and_then(|w| w[1].parse::<usize>().ok());
-    let threads = threads_flag.unwrap_or(4);
+        .and_then(|w| w[1].parse::<usize>().ok())
+        .unwrap_or(4);
     // `--serve ADDR` / `--connect ADDR` switch repro into network mode:
     // one process runs the framed TCP service, another drives it with
     // the standard closed-loop workload.
@@ -163,8 +161,8 @@ fn main() {
     if want("e11") {
         e11_extensions();
     }
-    if want("e12") || threads_flag.is_some() {
-        e12_engine(threads);
+    if want("e12") {
+        e12_engine();
     }
     if want("e13") {
         e13_network();
@@ -405,7 +403,7 @@ fn cluster_chaos() {
     let open_node1 = |dir: &std::path::Path| {
         let mut cfg = EngineConfig::new(world());
         cfg.refine = true;
-        let opened = lbsp_store::open_engine(dir, cfg, 2, Durability::default())
+        let opened = lbsp_store::open_engine(dir, cfg, 1, Durability::default())
             .unwrap_or_else(|e| panic!("cannot open wal dir {}: {e}", dir.display()));
         let mut engine = opened.engine;
         if !opened.recovered {
@@ -954,7 +952,7 @@ fn serve(addr: &str, workers: usize, wal_dir: Option<&str>) {
             let mut cfg = EngineConfig::new(world());
             cfg.refine = true;
             let opened =
-                lbsp_store::open_engine(std::path::Path::new(dir), cfg, 2, Durability::default())
+                lbsp_store::open_engine(std::path::Path::new(dir), cfg, 1, Durability::default())
                     .unwrap_or_else(|e| panic!("cannot open wal dir {dir}: {e}"));
             let mut engine = opened.engine;
             if opened.recovered {
@@ -1050,7 +1048,7 @@ fn stats(addr: &str) {
 }
 
 /// E13: the network deployment — loopback closed-loop throughput per
-/// server worker-pool size, with the byte-identity claim restated.
+/// server poller shard count, with the byte-identity claim restated.
 fn e13_network() {
     use lbsp_bench::netload::{closed_loop, serve_engine};
     use lbsp_net::{NetConfig, NetServer};
@@ -1059,7 +1057,7 @@ fn e13_network() {
         "One closed-loop client drives register/update/query traffic through\n\
          NetClient -> NetServer -> ShardedEngine over loopback TCP. Claim: the\n\
          network hop changes throughput, never bytes — responses are\n\
-         byte-identical to the in-process engine at every worker-pool size\n\
+         byte-identical to the in-process engine at every poller shard count\n\
          (asserted by tests/net_loopback.rs); this table prices the hop.\n"
     );
     header(&[
@@ -1169,70 +1167,78 @@ fn e14_standing() {
     );
 }
 
-/// E12: the sharded concurrent engine — worker-count scaling plus the
-/// bit-identity guarantee across worker counts.
-fn e12_engine(threads: usize) {
-    println!("## E12 — sharded concurrent engine (--threads {threads})\n");
+/// E12: the engine against the sequential anonymizer — ingest rate
+/// and the bit-identity of what crosses the trust boundary.
+fn e12_engine() {
+    println!("## E12 — the engine vs the sequential anonymizer\n");
     println!(
-        "20,000 users stream one full-population batch through the sharded\n\
-         engine (grid+multilevel cloaking). Claim: worker counts change only\n\
-         throughput — the wire bytes crossing the anonymizer -> server trust\n\
-         boundary are identical at every worker count — and ingest throughput\n\
-         scales near-linearly 1 -> {threads} workers (bounded by host cores).\n"
+        "20,000 users stream one full-population batch through the engine and\n\
+         through the sequential LocationAnonymizer<GridCloak> (grid+multilevel\n\
+         cloaking). Claim: the engine's wire bytes crossing the anonymizer ->\n\
+         server trust boundary are identical to the sequential pipeline's; the\n\
+         rates price the engine's ingest against it.\n"
     );
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("Host parallelism: {cores} core(s).\n");
     let n = 20_000usize;
     let updates: Vec<(u64, Point, SimTime)> = uniform_positions(n, 17)
         .into_iter()
         .enumerate()
         .map(|(i, p)| (i as u64, p, SimTime::from_secs(i as f64)))
         .collect();
-    let build = |workers: usize| {
-        let mut cfg = lbsp_core::EngineConfig::new(world());
-        cfg.refine = true;
-        let mut eng = lbsp_core::ShardedEngine::new(cfg, workers);
-        for i in 0..n as u64 {
-            let k = [2u32, 5, 10, 25][(i % 4) as usize];
-            eng.register(
-                i,
-                PrivacyProfile::uniform(CloakRequirement::k_only(k)).unwrap(),
-            );
-        }
-        eng
+    let profile = |i: u64| {
+        let k = [2u32, 5, 10, 25][(i % 4) as usize];
+        PrivacyProfile::uniform(CloakRequirement::k_only(k)).unwrap()
     };
-    let mut counts = vec![1usize, 2, threads];
-    counts.sort_unstable();
-    counts.dedup();
-    // Reference wire bytes from a single worker on a fresh engine.
-    let reference = build(1).process_updates_wire(&updates);
-    header(&["workers", "updates/s", "speedup", "wire identical"]);
-    let mut base = 0.0f64;
-    for workers in counts {
-        let mut eng = build(workers);
-        let wire = eng.process_updates_wire(&updates);
-        let identical = wire.len() == reference.len()
-            && wire.iter().zip(&reference).all(|(a, b)| match (a, b) {
-                (Ok(x), Ok(y)) => x == y,
-                (Err(_), Err(_)) => true,
-                _ => false,
-            });
-        let reps = 3;
+    let mut cfg = lbsp_core::EngineConfig::new(world());
+    cfg.refine = true;
+    let mut eng = lbsp_core::ShardedEngine::new(cfg, 1);
+    let mut seq = lbsp_anonymizer::LocationAnonymizer::new(
+        GridCloak::new(world(), cfg.grid_side).with_refinement(true),
+        cfg.secret,
+    );
+    for i in 0..n as u64 {
+        eng.register(i, profile(i));
+        seq.register(i, profile(i));
+    }
+    let want: Vec<Vec<u8>> = seq
+        .handle_updates_batch(&updates)
+        .iter()
+        .filter_map(|r| r.as_ref().ok())
+        .map(|u| lbsp_core::wire::encode_cloaked_update(u).to_vec())
+        .collect();
+    let got: Vec<Vec<u8>> = eng
+        .process_updates_wire(&updates)
+        .into_iter()
+        .filter_map(Result::ok)
+        .map(|b| b.to_vec())
+        .collect();
+    let identical = want.len() == n && got == want;
+    let reps = 3;
+    let rate = |run: &mut dyn FnMut()| {
         let start = Instant::now();
         for _ in 0..reps {
-            eng.process_updates(&updates);
+            run();
         }
-        let ups = (n * reps) as f64 / start.elapsed().as_secs_f64();
-        if base == 0.0 {
-            base = ups;
-        }
-        row(&[
-            format!("{workers}"),
-            format!("{ups:.0}"),
-            format!("{:.2}x", ups / base),
-            format!("{identical}"),
-        ]);
-    }
+        (n * reps) as f64 / start.elapsed().as_secs_f64()
+    };
+    let seq_ups = rate(&mut || {
+        seq.handle_updates_batch(&updates);
+    });
+    let eng_ups = rate(&mut || {
+        eng.process_updates(&updates);
+    });
+    header(&["pipeline", "updates/s", "vs sequential", "wire identical"]);
+    row(&[
+        "sequential".into(),
+        format!("{seq_ups:.0}"),
+        "1.00x".into(),
+        "-".into(),
+    ]);
+    row(&[
+        "engine".into(),
+        format!("{eng_ups:.0}"),
+        format!("{:.2}x", eng_ups / seq_ups),
+        format!("{identical}"),
+    ]);
     println!();
 }
 

@@ -125,7 +125,7 @@ pub mod netload {
     pub fn serve_engine() -> ShardedEngine {
         let mut cfg = EngineConfig::new(world());
         cfg.refine = true;
-        let mut engine = ShardedEngine::new(cfg, 2);
+        let mut engine = ShardedEngine::new(cfg, 1);
         let pois = poi_store(1_000, 17);
         engine.load_public(pois.iter().copied().collect());
         engine

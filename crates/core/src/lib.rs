@@ -49,9 +49,7 @@ mod user;
 #[deny(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 pub mod wire;
 
-pub use engine::{
-    EngineConfig, ExecutionMode, RangeQueryAnswer, ReplayScheduler, ShardedEngine, WorkerPool,
-};
+pub use engine::{EngineConfig, RangeQueryAnswer, ShardedEngine};
 pub use journal::{Durability, DurabilitySink, EngineOp, EngineState, JournalRecord};
 pub use locks::{LockRank, TrackedMutex, TrackedRwLock};
 pub use obs::{Histogram, HistogramSnapshot, MetricsRegistry, RegistrySnapshot, Stage};

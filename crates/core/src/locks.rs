@@ -1,7 +1,7 @@
 //! The lock registry and order-checked lock wrappers.
 //!
-//! Every lock in the concurrent engine and the network front-end is
-//! declared here, in one place, with a total order. The rule the
+//! Every lock in the workspace is declared here, in one place, with a
+//! total order. The rule the
 //! registry encodes is the classic deadlock-freedom discipline: a
 //! thread may only acquire a lock whose rank is **greater than or equal
 //! to** every rank it already holds. Equal ranks are reserved for
@@ -23,10 +23,10 @@
 //!   test suites in debug mode therefore doubles as a deadlock-ordering
 //!   detector run.
 //!
-//! Both wrappers *recover* from poisoning instead of panicking: a
-//! panicked holder already aborts its batch through the worker pool's
-//! failure flag, and the hostile-input network paths must stay
-//! panic-free (`lbsp-lint` enforces this statically).
+//! Both wrappers *recover* from poisoning instead of panicking: the
+//! hostile-input network paths must stay panic-free (`lbsp-lint`
+//! enforces this statically), so one panicked holder must not turn
+//! every later acquisition into a panic too.
 //!
 //! Crates below `lbsp-core` in the dependency graph cannot use these
 //! wrappers; their raw locks carry a `// lint: lock(Rank)` annotation
@@ -37,7 +37,7 @@ use std::fmt;
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Number of declared lock ranks.
-pub const LOCK_RANK_COUNT: usize = 11;
+pub const LOCK_RANK_COUNT: usize = 9;
 
 /// The ordered lock registry. Declaration order *is* acquisition order:
 /// a thread holding a lock of some rank may only acquire locks of equal
@@ -63,7 +63,7 @@ pub enum LockRank {
     /// node-index order when a fan-out touches several nodes).
     ClusterNode,
     /// `lbsp-net`: the engine mutex serializing requests into the
-    /// sharded engine.
+    /// engine, which then runs on the thread holding it.
     Engine,
     /// `lbsp-net`: the front door's standing-query subscription map
     /// (query -> conn ids, conn id -> delta-push channel), shared by the
@@ -76,13 +76,9 @@ pub enum LockRank {
     /// `lbsp-anonymizer`: the `HilbertCloak` lazily rebuilt rank array
     /// (annotated at its raw `RwLock` site).
     HilbertRanks,
-    /// `lbsp-core`: the `WorkerPool` shared job-queue receiver.
-    PoolQueue,
-    /// `lbsp-core`: the anonymizer grid every cloak reads (one lock;
-    /// the user-position plane).
-    AnonShard,
-    /// `lbsp-core`: the cloak phase's row-result collection sink.
-    ResultSink,
+    /// `lbsp-net`: the chaos proxy's upstream address and fault-event
+    /// log. Innermost: each is held for one read or one push.
+    ChaosProxy,
 }
 
 impl LockRank {
@@ -96,9 +92,7 @@ impl LockRank {
         LockRank::NetStandingSubs,
         LockRank::AnonService,
         LockRank::HilbertRanks,
-        LockRank::PoolQueue,
-        LockRank::AnonShard,
-        LockRank::ResultSink,
+        LockRank::ChaosProxy,
     ];
 
     /// The rank's position in the registry order.
@@ -117,9 +111,7 @@ impl LockRank {
             LockRank::NetStandingSubs => "NetStandingSubs",
             LockRank::AnonService => "AnonService",
             LockRank::HilbertRanks => "HilbertRanks",
-            LockRank::PoolQueue => "PoolQueue",
-            LockRank::AnonShard => "AnonShard",
-            LockRank::ResultSink => "ResultSink",
+            LockRank::ChaosProxy => "ChaosProxy",
         }
     }
 }
@@ -449,8 +441,8 @@ mod tests {
     #[test]
     fn ascending_acquisition_is_legal() {
         let a = TrackedMutex::new(LockRank::Engine, 1u32);
-        let b = TrackedRwLock::new(LockRank::AnonShard, 2u32);
-        let c = TrackedMutex::new(LockRank::ResultSink, 3u32);
+        let b = TrackedRwLock::new(LockRank::NetStandingSubs, 2u32);
+        let c = TrackedMutex::new(LockRank::ChaosProxy, 3u32);
         let ga = a.lock();
         let gb = b.read();
         let gc = c.lock();
@@ -473,7 +465,7 @@ mod tests {
     #[cfg(debug_assertions)]
     fn lock_order_inversion_panics_in_debug() {
         let low = TrackedMutex::new(LockRank::Engine, ());
-        let high = TrackedMutex::new(LockRank::ResultSink, ());
+        let high = TrackedMutex::new(LockRank::ChaosProxy, ());
         let _held = high.lock();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let _ = low.lock();
@@ -490,14 +482,14 @@ mod tests {
     #[cfg(debug_assertions)]
     fn release_restores_the_acquisition_stack() {
         {
-            let a = TrackedMutex::new(LockRank::PoolQueue, ());
+            let a = TrackedMutex::new(LockRank::AnonService, ());
             let _g = a.lock();
-            assert_eq!(debug_check::held_now(), vec![LockRank::PoolQueue]);
+            assert_eq!(debug_check::held_now(), vec![LockRank::AnonService]);
         }
         assert!(debug_check::held_now().is_empty(), "guard drop pops");
         // After a full acquire/release cycle, descending order on fresh
         // locks is legal again.
-        let high = TrackedMutex::new(LockRank::ResultSink, ());
+        let high = TrackedMutex::new(LockRank::ChaosProxy, ());
         drop(high.lock());
         let low = TrackedMutex::new(LockRank::Engine, ());
         drop(low.lock());
@@ -513,7 +505,7 @@ mod tests {
         })
         .join();
         assert_eq!(*m.lock(), 7, "lock() recovers the value");
-        let rw = TrackedRwLock::new(LockRank::AnonShard, 9u32);
+        let rw = TrackedRwLock::new(LockRank::ClusterRouter, 9u32);
         assert_eq!(*rw.read(), 9);
         assert_eq!(rw.into_inner(), 9);
     }

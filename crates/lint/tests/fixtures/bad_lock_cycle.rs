@@ -11,7 +11,7 @@ impl Pool {
     pub fn new() -> Pool {
         Pool {
             jobs: TrackedMutex::new(LockRank::Engine, Vec::new()),
-            results: TrackedMutex::new(LockRank::ResultSink, Vec::new()),
+            results: TrackedMutex::new(LockRank::ChaosProxy, Vec::new()),
         }
     }
 

@@ -90,28 +90,28 @@ fn lock_graph_catches_rank_cycle() {
         lo.iter().any(|f| f.file == rel
             && f.line == 20
             && f.message.contains("`Engine`")
-            && f.message.contains("`ResultSink`")),
+            && f.message.contains("`ChaosProxy`")),
         "descending edge pinned at the drain→refill call (pool.rs:20): {lo:?}"
     );
     assert!(
         lo.iter().any(|f| f.message.contains("lock-rank cycle")
             && f.message.contains("Engine")
-            && f.message.contains("ResultSink")),
+            && f.message.contains("ChaosProxy")),
         "cycle reported with both ranks: {lo:?}"
     );
     // Both directions appear in the derived graph.
     assert!(
         a.lock_edges
             .iter()
-            .any(|e| e.from == "ResultSink" && e.to == "Engine"),
-        "ResultSink→Engine edge derived: {:?}",
+            .any(|e| e.from == "ChaosProxy" && e.to == "Engine"),
+        "ChaosProxy→Engine edge derived: {:?}",
         a.lock_edges
     );
     assert!(
         a.lock_edges
             .iter()
-            .any(|e| e.from == "Engine" && e.to == "ResultSink"),
-        "Engine→ResultSink edge derived: {:?}",
+            .any(|e| e.from == "Engine" && e.to == "ChaosProxy"),
+        "Engine→ChaosProxy edge derived: {:?}",
         a.lock_edges
     );
 }
@@ -128,8 +128,8 @@ fn lock_graph_sees_a_shard_array_member_through_its_index() {
                impl Engine {\n\
                    pub fn new() -> Engine {\n\
                        Engine {\n\
-                           shards: vec![TrackedRwLock::new(LockRank::AnonShard, 0)],\n\
-                           sink: TrackedMutex::new(LockRank::ResultSink, Vec::new()),\n\
+                           shards: vec![TrackedRwLock::new(LockRank::NetStandingSubs, 0)],\n\
+                           sink: TrackedMutex::new(LockRank::ChaosProxy, Vec::new()),\n\
                        }\n\
                    }\n\
                \n\
@@ -144,8 +144,8 @@ fn lock_graph_sees_a_shard_array_member_through_its_index() {
         a.findings.iter().any(|f| f.rule == "lock-order"
             && f.file == rel
             && f.line == 16
-            && f.message.contains("`AnonShard`")
-            && f.message.contains("`ResultSink`")),
+            && f.message.contains("`NetStandingSubs`")
+            && f.message.contains("`ChaosProxy`")),
         "descending edge through the indexed receiver at mini.rs:16: {:?}",
         a.findings
     );

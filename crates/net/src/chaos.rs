@@ -100,13 +100,13 @@ impl ChaosProxy {
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            upstream: TrackedMutex::new(LockRank::ResultSink, upstream),
+            upstream: TrackedMutex::new(LockRank::ChaosProxy, upstream),
             severed: AtomicBool::new(false),
             closed: AtomicBool::new(false),
             delay_ms: AtomicU64::new(0),
             cut_up: AtomicU64::new(UNARMED),
             cut_down: AtomicU64::new(UNARMED),
-            events: TrackedMutex::new(LockRank::ResultSink, Vec::new()),
+            events: TrackedMutex::new(LockRank::ChaosProxy, Vec::new()),
             start: Instant::now(),
         });
         let accept_shared = Arc::clone(&shared);

@@ -15,7 +15,7 @@
 //!
 //! Determinism is preserved across the wire: a closed-loop client
 //! driving the server produces byte-identical responses to the
-//! in-process engine, at any worker-pool size (the loopback integration
+//! in-process engine, at any poller shard count (the loopback integration
 //! test in the workspace root asserts exactly this).
 
 #![forbid(unsafe_code)]
@@ -40,5 +40,5 @@ pub use client::{classify_reply, is_retryable_route_failure, is_route_failure, N
 pub use frame::{Frame, FrameReader, Poll, FRAME_OVERHEAD, MAX_FRAME_LEN};
 pub use server::{
     drop_query, route_deltas, sim_time_since, subscribe, FrontDoor, NetConfig, NetServer, Outbound,
-    RecoveryReport, Service, SharedSubs,
+    Service, SharedSubs,
 };

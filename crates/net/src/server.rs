@@ -40,14 +40,11 @@
 use crate::frame::{Frame, MAX_FRAME_LEN};
 use lbsp_anonymizer::{CloakRequirement, PrivacyProfile};
 use lbsp_core::metrics::NetCounters;
-use lbsp_core::{
-    wire, Durability, EngineConfig, LockRank, MetricsRegistry, ShardedEngine, TrackedMutex,
-};
+use lbsp_core::{wire, LockRank, MetricsRegistry, ShardedEngine, TrackedMutex};
 use lbsp_geom::SimTime;
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, TrySendError};
 use std::sync::Arc;
@@ -294,18 +291,6 @@ impl Drop for FrontDoor {
     }
 }
 
-/// What [`NetServer::bind_durable`] found in the WAL directory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// `true` when state was recovered from an existing log, `false`
-    /// for a freshly initialized directory.
-    pub recovered: bool,
-    /// Registered users after recovery (0 for a fresh directory).
-    pub users: usize,
-    /// Journal ops replayed during recovery.
-    pub ops_replayed: u64,
-}
-
 /// The node tier: a [`FrontDoor`] serving one `ShardedEngine`.
 pub struct NetServer {
     door: FrontDoor,
@@ -335,31 +320,6 @@ impl NetServer {
         });
         let door = FrontDoor::bind(addr, cfg, Arc::clone(&obs), service)?;
         Ok(NetServer { door, engine, obs })
-    }
-
-    /// Binds `addr` serving an engine journaled durably under
-    /// `wal_dir`: a fresh directory is initialized with `engine_cfg`
-    /// and starts logging; an existing log is recovered first (the
-    /// persisted configuration wins over `engine_cfg`, preserving the
-    /// pseudonym secret) and logging resumes on a fresh segment. The
-    /// returned [`RecoveryReport`] says which path was taken.
-    pub fn bind_durable<A: ToSocketAddrs>(
-        addr: A,
-        wal_dir: &Path,
-        engine_cfg: EngineConfig,
-        engine_threads: usize,
-        policy: Durability,
-        cfg: NetConfig,
-    ) -> io::Result<(NetServer, RecoveryReport)> {
-        let opened = lbsp_store::open_engine(wal_dir, engine_cfg, engine_threads, policy)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let report = RecoveryReport {
-            recovered: opened.recovered,
-            users: opened.users,
-            ops_replayed: opened.ops_replayed,
-        };
-        let server = NetServer::bind(addr, opened.engine, cfg)?;
-        Ok((server, report))
     }
 
     /// The bound address (useful with port 0).

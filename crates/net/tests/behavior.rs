@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 fn engine() -> ShardedEngine {
     let world = Rect::new_unchecked(0.0, 0.0, 1.0, 1.0);
-    ShardedEngine::new(EngineConfig::new(world), 2)
+    ShardedEngine::new(EngineConfig::new(world), 1)
 }
 
 /// Polls `cond` for up to `timeout`, so counter assertions don't race

@@ -12,7 +12,7 @@ use lbsp_net::{NetClient, NetConfig, NetServer, Reply};
 
 fn engine() -> ShardedEngine {
     let world = Rect::new_unchecked(0.0, 0.0, 1.0, 1.0);
-    let mut engine = ShardedEngine::new(EngineConfig::new(world), 2);
+    let mut engine = ShardedEngine::new(EngineConfig::new(world), 1);
     for user in 0..8 {
         let profile = PrivacyProfile::uniform(CloakRequirement::k_only(2)).unwrap();
         engine.register(user, profile);

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 fn engine() -> ShardedEngine {
     let world = Rect::new_unchecked(0.0, 0.0, 1.0, 1.0);
-    ShardedEngine::new(EngineConfig::new(world), 2)
+    ShardedEngine::new(EngineConfig::new(world), 1)
 }
 
 fn eventually(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {

@@ -197,9 +197,9 @@ pub struct RecoveredEngine {
 
 /// Rebuilds a [`ShardedEngine`] from the log in `dir` **without
 /// touching the directory**: no truncation, no new segment, no sink.
-/// Safe to call any number of times (e.g. to compare recoveries at
-/// different worker counts); use [`open_engine`] to resume logging.
-pub fn recover_engine(dir: &Path, threads: usize) -> Result<RecoveredEngine> {
+/// Safe to call any number of times; use [`open_engine`] to resume
+/// logging.
+pub fn recover_engine(dir: &Path) -> Result<RecoveredEngine> {
     let Some(journal) = load_journal(dir)? else {
         return Err(corrupt(
             dir,
@@ -207,7 +207,7 @@ pub fn recover_engine(dir: &Path, threads: usize) -> Result<RecoveredEngine> {
             "no wal segments or snapshots found (nothing to recover)",
         ));
     };
-    let (engine, ops_replayed) = rebuild_engine(dir, &journal, threads)?;
+    let (engine, ops_replayed) = rebuild_engine(dir, &journal)?;
     Ok(RecoveredEngine {
         users: engine.registered(),
         engine,
@@ -220,11 +220,7 @@ pub fn recover_engine(dir: &Path, threads: usize) -> Result<RecoveredEngine> {
 
 /// Snapshot load + tail replay, shared by [`recover_engine`] and
 /// [`open_engine`].
-fn rebuild_engine(
-    dir: &Path,
-    journal: &LoadedJournal,
-    threads: usize,
-) -> Result<(ShardedEngine, u64)> {
+fn rebuild_engine(dir: &Path, journal: &LoadedJournal) -> Result<(ShardedEngine, u64)> {
     let (mut engine, replay_from) = match journal.snapshot.as_ref() {
         Some(&(op, ref payload)) => {
             let Some(state) = decode_engine_state(payload) else {
@@ -235,12 +231,12 @@ fn rebuild_engine(
                      (version mismatch or truncated encoder?)",
                 ));
             };
-            (ShardedEngine::from_state(&state, threads), op)
+            (ShardedEngine::from_state(&state), op)
         }
         None => {
             // Genesis: record 0 carries the engine configuration.
             match journal.records.first() {
-                Some(JournalRecord::InitEngine(cfg)) => (ShardedEngine::new(*cfg, threads), 1),
+                Some(JournalRecord::InitEngine(cfg)) => (ShardedEngine::new(*cfg, 1), 1),
                 Some(JournalRecord::InitSystem) => {
                     return Err(corrupt(
                         dir,
@@ -302,10 +298,13 @@ pub struct OpenedEngine {
 ///   `cfg` — in particular the pseudonym secret, which must survive or
 ///   every server-side key changes identity), truncates a torn tail,
 ///   rotates to a fresh segment, and resumes logging.
+///
+/// The engine runs on its caller's thread, so `_threads` is ignored
+/// (see [`ShardedEngine::new`]).
 pub fn open_engine(
     dir: &Path,
     cfg: lbsp_core::EngineConfig,
-    threads: usize,
+    _threads: usize,
     policy: Durability,
 ) -> Result<OpenedEngine> {
     fs::create_dir_all(dir)?;
@@ -313,7 +312,7 @@ pub fn open_engine(
         let mut wal = Wal::create_segment(dir, 0, 0)?;
         wal.append_record(&JournalRecord::InitEngine(cfg))?;
         wal.sync_log()?;
-        let mut engine = ShardedEngine::new(cfg, threads);
+        let mut engine = ShardedEngine::new(cfg, 1);
         engine.attach_durability(policy, Box::new(wal));
         return Ok(OpenedEngine {
             users: engine.registered(),
@@ -322,7 +321,7 @@ pub fn open_engine(
             ops_replayed: 0,
         });
     };
-    let (mut engine, ops_replayed) = rebuild_engine(dir, &journal, threads)?;
+    let (mut engine, ops_replayed) = rebuild_engine(dir, &journal)?;
     let wal = resume_wal(dir, &journal)?;
     engine.attach_durability(policy, Box::new(wal));
     Ok(OpenedEngine {

@@ -71,7 +71,7 @@ fn build_log(dir: &Path, snapshot_every: u64) -> bytes::Bytes {
         fsync: true,
     };
     let mut opened =
-        open_engine(dir, EngineConfig::new(world()), 2, policy).expect("open fresh log");
+        open_engine(dir, EngineConfig::new(world()), 1, policy).expect("open fresh log");
     assert!(!opened.recovered);
     drive(&mut opened.engine);
     journal::encode_engine_state(&opened.engine.export_state())
@@ -137,13 +137,13 @@ fn truncate(path: &Path, len: u64) {
     f.set_len(len).expect("truncate");
 }
 
-fn recovered_bytes(dir: &Path, threads: usize) -> bytes::Bytes {
-    let rec = recover_engine(dir, threads).expect("recovery succeeds");
+fn recovered_bytes(dir: &Path) -> bytes::Bytes {
+    let rec = recover_engine(dir).expect("recovery succeeds");
     journal::encode_engine_state(&rec.engine.export_state())
 }
 
 fn expect_corrupt(dir: &Path, what: &str) {
-    match recover_engine(dir, 2) {
+    match recover_engine(dir) {
         Ok(_) => panic!("{what}: recovery should have failed loudly"),
         Err(StoreError::Corrupt { file, detail, .. }) => {
             assert!(!file.is_empty(), "{what}: diagnostic names a file");
@@ -158,20 +158,18 @@ fn expect_corrupt(dir: &Path, what: &str) {
 // ---------------------------------------------------------------------
 
 #[test]
-fn clean_log_recovers_byte_identical_at_any_worker_count() {
+fn clean_log_recovers_byte_identical() {
     for snapshot_every in [u64::MAX, 16] {
         let dir = TempDir::new("clean");
         let live = build_log(dir.path(), snapshot_every);
-        for threads in [1, 4] {
-            let rec = recover_engine(dir.path(), threads).expect("recovery succeeds");
-            assert!(rec.torn.is_none());
-            assert_eq!(rec.users, 24);
-            assert_eq!(
-                journal::encode_engine_state(&rec.engine.export_state()),
-                live,
-                "snapshot_every={snapshot_every} threads={threads}"
-            );
-        }
+        let rec = recover_engine(dir.path()).expect("recovery succeeds");
+        assert!(rec.torn.is_none());
+        assert_eq!(rec.users, 24);
+        assert_eq!(
+            journal::encode_engine_state(&rec.engine.export_state()),
+            live,
+            "snapshot_every={snapshot_every}"
+        );
         if snapshot_every == 16 {
             assert!(
                 !snapshots(dir.path()).is_empty(),
@@ -184,7 +182,7 @@ fn clean_log_recovers_byte_identical_at_any_worker_count() {
 #[test]
 fn reopen_resumes_logging_and_stays_byte_identical() {
     // Shadow: one uninterrupted engine, no durability.
-    let mut shadow = ShardedEngine::new(EngineConfig::new(world()), 2);
+    let mut shadow = ShardedEngine::new(EngineConfig::new(world()), 1);
     drive(&mut shadow);
     shadow.process_updates(&updates(48, 13));
     shadow.add_standing_count(Rect::new_unchecked(0.3, 0.3, 0.7, 0.7));
@@ -196,7 +194,7 @@ fn reopen_resumes_logging_and_stays_byte_identical() {
         fsync: true,
     };
     build_log(dir.path(), u64::MAX);
-    let mut opened = open_engine(dir.path(), EngineConfig::new(world()), 2, policy)
+    let mut opened = open_engine(dir.path(), EngineConfig::new(world()), 1, policy)
         .expect("reopen existing log");
     assert!(opened.recovered);
     assert!(opened.ops_replayed > 0);
@@ -213,7 +211,7 @@ fn reopen_resumes_logging_and_stays_byte_identical() {
     // The reopen rotated to a second segment; recovery reads the chain.
     assert!(segments(dir.path()).len() >= 2);
     assert_eq!(
-        recovered_bytes(dir.path(), 2),
+        recovered_bytes(dir.path()),
         journal::encode_engine_state(&shadow.export_state())
     );
 }
@@ -244,18 +242,18 @@ fn a_log_holding_non_finite_rows_reopens() {
             fsync: true,
         };
         let mut opened =
-            open_engine(dir.path(), EngineConfig::new(world()), 2, policy).expect("open fresh log");
+            open_engine(dir.path(), EngineConfig::new(world()), 1, policy).expect("open fresh log");
         drive(&mut opened.engine);
         opened.engine.process_updates(&odd(1.0));
         opened.engine.apply_shadow_update(&odd(2.0));
         let live = journal::encode_engine_state(&opened.engine.export_state());
         drop(opened);
         assert_eq!(
-            recovered_bytes(dir.path(), 2),
+            recovered_bytes(dir.path()),
             live,
             "snapshot_every={snapshot_every}"
         );
-        let reopened = open_engine(dir.path(), EngineConfig::new(world()), 2, policy)
+        let reopened = open_engine(dir.path(), EngineConfig::new(world()), 1, policy)
             .expect("reopen a log holding non-finite rows");
         assert!(reopened.recovered);
     }
@@ -284,7 +282,7 @@ fn truncation_at_every_byte_of_the_final_record_recovers_the_durable_prefix() {
         &clean.path().join(seg.file_name().expect("name")),
         last_start,
     );
-    let prefix_state = recovered_bytes(clean.path(), 2);
+    let prefix_state = recovered_bytes(clean.path());
     assert_ne!(prefix_state, full_state, "final record must matter");
 
     for cut in last_start..end {
@@ -292,7 +290,7 @@ fn truncation_at_every_byte_of_the_final_record_recovers_the_durable_prefix() {
         copy_dir(dir.path(), copy.path());
         let seg_copy = copy.path().join(seg.file_name().expect("name"));
         truncate(&seg_copy, cut);
-        let rec = recover_engine(copy.path(), 2)
+        let rec = recover_engine(copy.path())
             .unwrap_or_else(|e| panic!("cut at byte {cut} must recover, got: {e}"));
         if cut == last_start {
             assert!(rec.torn.is_none(), "clean boundary is not torn");
@@ -309,7 +307,7 @@ fn truncation_at_every_byte_of_the_final_record_recovers_the_durable_prefix() {
     }
 
     // Untouched log still recovers the full state.
-    assert_eq!(recovered_bytes(dir.path(), 2), full_state);
+    assert_eq!(recovered_bytes(dir.path()), full_state);
 }
 
 #[test]
@@ -323,7 +321,7 @@ fn reopening_a_torn_log_truncates_the_tear_and_resumes() {
     truncate(seg, last_start + 5);
 
     let prefix_state = {
-        let rec = recover_engine(dir.path(), 2).expect("torn log recovers");
+        let rec = recover_engine(dir.path()).expect("torn log recovers");
         assert!(rec.torn.is_some());
         journal::encode_engine_state(&rec.engine.export_state())
     };
@@ -332,7 +330,7 @@ fn reopening_a_torn_log_truncates_the_tear_and_resumes() {
         snapshot_every: u64::MAX,
         fsync: true,
     };
-    let opened = open_engine(dir.path(), EngineConfig::new(world()), 2, policy)
+    let opened = open_engine(dir.path(), EngineConfig::new(world()), 1, policy)
         .expect("open truncates the tear");
     assert!(opened.recovered);
     assert_eq!(
@@ -342,7 +340,7 @@ fn reopening_a_torn_log_truncates_the_tear_and_resumes() {
     drop(opened);
 
     // After the repair, recovery no longer sees a tear.
-    let rec = recover_engine(dir.path(), 2).expect("repaired log recovers");
+    let rec = recover_engine(dir.path()).expect("repaired log recovers");
     assert!(rec.torn.is_none());
     assert_eq!(
         journal::encode_engine_state(&rec.engine.export_state()),
@@ -409,7 +407,7 @@ fn snapshot_corruption_fails_loudly() {
     let snap = snaps.last().expect("cadence 16 produced a snapshot");
 
     // Intact snapshot + tail replay matches the live engine first.
-    assert_eq!(recovered_bytes(dir.path(), 2), live);
+    assert_eq!(recovered_bytes(dir.path()), live);
 
     // A flipped payload byte, a flipped CRC, and a truncated snapshot
     // all fail loudly: snapshots are written atomically, so a damaged
@@ -443,12 +441,12 @@ fn build_chain(dir: &Path) -> bytes::Bytes {
     };
     build_log(dir, u64::MAX);
     for salt in [21u64, 22] {
-        let mut opened = open_engine(dir, EngineConfig::new(world()), 2, policy)
+        let mut opened = open_engine(dir, EngineConfig::new(world()), 1, policy)
             .expect("reopen to extend the chain");
         opened.engine.process_updates(&updates(32, salt));
     }
     assert_eq!(segments(dir).len(), 3, "two reopens => three segments");
-    recovered_bytes(dir, 2)
+    recovered_bytes(dir)
 }
 
 #[test]
@@ -567,7 +565,7 @@ fn a_genesis_config_no_engine_can_be_built_from_fails_loudly() {
         drop(wal);
         expect_corrupt(dir.path(), what);
         // Opening recovers the persisted config, so it refuses it too.
-        let opened = open_engine(dir.path(), ok, 2, Durability::default());
+        let opened = open_engine(dir.path(), ok, 1, Durability::default());
         assert!(
             matches!(opened, Err(StoreError::Corrupt { .. })),
             "{what}: open_engine must fail loudly"
@@ -597,7 +595,7 @@ fn a_log_in_the_striped_layout_fails_loudly_naming_the_segment() {
         .write_all(&frame)
         .expect("append genesis");
     let name = seg.file_name().and_then(|n| n.to_str()).expect("name");
-    match recover_engine(dir.path(), 2) {
+    match recover_engine(dir.path()) {
         Ok(_) => panic!("a striped-layout genesis must not recover"),
         Err(StoreError::Corrupt { file, detail, .. }) => {
             assert!(file.ends_with(name), "names the segment, got {file}");
@@ -625,7 +623,7 @@ fn a_version_one_snapshot_fails_loudly() {
     };
     // The rewrite itself is faithful: the same payload still recovers.
     rewrite(payload);
-    assert_eq!(recovered_bytes(dir.path(), 2), live);
+    assert_eq!(recovered_bytes(dir.path()), live);
     // Version byte 1 and the config's stripe count, as version 1 wrote it.
     let mut v1 = with_stripe_count(payload, 1);
     v1[0] = 1;
@@ -645,13 +643,13 @@ fn unknown_files_in_the_log_directory_are_ignored() {
     // humans leave notes. Neither may disturb recovery.
     fs::write(dir.path().join("snap.tmp"), b"half-written snapshot").expect("stray tmp");
     fs::write(dir.path().join("README.txt"), b"do not delete").expect("stray note");
-    assert_eq!(recovered_bytes(dir.path(), 2), live);
+    assert_eq!(recovered_bytes(dir.path()), live);
 }
 
 #[test]
 fn empty_directory_fails_loudly_instead_of_inventing_state() {
     let dir = TempDir::new("empty");
-    match recover_engine(dir.path(), 2) {
+    match recover_engine(dir.path()) {
         Ok(_) => panic!("empty dir must not recover"),
         Err(StoreError::Corrupt { detail, .. }) => {
             assert!(detail.contains("nothing to recover"), "got: {detail}");
@@ -667,7 +665,7 @@ fn error_display_names_file_and_offset() {
     let segs = segments(dir.path());
     let seg = segs.last().expect("segment exists");
     flip_bit(seg, 0);
-    let err = match recover_engine(dir.path(), 2) {
+    let err = match recover_engine(dir.path()) {
         Ok(_) => panic!("flipped magic must fail"),
         Err(e) => e,
     };

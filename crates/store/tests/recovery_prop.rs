@@ -5,10 +5,8 @@
 //!
 //! Three engines per case:
 //! * a **reference** that applies every op uninterrupted;
-//! * a **durable twin** journaling into a real log directory through
-//!   the seeded replay scheduler (so the journaled bytes are produced
-//!   under an adversarial-but-legal concurrent schedule), hard-stopped
-//!   after a prefix of the ops;
+//! * a **durable twin** journaling into a real log directory,
+//!   hard-stopped after a prefix of the ops;
 //! * the **recovered** engine rebuilt from disk, which must match the
 //!   reference-at-crash-point byte for byte, then resume the remaining
 //!   ops and converge with the full reference.
@@ -151,14 +149,13 @@ proptest! {
         crash_frac in 0.0f64..1.0,
         cadence_raw in 1u64..6,
         cadence_huge in any::<bool>(),
-        seed in any::<u64>(),
     ) {
         let cfg = EngineConfig::new(world());
         let cadence = if cadence_huge { u64::MAX } else { cadence_raw };
         let crash_at = ((ops.len() + 1) as f64 * crash_frac) as usize % (ops.len() + 1);
 
         // Reference: every op, no durability, no interruption.
-        let mut reference = ShardedEngine::new(cfg, 2);
+        let mut reference = ShardedEngine::new(cfg, 1);
         let mut ref_issued = Vec::new();
         for op in &ops {
             apply(&mut reference, &mut ref_issued, op);
@@ -166,20 +163,20 @@ proptest! {
 
         // Reference at the crash point (also rebuilds `issued` as it
         // stood when the crash hit, for the resumed run below).
-        let mut at_crash = ShardedEngine::new(cfg, 2);
+        let mut at_crash = ShardedEngine::new(cfg, 1);
         let mut crash_issued = Vec::new();
         for op in &ops[..crash_at] {
             apply(&mut at_crash, &mut crash_issued, op);
         }
 
-        // Durable twin under the seeded replay scheduler: journal the
-        // prefix into a real log, then hard-stop (drop, no shutdown).
+        // Durable twin: journal the prefix into a real log, then
+        // hard-stop (drop, no shutdown).
         let dir = TempDir::new("prop");
         {
             let mut wal = Wal::create_segment(dir.path(), 0, 0).expect("create segment 0");
             wal.append_record(&JournalRecord::InitEngine(cfg)).expect("genesis");
             wal.sync_log().expect("sync genesis");
-            let mut twin = ShardedEngine::with_replay(cfg, seed);
+            let mut twin = ShardedEngine::new(cfg, 1);
             twin.attach_durability(
                 Durability { snapshot_every: cadence, fsync: true },
                 Box::new(wal),
@@ -191,21 +188,19 @@ proptest! {
             prop_assert_eq!(state_bytes(&twin), state_bytes(&at_crash));
         }
 
-        // Read-only recovery at two worker counts: both byte-identical
-        // to the reference at the crash point.
-        for threads in [1usize, 3] {
-            let rec = match recover_engine(dir.path(), threads) {
-                Ok(rec) => rec,
-                Err(e) => return Err(TestCaseError::fail(format!("recovery failed: {e}"))),
-            };
-            prop_assert!(rec.torn.is_none());
-            prop_assert_eq!(state_bytes(&rec.engine), state_bytes(&at_crash));
-        }
+        // Read-only recovery: byte-identical to the reference at the
+        // crash point.
+        let rec = match recover_engine(dir.path()) {
+            Ok(rec) => rec,
+            Err(e) => return Err(TestCaseError::fail(format!("recovery failed: {e}"))),
+        };
+        prop_assert!(rec.torn.is_none());
+        prop_assert_eq!(state_bytes(&rec.engine), state_bytes(&at_crash));
 
         // Resume: reopen the log, run the remaining ops, and converge
         // with the uninterrupted reference.
         let policy = Durability { snapshot_every: cadence, fsync: true };
-        let mut resumed = match open_engine(dir.path(), cfg, 2, policy) {
+        let mut resumed = match open_engine(dir.path(), cfg, 1, policy) {
             Ok(opened) => opened,
             Err(e) => return Err(TestCaseError::fail(format!("reopen failed: {e}"))),
         };
@@ -218,7 +213,7 @@ proptest! {
 
         // And the log the resumed engine left behind recovers to the
         // same final state too.
-        let rec = match recover_engine(dir.path(), 2) {
+        let rec = match recover_engine(dir.path()) {
             Ok(rec) => rec,
             Err(e) => return Err(TestCaseError::fail(format!("final recovery failed: {e}"))),
         };

@@ -73,7 +73,7 @@ const RANGE_OWNERS: [(u64, f64); 2] = [(7, 0.1), (13, 0.2)];
 fn fresh_engine() -> ShardedEngine {
     let mut cfg = EngineConfig::new(world());
     cfg.refine = true;
-    let mut engine = ShardedEngine::new(cfg, 2);
+    let mut engine = ShardedEngine::new(cfg, 1);
     engine.load_public(public_objects());
     engine
 }

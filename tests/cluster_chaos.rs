@@ -45,7 +45,7 @@ fn world() -> Rect {
 fn fresh_engine() -> ShardedEngine {
     let mut cfg = EngineConfig::new(world());
     cfg.refine = true;
-    ShardedEngine::new(cfg, 2)
+    ShardedEngine::new(cfg, 1)
 }
 
 fn profile(i: u64) -> PrivacyProfile {
@@ -596,7 +596,7 @@ fn killed_node_restarts_from_wal_rejoins_and_stays_byte_identical() {
     let open_node1 = || {
         let mut cfg = EngineConfig::new(world());
         cfg.refine = true;
-        lbsp_store::open_engine(dir.path(), cfg, 2, Durability::default())
+        lbsp_store::open_engine(dir.path(), cfg, 1, Durability::default())
             .expect("open durable node 1")
     };
 

@@ -32,7 +32,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const USERS: u64 = 32;
 const WAVES: u64 = 3;
 const NODES: usize = 2;
-const THREADS: usize = 2;
 
 // ---------------------------------------------------------------------
 // Scratch directories (same hygiene as tests/persistence.rs).
@@ -201,7 +200,7 @@ fn observe(cluster: &MiniCluster, qc: u64, qr: u64) -> Vec<Vec<u8>> {
 fn node_killed_mid_handoff_recovers_from_wal_and_stays_byte_identical() {
     // ----- Reference: one sequential engine, rows one at a time (the
     // router serializes, so per-row batches are the cluster's unit). ---
-    let mut reference = ShardedEngine::new(EngineConfig::new(world()), THREADS);
+    let mut reference = ShardedEngine::new(EngineConfig::new(world()), 1);
     for i in 0..USERS {
         reference.register(i, profile(i));
     }
@@ -244,7 +243,7 @@ fn node_killed_mid_handoff_recovers_from_wal_and_stays_byte_identical() {
     };
     let mut engines = Vec::new();
     for dir in &dirs {
-        let opened = open_engine(dir.path(), EngineConfig::new(world()), THREADS, policy)
+        let opened = open_engine(dir.path(), EngineConfig::new(world()), 1, policy)
             .expect("fresh durable node");
         assert!(!opened.recovered);
         engines.push(opened.engine);
@@ -290,7 +289,7 @@ fn node_killed_mid_handoff_recovers_from_wal_and_stays_byte_identical() {
                 );
                 drop(dead);
                 let dir = dirs[target].path();
-                let next = recover_engine(dir, THREADS)
+                let next = recover_engine(dir)
                     .expect("pre-crash log recovers")
                     .next_op_index;
                 let mut wal = Wal::create_segment(dir, last_segment_seq(dir) + 1, next)
@@ -301,7 +300,7 @@ fn node_killed_mid_handoff_recovers_from_wal_and_stays_byte_identical() {
                 // Restart the node from its log: the journaled handoff
                 // must be applied — dropping it would lose the user's
                 // profile fleet-wide (node `cur` already exported it).
-                let recovered = recover_engine(dir, THREADS).expect("node restarts from WAL");
+                let recovered = recover_engine(dir).expect("node restarts from WAL");
                 assert!(recovered.ops_replayed > 0 || recovered.snapshot_op_index.is_some());
                 cluster.engines[target] = recovered.engine;
                 cluster.owner.insert(id, target);

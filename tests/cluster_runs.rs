@@ -32,7 +32,7 @@ fn world() -> Rect {
 fn fresh_engine() -> ShardedEngine {
     let mut cfg = EngineConfig::new(world());
     cfg.refine = true;
-    let mut engine = ShardedEngine::new(cfg, 2);
+    let mut engine = ShardedEngine::new(cfg, 1);
     engine.load_public(
         (0..120)
             .map(|id| {

@@ -1,16 +1,19 @@
-//! Deterministic concurrency tests for the sharded engine.
+//! Equivalence tests for the engine.
 //!
-//! The contract under test: the sharded, multi-worker engine is an
-//! *implementation detail* — every byte that crosses the anonymizer →
-//! server trust boundary is identical to what the single-threaded
-//! pipeline emits, for every worker count and every replayed schedule.
-//! Cloaking consumes only integer cell counts and query candidates come
-//! back in canonical id order, so equivalence is exact, not approximate.
+//! The contract under test: the engine's batching, count view and
+//! stores are an *implementation detail* — every byte that crosses the
+//! anonymizer → server trust boundary is identical to what the
+//! sequential pipeline (`LocationAnonymizer<GridCloak>` + `Server`)
+//! emits, at every batch size. Cloaking consumes only integer cell
+//! counts and query candidates come back in canonical id order, so
+//! equivalence is exact, not approximate.
 
-use lbsp_anonymizer::{CloakRequirement, GridCloak, LocationAnonymizer, PrivacyProfile};
+use lbsp_anonymizer::{
+    CloakError, CloakRequirement, CloakedUpdate, GridCloak, LocationAnonymizer, PrivacyProfile,
+};
 use lbsp_core::engine::{EngineConfig, ShardedEngine};
 use lbsp_core::wire::{self, StandingKind};
-use lbsp_core::{journal, Stage};
+use lbsp_core::Stage;
 use lbsp_geom::{Point, Rect, SimTime};
 use lbsp_server::{private_range_candidates, PublicObject, PublicStore, Server};
 use rand::rngs::StdRng;
@@ -55,26 +58,26 @@ fn sequential(refine: bool, n: u64) -> LocationAnonymizer<GridCloak> {
     a
 }
 
-fn sharded(refine: bool, threads: usize, n: u64) -> ShardedEngine {
+fn engine(refine: bool, n: u64) -> ShardedEngine {
     let mut cfg = EngineConfig::new(world());
     cfg.refine = refine;
-    let mut e = ShardedEngine::new(cfg, threads);
+    let mut e = ShardedEngine::new(cfg, 1);
     for i in 0..n {
         e.register(i, profile_for(i));
     }
     e
 }
 
-/// Sequential anonymizer and 4-worker sharded engine agree on every
-/// cloak — region, achieved k, flags, pseudonym — across seeds, with
-/// and without multi-level refinement.
+/// Sequential anonymizer and engine agree on every cloak — region,
+/// achieved k, flags, pseudonym — across seeds, with and without
+/// multi-level refinement.
 #[test]
 fn sharded_equals_sequential_across_seeds() {
     for refine in [false, true] {
         for seed in [1u64, 7, 42] {
             let updates = random_updates(seed, 200);
             let mut seq = sequential(refine, 200);
-            let mut eng = sharded(refine, 4, 200);
+            let mut eng = engine(refine, 200);
             let a = seq.handle_updates_batch(&updates);
             let b = eng.process_updates(&updates);
             assert_eq!(a.len(), b.len());
@@ -88,36 +91,6 @@ fn sharded_equals_sequential_across_seeds() {
     }
 }
 
-/// `--threads 1` and `--threads 4` produce bit-identical wire bytes, as
-/// do replayed schedules under many seeds.
-#[test]
-fn thread_counts_and_schedules_are_byte_identical() {
-    let updates = random_updates(99, 300);
-    let reference = sharded(true, 1, 300).process_updates_wire(&updates);
-    for threads in [2usize, 4] {
-        let got = sharded(true, threads, 300).process_updates_wire(&updates);
-        for (a, b) in reference.iter().zip(&got) {
-            assert_eq!(a.as_ref().unwrap().to_vec(), b.as_ref().unwrap().to_vec());
-        }
-    }
-    for seed in 0..16u64 {
-        let mut cfg = EngineConfig::new(world());
-        cfg.refine = true;
-        let mut replay = ShardedEngine::with_replay(cfg, seed);
-        for i in 0..300u64 {
-            replay.register(i, profile_for(i));
-        }
-        let got = replay.process_updates_wire(&updates);
-        for (a, b) in reference.iter().zip(&got) {
-            assert_eq!(
-                a.as_ref().unwrap().to_vec(),
-                b.as_ref().unwrap().to_vec(),
-                "replay seed {seed}"
-            );
-        }
-    }
-}
-
 /// Users parked exactly on the quarter lines a four-node cluster splits
 /// the world at — and cloaks that straddle them — behave identically to
 /// the sequential path.
@@ -125,7 +98,7 @@ fn thread_counts_and_schedules_are_byte_identical() {
 fn shard_boundary_users_are_equivalent() {
     let n = 64u64;
     let mut seq = sequential(false, n);
-    let mut eng = sharded(false, 4, n);
+    let mut eng = engine(false, n);
     // The quarter lines x = 0.25, 0.5, 0.75, and the world edges where
     // clamping applies.
     let xs = [0.0, 0.25, 0.5, 0.75, 1.0];
@@ -168,7 +141,7 @@ fn range_queries_match_unsharded_server() {
     let updates = random_updates(11, 120);
     let mut seq = sequential(false, 120);
     let mut server = Server::new(objects.clone());
-    let mut eng = sharded(false, 4, 120);
+    let mut eng = engine(false, 120);
     eng.load_public(objects);
     seq.handle_updates_batch(&updates);
     eng.process_updates(&updates);
@@ -188,13 +161,13 @@ fn range_queries_match_unsharded_server() {
     }
 }
 
-/// 10k users through a 4-worker engine: every cloak satisfies its
+/// 10k users through the engine: every cloak satisfies its
 /// requirement, the private store tracks one record per user, and a
 /// second full-population batch (all users moving) stays consistent.
 #[test]
 fn ten_thousand_user_smoke() {
     let n = 10_000u64;
-    let mut eng = sharded(false, 4, n);
+    let mut eng = engine(false, n);
     let updates = random_updates(1234, n);
     let out = eng.process_updates(&updates);
     assert_eq!(out.len(), n as usize);
@@ -252,15 +225,15 @@ fn candidate_predicate_is_partition_invariant() {
     }
 }
 
-/// What one engine made of the batch-size script: every reply, every
-/// drained standing change, the final standing frames and state dump,
-/// and the sample counts of the histograms an update feeds.
-#[derive(Debug, PartialEq)]
+/// What the engine and the sequential anonymizer made of the
+/// batch-size script.
 struct Transcript {
+    /// The engine's replies: cloaked-update bytes or the error text.
     replies: Vec<Result<Vec<u8>, String>>,
+    /// The sequential anonymizer's replies to the same batches.
+    sequential: Vec<Result<Vec<u8>, String>>,
+    /// Every drained standing change, one list per batch.
     changes: Vec<Vec<(StandingKind, u64)>>,
-    standing: Vec<Vec<u8>>,
-    state: Vec<u8>,
     /// `cloak` and `standing_update` stage counts, `cloak_area` and
     /// `achieved_k` sample counts.
     samples: [u64; 4],
@@ -287,17 +260,16 @@ const EDGES: [f64; 10] = [
 /// One script — duplicate users inside a batch, moves across the world,
 /// users on quarter, cell and world edges, unknown users, a `k = 1` point
 /// cloak, a standing count and a standing range registered — cut into
-/// batches of `rows`.
-fn run_batch_size_script(e: &mut ShardedEngine, rows: usize) -> Transcript {
+/// batches of `rows`, and fed to the engine and to the sequential
+/// anonymizer alike.
+fn run_batch_size_script(rows: usize) -> Transcript {
     const USERS: u64 = 120;
     const POINT_USER: u64 = 7;
-    for i in 0..USERS {
-        e.register(i, profile_for(i));
-    }
-    e.register(
-        POINT_USER,
-        PrivacyProfile::uniform(CloakRequirement::k_only(1)).unwrap(),
-    );
+    let mut e = engine(true, USERS);
+    let mut seq = sequential(true, USERS);
+    let k1 = PrivacyProfile::uniform(CloakRequirement::k_only(1)).unwrap();
+    e.register(POINT_USER, k1.clone());
+    seq.register(POINT_USER, k1);
     let mut rng = StdRng::seed_from_u64(2024);
     let point =
         |rng: &mut StdRng| Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
@@ -306,9 +278,11 @@ fn run_batch_size_script(e: &mut ShardedEngine, rows: usize) -> Transcript {
             .map(|id| PublicObject::new(id, point(&mut rng), 0))
             .collect(),
     );
-    e.process_updates(&random_updates(3, USERS));
-    let count = e.add_standing_count(Rect::new_unchecked(0.2, 0.2, 0.8, 0.8));
-    let range = e.add_standing_range(11, 0.15);
+    let placement = random_updates(3, USERS);
+    e.process_updates(&placement);
+    seq.handle_updates_batch(&placement);
+    e.add_standing_count(Rect::new_unchecked(0.2, 0.2, 0.8, 0.8));
+    e.add_standing_range(11, 0.15);
 
     let mut script: Vec<(u64, Point, SimTime)> = Vec::new();
     for row in 0..700u64 {
@@ -333,25 +307,23 @@ fn run_batch_size_script(e: &mut ShardedEngine, rows: usize) -> Transcript {
         script.push((user, pos, SimTime::from_secs(row as f64)));
     }
 
+    let as_bytes = |r: Result<CloakedUpdate, CloakError>| {
+        r.map(|u| wire::encode_cloaked_update(&u).to_vec())
+            .map_err(|e| e.to_string())
+    };
     let mut t = Transcript {
         replies: Vec::new(),
+        sequential: Vec::new(),
         changes: Vec::new(),
-        standing: Vec::new(),
-        state: Vec::new(),
         samples: [0; 4],
     };
     for batch in script.chunks(rows) {
-        for reply in e.process_updates_wire(batch) {
-            t.replies
-                .push(reply.map(|b| b.to_vec()).map_err(|e| e.to_string()));
-        }
+        t.replies
+            .extend(e.process_updates(batch).into_iter().map(as_bytes));
+        t.sequential
+            .extend(seq.handle_updates_batch(batch).into_iter().map(as_bytes));
         t.changes.push(e.take_standing_changes());
     }
-    for (kind, id) in [(StandingKind::Count, count), (StandingKind::Range, range)] {
-        let frame = wire::encode_standing_state(&e.standing_state(kind, id).unwrap());
-        t.standing.push(frame.to_vec());
-    }
-    t.state = journal::encode_engine_state(&e.export_state()).to_vec();
     let obs = e.metrics_registry();
     t.samples = [
         obs.stage(Stage::Cloak).count(),
@@ -362,33 +334,21 @@ fn run_batch_size_script(e: &mut ShardedEngine, rows: usize) -> Transcript {
     t
 }
 
-/// A batch below the engine's inline threshold (32 rows) cloaks in one
-/// call on the caller, a larger one as pool jobs, and a one-worker
-/// engine cloaks everything inline; replay never inlines. At every batch
-/// size around the threshold the three agree on every byte they emit,
-/// on the state they end in and on how often they sampled.
+/// At every batch size, from one row at a time to 256, the engine's
+/// replies equal the sequential anonymizer's byte for byte, and the
+/// engine samples once per call and once per cloaked row.
 #[test]
-fn batch_sizes_agree_bytewise_inline_pool_and_replay() {
-    let mut cfg = EngineConfig::new(world());
-    cfg.refine = true;
+fn batch_sizes_agree_bytewise_with_the_sequential_anonymizer() {
     for rows in [1usize, 2, 31, 32, 33, 256] {
-        let pool = run_batch_size_script(&mut ShardedEngine::new(cfg, 4), rows);
+        let t = run_batch_size_script(rows);
         let batches = 700usize.div_ceil(rows) as u64;
-        assert_eq!(pool.replies.len(), 700);
-        assert!(
-            pool.replies.iter().any(Result::is_err),
-            "unknown users fail"
-        );
-        assert!(pool.changes.iter().any(|c| !c.is_empty()));
+        assert_eq!(t.replies.len(), 700);
+        assert!(t.replies.iter().any(Result::is_err), "unknown users fail");
+        assert!(t.changes.iter().any(|c| !c.is_empty()));
+        assert_eq!(t.replies, t.sequential, "{rows}-row batches");
         // One cloak-stage sample per call (plus the placement batch),
         // one area and one k sample per cloaked row.
-        let ok = pool.replies.iter().filter(|r| r.is_ok()).count() as u64;
-        assert_eq!(pool.samples, [batches + 1, batches, ok + 120, ok + 120]);
-        let single = run_batch_size_script(&mut ShardedEngine::new(cfg, 1), rows);
-        assert_eq!(single, pool, "1 worker vs 4, {rows}-row batches");
-        for seed in 0..8u64 {
-            let replay = run_batch_size_script(&mut ShardedEngine::with_replay(cfg, seed), rows);
-            assert_eq!(replay, pool, "replay seed {seed}, {rows}-row batches");
-        }
+        let ok = t.replies.iter().filter(|r| r.is_ok()).count() as u64;
+        assert_eq!(t.samples, [batches + 1, batches, ok + 120, ok + 120]);
     }
 }

@@ -6,7 +6,7 @@
 //! private range queries) is driven twice — once through
 //! `NetClient → NetServer → ShardedEngine` over loopback, once through
 //! the in-process engine directly — and every response must be
-//! byte-identical, at more than one server worker-pool size.
+//! byte-identical, at more than one server poller shard count.
 
 use lbsp_anonymizer::{CloakRequirement, PrivacyProfile};
 use lbsp_core::engine::{EngineConfig, ShardedEngine};
@@ -58,7 +58,7 @@ fn public_objects(seed: u64, n: u64) -> Vec<PublicObject> {
 fn fresh_engine() -> ShardedEngine {
     let mut cfg = EngineConfig::new(world());
     cfg.refine = true;
-    let mut engine = ShardedEngine::new(cfg, 2);
+    let mut engine = ShardedEngine::new(cfg, 1);
     engine.load_public(public_objects(SEED ^ 1, 200));
     engine
 }
@@ -101,7 +101,7 @@ fn reference_run(updates: &[(u64, Point, SimTime)], query_users: &[u64]) -> Refe
     }
 }
 
-/// Byte-identity across the network at two worker-pool sizes, plus the
+/// Byte-identity across the network at two poller shard counts, plus the
 /// post-shutdown engine state and counter accounting.
 #[test]
 fn network_path_is_byte_identical_to_in_process() {

@@ -1,7 +1,7 @@
 //! Headline durability test: a server that is hard-stopped mid-batch
 //! and recovered from its write-ahead log produces wire output
-//! byte-identical to a server that never crashed — at worker counts
-//! 1 and 4.
+//! byte-identical to a server that never crashed, and recovering the
+//! same log twice gives the same engine.
 //!
 //! The crash is simulated at the worst legal point: an update batch
 //! that reached the log (journal-then-apply means the record is
@@ -157,90 +157,82 @@ fn last_segment_seq(dir: &Path) -> u64 {
 
 #[test]
 fn crashed_and_recovered_run_matches_uncrashed_run_byte_for_byte() {
-    for workers in [1usize, 4] {
-        // ----- Reference: the run that never crashes. -----
-        let mut reference = ShardedEngine::new(EngineConfig::new(world()), workers);
-        let (qc, qr) = phase_before(&mut reference);
-        reference.process_updates(&crash_batch());
-        let expected = phase_after(&mut reference, qc, qr);
+    // ----- Reference: the run that never crashes. -----
+    let mut reference = ShardedEngine::new(EngineConfig::new(world()), 1);
+    let (qc, qr) = phase_before(&mut reference);
+    reference.process_updates(&crash_batch());
+    let expected = phase_after(&mut reference, qc, qr);
 
-        // ----- Durable run, hard-stopped mid-batch. -----
-        let dir = TempDir::new("headline");
-        let policy = Durability {
-            snapshot_every: 24,
-            fsync: true,
-        };
-        let opened = open_engine(dir.path(), EngineConfig::new(world()), workers, policy)
-            .expect("fresh durable engine");
-        assert!(!opened.recovered);
-        let mut engine = opened.engine;
-        let (qc2, qr2) = phase_before(&mut engine);
-        assert_eq!((qc2, qr2), (qc, qr), "query ids are deterministic");
-        // Hard stop: drop the engine (no graceful shutdown exists to
-        // call — the log must already be complete at every instant).
-        drop(engine);
+    // ----- Durable run, hard-stopped mid-batch. -----
+    let dir = TempDir::new("headline");
+    let policy = Durability {
+        snapshot_every: 24,
+        fsync: true,
+    };
+    let opened = open_engine(dir.path(), EngineConfig::new(world()), 1, policy)
+        .expect("fresh durable engine");
+    assert!(!opened.recovered);
+    let mut engine = opened.engine;
+    let (qc2, qr2) = phase_before(&mut engine);
+    assert_eq!((qc2, qr2), (qc, qr), "query ids are deterministic");
+    // Hard stop: drop the engine (no graceful shutdown exists to
+    // call — the log must already be complete at every instant).
+    drop(engine);
 
-        // The crash batch was journaled but never applied: append the
-        // record exactly as the crashed process's WAL had it.
-        {
-            let next = recover_engine(dir.path(), workers)
-                .expect("pre-crash log recovers")
-                .next_op_index;
-            let mut wal = Wal::create_segment(dir.path(), last_segment_seq(dir.path()) + 1, next)
-                .expect("segment for the in-flight record");
-            wal.append_record(&JournalRecord::Op(EngineOp::UpdateBatch {
-                rows: crash_batch(),
-            }))
-            .expect("append in-flight batch");
-            wal.sync_log().expect("sync in-flight batch");
-        }
+    // The crash batch was journaled but never applied: append the
+    // record exactly as the crashed process's WAL had it.
+    {
+        let next = recover_engine(dir.path())
+            .expect("pre-crash log recovers")
+            .next_op_index;
+        let mut wal = Wal::create_segment(dir.path(), last_segment_seq(dir.path()) + 1, next)
+            .expect("segment for the in-flight record");
+        wal.append_record(&JournalRecord::Op(EngineOp::UpdateBatch {
+            rows: crash_batch(),
+        }))
+        .expect("append in-flight batch");
+        wal.sync_log().expect("sync in-flight batch");
+    }
 
-        // ----- Recover (read-only) and resume. -----
-        let recovered = recover_engine(dir.path(), workers).expect("recovery succeeds");
-        assert_eq!(recovered.users, 32);
-        assert!(recovered.torn.is_none());
-        let mut resumed = recovered.engine;
-        let actual = phase_after(&mut resumed, qc, qr);
+    // ----- Recover (read-only) and resume. -----
+    let recovered = recover_engine(dir.path()).expect("recovery succeeds");
+    assert_eq!(recovered.users, 32);
+    assert!(recovered.torn.is_none());
+    let mut resumed = recovered.engine;
+    let actual = phase_after(&mut resumed, qc, qr);
 
-        assert_eq!(
-            expected.len(),
-            actual.len(),
-            "workers={workers}: same number of wire frames"
-        );
-        for (i, (e, a)) in expected.iter().zip(&actual).enumerate() {
-            assert_eq!(
-                e, a,
-                "workers={workers}: wire frame {i} differs after recovery"
-            );
-        }
+    assert_eq!(expected.len(), actual.len(), "same number of wire frames");
+    for (i, (e, a)) in expected.iter().zip(&actual).enumerate() {
+        assert_eq!(e, a, "wire frame {i} differs after recovery");
     }
 }
 
 #[test]
-fn recovery_is_identical_across_worker_counts() {
-    // One log, recovered at 1 and 4 workers: byte-identical state and
-    // byte-identical subsequent output.
-    let dir = TempDir::new("workers");
+fn recovery_is_repeatable() {
+    // One log, recovered twice: recovery only reads the directory, so
+    // both rebuilds hold byte-identical state and go on to emit
+    // byte-identical output.
+    let dir = TempDir::new("twice");
     let policy = Durability {
         snapshot_every: u64::MAX,
         fsync: true,
     };
-    let opened = open_engine(dir.path(), EngineConfig::new(world()), 2, policy)
+    let opened = open_engine(dir.path(), EngineConfig::new(world()), 1, policy)
         .expect("fresh durable engine");
     let mut engine = opened.engine;
     let (qc, qr) = phase_before(&mut engine);
     engine.process_updates(&crash_batch());
     drop(engine);
 
-    let mut one = recover_engine(dir.path(), 1).expect("recover at 1 worker");
-    let mut four = recover_engine(dir.path(), 4).expect("recover at 4 workers");
+    let mut first = recover_engine(dir.path()).expect("first recovery");
+    let mut second = recover_engine(dir.path()).expect("second recovery");
     assert_eq!(
-        journal::encode_engine_state(&one.engine.export_state()),
-        journal::encode_engine_state(&four.engine.export_state())
+        journal::encode_engine_state(&first.engine.export_state()),
+        journal::encode_engine_state(&second.engine.export_state())
     );
     assert_eq!(
-        phase_after(&mut one.engine, qc, qr),
-        phase_after(&mut four.engine, qc, qr)
+        phase_after(&mut first.engine, qc, qr),
+        phase_after(&mut second.engine, qc, qr)
     );
 }
 

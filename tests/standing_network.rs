@@ -2,7 +2,7 @@
 //! disguise: registering over TCP, moving users, and reading
 //! `STANDING_DELTA` pushes / `STANDING_SNAPSHOT` replies must produce
 //! bytes identical to a `PrivacyAwareSystem` driven in-process — at
-//! more than one server worker-pool size — and the post-shutdown
+//! more than one server poller shard count — and the post-shutdown
 //! engine's registries must agree with what the client saw.
 
 use lbsp_anonymizer::{CloakRequirement, GridCloak, PrivacyProfile};
@@ -66,7 +66,7 @@ const RANGE_OWNERS: [(u64, f64); 2] = [(7, 0.1), (13, 0.2)];
 fn fresh_engine() -> ShardedEngine {
     let mut cfg = EngineConfig::new(world());
     cfg.refine = true;
-    let mut engine = ShardedEngine::new(cfg, 2);
+    let mut engine = ShardedEngine::new(cfg, 1);
     engine.load_public(public_objects());
     engine
 }

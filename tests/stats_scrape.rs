@@ -32,7 +32,7 @@ const OUTBOUND_WAIT: usize = 4;
 fn engine() -> ShardedEngine {
     let mut cfg = EngineConfig::new(Rect::new_unchecked(0.0, 0.0, 1.0, 1.0));
     cfg.refine = true;
-    let mut engine = ShardedEngine::new(cfg, 2);
+    let mut engine = ShardedEngine::new(cfg, 1);
     let mut rng = StdRng::seed_from_u64(SEED);
     engine.load_public(
         (0..200)
