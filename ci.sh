@@ -23,12 +23,16 @@ echo "== equivalence + loopback under debug_assertions (lock-order checker armed
 # The equivalence suite holds the batch-size test (batches of 1 to 256
 # rows against the sequential anonymizer) and the engine's own
 # edge-crossing tests ride along (users on and across quarter, cell and
-# world edges against the sequential cloak; a cloak moving across the
-# world staying one record), so debug assertions walk the one anonymizer
-# grid and the one private store on every path; the loopback suite takes
-# the network tier's locks with the checker armed.
+# world edges against the sequential cloak; a NaN or out-of-world
+# neighbour; a cloak moving across the world staying one record), so
+# debug assertions walk the engine's sub-cell counts and the one private
+# store on every path. The count view's property test moves, removes and
+# re-adds users until counters return to zero, where an underflow is a
+# debug assertion. The loopback suite takes the network tier's locks
+# with the checker armed.
 cargo test -q --offline --test concurrency
-cargo test -q --offline -p lbsp-core --lib -- journal_record across_the_world sequential_anonymizer
+cargo test -q --offline -p lbsp-core --lib -- journal_record across_the_world sequential_anonymizer out_of_world_neighbour
+cargo test -q --offline -p lbsp-index --test properties -- sub_cell_counts_match_brute_force_membership_under_edits
 cargo test -q --offline --test net_loopback
 
 echo "== loopback byte-identity (network vs in-process) =="

@@ -17,183 +17,73 @@
 //! area ... thus, g can be partitioned again into other fixed grids.
 //! Keeping fixed multi-level grids would be an optimization". The
 //! [`GridCloak::with_refinement`] option implements that: when the block
-//! is a single cell with ample slack, the cloak descends into the 2×2
-//! sub-cell containing the user while the requirement still holds.
+//! is a single cell with ample slack, the cloak descends into the
+//! quadrant holding the user's sub-cell while the requirement still
+//! holds. Every count is read from [`SubCellCounts`], by sub-cell
+//! membership (see [`cloak_with_counts`]).
 
 use crate::cloak::{finalize_region, CloakRequirement, CloakedRegion, CloakingAlgorithm};
 use crate::{CloakError, UserId};
 use lbsp_geom::{Point, Rect};
-use lbsp_index::{CellCoord, CellCounts, UniformGrid};
-
-/// Default multi-level refinement depth: a cell quarters at most this
-/// many times (1/16 cell → 1/256 at depth 4 on a 16×16 grid).
-pub const DEFAULT_MAX_REFINE_DEPTH: u8 = 4;
+use lbsp_index::{CellCounts, SubCellCounts, SubSpan, SUB_SIDE};
 
 /// Fixed-grid cloak with rectangular neighbor merging.
 #[derive(Debug, Clone)]
 pub struct GridCloak {
-    grid: UniformGrid,
+    grid: SubCellCounts,
     refine: bool,
-    max_refine_depth: u8,
 }
 
-/// Expands the block `[c0, c1]` by one row/column on the side whose
-/// strip holds more users (ties and walls resolved deterministically).
-/// Returns `None` when the block already spans the whole grid.
-fn expand_once<C: CellCounts>(
-    counts: &C,
-    c0: CellCoord,
-    c1: CellCoord,
-    grow_x: bool,
-) -> Option<(CellCoord, CellCoord)> {
-    let nx = counts.nx();
-    let ny = counts.ny();
-    if grow_x {
-        let can_left = c0.ix > 0;
-        let can_right = c1.ix + 1 < nx;
-        match (can_left, can_right) {
-            (false, false) => None,
-            (true, false) => Some((
-                CellCoord {
-                    ix: c0.ix - 1,
-                    ..c0
-                },
-                c1,
-            )),
-            (false, true) => Some((
-                c0,
-                CellCoord {
-                    ix: c1.ix + 1,
-                    ..c1
-                },
-            )),
-            (true, true) => {
-                let left = counts.block_count(
-                    CellCoord {
-                        ix: c0.ix - 1,
-                        iy: c0.iy,
-                    },
-                    CellCoord {
-                        ix: c0.ix - 1,
-                        iy: c1.iy,
-                    },
-                );
-                let right = counts.block_count(
-                    CellCoord {
-                        ix: c1.ix + 1,
-                        iy: c0.iy,
-                    },
-                    CellCoord {
-                        ix: c1.ix + 1,
-                        iy: c1.iy,
-                    },
-                );
-                if left >= right {
-                    Some((
-                        CellCoord {
-                            ix: c0.ix - 1,
-                            ..c0
-                        },
-                        c1,
-                    ))
-                } else {
-                    Some((
-                        c0,
-                        CellCoord {
-                            ix: c1.ix + 1,
-                            ..c1
-                        },
-                    ))
-                }
-            }
-        }
+/// Expands the cell block `block` by one column (`axis` 0) or row
+/// (`axis` 1) on the side whose strip holds more users, the low side on
+/// a tie or when the high side is the world's edge. Returns `None` when
+/// the block already spans the world along `axis`.
+fn expand_once<C: CellCounts>(counts: &C, block: SubSpan, axis: usize) -> Option<SubSpan> {
+    let strip = |from: u32| {
+        let mut s = block;
+        s.lo[axis] = from;
+        s.hi[axis] = from + SUB_SIDE;
+        s
+    };
+    let (lo, hi) = (block.lo[axis], block.hi[axis]);
+    let grow_low = match (lo > 0, hi < counts.lattice().extent()[axis]) {
+        (false, false) => return None,
+        (true, true) => counts.count(strip(lo - SUB_SIDE)) >= counts.count(strip(hi)),
+        (low, _) => low,
+    };
+    let mut grown = block;
+    if grow_low {
+        grown.lo[axis] -= SUB_SIDE;
     } else {
-        let can_down = c0.iy > 0;
-        let can_up = c1.iy + 1 < ny;
-        match (can_down, can_up) {
-            (false, false) => None,
-            (true, false) => Some((
-                CellCoord {
-                    iy: c0.iy - 1,
-                    ..c0
-                },
-                c1,
-            )),
-            (false, true) => Some((
-                c0,
-                CellCoord {
-                    iy: c1.iy + 1,
-                    ..c1
-                },
-            )),
-            (true, true) => {
-                let down = counts.block_count(
-                    CellCoord {
-                        ix: c0.ix,
-                        iy: c0.iy - 1,
-                    },
-                    CellCoord {
-                        ix: c1.ix,
-                        iy: c0.iy - 1,
-                    },
-                );
-                let up = counts.block_count(
-                    CellCoord {
-                        ix: c0.ix,
-                        iy: c1.iy + 1,
-                    },
-                    CellCoord {
-                        ix: c1.ix,
-                        iy: c1.iy + 1,
-                    },
-                );
-                if down >= up {
-                    Some((
-                        CellCoord {
-                            iy: c0.iy - 1,
-                            ..c0
-                        },
-                        c1,
-                    ))
-                } else {
-                    Some((
-                        c0,
-                        CellCoord {
-                            iy: c1.iy + 1,
-                            ..c1
-                        },
-                    ))
-                }
-            }
-        }
+        grown.hi[axis] += SUB_SIDE;
     }
+    Some(grown)
 }
 
-/// Multi-level descent: repeatedly quarter the region, following the
-/// quadrant that contains the user, while `(k, a_min)` still holds.
-/// Returns the region with its population when the descent counted it,
-/// i.e. when at least one quadrant was accepted.
+/// Multi-level descent from the subject's cell `region`, holding `count`
+/// users: repeatedly quarter it, following the quadrant that holds the
+/// subject's sub-cell `sub`, while `(k, a_min)` still holds — at most
+/// down to that one sub-cell (1/16 cell → 1/256 on a 16×16 grid).
 fn refine_region<C: CellCounts>(
     counts: &C,
-    mut region: Rect,
-    pos: Point,
+    sub: [u32; 2],
+    (mut region, mut count): (Rect, usize),
     req: &CloakRequirement,
-    max_depth: u8,
-) -> (Rect, Option<usize>) {
-    let mut counted = None;
-    for _ in 0..max_depth {
-        let sub = region.quadrants()[region.quadrant_of(pos)];
-        if sub.area() < req.a_min {
+) -> CloakedRegion {
+    let lattice = counts.lattice();
+    for depth in 1..=SUB_SIDE.trailing_zeros() {
+        let quadrant = SubSpan::around(sub, SUB_SIDE >> depth);
+        let rect = lattice.rect(quadrant);
+        if rect.area() < req.a_min {
             break;
         }
-        let inside = counts.count_in_rect(&sub);
+        let inside = counts.count(quadrant);
         if inside < req.k as usize {
             break;
         }
-        region = sub;
-        counted = Some(inside);
+        (region, count) = (rect, inside);
     }
-    (region, counted)
+    finalize_region(region, count as u32, req)
 }
 
 /// The full fixed-grid merge (and optional multi-level refinement)
@@ -201,11 +91,14 @@ fn refine_region<C: CellCounts>(
 ///
 /// This is [`GridCloak::cloak`] with the user lookup factored out: the
 /// caller supplies the subject's exact position and a count view — the
-/// concurrent engine's [`UniformGrid`], or a test's brute-force counter.
-/// Because the algorithm consumes only integer cell counts and
-/// cell-aligned rectangles, any two views reporting identical counts
-/// produce bit-identical regions — the property the engine's
-/// equivalence tests assert.
+/// concurrent engine's [`SubCellCounts`], or a test's brute-force
+/// counter. The position only picks the subject's sub-cell; every
+/// decision after that reads integer counts of lattice blocks, and every
+/// rectangle is built from its block, so any two views reporting equal
+/// counts produce bit-identical regions — the property the engine's
+/// equivalence tests assert. `achieved_k` is the count of the returned
+/// block, by sub-cell membership; with no privacy requested the region
+/// is the subject's point, and `achieved_k` is the subject alone.
 ///
 /// `req` must already be validated ([`CloakRequirement::validate`]).
 pub fn cloak_with_counts<C: CellCounts>(
@@ -213,41 +106,31 @@ pub fn cloak_with_counts<C: CellCounts>(
     pos: Point,
     req: &CloakRequirement,
     refine: bool,
-    max_refine_depth: u8,
 ) -> CloakedRegion {
     if !req.wants_privacy() {
-        let region = Rect::from_point(pos);
-        let k = counts.count_in_rect(&region) as u32;
-        return finalize_region(region, k.max(1), req);
+        return finalize_region(Rect::from_point(pos), 1, req);
     }
-    let start = counts.cell_of(pos);
-    let (mut c0, mut c1) = (start, start);
-    let mut grow_x = true;
+    let sub = counts.lattice().sub_of(pos);
+    let cell = SubSpan::around(sub, SUB_SIDE);
+    let mut block = cell;
+    let mut axis = 0;
     loop {
-        let count = counts.block_count(c0, c1) as u32;
-        let rect = counts.block_rect(c0, c1);
-        if count >= req.k && rect.area() >= req.a_min {
-            let (rect, counted) = if refine && c0 == c1 {
-                refine_region(counts, rect, pos, req, max_refine_depth)
-            } else {
-                (rect, None)
-            };
-            // `count` is no substitute: it goes by cell membership, and
-            // a closed rectangle also holds the users on its far edges.
-            let achieved = counted.unwrap_or_else(|| counts.count_in_rect(&rect)) as u32;
-            return finalize_region(rect, achieved, req);
+        let count = counts.count(block);
+        let rect = counts.lattice().rect(block);
+        if count >= req.k as usize && rect.area() >= req.a_min {
+            if refine && block == cell {
+                return refine_region(counts, sub, (rect, count), req);
+            }
+            return finalize_region(rect, count as u32, req);
         }
         // Alternate growth axes so blocks stay near-square.
-        match expand_once(counts, c0, c1, grow_x).or_else(|| expand_once(counts, c0, c1, !grow_x)) {
-            Some((n0, n1)) => {
-                c0 = n0;
-                c1 = n1;
-                grow_x = !grow_x;
+        match expand_once(counts, block, axis).or_else(|| expand_once(counts, block, 1 - axis)) {
+            Some(grown) => {
+                block = grown;
+                axis = 1 - axis;
             }
-            None => {
-                // Block spans the world: best effort.
-                return finalize_region(rect, count, req);
-            }
+            // Block spans the world: best effort.
+            None => return finalize_region(rect, count as u32, req),
         }
     }
 }
@@ -256,9 +139,8 @@ impl GridCloak {
     /// Creates the cloak over `world` with `side × side` cells.
     pub fn new(world: Rect, side: u32) -> GridCloak {
         GridCloak {
-            grid: UniformGrid::new(world, side, side),
+            grid: SubCellCounts::new(world, side, side),
             refine: false,
-            max_refine_depth: DEFAULT_MAX_REFINE_DEPTH,
         }
     }
 
@@ -273,11 +155,6 @@ impl GridCloak {
     pub fn refinement_enabled(&self) -> bool {
         self.refine
     }
-
-    /// The refinement descent limit in force.
-    pub fn max_refine_depth(&self) -> u8 {
-        self.max_refine_depth
-    }
 }
 
 impl CloakingAlgorithm for GridCloak {
@@ -290,7 +167,7 @@ impl CloakingAlgorithm for GridCloak {
     }
 
     fn world(&self) -> Rect {
-        self.grid.world()
+        self.grid.lattice().world()
     }
 
     fn upsert(&mut self, id: UserId, p: Point) {
@@ -309,6 +186,9 @@ impl CloakingAlgorithm for GridCloak {
         self.grid.len()
     }
 
+    /// Counts as the cloak does, by sub-cell membership: the users whose
+    /// sub-cell lies wholly inside `region` (or, for a point, the users
+    /// exactly at it), so it recounts a cloak's `achieved_k` exactly.
     fn count_in_region(&self, region: &Rect) -> usize {
         self.grid.count_in_rect(region)
     }
@@ -321,21 +201,15 @@ impl CloakingAlgorithm for GridCloak {
         if self.refine {
             return None;
         }
-        let p = self.grid.location(id)?;
-        let c = self.grid.cell_of(p);
-        Some(u64::from(c.iy) * u64::from(self.grid.nx()) + u64::from(c.ix))
+        let lattice = self.grid.lattice();
+        let c = lattice.cell_of(self.grid.location(id)?);
+        Some(u64::from(c.iy) * u64::from(lattice.nx()) + u64::from(c.ix))
     }
 
     fn cloak(&self, id: UserId, req: &CloakRequirement) -> Result<CloakedRegion, CloakError> {
         req.validate()?;
         let pos = self.grid.location(id).ok_or(CloakError::UnknownUser(id))?;
-        Ok(cloak_with_counts(
-            &self.grid,
-            pos,
-            req,
-            self.refine,
-            self.max_refine_depth,
-        ))
+        Ok(cloak_with_counts(&self.grid, pos, req, self.refine))
     }
 }
 
@@ -494,45 +368,67 @@ mod tests {
         );
     }
 
-    /// `cloak_with_counts` as it was before the descent handed its last
-    /// count back: the achieved k is always counted again.
-    fn cloak_recounting(
-        counts: &UniformGrid,
+    /// The grid cloak as Fig. 4b draws it, in rectangles: a block is the
+    /// union of its cells' rectangles, a quadrant is half a rectangle
+    /// each way, and every count is a recount of the rectangle through
+    /// `count_in_region`. Unit world only.
+    fn cloak_by_rectangles(
+        c: &GridCloak,
+        side: u32,
         pos: Point,
         req: &CloakRequirement,
-        refine: bool,
     ) -> CloakedRegion {
+        let count = |r: &Rect| c.count_in_region(r) as u32;
         if !req.wants_privacy() {
-            let region = Rect::from_point(pos);
-            let k = counts.count_in_rect(&region) as u32;
-            return finalize_region(region, k.max(1), req);
+            return finalize_region(Rect::from_point(pos), 1, req);
         }
-        let start = counts.cell_of(pos);
-        let (mut c0, mut c1, mut grow_x) = (start, start, true);
+        let w = 1.0 / f64::from(side);
+        let block = |[x0, y0, x1, y1]: [u32; 4]| {
+            let at = |i: u32| f64::from(i) * w;
+            Rect::new_unchecked(at(x0), at(y0), at(x1 + 1), at(y1 + 1))
+        };
+        let cell = |v: f64| ((v / w).floor() as u32).min(side - 1);
+        let mut b = [cell(pos.x), cell(pos.y), cell(pos.x), cell(pos.y)];
+        let mut axis = 0;
         loop {
-            let count = counts.block_count(c0, c1) as u32;
-            let mut rect = counts.block_rect(c0, c1);
-            if count >= req.k && rect.area() >= req.a_min {
-                if refine && c0 == c1 {
-                    for _ in 0..DEFAULT_MAX_REFINE_DEPTH {
+            let mut rect = block(b);
+            let mut n = count(&rect);
+            if n >= req.k && rect.area() >= req.a_min {
+                if c.refine && b[0] == b[2] && b[1] == b[3] {
+                    for _ in 0..SUB_SIDE.trailing_zeros() {
                         let sub = rect.quadrants()[rect.quadrant_of(pos)];
-                        if sub.area() >= req.a_min && counts.count_in_rect(&sub) >= req.k as usize {
-                            rect = sub;
-                        } else {
+                        if sub.area() < req.a_min || count(&sub) < req.k {
                             break;
                         }
+                        (rect, n) = (sub, count(&sub));
                     }
                 }
-                return finalize_region(rect, counts.count_in_rect(&rect) as u32, req);
+                return finalize_region(rect, n, req);
             }
-            match expand_once(counts, c0, c1, grow_x)
-                .or_else(|| expand_once(counts, c0, c1, !grow_x))
-            {
-                Some(grown) => {
-                    (c0, c1) = grown;
-                    grow_x = !grow_x;
+            // One column or row more, toward the fuller strip.
+            let grow = |a: usize| {
+                let (lo, hi) = (b[a], b[a + 2]);
+                let strip = |i: u32| {
+                    let mut s = b;
+                    (s[a], s[a + 2]) = (i, i);
+                    count(&block(s))
+                };
+                let low = match (lo > 0, hi + 1 < side) {
+                    (false, false) => return None,
+                    (true, true) => strip(lo - 1) >= strip(hi + 1),
+                    (low, _) => low,
+                };
+                let mut g = b;
+                if low {
+                    g[a] -= 1;
+                } else {
+                    g[a + 2] += 1;
                 }
-                None => return finalize_region(rect, count, req),
+                Some(g)
+            };
+            match grow(axis).or_else(|| grow(1 - axis)) {
+                Some(g) => (b, axis) = (g, 1 - axis),
+                None => return finalize_region(rect, n, req),
             }
         }
     }
@@ -551,12 +447,14 @@ mod tests {
         for side in [2u32, 4, 8, 16] {
             let mut c = populated(side);
             // Users on cell and quadrant edges, where a closed rectangle
-            // and a cell block disagree on who is inside.
+            // holds users its block does not: the recount must go by
+            // sub-cell membership too.
             for (i, v) in [0.5, 0.25, 0.75, 0.625, 1.0].into_iter().enumerate() {
                 c.upsert(100 + i as u64, Point::new(v, 0.5));
                 c.upsert(110 + i as u64, Point::new(v, v));
             }
             for refine in [false, true] {
+                c.refine = refine;
                 for id in (0..100u64).step_by(3).chain(100..105).chain(110..115) {
                     for (k, a_min) in [
                         (1, 0.0),
@@ -572,78 +470,12 @@ mod tests {
                             a_max: f64::INFINITY,
                         };
                         let pos = c.location(id).unwrap();
-                        let got =
-                            cloak_with_counts(&c.grid, pos, &req, refine, DEFAULT_MAX_REFINE_DEPTH);
-                        let want = cloak_recounting(&c.grid, pos, &req, refine);
+                        let got = c.cloak(id, &req).unwrap();
+                        let want = cloak_by_rectangles(&c, side, pos, &req);
                         assert_eq!(bits(&got), bits(&want), "side {side} user {id} k {k}");
                     }
                 }
             }
         }
-    }
-
-    /// A grid that counts the rectangle counts asked of it.
-    struct CountingGrid {
-        grid: UniformGrid,
-        rect_counts: std::cell::Cell<usize>,
-    }
-
-    impl CellCounts for CountingGrid {
-        fn world(&self) -> Rect {
-            self.grid.world()
-        }
-        fn nx(&self) -> u32 {
-            self.grid.nx()
-        }
-        fn ny(&self) -> u32 {
-            self.grid.ny()
-        }
-        fn cell_of(&self, p: Point) -> CellCoord {
-            self.grid.cell_of(p)
-        }
-        fn block_rect(&self, c0: CellCoord, c1: CellCoord) -> Rect {
-            self.grid.block_rect(c0, c1)
-        }
-        fn block_count(&self, c0: CellCoord, c1: CellCoord) -> usize {
-            self.grid.block_count(c0, c1)
-        }
-        fn count_in_rect(&self, r: &Rect) -> usize {
-            self.rect_counts.set(self.rect_counts.get() + 1);
-            self.grid.count_in_rect(r)
-        }
-    }
-
-    #[test]
-    fn a_refined_cloak_counts_each_quadrant_once() {
-        // Subject at (0.51, 0.51) in cell [0.5, 1]^2 of a 2x2 grid; nine
-        // companions placed so the k = 2 descent stops where we want.
-        let subject = Point::new(0.51, 0.51);
-        let rect_counts = |companions: Point| {
-            let mut grid = UniformGrid::new(world(), 2, 2);
-            grid.insert(0, subject);
-            for i in 1..10u64 {
-                grid.insert(i, companions);
-            }
-            let counting = CountingGrid {
-                grid,
-                rect_counts: std::cell::Cell::new(0),
-            };
-            let r = cloak_with_counts(
-                &counting,
-                subject,
-                &CloakRequirement::k_only(2),
-                true,
-                DEFAULT_MAX_REFINE_DEPTH,
-            );
-            (r.region.width(), r.achieved_k, counting.rect_counts.get())
-        };
-        // Depth 0: the first quadrant is refused, then the cell itself
-        // is counted — the block count would not do.
-        assert_eq!(rect_counts(Point::new(0.9, 0.9)), (0.5, 10, 2));
-        // Depth 2: two quadrants accepted, the third refused, no recount
-        // (three counts where there were four).
-        assert_eq!(rect_counts(Point::new(0.6, 0.6)), (0.125, 10, 3));
-        // Depth 4, the limit: four accepted, none refused, no recount.
-        assert_eq!(rect_counts(Point::new(0.511, 0.511)), (0.03125, 10, 4));
     }
 }

@@ -52,7 +52,7 @@ pub use anonymizer::{
 };
 pub use cloak::{CloakRequirement, CloakedRegion, CloakingAlgorithm};
 pub use error::CloakError;
-pub use grid_cloak::{cloak_with_counts, GridCloak, DEFAULT_MAX_REFINE_DEPTH};
+pub use grid_cloak::{cloak_with_counts, GridCloak};
 pub use hilbert_cloak::HilbertCloak;
 pub use incremental::{CacheStats, IncrementalCloaker};
 pub use mbr::MbrCloak;

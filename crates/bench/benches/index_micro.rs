@@ -4,14 +4,14 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use lbsp_bench::{uniform_positions, world};
 use lbsp_geom::{Point, Rect};
-use lbsp_index::{PointQuadTree, PyramidGrid, RTree, UniformGrid};
+use lbsp_index::{PointQuadTree, PyramidGrid, RTree, SubCellCounts, SubSpan, UniformGrid};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("index_micro");
     group.sample_size(30);
     let positions = uniform_positions(100_000, 51);
 
-    // Grid: insert (move) and rect count.
+    // Grid: insert (move) and k-NN over the per-cell buckets.
     let mut grid = UniformGrid::new(world(), 64, 64);
     for (i, p) in positions.iter().enumerate() {
         grid.insert(i as u64, *p);
@@ -24,10 +24,26 @@ fn bench(c: &mut Criterion) {
         })
     });
     let q = Rect::new_unchecked(0.4, 0.4, 0.45, 0.45);
-    group.bench_function("grid/count_rect", |b| b.iter(|| grid.count_in_rect(&q)));
     group.bench_function("grid/knn_16", |b| {
         b.iter(|| grid.k_nearest(Point::new(0.42, 0.42), 16, |_| false))
     });
+
+    // Sub-cell counts, the grid cloak's view at the engine's 16 x 16:
+    // a move (one map write, four counter bumps) and a depth-1 quadrant
+    // count (the largest a refinement asks: 8 x 8 counters of one cell).
+    let mut counts = SubCellCounts::new(world(), 16, 16);
+    for (i, p) in positions.iter().enumerate() {
+        counts.insert(i as u64, *p);
+    }
+    let mut i = 0usize;
+    group.bench_function("counts/upsert_100k", |b| {
+        b.iter(|| {
+            i = (i + 7919) % positions.len();
+            counts.insert(i as u64, positions[i])
+        })
+    });
+    let quadrant = SubSpan::around(counts.lattice().sub_of(Point::new(0.42, 0.42)), 8);
+    group.bench_function("counts/quadrant", |b| b.iter(|| counts.count(quadrant)));
 
     // Pyramid: the O(levels) update path.
     let mut pyr = PyramidGrid::new(world(), 8);

@@ -6,11 +6,13 @@
 //! that work while keeping every externally visible byte identical to
 //! the sequential pipeline:
 //!
-//! * **Anonymizer side** — one [`UniformGrid`] over the world holds every
-//!   tracked user, as in the paper's space-dependent cloaking (Fig. 4b),
-//!   which partitions space with *one* grid. Every cloak reads that
-//!   grid's counts through [`cloak_with_counts`], the generic code the
-//!   sequential [`lbsp_anonymizer::GridCloak`] runs too.
+//! * **Anonymizer side** — one [`SubCellCounts`] view over the world's
+//!   grid, as in the paper's space-dependent cloaking (Fig. 4b), which
+//!   partitions space with *one* grid: a user counter per sub-cell and
+//!   per cell, and every tracked user's position. Every cloak reads
+//!   those counts through [`cloak_with_counts`], the generic code the
+//!   sequential [`lbsp_anonymizer::GridCloak`] runs on the same view, so
+//!   a user counts where its sub-cell is, never by a point test.
 //! * **Server side** — one private store (pseudonym → cloaked
 //!   rectangle), the paper's table of cloaked records, and one public
 //!   store: `private_range_candidates` already answers in ascending id
@@ -43,10 +45,10 @@ use crate::UserId;
 use bytes::Bytes;
 use lbsp_anonymizer::{
     cloak_with_counts, CloakError, CloakRequirement, CloakedRegion, CloakedUpdate, PrivacyProfile,
-    Pseudonym, DEFAULT_MAX_REFINE_DEPTH,
+    Pseudonym,
 };
 use lbsp_geom::{Point, Rect, SimTime};
-use lbsp_index::UniformGrid;
+use lbsp_index::SubCellCounts;
 use lbsp_server::{
     private_range_candidates, ContinuousRangeCount, PrivateRecord, PrivateStore, PublicObject,
     PublicStore,
@@ -123,9 +125,9 @@ pub struct ShardedEngine {
     cfg: EngineConfig,
     /// Every registered user's privacy profile.
     profiles: HashMap<UserId, PrivacyProfile>,
-    /// Every tracked user's exact position: the count view each cloak
-    /// reads.
-    anon: UniformGrid,
+    /// Every tracked user's exact position and the sub-cell counts each
+    /// cloak reads.
+    anon: SubCellCounts,
     /// Every pseudonym's current cloaked rectangle.
     private: PrivateStore,
     /// Standing count queries over the private population, maintained
@@ -156,7 +158,7 @@ impl ShardedEngine {
         ShardedEngine {
             cfg,
             profiles: HashMap::new(),
-            anon: UniformGrid::new(cfg.world, cfg.grid_side, cfg.grid_side),
+            anon: SubCellCounts::new(cfg.world, cfg.grid_side, cfg.grid_side),
             private: PrivateStore::new(),
             standing_counts: ContinuousRangeCount::new(),
             standing_ranges: StandingPrivateRanges::new(),
@@ -425,13 +427,7 @@ impl ShardedEngine {
             .anon
             .location(user)
             .ok_or(CloakError::UnknownUser(user))?;
-        let region = cloak_with_counts(
-            &self.anon,
-            pos,
-            &req,
-            self.cfg.refine,
-            DEFAULT_MAX_REFINE_DEPTH,
-        );
+        let region = cloak_with_counts(&self.anon, pos, &req, self.cfg.refine);
         let msg = RangeQueryMsg {
             pseudonym: self.pseudonym(user),
             region: region.region,
@@ -836,9 +832,9 @@ fn splitmix64_raw(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Phase 2: cloaks each planned row against the settled grid.
+/// Phase 2: cloaks each planned row against the settled counts.
 fn cloak_rows(
-    grid: &UniformGrid,
+    grid: &SubCellCounts,
     cfg: &EngineConfig,
     plans: &[RowPlan],
 ) -> Vec<Result<CloakedUpdate, CloakError>> {
@@ -860,7 +856,7 @@ fn cloak_rows(
 /// path: validate, look up the final position, consult the
 /// shared-execution cache, run the grid merge.
 fn cloak_row(
-    grid: &UniformGrid,
+    grid: &SubCellCounts,
     id: UserId,
     req: &CloakRequirement,
     time: SimTime,
@@ -872,18 +868,18 @@ fn cloak_row(
     // Sharing key: the occupied cell — sound only without refinement,
     // exactly as GridCloak::sharing_key declares.
     let region = if cfg.refine {
-        cloak_with_counts(grid, pos, req, true, DEFAULT_MAX_REFINE_DEPTH)
+        cloak_with_counts(grid, pos, req, true)
     } else {
-        let c = grid.cell_of(pos);
+        let c = grid.lattice().cell_of(pos);
         let key = (
-            u64::from(c.iy) * u64::from(grid.nx()) + u64::from(c.ix),
+            u64::from(c.iy) * u64::from(grid.lattice().nx()) + u64::from(c.ix),
             req.k,
             req.a_min.to_bits(),
             req.a_max.to_bits(),
         );
         *cache
             .entry(key)
-            .or_insert_with(|| cloak_with_counts(grid, pos, req, false, DEFAULT_MAX_REFINE_DEPTH))
+            .or_insert_with(|| cloak_with_counts(grid, pos, req, false))
     };
     let mut z = cfg.secret ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = splitmix64_raw(z);
@@ -898,7 +894,7 @@ fn cloak_row(
 mod tests {
     use super::*;
     use lbsp_anonymizer::{GridCloak, LocationAnonymizer};
-    use lbsp_index::CellCounts;
+    use lbsp_index::{CellCounts, Lattice, SubSpan, SUB_SIDE};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
@@ -930,7 +926,8 @@ mod tests {
     /// Coordinates on the lines a cloak or an old anonymizer stripe could
     /// split at — the stripe lines 1/4, 1/2 and 3/4, the cell edges 3/16
     /// and 13/16, the sub-cell edge 67/256 — and on and just past the
-    /// world's edges, which clamp into the border cells.
+    /// world's edges: a user past one counts in no cell, and its own
+    /// cloak starts from the border cell.
     const EDGES: [f64; 10] = [
         -1.0 / 1024.0,
         0.0,
@@ -1001,46 +998,33 @@ mod tests {
         }
     }
 
-    /// Test-only count surface: the grid's geometry (from an empty
-    /// grid) over counts made by testing every point.
+    /// Test-only count surface: the engine's lattice over counts made
+    /// by locating every point's sub-cell, each time it is asked.
     struct BruteCounts {
-        geometry: UniformGrid,
+        lattice: Lattice,
         points: Vec<Point>,
     }
 
     impl CellCounts for BruteCounts {
-        fn world(&self) -> Rect {
-            self.geometry.world()
+        fn lattice(&self) -> &Lattice {
+            &self.lattice
         }
-        fn nx(&self) -> u32 {
-            self.geometry.nx()
-        }
-        fn ny(&self) -> u32 {
-            self.geometry.ny()
-        }
-        fn cell_of(&self, p: Point) -> lbsp_index::CellCoord {
-            self.geometry.cell_of(p)
-        }
-        fn block_rect(&self, c0: lbsp_index::CellCoord, c1: lbsp_index::CellCoord) -> Rect {
-            self.geometry.block_rect(c0, c1)
-        }
-        fn block_count(&self, c0: lbsp_index::CellCoord, c1: lbsp_index::CellCoord) -> usize {
-            let inside = |p: &&Point| {
-                let c = self.geometry.cell_of(**p);
-                (c0.ix..=c1.ix).contains(&c.ix) && (c0.iy..=c1.iy).contains(&c.iy)
+        fn count(&self, span: SubSpan) -> usize {
+            let member = |p: &&Point| {
+                let sub = self.lattice.sub_of(**p);
+                self.lattice.holds(**p)
+                    && (0..2).all(|a| (span.lo[a]..span.hi[a]).contains(&sub[a]))
             };
-            self.points.iter().filter(inside).count()
-        }
-        fn count_in_rect(&self, r: &Rect) -> usize {
-            self.points.iter().filter(|p| r.contains_point(**p)).count()
+            self.points.iter().filter(member).count()
         }
     }
 
     #[test]
     fn crowded_cell_cloaks_match_brute_force_counts() {
         // 5 500 users in cell (5, 5) of the 16x16 grid — every fourth on
-        // a sub-cell corner — and 500 spread over the world, so the
-        // refinement counts run over a deeply split cell.
+        // a sub-cell corner, the edge of every quadrant that holds it —
+        // and 500 spread over the world, so the refinement counts run
+        // over a crowded cell.
         let cfg = EngineConfig {
             refine: true,
             ..EngineConfig::new(world())
@@ -1083,21 +1067,55 @@ mod tests {
                 positions[id as usize] = p;
             }
             let brute = BruteCounts {
-                geometry: UniformGrid::new(cfg.world, cfg.grid_side, cfg.grid_side),
+                lattice: Lattice::new(cfg.world, cfg.grid_side, cfg.grid_side),
                 points: positions.clone(),
             };
-            let crowd = brute.cell_of(Point::new(5.5 / 16.0, 5.5 / 16.0));
-            assert!(brute.block_count(crowd, crowd) >= 5_000);
+            let crowd = brute.lattice.sub_of(Point::new(5.5 / 16.0, 5.5 / 16.0));
+            assert!(brute.count(SubSpan::around(crowd, SUB_SIDE)) >= 5_000);
             // Every third row keeps the brute force affordable and still
             // meets every (k, a_min, snapped) combination.
             for (&(id, pos, time), got) in batch.iter().zip(&got).step_by(3) {
                 let req = e.profiles[&id].requirement_at(time.time_of_day());
                 let want = wire::encode_cloaked_update(&CloakedUpdate {
                     pseudonym: e.pseudonym(id),
-                    region: cloak_with_counts(&brute, pos, &req, true, DEFAULT_MAX_REFINE_DEPTH),
+                    region: cloak_with_counts(&brute, pos, &req, true),
                     time,
                 });
                 assert_eq!(got.as_ref().unwrap(), &want, "user {id}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_out_of_world_neighbour_does_not_stop_a_cloak_short() {
+        // On a 4 x 4 grid, A at (0.1, 0.1) with k = 2 and B one column
+        // over. A neighbour at NaN or just left of the world is a member
+        // of no cell, so A's block takes B's column, refined or not, and
+        // counts the two users inside it.
+        let (a, b) = (Point::new(0.1, 0.1), Point::new(0.3, 0.1));
+        let want = Rect::new_unchecked(0.0, 0.0, 0.5, 0.25);
+        for neighbour in [Point::new(f64::NAN, 0.1), Point::new(-0.01, 0.1)] {
+            for refine in [false, true] {
+                let cfg = EngineConfig {
+                    grid_side: 4,
+                    refine,
+                    ..EngineConfig::new(world())
+                };
+                let mut e = ShardedEngine::new(cfg, 1);
+                for id in 0..3 {
+                    e.register(
+                        id,
+                        PrivacyProfile::uniform(CloakRequirement::k_only(2)).unwrap(),
+                    );
+                }
+                let rows = [(0, a, SimTime::ZERO), (1, b, SimTime::ZERO)];
+                e.process_updates(&[rows[0], rows[1], (2, neighbour, SimTime::ZERO)]);
+                let got = e.process_updates(&rows[..1])[0].as_ref().unwrap().region;
+                let what = format!("neighbour {neighbour:?}, refine {refine}");
+                assert_eq!(got.region, want, "{what}");
+                assert_eq!((got.achieved_k, got.k_satisfied), (2, true), "{what}");
+                let query = e.range_query(0, SimTime::ZERO, 0.1).unwrap();
+                assert_eq!(query.region, got, "{what}");
             }
         }
     }

@@ -5,9 +5,12 @@
 //! *space-partitioning* (grid/quadtree-like). This crate provides both
 //! families as real index structures:
 //!
-//! * [`UniformGrid`] — fixed uniform grid over the world rectangle; the
-//!   substrate of the fixed-grid cloak (Fig. 4b) and of the private-data
-//!   store on the database server.
+//! * [`UniformGrid`] — fixed uniform grid over the world rectangle,
+//!   bucketing exact points per cell; the substrate of the data-dependent
+//!   baseline cloaks and of k-NN search over users.
+//! * [`SubCellCounts`] — per-sub-cell user counts over a grid's
+//!   [`Lattice`] (16 × 16 sub-cells a cell); the only view the fixed-grid
+//!   cloak (Fig. 4b) reads, through the [`CellCounts`] trait.
 //! * [`PyramidGrid`] — a multi-level grid (complete pyramid) maintaining
 //!   per-cell occupancy counts at every level; the substrate of the
 //!   quadtree cloak (Fig. 4a) and of the "fixed multi-level grids"
@@ -31,7 +34,7 @@ mod pyramid;
 mod quadtree;
 mod rtree;
 
-pub use counts::CellCounts;
+pub use counts::{CellCounts, Lattice, SubCellCounts, SubSpan, SUB_SIDE};
 pub use grid::{CellCoord, UniformGrid};
 pub use pyramid::{PyramidCell, PyramidGrid};
 pub use quadtree::PointQuadTree;

@@ -2,7 +2,9 @@
 //! arbitrary point sets and query shapes.
 
 use lbsp_geom::{Point, Rect};
-use lbsp_index::{CellCoord, PointQuadTree, PyramidCell, PyramidGrid, RTree, UniformGrid};
+use lbsp_index::{
+    PointQuadTree, PyramidCell, PyramidGrid, RTree, SubCellCounts, SubSpan, UniformGrid, SUB_SIDE,
+};
 use proptest::prelude::*;
 
 fn unit_world() -> Rect {
@@ -21,8 +23,8 @@ prop_compose! {
     }
 }
 
-/// The count surface of a `UniformGrid` recomputed from a flat list,
-/// with the cell formula written out independently of the grid's.
+/// A population kept as a flat list, counted by sub-cell membership with
+/// the lattice formula written out independently of the view's.
 struct BruteGrid {
     world: Rect,
     side: u32,
@@ -39,111 +41,125 @@ impl BruteGrid {
         self.pts.retain(|&(i, _)| i != id);
     }
 
-    fn cell_of(&self, p: Point) -> (u32, u32) {
-        let w = self.world.width() / self.side as f64;
-        let h = self.world.height() / self.side as f64;
-        let fx = ((p.x - self.world.min_x()) / w).floor().max(0.0);
-        let fy = ((p.y - self.world.min_y()) / h).floor().max(0.0);
-        (
-            (fx as u32).min(self.side - 1),
-            (fy as u32).min(self.side - 1),
-        )
+    /// Sub-cells per axis.
+    fn n(&self) -> usize {
+        (self.side * SUB_SIDE) as usize
     }
 
-    fn in_rect(&self, r: &Rect) -> Vec<u64> {
-        let mut ids: Vec<u64> = self
-            .pts
-            .iter()
-            .filter(|(_, p)| r.contains_point(*p))
-            .map(|&(id, _)| id)
-            .collect();
-        ids.sort_unstable();
-        ids
+    /// The sub-cell a point is a member of: per axis the `i` with line
+    /// `i` ≤ `v` < line `i + 1` (the last sub-cell closed), found by
+    /// walking the lines; none for a point outside them or non-finite.
+    fn sub_of(&self, p: Point) -> Option<(usize, usize)> {
+        let n = self.n();
+        let at = |v: f64, min: f64, len: f64| {
+            let line =
+                |i: usize| min + len / f64::from(self.side) * (i as f64 / f64::from(SUB_SIDE));
+            (0..n).find(|&i| line(i) <= v && (v < line(i + 1) || (i + 1 == n && v == line(n))))
+        };
+        Some((
+            at(p.x, self.world.min_x(), self.world.width())?,
+            at(p.y, self.world.min_y(), self.world.height())?,
+        ))
     }
 
-    fn block_count(&self, c0: CellCoord, c1: CellCoord) -> usize {
-        self.pts
-            .iter()
-            .filter(|(_, p)| {
-                let (ix, iy) = self.cell_of(*p);
-                (c0.ix..=c1.ix).contains(&ix) && (c0.iy..=c1.iy).contains(&iy)
-            })
-            .count()
+    /// Members per sub-cell, row-major, as prefix sums: entry
+    /// `(y, x)` of the `(n + 1)²` table counts the members left of column
+    /// `x` and below row `y`.
+    fn prefix(&self) -> Vec<usize> {
+        let n = self.n();
+        let mut t = vec![0; (n + 1) * (n + 1)];
+        for &(_, p) in &self.pts {
+            if let Some((x, y)) = self.sub_of(p) {
+                t[(y + 1) * (n + 1) + x + 1] += 1;
+            }
+        }
+        for y in 1..=n {
+            for x in 1..=n {
+                t[y * (n + 1) + x] += t[y * (n + 1) + x - 1] + t[(y - 1) * (n + 1) + x]
+                    - t[(y - 1) * (n + 1) + x - 1];
+            }
+        }
+        t
     }
 }
 
-/// Compares every count surface of `g` with `brute` over `rects` plus
-/// the rectangles a cloak asks about: each occupied cell, its block with
-/// a neighbour, all four quadrants at each refinement depth 1–4 along
-/// the descent to a point, the point itself, and the world. Checks the
-/// leaf boxes first: the count verdicts are only as exact as they are.
-fn assert_grid_matches(g: &UniformGrid, brute: &BruteGrid, rects: &[Rect]) -> Result<(), String> {
-    g.check_leaf_boxes()?;
-    let side = brute.side;
+/// Members of `span` by the prefix table of [`BruteGrid::prefix`].
+fn brute_count(t: &[usize], n: usize, s: SubSpan) -> usize {
+    let at = |x: u32, y: u32| t[y as usize * (n + 1) + x as usize];
+    at(s.hi[0], s.hi[1]) + at(s.lo[0], s.lo[1]) - at(s.lo[0], s.hi[1]) - at(s.hi[0], s.lo[1])
+}
+
+/// Compares the view `v` with `brute` on every cell block and every
+/// quadrant at refinement depths 1–4 of every cell, each block's
+/// rectangle recounted through `count_in_rect` too; then on `rects`, the
+/// world, a huge rectangle and the first six users' points, each counted
+/// by the sub-cells lying wholly inside it (a point: the users at it).
+fn assert_view_matches(v: &SubCellCounts, brute: &BruteGrid, rects: &[Rect]) -> Result<(), String> {
+    let (side, n, lat) = (brute.side, brute.n(), v.lattice());
+    if v.len() != brute.pts.len() {
+        return Err(format!("len {} vs {}", v.len(), brute.pts.len()));
+    }
+    let t = brute.prefix();
+    let check = |span: SubSpan| {
+        let (got, want) = (v.count(span), brute_count(&t, n, span));
+        if got != want {
+            return Err(format!("count({span:?}) = {got}, brute {want}"));
+        }
+        Ok(got)
+    };
+    let cells = |a: u32, b: u32| (a * SUB_SIDE, (b + 1) * SUB_SIDE);
+    for (x0, x1) in (0..side).flat_map(|a| (a..side).map(move |b| cells(a, b))) {
+        for (y0, y1) in (0..side).flat_map(|a| (a..side).map(move |b| cells(a, b))) {
+            let block = SubSpan {
+                lo: [x0, y0],
+                hi: [x1, y1],
+            };
+            let got = check(block)?;
+            let rect = lat.rect(block);
+            if v.count_in_rect(&rect) != got {
+                return Err(format!("count_in_rect({rect:?}) is not its block's count"));
+            }
+        }
+    }
+    for depth in 1..=4 {
+        let q = SUB_SIDE >> depth;
+        for y in (0..side * SUB_SIDE).step_by(q as usize) {
+            for x in (0..side * SUB_SIDE).step_by(q as usize) {
+                check(SubSpan::around([x, y], q))?;
+            }
+        }
+    }
     let mut rects = rects.to_vec();
     rects.push(brute.world);
     rects.push(Rect::new_unchecked(-1e9, -1e9, 1e9, 1e9));
-    for &(_, p) in brute.pts.iter().take(6) {
-        rects.push(Rect::from_point(p));
-        let (ix, iy) = brute.cell_of(p);
-        let c = CellCoord { ix, iy };
-        if g.cell_of(p) != c {
-            return Err(format!("cell_of({p:?}) = {:?}, brute {c:?}", g.cell_of(p)));
-        }
-        let hi = CellCoord {
-            ix: (ix + 1).min(side - 1),
-            iy: (iy + 2).min(side - 1),
-        };
-        rects.push(g.block_rect(c, hi));
-        let mut region = g.cell_rect(c);
-        rects.push(region);
-        for _ in 1..=4 {
-            let quads = region.quadrants();
-            rects.extend(quads);
-            region = quads[region.quadrant_of(p)];
-        }
-    }
+    rects.extend(brute.pts.iter().take(6).map(|&(_, p)| Rect::from_point(p)));
     for r in &rects {
-        let want = brute.in_rect(r);
-        if g.count_in_rect(r) != want.len() {
+        let want = if r.width() == 0.0 && r.height() == 0.0 {
+            brute
+                .pts
+                .iter()
+                .filter(|(_, p)| r.contains_point(*p))
+                .count()
+        } else {
+            // Per axis, the sub-cells whose extent lies inside `r`.
+            let unit = |i: u32| lat.rect(SubSpan::around([i, i], 1));
+            let xs: Vec<u32> = (0..n as u32)
+                .filter(|&i| r.min_x() <= unit(i).min_x() && unit(i).max_x() <= r.max_x())
+                .collect();
+            let ys: Vec<u32> = (0..n as u32)
+                .filter(|&i| r.min_y() <= unit(i).min_y() && unit(i).max_y() <= r.max_y())
+                .collect();
+            xs.iter()
+                .flat_map(|&x| ys.iter().map(move |&y| (x, y)))
+                .map(|(x, y)| brute_count(&t, n, SubSpan::around([x, y], 1)))
+                .sum()
+        };
+        if v.count_in_rect(r) != want {
             return Err(format!(
-                "count_in_rect({r:?}) = {}, brute {}",
-                g.count_in_rect(r),
-                want.len()
+                "count_in_rect({r:?}) = {}, brute {want}",
+                v.count_in_rect(r)
             ));
         }
-        let mut got: Vec<u64> = g.query_rect(r).into_iter().map(|(id, _)| id).collect();
-        got.sort_unstable();
-        if got != want {
-            return Err(format!("query_rect({r:?}) = {got:?}, brute {want:?}"));
-        }
-    }
-    let mut total = 0;
-    for iy in 0..side {
-        for ix in 0..side {
-            let c = CellCoord { ix, iy };
-            let want = brute.block_count(c, c);
-            if g.cell_count(c) != want {
-                return Err(format!(
-                    "cell_count({c:?}) = {}, brute {want}",
-                    g.cell_count(c)
-                ));
-            }
-            total += want;
-        }
-    }
-    let (lo, hi) = (
-        CellCoord { ix: 1, iy: 0 },
-        CellCoord {
-            ix: side - 1,
-            iy: side / 2,
-        },
-    );
-    if g.block_count(lo, hi) != brute.block_count(lo, hi) {
-        return Err(format!("block_count({lo:?}, {hi:?})"));
-    }
-    if total != g.len() || g.len() != brute.pts.len() {
-        return Err(format!("len {} vs cells {total}", g.len()));
     }
     Ok(())
 }
@@ -168,7 +184,7 @@ proptest! {
     }
 
     #[test]
-    fn grid_sub_cell_index_matches_brute_force_under_edits(
+    fn sub_cell_counts_match_brute_force_membership_under_edits(
         steps in prop::collection::vec((0u64..160, 0u8..9, -0.04f64..1.04, -0.04f64..1.04), 0..400),
         corners in prop::collection::vec((-0.04f64..1.04, -0.04f64..1.04, 0.0f64..0.6, 0.0f64..0.6, 0u8..2), 1..8),
         geometry in 0usize..4,
@@ -177,13 +193,13 @@ proptest! {
         // A step is `(id, mode, tx, ty)`: `mode` decides how the draw
         // `(tx, ty)` becomes a point — snapped onto the half-sub-cell
         // lattice (every second value is exactly a sub-cell edge, every
-        // 32nd a cell edge), squeezed into one "hot" cell so it crosses
-        // the split threshold, left raw (some out of the world), made
-        // non-finite (NaN or infinite in one or both coordinates), or a
+        // 32nd a cell edge), squeezed into one "hot" cell, left raw (some
+        // out of the world), made non-finite (NaN or infinite in one or
+        // both coordinates) — a member of no sub-cell either way — or a
         // removal. In the removal-heavy mode five modes of nine remove,
-        // so crowds thin out, merge, and leaf boxes shrink. Sides are a
-        // power of two and not; worlds are dyadic, E2's 6x6-mile city,
-        // and one whose cell width is inexact.
+        // so counters go back down to zero and an underflow would show.
+        // Sides are a power of two and not; worlds are dyadic, E2's
+        // 6x6-mile city, and one whose cell width is inexact.
         let (world, side) = [
             (unit_world(), 16u32),
             (Rect::new_unchecked(0.0, 0.0, 6.0, 6.0), 10),
@@ -209,7 +225,7 @@ proptest! {
                 Rect::new_unchecked(a.x, a.y, b.x, b.y)
             })
             .collect();
-        let mut g = UniformGrid::new(world, side, side);
+        let mut g = SubCellCounts::new(world, side, side);
         let mut brute = BruteGrid { world, side, pts: Vec::new() };
         let hot = |t: f64| (1.0 + t.clamp(0.0, 0.999)) / f64::from(side);
         let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
@@ -240,29 +256,31 @@ proptest! {
                 }
             }
             if i % 97 == 96 {
-                prop_assert_eq!(assert_grid_matches(&g, &brute, &rects), Ok(()), "after step {}", i);
+                prop_assert_eq!(assert_view_matches(&g, &brute, &rects), Ok(()), "after step {}", i);
             }
         }
-        prop_assert_eq!(assert_grid_matches(&g, &brute, &rects), Ok(()));
-        // Empty the hot cell again: a grid that split and merged must
-        // answer like one that never held the crowd.
-        let hot_cell = brute.cell_of(at(hot(0.5), hot(0.5)));
+        prop_assert_eq!(assert_view_matches(&g, &brute, &rects), Ok(()));
+        // Empty the hot cell again: the view must answer like one that
+        // never held the crowd.
+        let s = SUB_SIDE as usize;
+        let cell = |p: Point| brute.sub_of(p).map(|(x, y)| (x / s, y / s));
+        let hot_cell = cell(at(hot(0.5), hot(0.5)));
         let crowd: Vec<u64> = brute
             .pts
             .iter()
-            .filter(|(_, p)| brute.cell_of(*p) == hot_cell)
+            .filter(|(_, p)| cell(*p) == hot_cell)
             .map(|&(id, _)| id)
             .collect();
         for id in crowd {
             prop_assert!(g.remove(id).is_some());
             brute.remove(id);
         }
-        prop_assert_eq!(assert_grid_matches(&g, &brute, &rects), Ok(()));
-        let mut fresh = UniformGrid::new(world, side, side);
+        prop_assert_eq!(assert_view_matches(&g, &brute, &rects), Ok(()));
+        let mut fresh = SubCellCounts::new(world, side, side);
         for &(id, p) in &brute.pts {
             fresh.insert(id, p);
         }
-        prop_assert_eq!(assert_grid_matches(&fresh, &brute, &rects), Ok(()));
+        prop_assert_eq!(assert_view_matches(&fresh, &brute, &rects), Ok(()));
     }
 
     #[test]

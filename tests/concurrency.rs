@@ -242,8 +242,8 @@ struct Transcript {
 /// Coordinates on the lines a cloak or a cluster could split at — the
 /// quarter lines 1/4, 1/2 and 3/4 (a four-node cluster's stripe
 /// boundaries), the cell edges 3/16 and 13/16, the sub-cell edge
-/// 67/256 — and on and just past the world's edges, which clamp into
-/// the border cells.
+/// 67/256 — and on and just past the world's edges: a user past one
+/// counts in no cell, and its own cloak starts from the border cell.
 const EDGES: [f64; 10] = [
     -1.0 / 1024.0,
     0.0,
