@@ -29,8 +29,11 @@ echo "== equivalence + loopback under debug_assertions (lock-order checker armed
 # store on every path. The count view's property test moves, removes and
 # re-adds users until counters return to zero, where an underflow is a
 # debug assertion. The loopback suite takes the network tier's locks
-# with the checker armed.
+# with the checker armed. The codec suite (golden bytes, and the
+# strictness table: no strict prefix, no appended byte) runs here so an
+# overflow in a length guard panics instead of wrapping.
 cargo test -q --offline --test concurrency
+cargo test -q --offline -p lbsp-core --test codec_golden -- keep_their_bytes no_strict_prefix_and_no_longer_buffer_decodes
 cargo test -q --offline -p lbsp-core --lib -- journal_record across_the_world sequential_anonymizer out_of_world_neighbour
 cargo test -q --offline -p lbsp-index --test properties -- sub_cell_counts_match_brute_force_membership_under_edits
 cargo test -q --offline --test net_loopback

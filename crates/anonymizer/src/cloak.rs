@@ -52,7 +52,7 @@ impl CloakRequirement {
         if !self.a_min.is_finite() || self.a_min < 0.0 {
             return Err(CloakError::InvalidRequirement("a_min must be >= 0"));
         }
-        if self.a_max < self.a_min {
+        if self.a_max.is_nan() || self.a_max < self.a_min {
             return Err(CloakError::InvalidRequirement("a_max must be >= a_min"));
         }
         Ok(())

@@ -30,6 +30,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+// The one codec under `wire` and `journal`: it decodes network and WAL
+// bytes alike, so the wire rules apply.
+#[deny(clippy::cast_possible_truncation, clippy::indexing_slicing)]
+mod codec;
 pub mod engine;
 // Journal payloads are re-read from disk during recovery — exactly as
 // untrusted as network bytes, so the wire rules apply.

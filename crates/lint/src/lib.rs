@@ -28,6 +28,9 @@
 //!   rank declared in `lbsp_core::locks::LockRank`.
 //! * **unsafe** — every crate root must carry `#![forbid(unsafe_code)]`,
 //!   and the `unsafe` keyword may not appear anywhere.
+//! * **codec** — inside `crates/core/src`, the `bytes` little-endian
+//!   accessors (`put_*_le` / `get_*_le`) appear only in `codec.rs`, so
+//!   every field the wire and the journal share is laid out in one place.
 //!
 //! Semantic passes (workspace-wide, over a shared symbol table
 //! ([`symbols`]) and resolved call graph ([`callgraph`]); the same
@@ -79,8 +82,9 @@ pub struct Finding {
     pub file: String,
     /// 1-based line of the offending token.
     pub line: usize,
-    /// Rule family: `taint`, `panic`, `lock`, `unsafe`, `annotation`
-    /// (per-file), or `taint-flow`, `lock-order`, `wire` (semantic).
+    /// Rule family: `taint`, `panic`, `lock`, `unsafe`, `codec`,
+    /// `annotation` (per-file), or `taint-flow`, `lock-order`, `wire`
+    /// (semantic).
     pub rule: &'static str,
     /// Human-readable description of the violation.
     pub message: String,
@@ -135,6 +139,8 @@ pub struct Scope {
     pub lock_discipline: bool,
     /// Crate root: require `#![forbid(unsafe_code)]`.
     pub crate_root: bool,
+    /// Core source outside the codec: ban little-endian accessors.
+    pub codec_only_le: bool,
 }
 
 /// The scope the workspace run applies to `rel` (a workspace-relative
@@ -147,8 +153,10 @@ pub fn scope_for(rel: &str) -> Scope {
             // Corrupt diagnostic, never a panic.
             || rel.starts_with("crates/store/src/")
             || rel == "crates/core/src/wire.rs"
-            // The journal codecs decode WAL bytes on the recovery path.
+            // The journal codecs decode WAL bytes on the recovery path,
+            // and both decode through the one codec.
             || rel == "crates/core/src/journal.rs"
+            || rel == "crates/core/src/codec.rs"
             // The observability registry records on hot paths and its
             // snapshots are served to remote scrapers.
             || rel == "crates/core/src/obs.rs"
@@ -162,6 +170,7 @@ pub fn scope_for(rel: &str) -> Scope {
         // top of raw std locks.
         lock_discipline: rel != "crates/core/src/locks.rs",
         crate_root: rel.ends_with("src/lib.rs"),
+        codec_only_le: rel.starts_with("crates/core/src/") && rel != "crates/core/src/codec.rs",
     }
 }
 
@@ -723,7 +732,29 @@ fn lint_source_file(file: &SourceFile, scope: Scope, registry: &[String]) -> Vec
     if scope.private_api {
         lint_private_api(rel, toks, comments, &mut findings);
     }
+    if scope.codec_only_le {
+        for t in toks.iter().filter(|t| is_le_accessor(t)) {
+            push(
+                &mut findings,
+                t.line,
+                "codec",
+                format!(
+                    "`{}` outside crates/core/src/codec.rs: little-endian fields are \
+                     written and read only through the codec's Put/Get impls",
+                    t.text
+                ),
+            );
+        }
+    }
     findings
+}
+
+/// `true` for a `bytes` little-endian accessor: `put_u64_le`,
+/// `get_f64_le`, …
+fn is_le_accessor(t: &Tok) -> bool {
+    t.kind == TokKind::Ident
+        && (t.text.starts_with("put_") || t.text.starts_with("get_"))
+        && t.text.ends_with("_le")
 }
 
 fn has_forbid_unsafe(toks: &[Tok]) -> bool {

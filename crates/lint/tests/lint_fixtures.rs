@@ -214,6 +214,30 @@ fn unwrap_in_store_recovery_path_is_caught() {
 }
 
 #[test]
+fn little_endian_accessors_outside_the_codec_are_caught() {
+    // Every field the wire and the journal share is laid out in
+    // codec.rs; a core module that writes or reads little-endian
+    // fields itself is a finding at each call.
+    let src = fixture("bad_le_outside_codec.rs");
+    for rel in ["crates/core/src/wire.rs", "crates/core/src/journal.rs"] {
+        let f = lint_as(rel, &src);
+        let lines: Vec<usize> = f
+            .iter()
+            .filter(|x| x.rule == "codec")
+            .map(|x| x.line)
+            .collect();
+        assert_eq!(lines, vec![9, 10, 18, 18], "{rel}: {f:?}");
+    }
+    // The codec itself, and code outside lbsp-core, may use them.
+    for rel in ["crates/core/src/codec.rs", "crates/net/src/frame.rs"] {
+        let f = lint_as(rel, &src);
+        assert!(f.iter().all(|x| x.rule != "codec"), "{rel}: {f:?}");
+    }
+    // Both formats decode through the codec, so it is panic-free scope.
+    assert!(scope_for("crates/core/src/codec.rs").panic_free);
+}
+
+#[test]
 fn unregistered_and_misnamed_locks_are_caught() {
     let f = lint_as(
         "crates/server/src/cache.rs",

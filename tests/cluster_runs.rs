@@ -118,7 +118,8 @@ impl Req {
                     reference.register(user, profile);
                     Reply::Ok
                 }
-                Err(e) => Reply::Error(e.to_string()),
+                // A requirement `validate` refuses does not decode.
+                Err(_) => Reply::Error("malformed register payload".into()),
             },
             Req::Update(user, p, t) => {
                 match reference.process_updates_wire(&[(user, p, t)]).remove(0) {

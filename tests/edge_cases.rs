@@ -183,6 +183,11 @@ fn invalid_requirements_error() {
             a_min: f64::NAN,
             a_max: 1.0,
         },
+        CloakRequirement {
+            k: 5,
+            a_min: 0.0,
+            a_max: f64::NAN,
+        },
     ] {
         assert!(matches!(
             algo.cloak(0, &req),
