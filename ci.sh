@@ -25,13 +25,15 @@ echo "== equivalence + loopback under debug_assertions (lock-order checker armed
 # edge-crossing tests ride along (users on and across quarter, cell and
 # world edges against the sequential cloak; a NaN or out-of-world
 # neighbour; a cloak moving across the world staying one record), so
-# debug assertions walk the engine's sub-cell counts and the one private
-# store on every path. The count view's property test moves, removes and
-# re-adds users until counters return to zero, where an underflow is a
-# debug assertion. The loopback suite takes the network tier's locks
-# with the checker armed. The codec suite (golden bytes, and the
-# strictness table: no strict prefix, no appended byte) runs here so an
-# overflow in a length guard panics instead of wrapping.
+# debug assertions walk the engine's sub-cell counts on every path, and
+# after every batch the engine's private records and standing count are
+# held against a reference `Server` fed the sequential replies. The count
+# view's property test moves, removes and re-adds users until counters
+# return to zero, where an underflow is a debug assertion. The loopback
+# suite takes the network tier's locks with the checker armed. The codec
+# suite (golden bytes, and the strictness table: no strict prefix, no
+# appended byte) runs here so an overflow in a length guard panics
+# instead of wrapping.
 cargo test -q --offline --test concurrency
 cargo test -q --offline -p lbsp-core --test codec_golden -- keep_their_bytes no_strict_prefix_and_no_longer_buffer_decodes
 cargo test -q --offline -p lbsp-core --lib -- journal_record across_the_world sequential_anonymizer out_of_world_neighbour

@@ -6,10 +6,15 @@
 //! no-privacy default — mirroring how a user who specified nothing shares
 //! their exact location (the pre-privacy status quo the paper describes).
 //!
-//! Profiles are serializable (`serde`) because in the paper they travel
-//! from the mobile user to the anonymizer at registration time, and
-//! "mobile users have the ability to change their privacy profiles at
-//! any time" — see [`crate::LocationAnonymizer::update_profile`].
+//! In the paper a profile travels from the mobile user to the anonymizer
+//! at registration time, and "mobile users have the ability to change
+//! their privacy profiles at any time" — see
+//! [`crate::LocationAnonymizer::update_profile`]. Here the only encoding
+//! of a whole profile is `lbsp-core`'s codec (`Put` / `Get for
+//! PrivacyProfile`), which the journal and its snapshots use. A socket
+//! client's `REGISTER` frame carries a single `(k, A_min, A_max)`
+//! requirement, which becomes a uniform profile. No serializer reads the
+//! `serde` derives below.
 
 use crate::{CloakError, CloakRequirement};
 use lbsp_geom::{TimeInterval, TimeOfDay};

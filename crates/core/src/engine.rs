@@ -13,10 +13,12 @@
 //!   those counts through [`cloak_with_counts`], the generic code the
 //!   sequential [`lbsp_anonymizer::GridCloak`] runs on the same view, so
 //!   a user counts where its sub-cell is, never by a point test.
-//! * **Server side** — one private store (pseudonym → cloaked
-//!   rectangle), the paper's table of cloaked records, and one public
-//!   store: `private_range_candidates` already answers in ascending id
-//!   order, the canonical wire order.
+//! * **Server side** — the paper's table of cloaked records as a plain
+//!   pseudonym → rectangle map, which no query reads: it feeds the
+//!   standing counts their `(old, new)` deltas and seeds, and the state
+//!   dumps their records. Range queries read the one public store:
+//!   `private_range_candidates` already answers in ascending id order,
+//!   the canonical wire order.
 //! * **Trust boundary** — everything leaving the engine flows through
 //!   the typed [`crate::wire`] messages: cloaked updates and range-query
 //!   requests carry pseudonyms and rectangles only, never an exact
@@ -25,7 +27,7 @@
 //! Batches run in phases mirroring
 //! [`LocationAnonymizer::handle_updates_batch`][hub]: phase 1 applies
 //! every position upsert, phase 2 cloaks every row against the settled
-//! population, phase 3 ingests the cloaks into the private store. All
+//! population, phase 3 records the cloaks in the private map. All
 //! three are loops on the calling thread, over state the engine owns
 //! outright: no pool, no job, no lock. A row costs 1–3 µs and a hand-off
 //! to another thread about 2 µs on one CPU (20 µs across two), and the
@@ -49,10 +51,7 @@ use lbsp_anonymizer::{
 };
 use lbsp_geom::{Point, Rect, SimTime};
 use lbsp_index::SubCellCounts;
-use lbsp_server::{
-    private_range_candidates, ContinuousRangeCount, PrivateRecord, PrivateStore, PublicObject,
-    PublicStore,
-};
+use lbsp_server::{private_range_candidates, ContinuousRangeCount, PublicObject, PublicStore};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -119,8 +118,8 @@ pub struct RangeQueryAnswer {
     pub response: Bytes,
 }
 
-/// The engine: one anonymizer grid, one private and one public store,
-/// all owned outright and written only through `&mut self`.
+/// The engine: one anonymizer grid, one private map and one public
+/// store, all owned outright and written only through `&mut self`.
 pub struct ShardedEngine {
     cfg: EngineConfig,
     /// Every registered user's privacy profile.
@@ -128,8 +127,9 @@ pub struct ShardedEngine {
     /// Every tracked user's exact position and the sub-cell counts each
     /// cloak reads.
     anon: SubCellCounts,
-    /// Every pseudonym's current cloaked rectangle.
-    private: PrivateStore,
+    /// Every pseudonym's current cloaked rectangle. No query reads it by
+    /// area, so it is a map, not a spatial index.
+    private: HashMap<u64, Rect>,
     /// Standing count queries over the private population, maintained
     /// incrementally from per-row `(old, new)` cloak deltas.
     standing_counts: ContinuousRangeCount,
@@ -159,7 +159,7 @@ impl ShardedEngine {
             cfg,
             profiles: HashMap::new(),
             anon: SubCellCounts::new(cfg.world, cfg.grid_side, cfg.grid_side),
-            private: PrivateStore::new(),
+            private: HashMap::new(),
             standing_counts: ContinuousRangeCount::new(),
             standing_ranges: StandingPrivateRanges::new(),
             public: PublicStore::new(),
@@ -283,8 +283,8 @@ impl ShardedEngine {
 
     /// Processes one batch of exact location updates: phase 1 applies
     /// every upsert, phase 2 cloaks every row against the settled
-    /// population, phase 3 ingests the cloaked regions into the private
-    /// store. Results are in input order; unknown users error in place,
+    /// population, phase 3 records the cloaked regions in the private
+    /// map. Results are in input order; unknown users error in place,
     /// exactly like the sequential batch path.
     pub fn process_updates(
         &mut self,
@@ -302,12 +302,13 @@ impl ShardedEngine {
         self.obs
             .stage(Stage::Cloak)
             .record_duration(cloak_start.elapsed());
-        // Phase 3, with the rectangle each row displaced.
+        // Phase 3, with the rectangle each row displaced: the `old` half
+        // of the standing-count delta.
         let displaced: Vec<Option<Rect>> = results
             .iter()
             .map(|res| {
                 let u = res.as_ref().ok()?;
-                self.ingest_record(u.pseudonym.0, u.region.region)
+                self.private.insert(u.pseudonym.0, u.region.region)
             })
             .collect();
         // Privacy-side observability: one sample per row outcome.
@@ -366,12 +367,6 @@ impl ShardedEngine {
                 }
             })
             .collect()
-    }
-
-    /// Upserts a private record. Returns the rectangle displaced, the
-    /// `old` half of the standing-query delta.
-    fn ingest_record(&mut self, key: u64, region: Rect) -> Option<Rect> {
-        self.private.upsert(PrivateRecord::new(key, region))
     }
 
     /// [`Self::process_updates`], emitting the anonymizer→server wire
@@ -446,18 +441,10 @@ impl ShardedEngine {
         })
     }
 
-    /// Number of private records whose cloaked rectangle intersects `r`.
-    pub fn private_intersecting(&self, r: &Rect) -> usize {
-        self.private.intersecting(r).len()
-    }
-
     /// Every private record as a `(pseudonym, rectangle)` pair, in the
-    /// store's order.
+    /// map's order.
     fn private_records(&self) -> Vec<(u64, Rect)> {
-        self.private
-            .iter()
-            .map(|r| (r.pseudonym, r.region))
-            .collect()
+        self.private.iter().map(|(&p, &r)| (p, r)).collect()
     }
 
     /// Registers a standing count query over `area`, seeded from every
@@ -484,7 +471,7 @@ impl ShardedEngine {
     /// Installs a standing count query under the id node 0 granted
     /// (cluster mirror path; local clients go through
     /// [`Self::add_standing_count`], which allocates). Seeds from the
-    /// private store exactly like the allocating path. Idempotent: returns
+    /// private map exactly like the allocating path. Idempotent: returns
     /// `false` and changes nothing if `id` is already registered, so an
     /// ack-lost mirror frame can be replayed safely.
     pub fn install_standing_count(&mut self, id: u64, area: Rect) -> bool {
@@ -583,7 +570,7 @@ impl ShardedEngine {
 
     /// Cluster mirror: applies another node's exact-update rows to the
     /// position plane only — phase 1 of [`Self::process_updates`] with
-    /// no cloaking, no private-store ingest, no standing maintenance,
+    /// no cloaking, no private-map ingest, no standing maintenance,
     /// and no replies. The router broadcasts these so every node's
     /// population (and therefore every cloak's k-count view) matches
     /// the sequential reference. Unconditional by design: the router
@@ -611,7 +598,7 @@ impl ShardedEngine {
         self.journal_op(|| EngineOp::IngestCloak { update: *update });
         let region = update.region.region;
         let key = update.pseudonym.0;
-        let old = self.ingest_record(key, region);
+        let old = self.private.insert(key, region);
         // Same guard as the batch path, so the registry's bookkeeping
         // counters advance in lockstep with the owning node's.
         if !(self.standing_counts.is_empty() && self.standing_ranges.is_empty()) {
@@ -637,7 +624,7 @@ impl ShardedEngine {
         let profile = self.profiles.remove(&user);
         let msg = profile.map(|p| {
             let req = p.default_requirement();
-            let cloak = self.private.get(self.pseudonym(user).0);
+            let cloak = self.private.get(&self.pseudonym(user).0).copied();
             wire::HandoffMsg {
                 subject: user,
                 k: req.k,
@@ -691,10 +678,10 @@ impl ShardedEngine {
         let mut cloaks: Vec<CloakedUpdate> = self
             .private
             .iter()
-            .map(|r| CloakedUpdate {
-                pseudonym: Pseudonym(r.pseudonym),
+            .map(|(&pseudonym, &region)| CloakedUpdate {
+                pseudonym: Pseudonym(pseudonym),
                 region: CloakedRegion {
-                    region: r.region,
+                    region,
                     // The ingest path keys on pseudonym + region only;
                     // the quality fields are not stored, so synthetic
                     // values here are invisible downstream.
@@ -775,9 +762,7 @@ impl ShardedEngine {
         for &(id, p) in &state.positions {
             e.anon.insert(id, p);
         }
-        for &(pseudonym, rect) in &state.records {
-            e.private.upsert(PrivateRecord::new(pseudonym, rect));
-        }
+        e.private.extend(state.records.iter().copied());
         e.load_public(state.public.clone());
         e.standing_counts = ContinuousRangeCount::restore_state(&state.counts);
         e.standing_ranges = StandingPrivateRanges::restore_state(&state.ranges);
@@ -1128,18 +1113,14 @@ mod tests {
             1,
             PrivacyProfile::uniform(CloakRequirement::k_only(1)).unwrap(),
         );
-        let near = |x: f64| Rect::new_unchecked(x - 0.01, 0.49, x + 0.01, 0.51);
+        let at = |x: f64| vec![(e.pseudonym(1).0, Rect::from_point(Point::new(x, 0.5)))];
+        let (before, after) = (at(0.1), at(0.9));
         e.process_updates(&[(1, Point::new(0.1, 0.5), SimTime::ZERO)]);
-        assert_eq!(e.private_intersecting(&near(0.1)), 1);
+        assert_eq!(e.export_state().records, before);
         e.process_updates(&[(1, Point::new(0.9, 0.5), SimTime::from_secs(1.0))]);
         assert_eq!(e.population(), 1);
         assert_eq!(e.private_len(), 1, "the move replaced the record");
-        assert_eq!(e.private_intersecting(&near(0.9)), 1);
-        assert_eq!(
-            e.private_intersecting(&near(0.1)),
-            0,
-            "nothing at the old place"
-        );
+        assert_eq!(e.export_state().records, after, "nothing at the old place");
     }
 
     #[test]
@@ -1203,23 +1184,35 @@ mod tests {
     #[test]
     fn private_store_tracks_ingest() {
         let mut e = engine();
-        e.process_updates(&lattice_updates(64));
+        let rows = lattice_updates(64);
+        let replies = e.process_updates(&rows);
         assert_eq!(e.private_len(), 64);
-        let n = e.private_intersecting(&world());
-        assert_eq!(n, 64, "every record intersects the world");
+        // One record per user: its pseudonym and the cloak it was sent.
+        let mut want: Vec<(u64, Rect)> = replies
+            .iter()
+            .flatten()
+            .map(|u| (u.pseudonym.0, u.region.region))
+            .collect();
+        want.sort_unstable_by_key(|&(p, _)| p);
+        assert_eq!(e.export_state().records, want);
+        assert!(want.iter().all(|(_, r)| r.intersects(&world())));
     }
 
     #[test]
     fn standing_count_interval_matches_full_recompute() {
-        use lbsp_server::PublicCountQuery;
+        use lbsp_server::{PrivateRecord, PrivateStore, PublicCountQuery};
         let mut e = engine();
         e.process_updates(&lattice_updates(64));
         let area = Rect::new_unchecked(0.1, 0.1, 0.6, 0.6);
         let qc = e.add_standing_count(area);
         e.process_updates(&lattice_updates(64));
-        // Recompute over the private store from scratch.
+        // Recompute over a server store built from the engine's records.
         assert_eq!(e.private_len(), 64);
-        let full = PublicCountQuery::new(area).evaluate(&e.private);
+        let mut store = PrivateStore::new();
+        for (p, r) in e.export_state().records {
+            store.upsert(PrivateRecord::new(p, r));
+        }
+        let full = PublicCountQuery::new(area).evaluate(&store);
         assert_eq!(
             e.standing_counts().interval(qc).unwrap(),
             (full.certain, full.possible)

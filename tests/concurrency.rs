@@ -15,7 +15,7 @@ use lbsp_core::engine::{EngineConfig, ShardedEngine};
 use lbsp_core::wire::{self, StandingKind};
 use lbsp_core::Stage;
 use lbsp_geom::{Point, Rect, SimTime};
-use lbsp_server::{private_range_candidates, PublicObject, PublicStore, Server};
+use lbsp_server::{private_range_candidates, PublicCountQuery, PublicObject, PublicStore, Server};
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
 
@@ -187,7 +187,17 @@ fn ten_thousand_user_smoke() {
     assert!(out.iter().all(|r| r.is_ok()));
     assert_eq!(eng.population(), n as usize);
     assert_eq!(eng.private_len(), n as usize);
-    assert_eq!(eng.private_intersecting(&world()), n as usize);
+    // Every record is its user's latest cloak, which covers where it went.
+    let mut want: Vec<(u64, Rect)> = out
+        .iter()
+        .flatten()
+        .map(|u| (u.pseudonym.0, u.region.region))
+        .collect();
+    want.sort_unstable_by_key(|&(p, _)| p);
+    assert_eq!(eng.export_state().records, want);
+    for (m, u) in moved.iter().zip(out.iter().flatten()) {
+        assert!(u.region.region.contains_point(m.1));
+    }
 }
 
 /// The per-object range predicate is shard-decomposable: the union of
@@ -257,11 +267,35 @@ const EDGES: [f64; 10] = [
     1.0 + 1.0 / 1024.0,
 ];
 
+/// Requires the engine's private records to be the reference server's —
+/// the sequential anonymizer's replies ingested one by one — and its
+/// standing count to be a full recompute over that server's store.
+fn assert_private_plane_matches(e: &ShardedEngine, server: &Server, count: u64, rows: usize) {
+    let mut want: Vec<(u64, Rect)> = server
+        .private()
+        .iter()
+        .map(|r| (r.pseudonym, r.region))
+        .collect();
+    want.sort_unstable_by_key(|&(p, _)| p);
+    assert_eq!(e.export_state().records, want, "{rows}-row batches");
+    let counts = e.standing_counts();
+    let full = PublicCountQuery::new(counts.area(count).unwrap()).evaluate(server.private());
+    assert_eq!(
+        counts.interval(count),
+        Some((full.certain, full.possible)),
+        "{rows}-row batches"
+    );
+    // The registry sums incrementally, the recompute in one pass: the two
+    // may round apart in the last bits, never further.
+    assert!((counts.expected(count).unwrap() - full.expected).abs() < 1e-9);
+}
+
 /// One script — duplicate users inside a batch, moves across the world,
 /// users on quarter, cell and world edges, unknown users, a `k = 1` point
 /// cloak, a standing count and a standing range registered — cut into
 /// batches of `rows`, and fed to the engine and to the sequential
-/// anonymizer alike.
+/// anonymizer alike. After every batch the engine's private plane must
+/// be the reference server's.
 fn run_batch_size_script(rows: usize) -> Transcript {
     const USERS: u64 = 120;
     const POINT_USER: u64 = 7;
@@ -278,10 +312,16 @@ fn run_batch_size_script(rows: usize) -> Transcript {
             .map(|id| PublicObject::new(id, point(&mut rng), 0))
             .collect(),
     );
+    let mut server = Server::new(Vec::new());
+    let ingest = |server: &mut Server, replies: &[Result<CloakedUpdate, CloakError>]| {
+        for u in replies.iter().flatten() {
+            server.ingest(u.pseudonym.0, u.region.region);
+        }
+    };
     let placement = random_updates(3, USERS);
     e.process_updates(&placement);
-    seq.handle_updates_batch(&placement);
-    e.add_standing_count(Rect::new_unchecked(0.2, 0.2, 0.8, 0.8));
+    ingest(&mut server, &seq.handle_updates_batch(&placement));
+    let count = e.add_standing_count(Rect::new_unchecked(0.2, 0.2, 0.8, 0.8));
     e.add_standing_range(11, 0.15);
 
     let mut script: Vec<(u64, Point, SimTime)> = Vec::new();
@@ -320,9 +360,11 @@ fn run_batch_size_script(rows: usize) -> Transcript {
     for batch in script.chunks(rows) {
         t.replies
             .extend(e.process_updates(batch).into_iter().map(as_bytes));
-        t.sequential
-            .extend(seq.handle_updates_batch(batch).into_iter().map(as_bytes));
+        let replies = seq.handle_updates_batch(batch);
+        ingest(&mut server, &replies);
+        t.sequential.extend(replies.into_iter().map(as_bytes));
         t.changes.push(e.take_standing_changes());
+        assert_private_plane_matches(&e, &server, count, rows);
     }
     let obs = e.metrics_registry();
     t.samples = [
