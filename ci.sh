@@ -24,7 +24,8 @@ echo "== equivalence + loopback under debug_assertions (lock-order checker armed
 # rows against the sequential anonymizer) and the engine's own
 # edge-crossing tests ride along (users on and across quarter, cell and
 # world edges against the sequential cloak; a NaN or out-of-world
-# neighbour; a cloak moving across the world staying one record), so
+# neighbour; a cloak moving across the world staying one record; a
+# user's position passing between the mirrored and the owned maps), so
 # debug assertions walk the engine's sub-cell counts on every path, and
 # after every batch the engine's private records and standing count are
 # held against a reference `Server` fed the sequential replies. The count
@@ -36,7 +37,7 @@ echo "== equivalence + loopback under debug_assertions (lock-order checker armed
 # instead of wrapping.
 cargo test -q --offline --test concurrency
 cargo test -q --offline -p lbsp-core --test codec_golden -- keep_their_bytes no_strict_prefix_and_no_longer_buffer_decodes
-cargo test -q --offline -p lbsp-core --lib -- journal_record across_the_world sequential_anonymizer out_of_world_neighbour
+cargo test -q --offline -p lbsp-core --lib -- journal_record across_the_world sequential_anonymizer out_of_world_neighbour ownership_states
 cargo test -q --offline -p lbsp-index --test properties -- sub_cell_counts_match_brute_force_membership_under_edits
 cargo test -q --offline --test net_loopback
 

@@ -171,7 +171,8 @@ impl<A: CloakingAlgorithm> LocationAnonymizer<A> {
     /// idea of Sec. 5.3 at the service layer.
     ///
     /// Results are in input order. Data-dependent algorithms (no sharing
-    /// key) degrade gracefully to per-user cloaking.
+    /// key) degrade gracefully to per-user cloaking, and so does a row
+    /// that asks for no privacy: its region is its own point.
     pub fn handle_updates_batch(
         &mut self,
         updates: &[(UserId, Point, SimTime)],
@@ -195,7 +196,8 @@ impl<A: CloakingAlgorithm> LocationAnonymizer<A> {
             .zip(reqs)
             .map(|(&(id, _, time), req)| {
                 let req = req?;
-                let region = match self.algo.sharing_key(id) {
+                let key = req.wants_privacy().then(|| self.algo.sharing_key(id));
+                let region = match key.flatten() {
                     Some(key) => cache
                         .entry((key, req.k, req.a_min.to_bits(), req.a_max.to_bits()))
                         .or_insert_with(|| self.algo.cloak(id, &req))
@@ -432,6 +434,31 @@ mod tests {
         ]);
         assert!(out[0].is_ok());
         assert!(matches!(out[1], Err(CloakError::UnknownUser(5000))));
+    }
+
+    /// Two users who ask for no privacy, in one cell and one batch: each
+    /// is reported at its own point, never at the other's.
+    fn no_privacy_batch_reports_each_user_at_its_own_point<A: CloakingAlgorithm>(algo: A) {
+        let mut a = LocationAnonymizer::new(algo, 3);
+        let none = PrivacyProfile::uniform(CloakRequirement::none()).unwrap();
+        let rows = [
+            (1, Point::new(0.01, 0.01), SimTime::ZERO),
+            (2, Point::new(0.02, 0.02), SimTime::ZERO),
+        ];
+        for &(id, _, _) in &rows {
+            a.register(id, none.clone());
+        }
+        for (got, &(id, p, _)) in a.handle_updates_batch(&rows).iter().zip(&rows) {
+            let got = got.as_ref().unwrap().region;
+            assert_eq!(got.region, Rect::from_point(p), "user {id}");
+            assert_eq!(got.achieved_k, 1, "user {id}");
+        }
+    }
+
+    #[test]
+    fn no_privacy_rows_do_not_share_a_cloak() {
+        no_privacy_batch_reports_each_user_at_its_own_point(GridCloak::new(world(), 4));
+        no_privacy_batch_reports_each_user_at_its_own_point(QuadCloak::new(world(), 4));
     }
 
     #[test]

@@ -131,8 +131,10 @@ pub trait CloakingAlgorithm: Send + Sync {
     fn cloak(&self, id: UserId, req: &CloakRequirement) -> Result<CloakedRegion, CloakError>;
 
     /// A sharing key for batched execution (Sec. 5.3): two users with
-    /// equal keys (and equal requirements) are *guaranteed* to receive
-    /// the identical cloaked region, so one computation can serve both.
+    /// equal keys (and equal requirements that ask for privacy) are
+    /// *guaranteed* to receive the identical cloaked region, so one
+    /// computation can serve both. A requirement with no privacy cloaks
+    /// to the user's own point and is never shared.
     ///
     /// `None` (the default) means the algorithm's output depends on the
     /// exact position and must not be shared — the data-dependent

@@ -20,17 +20,20 @@
 //! is a single cell with ample slack, the cloak descends into the
 //! quadrant holding the user's sub-cell while the requirement still
 //! holds. Every count is read from [`SubCellCounts`], by sub-cell
-//! membership (see [`cloak_with_counts`]).
+//! membership (see [`cloak_with_counts`]); the cloak keeps each user's
+//! position in a map of its own and reports every move to the counts.
 
 use crate::cloak::{finalize_region, CloakRequirement, CloakedRegion, CloakingAlgorithm};
 use crate::{CloakError, UserId};
 use lbsp_geom::{Point, Rect};
 use lbsp_index::{CellCounts, SubCellCounts, SubSpan, SUB_SIDE};
+use std::collections::HashMap;
 
 /// Fixed-grid cloak with rectangular neighbor merging.
 #[derive(Debug, Clone)]
 pub struct GridCloak {
     grid: SubCellCounts,
+    positions: HashMap<UserId, Point>,
     refine: bool,
 }
 
@@ -140,6 +143,7 @@ impl GridCloak {
     pub fn new(world: Rect, side: u32) -> GridCloak {
         GridCloak {
             grid: SubCellCounts::new(world, side, side),
+            positions: HashMap::new(),
             refine: false,
         }
     }
@@ -171,25 +175,33 @@ impl CloakingAlgorithm for GridCloak {
     }
 
     fn upsert(&mut self, id: UserId, p: Point) {
-        self.grid.insert(id, p);
+        let old = self.positions.insert(id, p);
+        self.grid.shift(old, Some(p));
     }
 
     fn remove(&mut self, id: UserId) -> bool {
-        self.grid.remove(id).is_some()
+        let old = self.positions.remove(&id);
+        self.grid.shift(old, None);
+        old.is_some()
     }
 
     fn location(&self, id: UserId) -> Option<Point> {
-        self.grid.location(id)
+        self.positions.get(&id).copied()
     }
 
     fn population(&self) -> usize {
-        self.grid.len()
+        self.positions.len()
     }
 
     /// Counts as the cloak does, by sub-cell membership: the users whose
     /// sub-cell lies wholly inside `region` (or, for a point, the users
-    /// exactly at it), so it recounts a cloak's `achieved_k` exactly.
+    /// exactly at it, by a scan of every position: no cloak asks this),
+    /// so it recounts a cloak's `achieved_k` exactly.
     fn count_in_region(&self, region: &Rect) -> usize {
+        if region.width() == 0.0 && region.height() == 0.0 {
+            let at = |p: &&Point| region.contains_point(**p);
+            return self.positions.values().filter(at).count();
+        }
         self.grid.count_in_rect(region)
     }
 
@@ -202,13 +214,13 @@ impl CloakingAlgorithm for GridCloak {
             return None;
         }
         let lattice = self.grid.lattice();
-        let c = lattice.cell_of(self.grid.location(id)?);
+        let c = lattice.cell_of(*self.positions.get(&id)?);
         Some(u64::from(c.iy) * u64::from(lattice.nx()) + u64::from(c.ix))
     }
 
     fn cloak(&self, id: UserId, req: &CloakRequirement) -> Result<CloakedRegion, CloakError> {
         req.validate()?;
-        let pos = self.grid.location(id).ok_or(CloakError::UnknownUser(id))?;
+        let pos = self.location(id).ok_or(CloakError::UnknownUser(id))?;
         Ok(cloak_with_counts(&self.grid, pos, req, self.refine))
     }
 }

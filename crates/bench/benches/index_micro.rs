@@ -29,17 +29,18 @@ fn bench(c: &mut Criterion) {
     });
 
     // Sub-cell counts, the grid cloak's view at the engine's 16 x 16:
-    // a move (one map write, four counter bumps) and a depth-1 quadrant
-    // count (the largest a refinement asks: 8 x 8 counters of one cell).
+    // a move (four counter bumps) and a depth-1 quadrant count (the
+    // largest a refinement asks: 8 x 8 counters of one cell).
     let mut counts = SubCellCounts::new(world(), 16, 16);
-    for (i, p) in positions.iter().enumerate() {
-        counts.insert(i as u64, *p);
+    for p in &positions {
+        counts.shift(None, Some(*p));
     }
     let mut i = 0usize;
-    group.bench_function("counts/upsert_100k", |b| {
+    group.bench_function("counts/shift_100k", |b| {
         b.iter(|| {
+            let from = positions[i];
             i = (i + 7919) % positions.len();
-            counts.insert(i as u64, positions[i])
+            counts.shift(Some(from), Some(positions[i]))
         })
     });
     let quadrant = SubSpan::around(counts.lattice().sub_of(Point::new(0.42, 0.42)), 8);

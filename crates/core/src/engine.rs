@@ -6,13 +6,17 @@
 //! that work while keeping every externally visible byte identical to
 //! the sequential pipeline:
 //!
-//! * **Anonymizer side** — one [`SubCellCounts`] view over the world's
-//!   grid, as in the paper's space-dependent cloaking (Fig. 4b), which
-//!   partitions space with *one* grid: a user counter per sub-cell and
-//!   per cell, and every tracked user's position. Every cloak reads
-//!   those counts through [`cloak_with_counts`], the generic code the
+//! * **Anonymizer side** — one record per owned user (its profile and
+//!   its last position, found by one probe), a second map for the
+//!   positions this engine only mirrors for a cluster peer, and one
+//!   [`SubCellCounts`] view over the world's grid, as in the paper's
+//!   space-dependent cloaking (Fig. 4b): a user counter per sub-cell
+//!   and per cell, no ids and no positions. Every cloak reads those
+//!   counts through [`cloak_with_counts`], the generic code the
 //!   sequential [`lbsp_anonymizer::GridCloak`] runs on the same view, so
-//!   a user counts where its sub-cell is, never by a point test.
+//!   a user counts where its sub-cell is, never by a point test. There
+//!   is one cloak path, refined or not, and no per-batch cache:
+//!   recomputing an unrefined cloak costs less than looking it up.
 //! * **Server side** — the paper's table of cloaked records as a plain
 //!   pseudonym → rectangle map, which no query reads: it feeds the
 //!   standing counts their `(old, new)` deltas and seeds, and the state
@@ -25,15 +29,16 @@
 //!   point or a true identity.
 //!
 //! Batches run in phases mirroring
-//! [`LocationAnonymizer::handle_updates_batch`][hub]: phase 1 applies
-//! every position upsert, phase 2 cloaks every row against the settled
-//! population, phase 3 records the cloaks in the private map. All
-//! three are loops on the calling thread, over state the engine owns
-//! outright: no pool, no job, no lock. A row costs 1–3 µs and a hand-off
-//! to another thread about 2 µs on one CPU (20 µs across two), and the
-//! network tier already serializes requests into the engine, so a worker
-//! pool bought nothing a caller could measure. Reads (`range_query`) are
-//! `&self`.
+//! [`LocationAnonymizer::handle_updates_batch`][hub]: phase 1 moves
+//! each row's user through one probe of its record, phase 2 cloaks
+//! every row against the settled population, phase 3 records the cloaks
+//! in the private map. All three are loops on the calling thread, over
+//! state the engine owns outright: no pool, no job, no lock. A row
+//! costs under a microsecond (100k users, 256-row batches) and a
+//! hand-off to another thread about 2 µs on one CPU (20 µs across two),
+//! and the network tier already serializes requests into the engine,
+//! so a worker pool bought nothing a caller could measure.
+//! Reads (`range_query`) are `&self`.
 //!
 //! [hub]: lbsp_anonymizer::LocationAnonymizer::handle_updates_batch
 
@@ -105,6 +110,13 @@ enum RowPlan {
     },
 }
 
+/// A user this engine owns: the profile it cloaks by and the position
+/// it last sent, if any.
+struct User {
+    profile: PrivacyProfile,
+    pos: Option<Point>,
+}
+
 /// The result of a private range query, on both sides of the wire.
 #[derive(Debug, Clone)]
 pub struct RangeQueryAnswer {
@@ -122,10 +134,16 @@ pub struct RangeQueryAnswer {
 /// store, all owned outright and written only through `&mut self`.
 pub struct ShardedEngine {
     cfg: EngineConfig,
-    /// Every registered user's privacy profile.
-    profiles: HashMap<UserId, PrivacyProfile>,
-    /// Every tracked user's exact position and the sub-cell counts each
-    /// cloak reads.
+    /// Every registered user's record: one probe finds its profile and
+    /// its position.
+    users: HashMap<UserId, User>,
+    /// Owned users with a position, so [`Self::population`] is O(1).
+    placed: usize,
+    /// The positions this engine only mirrors (a cluster peer owns the
+    /// user). An id is a key of `users` or of `shadow`, never of both.
+    shadow: HashMap<UserId, Point>,
+    /// The sub-cell counts each cloak reads, over every position in
+    /// `users` and `shadow`.
     anon: SubCellCounts,
     /// Every pseudonym's current cloaked rectangle. No query reads it by
     /// area, so it is a map, not a spatial index.
@@ -157,7 +175,9 @@ impl ShardedEngine {
     pub fn new(cfg: EngineConfig, _threads: usize) -> ShardedEngine {
         ShardedEngine {
             cfg,
-            profiles: HashMap::new(),
+            users: HashMap::new(),
+            placed: 0,
+            shadow: HashMap::new(),
             anon: SubCellCounts::new(cfg.world, cfg.grid_side, cfg.grid_side),
             private: HashMap::new(),
             standing_counts: ContinuousRangeCount::new(),
@@ -237,25 +257,47 @@ impl ShardedEngine {
         &self.obs
     }
 
-    /// Registers a user with a privacy profile.
+    /// Registers a user with a privacy profile, or replaces the profile
+    /// of one registered before. A user whose position this engine only
+    /// mirrored keeps that position.
     pub fn register(&mut self, id: UserId, profile: PrivacyProfile) {
         self.journal_op(|| EngineOp::RegisterUser {
             id,
             active: true,
             profile: profile.clone(),
         });
-        self.profiles.insert(id, profile);
+        self.own(id, profile);
         self.maybe_snapshot();
+    }
+
+    /// Makes `id` an owned user with `profile`, adopting its mirrored
+    /// position, if any.
+    fn own(&mut self, id: UserId, profile: PrivacyProfile) {
+        if let Some(user) = self.users.get_mut(&id) {
+            user.profile = profile;
+            return;
+        }
+        let pos = self.shadow.remove(&id);
+        self.placed += usize::from(pos.is_some());
+        self.users.insert(id, User { profile, pos });
     }
 
     /// Number of registered users.
     pub fn registered(&self) -> usize {
-        self.profiles.len()
+        self.users.len()
     }
 
-    /// Number of users with a tracked location.
+    /// Number of users with a tracked location, owned or mirrored.
     pub fn population(&self) -> usize {
-        self.anon.len()
+        self.placed + self.shadow.len()
+    }
+
+    /// Moves an owned user's record to `pos`, keeping the counts and
+    /// [`Self::population`] in step.
+    fn place(anon: &mut SubCellCounts, placed: &mut usize, user: &mut User, pos: Point) {
+        let old = user.pos.replace(pos);
+        *placed += usize::from(old.is_none());
+        anon.shift(old, Some(pos));
     }
 
     /// Number of private records.
@@ -276,13 +318,14 @@ impl ShardedEngine {
     /// as [`lbsp_anonymizer::LocationAnonymizer::pseudonym`], so the two
     /// engines agree byte-for-byte on the server hop.
     pub fn pseudonym(&self, id: UserId) -> Pseudonym {
-        Pseudonym(splitmix64_raw(
-            self.cfg.secret ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        ))
+        let mut z = self.cfg.secret ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        Pseudonym(z ^ (z >> 31))
     }
 
-    /// Processes one batch of exact location updates: phase 1 applies
-    /// every upsert, phase 2 cloaks every row against the settled
+    /// Processes one batch of exact location updates: phase 1 moves
+    /// every row's user, phase 2 cloaks every row against the settled
     /// population, phase 3 records the cloaked regions in the private
     /// map. Results are in input order; unknown users error in place,
     /// exactly like the sequential batch path.
@@ -291,14 +334,27 @@ impl ShardedEngine {
         updates: &[(UserId, Point, SimTime)],
     ) -> Vec<Result<CloakedUpdate, CloakError>> {
         // Write-ahead: the whole batch is one journal record, preserving
-        // batch boundaries (duplicate-row settlement and the shared
-        // cloak cache are batch-scoped, so replay must re-batch alike).
+        // batch boundaries (duplicate-row settlement is batch-scoped, so
+        // replay must re-batch alike).
         self.journal_op(|| EngineOp::UpdateBatch {
             rows: updates.to_vec(),
         });
         let plans = self.plan_rows(updates);
         let cloak_start = Instant::now();
-        let results = cloak_rows(&self.anon, &self.cfg, &plans);
+        let results: Vec<Result<CloakedUpdate, CloakError>> = plans
+            .iter()
+            .map(|plan| match *plan {
+                RowPlan::Fail(ref e) => Err(e.clone()),
+                RowPlan::Cloak { id, ref req, time } => {
+                    let pos = self.users.get(&id).and_then(|u| u.pos);
+                    self.cloak_at(id, pos, req).map(|region| CloakedUpdate {
+                        pseudonym: self.pseudonym(id),
+                        region,
+                        time,
+                    })
+                }
+            })
+            .collect();
         self.obs
             .stage(Stage::Cloak)
             .record_duration(cloak_start.elapsed());
@@ -347,26 +403,39 @@ impl ShardedEngine {
         results
     }
 
-    /// Phase 1: resolves each row's profile and moves every known user
-    /// to its new position in the anonymizer grid. Scanning in input
-    /// order makes duplicate-user rows settle on the row that appears
-    /// last, matching the sequential upsert order, so every row cloaks
-    /// (phase 2) at its user's *final* position.
+    /// Phase 1: one probe per row finds the user's record, which gives
+    /// the row's requirement and takes its new position. Scanning in
+    /// input order makes duplicate-user rows settle on the row that
+    /// appears last, matching the sequential upsert order, so every row
+    /// cloaks (phase 2) at its user's *final* position.
     fn plan_rows(&mut self, updates: &[(UserId, Point, SimTime)]) -> Vec<RowPlan> {
         updates
             .iter()
-            .map(|&(id, pos, time)| match self.profiles.get(&id) {
+            .map(|&(id, pos, time)| match self.users.get_mut(&id) {
                 None => RowPlan::Fail(CloakError::UnknownUser(id)),
-                Some(profile) => {
-                    self.anon.insert(id, pos);
+                Some(user) => {
+                    Self::place(&mut self.anon, &mut self.placed, user, pos);
                     RowPlan::Cloak {
                         id,
-                        req: profile.requirement_at(time.time_of_day()),
+                        req: user.profile.requirement_at(time.time_of_day()),
                         time,
                     }
                 }
             })
             .collect()
+    }
+
+    /// Cloaks owned user `id` at its recorded position `pos` under
+    /// `req`: the one cloak path of batches and queries, refined or not.
+    fn cloak_at(
+        &self,
+        id: UserId,
+        pos: Option<Point>,
+        req: &CloakRequirement,
+    ) -> Result<CloakedRegion, CloakError> {
+        req.validate()?;
+        let pos = pos.ok_or(CloakError::UnknownUser(id))?;
+        Ok(cloak_with_counts(&self.anon, pos, req, self.cfg.refine))
     }
 
     /// [`Self::process_updates`], emitting the anonymizer→server wire
@@ -412,17 +481,9 @@ impl ShardedEngine {
         time: SimTime,
         radius: f64,
     ) -> Result<RangeQueryAnswer, CloakError> {
-        let profile = self
-            .profiles
-            .get(&user)
-            .ok_or(CloakError::UnknownUser(user))?;
-        let req = profile.requirement_at(time.time_of_day());
-        req.validate()?;
-        let pos = self
-            .anon
-            .location(user)
-            .ok_or(CloakError::UnknownUser(user))?;
-        let region = cloak_with_counts(&self.anon, pos, &req, self.cfg.refine);
+        let owned = self.users.get(&user).ok_or(CloakError::UnknownUser(user))?;
+        let req = owned.profile.requirement_at(time.time_of_day());
+        let region = self.cloak_at(user, owned.pos, &req)?;
         let msg = RangeQueryMsg {
             pseudonym: self.pseudonym(user),
             region: region.region,
@@ -439,6 +500,17 @@ impl ShardedEngine {
             candidates,
             response,
         })
+    }
+
+    /// Every tracked position, owned or mirrored, sorted by user id.
+    fn positions(&self) -> Vec<(UserId, Point)> {
+        let owned = self.users.iter().filter_map(|(&id, u)| Some((id, u.pos?)));
+        let mut all: Vec<(UserId, Point)> = owned
+            .chain(self.shadow.iter().map(|(&id, &p)| (id, p)))
+            .collect();
+        all.sort_unstable_by_key(|&(id, _)| id);
+        debug_assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "id in both maps");
+        all
     }
 
     /// Every private record as a `(pseudonym, rectangle)` pair, in the
@@ -575,15 +647,29 @@ impl ShardedEngine {
     /// population (and therefore every cloak's k-count view) matches
     /// the sequential reference. Unconditional by design: the router
     /// only shadows updates for registered users, and the profile lives
-    /// on the owning node, not here.
+    /// on the owning node, not here. A row for a user this engine owns
+    /// moves the owned record; any other goes to the shadow map.
     pub fn apply_shadow_update(&mut self, rows: &[(UserId, Point, SimTime)]) {
         self.journal_op(|| EngineOp::ShadowBatch {
             rows: rows.to_vec(),
         });
         for &(id, pos, _time) in rows {
-            self.anon.insert(id, pos);
+            self.mirror(id, pos);
         }
         self.maybe_snapshot();
+    }
+
+    /// Moves `id` to `pos` in whichever map holds it: the shadow map
+    /// first, the one a mirror row almost always finds.
+    fn mirror(&mut self, id: UserId, pos: Point) {
+        if let Some(p) = self.shadow.get_mut(&id) {
+            self.anon.shift(Some(std::mem::replace(p, pos)), Some(pos));
+        } else if let Some(user) = self.users.get_mut(&id) {
+            Self::place(&mut self.anon, &mut self.placed, user, pos);
+        } else {
+            self.shadow.insert(id, pos);
+            self.anon.shift(None, Some(pos));
+        }
     }
 
     /// Cluster mirror: ingests the owning node's cloaked reply — phase
@@ -615,14 +701,19 @@ impl ShardedEngine {
     /// privacy profile, current private cloak, standing-range ids — and
     /// removes the profile so this node stops answering for the user.
     /// The position and private-record planes are replicated fleet-wide
-    /// and stay put. Returns `None` (after journaling, so replay drains
-    /// the same no-op) when the user is not registered here. Profiles
-    /// with time-of-day entries flatten to their default requirement:
-    /// the handoff frame carries one `(k, a_min, a_max)` triple.
+    /// and stay put: the position moves to the shadow map. Returns
+    /// `None` (after journaling, so replay drains the same no-op) when
+    /// the user is not registered here. Profiles with time-of-day
+    /// entries flatten to their default requirement: the handoff frame
+    /// carries one `(k, a_min, a_max)` triple.
     pub fn handoff_export(&mut self, user: UserId) -> Option<wire::HandoffMsg> {
         self.journal_op(|| EngineOp::HandoffOut { subject: user });
-        let profile = self.profiles.remove(&user);
-        let msg = profile.map(|p| {
+        let owned = self.users.remove(&user);
+        if let Some(pos) = owned.as_ref().and_then(|u| u.pos) {
+            self.placed -= 1;
+            self.shadow.insert(user, pos);
+        }
+        let msg = owned.map(|User { profile: p, .. }| {
             let req = p.default_requirement();
             let cloak = self.private.get(&self.pseudonym(user).0).copied();
             wire::HandoffMsg {
@@ -639,7 +730,8 @@ impl ShardedEngine {
     }
 
     /// Cluster handoff, inbound: installs a migrated user's single-copy
-    /// state. The profile is rebuilt from the carried requirement;
+    /// state. The profile is rebuilt from the carried requirement, and
+    /// the user's mirrored position becomes its owned one;
     /// standing-range entries — already present here via the
     /// registration broadcast — get their cloak, sequence number, and a
     /// re-derived candidate set, without ever signalling a delta (the
@@ -653,7 +745,7 @@ impl ShardedEngine {
             a_max: msg.a_max,
         };
         if let Ok(profile) = PrivacyProfile::uniform(req) {
-            self.profiles.insert(msg.subject, profile);
+            self.own(msg.subject, profile);
         }
         for &(id, seq) in &msg.ranges {
             self.standing_ranges
@@ -669,12 +761,11 @@ impl ShardedEngine {
     /// user state (profiles, standing ownership) deliberately stays
     /// out: it lives on exactly one node and never went stale.
     pub fn resync_export(&self) -> wire::ResyncState {
-        let mut rows: Vec<(UserId, Point, SimTime)> = self
-            .anon
-            .iter()
+        let rows = self
+            .positions()
+            .into_iter()
             .map(|(id, p)| (id, p, SimTime::ZERO))
             .collect();
-        rows.sort_unstable_by_key(|&(id, _, _)| id);
         let mut cloaks: Vec<CloakedUpdate> = self
             .private
             .iter()
@@ -729,13 +820,12 @@ impl ShardedEngine {
     /// bit-for-bit (Neumaier compensation terms included).
     pub fn export_state(&self) -> EngineState {
         let mut profiles: Vec<(UserId, PrivacyProfile)> = self
-            .profiles
+            .users
             .iter()
-            .map(|(&id, p)| (id, p.clone()))
+            .map(|(&id, u)| (id, u.profile.clone()))
             .collect();
         profiles.sort_unstable_by_key(|&(id, _)| id);
-        let mut positions: Vec<(UserId, Point)> = self.anon.iter().collect();
-        positions.sort_unstable_by_key(|&(id, _)| id);
+        let positions = self.positions();
         let mut records = self.private_records();
         records.sort_unstable_by_key(|&(p, _)| p);
         let mut public: Vec<PublicObject> = self.public.iter().cloned().collect();
@@ -757,10 +847,10 @@ impl ShardedEngine {
     pub fn from_state(state: &EngineState) -> ShardedEngine {
         let mut e = ShardedEngine::new(state.config, 1);
         for (id, profile) in &state.profiles {
-            e.profiles.insert(*id, profile.clone());
+            e.own(*id, profile.clone());
         }
         for &(id, p) in &state.positions {
-            e.anon.insert(id, p);
+            e.mirror(id, p);
         }
         e.private.extend(state.records.iter().copied());
         e.load_public(state.public.clone());
@@ -808,71 +898,6 @@ impl ShardedEngine {
             EngineOp::HandoffIn { msg } => self.handoff_install(msg),
         }
     }
-}
-
-/// Raw splitmix64 finalizer (shared with [`ShardedEngine::pseudonym`]).
-fn splitmix64_raw(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Phase 2: cloaks each planned row against the settled counts.
-fn cloak_rows(
-    grid: &SubCellCounts,
-    cfg: &EngineConfig,
-    plans: &[RowPlan],
-) -> Vec<Result<CloakedUpdate, CloakError>> {
-    // Shared execution (Sec. 5.3): one cloak per (cell, requirement)
-    // group, as in the sequential batch path. The cache changes which
-    // rows recompute, never the value — cloaks are pure functions of
-    // the grid's counts.
-    let mut cache: HashMap<(u64, u32, u64, u64), CloakedRegion> = HashMap::new();
-    plans
-        .iter()
-        .map(|plan| match plan {
-            RowPlan::Fail(e) => Err(e.clone()),
-            RowPlan::Cloak { id, req, time } => cloak_row(grid, *id, req, *time, cfg, &mut cache),
-        })
-        .collect()
-}
-
-/// Cloaks one row against the grid, mirroring the sequential batch
-/// path: validate, look up the final position, consult the
-/// shared-execution cache, run the grid merge.
-fn cloak_row(
-    grid: &SubCellCounts,
-    id: UserId,
-    req: &CloakRequirement,
-    time: SimTime,
-    cfg: &EngineConfig,
-    cache: &mut HashMap<(u64, u32, u64, u64), CloakedRegion>,
-) -> Result<CloakedUpdate, CloakError> {
-    req.validate()?;
-    let pos = grid.location(id).ok_or(CloakError::UnknownUser(id))?;
-    // Sharing key: the occupied cell — sound only without refinement,
-    // exactly as GridCloak::sharing_key declares.
-    let region = if cfg.refine {
-        cloak_with_counts(grid, pos, req, true)
-    } else {
-        let c = grid.lattice().cell_of(pos);
-        let key = (
-            u64::from(c.iy) * u64::from(grid.lattice().nx()) + u64::from(c.ix),
-            req.k,
-            req.a_min.to_bits(),
-            req.a_max.to_bits(),
-        );
-        *cache
-            .entry(key)
-            .or_insert_with(|| cloak_with_counts(grid, pos, req, false))
-    };
-    let mut z = cfg.secret ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = splitmix64_raw(z);
-    Ok(CloakedUpdate {
-        pseudonym: Pseudonym(z),
-        region,
-        time,
-    })
 }
 
 #[cfg(test)]
@@ -1060,7 +1085,7 @@ mod tests {
             // Every third row keeps the brute force affordable and still
             // meets every (k, a_min, snapped) combination.
             for (&(id, pos, time), got) in batch.iter().zip(&got).step_by(3) {
-                let req = e.profiles[&id].requirement_at(time.time_of_day());
+                let req = e.users[&id].profile.requirement_at(time.time_of_day());
                 let want = wire::encode_cloaked_update(&CloakedUpdate {
                     pseudonym: e.pseudonym(id),
                     region: cloak_with_counts(&brute, pos, &req, true),
@@ -1121,6 +1146,124 @@ mod tests {
         assert_eq!(e.population(), 1);
         assert_eq!(e.private_len(), 1, "the move replaced the record");
         assert_eq!(e.export_state().records, after, "nothing at the old place");
+    }
+
+    #[test]
+    fn no_privacy_rows_are_reported_at_their_own_points() {
+        // Refinement off, two users asking for no privacy in one cell and
+        // one batch: each region is that user's own point.
+        let mut e = ShardedEngine::new(EngineConfig::new(world()), 1);
+        let none = PrivacyProfile::uniform(CloakRequirement::none()).unwrap();
+        let rows = [
+            (1, Point::new(0.01, 0.01), SimTime::ZERO),
+            (2, Point::new(0.02, 0.02), SimTime::ZERO),
+        ];
+        for &(id, _, _) in &rows {
+            e.register(id, none.clone());
+        }
+        for (got, &(id, p, _)) in e.process_updates(&rows).iter().zip(&rows) {
+            let got = got.as_ref().unwrap().region;
+            assert_eq!(got.region, Rect::from_point(p), "user {id}");
+            assert_eq!(got.achieved_k, 1, "user {id}");
+        }
+    }
+
+    #[test]
+    fn ownership_states_keep_positions_counted_and_bytes_equal() {
+        // A cluster node's view of user 7: first only mirrored, then
+        // owned (by registration or by an inbound handoff), then handed
+        // off again. Users 0..6 are owned throughout; each is cloaked
+        // with k = 8, so every cloak counts user 7 or falls short.
+        let k8 = || PrivacyProfile::uniform(CloakRequirement::k_only(8)).unwrap();
+        let cfg = EngineConfig {
+            grid_side: 4,
+            ..EngineConfig::new(world())
+        };
+        let at = |i: u64| Point::new(0.02 + 0.03 * i as f64, 0.1);
+        let others: Vec<_> = (0..7).map(|i| (i, at(i), SimTime::ZERO)).collect();
+        let mover = [(7, at(7), SimTime::ZERO)];
+        // The reference owns user 7 from the start.
+        let mut reference = ShardedEngine::new(cfg, 1);
+        for i in 0..8 {
+            reference.register(i, k8());
+        }
+        reference.process_updates(&mover);
+        let round_trips = |e: &ShardedEngine| {
+            let state = e.export_state();
+            let bytes = journal::encode_engine_state(&state);
+            let back = ShardedEngine::from_state(&state).export_state();
+            assert_eq!(journal::encode_engine_state(&back), bytes);
+            assert_eq!(
+                e.resync_export(),
+                ShardedEngine::from_state(&state).resync_export()
+            );
+        };
+        let same_cloaks = |e: &mut ShardedEngine, reference: &mut ShardedEngine| {
+            let (a, b) = (
+                e.process_updates_wire(&others),
+                reference.process_updates_wire(&others),
+            );
+            assert_eq!(a, b);
+            assert!(a.iter().all(Result::is_ok));
+        };
+        for adopt_by_handoff in [false, true] {
+            let mut e = ShardedEngine::new(cfg, 1);
+            for i in 0..7 {
+                e.register(i, k8());
+            }
+            // Mirrored only: counted, not registered, and not served.
+            e.apply_shadow_update(&mover);
+            assert_eq!((e.population(), e.registered()), (1, 7));
+            assert!(matches!(
+                e.process_updates(&mover)[0],
+                Err(CloakError::UnknownUser(7))
+            ));
+            assert!(matches!(
+                e.range_query(7, SimTime::ZERO, 0.1),
+                Err(CloakError::UnknownUser(7))
+            ));
+            round_trips(&e);
+            same_cloaks(&mut e, &mut reference);
+            // Owned: the mirrored position is adopted, so user 7's next
+            // cloak, with no update of its own, matches the reference.
+            if adopt_by_handoff {
+                let mut donor = ShardedEngine::from_state(&reference.export_state());
+                let msg = donor.handoff_export(7).unwrap();
+                e.handoff_install(&msg);
+            } else {
+                e.register(7, k8());
+            }
+            assert_eq!((e.population(), e.registered()), (8, 8));
+            let query = |e: &ShardedEngine| e.range_query(7, SimTime::ZERO, 0.1).unwrap().request;
+            assert_eq!(query(&e), query(&reference));
+            round_trips(&e);
+            same_cloaks(&mut e, &mut reference);
+            // A mirror row for an owned user moves the owned record.
+            let nudged = [(7, Point::new(0.2, 0.2), SimTime::ZERO)];
+            e.apply_shadow_update(&nudged);
+            reference.process_updates(&nudged);
+            assert_eq!((e.population(), e.registered()), (8, 8));
+            assert_eq!(query(&e), query(&reference));
+            assert_eq!(
+                e.process_updates_wire(&mover),
+                reference.process_updates_wire(&mover)
+            );
+            // Handed off: the position stays counted, the profile goes.
+            assert!(e.handoff_export(7).is_some());
+            assert_eq!((e.population(), e.registered()), (8, 7));
+            assert!(matches!(
+                e.process_updates(&mover)[0],
+                Err(CloakError::UnknownUser(7))
+            ));
+            round_trips(&e);
+            same_cloaks(&mut e, &mut reference);
+            // A later mirror row moves the mirrored position.
+            let moved = [(7, Point::new(0.9, 0.9), SimTime::ZERO)];
+            e.apply_shadow_update(&moved);
+            reference.process_updates(&moved);
+            same_cloaks(&mut e, &mut reference);
+            reference.process_updates(&mover);
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! and end-to-end pipeline invariants under arbitrary inputs.
 
 use lbsp_anonymizer::{
-    CloakRequirement, CloakedRegion, CloakedUpdate, PrivacyProfile, Pseudonym, QuadCloak,
+    CloakError, CloakRequirement, CloakedRegion, CloakedUpdate, CloakingAlgorithm, GridCloak,
+    LocationAnonymizer, PrivacyProfile, Pseudonym, QuadCloak,
 };
 use lbsp_core::wire::{
     self, decode_candidates, decode_cloaked_update, decode_exact_update, decode_range_query,
@@ -10,7 +11,7 @@ use lbsp_core::wire::{
     encode_exact_update, encode_range_query, encode_register, encode_user_query, ExactUpdateMsg,
     RangeQueryMsg, RegisterMsg, UserQueryMsg,
 };
-use lbsp_core::{MobileUser, PrivacyAwareSystem};
+use lbsp_core::{EngineConfig, MobileUser, PrivacyAwareSystem, ShardedEngine};
 use lbsp_geom::{Point, Rect, SimTime};
 use proptest::prelude::*;
 
@@ -422,5 +423,75 @@ proptest! {
             prop_assert_ne!(u.pseudonym.0, i as u64);
         }
         prop_assert_eq!(sys.private_store().len(), pts.len());
+    }
+
+    #[test]
+    fn batched_regions_contain_their_subjects(
+        batches in prop::collection::vec(
+            prop::collection::vec((0u64..24, -0.1f64..1.1, -0.1f64..1.1, any::<bool>()), 1..40),
+            1..5,
+        ),
+        ks in prop::collection::vec((1u32..6, any::<bool>()), 24..25),
+    ) {
+        // Mixed requirements (a third ask for no privacy), some rows
+        // snapped onto cell lines, some out of the world, users moving
+        // twice in one batch. A row's region must contain its subject's
+        // final position whenever that lies in the world, on the engine
+        // and on the sequential grid and quad cloaks, each refined and not.
+        let world = Rect::new_unchecked(0.0, 0.0, 1.0, 1.0);
+        let req = |u: u64| {
+            let (k, none) = ks[u as usize];
+            let k = if none || k == 5 { 1 } else { k };
+            PrivacyProfile::uniform(CloakRequirement::k_only(k)).unwrap()
+        };
+        let rows: Vec<Vec<(u64, Point, SimTime)>> = batches
+            .iter()
+            .map(|b| {
+                b.iter()
+                    .map(|&(u, x, y, snap)| {
+                        let at = |v: f64| if snap { (v * 4.0).round() / 4.0 } else { v };
+                        (u, Point::new(at(x), at(y)), SimTime::ZERO)
+                    })
+                    .collect()
+            })
+            .collect();
+        let check = |batch: &[(u64, Point, SimTime)],
+                     out: &[Result<CloakedUpdate, CloakError>]|
+         -> Result<(), TestCaseError> {
+            for (&(u, _, _), got) in batch.iter().zip(out) {
+                let last = batch.iter().rev().find(|r| r.0 == u).unwrap().1;
+                let got = got.as_ref().unwrap().region.region;
+                if world.contains_point(last) {
+                    prop_assert!(got.contains_point(last), "user {} at {:?}: {:?}", u, last, got);
+                }
+            }
+            Ok(())
+        };
+        // The engine's pseudonym secret, so the grid's bytes compare too.
+        let secret = EngineConfig::new(world).secret;
+        let sequential = |algo: Box<dyn CloakingAlgorithm>| {
+            let mut a = LocationAnonymizer::new(algo, secret);
+            for u in 0..24 {
+                a.register(u, req(u));
+            }
+            rows.iter().map(|b| a.handle_updates_batch(b)).collect::<Vec<_>>()
+        };
+        for refine in [false, true] {
+            let cfg = EngineConfig { grid_side: 4, refine, ..EngineConfig::new(world) };
+            let mut engine = ShardedEngine::new(cfg, 1);
+            for u in 0..24 {
+                engine.register(u, req(u));
+            }
+            let grid = sequential(Box::new(GridCloak::new(world, 4).with_refinement(refine)));
+            for (batch, want) in rows.iter().zip(&grid) {
+                let got = engine.process_updates(batch);
+                check(batch, &got)?;
+                check(batch, want)?;
+                prop_assert_eq!(&got, want, "engine and sequential grid, refine {}", refine);
+            }
+        }
+        for (batch, out) in rows.iter().zip(sequential(Box::new(QuadCloak::new(world, 3)))) {
+            check(batch, &out)?;
+        }
     }
 }

@@ -24,7 +24,9 @@ prop_compose! {
 }
 
 /// A population kept as a flat list, counted by sub-cell membership with
-/// the lattice formula written out independently of the view's.
+/// the lattice formula written out independently of the view's. It also
+/// keeps the id → position bookkeeping the count view leaves to its
+/// caller: [`Self::moved`] makes a step's `(old, new)` pair.
 struct BruteGrid {
     world: Rect,
     side: u32,
@@ -32,13 +34,13 @@ struct BruteGrid {
 }
 
 impl BruteGrid {
-    fn upsert(&mut self, id: u64, p: Point) {
-        self.remove(id);
-        self.pts.push((id, p));
-    }
-
-    fn remove(&mut self, id: u64) {
-        self.pts.retain(|&(i, _)| i != id);
+    /// Moves `id` to `p` (`None` removes it); returns its position
+    /// before, for the view's shift.
+    fn moved(&mut self, id: u64, p: Option<Point>) -> Option<Point> {
+        let at = self.pts.iter().position(|&(i, _)| i == id);
+        let old = at.map(|i| self.pts.remove(i).1);
+        self.pts.extend(p.map(|p| (id, p)));
+        old
     }
 
     /// Sub-cells per axis.
@@ -93,12 +95,9 @@ fn brute_count(t: &[usize], n: usize, s: SubSpan) -> usize {
 /// quadrant at refinement depths 1–4 of every cell, each block's
 /// rectangle recounted through `count_in_rect` too; then on `rects`, the
 /// world, a huge rectangle and the first six users' points, each counted
-/// by the sub-cells lying wholly inside it (a point: the users at it).
+/// by the sub-cells lying wholly inside it (a point holds none).
 fn assert_view_matches(v: &SubCellCounts, brute: &BruteGrid, rects: &[Rect]) -> Result<(), String> {
     let (side, n, lat) = (brute.side, brute.n(), v.lattice());
-    if v.len() != brute.pts.len() {
-        return Err(format!("len {} vs {}", v.len(), brute.pts.len()));
-    }
     let t = brute.prefix();
     let check = |span: SubSpan| {
         let (got, want) = (v.count(span), brute_count(&t, n, span));
@@ -134,26 +133,19 @@ fn assert_view_matches(v: &SubCellCounts, brute: &BruteGrid, rects: &[Rect]) -> 
     rects.push(Rect::new_unchecked(-1e9, -1e9, 1e9, 1e9));
     rects.extend(brute.pts.iter().take(6).map(|&(_, p)| Rect::from_point(p)));
     for r in &rects {
-        let want = if r.width() == 0.0 && r.height() == 0.0 {
-            brute
-                .pts
-                .iter()
-                .filter(|(_, p)| r.contains_point(*p))
-                .count()
-        } else {
-            // Per axis, the sub-cells whose extent lies inside `r`.
-            let unit = |i: u32| lat.rect(SubSpan::around([i, i], 1));
-            let xs: Vec<u32> = (0..n as u32)
-                .filter(|&i| r.min_x() <= unit(i).min_x() && unit(i).max_x() <= r.max_x())
-                .collect();
-            let ys: Vec<u32> = (0..n as u32)
-                .filter(|&i| r.min_y() <= unit(i).min_y() && unit(i).max_y() <= r.max_y())
-                .collect();
-            xs.iter()
-                .flat_map(|&x| ys.iter().map(move |&y| (x, y)))
-                .map(|(x, y)| brute_count(&t, n, SubSpan::around([x, y], 1)))
-                .sum()
-        };
+        // Per axis, the sub-cells whose extent lies inside `r`.
+        let unit = |i: u32| lat.rect(SubSpan::around([i, i], 1));
+        let xs: Vec<u32> = (0..n as u32)
+            .filter(|&i| r.min_x() <= unit(i).min_x() && unit(i).max_x() <= r.max_x())
+            .collect();
+        let ys: Vec<u32> = (0..n as u32)
+            .filter(|&i| r.min_y() <= unit(i).min_y() && unit(i).max_y() <= r.max_y())
+            .collect();
+        let want: usize = xs
+            .iter()
+            .flat_map(|&x| ys.iter().map(move |&y| (x, y)))
+            .map(|(x, y)| brute_count(&t, n, SubSpan::around([x, y], 1)))
+            .sum();
         if v.count_in_rect(r) != want {
             return Err(format!(
                 "count_in_rect({r:?}) = {}, brute {want}",
@@ -242,19 +234,8 @@ proptest! {
                 _ if ty < 0.5 => Some(Point::new(pick(tx), at(tx, ty).y)),
                 _ => Some(Point::new(pick(tx), pick(ty))),
             };
-            let prev = brute.pts.iter().find(|&&(i, _)| i == id).map(|&(_, p)| p);
-            // By bits: a NaN position equals itself.
-            let bits = |p: Option<Point>| p.map(|p| (p.x.to_bits(), p.y.to_bits()));
-            match p {
-                Some(p) => {
-                    prop_assert_eq!(bits(g.insert(id, p)), bits(prev));
-                    brute.upsert(id, p);
-                }
-                None => {
-                    prop_assert_eq!(bits(g.remove(id)), bits(prev));
-                    brute.remove(id);
-                }
-            }
+            let prev = brute.moved(id, p);
+            g.shift(prev, p);
             if i % 97 == 96 {
                 prop_assert_eq!(assert_view_matches(&g, &brute, &rects), Ok(()), "after step {}", i);
             }
@@ -272,13 +253,14 @@ proptest! {
             .map(|&(id, _)| id)
             .collect();
         for id in crowd {
-            prop_assert!(g.remove(id).is_some());
-            brute.remove(id);
+            let prev = brute.moved(id, None);
+            prop_assert!(prev.is_some());
+            g.shift(prev, None);
         }
         prop_assert_eq!(assert_view_matches(&g, &brute, &rects), Ok(()));
         let mut fresh = SubCellCounts::new(world, side, side);
-        for &(id, p) in &brute.pts {
-            fresh.insert(id, p);
+        for &(_, p) in &brute.pts {
+            fresh.shift(None, Some(p));
         }
         prop_assert_eq!(assert_view_matches(&fresh, &brute, &rects), Ok(()));
     }
