@@ -143,8 +143,8 @@ pub enum EngineOp {
         profile: PrivacyProfile,
     },
     /// One batch of exact location updates, in input order. Batch
-    /// boundaries are preserved: duplicate-row settlement and the
-    /// shared-execution cloak cache are batch-scoped.
+    /// boundaries are preserved: duplicate-row settlement is
+    /// batch-scoped.
     UpdateBatch {
         /// `(user, exact position, time)` rows.
         rows: Vec<(UserId, Point, SimTime)>,

@@ -9,8 +9,9 @@
 //!   bucketing exact points per cell; the substrate of the data-dependent
 //!   baseline cloaks and of k-NN search over users.
 //! * [`SubCellCounts`] — per-sub-cell user counts over a grid's
-//!   [`Lattice`] (16 × 16 sub-cells a cell); the only view the fixed-grid
-//!   cloak (Fig. 4b) reads, through the [`CellCounts`] trait.
+//!   [`Lattice`] (16 × 16 sub-cells a cell), counts only: its caller
+//!   keeps the positions. The only view the fixed-grid cloak (Fig. 4b)
+//!   reads, through the [`CellCounts`] trait.
 //! * [`PyramidGrid`] — a multi-level grid (complete pyramid) maintaining
 //!   per-cell occupancy counts at every level; the substrate of the
 //!   quadtree cloak (Fig. 4a) and of the "fixed multi-level grids"
