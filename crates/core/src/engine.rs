@@ -306,11 +306,14 @@ impl ShardedEngine {
     }
 
     /// Loads the public-object dataset, replacing any loaded before.
+    ///
+    /// # Panics
+    /// Panics on a duplicate object id, before anything is journaled: a
+    /// logged load that cannot be applied would fail every replay too.
     pub fn load_public(&mut self, objects: Vec<PublicObject>) {
-        self.journal_op(|| EngineOp::LoadPublic {
-            objects: objects.clone(),
-        });
-        self.public = PublicStore::bulk_load(objects);
+        let public = PublicStore::bulk_load(objects.clone());
+        self.journal_op(|| EngineOp::LoadPublic { objects });
+        self.public = public;
         self.maybe_snapshot();
     }
 

@@ -8,8 +8,8 @@
 //! * Public NN queries (Fig. 6b) prune a cloaked private object `A` when
 //!   another cloaked object `D` satisfies
 //!   `max_dist(q, D) < min_dist(q, A)` for the query point `q`.
-//! * The R-tree's best-first kNN search orders its priority queue by
-//!   `min_dist_point_rect`.
+//! * The public store's k-nearest search ranks objects by
+//!   `min_dist_point_rect`, and bounds the cells it has not read with it.
 
 use crate::{Point, Rect};
 

@@ -2,8 +2,9 @@
 //!
 //! The paper classifies cloaking algorithms the same way multidimensional
 //! indexes are classified (Sec. 5): *data-partitioning* (R-tree-like) vs
-//! *space-partitioning* (grid/quadtree-like). This crate provides both
-//! families as real index structures:
+//! *space-partitioning* (grid/quadtree-like). Every index here is of the
+//! second family; the data-dependent cloaks partition users themselves
+//! (nearest neighbours, Hilbert order) on top of a grid:
 //!
 //! * [`UniformGrid`] — fixed uniform grid over the world rectangle,
 //!   bucketing exact points per cell; the substrate of the data-dependent
@@ -18,10 +19,11 @@
 //!   optimization the paper suggests for Fig. 4b.
 //! * [`PointQuadTree`] — an adaptive PR quadtree over exact points, used
 //!   where data-adaptive space partitioning is wanted.
-//! * [`RTree`] — a data-partitioning index with STR bulk loading,
-//!   quadratic-split insertion, range search and best-first (k-)nearest
-//!   neighbor search; the public-data store (gas stations, restaurants,
-//!   police cars) of the database server.
+//! * [`PointGrid`] — a static uniform grid over points, packed row-major
+//!   into one array (a run of entries per cell), with rectangle search,
+//!   ring-search k-nearest neighbours and in-place moves; the index
+//!   under the database server's public data (gas stations,
+//!   restaurants, police cars).
 //!
 //! All indexes are deterministic and single-threaded; concurrency is
 //! layered above them (see `lbsp-anonymizer::shared`).
@@ -31,15 +33,15 @@
 
 mod counts;
 mod grid;
+mod point_grid;
 mod pyramid;
 mod quadtree;
-mod rtree;
 
 pub use counts::{CellCounts, Lattice, SubCellCounts, SubSpan, SUB_SIDE};
 pub use grid::{CellCoord, UniformGrid};
+pub use point_grid::PointGrid;
 pub use pyramid::{PyramidCell, PyramidGrid};
 pub use quadtree::PointQuadTree;
-pub use rtree::{Neighbor, RTree};
 
 /// Identifier for an indexed object (user id or object id).
 pub type ObjectId = u64;

@@ -547,7 +547,7 @@ impl EngineService {
         for (cid, decoded) in slots {
             let reply: Outbound = if decoded {
                 match results.next() {
-                    Some(Ok(bytes)) => (wire::tag::CLOAKED_UPDATE, bytes.to_vec()),
+                    Some(Ok(bytes)) => (wire::tag::CLOAKED_UPDATE, bytes.into()),
                     Some(Err(e)) => (wire::tag::ERROR, e.to_string().into_bytes()),
                     None => (
                         wire::tag::ERROR,
@@ -631,7 +631,7 @@ impl EngineService {
                 };
                 let ans = engine.lock().range_query(msg.user, msg.time, msg.radius);
                 match ans {
-                    Ok(a) => (wire::tag::CANDIDATES, a.response.to_vec()),
+                    Ok(a) => (wire::tag::CANDIDATES, a.response.into()),
                     Err(e) => err(e.to_string()),
                 }
             }

@@ -3,7 +3,7 @@
 //! The server stores two kinds of data:
 //!
 //! * **Public data** ([`PublicStore`]) — gas stations, restaurants,
-//!   police cars; exact locations, indexed in an R-tree.
+//!   police cars; exact locations, indexed in a packed point grid.
 //! * **Private data** ([`PrivateStore`]) — mobile users represented
 //!   *only* by the cloaked rectangles received from the location
 //!   anonymizer, keyed by pseudonym and indexed in a size-class grid

@@ -10,7 +10,7 @@
 //! The exact answer region is the Minkowski sum of the cloaked rectangle
 //! with a disk of the query radius — the "rounded rectangle" of Fig. 5a.
 //! The paper notes real implementations approximate it by its MBR; we
-//! use the MBR as the R-tree prefilter and then apply the exact rounded
+//! use the MBR as the index prefilter and then apply the exact rounded
 //! test (`min_dist(point, rect) <= r`), which is both cheap and strictly
 //! better than stopping at the MBR.
 

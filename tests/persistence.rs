@@ -237,6 +237,34 @@ fn recovery_is_repeatable() {
 }
 
 #[test]
+fn a_refused_duplicate_load_leaves_the_log_replayable() {
+    // A public load with a duplicate id is refused before the
+    // write-ahead append, so the log holds only loads that apply and a
+    // restart recovers the set loaded before the refusal.
+    let dir = TempDir::new("duplicate");
+    let policy = Durability {
+        snapshot_every: u64::MAX,
+        fsync: true,
+    };
+    let poi = |id, x| PublicObject::new(id, Point::new(x, 0.5), 0);
+    let kept = vec![poi(1, 0.25), poi(2, 0.75)];
+    let mut engine = open_engine(dir.path(), EngineConfig::new(world()), 1, policy)
+        .expect("fresh durable engine")
+        .engine;
+    engine.load_public(kept.clone());
+    let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        engine.load_public(vec![poi(3, 0.1), poi(4, 0.2), poi(3, 0.3)]);
+    }));
+    assert!(refused.is_err(), "a duplicate id is refused");
+    drop(engine);
+
+    let reopened =
+        open_engine(dir.path(), EngineConfig::new(world()), 1, policy).expect("the log replays");
+    assert!(reopened.recovered);
+    assert_eq!(reopened.engine.export_state().public, kept);
+}
+
+#[test]
 fn full_system_replays_through_open_system() {
     // The end-to-end system (anonymizer + server behind one facade) is
     // replay-only: same ops into a deterministically rebuilt system
