@@ -30,7 +30,9 @@ echo "== equivalence + loopback under debug_assertions (lock-order checker armed
 # after every batch the engine's private records and standing count are
 # held against a reference `Server` fed the sequential replies. The count
 # view's property test moves, removes and re-adds users until counters
-# return to zero, where an underflow is a debug assertion. The loopback
+# return to zero, where an underflow is a debug assertion; the quad
+# cloak's brute-force climb property reads the same counts with users on
+# leaf lines, on the world's far edge and outside it. The loopback
 # suite takes the network tier's locks with the checker armed. The codec
 # suite (golden bytes, and the strictness table: no strict prefix, no
 # appended byte) runs here so an overflow in a length guard panics
@@ -42,6 +44,7 @@ cargo test -q --offline --test concurrency
 cargo test -q --offline -p lbsp-core --test codec_golden -- keep_their_bytes no_strict_prefix_and_no_longer_buffer_decodes
 cargo test -q --offline -p lbsp-core --lib -- journal_record across_the_world sequential_anonymizer out_of_world_neighbour ownership_states
 cargo test -q --offline -p lbsp-index --test properties -- sub_cell_counts_match_brute_force_membership_under_edits point_grid_matches_brute_force_under_edits point_grid_with_far_outliers_matches_brute_force
+cargo test -q --offline -p lbsp-anonymizer --test properties -- quad_cloak_matches_a_brute_force_climb
 cargo test -q --offline -p lbsp-server --lib -- public_store_edits_match_a_brute_force_scan
 cargo test -q --offline --test net_loopback
 

@@ -93,7 +93,7 @@ impl CloakedRegion {
 
 /// A spatial-cloaking algorithm maintained over a live user population.
 ///
-/// Implementations own whatever index they need (grid, pyramid, k-NN
+/// Implementations own whatever index they need (sub-cell counts, k-NN
 /// structure) and keep it current as users move; [`cloak`] must be cheap
 /// enough to run per update (requirement 3 of Sec. 5: "computationally
 /// efficient to cope with the continuous movement of mobile users").

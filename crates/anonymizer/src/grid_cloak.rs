@@ -22,6 +22,7 @@
 //! holds. Every count is read from [`SubCellCounts`], by sub-cell
 //! membership (see [`cloak_with_counts`]); the cloak keeps each user's
 //! position in a map of its own and reports every move to the counts.
+//! That pair, [`CountedUsers`], is the quadtree cloak's bookkeeping too.
 
 use crate::cloak::{finalize_region, CloakRequirement, CloakedRegion, CloakingAlgorithm};
 use crate::{CloakError, UserId};
@@ -32,9 +33,63 @@ use std::collections::HashMap;
 /// Fixed-grid cloak with rectangular neighbor merging.
 #[derive(Debug, Clone)]
 pub struct GridCloak {
-    grid: SubCellCounts,
-    positions: HashMap<UserId, Point>,
+    users: CountedUsers,
     refine: bool,
+}
+
+/// The bookkeeping of a cloak that reads sub-cell counts: each user's
+/// position, and the counts every move is reported to. It answers the
+/// [`CloakingAlgorithm`] methods that are not the cloak itself.
+#[derive(Debug, Clone)]
+pub(crate) struct CountedUsers {
+    counts: SubCellCounts,
+    positions: HashMap<UserId, Point>,
+}
+
+impl CountedUsers {
+    /// No users, over a `side × side` grid on `world`.
+    pub(crate) fn new(world: Rect, side: u32) -> CountedUsers {
+        CountedUsers {
+            counts: SubCellCounts::new(world, side, side),
+            positions: HashMap::new(),
+        }
+    }
+
+    /// The counts of the users' sub-cells.
+    pub(crate) fn counts(&self) -> &SubCellCounts {
+        &self.counts
+    }
+
+    pub(crate) fn upsert(&mut self, id: UserId, p: Point) {
+        let old = self.positions.insert(id, p);
+        self.counts.shift(old, Some(p));
+    }
+
+    pub(crate) fn remove(&mut self, id: UserId) -> bool {
+        let old = self.positions.remove(&id);
+        self.counts.shift(old, None);
+        old.is_some()
+    }
+
+    pub(crate) fn location(&self, id: UserId) -> Option<Point> {
+        self.positions.get(&id).copied()
+    }
+
+    pub(crate) fn population(&self) -> usize {
+        self.positions.len()
+    }
+
+    /// Counts as the cloaks do, by sub-cell membership: the users whose
+    /// sub-cell lies wholly inside `region` (or, for a point, the users
+    /// exactly at it, by a scan of every position: no cloak asks this),
+    /// so it recounts a cloak's `achieved_k` exactly.
+    pub(crate) fn count_in_region(&self, region: &Rect) -> usize {
+        if region.width() == 0.0 && region.height() == 0.0 {
+            let at = |p: &&Point| region.contains_point(**p);
+            return self.positions.values().filter(at).count();
+        }
+        self.counts.count_in_rect(region)
+    }
 }
 
 /// Expands the cell block `block` by one column (`axis` 0) or row
@@ -142,8 +197,7 @@ impl GridCloak {
     /// Creates the cloak over `world` with `side × side` cells.
     pub fn new(world: Rect, side: u32) -> GridCloak {
         GridCloak {
-            grid: SubCellCounts::new(world, side, side),
-            positions: HashMap::new(),
+            users: CountedUsers::new(world, side),
             refine: false,
         }
     }
@@ -171,38 +225,27 @@ impl CloakingAlgorithm for GridCloak {
     }
 
     fn world(&self) -> Rect {
-        self.grid.lattice().world()
+        self.users.counts().lattice().world()
     }
 
     fn upsert(&mut self, id: UserId, p: Point) {
-        let old = self.positions.insert(id, p);
-        self.grid.shift(old, Some(p));
+        self.users.upsert(id, p);
     }
 
     fn remove(&mut self, id: UserId) -> bool {
-        let old = self.positions.remove(&id);
-        self.grid.shift(old, None);
-        old.is_some()
+        self.users.remove(id)
     }
 
     fn location(&self, id: UserId) -> Option<Point> {
-        self.positions.get(&id).copied()
+        self.users.location(id)
     }
 
     fn population(&self) -> usize {
-        self.positions.len()
+        self.users.population()
     }
 
-    /// Counts as the cloak does, by sub-cell membership: the users whose
-    /// sub-cell lies wholly inside `region` (or, for a point, the users
-    /// exactly at it, by a scan of every position: no cloak asks this),
-    /// so it recounts a cloak's `achieved_k` exactly.
     fn count_in_region(&self, region: &Rect) -> usize {
-        if region.width() == 0.0 && region.height() == 0.0 {
-            let at = |p: &&Point| region.contains_point(**p);
-            return self.positions.values().filter(at).count();
-        }
-        self.grid.count_in_rect(region)
+        self.users.count_in_region(region)
     }
 
     /// Same grid cell (and requirement) => same merge expansion and the
@@ -213,15 +256,20 @@ impl CloakingAlgorithm for GridCloak {
         if self.refine {
             return None;
         }
-        let lattice = self.grid.lattice();
-        let c = lattice.cell_of(*self.positions.get(&id)?);
+        let lattice = self.users.counts().lattice();
+        let c = lattice.cell_of(self.users.location(id)?);
         Some(u64::from(c.iy) * u64::from(lattice.nx()) + u64::from(c.ix))
     }
 
     fn cloak(&self, id: UserId, req: &CloakRequirement) -> Result<CloakedRegion, CloakError> {
         req.validate()?;
         let pos = self.location(id).ok_or(CloakError::UnknownUser(id))?;
-        Ok(cloak_with_counts(&self.grid, pos, req, self.refine))
+        Ok(cloak_with_counts(
+            self.users.counts(),
+            pos,
+            req,
+            self.refine,
+        ))
     }
 }
 

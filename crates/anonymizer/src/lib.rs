@@ -10,7 +10,7 @@
 //!   - [`NaiveCloak`] — data-dependent center expansion (Fig. 3a);
 //!   - [`MbrCloak`] — data-dependent k-NN minimum bounding rectangle
 //!     (Fig. 3b);
-//!   - [`QuadCloak`] — space-dependent bottom-up quadtree/pyramid search
+//!   - [`QuadCloak`] — space-dependent bottom-up quadtree search
 //!     (Fig. 4a);
 //!   - [`GridCloak`] — space-dependent fixed grid with neighbor merging
 //!     and the multi-level refinement optimization (Fig. 4b).

@@ -104,7 +104,7 @@ impl CloakingAlgorithm for MbrCloak {
         }
         // The subject plus its k-1 nearest neighbors (k_nearest includes
         // the subject because it is stored in the grid).
-        let members = self.grid.k_nearest(pos, req.k as usize, |_| false);
+        let members = self.grid.k_nearest(pos, req.k as usize);
         let mbr = Rect::mbr_of_points(members.iter().map(|(_, p)| *p))
             .unwrap_or_else(|| Rect::from_point(pos));
         let region = self.pad_to_min_area(mbr, req.a_min);

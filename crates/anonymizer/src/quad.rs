@@ -7,13 +7,20 @@
 //! the latest quadrant that has satisfied the user requirements is
 //! returned as the spatial cloaked area." — Sec. 5.2
 //!
-//! We run the equivalent bottom-up search over a [`PyramidGrid`] (the
-//! Casper formulation): start at the leaf cell containing the user and
-//! climb until the cell satisfies `(k, A_min)`. Because cell boundaries
-//! are fixed in space, the returned region is a function of *which cell*
-//! the user occupies, never of the exact position inside it — this is
-//! what defeats reverse engineering ("it is almost impossible to reveal
-//! any information about the exact location information").
+//! We run the equivalent bottom-up search (the Casper formulation):
+//! start at the leaf cell containing the user and climb until the cell
+//! satisfies `(k, A_min)`. Every quadtree cell is an aligned block of a
+//! [`SubCellCounts`](lbsp_index::SubCellCounts) lattice, the count view
+//! the fixed-grid cloak reads: the leaves of a `levels`-deep tree are
+//! its `2^levels × 2^levels` sub-cells, over `2^(levels − 4)` cells a
+//! side, and a tree shallower than four levels tiles its one cell into
+//! `2^levels` blocks of sub-cells a side. Users count by sub-cell
+//! membership, as for the grid cloak: one outside the world is a member
+//! of no cell. Because cell boundaries are fixed in space, the returned
+//! region is a function of *which cell* the user occupies, never of the
+//! exact position inside it — this is what defeats reverse engineering
+//! ("it is almost impossible to reveal any information about the exact
+//! location information").
 //!
 //! An optional *neighbor merge* first tries the union of the cell with
 //! its horizontal or vertical sibling before climbing a full level — the
@@ -21,23 +28,32 @@
 //! cloaks by up to 2× at the same privacy level (measured in E4).
 
 use crate::cloak::{finalize_region, CloakRequirement, CloakedRegion, CloakingAlgorithm};
+use crate::grid_cloak::CountedUsers;
 use crate::{CloakError, UserId};
 use lbsp_geom::{Point, Rect};
-use lbsp_index::{PyramidCell, PyramidGrid};
+use lbsp_index::{SubSpan, SUB_SIDE};
 
-/// Bottom-up pyramid (quadtree) cloak.
+/// Bottom-up quadtree cloak.
 #[derive(Debug, Clone)]
 pub struct QuadCloak {
-    pyramid: PyramidGrid,
+    users: CountedUsers,
+    levels: u8,
     neighbor_merge: bool,
 }
 
 impl QuadCloak {
-    /// Creates the cloak over `world` with a pyramid of `levels + 1`
-    /// levels (bottom grid `2^levels × 2^levels`).
+    /// Creates the cloak over `world` with a quadtree of `levels + 1`
+    /// levels (leaf grid `2^levels × 2^levels`).
+    ///
+    /// # Panics
+    /// Panics when `levels > 15` (a 32768² leaf grid — beyond any
+    /// laptop-scale workload) or when the world is degenerate.
     pub fn new(world: Rect, levels: u8) -> QuadCloak {
+        assert!(levels <= 15, "quadtree depth limited to 15 levels");
+        let cells = 1 << levels.saturating_sub(SUB_SIDE.trailing_zeros() as u8);
         QuadCloak {
-            pyramid: PyramidGrid::new(world, levels),
+            users: CountedUsers::new(world, cells),
+            levels,
             neighbor_merge: false,
         }
     }
@@ -53,38 +69,28 @@ impl QuadCloak {
         self.neighbor_merge
     }
 
-    /// Tries merging `cell` with its sibling along one axis; returns the
-    /// satisfying merged rect with its count when one exists. Only
-    /// siblings within the same parent are considered, so the merged
-    /// region is still a deterministic function of the cell.
-    fn try_neighbor_merge(&self, cell: PyramidCell, req: &CloakRequirement) -> Option<(Rect, u32)> {
-        if cell.level == 0 {
-            return None;
-        }
-        // Sibling along x: flip the low bit of ix; same for y.
-        let sib_x = PyramidCell {
-            ix: cell.ix ^ 1,
-            ..cell
-        };
-        let sib_y = PyramidCell {
-            iy: cell.iy ^ 1,
-            ..cell
-        };
-        let mut best: Option<(Rect, u32)> = None;
-        for sib in [sib_x, sib_y] {
-            let count = self.pyramid.count(cell) + self.pyramid.count(sib);
-            let rect = self
-                .pyramid
-                .cell_rect(cell)
-                .union(&self.pyramid.cell_rect(sib));
-            if count >= req.k && rect.area() >= req.a_min {
-                match &best {
-                    Some((r, _)) if r.area() <= rect.area() => {}
-                    _ => best = Some((rect, count)),
-                }
-            }
-        }
-        best
+    /// The level-`level` cell holding sub-cell `sub`; level 0 is the
+    /// whole lattice.
+    fn cell(&self, sub: [u32; 2], level: u8) -> SubSpan {
+        SubSpan::around(sub, self.users.counts().lattice().extent()[0] >> level)
+    }
+
+    /// Tries merging `cell` with its sibling along x, then along y;
+    /// returns the first merged rect that satisfies `req`, with its
+    /// count. Either pair is half of the cell's parent, so both have the
+    /// same area and x wins the tie. Only siblings within the same parent
+    /// are considered, so the merged region is still a deterministic
+    /// function of the cell.
+    fn try_neighbor_merge(&self, cell: SubSpan, req: &CloakRequirement) -> Option<(Rect, usize)> {
+        let counts = self.users.counts();
+        let side = cell.hi[0] - cell.lo[0];
+        (0..2).find_map(|axis| {
+            let mut pair = cell;
+            pair.lo[axis] -= cell.lo[axis] % (2 * side);
+            pair.hi[axis] = pair.lo[axis] + 2 * side;
+            let (rect, count) = (counts.lattice().rect(pair), counts.count(pair));
+            (count >= req.k as usize && rect.area() >= req.a_min).then_some((rect, count))
+        })
     }
 }
 
@@ -98,67 +104,63 @@ impl CloakingAlgorithm for QuadCloak {
     }
 
     fn world(&self) -> Rect {
-        self.pyramid.world()
+        self.users.counts().lattice().world()
     }
 
     fn upsert(&mut self, id: UserId, p: Point) {
-        self.pyramid.insert(id, p);
+        self.users.upsert(id, p);
     }
 
     fn remove(&mut self, id: UserId) -> bool {
-        self.pyramid.remove(id).is_some()
+        self.users.remove(id)
     }
 
     fn location(&self, id: UserId) -> Option<Point> {
-        self.pyramid.location(id)
+        self.users.location(id)
     }
 
     fn population(&self) -> usize {
-        self.pyramid.len()
+        self.users.population()
     }
 
     fn count_in_region(&self, region: &Rect) -> usize {
-        self.pyramid.count_in_rect(region)
+        self.users.count_in_region(region)
     }
 
     /// The bottom-up climb is a pure function of the leaf cell (and the
     /// requirement), for both the plain and neighbor-merge variants.
     fn sharing_key(&self, id: UserId) -> Option<u64> {
-        let p = self.pyramid.location(id)?;
-        let leaf = self.pyramid.leaf_cell_of(p);
-        let side = u64::from(self.pyramid.side(leaf.level));
-        Some(u64::from(leaf.iy) * side + u64::from(leaf.ix))
+        let lattice = self.users.counts().lattice();
+        let leaf_side = lattice.extent()[0] >> self.levels;
+        let [ix, iy] = lattice
+            .sub_of(self.location(id)?)
+            .map(|v| u64::from(v / leaf_side));
+        Some((iy << self.levels) + ix)
     }
 
     fn cloak(&self, id: UserId, req: &CloakRequirement) -> Result<CloakedRegion, CloakError> {
         req.validate()?;
-        let pos = self
-            .pyramid
-            .location(id)
-            .ok_or(CloakError::UnknownUser(id))?;
+        let pos = self.location(id).ok_or(CloakError::UnknownUser(id))?;
         if !req.wants_privacy() {
-            let region = Rect::from_point(pos);
-            let k = self.pyramid.count_in_rect(&region) as u32;
-            return Ok(finalize_region(region, k.max(1), req));
+            return Ok(finalize_region(Rect::from_point(pos), 1, req));
         }
+        let counts = self.users.counts();
+        let sub = counts.lattice().sub_of(pos);
         // Climb from the leaf cell toward the root.
-        let mut cell = self.pyramid.leaf_cell_of(pos);
+        let mut level = self.levels;
         loop {
-            let count = self.pyramid.count(cell);
-            let rect = self.pyramid.cell_rect(cell);
-            if count >= req.k && rect.area() >= req.a_min {
-                return Ok(finalize_region(rect, count, req));
+            let cell = self.cell(sub, level);
+            let (rect, count) = (counts.lattice().rect(cell), counts.count(cell));
+            // Satisfied, or the whole world is not: best effort.
+            if (count >= req.k as usize && rect.area() >= req.a_min) || level == 0 {
+                return Ok(finalize_region(rect, count as u32, req));
             }
             if self.neighbor_merge {
                 if let Some((rect, count)) = self.try_neighbor_merge(cell, req) {
-                    return Ok(finalize_region(rect, count, req));
+                    return Ok(finalize_region(rect, count as u32, req));
                 }
             }
-            if cell.level == 0 {
-                // Even the whole world fails: best effort.
-                return Ok(finalize_region(rect, count, req));
-            }
-            cell = cell.parent();
+            level -= 1;
         }
     }
 }

@@ -6,7 +6,7 @@
 //! and execute them only once for all users."
 //!
 //! For space-dependent cloaks the shareable procedure is obvious: two
-//! users in the same grid/pyramid cell with the same requirement receive
+//! users in the same grid/quadtree cell with the same requirement receive
 //! the *same* cloaked region, so one computation serves the whole group.
 //! [`SharedExecutor`] groups a batch of cloak requests by a
 //! caller-provided sharing key (typically the user's cell), computes one
@@ -174,7 +174,7 @@ mod tests {
             .collect()
     }
 
-    /// Sharing by pyramid/grid cell: same-cell users share a cloak.
+    /// Sharing by quadtree/grid cell: same-cell users share a cloak.
     fn cell_key(algo: &GridCloak) -> impl Fn(UserId) -> Option<(u32, u32)> + Sync + '_ {
         move |id| {
             let p = algo.location(id)?;

@@ -26,6 +26,81 @@ prop_compose! {
     }
 }
 
+prop_compose! {
+    /// A coordinate where the quad cloak's edge cases live: on a line of
+    /// a level-0 to level-8 quadtree (the world's far edge among them),
+    /// between lines, or outside the world, NaN included.
+    fn quad_coord()(kind in 0u32..10, l in 0u32..=8, r in any::<u32>(), u in 0.0f64..1.0) -> f64 {
+        let n = 1u32 << l;
+        match kind {
+            0..=3 => f64::from(r % (n + 1)) / f64::from(n),
+            4..=7 => u,
+            8 => 1.0,
+            _ => [-0.01, 1.01, f64::NAN][r as usize % 3],
+        }
+    }
+}
+
+prop_compose! {
+    /// An area floor: none three times in four, else up to 0.3.
+    fn quad_a_min()(none in 0u32..4, a in 0.0f64..0.3) -> f64 {
+        if none > 0 { 0.0 } else { a }
+    }
+}
+
+/// Fig. 4a's bottom-up climb recomputed from scratch on the unit world.
+/// A position's level-`l` cell is its coordinate scaled by `2^l` and
+/// floored, clamped into the grid (the far edge folds into the last
+/// cell). A user is a member of a cell when it lies in the closed world
+/// and its own level-`l` cell is that one; every count is a scan of all
+/// users. Returns the region and its count.
+fn brute_force_quad(
+    pts: &[Point],
+    subject: usize,
+    levels: u8,
+    merge: bool,
+    req: &CloakRequirement,
+) -> (Rect, u32) {
+    let p = pts[subject];
+    if !req.wants_privacy() {
+        return (Rect::from_point(p), 1);
+    }
+    let index = |v: f64, l: u8| {
+        let n = 1u32 << l;
+        ((v * f64::from(n)).floor().max(0.0) as u32).min(n - 1)
+    };
+    let in_world = |q: &Point| (0.0..=1.0).contains(&q.x) && (0.0..=1.0).contains(&q.y);
+    // The block of level-`l` cells `x0 .. x1` × `y0 .. y1`, and its users.
+    let block = |l: u8, [x0, y0, x1, y1]: [u32; 4]| {
+        let side = 1.0 / f64::from(1u32 << l);
+        let at = |i: u32| f64::from(i) * side;
+        let rect = Rect::new_unchecked(at(x0), at(y0), at(x1), at(y1));
+        let member = |q: &&Point| {
+            in_world(q) && (x0..x1).contains(&index(q.x, l)) && (y0..y1).contains(&index(q.y, l))
+        };
+        (rect, pts.iter().filter(member).count() as u32)
+    };
+    let satisfies = |(rect, count): (Rect, u32)| count >= req.k && rect.area() >= req.a_min;
+    let mut l = levels;
+    loop {
+        let (x, y) = (index(p.x, l), index(p.y, l));
+        let cell = block(l, [x, y, x + 1, y + 1]);
+        if satisfies(cell) || l == 0 {
+            return cell;
+        }
+        if merge {
+            // The cell and its sibling in the same parent, x first.
+            let (px, py) = (x & !1, y & !1);
+            for pair in [[px, y, px + 2, y + 1], [x, py, x + 1, py + 2]] {
+                if satisfies(block(l, pair)) {
+                    return block(l, pair);
+                }
+            }
+        }
+        l -= 1;
+    }
+}
+
 fn algorithms(positions: &[Point]) -> Vec<Box<dyn CloakingAlgorithm>> {
     let w = unit_world();
     let mut algos: Vec<Box<dyn CloakingAlgorithm>> = vec![
@@ -161,6 +236,32 @@ proptest! {
                     k
                 );
                 last_area = c.area();
+            }
+        }
+    }
+
+    #[test]
+    fn quad_cloak_matches_a_brute_force_climb(
+        pts in prop::collection::vec((quad_coord(), quad_coord()), 1..60),
+        subject in 0usize..60,
+        k in 1u32..30,
+        a_min in quad_a_min(),
+    ) {
+        let pts: Vec<Point> = pts.into_iter().map(|(x, y)| Point::new(x, y)).collect();
+        let subject = subject % pts.len();
+        let req = CloakRequirement { k, a_min, a_max: f64::INFINITY };
+        let bits = |r: Rect| [r.min_x(), r.min_y(), r.max_x(), r.max_y()].map(f64::to_bits);
+        for levels in [3u8, 4, 5, 8] {
+            for merge in [false, true] {
+                let mut quad = QuadCloak::new(unit_world(), levels).with_neighbor_merge(merge);
+                for (i, p) in pts.iter().enumerate() {
+                    quad.upsert(i as u64, *p);
+                }
+                let got = quad.cloak(subject as u64, &req).unwrap();
+                let (region, achieved_k) = brute_force_quad(&pts, subject, levels, merge, &req);
+                let what = format!("levels {levels} merge {merge}: {got:?} vs {region:?}");
+                prop_assert_eq!(bits(got.region), bits(region), "{}", what);
+                prop_assert_eq!(got.achieved_k, achieved_k, "{}", what);
             }
         }
     }

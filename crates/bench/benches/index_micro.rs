@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use lbsp_bench::{standard_positions, uniform_positions, world};
 use lbsp_geom::{Point, Rect};
-use lbsp_index::{PointQuadTree, PyramidGrid, SubCellCounts, SubSpan, UniformGrid};
+use lbsp_index::{SubCellCounts, SubSpan, UniformGrid};
 use lbsp_server::{private_range_candidates, PublicObject, PublicStore};
 
 fn bench(c: &mut Criterion) {
@@ -24,9 +24,8 @@ fn bench(c: &mut Criterion) {
             grid.insert(i as u64, positions[i])
         })
     });
-    let q = Rect::new_unchecked(0.4, 0.4, 0.45, 0.45);
     group.bench_function("grid/knn_16", |b| {
-        b.iter(|| grid.k_nearest(Point::new(0.42, 0.42), 16, |_| false))
+        b.iter(|| grid.k_nearest(Point::new(0.42, 0.42), 16))
     });
 
     // Sub-cell counts, the grid cloak's view at the engine's 16 x 16:
@@ -46,33 +45,6 @@ fn bench(c: &mut Criterion) {
     });
     let quadrant = SubSpan::around(counts.lattice().sub_of(Point::new(0.42, 0.42)), 8);
     group.bench_function("counts/quadrant", |b| b.iter(|| counts.count(quadrant)));
-
-    // Pyramid: the O(levels) update path.
-    let mut pyr = PyramidGrid::new(world(), 8);
-    for (i, p) in positions.iter().enumerate() {
-        pyr.insert(i as u64, *p);
-    }
-    let mut i = 0usize;
-    group.bench_function("pyramid/upsert_100k", |b| {
-        b.iter(|| {
-            i = (i + 7919) % positions.len();
-            pyr.insert(i as u64, positions[i])
-        })
-    });
-    group.bench_function("pyramid/cell_count", |b| {
-        let cell = pyr.cell_of(4, Point::new(0.3, 0.7));
-        b.iter(|| pyr.count(cell))
-    });
-
-    // Quadtree: adaptive insert/remove.
-    let mut qt = PointQuadTree::new(world(), 16);
-    for (i, p) in positions.iter().take(50_000).enumerate() {
-        qt.insert(i as u64, *p);
-    }
-    group.bench_function("quadtree/path_to_leaf", |b| {
-        b.iter(|| qt.path_to_leaf(Point::new(0.61, 0.37)))
-    });
-    group.bench_function("quadtree/count_rect", |b| b.iter(|| qt.count_in_rect(&q)));
 
     // Public store (a packed point grid under an id-ordered array) on
     // 10k POIs, uniform, three-cities, and uniform with one more POI a

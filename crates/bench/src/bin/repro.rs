@@ -1763,7 +1763,7 @@ fn e9_incremental() {
         "### Incremental cloaking (10,000 users, 5 update rounds, k=25)\n\n\
          Caching wins when cloak computation costs more than revalidation\n\
          (one region count). Shown for the expensive naive cloak and the\n\
-         already-O(1) quad cloak — the ablation DESIGN.md calls out.\n"
+         already-cheap quad cloak — the ablation DESIGN.md calls out.\n"
     );
     header(&[
         "algorithm",

@@ -19,7 +19,6 @@
 //! builds from that span, in any world; one on its far edge belongs to
 //! the next span and is not counted.
 
-use crate::grid::CellCoord;
 use lbsp_geom::{Point, Rect};
 
 /// Sub-cells per cell side: four quarterings, the grid cloak's
@@ -50,6 +49,15 @@ impl SubSpan {
             hi: lo.map(|v| v + side),
         }
     }
+}
+
+/// A cell of a [`Lattice`]: column `ix` and row `iy`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CellCoord {
+    /// Column index, `0 .. nx`.
+    pub ix: u32,
+    /// Row index, `0 .. ny`.
+    pub iy: u32,
 }
 
 /// The geometry of a grid of `nx × ny` cells over a world rectangle, each

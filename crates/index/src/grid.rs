@@ -1,26 +1,18 @@
-//! Fixed uniform grid index over point objects.
+//! Fixed uniform grid index over point objects that move.
 //!
-//! This is the space partitioning of Fig. 4b: the world is divided into
-//! `nx × ny` equal cells. The grid stores every object's exact location in
-//! a per-cell bucket, plus a reverse map from object id to location so
-//! updates and removals are O(1) expected. A rectangle query scans the
-//! buckets of the cells it overlaps and tests each point against the
-//! closed rectangle. The naive, MBR and Hilbert cloaks, k-NN search and
-//! the bottom level of [`crate::PyramidGrid`] are built on it; the grid
-//! cloak itself reads counts only, from [`crate::SubCellCounts`].
+//! The world is divided into `nx × ny` equal cells. The grid stores every
+//! object's exact location in a per-cell bucket, plus a reverse map from
+//! object id to location, so an insert, a move or a removal is O(1)
+//! expected. A rectangle count scans the buckets of the cells it overlaps
+//! and tests each point against the closed rectangle; a k-NN search
+//! scans rings of cells outward. The naive, MBR and Hilbert cloaks are
+//! built on it; the space-dependent cloaks read counts only, from
+//! [`crate::SubCellCounts`], and the public store's points, which rarely
+//! move, sit in the packed [`crate::PointGrid`].
 
 use crate::ObjectId;
 use lbsp_geom::{Point, Rect};
 use std::collections::HashMap;
-
-/// Discrete cell coordinate `(ix, iy)` within a [`UniformGrid`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CellCoord {
-    /// Column index, `0 .. nx`.
-    pub ix: u32,
-    /// Row index, `0 .. ny`.
-    pub iy: u32,
-}
 
 /// A fixed uniform grid over a world rectangle, indexing point objects.
 #[derive(Debug, Clone)]
@@ -64,18 +56,6 @@ impl UniformGrid {
         self.world
     }
 
-    /// Number of columns.
-    #[inline]
-    pub fn nx(&self) -> u32 {
-        self.nx
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub fn ny(&self) -> u32 {
-        self.ny
-    }
-
     /// Total number of indexed objects.
     #[inline]
     pub fn len(&self) -> usize {
@@ -88,39 +68,32 @@ impl UniformGrid {
         self.locations.is_empty()
     }
 
-    /// Cell containing `p`. Points outside the world clamp to the nearest
-    /// border cell, so every finite point maps to a valid cell.
-    pub fn cell_of(&self, p: Point) -> CellCoord {
+    /// Cell `[ix, iy]` containing `p`. Points outside the world clamp to
+    /// the nearest border cell, so every point maps to a valid cell.
+    fn cell_of(&self, p: Point) -> [u32; 2] {
         let fx = (p.x - self.world.min_x()) / self.cell_w;
         let fy = (p.y - self.world.min_y()) / self.cell_h;
-        CellCoord {
-            ix: (fx.floor().max(0.0) as u32).min(self.nx - 1),
-            iy: (fy.floor().max(0.0) as u32).min(self.ny - 1),
-        }
-    }
-
-    /// Geometric extent of the cell at `c`.
-    ///
-    /// # Panics
-    /// Panics when `c` is out of range.
-    pub fn cell_rect(&self, c: CellCoord) -> Rect {
-        assert!(c.ix < self.nx && c.iy < self.ny, "cell out of range");
-        let x0 = self.world.min_x() + self.cell_w * c.ix as f64;
-        let y0 = self.world.min_y() + self.cell_h * c.iy as f64;
-        Rect::new_unchecked(x0, y0, x0 + self.cell_w, y0 + self.cell_h)
+        [
+            (fx.floor().max(0.0) as u32).min(self.nx - 1),
+            (fy.floor().max(0.0) as u32).min(self.ny - 1),
+        ]
     }
 
     #[inline]
-    fn bucket_index(&self, c: CellCoord) -> usize {
-        c.iy as usize * self.nx as usize + c.ix as usize
+    fn bucket_index(&self, [ix, iy]: [u32; 2]) -> usize {
+        iy as usize * self.nx as usize + ix as usize
+    }
+
+    /// Objects in cell `c` as `(id, point)` pairs.
+    fn cell_objects(&self, c: [u32; 2]) -> &[(ObjectId, Point)] {
+        &self.buckets[self.bucket_index(c)]
     }
 
     /// Inserts (or moves) an object. Returns the previous location when
     /// the object was already indexed.
     pub fn insert(&mut self, id: ObjectId, p: Point) -> Option<Point> {
         let prev = self.remove(id);
-        let c = self.cell_of(p);
-        let idx = self.bucket_index(c);
+        let idx = self.bucket_index(self.cell_of(p));
         self.buckets[idx].push((id, p));
         self.locations.insert(id, p);
         prev
@@ -129,8 +102,7 @@ impl UniformGrid {
     /// Removes an object, returning its location when present.
     pub fn remove(&mut self, id: ObjectId) -> Option<Point> {
         let p = self.locations.remove(&id)?;
-        let c = self.cell_of(p);
-        let idx = self.bucket_index(c);
+        let idx = self.bucket_index(self.cell_of(p));
         let bucket = &mut self.buckets[idx];
         if let Some(pos) = bucket.iter().position(|(oid, _)| *oid == id) {
             bucket.swap_remove(pos);
@@ -144,56 +116,27 @@ impl UniformGrid {
         self.locations.get(&id).copied()
     }
 
-    /// Number of objects whose location falls in cell `c`.
-    pub fn cell_count(&self, c: CellCoord) -> usize {
-        self.buckets[self.bucket_index(c)].len()
-    }
-
-    /// Objects in cell `c` as `(id, point)` pairs.
-    pub fn cell_objects(&self, c: CellCoord) -> &[(ObjectId, Point)] {
-        &self.buckets[self.bucket_index(c)]
-    }
-
-    /// Exact count of objects whose location lies inside `r`.
+    /// Exact count of objects whose location lies inside `r`, scanning
+    /// only the overlapping cells.
     pub fn count_in_rect(&self, r: &Rect) -> usize {
+        let [x0, y0] = self.cell_of(Point::new(r.min_x(), r.min_y()));
+        let [x1, y1] = self.cell_of(Point::new(r.max_x(), r.max_y()));
         let mut n = 0;
-        self.for_each_in_rect(r, |_, _| n += 1);
+        for iy in y0..=y1 {
+            for ix in x0..=x1 {
+                let inside = |(_, p): &&(ObjectId, Point)| r.contains_point(*p);
+                n += self.cell_objects([ix, iy]).iter().filter(inside).count();
+            }
+        }
         n
     }
 
-    /// Collects `(id, point)` for all objects inside `r`.
-    pub fn query_rect(&self, r: &Rect) -> Vec<(ObjectId, Point)> {
-        let mut out = Vec::new();
-        self.for_each_in_rect(r, |id, p| out.push((id, p)));
-        out
-    }
-
-    /// Visits every object inside `r`, scanning only the overlapping cells.
-    pub fn for_each_in_rect<F: FnMut(ObjectId, Point)>(&self, r: &Rect, mut f: F) {
-        let lo = self.cell_of(Point::new(r.min_x(), r.min_y()));
-        let hi = self.cell_of(Point::new(r.max_x(), r.max_y()));
-        for iy in lo.iy..=hi.iy {
-            for ix in lo.ix..=hi.ix {
-                for &(id, p) in self.cell_objects(CellCoord { ix, iy }) {
-                    if r.contains_point(p) {
-                        f(id, p);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The `k` nearest indexed objects to `p` (excluding ids for which
-    /// `exclude` returns true), by expanding ring search over cells.
+    /// The `k` nearest indexed objects to `p`, by expanding ring search
+    /// over cells.
     ///
-    /// Returns fewer than `k` when the index holds fewer matching objects.
-    /// Results are sorted by ascending distance.
-    pub fn k_nearest<F: Fn(ObjectId) -> bool>(
-        &self,
-        p: Point,
-        k: usize,
-        exclude: F,
-    ) -> Vec<(ObjectId, Point)> {
+    /// Returns fewer than `k` when the index holds fewer objects. Results
+    /// are sorted by ascending distance.
+    pub fn k_nearest(&self, p: Point, k: usize) -> Vec<(ObjectId, Point)> {
         if k == 0 {
             return Vec::new();
         }
@@ -202,11 +145,8 @@ impl UniformGrid {
         let mut found: Vec<(f64, ObjectId, Point)> = Vec::new();
         let mut ring: i64 = 0;
         loop {
-            for (ix, iy) in ring_cells(center, ring, self.nx, self.ny) {
-                for &(id, q) in self.cell_objects(CellCoord { ix, iy }) {
-                    if exclude(id) {
-                        continue;
-                    }
+            for c in ring_cells(center, ring, self.nx, self.ny) {
+                for &(id, q) in self.cell_objects(c) {
                     found.push((p.dist_sq(q), id, q));
                 }
             }
@@ -231,22 +171,16 @@ impl UniformGrid {
             ring += 1;
         }
     }
-
-    /// Iterates over all indexed `(id, point)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (ObjectId, Point)> + '_ {
-        self.locations.iter().map(|(&id, &p)| (id, p))
-    }
 }
 
-/// Yields the cell coordinates on the square ring at Chebyshev distance
-/// `ring` around `center`, clipped to the grid bounds. Ring 0 is the
-/// center cell itself.
-fn ring_cells(center: CellCoord, ring: i64, nx: u32, ny: u32) -> impl Iterator<Item = (u32, u32)> {
-    let cx = center.ix as i64;
-    let cy = center.iy as i64;
-    let mut cells: Vec<(u32, u32)> = Vec::new();
+/// Yields the cells on the square ring at Chebyshev distance `ring`
+/// around `center`, clipped to the grid bounds. Ring 0 is the center
+/// cell itself.
+fn ring_cells(center: [u32; 2], ring: i64, nx: u32, ny: u32) -> impl Iterator<Item = [u32; 2]> {
+    let [cx, cy] = center.map(i64::from);
+    let mut cells: Vec<[u32; 2]> = Vec::new();
     if ring == 0 {
-        cells.push((center.ix, center.iy));
+        cells.push(center);
     } else {
         let lo_x = cx - ring;
         let hi_x = cx + ring;
@@ -254,7 +188,7 @@ fn ring_cells(center: CellCoord, ring: i64, nx: u32, ny: u32) -> impl Iterator<I
         let hi_y = cy + ring;
         let mut push = |x: i64, y: i64| {
             if x >= 0 && y >= 0 && (x as u32) < nx && (y as u32) < ny {
-                cells.push((x as u32, y as u32));
+                cells.push([x as u32, y as u32]);
             }
         };
         for x in lo_x..=hi_x {
@@ -297,27 +231,13 @@ mod tests {
     #[test]
     fn cell_of_maps_points_to_cells() {
         let g = grid4();
-        assert_eq!(g.cell_of(Point::new(0.1, 0.1)), CellCoord { ix: 0, iy: 0 });
-        assert_eq!(g.cell_of(Point::new(0.9, 0.9)), CellCoord { ix: 3, iy: 3 });
+        assert_eq!(g.cell_of(Point::new(0.1, 0.1)), [0, 0]);
+        assert_eq!(g.cell_of(Point::new(0.9, 0.9)), [3, 3]);
         // The world max corner clamps into the last cell.
-        assert_eq!(g.cell_of(Point::new(1.0, 1.0)), CellCoord { ix: 3, iy: 3 });
+        assert_eq!(g.cell_of(Point::new(1.0, 1.0)), [3, 3]);
         // Out-of-world points clamp to border cells.
-        assert_eq!(g.cell_of(Point::new(-5.0, 0.5)), CellCoord { ix: 0, iy: 2 });
-        assert_eq!(g.cell_of(Point::new(5.0, 0.5)), CellCoord { ix: 3, iy: 2 });
-    }
-
-    #[test]
-    fn cell_rect_tiles_world() {
-        let g = grid4();
-        let mut total = 0.0;
-        for iy in 0..4 {
-            for ix in 0..4 {
-                let r = g.cell_rect(CellCoord { ix, iy });
-                total += r.area();
-                assert!(g.world().contains_rect(&r));
-            }
-        }
-        assert!(approx_eq(total, 1.0));
+        assert_eq!(g.cell_of(Point::new(-5.0, 0.5)), [0, 2]);
+        assert_eq!(g.cell_of(Point::new(5.0, 0.5)), [3, 2]);
     }
 
     #[test]
@@ -330,15 +250,15 @@ mod tests {
         let prev = g.insert(1, Point::new(0.9, 0.9));
         assert_eq!(prev, Some(Point::new(0.1, 0.1)));
         assert_eq!(g.len(), 1);
-        assert_eq!(g.cell_count(CellCoord { ix: 0, iy: 0 }), 0);
-        assert_eq!(g.cell_count(CellCoord { ix: 3, iy: 3 }), 1);
+        assert!(g.cell_objects([0, 0]).is_empty());
+        assert_eq!(g.cell_objects([3, 3]), [(1, Point::new(0.9, 0.9))]);
         assert_eq!(g.remove(1), Some(Point::new(0.9, 0.9)));
         assert!(g.is_empty());
         assert_eq!(g.remove(1), None);
     }
 
     #[test]
-    fn count_and_query_rect() {
+    fn count_in_rect_is_closed() {
         let mut g = grid4();
         let pts = [
             (1, Point::new(0.05, 0.05)),
@@ -351,9 +271,6 @@ mod tests {
         }
         let r = Rect::new_unchecked(0.0, 0.0, 0.5, 0.5);
         assert_eq!(g.count_in_rect(&r), 2);
-        let mut ids: Vec<_> = g.query_rect(&r).into_iter().map(|(id, _)| id).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![1, 2]);
         // Rect boundaries are inclusive.
         let edge = Rect::new_unchecked(0.05, 0.05, 0.05, 0.05);
         assert_eq!(g.count_in_rect(&edge), 1);
@@ -368,7 +285,7 @@ mod tests {
             g.insert(i, Point::new(t, t));
         }
         let q = Point::new(0.31, 0.31);
-        let nn = g.k_nearest(q, 3, |_| false);
+        let nn = g.k_nearest(q, 3);
         assert_eq!(nn.len(), 3);
         let ids: Vec<_> = nn.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, vec![3, 4, 2], "sorted by distance from 0.31");
@@ -379,14 +296,13 @@ mod tests {
     }
 
     #[test]
-    fn k_nearest_respects_exclusion_and_small_population() {
+    fn k_nearest_on_a_small_population() {
         let mut g = grid4();
         g.insert(1, Point::new(0.5, 0.5));
         g.insert(2, Point::new(0.6, 0.5));
-        let nn = g.k_nearest(Point::new(0.5, 0.5), 5, |id| id == 1);
-        assert_eq!(nn.len(), 1);
-        assert_eq!(nn[0].0, 2);
-        assert!(g.k_nearest(Point::new(0.5, 0.5), 0, |_| false).is_empty());
+        let nn = g.k_nearest(Point::new(0.5, 0.5), 5);
+        assert_eq!(nn, [(1, Point::new(0.5, 0.5)), (2, Point::new(0.6, 0.5))]);
+        assert!(g.k_nearest(Point::new(0.5, 0.5), 0).is_empty());
     }
 
     #[test]
@@ -404,7 +320,7 @@ mod tests {
         for trial in 0..20 {
             let q = Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
             let k = 1 + trial % 10;
-            let got: Vec<_> = g.k_nearest(q, k, |_| false);
+            let got: Vec<_> = g.k_nearest(q, k);
             let mut brute = pts.clone();
             brute.sort_by(|a, b| q.dist_sq(a.1).total_cmp(&q.dist_sq(b.1)));
             // Compare distances (ids may tie).
@@ -418,16 +334,5 @@ mod tests {
             }
             assert_eq!(got.len(), k);
         }
-    }
-
-    #[test]
-    fn iter_visits_everything() {
-        let mut g = grid4();
-        for id in 0..10u64 {
-            g.insert(id, Point::new(0.05 * id as f64, 0.05 * id as f64));
-        }
-        let mut ids: Vec<_> = g.iter().map(|(id, _)| id).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..10u64).collect::<Vec<_>>());
     }
 }

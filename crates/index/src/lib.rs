@@ -3,27 +3,23 @@
 //! The paper classifies cloaking algorithms the same way multidimensional
 //! indexes are classified (Sec. 5): *data-partitioning* (R-tree-like) vs
 //! *space-partitioning* (grid/quadtree-like). Every index here is of the
-//! second family; the data-dependent cloaks partition users themselves
-//! (nearest neighbours, Hilbert order) on top of a grid:
+//! second family, and each serves one role:
 //!
-//! * [`UniformGrid`] — fixed uniform grid over the world rectangle,
-//!   bucketing exact points per cell; the substrate of the data-dependent
-//!   baseline cloaks and of k-NN search over users.
-//! * [`SubCellCounts`] — per-sub-cell user counts over a grid's
+//! * [`SubCellCounts`] — counts: per-sub-cell user counts over a grid's
 //!   [`Lattice`] (16 × 16 sub-cells a cell), counts only: its caller
-//!   keeps the positions. The only view the fixed-grid cloak (Fig. 4b)
-//!   reads, through the [`CellCounts`] trait.
-//! * [`PyramidGrid`] — a multi-level grid (complete pyramid) maintaining
-//!   per-cell occupancy counts at every level; the substrate of the
-//!   quadtree cloak (Fig. 4a) and of the "fixed multi-level grids"
-//!   optimization the paper suggests for Fig. 4b.
-//! * [`PointQuadTree`] — an adaptive PR quadtree over exact points, used
-//!   where data-adaptive space partitioning is wanted.
-//! * [`PointGrid`] — a static uniform grid over points, packed row-major
-//!   into one array (a run of entries per cell), with rectangle search,
-//!   ring-search k-nearest neighbours and in-place moves; the index
-//!   under the database server's public data (gas stations,
-//!   restaurants, police cars).
+//!   keeps the positions. The only view the space-dependent cloaks read,
+//!   through the [`CellCounts`] trait: the fixed grid of Fig. 4b merges
+//!   and refines its blocks, and the quadtree of Fig. 4a climbs its
+//!   aligned blocks.
+//! * [`UniformGrid`] — points that move: a fixed uniform grid over the
+//!   world rectangle, bucketing exact points per cell, so an insert or a
+//!   move costs O(1); the substrate of the data-dependent baseline cloaks
+//!   (rectangle counts and k-NN search over users).
+//! * [`PointGrid`] — points that rarely move: a static uniform grid over
+//!   points, packed row-major into one array (a run of entries per cell),
+//!   with rectangle search, ring-search k-nearest neighbours and in-place
+//!   moves; the index under the database server's public data (gas
+//!   stations, restaurants, police cars).
 //!
 //! All indexes are deterministic and single-threaded; concurrency is
 //! layered above them (see `lbsp-anonymizer::shared`).
@@ -34,14 +30,10 @@
 mod counts;
 mod grid;
 mod point_grid;
-mod pyramid;
-mod quadtree;
 
-pub use counts::{CellCounts, Lattice, SubCellCounts, SubSpan, SUB_SIDE};
-pub use grid::{CellCoord, UniformGrid};
+pub use counts::{CellCoord, CellCounts, Lattice, SubCellCounts, SubSpan, SUB_SIDE};
+pub use grid::UniformGrid;
 pub use point_grid::PointGrid;
-pub use pyramid::{PyramidCell, PyramidGrid};
-pub use quadtree::PointQuadTree;
 
 /// Identifier for an indexed object (user id or object id).
 pub type ObjectId = u64;

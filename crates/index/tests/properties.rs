@@ -2,10 +2,7 @@
 //! arbitrary point sets and query shapes.
 
 use lbsp_geom::{min_dist_point_rect, Point, Rect};
-use lbsp_index::{
-    PointGrid, PointQuadTree, PyramidCell, PyramidGrid, SubCellCounts, SubSpan, UniformGrid,
-    SUB_SIDE,
-};
+use lbsp_index::{PointGrid, SubCellCounts, SubSpan, UniformGrid, SUB_SIDE};
 use proptest::prelude::*;
 
 fn unit_world() -> Rect {
@@ -193,7 +190,6 @@ proptest! {
         }
         let brute = pts.iter().filter(|p| q.contains_point(**p)).count();
         prop_assert_eq!(g.count_in_rect(&q), brute);
-        prop_assert_eq!(g.query_rect(&q).len(), brute);
         prop_assert_eq!(g.len(), pts.len());
     }
 
@@ -297,7 +293,7 @@ proptest! {
         for (i, p) in pts.iter().enumerate() {
             g.insert(i as u64, *p);
         }
-        let got = g.k_nearest(q, k, |_| false);
+        let got = g.k_nearest(q, k);
         let mut brute: Vec<f64> = pts.iter().map(|p| q.dist(*p)).collect();
         brute.sort_by(|a, b| a.total_cmp(b));
         prop_assert_eq!(got.len(), k.min(pts.len()));
@@ -320,92 +316,6 @@ proptest! {
         prop_assert!(g.location(victim as u64).is_none());
         prop_assert_eq!(g.len(), pts.len() - 1);
         prop_assert!(g.remove(victim as u64).is_none());
-    }
-
-    #[test]
-    fn pyramid_counts_conserved_across_levels(
-        pts in prop::collection::vec(upoint(), 0..150),
-        levels in 1u8..6,
-    ) {
-        let mut p = PyramidGrid::new(unit_world(), levels);
-        for (i, pt) in pts.iter().enumerate() {
-            p.insert(i as u64, *pt);
-        }
-        for level in 0..=levels {
-            let side = p.side(level);
-            let mut total = 0u32;
-            for iy in 0..side {
-                for ix in 0..side {
-                    total += p.count(PyramidCell { level, ix, iy });
-                }
-            }
-            prop_assert_eq!(total as usize, pts.len(), "level {}", level);
-        }
-    }
-
-    #[test]
-    fn pyramid_moves_preserve_counts(
-        pts in prop::collection::vec((upoint(), upoint()), 1..80),
-    ) {
-        let mut p = PyramidGrid::new(unit_world(), 4);
-        for (i, (a, _)) in pts.iter().enumerate() {
-            p.insert(i as u64, *a);
-        }
-        for (i, (_, b)) in pts.iter().enumerate() {
-            p.insert(i as u64, *b);
-        }
-        prop_assert_eq!(p.len(), pts.len());
-        prop_assert_eq!(
-            p.count(PyramidCell { level: 0, ix: 0, iy: 0 }) as usize,
-            pts.len()
-        );
-        // The cell of each final position contains it.
-        for (i, (_, b)) in pts.iter().enumerate() {
-            prop_assert_eq!(p.location(i as u64), Some(*b));
-            let leaf = p.leaf_cell_of(*b);
-            prop_assert!(p.count(leaf) >= 1);
-            prop_assert!(p.cell_rect(leaf).contains_point(*b));
-        }
-    }
-
-    #[test]
-    fn quadtree_matches_brute_force(
-        pts in prop::collection::vec(upoint(), 0..200),
-        q in urect(),
-        cap in 1usize..16,
-    ) {
-        let mut t = PointQuadTree::new(unit_world(), cap);
-        for (i, p) in pts.iter().enumerate() {
-            t.insert(i as u64, *p);
-        }
-        let brute = pts.iter().filter(|p| q.contains_point(**p)).count();
-        prop_assert_eq!(t.count_in_rect(&q), brute);
-        prop_assert_eq!(t.len(), pts.len());
-        // Path to any point is nested and ends in a region containing it.
-        if let Some(p) = pts.first() {
-            let path = t.path_to_leaf(*p);
-            prop_assert!(!path.is_empty());
-            prop_assert!(path.last().unwrap().0.contains_point(*p));
-        }
-    }
-
-    #[test]
-    fn quadtree_insert_remove_roundtrip(
-        pts in prop::collection::vec(upoint(), 1..100),
-    ) {
-        let mut t = PointQuadTree::new(unit_world(), 4);
-        for (i, p) in pts.iter().enumerate() {
-            t.insert(i as u64, *p);
-        }
-        // Remove every other point; counts must track.
-        let mut expected = pts.len();
-        for (i, p) in pts.iter().enumerate().step_by(2) {
-            prop_assert!(t.remove(i as u64, *p));
-            expected -= 1;
-            prop_assert_eq!(t.len(), expected);
-        }
-        let remaining = t.count_in_rect(&unit_world());
-        prop_assert_eq!(remaining, expected);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! integration tests, and downstream users need a single dependency:
 //!
 //! * [`geom`] — points, rectangles, distances, simulation time.
-//! * [`index`] — grid / pyramid / quadtree / packed point-grid spatial indexes.
+//! * [`index`] — sub-cell counts, uniform grid and packed point-grid spatial indexes.
 //! * [`mobility`] — synthetic user populations and movement models.
 //! * [`anonymizer`] — privacy profiles, cloaking algorithms, attacks.
 //! * [`server`] — the privacy-aware query processor.

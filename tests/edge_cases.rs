@@ -98,23 +98,40 @@ fn corner_users() {
 
 /// A neighbour at a non-finite position, or just outside the world, is a
 /// member of no grid cell: it neither counts in the cloak of a block it
-/// is not inside nor leaves the cloak short of k. On a 4 × 4 grid, A is
-/// at (0.1, 0.1) and B one column over, so A's block takes B's column.
+/// is not inside nor leaves the cloak short of k. A is at (0.1, 0.1) and
+/// B at (0.3, 0.1). On a 4 × 4 grid, A's block takes B's column. The
+/// quad cloak's leaves are a quarter of the world a side, so it climbs to
+/// A's half-world quadrant, or merges A's leaf with B's.
 #[test]
 fn out_of_world_neighbour_does_not_stop_a_grid_cloak_short() {
     let (a, b) = (Point::new(0.1, 0.1), Point::new(0.3, 0.1));
-    for refine in [false, true] {
-        for neighbour in [Point::new(f64::NAN, 0.1), Point::new(-0.01, 0.1)] {
-            let mut algo = GridCloak::new(world(), 4).with_refinement(refine);
+    let (quarter, half) = (
+        Rect::new_unchecked(0.0, 0.0, 0.5, 0.25),
+        Rect::new_unchecked(0.0, 0.0, 0.5, 0.5),
+    );
+    for neighbour in [Point::new(f64::NAN, 0.1), Point::new(-0.01, 0.1)] {
+        let cloaks: [(Box<dyn CloakingAlgorithm>, Rect); 4] = [
+            (Box::new(GridCloak::new(world(), 4)), quarter),
+            (
+                Box::new(GridCloak::new(world(), 4).with_refinement(true)),
+                quarter,
+            ),
+            (Box::new(QuadCloak::new(world(), 2)), half),
+            (
+                Box::new(QuadCloak::new(world(), 2).with_neighbor_merge(true)),
+                quarter,
+            ),
+        ];
+        for (mut algo, region) in cloaks {
             algo.upsert(0, a);
             algo.upsert(1, b);
             algo.upsert(2, neighbour);
             let c = algo.cloak(0, &CloakRequirement::k_only(2)).unwrap();
-            let what = format!("neighbour {neighbour:?}, refine {refine}");
+            let what = format!("{}, neighbour {neighbour:?}", algo.name());
             assert!(c.k_satisfied, "{what}");
             assert_eq!(c.achieved_k, 2, "{what}");
             assert_eq!(algo.count_in_region(&c.region), 2, "{what}");
-            assert_eq!(c.region, Rect::new_unchecked(0.0, 0.0, 0.5, 0.25), "{what}");
+            assert_eq!(c.region, region, "{what}");
         }
     }
 }
