@@ -40,12 +40,35 @@ echo "== equivalence + loopback under debug_assertions (lock-order checker armed
 # property tests, edits and far outliers, and the store's brute-force
 # edit scan), so overflow checks cover its `u32` run offsets and clamped
 # cell arithmetic.
+# The crash-recovery property (every op kind, mirror ops and handoffs
+# carrying Fig. 2's profile included, crashed at any point) and the
+# ownership test (a user mirrored, owned, handed off and back, its
+# queries held to a reference's at three times of day) run here too.
+#
+# `filtered` runs one test target with name filters, and first fails CI
+# if any filter matches no test: a renamed test must not drop out of
+# this stage unseen.
+filtered() {
+  local sel=()
+  while [ "$1" != "--" ]; do sel+=("$1"); shift; done
+  shift
+  local listed
+  listed=$(cargo test -q --offline "${sel[@]}" -- --list | sed -n 's/: test$//p')
+  for f in "$@"; do
+    if ! grep -qF -- "$f" <<<"$listed"; then
+      echo "ci: test filter '$f' matches no test in ${sel[*]}" >&2
+      exit 1
+    fi
+  done
+  cargo test -q --offline "${sel[@]}" -- "$@"
+}
 cargo test -q --offline --test concurrency
-cargo test -q --offline -p lbsp-core --test codec_golden -- keep_their_bytes no_strict_prefix_and_no_longer_buffer_decodes
-cargo test -q --offline -p lbsp-core --lib -- journal_record across_the_world sequential_anonymizer out_of_world_neighbour ownership_states
-cargo test -q --offline -p lbsp-index --test properties -- sub_cell_counts_match_brute_force_membership_under_edits point_grid_matches_brute_force_under_edits point_grid_with_far_outliers_matches_brute_force
-cargo test -q --offline -p lbsp-anonymizer --test properties -- quad_cloak_matches_a_brute_force_climb
-cargo test -q --offline -p lbsp-server --lib -- public_store_edits_match_a_brute_force_scan
+filtered -p lbsp-core --test codec_golden -- keep_their_bytes no_strict_prefix_and_no_longer_buffer_decodes
+filtered -p lbsp-core --lib -- journal_record across_the_world sequential_anonymizer out_of_world_neighbour ownership_states
+filtered -p lbsp-index --test properties -- sub_cell_counts_match_brute_force_membership_under_edits point_grid_matches_brute_force_under_edits point_grid_with_far_outliers_matches_brute_force
+filtered -p lbsp-anonymizer --test properties -- quad_cloak_matches_a_brute_force_climb
+filtered -p lbsp-server --lib -- public_store_edits_match_a_brute_force_scan
+cargo test -q --offline -p lbsp-store --test recovery_prop
 cargo test -q --offline --test net_loopback
 
 echo "== loopback byte-identity (network vs in-process) =="

@@ -10,7 +10,6 @@ use crate::cloak::{CloakRequirement, CloakedRegion, CloakingAlgorithm};
 use crate::{CloakError, PrivacyProfile, UserId};
 use lbsp_geom::{Point, Rect, SimTime};
 use std::collections::HashMap;
-use std::sync::RwLock;
 
 /// An opaque identifier that replaces the true user id on everything
 /// sent to the database server ("hide the query identity", Sec. 3).
@@ -227,46 +226,6 @@ impl<A: CloakingAlgorithm> LocationAnonymizer<A> {
     }
 }
 
-/// A thread-safe wrapper so a shared-execution pipeline can cloak
-/// queries from reader threads while an ingest thread applies updates.
-#[derive(Debug)]
-pub struct ConcurrentAnonymizer<A>(RwLock<LocationAnonymizer<A>>);
-
-impl<A: CloakingAlgorithm> ConcurrentAnonymizer<A> {
-    /// Wraps an anonymizer.
-    pub fn new(inner: LocationAnonymizer<A>) -> Self {
-        // lint: lock(AnonService) -- this crate sits below lbsp-core in the
-        // dependency graph, so it cannot use TrackedRwLock; the registry
-        // rank is declared in lbsp_core::locks::LockRank::AnonService.
-        ConcurrentAnonymizer(RwLock::new(inner))
-    }
-
-    /// Applies a location update (exclusive lock).
-    pub fn handle_update(
-        &self,
-        id: UserId,
-        position: Point,
-        time: SimTime,
-    ) -> Result<CloakedUpdate, CloakError> {
-        self.0.write().unwrap().handle_update(id, position, time)
-    }
-
-    /// Cloaks a query (shared lock — many readers in parallel).
-    pub fn cloak_query(&self, id: UserId, time: SimTime) -> Result<CloakedQuery, CloakError> {
-        self.0.read().unwrap().cloak_query(id, time)
-    }
-
-    /// Registers a user.
-    pub fn register(&self, id: UserId, profile: PrivacyProfile) {
-        self.0.write().unwrap().register(id, profile);
-    }
-
-    /// Runs a closure with read access to the inner anonymizer.
-    pub fn with_read<T>(&self, f: impl FnOnce(&LocationAnonymizer<A>) -> T) -> T {
-        f(&self.0.read().unwrap())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,23 +340,6 @@ mod tests {
         assert!(!a.unregister(3));
         assert_eq!(a.registered(), 99);
         assert!(a.profile(3).is_none());
-    }
-
-    #[test]
-    fn concurrent_wrapper_basic_flow() {
-        let inner = LocationAnonymizer::new(QuadCloak::new(world(), 4), 1);
-        let c = ConcurrentAnonymizer::new(inner);
-        for i in 0..20u64 {
-            c.register(
-                i,
-                PrivacyProfile::uniform(CloakRequirement::k_only(5)).unwrap(),
-            );
-            c.handle_update(i, Point::new(0.5 + 0.01 * i as f64, 0.5), SimTime::ZERO)
-                .unwrap();
-        }
-        let q = c.cloak_query(0, SimTime::ZERO).unwrap();
-        assert!(q.region.k_satisfied);
-        assert_eq!(c.with_read(|a| a.registered()), 20);
     }
 
     #[test]

@@ -47,9 +47,7 @@ mod quad;
 mod shared;
 mod temporal;
 
-pub use anonymizer::{
-    CloakedQuery, CloakedUpdate, ConcurrentAnonymizer, LocationAnonymizer, Pseudonym,
-};
+pub use anonymizer::{CloakedQuery, CloakedUpdate, LocationAnonymizer, Pseudonym};
 pub use cloak::{CloakRequirement, CloakedRegion, CloakingAlgorithm};
 pub use error::CloakError;
 pub use grid_cloak::{cloak_with_counts, GridCloak};

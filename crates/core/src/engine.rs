@@ -263,7 +263,6 @@ impl ShardedEngine {
     pub fn register(&mut self, id: UserId, profile: PrivacyProfile) {
         self.journal_op(|| EngineOp::RegisterUser {
             id,
-            active: true,
             profile: profile.clone(),
         });
         self.own(id, profile);
@@ -643,21 +642,49 @@ impl ShardedEngine {
         out
     }
 
-    /// Cluster mirror: applies another node's exact-update rows to the
-    /// position plane only — phase 1 of [`Self::process_updates`] with
-    /// no cloaking, no private-map ingest, no standing maintenance,
-    /// and no replies. The router broadcasts these so every node's
-    /// population (and therefore every cloak's k-count view) matches
-    /// the sequential reference. Unconditional by design: the router
-    /// only shadows updates for registered users, and the profile lives
-    /// on the owning node, not here. A row for a user this engine owns
-    /// moves the owned record; any other goes to the shadow map.
-    pub fn apply_shadow_update(&mut self, rows: &[(UserId, Point, SimTime)]) {
-        self.journal_op(|| EngineOp::ShadowBatch {
-            rows: rows.to_vec(),
+    /// Cluster mirror, the one entry point of the mirror plane: applies
+    /// other nodes' exact-update rows to the position plane, then ingests
+    /// the owners' cloaked replies into the private map and the standing
+    /// counts — phases 1 and 3 of [`Self::process_updates`], with no
+    /// cloaking, no standing-range maintenance and no replies. The
+    /// router broadcasts these so every node's population (and therefore
+    /// every cloak's k-count view) and every node's private records match
+    /// the sequential reference. Unconditional by design: the profile
+    /// lives on the owning node, not here. A row for a user this engine
+    /// owns moves the owned record; any other goes to the shadow map.
+    ///
+    /// The count registry's changed set is drained once, after the
+    /// cloaks, and discarded: every node's accumulators track the full
+    /// fleet, but only the owning node pushes deltas, so a mirrored
+    /// change must never queue a second push here. Standing *range*
+    /// entries are untouched — they key on true user ids, which a
+    /// pseudonymized record deliberately cannot name. One call is one
+    /// journal record.
+    pub fn apply_mirror(&mut self, rows: &[(UserId, Point, SimTime)], cloaks: &[CloakedUpdate]) {
+        self.journal_op(|| {
+            EngineOp::Mirror(wire::ResyncState {
+                rows: rows.to_vec(),
+                cloaks: cloaks.to_vec(),
+            })
         });
         for &(id, pos, _time) in rows {
             self.mirror(id, pos);
+        }
+        // Same guard as the batch path, so the registry's bookkeeping
+        // counters advance in lockstep with the owning node's.
+        let counted = !(self.standing_counts.is_empty() && self.standing_ranges.is_empty());
+        for update in cloaks {
+            let (key, region) = (update.pseudonym.0, update.region.region);
+            let old = self.private.insert(key, region);
+            if counted {
+                let fan = self
+                    .standing_counts
+                    .on_update(key, old.as_ref(), Some(&region));
+                self.obs.standing_fanout().record(fan as f64);
+            }
+        }
+        if counted && !cloaks.is_empty() {
+            let _ = self.standing_counts.take_changed();
         }
         self.maybe_snapshot();
     }
@@ -675,40 +702,14 @@ impl ShardedEngine {
         }
     }
 
-    /// Cluster mirror: ingests the owning node's cloaked reply — phase
-    /// 3 of [`Self::process_updates`] for a single record, plus the
-    /// standing-count delta. The count registry's changed set is
-    /// drained and discarded locally: every node's accumulators track
-    /// the full fleet, but only the owning node pushes deltas, so a
-    /// mirrored change must never queue a second push here. Standing
-    /// *range* entries are untouched — they key on true user ids, which
-    /// this pseudonymized record deliberately cannot name.
-    pub fn apply_cloak_ingest(&mut self, update: &CloakedUpdate) {
-        self.journal_op(|| EngineOp::IngestCloak { update: *update });
-        let region = update.region.region;
-        let key = update.pseudonym.0;
-        let old = self.private.insert(key, region);
-        // Same guard as the batch path, so the registry's bookkeeping
-        // counters advance in lockstep with the owning node's.
-        if !(self.standing_counts.is_empty() && self.standing_ranges.is_empty()) {
-            let fan = self
-                .standing_counts
-                .on_update(key, old.as_ref(), Some(&region));
-            self.obs.standing_fanout().record(fan as f64);
-            let _ = self.standing_counts.take_changed();
-        }
-        self.maybe_snapshot();
-    }
-
     /// Cluster handoff, outbound: extracts `user`'s single-copy state —
     /// privacy profile, current private cloak, standing-range ids — and
     /// removes the profile so this node stops answering for the user.
     /// The position and private-record planes are replicated fleet-wide
     /// and stay put: the position moves to the shadow map. Returns
     /// `None` (after journaling, so replay drains the same no-op) when
-    /// the user is not registered here. Profiles with time-of-day
-    /// entries flatten to their default requirement: the handoff frame
-    /// carries one `(k, a_min, a_max)` triple.
+    /// the user is not registered here. The whole profile travels, every
+    /// time-of-day entry included.
     pub fn handoff_export(&mut self, user: UserId) -> Option<wire::HandoffMsg> {
         self.journal_op(|| EngineOp::HandoffOut { subject: user });
         let owned = self.users.remove(&user);
@@ -716,24 +717,18 @@ impl ShardedEngine {
             self.placed -= 1;
             self.shadow.insert(user, pos);
         }
-        let msg = owned.map(|User { profile: p, .. }| {
-            let req = p.default_requirement();
-            let cloak = self.private.get(&self.pseudonym(user).0).copied();
-            wire::HandoffMsg {
-                subject: user,
-                k: req.k,
-                a_min: req.a_min,
-                a_max: req.a_max,
-                cloak,
-                ranges: self.standing_ranges.queries_of(user),
-            }
+        let msg = owned.map(|User { profile, .. }| wire::HandoffMsg {
+            subject: user,
+            profile,
+            cloak: self.private.get(&self.pseudonym(user).0).copied(),
+            ranges: self.standing_ranges.queries_of(user),
         });
         self.maybe_snapshot();
         msg
     }
 
     /// Cluster handoff, inbound: installs a migrated user's single-copy
-    /// state. The profile is rebuilt from the carried requirement, and
+    /// state. The carried profile is installed as it was registered, and
     /// the user's mirrored position becomes its owned one;
     /// standing-range entries — already present here via the
     /// registration broadcast — get their cloak, sequence number, and a
@@ -742,14 +737,7 @@ impl ShardedEngine {
     /// pushed, not a change).
     pub fn handoff_install(&mut self, msg: &wire::HandoffMsg) {
         self.journal_op(|| EngineOp::HandoffIn { msg: msg.clone() });
-        let req = CloakRequirement {
-            k: msg.k,
-            a_min: msg.a_min,
-            a_max: msg.a_max,
-        };
-        if let Ok(profile) = PrivacyProfile::uniform(req) {
-            self.own(msg.subject, profile);
-        }
+        self.own(msg.subject, msg.profile.clone());
         for &(id, seq) in &msg.ranges {
             self.standing_ranges
                 .install(id, msg.cloak, seq, &self.public);
@@ -760,9 +748,12 @@ impl ShardedEngine {
     /// Cluster rejoin, donor side: dumps the two replicated planes —
     /// every tracked position and every private cloak record — in
     /// canonical (sorted) form for a [`wire::ResyncState`] transfer.
-    /// Read-only: exporting is not a journaled mutation. Single-copy
-    /// user state (profiles, standing ownership) deliberately stays
-    /// out: it lives on exactly one node and never went stale.
+    /// The receiver installs it with one [`Self::apply_mirror`]: one
+    /// journal record, idempotent for rows and same-region cloaks it
+    /// already holds. Read-only: exporting is not a journaled mutation.
+    /// Single-copy user state (profiles, standing ownership)
+    /// deliberately stays out: it lives on exactly one node and never
+    /// went stale.
     pub fn resync_export(&self) -> wire::ResyncState {
         let rows = self
             .positions()
@@ -788,21 +779,6 @@ impl ShardedEngine {
             .collect();
         cloaks.sort_unstable_by_key(|c| c.pseudonym.0);
         wire::ResyncState { rows, cloaks }
-    }
-
-    /// Cluster rejoin, receiver side: installs a donor's replicated
-    /// planes through the ordinary shadow/ingest paths, so every row is
-    /// journaled as an [`EngineOp::ShadowBatch`] / [`EngineOp::IngestCloak`]
-    /// and the installed state survives a second crash. Idempotent for
-    /// rows this node already holds: position overwrites and
-    /// same-region cloak re-ingests net to zero change.
-    pub fn resync_install(&mut self, state: &wire::ResyncState) {
-        if !state.rows.is_empty() {
-            self.apply_shadow_update(&state.rows);
-        }
-        for c in &state.cloaks {
-            self.apply_cloak_ingest(c);
-        }
     }
 
     /// The standing count registry (read-only).
@@ -864,13 +840,10 @@ impl ShardedEngine {
 
     /// Re-applies one journaled mutation during recovery. Must run
     /// *before* [`Self::attach_durability`] so replayed ops are not
-    /// re-journaled. `RegisterUser`/`UpdateProfile` both resolve to
-    /// [`Self::register`] here — the engine keeps no activity flag (that
-    /// distinction lives in [`crate::PrivacyAwareSystem`]).
+    /// re-journaled.
     pub fn apply_op(&mut self, op: &EngineOp) {
         match op {
-            EngineOp::RegisterUser { id, profile, .. }
-            | EngineOp::UpdateProfile { id, profile } => self.register(*id, profile.clone()),
+            EngineOp::RegisterUser { id, profile } => self.register(*id, profile.clone()),
             EngineOp::UpdateBatch { rows } => {
                 self.process_updates(rows);
             }
@@ -893,8 +866,7 @@ impl ShardedEngine {
             EngineOp::TakeStandingChanges => {
                 self.take_standing_changes();
             }
-            EngineOp::ShadowBatch { rows } => self.apply_shadow_update(rows),
-            EngineOp::IngestCloak { update } => self.apply_cloak_ingest(update),
+            EngineOp::Mirror(state) => self.apply_mirror(&state.rows, &state.cloaks),
             EngineOp::HandoffOut { subject } => {
                 self.handoff_export(*subject);
             }
@@ -1176,7 +1148,10 @@ mod tests {
         // A cluster node's view of user 7: first only mirrored, then
         // owned (by registration or by an inbound handoff), then handed
         // off again. Users 0..6 are owned throughout; each is cloaked
-        // with k = 8, so every cloak counts user 7 or falls short.
+        // with k = 8, so every cloak counts user 7 or falls short. User 7
+        // holds a uniform profile or Fig. 2's, whose time-of-day entries
+        // a handoff must carry: its queries at 03:00, 12:00 and 19:00
+        // are held to the reference's.
         let k8 = || PrivacyProfile::uniform(CloakRequirement::k_only(8)).unwrap();
         let cfg = EngineConfig {
             grid_side: 4,
@@ -1185,12 +1160,6 @@ mod tests {
         let at = |i: u64| Point::new(0.02 + 0.03 * i as f64, 0.1);
         let others: Vec<_> = (0..7).map(|i| (i, at(i), SimTime::ZERO)).collect();
         let mover = [(7, at(7), SimTime::ZERO)];
-        // The reference owns user 7 from the start.
-        let mut reference = ShardedEngine::new(cfg, 1);
-        for i in 0..8 {
-            reference.register(i, k8());
-        }
-        reference.process_updates(&mover);
         let round_trips = |e: &ShardedEngine| {
             let state = e.export_state();
             let bytes = journal::encode_engine_state(&state);
@@ -1209,63 +1178,79 @@ mod tests {
             assert_eq!(a, b);
             assert!(a.iter().all(Result::is_ok));
         };
-        for adopt_by_handoff in [false, true] {
-            let mut e = ShardedEngine::new(cfg, 1);
+        let same_queries = |e: &ShardedEngine, reference: &ShardedEngine| {
+            for hour in [0.0, 3.0, 12.0, 19.0] {
+                let t = SimTime::from_hours(hour);
+                let query = |e: &ShardedEngine| e.range_query(7, t, 0.1).unwrap().request;
+                assert_eq!(query(e), query(reference), "user 7 at {hour}:00");
+            }
+        };
+        for profile in [k8(), PrivacyProfile::paper_example()] {
+            // The reference owns user 7 from the start.
+            let mut reference = ShardedEngine::new(cfg, 1);
             for i in 0..7 {
-                e.register(i, k8());
+                reference.register(i, k8());
             }
-            // Mirrored only: counted, not registered, and not served.
-            e.apply_shadow_update(&mover);
-            assert_eq!((e.population(), e.registered()), (1, 7));
-            assert!(matches!(
-                e.process_updates(&mover)[0],
-                Err(CloakError::UnknownUser(7))
-            ));
-            assert!(matches!(
-                e.range_query(7, SimTime::ZERO, 0.1),
-                Err(CloakError::UnknownUser(7))
-            ));
-            round_trips(&e);
-            same_cloaks(&mut e, &mut reference);
-            // Owned: the mirrored position is adopted, so user 7's next
-            // cloak, with no update of its own, matches the reference.
-            if adopt_by_handoff {
-                let mut donor = ShardedEngine::from_state(&reference.export_state());
-                let msg = donor.handoff_export(7).unwrap();
-                e.handoff_install(&msg);
-            } else {
-                e.register(7, k8());
-            }
-            assert_eq!((e.population(), e.registered()), (8, 8));
-            let query = |e: &ShardedEngine| e.range_query(7, SimTime::ZERO, 0.1).unwrap().request;
-            assert_eq!(query(&e), query(&reference));
-            round_trips(&e);
-            same_cloaks(&mut e, &mut reference);
-            // A mirror row for an owned user moves the owned record.
-            let nudged = [(7, Point::new(0.2, 0.2), SimTime::ZERO)];
-            e.apply_shadow_update(&nudged);
-            reference.process_updates(&nudged);
-            assert_eq!((e.population(), e.registered()), (8, 8));
-            assert_eq!(query(&e), query(&reference));
-            assert_eq!(
-                e.process_updates_wire(&mover),
-                reference.process_updates_wire(&mover)
-            );
-            // Handed off: the position stays counted, the profile goes.
-            assert!(e.handoff_export(7).is_some());
-            assert_eq!((e.population(), e.registered()), (8, 7));
-            assert!(matches!(
-                e.process_updates(&mover)[0],
-                Err(CloakError::UnknownUser(7))
-            ));
-            round_trips(&e);
-            same_cloaks(&mut e, &mut reference);
-            // A later mirror row moves the mirrored position.
-            let moved = [(7, Point::new(0.9, 0.9), SimTime::ZERO)];
-            e.apply_shadow_update(&moved);
-            reference.process_updates(&moved);
-            same_cloaks(&mut e, &mut reference);
+            reference.register(7, profile.clone());
             reference.process_updates(&mover);
+            for adopt_by_handoff in [false, true] {
+                let mut e = ShardedEngine::new(cfg, 1);
+                for i in 0..7 {
+                    e.register(i, k8());
+                }
+                // Mirrored only: counted, not registered, and not served.
+                e.apply_mirror(&mover, &[]);
+                assert_eq!((e.population(), e.registered()), (1, 7));
+                assert!(matches!(
+                    e.process_updates(&mover)[0],
+                    Err(CloakError::UnknownUser(7))
+                ));
+                assert!(matches!(
+                    e.range_query(7, SimTime::ZERO, 0.1),
+                    Err(CloakError::UnknownUser(7))
+                ));
+                round_trips(&e);
+                same_cloaks(&mut e, &mut reference);
+                // Owned: the mirrored position is adopted, so user 7's
+                // next cloak, with no update of its own, matches the
+                // reference.
+                if adopt_by_handoff {
+                    let mut donor = ShardedEngine::from_state(&reference.export_state());
+                    let msg = donor.handoff_export(7).unwrap();
+                    e.handoff_install(&msg);
+                } else {
+                    e.register(7, profile.clone());
+                }
+                assert_eq!((e.population(), e.registered()), (8, 8));
+                same_queries(&e, &reference);
+                round_trips(&e);
+                same_cloaks(&mut e, &mut reference);
+                // A mirror row for an owned user moves the owned record.
+                let nudged = [(7, Point::new(0.2, 0.2), SimTime::ZERO)];
+                e.apply_mirror(&nudged, &[]);
+                reference.process_updates(&nudged);
+                assert_eq!((e.population(), e.registered()), (8, 8));
+                same_queries(&e, &reference);
+                assert_eq!(
+                    e.process_updates_wire(&mover),
+                    reference.process_updates_wire(&mover)
+                );
+                // Handed off: the position stays counted, the profile goes.
+                assert!(e.handoff_export(7).is_some());
+                assert_eq!((e.population(), e.registered()), (8, 7));
+                assert!(matches!(
+                    e.process_updates(&mover)[0],
+                    Err(CloakError::UnknownUser(7))
+                ));
+                round_trips(&e);
+                same_cloaks(&mut e, &mut reference);
+                // A later mirror row moves the mirrored position.
+                let moved = [(7, Point::new(0.9, 0.9), SimTime::ZERO)];
+                e.apply_mirror(&moved, &[]);
+                reference.process_updates(&moved);
+                same_cloaks(&mut e, &mut reference);
+                reference.process_updates(&mover);
+            }
         }
     }
 
@@ -1528,14 +1513,23 @@ mod tests {
         for batch in [&rows[..1], &rows[1..3], &rows[3..]] {
             e.process_updates(batch);
         }
+        // A mirrored update with its owner's cloak, as `MIRROR_UPDATE`
+        // delivers it, and a resync install: one record each.
+        let mut donor = engine();
+        let cloak = donor.process_updates(&rows[..1]).remove(0).unwrap();
+        e.apply_mirror(&[(70, Point::new(0.3, 0.3), SimTime::ZERO)], &[cloak]);
+        let state = donor.resync_export();
+        e.apply_mirror(&state.rows, &state.cloaks);
         let log = records.lock().unwrap();
-        let sizes: Vec<usize> = log
+        let sizes: Vec<(usize, usize)> = log
             .iter()
             .map(|rec| match rec {
-                JournalRecord::Op(EngineOp::UpdateBatch { rows }) => rows.len(),
-                other => panic!("only update batches were applied, got {other:?}"),
+                JournalRecord::Op(EngineOp::UpdateBatch { rows }) => (rows.len(), 0),
+                JournalRecord::Op(EngineOp::Mirror(m)) => (m.rows.len(), m.cloaks.len()),
+                other => panic!("only batches and mirrors were applied, got {other:?}"),
             })
             .collect();
-        assert_eq!(sizes, [1, 2, 5]);
+        assert_eq!(sizes, [(1, 0), (2, 0), (5, 0), (1, 1), (1, 1)]);
+        assert!(matches!(log[4], JournalRecord::Op(EngineOp::Mirror(ref m)) if *m == state));
     }
 }

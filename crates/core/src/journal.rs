@@ -5,9 +5,10 @@
 //! This module defines what a durable deployment writes down:
 //!
 //! * [`EngineOp`] / [`JournalRecord`] — the logical mutation vocabulary
-//!   of [`crate::ShardedEngine`] and [`crate::PrivacyAwareSystem`]. One
-//!   record is appended to the write-ahead log *before* the mutation is
-//!   applied, so a crash loses at most work that was never acknowledged.
+//!   of [`crate::ShardedEngine`], the journal's only writer: one op per
+//!   engine event, appended to the write-ahead log *before* the mutation
+//!   is applied, so a crash loses at most work that was never
+//!   acknowledged.
 //! * [`EngineState`] — a bit-exact export of everything a
 //!   [`crate::ShardedEngine`] needs to resume: profiles, positions,
 //!   private records, public objects, and the *raw* accumulator state of
@@ -33,7 +34,7 @@ use crate::standing::{StandingRangeEntryState, StandingRangesState};
 use crate::wire::{self, StandingKind, EXACT_UPDATE_LEN};
 use crate::UserId;
 use bytes::{BufMut, Bytes};
-use lbsp_anonymizer::{CloakedUpdate, PrivacyProfile};
+use lbsp_anonymizer::PrivacyProfile;
 use lbsp_geom::{Point, Rect, SimTime};
 use lbsp_server::{ContinuousCountState, PublicObject, StandingCountQueryState};
 
@@ -73,7 +74,7 @@ pub trait DurabilitySink: Send {
     fn snapshot(&mut self, state: &[u8]) -> std::io::Result<()>;
 }
 
-/// The policy + sink pair an engine or system journals through, with
+/// The policy + sink pair the engine journals through, with
 /// the mutation counter that drives periodic snapshots.
 pub struct DurableHook {
     policy: Durability,
@@ -130,15 +131,13 @@ impl std::fmt::Debug for DurableHook {
     }
 }
 
-/// One logical mutation of the engine/system, as written to the log.
+/// One logical mutation of the engine, as written to the log.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineOp {
     /// A user registered (or re-registered) with a privacy profile.
     RegisterUser {
         /// True user id (the journal lives on the trusted side).
         id: UserId,
-        /// Active (shares locations) or passive.
-        active: bool,
         /// The registered privacy profile.
         profile: PrivacyProfile,
     },
@@ -197,29 +196,13 @@ pub enum EngineOp {
     /// The changed-query sets were drained (this mutates the registries,
     /// so replay must drain at the same points).
     TakeStandingChanges,
-    /// A user's privacy profile changed at runtime.
-    UpdateProfile {
-        /// True user id.
-        id: UserId,
-        /// The new profile.
-        profile: PrivacyProfile,
-    },
-    /// Cluster mirror: another node's exact-update rows, replayed into
-    /// this node's position plane only (no cloaking, no replies, no
-    /// standing-query evaluation). The rows travel anonymizer-tier to
-    /// anonymizer-tier — a trusted hop, like [`EngineOp::UpdateBatch`].
-    ShadowBatch {
-        /// `(user, exact position, time)` rows, in owner-batch order.
-        rows: Vec<(UserId, Point, SimTime)>,
-    },
-    /// Cluster mirror: the owning node's cloaked reply for one user,
-    /// relayed so every node's private store and standing-count registry
-    /// see the full fleet. Carries only the pseudonymized cloaked record
-    /// — never an exact point or true id.
-    IngestCloak {
-        /// The cloaked update, byte-identical to the owner's reply.
-        update: CloakedUpdate,
-    },
+    /// Cluster mirror: other nodes' exact-update rows for the position
+    /// plane and the owners' cloaked replies for the private store, as
+    /// one `MIRROR_UPDATE` or one resync install delivered them. Same
+    /// layout as [`wire::ResyncState`]. The rows travel anonymizer tier
+    /// to anonymizer tier — a trusted hop, like [`EngineOp::UpdateBatch`];
+    /// the cloaks carry pseudonyms and rectangles only.
+    Mirror(wire::ResyncState),
     /// Cluster handoff: a user's single-copy state (profile + standing
     /// range registrations) was extracted for migration to another node.
     HandoffOut {
@@ -237,33 +220,34 @@ pub enum EngineOp {
 /// One record in the write-ahead log.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalRecord {
-    /// First record of an engine journal: the engine configuration
+    /// First record of every journal: the engine configuration
     /// (including the pseudonym secret — recovery must reproduce the
     /// same pseudonym bijection or every server-side key changes).
     InitEngine(EngineConfig),
-    /// First record of a system journal.
-    InitSystem,
     /// A logical mutation.
     Op(EngineOp),
 }
 
-// Record tags. Ops are 0x01..; init records sit high so a truncated or
-// shuffled log cannot alias an op into an init.
-const TAG_REGISTER_USER: u8 = 0x01;
+// Record tags. Ops are 0x02..; init records sit high so a truncated or
+// shuffled log cannot alias an op into an init. A record whose layout
+// changes takes a fresh tag and its old one is never reused, so a log
+// in a retired layout fails to decode instead of being misread.
+// Retired: 0x01 (registration with an activity flag), 0x08 (profile
+// update), 0x09 and 0x0A (mirror rows and mirror cloaks as two
+// records), 0x0C (handoff carrying one requirement), 0xE1 (a system
+// journal's genesis).
 const TAG_UPDATE_BATCH: u8 = 0x02;
 const TAG_LOAD_PUBLIC: u8 = 0x03;
 const TAG_ADD_STANDING_COUNT: u8 = 0x04;
 const TAG_ADD_STANDING_RANGE: u8 = 0x05;
 const TAG_DEREGISTER_STANDING: u8 = 0x06;
 const TAG_TAKE_STANDING_CHANGES: u8 = 0x07;
-const TAG_UPDATE_PROFILE: u8 = 0x08;
-const TAG_SHADOW_BATCH: u8 = 0x09;
-const TAG_INGEST_CLOAK: u8 = 0x0A;
 const TAG_HANDOFF_OUT: u8 = 0x0B;
-const TAG_HANDOFF_IN: u8 = 0x0C;
 const TAG_INSTALL_STANDING: u8 = 0x0D;
+const TAG_REGISTER_USER: u8 = 0x0E;
+const TAG_MIRROR: u8 = 0x0F;
+const TAG_HANDOFF_IN: u8 = 0x10;
 const TAG_INIT_ENGINE: u8 = 0xE0;
-const TAG_INIT_SYSTEM: u8 = 0xE1;
 
 /// Version byte leading every encoded [`EngineState`]; bumped on any
 /// layout change so recovery fails loudly instead of misreading state.
@@ -295,15 +279,10 @@ impl Put for JournalRecord {
     fn put(&self, b: &mut impl BufMut) {
         let op = match self {
             JournalRecord::InitEngine(cfg) => return (TAG_INIT_ENGINE, cfg).put(b),
-            JournalRecord::InitSystem => return TAG_INIT_SYSTEM.put(b),
             JournalRecord::Op(op) => op,
         };
         match op {
-            EngineOp::RegisterUser {
-                id,
-                active,
-                profile,
-            } => (TAG_REGISTER_USER, (id, active), profile).put(b),
+            EngineOp::RegisterUser { id, profile } => (TAG_REGISTER_USER, id, profile).put(b),
             EngineOp::UpdateBatch { rows } => {
                 TAG_UPDATE_BATCH.put(b);
                 codec::put_list_u32(b, rows.iter());
@@ -328,29 +307,21 @@ impl Put for JournalRecord {
                 (TAG_DEREGISTER_STANDING, kind, id).put(b);
             }
             EngineOp::TakeStandingChanges => TAG_TAKE_STANDING_CHANGES.put(b),
-            EngineOp::UpdateProfile { id, profile } => (TAG_UPDATE_PROFILE, id, profile).put(b),
-            // Same rows as `UpdateBatch`; only the replay semantics differ.
-            EngineOp::ShadowBatch { rows } => {
-                TAG_SHADOW_BATCH.put(b);
-                codec::put_list_u32(b, rows.iter());
-            }
-            EngineOp::IngestCloak { update } => (TAG_INGEST_CLOAK, update).put(b),
+            EngineOp::Mirror(state) => (TAG_MIRROR, state).put(b),
             EngineOp::HandoffOut { subject } => (TAG_HANDOFF_OUT, subject).put(b),
             EngineOp::HandoffIn { msg } => (TAG_HANDOFF_IN, msg).put(b),
         }
     }
 }
 
-/// Unknown tags and invalid payloads (bad rectangles, invalid profiles,
-/// unknown standing kinds) are refused.
+/// Unknown and retired tags and invalid payloads (bad rectangles,
+/// invalid profiles, unknown standing kinds) are refused.
 impl Get for JournalRecord {
     fn get(r: &mut Reader<'_>) -> Option<JournalRecord> {
         let op = match r.get()? {
             TAG_INIT_ENGINE => return r.get().map(JournalRecord::InitEngine),
-            TAG_INIT_SYSTEM => return Some(JournalRecord::InitSystem),
             TAG_REGISTER_USER => EngineOp::RegisterUser {
                 id: r.get()?,
-                active: r.get()?,
                 profile: r.get()?,
             },
             TAG_UPDATE_BATCH => EngineOp::UpdateBatch {
@@ -380,14 +351,7 @@ impl Get for JournalRecord {
                 id: r.get()?,
             },
             TAG_TAKE_STANDING_CHANGES => EngineOp::TakeStandingChanges,
-            TAG_UPDATE_PROFILE => EngineOp::UpdateProfile {
-                id: r.get()?,
-                profile: r.get()?,
-            },
-            TAG_SHADOW_BATCH => EngineOp::ShadowBatch {
-                rows: r.list_u32(EXACT_UPDATE_LEN)?,
-            },
-            TAG_INGEST_CLOAK => EngineOp::IngestCloak { update: r.get()? },
+            TAG_MIRROR => EngineOp::Mirror(r.get()?),
             TAG_HANDOFF_OUT => EngineOp::HandoffOut { subject: r.get()? },
             TAG_HANDOFF_IN => EngineOp::HandoffIn { msg: r.get()? },
             _ => return None,
@@ -403,9 +367,9 @@ pub fn encode_record(rec: &JournalRecord) -> Bytes {
 }
 
 /// Decodes one journal record. Strict: the whole buffer must be exactly
-/// one record — short input, trailing bytes, unknown tags, and invalid
-/// payloads (bad rectangles, invalid profiles, unknown standing kinds)
-/// are all rejected with `None`.
+/// one record — short input, trailing bytes, unknown or retired tags,
+/// and invalid payloads (bad rectangles, invalid profiles, unknown
+/// standing kinds) are all rejected with `None`.
 pub fn decode_record(buf: &[u8]) -> Option<JournalRecord> {
     codec::decode(buf, Reader::get)
 }
@@ -529,7 +493,9 @@ mod tests {
     #![allow(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 
     use super::*;
-    use lbsp_anonymizer::{CloakRequirement, CloakedRegion, ProfileEntry, Pseudonym};
+    use lbsp_anonymizer::{
+        CloakRequirement, CloakedRegion, CloakedUpdate, ProfileEntry, Pseudonym,
+    };
     use lbsp_geom::{TimeInterval, TimeOfDay};
 
     fn world() -> Rect {
@@ -557,10 +523,8 @@ mod tests {
     fn sample_ops() -> Vec<JournalRecord> {
         vec![
             JournalRecord::InitEngine(EngineConfig::new(world())),
-            JournalRecord::InitSystem,
             JournalRecord::Op(EngineOp::RegisterUser {
                 id: 7,
-                active: true,
                 profile: profile(),
             }),
             JournalRecord::Op(EngineOp::UpdateBatch {
@@ -593,40 +557,37 @@ mod tests {
                 id: 0,
             }),
             JournalRecord::Op(EngineOp::TakeStandingChanges),
-            JournalRecord::Op(EngineOp::UpdateProfile {
-                id: 7,
-                profile: PrivacyProfile::uniform(CloakRequirement::k_only(50)).unwrap(),
-            }),
-            JournalRecord::Op(EngineOp::ShadowBatch {
+            JournalRecord::Op(EngineOp::Mirror(wire::ResyncState {
                 rows: vec![
                     (3, Point::new(0.125, 0.875), SimTime::from_secs(3.0)),
                     (5, Point::new(0.625, 0.375), SimTime::from_secs(4.0)),
                 ],
-            }),
-            JournalRecord::Op(EngineOp::IngestCloak {
-                update: CloakedUpdate {
-                    pseudonym: Pseudonym(0xBEEF),
-                    region: CloakedRegion {
-                        region: Rect::new_unchecked(0.25, 0.25, 0.5, 0.5),
-                        achieved_k: 7,
-                        k_satisfied: true,
-                        area_satisfied: false,
-                    },
-                    time: SimTime::from_secs(5.0),
-                },
-            }),
+                cloaks: vec![cloaked()],
+            })),
+            JournalRecord::Op(EngineOp::Mirror(wire::ResyncState::default())),
             JournalRecord::Op(EngineOp::HandoffOut { subject: 7 }),
             JournalRecord::Op(EngineOp::HandoffIn {
                 msg: wire::HandoffMsg {
                     subject: 7,
-                    k: 25,
-                    a_min: 0.001,
-                    a_max: f64::INFINITY,
+                    profile: PrivacyProfile::paper_example(),
                     cloak: Some(Rect::new_unchecked(0.25, 0.5, 0.375, 0.625)),
                     ranges: vec![(3, 7), (9, 0)],
                 },
             }),
         ]
+    }
+
+    fn cloaked() -> CloakedUpdate {
+        CloakedUpdate {
+            pseudonym: Pseudonym(0xBEEF),
+            region: CloakedRegion {
+                region: Rect::new_unchecked(0.25, 0.25, 0.5, 0.5),
+                achieved_k: 7,
+                k_satisfied: true,
+                area_satisfied: false,
+            },
+            time: SimTime::from_secs(5.0),
+        }
     }
 
     #[test]
@@ -659,7 +620,10 @@ mod tests {
         ];
         for rec in [
             JournalRecord::Op(EngineOp::UpdateBatch { rows: rows.clone() }),
-            JournalRecord::Op(EngineOp::ShadowBatch { rows: rows.clone() }),
+            JournalRecord::Op(EngineOp::Mirror(wire::ResyncState {
+                rows: rows.clone(),
+                cloaks: Vec::new(),
+            })),
         ] {
             let bytes = encode_record(&rec);
             let decoded = decode_record(&bytes).unwrap_or_else(|| panic!("decode {rec:?}"));
@@ -672,15 +636,30 @@ mod tests {
     fn unknown_tags_and_bad_payloads_rejected() {
         assert_eq!(decode_record(&[]), None);
         assert_eq!(decode_record(&[0x7F]), None);
-        // Invalid active flag.
-        let mut bad = encode_record(&JournalRecord::Op(EngineOp::RegisterUser {
-            id: 1,
-            active: true,
-            profile: profile(),
-        }))
-        .to_vec();
-        bad[9] = 2;
-        assert_eq!(decode_record(&bad), None);
+        // Retired tags, each in the layout it last had: a log in that
+        // layout must fail to decode, never be misread. Registration
+        // with an activity flag (0x01), a profile update (0x08), mirror
+        // rows (0x09), one mirror cloak (0x0A), a handoff carrying one
+        // `(k, a_min, a_max)` triple (0x0C), a system genesis (0xE1).
+        let id = 7u64.to_le_bytes();
+        let cloak = wire::encode_cloaked_update(&cloaked());
+        let row = codec::to_bytes(&(7u64, Point::new(0.5, 0.5), SimTime::ZERO), 32);
+        let triple = codec::to_bytes(&CloakRequirement::k_only(25), 20);
+        let retired: [(u8, Vec<u8>); 6] = [
+            (
+                0x01,
+                [&id[..], &[1], &codec::to_bytes(&profile(), 64)].concat(),
+            ),
+            (0x08, [&id[..], &codec::to_bytes(&profile(), 64)].concat()),
+            (0x09, [&1u32.to_le_bytes()[..], &row].concat()),
+            (0x0A, cloak.to_vec()),
+            (0x0C, [&id[..], &triple, &[0], &0u32.to_le_bytes()].concat()),
+            (0xE1, Vec::new()),
+        ];
+        for (tag, payload) in retired {
+            let rec = [&[tag][..], &payload].concat();
+            assert_eq!(decode_record(&rec), None, "retired tag 0x{tag:02X}");
+        }
         // Invalid standing kind.
         let mut bad = encode_record(&JournalRecord::Op(EngineOp::DeregisterStanding {
             kind: StandingKind::Range,
@@ -700,7 +679,7 @@ mod tests {
 
     #[test]
     fn invalid_profile_minutes_rejected() {
-        let rec = JournalRecord::Op(EngineOp::UpdateProfile {
+        let rec = JournalRecord::Op(EngineOp::RegisterUser {
             id: 1,
             profile: profile(),
         });
@@ -815,9 +794,10 @@ mod tests {
             Box::new(NullSink),
         );
         assert!(!hook.snapshot_due());
-        hook.append(&JournalRecord::InitSystem).unwrap();
+        let rec = JournalRecord::Op(EngineOp::TakeStandingChanges);
+        hook.append(&rec).unwrap();
         assert!(!hook.snapshot_due());
-        hook.append(&JournalRecord::InitSystem).unwrap();
+        hook.append(&rec).unwrap();
         assert!(hook.snapshot_due());
         hook.install_snapshot(&[]).unwrap();
         assert!(!hook.snapshot_due());
@@ -830,7 +810,7 @@ mod tests {
             Box::new(NullSink),
         );
         for _ in 0..10 {
-            never.append(&JournalRecord::InitSystem).unwrap();
+            never.append(&rec).unwrap();
         }
         assert!(!never.snapshot_due());
     }

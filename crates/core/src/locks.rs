@@ -37,7 +37,7 @@ use std::fmt;
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Number of declared lock ranks.
-pub const LOCK_RANK_COUNT: usize = 9;
+pub const LOCK_RANK_COUNT: usize = 8;
 
 /// The ordered lock registry. Declaration order *is* acquisition order:
 /// a thread holding a lock of some rank may only acquire locks of equal
@@ -70,9 +70,6 @@ pub enum LockRank {
     /// node and router tiers. Ranked after `Engine` so delta
     /// fan-out may acquire it while the engine is held.
     NetStandingSubs,
-    /// `lbsp-anonymizer`: the `ConcurrentAnonymizer` service lock
-    /// (annotated at its raw `RwLock` site).
-    AnonService,
     /// `lbsp-anonymizer`: the `HilbertCloak` lazily rebuilt rank array
     /// (annotated at its raw `RwLock` site).
     HilbertRanks,
@@ -90,7 +87,6 @@ impl LockRank {
         LockRank::ClusterNode,
         LockRank::Engine,
         LockRank::NetStandingSubs,
-        LockRank::AnonService,
         LockRank::HilbertRanks,
         LockRank::ChaosProxy,
     ];
@@ -109,7 +105,6 @@ impl LockRank {
             LockRank::ClusterNode => "ClusterNode",
             LockRank::Engine => "Engine",
             LockRank::NetStandingSubs => "NetStandingSubs",
-            LockRank::AnonService => "AnonService",
             LockRank::HilbertRanks => "HilbertRanks",
             LockRank::ChaosProxy => "ChaosProxy",
         }
@@ -482,9 +477,9 @@ mod tests {
     #[cfg(debug_assertions)]
     fn release_restores_the_acquisition_stack() {
         {
-            let a = TrackedMutex::new(LockRank::AnonService, ());
+            let a = TrackedMutex::new(LockRank::HilbertRanks, ());
             let _g = a.lock();
-            assert_eq!(debug_check::held_now(), vec![LockRank::AnonService]);
+            assert_eq!(debug_check::held_now(), vec![LockRank::HilbertRanks]);
         }
         assert!(debug_check::held_now().is_empty(), "guard drop pops");
         // After a full acquire/release cycle, descending order on fresh

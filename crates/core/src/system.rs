@@ -1,6 +1,5 @@
 //! The end-to-end privacy-aware system (Fig. 1).
 
-use crate::journal::{Durability, DurabilitySink, DurableHook, EngineOp, JournalRecord};
 use crate::obs::{MetricsRegistry, Stage};
 use crate::standing::{StandingPrivateRanges, StandingQueryId};
 use crate::{MobileUser, UserId, UserMode};
@@ -45,7 +44,8 @@ pub struct NnQueryOutcome {
 /// The struct owns both sides of the trust boundary purely for
 /// simulation convenience; all data flow between them goes through the
 /// same typed interfaces a distributed deployment would use (see
-/// [`crate::wire`]).
+/// [`crate::wire`]). It lives in memory only: the durable, recoverable
+/// deployment is [`crate::ShardedEngine`], the journal's one writer.
 pub struct PrivacyAwareSystem<A> {
     anonymizer: LocationAnonymizer<A>,
     server: Server,
@@ -58,12 +58,6 @@ pub struct PrivacyAwareSystem<A> {
     /// candidate-set histograms, cloak-failure counters) — same registry
     /// type the sharded engine and the network front-end feed.
     obs: Arc<MetricsRegistry>,
-    /// Optional write-ahead journal. Unlike the sharded engine, the
-    /// system never takes snapshots: the cloaking algorithm `A` is an
-    /// opaque type parameter whose internal state has no canonical byte
-    /// form, so recovery is always a full-log replay (the log is
-    /// deterministic, so replay converges to the identical system).
-    durable: Option<DurableHook>,
 }
 
 impl<A: CloakingAlgorithm> PrivacyAwareSystem<A> {
@@ -76,7 +70,6 @@ impl<A: CloakingAlgorithm> PrivacyAwareSystem<A> {
             users: HashMap::new(),
             device_positions: HashMap::new(),
             obs: Arc::new(MetricsRegistry::new()),
-            durable: None,
         }
     }
 
@@ -85,97 +78,8 @@ impl<A: CloakingAlgorithm> PrivacyAwareSystem<A> {
         &self.obs
     }
 
-    /// Attaches a write-ahead journal: every logical mutation is logged
-    /// before it is applied. The caller writes the leading
-    /// [`JournalRecord::InitSystem`] record on a fresh log and replays
-    /// an existing one through [`Self::apply_op`] *before* attaching.
-    /// The system never snapshots (see the `durable` field docs), so
-    /// `policy.snapshot_every` is ignored here.
-    pub fn attach_durability(&mut self, policy: Durability, sink: Box<dyn DurabilitySink>) {
-        self.durable = Some(DurableHook::new(policy, sink));
-    }
-
-    /// Whether a durability sink is attached.
-    pub fn is_durable(&self) -> bool {
-        self.durable.is_some()
-    }
-
-    /// Journals one logical mutation (write-ahead). Failures are
-    /// fail-stop: continuing past a lost journal write would let the
-    /// system silently diverge from its log.
-    fn journal_op(&mut self, build: impl FnOnce() -> EngineOp) {
-        if self.durable.is_none() {
-            return;
-        }
-        let rec = JournalRecord::Op(build());
-        let hook = self.durable.as_mut().expect("durability checked above");
-        let start = Instant::now();
-        hook.append(&rec).expect("durability: WAL append failed");
-        self.obs
-            .stage(Stage::WalAppend)
-            .record_duration(start.elapsed());
-        if hook.policy().fsync {
-            let start = Instant::now();
-            hook.sync().expect("durability: WAL fsync failed");
-            self.obs
-                .stage(Stage::WalFsync)
-                .record_duration(start.elapsed());
-        }
-    }
-
-    /// Re-applies one journaled mutation during recovery (before any
-    /// sink is attached, so nothing is re-journaled). Ops only the
-    /// sharded engine produces (`LoadPublic`, standing installs /
-    /// deregistration / drains) are ignored: a system journal never
-    /// contains them.
-    pub fn apply_op(&mut self, op: &EngineOp) {
-        match op {
-            EngineOp::RegisterUser {
-                id,
-                active,
-                profile,
-            } => self.register_user(MobileUser {
-                id: *id,
-                mode: if *active {
-                    UserMode::Active
-                } else {
-                    UserMode::Passive
-                },
-                profile: profile.clone(),
-            }),
-            EngineOp::UpdateProfile { id, profile } => {
-                let _ = self.update_profile(*id, profile.clone());
-            }
-            EngineOp::UpdateBatch { rows } => {
-                for &(id, position, time) in rows {
-                    let _ = self.process_update(id, position, time);
-                }
-            }
-            EngineOp::AddStandingCount { area } => {
-                self.add_standing_count(*area);
-            }
-            EngineOp::AddStandingRange { user, radius } => {
-                self.add_standing_private_range(*user, *radius);
-            }
-            EngineOp::LoadPublic { .. }
-            | EngineOp::InstallStandingCount { .. }
-            | EngineOp::InstallStandingRange { .. }
-            | EngineOp::DeregisterStanding { .. }
-            | EngineOp::TakeStandingChanges
-            | EngineOp::ShadowBatch { .. }
-            | EngineOp::IngestCloak { .. }
-            | EngineOp::HandoffOut { .. }
-            | EngineOp::HandoffIn { .. } => {}
-        }
-    }
-
     /// Registers a user. Passive users are remembered but never indexed.
     pub fn register_user(&mut self, user: MobileUser) {
-        self.journal_op(|| EngineOp::RegisterUser {
-            id: user.id,
-            active: user.is_active(),
-            profile: user.profile.clone(),
-        });
         if user.is_active() {
             self.anonymizer.register(user.id, user.profile.clone());
         }
@@ -188,13 +92,6 @@ impl<A: CloakingAlgorithm> PrivacyAwareSystem<A> {
         id: UserId,
         profile: PrivacyProfile,
     ) -> Result<(), CloakError> {
-        // Journal before the fallible apply: the anonymizer's rejection
-        // is deterministic, so replay re-rejects the same record and
-        // converges to the same state.
-        self.journal_op(|| EngineOp::UpdateProfile {
-            id,
-            profile: profile.clone(),
-        });
         self.anonymizer.update_profile(id, profile.clone())?;
         if let Some(u) = self.users.get_mut(&id) {
             u.profile = profile;
@@ -246,13 +143,6 @@ impl<A: CloakingAlgorithm> PrivacyAwareSystem<A> {
             Some(_) => {}
             None => return Err(CloakError::UnknownUser(id)),
         }
-        // Journal after the passive/unknown early-outs (those mutate
-        // nothing) but before the device + anonymizer state changes.
-        // Cloak failures below still mutate the grid position, so the
-        // row must be on disk even when the cloak errors.
-        self.journal_op(|| EngineOp::UpdateBatch {
-            rows: vec![(id, position, time)],
-        });
         self.device_positions.insert(id, position);
         let start = Instant::now();
         let update = match self.anonymizer.handle_update(id, position, time) {
@@ -422,7 +312,6 @@ impl<A: CloakingAlgorithm> PrivacyAwareSystem<A> {
     /// Adds a standing count query; returns its id. Results are read via
     /// [`PrivacyAwareSystem::continuous_counts`].
     pub fn add_standing_count(&mut self, area: Rect) -> u64 {
-        self.journal_op(|| EngineOp::AddStandingCount { area });
         self.server.add_standing_count(area)
     }
 
@@ -431,7 +320,6 @@ impl<A: CloakingAlgorithm> PrivacyAwareSystem<A> {
     /// is read back with
     /// [`PrivacyAwareSystem::standing_range_candidates`].
     pub fn add_standing_private_range(&mut self, user: UserId, radius: f64) -> StandingQueryId {
-        self.journal_op(|| EngineOp::AddStandingRange { user, radius });
         self.standing_ranges.register(user, radius)
     }
 

@@ -15,7 +15,7 @@
 
 use crate::codec::{self, Get, Put, Reader};
 use bytes::{BufMut, Bytes, BytesMut};
-use lbsp_anonymizer::{CloakRequirement, CloakedUpdate, Pseudonym};
+use lbsp_anonymizer::{CloakRequirement, CloakedUpdate, PrivacyProfile, Pseudonym};
 use lbsp_geom::{Point, Rect, SimTime};
 
 /// Message tags used by the framed network transport (`lbsp-net`).
@@ -422,8 +422,12 @@ pub struct RegisterMsg {
 
 /// Encodes a registration request.
 pub fn encode_register(msg: &RegisterMsg) -> Bytes {
-    let fields = (msg.user, requirement(msg.k, msg.a_min, msg.a_max));
-    codec::to_bytes(&fields, REGISTER_LEN)
+    let req = CloakRequirement {
+        k: msg.k,
+        a_min: msg.a_min,
+        a_max: msg.a_max,
+    };
+    codec::to_bytes(&(msg.user, req), REGISTER_LEN)
 }
 
 /// Decodes a registration request; the requirement must pass
@@ -438,11 +442,6 @@ pub fn decode_register(buf: &[u8]) -> Option<RegisterMsg> {
             a_max: req.a_max,
         })
     })
-}
-
-/// The requirement a [`RegisterMsg`] or [`HandoffMsg`] spells out.
-fn requirement(k: u32, a_min: f64, a_max: f64) -> CloakRequirement {
-    CloakRequirement { k, a_min, a_max }
 }
 
 /// Byte length of an encoded user-side query request.
@@ -797,22 +796,19 @@ pub fn decode_handoff_pull(buf: &[u8]) -> Option<u64> {
 
 /// A user's migratable live state, carried by [`tag::USER_HANDOFF`] /
 /// [`tag::HANDOFF_PUSH`] frames when movement crosses a partition
-/// boundary: the uniform privacy requirement, the last *cloaked* region
-/// (never an exact point — the taint rule checks this structurally),
-/// and the `(id, seq)` pairs of the standing range queries the subject
-/// owns. Candidate sets are re-derived from the cloak and the public
-/// store on install, so they never cross the wire.
+/// boundary: the whole privacy profile (Fig. 2: every time-of-day entry
+/// and the default), the last *cloaked* region (never an exact point —
+/// the taint rule checks this structurally), and the `(id, seq)` pairs
+/// of the standing range queries the subject owns. Candidate sets are
+/// re-derived from the cloak and the public store on install, so they
+/// never cross the wire.
 // lint: server-bound
 #[derive(Debug, Clone, PartialEq)]
 pub struct HandoffMsg {
     /// Id of the migrating subject (cluster-internal trusted hop).
     pub subject: u64,
-    /// Required anonymity level.
-    pub k: u32,
-    /// Minimum acceptable cloak area.
-    pub a_min: f64,
-    /// Maximum acceptable cloak area (`f64::INFINITY` = unbounded).
-    pub a_max: f64,
+    /// The subject's privacy profile, exactly as it was registered.
+    pub profile: PrivacyProfile,
     /// The subject's current cloaked region, if one was ever produced.
     pub cloak: Option<Rect>,
     /// `(query id, change seq)` of each owned standing range query,
@@ -820,24 +816,20 @@ pub struct HandoffMsg {
     pub ranges: Vec<(u64, u64)>,
 }
 
-/// The requirement must pass [`CloakRequirement::validate`].
+/// The profile must pass [`PrivacyProfile::new`]'s validation.
 impl Put for HandoffMsg {
     fn put(&self, b: &mut impl BufMut) {
-        let req = requirement(self.k, self.a_min, self.a_max);
-        (self.subject, req, self.cloak).put(b);
+        (self.subject, &self.profile, self.cloak).put(b);
         codec::put_list_u32(b, self.ranges.iter());
     }
 }
 
 impl Get for HandoffMsg {
     fn get(r: &mut Reader<'_>) -> Option<HandoffMsg> {
-        let (subject, req, cloak) = r.get::<(u64, CloakRequirement, Option<Rect>)>()?;
         Some(HandoffMsg {
-            subject,
-            k: req.k,
-            a_min: req.a_min,
-            a_max: req.a_max,
-            cloak,
+            subject: r.get()?,
+            profile: r.get()?,
+            cloak: r.get()?,
             ranges: r.list_u32(16)?,
         })
     }
@@ -845,7 +837,8 @@ impl Get for HandoffMsg {
 
 /// Encodes a handoff message.
 pub fn encode_handoff(msg: &HandoffMsg) -> Bytes {
-    codec::to_bytes(msg, 8 + 20 + 33 + 4 + 16 * msg.ranges.len())
+    let profile = 24 + 28 * msg.profile.entries().len();
+    codec::to_bytes(msg, 8 + profile + 33 + 4 + 16 * msg.ranges.len())
 }
 
 /// Decodes a handoff message.
@@ -899,25 +892,34 @@ pub struct ResyncState {
     pub cloaks: Vec<CloakedUpdate>,
 }
 
-/// Encodes a resync state transfer: the `u32`-prefixed rows, then the
-/// `u32`-prefixed cloak records.
-pub fn encode_resync_state(state: &ResyncState) -> Bytes {
-    let mut b = BytesMut::new();
-    codec::put_list_u32(&mut b, state.rows.iter());
-    codec::put_list_u32(&mut b, state.cloaks.iter());
-    b.freeze()
+/// The `u32`-prefixed rows, then the `u32`-prefixed cloak records.
+impl Put for ResyncState {
+    fn put(&self, b: &mut impl BufMut) {
+        codec::put_list_u32(b, self.rows.iter());
+        codec::put_list_u32(b, self.cloaks.iter());
+    }
 }
 
-/// Decodes a resync state transfer: the rows as the donor's plane holds
-/// them, and every cloak record held to [`decode_cloaked_update`]'s
-/// rules.
-pub fn decode_resync_state(buf: &[u8]) -> Option<ResyncState> {
-    codec::decode(buf, |r| {
+/// The rows as the sender's plane holds them, and every cloak record
+/// held to [`decode_cloaked_update`]'s rules.
+impl Get for ResyncState {
+    fn get(r: &mut Reader<'_>) -> Option<ResyncState> {
         Some(ResyncState {
-            rows: r.list_u32(32)?,
+            rows: r.list_u32(EXACT_UPDATE_LEN)?,
             cloaks: r.list_u32(CLOAKED_UPDATE_LEN)?,
         })
-    })
+    }
+}
+
+/// Encodes a resync state transfer.
+pub fn encode_resync_state(state: &ResyncState) -> Bytes {
+    let len = 8 + EXACT_UPDATE_LEN * state.rows.len() + CLOAKED_UPDATE_LEN * state.cloaks.len();
+    codec::to_bytes(state, len)
+}
+
+/// Decodes a resync state transfer.
+pub fn decode_resync_state(buf: &[u8]) -> Option<ResyncState> {
+    codec::decode(buf, Reader::get)
 }
 
 use crate::metrics::{NetCountersSnapshot, LOCK_HOLD_BUCKETS};
@@ -1407,9 +1409,7 @@ mod tests {
     fn handoff_roundtrip_and_validation() {
         let msg = HandoffMsg {
             subject: 42,
-            k: 25,
-            a_min: 0.001,
-            a_max: f64::INFINITY,
+            profile: PrivacyProfile::paper_example(),
             cloak: Some(Rect::new_unchecked(0.25, 0.5, 0.375, 0.625)),
             ranges: vec![(3, 7), (9, 0)],
         };
@@ -1428,34 +1428,45 @@ mod tests {
         let mut long = bytes.to_vec();
         long.push(0);
         assert_eq!(decode_handoff(&long), None);
-        // An unknown cloak-presence byte is rejected (offset 28).
+        // The subject (8 bytes), the default requirement (20), the entry
+        // count (4) and three 28-byte entries come before the cloak.
+        let cloak_at = 8 + 20 + 4 + 3 * 28;
+        // An unknown cloak-presence byte is rejected.
         let mut bad = bytes.to_vec();
-        bad[28] = 7;
+        bad[cloak_at] = 7;
         assert_eq!(decode_handoff(&bad), None);
-        // An inverted cloak rectangle is rejected (max_x at offset 45).
+        // An inverted cloak rectangle is rejected (max_x).
         let mut inverted = bytes.to_vec();
-        inverted[45..53].copy_from_slice(&(-5.0f64).to_le_bytes());
+        inverted[cloak_at + 17..cloak_at + 25].copy_from_slice(&(-5.0f64).to_le_bytes());
         assert_eq!(decode_handoff(&inverted), None);
         // A range count promising more entries than present is rejected.
         let mut lying = bytes.to_vec();
-        lying[61..65].copy_from_slice(&100u32.to_le_bytes());
+        lying[cloak_at + 33..cloak_at + 37].copy_from_slice(&100u32.to_le_bytes());
         assert_eq!(decode_handoff(&lying), None);
-        // An invalid requirement is rejected, k = 0 and a NaN a_max
-        // included.
+        // An entry starting past the end of the day is rejected.
+        let mut late = bytes.to_vec();
+        late[32..36].copy_from_slice(&2000u32.to_le_bytes());
+        assert_eq!(decode_handoff(&late), None);
+        // An invalid requirement is rejected, as the default or as an
+        // entry's, k = 0 and a NaN a_max included.
         for (k, a_min, a_max) in [
-            (0, 0.0, 1.0),
+            (0u32, 0.0f64, 1.0f64),
             (25, f64::NAN, 1.0),
             (25, -0.5, 1.0),
             (25, 2.0, 1.0),
             (25, 0.0, f64::NAN),
         ] {
-            let bad = HandoffMsg {
-                k,
-                a_min,
-                a_max,
-                ..msg.clone()
-            };
-            assert_eq!(decode_handoff(&encode_handoff(&bad)), None);
+            let req = [
+                &k.to_le_bytes()[..],
+                &a_min.to_le_bytes(),
+                &a_max.to_le_bytes(),
+            ]
+            .concat();
+            for at in [8, 32 + 8] {
+                let mut bad = bytes.to_vec();
+                bad[at..at + 20].copy_from_slice(&req);
+                assert_eq!(decode_handoff(&bad), None, "requirement at {at}");
+            }
         }
     }
 

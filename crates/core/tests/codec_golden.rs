@@ -57,9 +57,7 @@ fn exact() -> wire::ExactUpdateMsg {
 fn handoff() -> wire::HandoffMsg {
     wire::HandoffMsg {
         subject: 42,
-        k: 25,
-        a_min: 0.5,
-        a_max: f64::INFINITY,
+        profile: profile(),
         cloak: Some(rect(0.25, 0.5, 0.375, 0.625)),
         ranges: vec![(3, 7), (9, 0)],
     }
@@ -305,12 +303,10 @@ fn journal_records() -> Vec<(&'static str, JournalRecord)> {
     ];
     vec![
         ("init_engine", JournalRecord::InitEngine(config())),
-        ("init_system", JournalRecord::InitSystem),
         (
             "register_user",
             JournalRecord::Op(EngineOp::RegisterUser {
                 id: 7,
-                active: true,
                 profile: profile(),
             }),
         ),
@@ -364,20 +360,11 @@ fn journal_records() -> Vec<(&'static str, JournalRecord)> {
             JournalRecord::Op(EngineOp::TakeStandingChanges),
         ),
         (
-            "update_profile",
-            JournalRecord::Op(EngineOp::UpdateProfile {
-                id: 7,
-                profile: PrivacyProfile::uniform(CloakRequirement::k_only(50))
-                    .expect("a valid fixture profile"),
-            }),
-        ),
-        (
-            "shadow_batch",
-            JournalRecord::Op(EngineOp::ShadowBatch { rows }),
-        ),
-        (
-            "ingest_cloak",
-            JournalRecord::Op(EngineOp::IngestCloak { update: cloaked() }),
+            "mirror",
+            JournalRecord::Op(EngineOp::Mirror(wire::ResyncState {
+                rows,
+                cloaks: vec![cloaked()],
+            })),
         ),
         (
             "handoff_out",
@@ -628,17 +615,19 @@ const WIRE_GOLDEN: &[(&str, &[u8])] = &[
     (
         "handoff",
         &[
-            42, 0, 0, 0, 0, 0, 0, 0, 25, 0, 0, 0, 0, 0, 0, 0, 0, 0, 224, 63, 0, 0, 0, 0, 0, 0, 240,
-            127, 1, 0, 0, 0, 0, 0, 0, 208, 63, 0, 0, 0, 0, 0, 0, 224, 63, 0, 0, 0, 0, 0, 0, 216,
-            63, 0, 0, 0, 0, 0, 0, 228, 63, 2, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0,
-            0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            42, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 240,
+            127, 1, 0, 0, 0, 28, 2, 0, 0, 252, 3, 0, 0, 25, 0, 0, 0, 0, 0, 0, 0, 0, 0, 176, 63, 0,
+            0, 0, 0, 0, 0, 224, 63, 1, 0, 0, 0, 0, 0, 0, 208, 63, 0, 0, 0, 0, 0, 0, 224, 63, 0, 0,
+            0, 0, 0, 0, 216, 63, 0, 0, 0, 0, 0, 0, 228, 63, 2, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 7,
+            0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
         ],
     ),
     (
         "handoff_bare",
         &[
-            42, 0, 0, 0, 0, 0, 0, 0, 25, 0, 0, 0, 0, 0, 0, 0, 0, 0, 224, 63, 0, 0, 0, 0, 0, 0, 240,
-            127, 0, 0, 0, 0, 0,
+            42, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 240,
+            127, 1, 0, 0, 0, 28, 2, 0, 0, 252, 3, 0, 0, 25, 0, 0, 0, 0, 0, 0, 0, 0, 0, 176, 63, 0,
+            0, 0, 0, 0, 0, 224, 63, 0, 0, 0, 0, 0,
         ],
     ),
     ("route_fail", &[1, 110, 111, 100, 101, 32, 49]),
@@ -662,13 +651,12 @@ const JOURNAL_GOLDEN: &[(&str, &[u8])] = &[
             0, 0, 0, 0, 240, 63, 32, 0, 0, 0, 1, 239, 205, 171, 137, 103, 69, 35, 1,
         ],
     ),
-    ("init_system", &[225]),
     (
         "register_user",
         &[
-            1, 7, 0, 0, 0, 0, 0, 0, 0, 1, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-            240, 127, 1, 0, 0, 0, 28, 2, 0, 0, 252, 3, 0, 0, 25, 0, 0, 0, 0, 0, 0, 0, 0, 0, 176,
-            63, 0, 0, 0, 0, 0, 0, 224, 63,
+            14, 7, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 240,
+            127, 1, 0, 0, 0, 28, 2, 0, 0, 252, 3, 0, 0, 25, 0, 0, 0, 0, 0, 0, 0, 0, 0, 176, 63, 0,
+            0, 0, 0, 0, 0, 224, 63,
         ],
     ),
     (
@@ -713,6 +701,41 @@ const JOURNAL_GOLDEN: &[(&str, &[u8])] = &[
     ("deregister_standing", &[6, 0, 5, 0, 0, 0, 0, 0, 0, 0]),
     ("take_standing_changes", &[7]),
     (
+        "mirror",
+        &[
+            15, 2, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 208, 63, 0, 0, 0, 0, 0, 0,
+            232, 63, 0, 0, 0, 0, 0, 0, 240, 63, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 224, 63,
+            0, 0, 0, 0, 0, 0, 224, 63, 0, 0, 0, 0, 0, 0, 0, 64, 1, 0, 0, 0, 137, 103, 69, 35, 1,
+            239, 205, 171, 0, 0, 0, 0, 0, 0, 208, 63, 0, 0, 0, 0, 0, 0, 224, 63, 0, 0, 0, 0, 0, 0,
+            216, 63, 0, 0, 0, 0, 0, 0, 228, 63, 0, 0, 0, 0, 0, 74, 147, 64, 42, 0, 0, 0, 1,
+        ],
+    ),
+    ("handoff_out", &[11, 7, 0, 0, 0, 0, 0, 0, 0]),
+    (
+        "handoff_in",
+        &[
+            16, 42, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 240,
+            127, 1, 0, 0, 0, 28, 2, 0, 0, 252, 3, 0, 0, 25, 0, 0, 0, 0, 0, 0, 0, 0, 0, 176, 63, 0,
+            0, 0, 0, 0, 0, 224, 63, 1, 0, 0, 0, 0, 0, 0, 208, 63, 0, 0, 0, 0, 0, 0, 224, 63, 0, 0,
+            0, 0, 0, 0, 216, 63, 0, 0, 0, 0, 0, 0, 228, 63, 2, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 7,
+            0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        ],
+    ),
+];
+
+/// Records the journal no longer writes, as their retired layouts wrote
+/// them: a log holding one must fail to decode, never be misread.
+const RETIRED_JOURNAL: &[(&str, &[u8])] = &[
+    ("init_system", &[225]),
+    (
+        "register_user",
+        &[
+            1, 7, 0, 0, 0, 0, 0, 0, 0, 1, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            240, 127, 1, 0, 0, 0, 28, 2, 0, 0, 252, 3, 0, 0, 25, 0, 0, 0, 0, 0, 0, 0, 0, 0, 176,
+            63, 0, 0, 0, 0, 0, 0, 224, 63,
+        ],
+    ),
+    (
         "update_profile",
         &[
             8, 7, 0, 0, 0, 0, 0, 0, 0, 50, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 240,
@@ -735,7 +758,6 @@ const JOURNAL_GOLDEN: &[(&str, &[u8])] = &[
             64, 42, 0, 0, 0, 1,
         ],
     ),
-    ("handoff_out", &[11, 7, 0, 0, 0, 0, 0, 0, 0]),
     (
         "handoff_in",
         &[
@@ -773,6 +795,13 @@ fn wire_messages_keep_their_bytes() {
 #[test]
 fn journal_records_keep_their_bytes() {
     check_pinned(journal_cases(), JOURNAL_GOLDEN);
+}
+
+#[test]
+fn retired_journal_records_do_not_decode() {
+    for (name, bytes) in RETIRED_JOURNAL {
+        assert_eq!(decode_record(bytes), None, "{name}");
+    }
 }
 
 #[test]

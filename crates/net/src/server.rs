@@ -698,11 +698,8 @@ impl EngineService {
                     NetCounters::add(&counters.frames_rejected, 1);
                     return err("malformed mirror-update payload".into());
                 };
-                let mut eng = engine.lock();
-                eng.apply_shadow_update(&[(msg.row.user, msg.row.position, msg.row.time)]);
-                if let Some(cloak) = &msg.cloak {
-                    eng.apply_cloak_ingest(cloak);
-                }
+                let row = (msg.row.user, msg.row.position, msg.row.time);
+                engine.lock().apply_mirror(&[row], msg.cloak.as_slice());
                 (wire::tag::OK, Vec::new())
             }
             wire::tag::HANDOFF_PULL => {
@@ -765,9 +762,9 @@ impl EngineService {
                     NetCounters::add(&counters.frames_rejected, 1);
                     return err("malformed resync-state payload".into());
                 };
-                // Journals through the existing shadow/ingest ops, so the
-                // installed image survives a second crash of the rejoiner.
-                engine.lock().resync_install(&state);
+                // One mirror op, journaled, so the installed image
+                // survives a second crash of the rejoiner.
+                engine.lock().apply_mirror(&state.rows, &state.cloaks);
                 (wire::tag::OK, Vec::new())
             }
             other => {

@@ -62,12 +62,15 @@ fn carried_frames_land_in_order_before_the_request_they_ride_on() {
     // What a sequential engine answers once users 5, 6 and 7 stand
     // where the carried rows put them — 7 where the *later* row did.
     let mut reference = engine();
-    reference.apply_shadow_update(&[
-        (5, Point::new(0.30, 0.5), SimTime::from_secs(1.0)),
-        (6, Point::new(0.31, 0.5), SimTime::from_secs(2.0)),
-        (7, Point::new(0.90, 0.5), SimTime::from_secs(3.0)),
-        (7, Point::new(0.32, 0.5), SimTime::from_secs(4.0)),
-    ]);
+    reference.apply_mirror(
+        &[
+            (5, Point::new(0.30, 0.5), SimTime::from_secs(1.0)),
+            (6, Point::new(0.31, 0.5), SimTime::from_secs(2.0)),
+            (7, Point::new(0.90, 0.5), SimTime::from_secs(3.0)),
+            (7, Point::new(0.32, 0.5), SimTime::from_secs(4.0)),
+        ],
+        &[],
+    );
     let update = row(1, 0.305, 5.0);
     let want = reference
         .process_updates_wire(&[(update.user, update.position, update.time)])

@@ -32,9 +32,7 @@
 mod recover;
 mod wal;
 
-pub use recover::{
-    open_engine, open_system, recover_engine, OpenedEngine, OpenedSystem, RecoveredEngine,
-};
+pub use recover::{open_engine, recover_engine, OpenedEngine, RecoveredEngine};
 pub use wal::{
     crc32, Wal, MAX_RECORD_LEN, RECORD_HEADER_LEN, SEGMENT_HEADER_LEN, SEGMENT_MAGIC,
     SNAPSHOT_MAGIC,

@@ -1,6 +1,6 @@
 //! Crash recovery: scan a log directory, validate the snapshot and the
-//! segment chain, and rebuild the engine (or system) by snapshot load +
-//! tail replay.
+//! segment chain, and rebuild the engine by snapshot load + tail
+//! replay.
 //!
 //! Recovery invariants (also documented in `DESIGN.md`):
 //!
@@ -21,9 +21,8 @@
 
 use crate::wal::{classify_name, read_segment, read_snapshot, LogFileKind, Wal};
 use crate::{corrupt, Result};
-use lbsp_anonymizer::CloakingAlgorithm;
 use lbsp_core::journal::{decode_engine_state, JournalRecord};
-use lbsp_core::{Durability, PrivacyAwareSystem, ShardedEngine};
+use lbsp_core::{Durability, ShardedEngine};
 use std::fs::{self, OpenOptions};
 use std::path::{Path, PathBuf};
 
@@ -146,10 +145,7 @@ fn load_journal(dir: &Path) -> Result<Option<LoadedJournal>> {
     // Genesis discipline: record 0 is the only init record.
     for (i, rec) in records.iter().enumerate() {
         let idx = first_base + i as u64;
-        let is_init = matches!(
-            rec,
-            JournalRecord::InitEngine(_) | JournalRecord::InitSystem
-        );
+        let is_init = matches!(rec, JournalRecord::InitEngine(_));
         if idx == 0 && !is_init {
             let file = segments.first().map(|(_, p)| p.clone()).unwrap_or_default();
             return Err(corrupt(
@@ -237,14 +233,6 @@ fn rebuild_engine(dir: &Path, journal: &LoadedJournal) -> Result<(ShardedEngine,
             // Genesis: record 0 carries the engine configuration.
             match journal.records.first() {
                 Some(JournalRecord::InitEngine(cfg)) => (ShardedEngine::new(*cfg, 1), 1),
-                Some(JournalRecord::InitSystem) => {
-                    return Err(corrupt(
-                        dir,
-                        0,
-                        "this journal was written by a PrivacyAwareSystem, not a ShardedEngine \
-                         (recover it with open_system)",
-                    ));
-                }
                 _ => {
                     return Err(corrupt(dir, 0, "journal has no genesis record"));
                 }
@@ -261,13 +249,6 @@ fn rebuild_engine(dir: &Path, journal: &LoadedJournal) -> Result<(ShardedEngine,
             JournalRecord::Op(op) => {
                 engine.apply_op(op);
                 ops_replayed += 1;
-            }
-            JournalRecord::InitSystem => {
-                return Err(corrupt(
-                    dir,
-                    0,
-                    "this journal was written by a PrivacyAwareSystem, not a ShardedEngine",
-                ));
             }
             // Index-0 init is skipped by replay_from >= 1; load_journal
             // already rejected inits anywhere else.
@@ -342,79 +323,4 @@ fn resume_wal(dir: &Path, journal: &LoadedJournal) -> Result<Wal> {
     }
     let next_seq = journal.last_seq.map_or(0, |s| s.wrapping_add(1));
     Wal::create_segment(dir, next_seq, journal.next_index)
-}
-
-/// The result of [`open_system`]: a live, durable end-to-end system.
-pub struct OpenedSystem<A> {
-    /// The system, journaling into `dir` from now on.
-    pub system: PrivacyAwareSystem<A>,
-    /// `true` when state was replayed from an existing log.
-    pub recovered: bool,
-    /// Ops replayed during recovery (0 for a fresh directory).
-    pub ops_replayed: u64,
-}
-
-/// Opens (or creates) a durable [`PrivacyAwareSystem`] on `dir`. The
-/// system journal is replay-only — the cloaking algorithm `A` is opaque,
-/// so there are no snapshots and recovery always replays the full log
-/// into a fresh system built by `make` (which must be deterministic:
-/// same algorithm, same secret, same public data as the original run).
-pub fn open_system<A, F>(dir: &Path, make: F, policy: Durability) -> Result<OpenedSystem<A>>
-where
-    A: CloakingAlgorithm,
-    F: FnOnce() -> PrivacyAwareSystem<A>,
-{
-    fs::create_dir_all(dir)?;
-    let journal = load_journal(dir)?;
-    if let Some(j) = &journal {
-        if let Some(&(op, _)) = j.snapshot.as_ref() {
-            return Err(corrupt(
-                &dir.join(crate::wal::snapshot_name(op)),
-                0,
-                "snapshot found in a system journal (systems are replay-only; \
-                 was this directory written by open_engine?)",
-            ));
-        }
-        if matches!(j.records.first(), Some(JournalRecord::InitEngine(_))) {
-            return Err(corrupt(
-                dir,
-                0,
-                "this journal was written by a ShardedEngine, not a PrivacyAwareSystem \
-                 (recover it with open_engine)",
-            ));
-        }
-    }
-    let mut system = make();
-    match journal {
-        None => {
-            let mut wal = Wal::create_segment(dir, 0, 0)?;
-            wal.append_record(&JournalRecord::InitSystem)?;
-            wal.sync_log()?;
-            system.attach_durability(policy, Box::new(wal));
-            Ok(OpenedSystem {
-                system,
-                recovered: false,
-                ops_replayed: 0,
-            })
-        }
-        Some(journal) => {
-            if !matches!(journal.records.first(), Some(JournalRecord::InitSystem)) {
-                return Err(corrupt(dir, 0, "journal has no genesis record"));
-            }
-            let mut ops_replayed = 0u64;
-            for rec in journal.records.iter().skip(1) {
-                if let JournalRecord::Op(op) = rec {
-                    system.apply_op(op);
-                    ops_replayed += 1;
-                }
-            }
-            let wal = resume_wal(dir, &journal)?;
-            system.attach_durability(policy, Box::new(wal));
-            Ok(OpenedSystem {
-                system,
-                recovered: true,
-                ops_replayed,
-            })
-        }
-    }
 }

@@ -108,8 +108,8 @@ fn sync_dir(dir: &Path) -> std::io::Result<()> {
 }
 
 /// The live WAL writer for one log directory. Owns the current segment;
-/// implements [`DurabilitySink`] so a [`lbsp_core::ShardedEngine`] or
-/// [`lbsp_core::PrivacyAwareSystem`] journals straight into it.
+/// implements [`DurabilitySink`] so a [`lbsp_core::ShardedEngine`], the
+/// journal's only writer, journals straight into it.
 pub struct Wal {
     dir: PathBuf,
     file: File,

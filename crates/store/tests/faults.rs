@@ -245,7 +245,7 @@ fn a_log_holding_non_finite_rows_reopens() {
             open_engine(dir.path(), EngineConfig::new(world()), 1, policy).expect("open fresh log");
         drive(&mut opened.engine);
         opened.engine.process_updates(&odd(1.0));
-        opened.engine.apply_shadow_update(&odd(2.0));
+        opened.engine.apply_mirror(&odd(2.0), &[]);
         let live = journal::encode_engine_state(&opened.engine.export_state());
         drop(opened);
         assert_eq!(
@@ -603,6 +603,37 @@ fn a_log_in_the_striped_layout_fails_loudly_naming_the_segment() {
         }
         Err(StoreError::Io(e)) => panic!("expected Corrupt, got io error {e}"),
     }
+}
+
+#[test]
+fn a_system_journal_genesis_fails_to_open() {
+    // The genesis a `PrivacyAwareSystem` journal began with, tag 0xE1
+    // and no payload, framed with a valid CRC. No writer produces it
+    // now, and its tag is retired: the log must be refused, not read.
+    let dir = TempDir::new("system-genesis");
+    drop(Wal::create_segment(dir.path(), 0, 0).expect("create segment"));
+    let seg = segments(dir.path()).pop().expect("segment exists");
+    let body = [0xE1u8];
+    let mut frame = 1u32.to_le_bytes().to_vec();
+    frame.extend_from_slice(&crc32(&body).to_le_bytes());
+    frame.extend_from_slice(&body);
+    fs::OpenOptions::new()
+        .append(true)
+        .open(&seg)
+        .expect("open segment")
+        .write_all(&frame)
+        .expect("append genesis");
+    expect_corrupt(dir.path(), "system genesis");
+    let opened = open_engine(
+        dir.path(),
+        EngineConfig::new(world()),
+        1,
+        Durability::default(),
+    );
+    assert!(
+        matches!(opened, Err(StoreError::Corrupt { .. })),
+        "open_engine must refuse a system genesis"
+    );
 }
 
 #[test]

@@ -1,5 +1,7 @@
 //! Property test: arbitrary interleavings of registrations, update
-//! batches, standing-query churn, and snapshot installs, crashed at an
+//! batches, standing-query churn, cluster mirror ops (rows with and
+//! without an owner's cloak), handoffs out and in (the inbound one
+//! carrying Fig. 2's profile), and snapshot installs, crashed at an
 //! arbitrary point, replay to exactly the state of an engine that never
 //! crashed.
 //!
@@ -11,9 +13,9 @@
 //!   reference-at-crash-point byte for byte, then resume the remaining
 //!   ops and converge with the full reference.
 
-use lbsp_anonymizer::{CloakRequirement, PrivacyProfile};
+use lbsp_anonymizer::{CloakRequirement, CloakedRegion, CloakedUpdate, PrivacyProfile};
 use lbsp_core::journal;
-use lbsp_core::wire::StandingKind;
+use lbsp_core::wire::{HandoffMsg, StandingKind};
 use lbsp_core::{Durability, EngineConfig, JournalRecord, ShardedEngine, UserId};
 use lbsp_geom::{Point, Rect, SimTime};
 use lbsp_server::PublicObject;
@@ -49,6 +51,29 @@ enum TestOp {
     Deregister {
         sel: u8,
     },
+    Mirror {
+        rows: Vec<(u64, f64, f64)>,
+        secs: f64,
+        cloak: Option<(u64, f64, f64, f64)>,
+    },
+    HandoffOut {
+        id: u64,
+    },
+    HandoffIn {
+        id: u64,
+        cloak: Option<(f64, f64, f64)>,
+        seq: u64,
+    },
+}
+
+/// The square of half-side `half` around `(cx, cy)`, clipped to the world.
+fn square(cx: f64, cy: f64, half: f64) -> Rect {
+    Rect::new_unchecked(
+        (cx - half).max(0.0),
+        (cy - half).max(0.0),
+        (cx + half).min(1.0),
+        (cy + half).min(1.0),
+    )
 }
 
 /// Applies one op deterministically. `issued` tracks live standing
@@ -81,13 +106,7 @@ fn apply(engine: &mut ShardedEngine, issued: &mut Vec<(StandingKind, u64)>, op: 
             engine.load_public(objects);
         }
         TestOp::StandingCount { cx, cy, half } => {
-            let area = Rect::new_unchecked(
-                (cx - half).max(0.0),
-                (cy - half).max(0.0),
-                (cx + half).min(1.0),
-                (cy + half).min(1.0),
-            );
-            let id = engine.add_standing_count(area);
+            let id = engine.add_standing_count(square(*cx, *cy, *half));
             issued.push((StandingKind::Count, id));
         }
         TestOp::StandingRange { user, radius } => {
@@ -103,6 +122,43 @@ fn apply(engine: &mut ShardedEngine, issued: &mut Vec<(StandingKind, u64)>, op: 
                 engine.deregister_standing(kind, id);
             }
         }
+        TestOp::Mirror { rows, secs, cloak } => {
+            let time = SimTime::from_secs(*secs);
+            let batch: Vec<(UserId, Point, SimTime)> = rows
+                .iter()
+                .map(|&(id, x, y)| (id, Point::new(x, y), time))
+                .collect();
+            let cloaks: Vec<CloakedUpdate> = cloak
+                .iter()
+                .map(|&(id, cx, cy, half)| CloakedUpdate {
+                    pseudonym: engine.pseudonym(id),
+                    region: CloakedRegion {
+                        region: square(cx, cy, half),
+                        achieved_k: 3,
+                        k_satisfied: true,
+                        area_satisfied: true,
+                    },
+                    time,
+                })
+                .collect();
+            engine.apply_mirror(&batch, &cloaks);
+        }
+        TestOp::HandoffOut { id } => {
+            engine.handoff_export(*id);
+        }
+        TestOp::HandoffIn { id, cloak, seq } => {
+            let ranges = issued
+                .iter()
+                .filter(|(kind, _)| *kind == StandingKind::Range)
+                .map(|&(_, q)| (q, *seq))
+                .collect();
+            engine.handoff_install(&HandoffMsg {
+                subject: *id,
+                profile: PrivacyProfile::paper_example(),
+                cloak: cloak.map(|(cx, cy, half)| square(cx, cy, half)),
+                ranges,
+            });
+        }
     }
 }
 
@@ -116,7 +172,7 @@ fn state_bytes(engine: &ShardedEngine) -> bytes::Bytes {
 
 prop_compose! {
     fn test_op()(
-        kind in 0u8..8,
+        kind in 0u8..11,
         id in 0u64..16,
         k in 1u32..6,
         rows in prop::collection::vec((0u64..16, 0.0f64..1.0, 0.0f64..1.0), 1..16),
@@ -135,7 +191,18 @@ prop_compose! {
             5 => TestOp::StandingCount { cx, cy, half },
             6 => TestOp::StandingRange { user: id, radius },
             7 if sel.is_multiple_of(2) => TestOp::Drain,
-            _ => TestOp::Deregister { sel },
+            7 => TestOp::Deregister { sel },
+            8 => TestOp::Mirror {
+                rows,
+                secs,
+                cloak: sel.is_multiple_of(2).then_some((id, cx, cy, half)),
+            },
+            9 => TestOp::HandoffOut { id },
+            _ => TestOp::HandoffIn {
+                id,
+                cloak: sel.is_multiple_of(3).then_some((cx, cy, half)),
+                seq: u64::from(sel),
+            },
         }
     }
 }

@@ -150,15 +150,10 @@ impl MiniCluster {
             .expect("one row in, one frame out")
             .expect("registered user cloaks")
             .to_vec();
-        for i in 0..self.engines.len() {
-            if i != target {
-                self.engines[i].apply_shadow_update(&[(user, p, t)]);
-            }
-        }
         let cloaked = wire::decode_cloaked_update(&bytes).expect("owner reply decodes");
         for i in 0..self.engines.len() {
             if i != target {
-                self.engines[i].apply_cloak_ingest(&cloaked);
+                self.engines[i].apply_mirror(&[(user, p, t)], &[cloaked]);
             }
         }
         bytes
