@@ -210,15 +210,17 @@ fn route(addr: &str, nodes_csv: &str) {
 
 /// `--cluster-verify ADDR`: drive a deterministic workload through a
 /// running router AND through an identically-configured in-process
-/// engine, and require every reply — cloaked updates and query
-/// candidates — to be byte-identical. A closed-loop pass (registrations,
-/// boundary-crossing updates, queries) is followed by a pipelined one:
-/// registrations and range queries in 32-deep `send_only` /
-/// `read_reply` windows, which the router serves as same-node runs.
-/// Exits non-zero on the first divergence.
+/// engine, and require every reply — cloaked updates, query candidates,
+/// standing registrations and snapshots — to be byte-identical. A
+/// closed-loop pass (registrations, a standing count and a standing
+/// range query, boundary-crossing updates, queries, both snapshots,
+/// both deregistrations and the unknown-query error after them) is
+/// followed by a pipelined one: registrations and range queries in
+/// 32-deep `send_only` / `read_reply` windows, which the router serves
+/// as same-node runs. Exits non-zero on the first divergence.
 fn cluster_verify(addr: &str) {
     use lbsp_bench::netload::serve_engine;
-    use lbsp_core::wire;
+    use lbsp_core::wire::{self, StandingKind};
     use lbsp_net::{NetClient, Reply};
     use rand::rngs::StdRng;
     use rand::{RngExt as _, SeedableRng};
@@ -248,6 +250,30 @@ fn cluster_verify(addr: &str) {
                 other => return Err(format!("register {i}: unexpected reply {other:?}")),
             }
         }
+
+        // Standing queries: registered through the router before the
+        // crossing workload, read back and deregistered after it.
+        let area = Rect::new_unchecked(0.2, 0.2, 0.7, 0.7);
+        let standing = [
+            (StandingKind::Count, engine.add_standing_count(area)),
+            (StandingKind::Range, engine.add_standing_range(7, 0.1)),
+        ];
+        let registered = [
+            client.register_standing_count(area),
+            client.register_standing_range(7, 0.1),
+        ];
+        for (&(kind, id), got) in standing.iter().zip(registered) {
+            let want = wire::encode_standing_ref(&wire::StandingRefMsg { kind, id }).to_vec();
+            match got.map_err(|e| format!("standing {kind:?} registration: {e}"))? {
+                Reply::StandingRegistered(bytes) if bytes == want => compared += 1,
+                other => return Err(format!("standing {kind:?} registration: {other:?}")),
+            }
+        }
+        let snapshot =
+            |engine: &lbsp_core::ShardedEngine, kind, id| match engine.standing_state(kind, id) {
+                Some(state) => Reply::StandingState(wire::encode_standing_state(&state).to_vec()),
+                None => Reply::Error("unknown standing query".into()),
+            };
         let mut rng = StdRng::seed_from_u64(20060406);
         for w in 0..waves {
             for i in 0..users {
@@ -283,6 +309,38 @@ fn cluster_verify(addr: &str) {
                         }
                         other => return Err(format!("query {i} wave {w}: {other:?}")),
                     }
+                }
+            }
+        }
+        for &(kind, id) in &standing {
+            let got = client
+                .standing_snapshot(kind, id)
+                .map_err(|e| format!("standing {kind:?} snapshot: {e}"))?;
+            if got != snapshot(&engine, kind, id) {
+                return Err(format!("standing {kind:?} snapshot diverges: {got:?}"));
+            }
+            compared += 1;
+        }
+        for &(kind, id) in &standing {
+            engine.deregister_standing(kind, id);
+            match client
+                .deregister_standing(kind, id)
+                .map_err(|e| format!("standing {kind:?} deregistration: {e}"))?
+            {
+                Reply::Ok => compared += 1,
+                other => return Err(format!("standing {kind:?} deregistration: {other:?}")),
+            }
+        }
+        for &(kind, id) in &standing {
+            let got = client
+                .standing_snapshot(kind, id)
+                .map_err(|e| format!("deregistered {kind:?} snapshot: {e}"))?;
+            match snapshot(&engine, kind, id) {
+                want @ Reply::Error(_) if got == want => compared += 1,
+                want => {
+                    return Err(format!(
+                        "deregistered {kind:?} snapshot: {got:?}, the engine says {want:?}"
+                    ))
                 }
             }
         }

@@ -136,7 +136,7 @@ pub struct NetCounters {
     pub node_rejoins: AtomicU64,
     /// Payload bytes transferred by bulk `NODE_RESYNC` plane copies.
     pub resync_bytes: AtomicU64,
-    /// Doctrine-preserved mirror frames (broadcast-class installs,
+    /// Doctrine-preserved mirror frames (standing installs and drops,
     /// handoff pushes) dropped because their node went terminally Down
     /// before the frame could be delivered or buffered. Should stay 0
     /// in a healthy cluster; any increment means replicated or

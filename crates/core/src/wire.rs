@@ -70,11 +70,13 @@ pub mod tag {
     /// installed state is WAL-durable on the rejoined node.
     pub const RESYNC_PUSH: u8 = 0x25;
     /// Cluster router → node: install a standing query under the id
-    /// node 0 assigned (payload: [`super::StandingInstallMsg`]). Mirror
-    /// nodes never allocate standing-query ids themselves — node 0
-    /// answers the client's registration and the router fans the
-    /// granted id out in this frame, so replaying it after an ack-lost
-    /// outage is a keyed no-op instead of a second allocation.
+    /// node 0 assigned, or drop one node 0 deregistered (payload:
+    /// [`super::StandingInstallMsg`]). Mirror nodes never allocate
+    /// standing-query ids themselves — node 0 answers the client's
+    /// registration and the router hands the granted id on in this
+    /// frame, so replaying it after an ack-lost outage is a keyed no-op
+    /// instead of a second allocation. It travels inside a [`CARRY`]
+    /// envelope.
     pub const STANDING_INSTALL: u8 = 0x26;
     /// Cluster router → node: mirror an update another node owns
     /// (payload: [`super::MirrorUpdateMsg`]) — the exact row into this
@@ -607,16 +609,21 @@ pub fn decode_standing_ref(buf: &[u8]) -> Option<StandingRefMsg> {
 pub const STANDING_INSTALL_COUNT_LEN: usize = 1 + 8 + REGISTER_STANDING_COUNT_LEN;
 /// Byte length of an encoded standing-range install.
 pub const STANDING_INSTALL_RANGE_LEN: usize = 1 + 8 + REGISTER_STANDING_RANGE_LEN;
+/// Byte length of an encoded standing-query drop.
+pub const STANDING_INSTALL_DROP_LEN: usize = 1 + STANDING_REF_LEN;
 
-/// A standing-query registration as fanned out to mirror nodes in a
-/// [`tag::STANDING_INSTALL`] frame: the registration parameters plus
-/// the id node 0 granted, so the mirror installs *that* id instead of
-/// allocating one. Keyed by id, the install is idempotent — a replay
-/// after an ack-lost outage is a no-op — which is what lets the router
-/// park these frames in a catch-up buffer without knowing whether the
-/// first delivery landed. Cluster-internal trusted hop (the range
-/// variant carries a true user id), same doctrine as
-/// [`RegisterStandingRangeMsg`] on the client hop.
+/// Lead byte of a [`StandingInstallMsg::Drop`]: past every kind code.
+const STANDING_DROP: u8 = 2;
+
+/// A change node 0 made to its standing registries, as handed on to
+/// the other nodes in a [`tag::STANDING_INSTALL`] frame: a registration
+/// with the id node 0 granted, so the mirror installs *that* id instead
+/// of allocating one, or a deregistration naming the id to drop. Keyed
+/// by id, each is idempotent — a replay after an ack-lost outage is a
+/// no-op — which is what lets the router keep these frames in a node's
+/// outbox without knowing whether the first delivery landed.
+/// Cluster-internal trusted hop (the range variant carries a true user
+/// id), same doctrine as [`RegisterStandingRangeMsg`] on the client hop.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StandingInstallMsg {
     /// Install a standing count query under `id`.
@@ -635,11 +642,20 @@ pub enum StandingInstallMsg {
         /// Query radius in world units.
         radius: f64,
     },
+    /// Drop the standing query `id` from the registry `kind` addresses;
+    /// dropping an id the node does not hold changes nothing.
+    Drop {
+        /// The registry.
+        kind: StandingKind,
+        /// The id node 0 deregistered.
+        id: u64,
+    },
 }
 
 /// Encodes a standing-query install: the registry kind code, the
 /// granted id, then the same parameter bytes the client registration
-/// carried.
+/// carried. A drop is a lead byte no kind has, then the
+/// [`StandingRefMsg`] bytes.
 pub fn encode_standing_install(msg: &StandingInstallMsg) -> Bytes {
     let mut b = BytesMut::with_capacity(STANDING_INSTALL_COUNT_LEN);
     match *msg {
@@ -647,23 +663,30 @@ pub fn encode_standing_install(msg: &StandingInstallMsg) -> Bytes {
         StandingInstallMsg::Range { id, user, radius } => {
             (StandingKind::Range, id, user, radius).put(&mut b);
         }
+        StandingInstallMsg::Drop { kind, id } => (STANDING_DROP, kind, id).put(&mut b),
     }
     b.freeze()
 }
 
-/// Decodes a standing-query install: the kind code picks the layout, and
+/// Decodes a standing-query install: the lead byte picks the layout, and
 /// the parameters are held to the client registration's rules.
 pub fn decode_standing_install(buf: &[u8]) -> Option<StandingInstallMsg> {
     codec::decode(buf, |r| match r.get()? {
-        StandingKind::Count => Some(StandingInstallMsg::Count {
+        STANDING_DROP => Some(StandingInstallMsg::Drop {
+            kind: r.get()?,
             id: r.get()?,
-            area: r.get()?,
         }),
-        StandingKind::Range => Some(StandingInstallMsg::Range {
-            id: r.get()?,
-            user: r.get()?,
-            radius: r.radius()?,
-        }),
+        code => match StandingKind::from_code(code)? {
+            StandingKind::Count => Some(StandingInstallMsg::Count {
+                id: r.get()?,
+                area: r.get()?,
+            }),
+            StandingKind::Range => Some(StandingInstallMsg::Range {
+                id: r.get()?,
+                user: r.get()?,
+                radius: r.radius()?,
+            }),
+        },
     })
 }
 
@@ -1341,6 +1364,19 @@ mod tests {
         bad[0] = StandingKind::Range.code();
         assert_eq!(decode_standing_install(&bad), None);
         assert_eq!(decode_standing_install(&[]), None);
+
+        let drop = StandingInstallMsg::Drop {
+            kind: StandingKind::Range,
+            id: 43,
+        };
+        let bytes = encode_standing_install(&drop);
+        assert_eq!(bytes.len(), STANDING_INSTALL_DROP_LEN);
+        assert_eq!(decode_standing_install(&bytes), Some(drop));
+        assert_eq!(decode_standing_install(&bytes[..bytes.len() - 1]), None);
+        // A drop names a registry the kind code knows.
+        let mut bad = bytes.to_vec();
+        bad[1] = 9;
+        assert_eq!(decode_standing_install(&bad), None);
     }
 
     #[test]

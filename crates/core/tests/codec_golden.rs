@@ -247,6 +247,14 @@ fn wire_cases() -> Vec<Case> {
             install_again,
         ),
         case(
+            "standing_install_drop",
+            wire::encode_standing_install(&wire::StandingInstallMsg::Drop {
+                kind: StandingKind::Range,
+                id: 43,
+            }),
+            install_again,
+        ),
+        case(
             "standing_state_count",
             wire::encode_standing_state(&wire::StandingState::Count(wire::StandingCountState {
                 id: 4,
@@ -597,6 +605,7 @@ const WIRE_GOLDEN: &[(&str, &[u8])] = &[
             1, 42, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 64,
         ],
     ),
+    ("standing_install_drop", &[2, 1, 43, 0, 0, 0, 0, 0, 0, 0]),
     (
         "standing_state_count",
         &[

@@ -39,6 +39,6 @@ pub use chaos::ChaosProxy;
 pub use client::{classify_reply, is_retryable_route_failure, is_route_failure, NetClient, Reply};
 pub use frame::{Frame, FrameReader, Poll, FRAME_OVERHEAD, MAX_FRAME_LEN};
 pub use server::{
-    drop_query, route_deltas, sim_time_since, subscribe, FrontDoor, NetConfig, NetServer, Outbound,
-    Service, SharedSubs,
+    drop_query, route_deltas, subscribe, FrontDoor, NetConfig, NetServer, Outbound, Service,
+    SharedSubs,
 };

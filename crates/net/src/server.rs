@@ -49,7 +49,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One queued outbound frame: (tag, payload bytes).
 pub type Outbound = (u8, Vec<u8>);
@@ -692,7 +692,8 @@ impl EngineService {
             // internally, so it routes no standing deltas. STANDING_INSTALL
             // is the exception: a mirror node owns some users and pushes
             // deltas for the queries it installs, so that arm subscribes
-            // like a registration does.
+            // like a registration does, and forgets like a deregistration
+            // does.
             wire::tag::MIRROR_UPDATE => {
                 let Some(msg) = wire::decode_mirror_update(&frame.payload) else {
                     NetCounters::add(&counters.frames_rejected, 1);
@@ -729,17 +730,21 @@ impl EngineService {
                 // is an ack-lost replay and the install is a no-op. Either
                 // way the connection is (re)subscribed — subscribe is
                 // idempotent — so delta push survives the replayed path.
-                let (kind, id) = match msg {
+                // A drop of an id already gone is such a replay too: `OK`.
+                match msg {
                     wire::StandingInstallMsg::Count { id, area } => {
                         engine.lock().install_standing_count(id, area);
-                        (wire::StandingKind::Count, id)
+                        subscribe(subs, conn_id, (wire::StandingKind::Count.code(), id));
                     }
                     wire::StandingInstallMsg::Range { id, user, radius } => {
                         engine.lock().install_standing_range(id, user, radius);
-                        (wire::StandingKind::Range, id)
+                        subscribe(subs, conn_id, (wire::StandingKind::Range.code(), id));
                     }
-                };
-                subscribe(subs, conn_id, (kind.code(), id));
+                    wire::StandingInstallMsg::Drop { kind, id } => {
+                        engine.lock().deregister_standing(kind, id);
+                        drop_query(subs, (kind.code(), id));
+                    }
+                }
                 (wire::tag::OK, Vec::new())
             }
             wire::tag::RESYNC_PULL => {
@@ -773,10 +778,4 @@ impl EngineService {
             }
         }
     }
-}
-
-/// Convenience: a [`SimTime`] that stamps "now" relative to a fixed
-/// epoch, for load generators that need monotonically increasing times.
-pub fn sim_time_since(epoch: Instant) -> SimTime {
-    SimTime::from_secs(epoch.elapsed().as_secs_f64())
 }

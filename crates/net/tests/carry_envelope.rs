@@ -215,3 +215,38 @@ fn a_malformed_or_refused_envelope_is_loud_counted_and_stops_where_it_broke() {
     let profiles = engine.export_state().profiles;
     assert!(profiles.iter().any(|(id, _)| *id == 3), "nor the pull");
 }
+
+/// Standing installs and drops are keyed by the id node 0 chose, so an
+/// envelope replayed after its acknowledgement was lost changes nothing:
+/// a second install of a present id and a drop of an absent one both
+/// answer `OK` like the first.
+#[test]
+fn a_replayed_standing_install_or_drop_is_a_no_op() {
+    let server = NetServer::bind("127.0.0.1:0", engine(), NetConfig::default()).unwrap();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    let standing = |msg: wire::StandingInstallMsg| {
+        (
+            tag::STANDING_INSTALL,
+            wire::encode_standing_install(&msg).to_vec(),
+        )
+    };
+    let area = Rect::new_unchecked(0.0, 0.0, 0.5, 1.0);
+    let install = [
+        standing(wire::StandingInstallMsg::Count { id: 4, area }),
+        standing(wire::StandingInstallMsg::Count { id: 6, area }),
+    ];
+    let dropped = [standing(wire::StandingInstallMsg::Drop {
+        kind: wire::StandingKind::Count,
+        id: 4,
+    })];
+    for carried in [&install[..], &install[..], &dropped[..], &dropped[..]] {
+        let reply = client.request(tag::CARRY, &envelope(carried, None));
+        assert_eq!(reply.unwrap(), Reply::Ok);
+    }
+    assert_eq!(server.counters().snapshot().frames_rejected, 0);
+    drop(client);
+    let counts = server.shutdown().export_state().counts;
+    let ids: Vec<u64> = counts.queries.iter().map(|q| q.id).collect();
+    assert_eq!(ids, [6], "one install each, and the drop");
+    assert_eq!(counts.next_id, 7, "ids keep clear of the installed ones");
+}

@@ -60,7 +60,7 @@ pub use private_private::{
     PrivatePrivateNnAnswer, PrivatePrivateNnQuery,
 };
 pub use private_range::{private_range_candidates, refine_range};
-pub use public_count::{CountAnswer, PublicCountQuery, PublicReportQuery};
+pub use public_count::{CountAnswer, PublicCountQuery};
 pub use public_nn::{NnProbability, PublicNnAnswer, PublicNnQuery};
 pub use server::{Server, ServerStats};
 pub use store::{PrivateStore, PublicStore};

@@ -84,50 +84,6 @@ impl CountAnswer {
     }
 }
 
-/// A public range *report* query: not just how many users are in the
-/// area, but which (pseudonymized) users, each with its membership
-/// probability — the per-object evidence underlying Fig. 6a, exposed as
-/// a query in its own right (e.g. "page everyone probably in the mall").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PublicReportQuery {
-    /// The query rectangle.
-    pub area: Rect,
-    /// Only report users whose membership probability reaches this
-    /// threshold (0 reports every possible member).
-    pub min_probability: f64,
-}
-
-impl PublicReportQuery {
-    /// Creates a report query with no probability threshold.
-    pub fn new(area: Rect) -> PublicReportQuery {
-        PublicReportQuery {
-            area,
-            min_probability: 0.0,
-        }
-    }
-
-    /// Sets the reporting threshold.
-    pub fn with_min_probability(mut self, p: f64) -> PublicReportQuery {
-        self.min_probability = p.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Evaluates against the private store: `(pseudonym, probability)`
-    /// pairs in descending probability.
-    pub fn evaluate(&self, store: &PrivateStore) -> Vec<(PseudonymId, f64)> {
-        let mut out: Vec<(PseudonymId, f64)> = store
-            .intersecting(&self.area)
-            .into_iter()
-            .filter_map(|rec| {
-                let p = rec.region.overlap_fraction(&self.area);
-                (p >= self.min_probability && p > 0.0).then_some((rec.pseudonym, p))
-            })
-            .collect();
-        out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,28 +195,6 @@ mod tests {
         let ans = PublicCountQuery::new(rect(0.0, 0.0, 1.0, 1.0)).evaluate(&store);
         assert_eq!(ans.possible, 0);
         assert_eq!(ans.expected, 0.0);
-    }
-
-    #[test]
-    fn report_query_lists_members_with_threshold() {
-        let (store, query) = paper_store_and_query();
-        let all = PublicReportQuery::new(query.area).evaluate(&store);
-        assert_eq!(all.len(), 5, "C excluded, the rest reported");
-        assert_eq!(all[0], (3, 1.0), "D is certain and first");
-        // Probabilities descend.
-        for w in all.windows(2) {
-            assert!(w[0].1 >= w[1].1);
-        }
-        // Threshold filters the long tail.
-        let confident = PublicReportQuery::new(query.area)
-            .with_min_probability(0.5)
-            .evaluate(&store);
-        assert_eq!(confident.len(), 3, "D (1.0), A (0.75), B (0.5)");
-        // Thresholds clamp to [0, 1].
-        let none = PublicReportQuery::new(query.area)
-            .with_min_probability(7.0)
-            .evaluate(&store);
-        assert_eq!(none.len(), 1, "clamped to 1.0 keeps only certain members");
     }
 
     #[test]

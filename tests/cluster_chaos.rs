@@ -282,12 +282,14 @@ fn sever_mid_broadcast_never_fails_the_client_and_replays_in_order() {
 #[test]
 fn ack_lost_standing_install_replays_as_a_noop() {
     // The nastiest broadcast fault: node 1 *applies* the mirror install
-    // but the ack never reaches the router (the proxy cuts the reply at
-    // byte zero). The router must park the frame and replay it on
-    // rejoin, and the replay must be a no-op — the install carries the
-    // node-0-granted id, so re-installing a present id changes nothing.
-    // Allocation-in-lockstep mirroring would double-register here and
-    // skew every later id on node 1.
+    // but the ack never reaches the router (the proxy cuts the reply to
+    // the envelope that carried it at byte zero). The router must keep
+    // the frame and replay it on rejoin, and the replay must be a no-op
+    // — the install carries the node-0-granted id, so re-installing a
+    // present id changes nothing. Allocation-in-lockstep mirroring
+    // would double-register here and skew every later id on node 1.
+    // The same holds for a deregistration: dropping an id already gone
+    // changes nothing either.
     let (node0, node1, proxy, router) = spawn(fast_recovery());
     let mut reference = fresh_engine();
     let mut client = connect(&router);
@@ -312,21 +314,42 @@ fn ack_lost_standing_install_replays_as_a_noop() {
         }
     };
 
+    // A standing change rides the next frame to node 1: a query of
+    // user 1, who lives in node 1's stripe. `carry` sends one and
+    // requires the reference's bytes; `carry_cut` sends one whose ack
+    // the proxy cuts, so the client is told to retry.
+    let t = stamp(1, 0);
+    let carry = |client: &mut NetClient, reference: &ShardedEngine| {
+        let want = reference.range_query(1, t, 0.2).unwrap().response;
+        assert_eq!(
+            client.range_query(1, 0.2, t).unwrap(),
+            Reply::Candidates(want.to_vec()),
+            "the query carrying a standing change"
+        );
+    };
+    let carry_cut = |client: &mut NetClient| match client.range_query(1, 0.2, t) {
+        Err(e) => assert!(is_retryable_route_failure(&e), "kind is RETRYABLE: {e}"),
+        Ok(r) => panic!("a query whose ack was cut answered {r:?}"),
+    };
+
     // Query A lands everywhere cleanly.
     let id_a = register_identical(
         &mut client,
         &mut reference,
         Rect::new_unchecked(0.05, 0.05, 0.45, 0.95),
     );
+    carry(&mut client, &reference);
     // All traffic is quiesced (closed-loop client), so the next
-    // upstream→client bytes are exactly the ack of the next mirror
-    // frame: query B's install reaches node 1, its ack does not.
+    // upstream→client bytes are exactly the ack of the next frame to
+    // node 1: the envelope carrying query B's install reaches node 1,
+    // its ack does not.
     proxy.sever_after_downstream_bytes(0);
     let id_b = register_identical(
         &mut client,
         &mut reference,
         Rect::new_unchecked(0.50, 0.05, 0.95, 0.95),
     );
+    carry_cut(&mut client);
     // Query C registers while node 1 is away: its install is buffered
     // behind the parked replay of B's.
     let id_c = register_identical(
@@ -339,6 +362,27 @@ fn ack_lost_standing_install_replays_as_a_noop() {
     // Rejoin replays B's install (a no-op — node 1 already holds id B)
     // then C's, and the cluster stays on the sequential byte stream.
     run_wave(&mut client, &mut reference, &all_users(), 1);
+
+    // Query D lands everywhere cleanly and is deregistered; the envelope
+    // carrying the drop reaches node 1, its ack does not, and the rejoin
+    // replays the drop of an id node 1 no longer holds.
+    let id_d = register_identical(
+        &mut client,
+        &mut reference,
+        Rect::new_unchecked(0.10, 0.10, 0.90, 0.50),
+    );
+    carry(&mut client, &reference);
+    assert!(reference.deregister_standing(StandingKind::Count, id_d));
+    assert_eq!(
+        client
+            .deregister_standing(StandingKind::Count, id_d)
+            .unwrap(),
+        Reply::Ok
+    );
+    proxy.sever_after_downstream_bytes(0);
+    carry_cut(&mut client);
+    proxy.restore();
+    run_wave(&mut client, &mut reference, &all_users(), 2);
 
     let snap = router.metrics_registry().net().snapshot();
     assert!(snap.node_rejoins >= 1, "rejoin counted");
@@ -353,6 +397,10 @@ fn ack_lost_standing_install_replays_as_a_noop() {
     // summation-order-sensitive f64; integers pin the claim.)
     let engine1 = node1.shutdown();
     assert_eq!(engine1.standing_counts().len(), 3, "no phantom queries");
+    assert!(
+        engine1.standing_state(StandingKind::Count, id_d).is_none(),
+        "the dropped query stays dropped"
+    );
     for id in [id_a, id_b, id_c] {
         let want = reference.standing_state(StandingKind::Count, id).unwrap();
         let got = engine1.standing_state(StandingKind::Count, id).unwrap();
