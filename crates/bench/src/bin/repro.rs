@@ -1,48 +1,16 @@
-//! `repro` — regenerates every experiment table in EXPERIMENTS.md.
+//! `repro` — regenerates every experiment table in EXPERIMENTS.md, and
+//! runs the network, cluster and index tools the experiments are built on.
 //!
-//! Usage:
 //! ```text
 //! cargo run -p lbsp-bench --bin repro --release            # all experiments
 //! cargo run -p lbsp-bench --bin repro --release -- e3 e4   # a subset
+//! cargo run -p lbsp-bench --bin repro --release -- --help  # every command
 //! ```
 //!
-//! Each experiment (E1–E14) maps to one figure or section of the paper;
+//! Each experiment (E1–E15) maps to one figure or section of the paper;
 //! see DESIGN.md for the index and EXPERIMENTS.md for recorded results.
-//! `-- --threads N` sets the poller shards of `--serve` (default 4).
-//!
-//! Network mode (see DESIGN.md "Network architecture"):
-//! ```text
-//! repro -- --serve 127.0.0.1:7600              # run the TCP service
-//! repro -- --serve 127.0.0.1:7600 --wal-dir d  # durable: journal + recover
-//! repro -- --connect 127.0.0.1:7600            # drive it with load
-//! repro -- --stats 127.0.0.1:7600              # scrape observability
-//! ```
-//!
-//! Cluster mode (see DESIGN.md "Cluster architecture & handoff
-//! protocol"):
-//! ```text
-//! repro -- --route 127.0.0.1:7610 --nodes 127.0.0.1:7601,127.0.0.1:7602
-//!                                   # front K running --serve nodes;
-//!                                   # EOF on stdin drains and exits
-//! repro -- --cluster-verify 127.0.0.1:7610
-//!                                   # byte-identity check vs in-process engine
-//! repro -- --cluster-chaos          # in-process sever/restart/rejoin drill
-//!                                   # behind a chaos proxy: byte-identity
-//!                                   # through the fault, 0 fatal failures
-//! repro -- --cluster                # in-process K=1,2,4 sweep; prints the
-//!                                   # JSON document checked in as
-//!                                   # BENCH_cluster.json
-//! ```
-//!
-//! Network benchmarks (see EXPERIMENTS.md E13/E16):
-//! ```text
-//! repro -- --net-sweep              # shard-count and connection-count
-//!                                   # axes; prints the JSON document
-//!                                   # checked in as BENCH_net.json
-//! repro -- --conn-smoke 1024        # N concurrent loopback connections,
-//!                                   # zero-error + clean-drain gate
-//!                                   # (used by ci.sh)
-//! ```
+//! Every command is one row of [`COMMANDS`]: `--help` prints the table,
+//! and any word that names no row prints it to stderr and exits 2.
 
 use lbsp_anonymizer::attack::{BoundaryAttack, CenterAttack, OccupancyAttack};
 use lbsp_anonymizer::{
@@ -63,116 +31,229 @@ use lbsp_server::{
 };
 use std::time::Instant;
 
+/// One row of the command table: the word that selects it, what may
+/// follow that word, one line of help, and what it runs.
+struct Command {
+    name: &'static str,
+    /// An operand placeholder (bracketed when optional), then the
+    /// `--option VALUE` pairs the row accepts, in any order.
+    synopsis: &'static str,
+    help: &'static str,
+    run: Run,
+}
+
+enum Run {
+    /// Runs with the other experiments named, in table order; no
+    /// argument, or `all`, runs every one.
+    Experiment(fn()),
+    /// Runs alone: its name comes first, then its operand and options.
+    Mode(fn(&Args)),
+}
+
+const fn mode(
+    name: &'static str,
+    synopsis: &'static str,
+    help: &'static str,
+    run: fn(&Args),
+) -> Command {
+    Command {
+        name,
+        synopsis,
+        help,
+        run: Run::Mode(run),
+    }
+}
+
+const fn exp(name: &'static str, help: &'static str, run: fn()) -> Command {
+    Command {
+        name,
+        synopsis: "",
+        help,
+        run: Run::Experiment(run),
+    }
+}
+
+const COMMANDS: &[Command] = &[
+    mode(
+        "--serve",
+        "ADDR [--wal-dir DIR] [--threads N]",
+        "run the framed TCP service until killed; --wal-dir journals and recovers, \
+         --threads sets the poller shards (default 4)",
+        |a| {
+            serve(
+                a.operand(),
+                count(a.option("--threads"), 4),
+                a.option("--wal-dir"),
+            )
+        },
+    ),
+    mode(
+        "--connect",
+        "ADDR",
+        "drive a running service with the closed-loop workload",
+        |a| connect(a.operand()),
+    ),
+    mode(
+        "--stats",
+        "ADDR",
+        "scrape a running service's STATS registry as text",
+        |a| stats(a.operand()),
+    ),
+    mode(
+        "--route",
+        "ADDR --nodes A,B,...",
+        "front running --serve nodes with the cluster router; EOF on stdin drains and exits",
+        |a| route(a.operand(), a.option("--nodes").unwrap_or_default()),
+    ),
+    mode(
+        "--cluster-verify",
+        "ADDR",
+        "drive a router and an in-process engine alike; exit 1 on the first difference",
+        |a| cluster_verify(a.operand()),
+    ),
+    mode(
+        "--cluster-chaos",
+        "",
+        "sever/crash/rejoin drill behind a chaos proxy; exit 1 unless byte-identical",
+        |_| cluster_chaos(),
+    ),
+    mode(
+        "--cluster",
+        "",
+        "K = 1, 2, 4 sweep; prints BENCH_cluster.json",
+        |_| cluster_sweep(),
+    ),
+    mode(
+        "--net-sweep",
+        "",
+        "shard and connection sweep; prints BENCH_net.json",
+        |_| net_sweep(),
+    ),
+    mode(
+        "--conn-smoke",
+        "[N]",
+        "hold N (default 1024) connections; exit 1 unless all are served and drained",
+        |a| conn_smoke(count(a.operand.as_deref(), 1024)),
+    ),
+    mode(
+        "index-micro",
+        "",
+        "spatial-index kernels, ns per iteration",
+        |_| index_micro(),
+    ),
+    mode("--help", "", "print this table", |_| print!("{}", usage())),
+    exp("e1", "Fig. 1: end-to-end pipeline", e1_pipeline),
+    exp("e2", "Fig. 2: privacy profile", e2_profiles),
+    exp("e3", "Fig. 3: data-dependent cloaks", e3_data_dependent),
+    exp("e4", "Fig. 4: space-dependent cloaks", e4_space_dependent),
+    exp("e5", "Fig. 5a: private range query", e5_private_range),
+    exp("e6", "Fig. 5b: private NN query", e6_private_nn),
+    exp("e7", "Fig. 6a: public count query", e7_public_count),
+    exp("e8", "Fig. 6b: public NN query", e8_public_nn),
+    exp("e9", "Sec. 5.3: incremental, shared", e9_incremental),
+    exp("e10", "Secs. 1, 5: scalability", e10_scalability),
+    exp("e11", "extensions beyond the paper", e11_extensions),
+    exp("e12", "the engine, wire-identical", e12_engine),
+    exp("e13", "TCP on loopback, no errors", e13_network),
+    exp("e14", "Sec. 5.3: standing counts", e14_standing),
+    exp("e15", "K-node cluster, no failures", e15_cluster),
+];
+
+/// What followed a mode's name on the command line.
+struct Args {
+    operand: Option<String>,
+    options: Vec<(String, String)>,
+}
+
+impl Args {
+    /// The operand; `parse_mode` has checked that a required one is there.
+    fn operand(&self) -> &str {
+        self.operand.as_deref().unwrap_or_default()
+    }
+
+    fn option(&self, flag: &str) -> Option<&str> {
+        self.options
+            .iter()
+            .find(|(f, _)| f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+}
+
+/// Reads the command line against [`COMMANDS`]: a mode's name first,
+/// or any number of experiment names and `all`.
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `--threads N` sets the poller shards of `--serve`.
-    let threads = args
-        .windows(2)
-        .find(|w| w[0] == "--threads")
-        .and_then(|w| w[1].parse::<usize>().ok())
-        .unwrap_or(4);
-    // `--serve ADDR` / `--connect ADDR` switch repro into network mode:
-    // one process runs the framed TCP service, another drives it with
-    // the standard closed-loop workload.
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    if let Some(addr) = flag_value("--serve") {
-        serve(&addr, threads, flag_value("--wal-dir").as_deref());
-        return;
+    let named = |word: &str| COMMANDS.iter().find(|c| c.name == word);
+    if let Some(cmd) = args.first().and_then(|w| named(w)) {
+        if let Run::Mode(run) = cmd.run {
+            return run(&parse_mode(cmd, &args[1..]).unwrap_or_else(|e| usage_error(&e)));
+        }
     }
-    if let Some(addr) = flag_value("--connect") {
-        connect(&addr);
-        return;
+    let experiment = |w: &String| matches!(named(w).map(|c| &c.run), Some(Run::Experiment(_)));
+    if let Some(word) = args.iter().find(|w| *w != "all" && !experiment(w)) {
+        usage_error(&format!(
+            "`{word}` is not an experiment or `all` (a mode goes first, alone)"
+        ));
     }
-    if let Some(addr) = flag_value("--stats") {
-        stats(&addr);
-        return;
-    }
-    if let Some(addr) = flag_value("--route") {
-        let nodes = flag_value("--nodes").unwrap_or_default();
-        route(&addr, &nodes);
-        return;
-    }
-    if let Some(addr) = flag_value("--cluster-verify") {
-        cluster_verify(&addr);
-        return;
-    }
-    if args.iter().any(|a| a == "--cluster-chaos") {
-        cluster_chaos();
-        return;
-    }
-    if args.iter().any(|a| a == "--cluster") {
-        cluster_sweep();
-        return;
-    }
-    if args.iter().any(|a| a == "--net-sweep") {
-        net_sweep();
-        return;
-    }
-    if args.iter().any(|a| a == "--conn-smoke") {
-        let conns = flag_value("--conn-smoke")
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(1024);
-        conn_smoke(conns);
-        return;
-    }
-    if args.iter().any(|a| a == "--standing-sweep") {
-        standing_sweep();
-        return;
-    }
-    let run_all = args.is_empty() || args.iter().any(|a| a == "all");
-    let want = |name: &str| run_all || args.iter().any(|a| a == name);
-
+    let all = args.is_empty() || args.iter().any(|w| w == "all");
     println!("# Experiment reproduction — privacy-aware LBS (Mokbel, ICDE 2006)\n");
-    if want("e1") {
-        e1_pipeline();
+    for c in COMMANDS {
+        match c.run {
+            Run::Experiment(run) if all || args.iter().any(|w| w == c.name) => run(),
+            _ => {}
+        }
     }
-    if want("e2") {
-        e2_profiles();
+}
+
+/// Reads what follows a mode's name against its synopsis.
+fn parse_mode(cmd: &Command, rest: &[String]) -> Result<Args, String> {
+    let mut rest = rest.iter().peekable();
+    let mut synopsis = cmd.synopsis.split_whitespace().peekable();
+    let mut operand = None;
+    if let Some(slot) = synopsis.next_if(|w| !w.trim_start_matches('[').starts_with("--")) {
+        operand = rest.next_if(|w| !w.starts_with("--")).cloned();
+        if operand.is_none() && !slot.starts_with('[') {
+            return Err(format!("{} needs {slot}", cmd.name));
+        }
     }
-    if want("e3") {
-        e3_data_dependent();
+    let accepted: Vec<&str> = synopsis.map(|w| w.trim_start_matches('[')).collect();
+    let mut options = Vec::new();
+    while let Some(flag) = rest.next() {
+        if !flag.starts_with("--") || !accepted.contains(&flag.as_str()) {
+            return Err(format!("{} does not take `{flag}`", cmd.name));
+        }
+        let value = rest.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        options.push((flag.clone(), value.clone()));
     }
-    if want("e4") {
-        e4_space_dependent();
+    Ok(Args { operand, options })
+}
+
+/// The command table as `--help` prints it.
+fn usage() -> String {
+    let mut out = String::from(
+        "usage: repro [all | EXPERIMENT...]  or  repro MODE [ARGS]\n\
+         No argument runs every experiment; a mode goes first, alone.\n\n",
+    );
+    for c in COMMANDS {
+        let call = format!("{} {}", c.name, c.synopsis);
+        out.push_str(&format!("  {:<44} {}\n", call.trim_end(), c.help));
     }
-    if want("e5") {
-        e5_private_range();
-    }
-    if want("e6") {
-        e6_private_nn();
-    }
-    if want("e7") {
-        e7_public_count();
-    }
-    if want("e8") {
-        e8_public_nn();
-    }
-    if want("e9") {
-        e9_incremental();
-    }
-    if want("e10") {
-        e10_scalability();
-    }
-    if want("e11") {
-        e11_extensions();
-    }
-    if want("e12") {
-        e12_engine();
-    }
-    if want("e13") {
-        e13_network();
-    }
-    if want("e14") {
-        e14_standing();
-    }
-    if want("e15") {
-        e15_cluster();
-    }
+    out
+}
+
+/// Prints `msg` and the command table to stderr and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("repro: {msg}\n");
+    eprint!("{}", usage());
+    std::process::exit(2)
+}
+
+/// A count given on the command line, or `default` when none was.
+fn count(value: Option<&str>, default: usize) -> usize {
+    value.map_or(default, |v| {
+        v.parse()
+            .unwrap_or_else(|_| usage_error(&format!("`{v}` is not a count")))
+    })
 }
 
 /// `--route ADDR --nodes A,B,...`: front K running `--serve` nodes with
@@ -183,8 +264,7 @@ fn route(addr: &str, nodes_csv: &str) {
     use lbsp_cluster::{Router, RouterConfig};
     let nodes: Vec<&str> = nodes_csv.split(',').filter(|s| !s.is_empty()).collect();
     if nodes.is_empty() {
-        eprintln!("--route needs --nodes A,B,... (comma-separated node addresses)");
-        std::process::exit(2);
+        usage_error("--route needs --nodes A,B,... (comma-separated node addresses)");
     }
     let router = Router::bind(addr, &nodes, world(), RouterConfig::default())
         .unwrap_or_else(|e| panic!("cannot bind router on {addr}: {e}"));
@@ -880,83 +960,6 @@ fn conn_smoke(conns: usize) {
     println!("conn-smoke: {conns} connections, {requests} requests, 0 errors, drained cleanly");
 }
 
-/// `--standing-sweep`: standing-count maintenance cost as a
-/// machine-readable document (`BENCH_standing.json` is generated from
-/// this). Three registry shapes against the same 20k-update stream
-/// price the area index: an empty registry, a large registry that
-/// never overlaps the update region, and a registry with a hot subset
-/// that overlaps every update.
-fn standing_sweep() {
-    use lbsp_bench::json::{object, Val};
-    use lbsp_server::ContinuousRangeCount;
-    use std::collections::HashMap;
-    let n_updates = 20_000usize;
-    let users = 2_000u64;
-    let reps = 3usize;
-    let query_rect = |p: Point, hot: bool| {
-        // Updates stream through the right half; "hot" queries sit
-        // there, the rest monitor the left half.
-        let x = if hot { 0.55 + p.x * 0.4 } else { p.x * 0.45 };
-        let y = p.y * 0.9;
-        Rect::new_unchecked(x, y, (x + 0.05).min(1.0), (y + 0.05).min(1.0))
-    };
-    let mut results = Vec::new();
-    for (name, q_total, q_hot) in [
-        ("no_standing", 0usize, 0usize),
-        ("256_far_counts", 256, 0),
-        ("256_counts_32_hot", 256, 32),
-    ] {
-        eprintln!("standing sweep: {name} ({q_total} registered, {q_hot} hot), best of {reps}…");
-        let mut best_rate = 0f64;
-        let mut examined = 0f64;
-        let mut adjusted_per = 0f64;
-        for _ in 0..reps {
-            let mut reg = ContinuousRangeCount::new();
-            for (j, p) in uniform_positions(q_total, 31).into_iter().enumerate() {
-                let hot = j >= q_total - q_hot;
-                reg.register(query_rect(p, hot), std::iter::empty());
-            }
-            let positions = uniform_positions(n_updates, 7);
-            let mut cloaks: HashMap<u64, Rect> = HashMap::new();
-            let mut adjusted = 0u64;
-            let start = Instant::now();
-            for (i, p) in positions.iter().enumerate() {
-                let user = i as u64 % users;
-                let x = 0.55 + p.x * 0.4;
-                let y = p.y * 0.9;
-                let new = Rect::new_unchecked(x, y, (x + 0.03).min(1.0), (y + 0.03).min(1.0));
-                let old = cloaks.insert(user, new);
-                adjusted += reg.on_update(user, old.as_ref(), Some(&new)) as u64;
-            }
-            let elapsed = start.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
-            best_rate = best_rate.max(n_updates as f64 / elapsed);
-            examined = reg.examined_total() as f64 / reg.updates_processed().max(1) as f64;
-            adjusted_per = adjusted as f64 / n_updates as f64;
-        }
-        results.push(object(&[
-            ("scenario", Val::S(name.to_string())),
-            ("registered", Val::U(q_total as u64)),
-            ("hot", Val::U(q_hot as u64)),
-            (
-                "examined_per_update",
-                Val::F((examined * 100.0).round() / 100.0),
-            ),
-            (
-                "adjusted_per_update",
-                Val::F((adjusted_per * 100.0).round() / 100.0),
-            ),
-            ("updates_per_sec", Val::F(best_rate.round())),
-        ]));
-    }
-    println!(
-        "{{\n  \"bench\": \"standing_maintenance\",\n  \"source\": \"repro --standing-sweep\",\n  \
-         \"workload\": \"{n_updates} cloak updates through ContinuousRangeCount, best of {reps}\",\n  \
-         \"updates\": {n_updates},\n  \"users\": {users},\n  \"reps\": {reps},\n  \
-         \"results\": [\n    {}\n  ]\n}}",
-        results.join(",\n    ")
-    );
-}
-
 /// E15: the cluster deployment — closed-loop throughput through the
 /// router at K = 1, 2, 4 nodes, with the byte-identity claim restated.
 fn e15_cluster() {
@@ -982,8 +985,10 @@ fn e15_cluster() {
         "route failures",
         "errors",
     ]);
+    let mut failed = 0;
     for k in [1usize, 2, 4] {
         let r = cluster_run(k, 500, 2, 7).expect("cluster workload");
+        failed += r.load.errors + r.route_failures;
         row(&[
             format!("{k}"),
             format!("{}", r.load.requests),
@@ -994,6 +999,10 @@ fn e15_cluster() {
         ]);
     }
     println!();
+    require(
+        failed == 0,
+        "E15: the cluster answered with an error or failed a route",
+    );
 }
 
 /// `--serve ADDR`: run the framed TCP service until killed. With
@@ -1126,6 +1135,7 @@ fn e13_network() {
         "bytes in",
         "bytes out",
     ]);
+    let mut errors = 0;
     for workers in [1usize, 2, 4] {
         let server = NetServer::bind(
             "127.0.0.1:0",
@@ -1134,6 +1144,7 @@ fn e13_network() {
         )
         .expect("bind loopback");
         let report = closed_loop(server.local_addr(), 1_000, 2, 7).expect("loopback workload");
+        errors += report.errors;
         let snap = server.counters().snapshot();
         row(&[
             format!("{workers}"),
@@ -1146,6 +1157,7 @@ fn e13_network() {
         server.shutdown();
     }
     println!();
+    require(errors == 0, "E13: the service answered with an error");
 }
 
 /// E14: standing-query maintenance — the uniform-grid area index keeps
@@ -1298,6 +1310,19 @@ fn e12_engine() {
         format!("{identical}"),
     ]);
     println!();
+    require(
+        identical,
+        "E12: the engine's wire bytes differ from the sequential anonymizer's",
+    );
+}
+
+/// Ends the run with exit status 1 unless `ok`: an experiment fails on
+/// what its table shows to be wrong.
+fn require(ok: bool, what: &str) {
+    if !ok {
+        eprintln!("repro: {what}");
+        std::process::exit(1);
+    }
 }
 
 /// E1 (Fig. 1): the end-to-end architecture functions and scales.
@@ -2075,4 +2100,100 @@ fn e11_extensions() {
         }
     }
     println!();
+}
+
+/// `index-micro`: the spatial-index kernels that every cloak and query
+/// path runs on, each printed as `index_micro/<case>` with its median,
+/// fastest and slowest sample in ns per iteration.
+fn index_micro() {
+    use lbsp_index::{SubCellCounts, SubSpan, UniformGrid};
+    use lbsp_server::{PublicObject, PublicStore};
+    let positions = uniform_positions(100_000, 51);
+    // Grid: insert (move) and k-NN over the per-cell buckets.
+    let mut grid = UniformGrid::new(world(), 64, 64);
+    for (i, p) in positions.iter().enumerate() {
+        grid.insert(i as u64, *p);
+    }
+    let mut i = 0usize;
+    time_case("grid/upsert_100k", || {
+        i = (i + 7919) % positions.len();
+        grid.insert(i as u64, positions[i])
+    });
+    time_case("grid/knn_16", || grid.k_nearest(Point::new(0.42, 0.42), 16));
+    // Sub-cell counts, the grid cloak's view at the engine's 16 x 16:
+    // a move (four counter bumps) and a depth-1 quadrant count (the
+    // largest a refinement asks: 8 x 8 counters of one cell).
+    let mut counts = SubCellCounts::new(world(), 16, 16);
+    for p in &positions {
+        counts.shift(None, Some(*p));
+    }
+    let mut i = 0usize;
+    time_case("counts/shift_100k", || {
+        let from = positions[i];
+        i = (i + 7919) % positions.len();
+        counts.shift(Some(from), Some(positions[i]))
+    });
+    let quadrant = SubSpan::around(counts.lattice().sub_of(Point::new(0.42, 0.42)), 8);
+    time_case("counts/quadrant", || counts.count(quadrant));
+    // Public store (a packed point grid under an id-ordered array) on
+    // 10k POIs, uniform, three-cities, and uniform with one more POI a
+    // thousand units away: the candidate pass of a Fig. 5a range query
+    // (a 1/64-side cloak at a POI, radius 0.05, as on the engine) and
+    // the 1 and 8 nearest to a POI.
+    let mut outlier = uniform_positions(10_000, 52);
+    outlier.push(Point::new(1000.0, 1000.0));
+    for (data, pois) in [
+        ("uniform", uniform_positions(10_000, 52)),
+        ("three_cities", standard_positions(10_000, 53)),
+        ("outlier", outlier),
+    ] {
+        let store = PublicStore::bulk_load(
+            (0..)
+                .zip(&pois)
+                .map(|(id, &p)| PublicObject::new(id, p, 0))
+                .collect(),
+        );
+        let at: Vec<Point> = pois.iter().step_by(97).copied().collect();
+        let mut i = 0usize;
+        time_case(&format!("public/{data}/range_r05"), || {
+            i = (i + 1) % at.len();
+            let p = at[i];
+            let cloak = Rect::new_unchecked(p.x, p.y, p.x + 1.0 / 64.0, p.y + 1.0 / 64.0);
+            private_range_candidates(&store, &cloak, 0.05)
+        });
+        for k in [1, 8] {
+            time_case(&format!("public/{data}/knn_{k}"), || {
+                i = (i + 1) % at.len();
+                store.k_nearest(at[i], k)
+            });
+        }
+    }
+}
+
+/// Times `routine` and prints one `index_micro` line. The iterations
+/// per sample double until a sample takes at least 1 ms (or reaches
+/// 2^20); then 30 samples are taken.
+fn time_case<O>(case: &str, mut routine: impl FnMut() -> O) {
+    const SAMPLES: usize = 30;
+    let mut sample = |iters: u32| {
+        let start = Instant::now();
+        for _ in 0..iters {
+            std::hint::black_box(routine());
+        }
+        start.elapsed().as_nanos() as f64
+    };
+    let mut iters = 1u32;
+    while sample(iters) < 1e6 && iters < 1 << 20 {
+        iters *= 2;
+    }
+    let mut ns: Vec<f64> = (0..SAMPLES)
+        .map(|_| sample(iters) / f64::from(iters))
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    println!(
+        "index_micro/{case:<40} median {:>12.1} ns/iter  [{:.1} .. {:.1}]",
+        ns[SAMPLES / 2],
+        ns[0],
+        ns[SAMPLES - 1]
+    );
 }
