@@ -520,114 +520,6 @@ impl ContinuousRangeCount {
     }
 }
 
-/// A standing public NN query ("keep telling me my nearest mobile
-/// user"), maintained incrementally.
-///
-/// The maintained state is the pruning threshold: the best (smallest)
-/// max-distance over all records plus the current candidate set. An
-/// update only triggers recomputation when it can change the answer —
-/// the updated record enters the candidate band, leaves it, or tightens
-/// the threshold — so a stream of far-away updates costs O(1) each.
-#[derive(Debug)]
-pub struct ContinuousNnMonitor {
-    from: lbsp_geom::Point,
-    /// pseudonym -> (min_dist, max_dist) for every known record.
-    bands: HashMap<PseudonymId, (f64, f64)>,
-    /// Smallest max_dist over all records (the pruning threshold).
-    threshold: f64,
-    /// Updates that required recomputing the threshold/candidates.
-    pub recomputes: u64,
-    /// Updates handled with the O(1) fast path.
-    pub fast_updates: u64,
-}
-
-impl ContinuousNnMonitor {
-    /// Creates a monitor for the query point, seeded from current
-    /// records.
-    pub fn new<I>(from: lbsp_geom::Point, initial: I) -> ContinuousNnMonitor
-    where
-        I: IntoIterator<Item = (PseudonymId, Rect)>,
-    {
-        let mut m = ContinuousNnMonitor {
-            from,
-            bands: HashMap::new(),
-            threshold: f64::INFINITY,
-            recomputes: 0,
-            fast_updates: 0,
-        };
-        for (pseudonym, region) in initial {
-            let band = m.band_of(&region);
-            m.bands.insert(pseudonym, band);
-            m.threshold = m.threshold.min(band.1);
-        }
-        m
-    }
-
-    fn band_of(&self, region: &Rect) -> (f64, f64) {
-        (
-            lbsp_geom::min_dist_point_rect(self.from, region),
-            lbsp_geom::max_dist_point_rect(self.from, region),
-        )
-    }
-
-    fn recompute_threshold(&mut self) {
-        self.threshold = self
-            .bands
-            .values()
-            .map(|&(_, max)| max)
-            .fold(f64::INFINITY, f64::min);
-        self.recomputes += 1;
-    }
-
-    /// Applies one record update (`None` region = departure).
-    pub fn on_update(&mut self, pseudonym: PseudonymId, region: Option<&Rect>) {
-        let old = self.bands.get(&pseudonym).copied();
-        match region {
-            Some(r) => {
-                let band = self.band_of(r);
-                self.bands.insert(pseudonym, band);
-                if band.1 <= self.threshold {
-                    // Tightens (or equals) the threshold: cheap update.
-                    self.threshold = band.1;
-                    self.fast_updates += 1;
-                } else if old.is_some_and(|(_, omax)| omax <= self.threshold) {
-                    // The previous holder of the threshold moved away.
-                    self.recompute_threshold();
-                } else {
-                    self.fast_updates += 1;
-                }
-            }
-            None => {
-                if self.bands.remove(&pseudonym).is_some()
-                    && old.is_some_and(|(_, omax)| omax <= self.threshold)
-                {
-                    self.recompute_threshold();
-                } else {
-                    self.fast_updates += 1;
-                }
-            }
-        }
-    }
-
-    /// The current candidate set: every record whose min-distance is
-    /// within the threshold (the same rule as [`crate::PublicNnQuery`]).
-    pub fn candidates(&self) -> Vec<PseudonymId> {
-        let mut out: Vec<PseudonymId> = self
-            .bands
-            .iter()
-            .filter(|(_, &(min, _))| min <= self.threshold)
-            .map(|(&id, _)| id)
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// Number of tracked records.
-    pub fn tracked(&self) -> usize {
-        self.bands.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -865,103 +757,6 @@ mod tests {
         for k in 0..=5 {
             assert!((snapshot.pdf.pmf(k) - live.pmf(k)).abs() < 1e-9, "k={k}");
         }
-    }
-
-    #[test]
-    fn nn_monitor_matches_one_shot_query() {
-        use crate::PublicNnQuery;
-        use lbsp_geom::Point;
-        use rand::rngs::StdRng;
-        use rand::{RngExt as _, SeedableRng};
-        let from = Point::new(0.5, 0.5);
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut store = PrivateStore::new();
-        let mut monitor = ContinuousNnMonitor::new(from, std::iter::empty());
-        // Stream of random cloak updates over 30 pseudonyms.
-        for step in 0..300u64 {
-            let id = step % 30;
-            let x0 = rng.random_range(0.0..0.9);
-            let y0 = rng.random_range(0.0..0.9);
-            let r = rect(x0, y0, x0 + 0.1, y0 + 0.1);
-            store.upsert(PrivateRecord::new(id, r));
-            monitor.on_update(id, Some(&r));
-            // Invariant: the monitor's candidate set equals the one-shot
-            // pruning over the same store state.
-            let mut expect: Vec<_> = PublicNnQuery::new(from)
-                .candidate_records(&store)
-                .into_iter()
-                .map(|(id, _)| id)
-                .collect();
-            expect.sort_unstable();
-            assert_eq!(monitor.candidates(), expect, "step {step}");
-        }
-        // The fast path carried most of the load.
-        assert!(monitor.fast_updates > monitor.recomputes);
-        assert_eq!(monitor.tracked(), 30);
-    }
-
-    #[test]
-    fn nn_monitor_handles_departures() {
-        use lbsp_geom::Point;
-        let from = Point::new(0.0, 0.0);
-        let near = rect(0.1, 0.1, 0.2, 0.2);
-        let far = rect(0.8, 0.8, 0.9, 0.9);
-        let mut monitor = ContinuousNnMonitor::new(from, vec![(1, near), (2, far)]);
-        assert_eq!(monitor.candidates(), vec![1], "far record pruned");
-        // The near record leaves: the far one becomes the answer.
-        monitor.on_update(1, None);
-        assert_eq!(monitor.candidates(), vec![2]);
-        assert_eq!(monitor.tracked(), 1);
-        // Removing a ghost is a no-op fast update.
-        let fast_before = monitor.fast_updates;
-        monitor.on_update(99, None);
-        assert_eq!(monitor.fast_updates, fast_before + 1);
-    }
-
-    #[test]
-    fn nn_monitor_survives_threshold_ties_and_holder_churn() {
-        use lbsp_geom::Point;
-        let from = Point::new(0.0, 0.0);
-        // Two mirror-image rects with identical distance bands: a tie
-        // at the threshold.
-        let tie_a = rect(0.3, 0.0, 0.4, 0.1);
-        let tie_b = rect(0.0, 0.3, 0.1, 0.4);
-        let far = rect(0.7, 0.7, 0.8, 0.8);
-        let mut model: HashMap<PseudonymId, Rect> = HashMap::new();
-        let mut monitor = ContinuousNnMonitor::new(from, std::iter::empty());
-        let apply = |m: &mut ContinuousNnMonitor,
-                     model: &mut HashMap<PseudonymId, Rect>,
-                     id: PseudonymId,
-                     r: Option<Rect>| {
-            match r {
-                Some(r) => {
-                    model.insert(id, r);
-                    m.on_update(id, Some(&r));
-                }
-                None => {
-                    model.remove(&id);
-                    m.on_update(id, None);
-                }
-            }
-            let fresh = ContinuousNnMonitor::new(from, model.iter().map(|(&id, &r)| (id, r)));
-            assert_eq!(m.candidates(), fresh.candidates(), "after touching {id}");
-        };
-        apply(&mut monitor, &mut model, 1, Some(tie_a));
-        apply(&mut monitor, &mut model, 2, Some(tie_b));
-        apply(&mut monitor, &mut model, 3, Some(far));
-        // Repeatedly remove whichever tied record holds the threshold,
-        // then re-insert the departed pseudonym.
-        for _ in 0..5 {
-            apply(&mut monitor, &mut model, 1, None);
-            apply(&mut monitor, &mut model, 2, None);
-            apply(&mut monitor, &mut model, 1, Some(tie_a));
-            apply(&mut monitor, &mut model, 2, Some(tie_b));
-        }
-        // Threshold holder moves far away, then comes back.
-        apply(&mut monitor, &mut model, 1, Some(far));
-        apply(&mut monitor, &mut model, 2, Some(far));
-        apply(&mut monitor, &mut model, 1, Some(tie_a));
-        assert_eq!(monitor.candidates(), vec![1]);
     }
 
     #[test]

@@ -49,9 +49,7 @@ mod public_nn;
 mod server;
 mod store;
 
-pub use continuous::{
-    ContinuousCountState, ContinuousNnMonitor, ContinuousRangeCount, StandingCountQueryState,
-};
+pub use continuous::{ContinuousCountState, ContinuousRangeCount, StandingCountQueryState};
 pub use object::{PrivateRecord, PublicObject};
 pub use pdf::PoissonBinomial;
 pub use private_nn::{private_knn_candidates, private_nn_candidates, refine_knn, refine_nn};

@@ -3,11 +3,8 @@
 //! re-evaluation on movement → deregister lifecycle, checked against
 //! from-scratch snapshot queries at every step.
 
-use lbsp_geom::{Point, Rect};
-use lbsp_server::{
-    ContinuousNnMonitor, ContinuousRangeCount, PrivateRecord, PrivateStore, PublicCountQuery,
-    PublicNnQuery,
-};
+use lbsp_geom::Rect;
+use lbsp_server::{ContinuousRangeCount, PrivateRecord, PrivateStore, PublicCountQuery};
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
 
@@ -158,40 +155,4 @@ fn pdf_stays_consistent_after_movement() {
             "pmf({k}) diverged"
         );
     }
-}
-
-/// The continuous NN monitor tracks a moving population with arrivals
-/// and departures, and its candidate set equals the one-shot pruning
-/// query at every step.
-#[test]
-fn nn_monitor_lifecycle_under_churn() {
-    let mut rng = StdRng::seed_from_u64(314);
-    let from = Point::new(0.5, 0.5);
-    let mut store = PrivateStore::new();
-    let mut monitor = ContinuousNnMonitor::new(from, std::iter::empty());
-
-    for step in 0..250u64 {
-        let id = rng.random_range(0..20u64);
-        if rng.random_range(0..8u32) == 0 {
-            store.remove(id);
-            monitor.on_update(id, None);
-        } else {
-            let region = random_cloak(&mut rng);
-            store.upsert(PrivateRecord::new(id, region));
-            monitor.on_update(id, Some(&region));
-        }
-        let mut expect: Vec<_> = PublicNnQuery::new(from)
-            .candidate_records(&store)
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect();
-        expect.sort_unstable();
-        assert_eq!(monitor.candidates(), expect, "step {step}");
-        assert_eq!(monitor.tracked(), store.len(), "step {step}");
-    }
-    assert_eq!(
-        monitor.fast_updates + monitor.recomputes,
-        250,
-        "every update took exactly one path"
-    );
 }

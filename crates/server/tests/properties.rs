@@ -157,60 +157,6 @@ proptest! {
     }
 
     #[test]
-    fn continuous_nn_monitor_equals_one_shot_under_any_stream(
-        updates in prop::collection::vec((0u64..12, urect()), 1..60),
-        from in upoint(),
-    ) {
-        use lbsp_server::ContinuousNnMonitor;
-        let mut store = PrivateStore::new();
-        let mut monitor = ContinuousNnMonitor::new(from, std::iter::empty());
-        for (id, r) in updates {
-            store.upsert(PrivateRecord::new(id, r));
-            monitor.on_update(id, Some(&r));
-            let mut expect: Vec<u64> = PublicNnQuery::new(from)
-                .candidate_records(&store)
-                .into_iter()
-                .map(|(id, _)| id)
-                .collect();
-            expect.sort_unstable();
-            prop_assert_eq!(monitor.candidates(), expect);
-        }
-    }
-
-    #[test]
-    fn continuous_nn_monitor_equals_from_scratch_under_adversarial_churn(
-        // Rects drawn from a pool of 4 so identical bands (threshold
-        // ties) recur constantly; ops interleave updates, departures and
-        // re-insertions of the same few pseudonyms, repeatedly removing
-        // whichever record holds the pruning threshold.
-        ops in prop::collection::vec((0u64..6, 0usize..5), 1..120),
-        from in upoint(),
-        pool in prop::collection::vec(urect(), 4..5),
-    ) {
-        use lbsp_server::ContinuousNnMonitor;
-        use std::collections::HashMap;
-        let mut model: HashMap<u64, Rect> = HashMap::new();
-        let mut monitor = ContinuousNnMonitor::new(from, std::iter::empty());
-        for (id, pick) in ops {
-            if pick == 4 {
-                // Departure (of the threshold holder as often as not,
-                // since ids repeat); departing a ghost must be a no-op.
-                model.remove(&id);
-                monitor.on_update(id, None);
-            } else {
-                let r = pool[pick];
-                model.insert(id, r);
-                monitor.on_update(id, Some(&r));
-            }
-            // The incrementally maintained candidate set must equal a
-            // monitor rebuilt from scratch after *every* step.
-            let fresh = ContinuousNnMonitor::new(from, model.iter().map(|(&i, &r)| (i, r)));
-            prop_assert_eq!(monitor.candidates(), fresh.candidates());
-            prop_assert_eq!(monitor.tracked(), model.len());
-        }
-    }
-
-    #[test]
     fn public_nn_pruning_never_discards_a_possible_winner(
         regions in prop::collection::vec(urect(), 1..40),
         from in upoint(),
