@@ -419,6 +419,7 @@ impl<T> std::ops::DerefMut for TrackedWriteGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[cfg(debug_assertions)]
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
