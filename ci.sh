@@ -6,6 +6,14 @@ cd "$(dirname "$0")"
 echo "== build (release, offline) =="
 cargo build --release --offline --workspace
 
+echo "== examples (release, one run each) =="
+# Clippy only compiles the examples; these walk the engine's private and
+# public queries, the sequential private-over-private path and the
+# simulation driver end to end, and fail on any panic.
+for example in quickstart nearest_friend traffic_dashboard day_in_the_life; do
+  cargo run -q --release --offline --example "$example" >/dev/null
+done
+
 echo "== tests =="
 cargo test -q --workspace --offline
 

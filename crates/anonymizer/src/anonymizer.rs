@@ -92,36 +92,11 @@ impl<A: CloakingAlgorithm> LocationAnonymizer<A> {
 
     /// Registers a user with a privacy profile (Sec. 4: "upon
     /// registration with the location anonymizer, mobile users should
-    /// indicate their initial privacy profile").
+    /// indicate their initial privacy profile"), or replaces the profile
+    /// of a registered user ("mobile users have the ability to change
+    /// their privacy profiles at any time").
     pub fn register(&mut self, id: UserId, profile: PrivacyProfile) {
         self.profiles.insert(id, profile);
-    }
-
-    /// Replaces a user's profile ("mobile users have the ability to
-    /// change their privacy profiles at any time").
-    pub fn update_profile(
-        &mut self,
-        id: UserId,
-        profile: PrivacyProfile,
-    ) -> Result<(), CloakError> {
-        if !self.profiles.contains_key(&id) {
-            return Err(CloakError::UnknownUser(id));
-        }
-        self.profiles.insert(id, profile);
-        Ok(())
-    }
-
-    /// Unregisters a user (the paper's *passive mode*: the user shares
-    /// nothing with anyone) and drops them from the index.
-    pub fn unregister(&mut self, id: UserId) -> bool {
-        let had_profile = self.profiles.remove(&id).is_some();
-        let had_location = self.algo.remove(id);
-        had_profile || had_location
-    }
-
-    /// The profile of a user.
-    pub fn profile(&self, id: UserId) -> Option<&PrivacyProfile> {
-        self.profiles.get(&id)
     }
 
     /// The requirement in force for a user at time `t`.
@@ -285,10 +260,6 @@ mod tests {
             a.cloak_query(1, SimTime::ZERO),
             Err(CloakError::UnknownUser(1))
         ));
-        assert!(matches!(
-            a.update_profile(1, PrivacyProfile::default()),
-            Err(CloakError::UnknownUser(1))
-        ));
         // Registered but never sent an update: query fails inside cloak.
         a.register(1, PrivacyProfile::default());
         assert!(matches!(
@@ -327,19 +298,15 @@ mod tests {
     }
 
     #[test]
-    fn profile_update_and_unregister() {
+    fn a_second_register_replaces_the_profile() {
         let mut a = service();
-        a.update_profile(
+        a.register(
             3,
             PrivacyProfile::uniform(CloakRequirement::k_only(50)).unwrap(),
-        )
-        .unwrap();
+        );
         let q = a.cloak_query(3, SimTime::ZERO).unwrap();
         assert!(q.region.achieved_k >= 50);
-        assert!(a.unregister(3));
-        assert!(!a.unregister(3));
-        assert_eq!(a.registered(), 99);
-        assert!(a.profile(3).is_none());
+        assert_eq!(a.registered(), 100);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!
 //! In the paper a profile travels from the mobile user to the anonymizer
 //! at registration time, and "mobile users have the ability to change
-//! their privacy profiles at any time" — see
-//! [`crate::LocationAnonymizer::update_profile`]. Here the only encoding
+//! their privacy profiles at any time" — a second
+//! [`crate::LocationAnonymizer::register`] replaces it. Here the only encoding
 //! of a whole profile is `lbsp-core`'s codec (`Put` / `Get for
 //! PrivacyProfile`), which the journal and its snapshots use. A socket
 //! client's `REGISTER` frame carries a single `(k, A_min, A_max)`

@@ -21,7 +21,7 @@ use lbsp_bench::{
     all_cloaks, header, load, poi_store, row, sample_ids, standard_positions, uniform_positions,
     world,
 };
-use lbsp_core::{PrivacyAwareSystem, SimulationConfig, SimulationEngine};
+use lbsp_core::{EngineConfig, ShardedEngine, SimulationConfig, SimulationEngine};
 use lbsp_geom::SimTime;
 use lbsp_geom::{Point, Rect};
 use lbsp_mobility::SpatialDistribution;
@@ -1340,7 +1340,7 @@ fn e1_pipeline() {
         "mean cloak area",
         "k fail %",
     ]);
-    for algo_name in ["quad", "grid+multilevel"] {
+    for (algo_name, refine) in [("grid", false), ("grid+multilevel", true)] {
         let w = world();
         let cfg = SimulationConfig {
             users: 20_000,
@@ -1353,10 +1353,7 @@ fn e1_pipeline() {
             seed: 7,
         };
         let profile = PrivacyProfile::uniform(CloakRequirement::k_only(25)).unwrap();
-        let report = match algo_name {
-            "quad" => run_e1(QuadCloak::new(w, 8), cfg, profile),
-            _ => run_e1(GridCloak::new(w, 64).with_refinement(true), cfg, profile),
-        };
+        let report = run_e1(pipeline_grid(w, refine), cfg, profile);
         row(&[
             algo_name.to_string(),
             format!("{:.0}", report.0),
@@ -1368,12 +1365,23 @@ fn e1_pipeline() {
     println!();
 }
 
-fn run_e1<A: CloakingAlgorithm>(
-    algo: A,
+/// The engine the full-pipeline rows of E1, E2 and E10 run: a 64 × 64
+/// cloaking grid (Fig. 4b) over `world`, multi-level refinement on or
+/// off.
+fn pipeline_grid(world: Rect, refine: bool) -> EngineConfig {
+    EngineConfig {
+        grid_side: 64,
+        refine,
+        ..EngineConfig::new(world)
+    }
+}
+
+fn run_e1(
+    grid: EngineConfig,
     cfg: SimulationConfig,
     profile: PrivacyProfile,
 ) -> (f64, f64, f64, f64) {
-    let mut engine = SimulationEngine::new(algo, cfg, profile);
+    let mut engine = SimulationEngine::new(grid, cfg, profile);
     let start = Instant::now();
     let reports = engine.run(3);
     let wall = start.elapsed().as_secs_f64();
@@ -1384,7 +1392,7 @@ fn run_e1<A: CloakingAlgorithm>(
         updates as f64 / wall,
         queries as f64 / wall,
         engine
-            .system()
+            .engine()
             .metrics_registry()
             .cloak_area()
             .summary()
@@ -1414,10 +1422,10 @@ fn e2_profiles() {
         seed: 2026,
     };
     let mut engine =
-        SimulationEngine::new(QuadCloak::new(w, 7), cfg, PrivacyProfile::paper_example());
+        SimulationEngine::new(pipeline_grid(w, true), cfg, PrivacyProfile::paper_example());
     // Aggregate per profile entry.
     let mut per_entry: [(f64, f64, usize); 3] = [(0.0, 0.0, 0); 3];
-    let m = std::sync::Arc::clone(engine.system().metrics_registry());
+    let m = std::sync::Arc::clone(engine.engine().metrics_registry());
     for _ in 0..24 {
         m.cloak_area().reset();
         m.candidate_set_size().reset();
@@ -1703,7 +1711,7 @@ fn e7_public_count() {
         2,
         Rect::new_unchecked(1.5, 1.5, 1.7, 1.7),
     )); // C: 0
-    let ans = PublicCountQuery::new(Rect::new_unchecked(0.0, 0.0, 1.0, 1.0)).evaluate(&store);
+    let ans = PublicCountQuery::new(Rect::new_unchecked(0.0, 0.0, 1.0, 1.0)).evaluate(store.iter());
     println!("paper: expected = 2.7, interval = [1, 5]");
     println!(
         "ours : expected = {:.4}, interval = [{}, {}], naive = {}",
@@ -1742,7 +1750,7 @@ fn e7_public_count() {
             let fy = (t / 20) as f64 / 12.5;
             let q = Rect::new_unchecked(fx, fy, (fx + 0.2).min(1.0), (fy + 0.2).min(1.0));
             let truth = positions.iter().filter(|p| q.contains_point(**p)).count() as f64;
-            let ans = PublicCountQuery::new(q).evaluate(&store);
+            let ans = PublicCountQuery::new(q).evaluate(store.iter());
             abs_err += (ans.expected - truth).abs();
             rel_err += (ans.expected - truth).abs() / truth.max(1.0);
             width += (ans.possible - ans.certain) as f64;
@@ -1788,7 +1796,9 @@ fn e8_public_nn() {
         2,
         Rect::new_unchecked(0.1, 0.8, 0.2, 0.9),
     )); // C
-    let ans = PublicNnQuery::new(q).with_samples(50_000).evaluate(&store);
+    let ans = PublicNnQuery::new(q)
+        .with_samples(50_000)
+        .evaluate(store.iter());
     let names = ["A", "B", "C", "D", "E", "F"];
     for c in &ans.candidates {
         println!(
@@ -1820,7 +1830,7 @@ fn e8_public_nn() {
             let from = Point::new(0.5 + 0.3 * angle.cos(), 0.5 + 0.3 * angle.sin());
             cands += PublicNnQuery::new(from)
                 .with_samples(1)
-                .candidate_records(&store)
+                .candidate_records(store.iter())
                 .len();
         }
         let mean_c = cands as f64 / trials as f64;
@@ -2007,23 +2017,29 @@ fn e10_scalability() {
     }
     println!();
 
-    // Throughput through the full system at the largest population.
-    println!("### Full-pipeline throughput (100,000 users, quad cloak, k=25)\n");
-    let w = world();
-    let positions = uniform_positions(100_000, 43);
-    let mut system = PrivacyAwareSystem::new(QuadCloak::new(w, 9), 1, Vec::new());
+    // Throughput through the full pipeline at the largest population.
+    println!(
+        "### Full-pipeline throughput (100,000 users, grid+multilevel cloak, k=25, \
+         256-row batches)\n"
+    );
+    let mut engine = ShardedEngine::new(pipeline_grid(world(), true), 1);
     let profile = PrivacyProfile::uniform(CloakRequirement::k_only(25)).unwrap();
-    for (i, p) in positions.iter().enumerate() {
-        system.register_user(lbsp_core::MobileUser::active(i as u64, profile.clone()));
-        system
-            .process_update(i as u64, *p, lbsp_geom::SimTime::ZERO)
-            .unwrap();
+    let positions = uniform_positions(100_000, 43);
+    let rows_at = |t: SimTime| -> Vec<(u64, Point, SimTime)> {
+        (0..).zip(&positions).map(|(i, &p)| (i, p, t)).collect()
+    };
+    for i in 0..100_000 {
+        engine.register(i, profile.clone());
     }
+    for batch in rows_at(SimTime::ZERO).chunks(256) {
+        engine.process_updates(batch);
+    }
+    let moves = rows_at(SimTime::from_secs(60.0));
     let start = Instant::now();
-    for (i, p) in positions.iter().enumerate().take(20_000) {
-        system
-            .process_update(i as u64, *p, lbsp_geom::SimTime::from_secs(60.0))
-            .unwrap();
+    for batch in moves[..20_000].chunks(256) {
+        for out in engine.process_updates(batch) {
+            out.unwrap();
+        }
     }
     let rate = 20_000.0 / start.elapsed().as_secs_f64();
     println!("sustained update rate: {rate:.0} updates/s\n");

@@ -2,16 +2,17 @@
 //!
 //! Drives a synthetic population ([`lbsp_mobility`]) through the full
 //! pipeline over simulated time: each tick moves every active user,
-//! streams the updates through the anonymizer to the server, and issues
-//! a configurable mix of private and public queries. This is the
-//! workhorse behind experiments E1 (pipeline), E2 (temporal profiles),
-//! and E10 (scalability).
+//! streams the updates through a [`ShardedEngine`] as one batch, and
+//! issues a configurable mix of private queries, whose candidates each
+//! device refines at its true position. This is the workhorse behind
+//! experiments E1 (pipeline), E2 (temporal profiles), and E10
+//! (scalability).
 
-use crate::{MobileUser, PrivacyAwareSystem, UserId};
-use lbsp_anonymizer::{CloakingAlgorithm, PrivacyProfile};
+use crate::{EngineConfig, ShardedEngine, UserId};
+use lbsp_anonymizer::PrivacyProfile;
 use lbsp_geom::{Rect, SimTime};
 use lbsp_mobility::{Population, SpatialDistribution};
-use lbsp_server::PublicObject;
+use lbsp_server::{refine_nn, refine_range, PublicObject};
 use rand::rngs::SmallRng;
 use rand::{RngExt as _, SeedableRng};
 
@@ -61,6 +62,9 @@ pub struct TickReport {
     pub range_queries: usize,
     /// Private NN queries issued.
     pub nn_queries: usize,
+    /// Objects in the exact answers the devices refined from the
+    /// candidates: every range hit plus one per answered NN query.
+    pub exact_answers: usize,
     /// Updates whose cloak failed a requirement (contradictory profile
     /// or insufficient population).
     pub unsatisfied: usize,
@@ -68,20 +72,25 @@ pub struct TickReport {
     pub now: SimTime,
 }
 
-/// The simulation engine: population + system + clock.
-pub struct SimulationEngine<A> {
+/// The simulation engine: population + engine + clock.
+pub struct SimulationEngine {
     population: Population,
-    system: PrivacyAwareSystem<A>,
+    engine: ShardedEngine,
     clock: SimTime,
     config: SimulationConfig,
     rng: SmallRng,
 }
 
-impl<A: CloakingAlgorithm> SimulationEngine<A> {
-    /// Builds the engine: generates the population and POIs, registers
-    /// every user with `profile`, and pushes an initial update for each.
-    pub fn new(algo: A, config: SimulationConfig, profile: PrivacyProfile) -> SimulationEngine<A> {
-        let world = algo.world();
+impl SimulationEngine {
+    /// Builds the simulation over an engine built from `engine`: generates
+    /// the population and POIs in its world, registers every user with
+    /// `profile`, and sends an initial update for each.
+    pub fn new(
+        engine: EngineConfig,
+        config: SimulationConfig,
+        profile: PrivacyProfile,
+    ) -> SimulationEngine {
+        let world = engine.world;
         let population = Population::generate(
             world,
             config.users,
@@ -90,35 +99,37 @@ impl<A: CloakingAlgorithm> SimulationEngine<A> {
             config.speed.1,
             config.seed,
         );
-        let pois: Vec<PublicObject> = {
-            let set = lbsp_mobility::PoiSet::generate(
-                world,
-                config.pois,
-                &config.distribution,
-                config.seed ^ 0x9015,
-            );
-            set.pois()
-                .iter()
-                .map(|p| PublicObject::new(p.id, p.pos, p.category as u32))
-                .collect()
-        };
-        let mut system = PrivacyAwareSystem::new(algo, config.seed, pois);
-        for u in population.users() {
-            system.register_user(MobileUser::active(u.id, profile.clone()));
-            system
-                .process_update(u.id, u.position(), SimTime::ZERO)
-                .expect("registered user");
-        }
-        // Cold-start cloaks (computed while the index was still filling)
-        // are not representative; measurements start at the first tick.
-        let obs = system.metrics_registry();
+        let set = lbsp_mobility::PoiSet::generate(
+            world,
+            config.pois,
+            &config.distribution,
+            config.seed ^ 0x9015,
+        );
+        let pois = set
+            .pois()
+            .iter()
+            .map(|p| PublicObject::new(p.id, p.pos, p.category as u32))
+            .collect();
+        let mut engine = ShardedEngine::new(engine, 1);
+        engine.load_public(pois);
+        let placement: Vec<_> = population
+            .users()
+            .iter()
+            .map(|u| {
+                engine.register(u.id, profile.clone());
+                (u.id, u.position(), SimTime::ZERO)
+            })
+            .collect();
+        engine.process_updates(&placement);
+        // Measurements start at the first tick.
+        let obs = engine.metrics_registry();
         obs.cloak_area().reset();
         obs.achieved_k().reset();
         obs.candidate_set_size().reset();
         let rng = SmallRng::seed_from_u64(config.seed ^ 0x51A1);
         SimulationEngine {
             population,
-            system,
+            engine,
             clock: SimTime::ZERO,
             config,
             rng,
@@ -130,52 +141,47 @@ impl<A: CloakingAlgorithm> SimulationEngine<A> {
         self.clock
     }
 
-    /// The system under simulation.
-    pub fn system(&self) -> &PrivacyAwareSystem<A> {
-        &self.system
-    }
-
-    /// Mutable access to the system (for registering standing queries).
-    pub fn system_mut(&mut self) -> &mut PrivacyAwareSystem<A> {
-        &mut self.system
+    /// The engine under simulation.
+    pub fn engine(&self) -> &ShardedEngine {
+        &self.engine
     }
 
     /// Advances the simulation by one tick: moves users, streams their
-    /// updates through the pipeline, and issues the configured query
-    /// mix (alternating range / NN queries).
+    /// updates through the engine, and issues the configured query mix
+    /// (alternating range / NN queries), each refined on the device.
     pub fn tick(&mut self) -> TickReport {
         self.clock = self.clock + self.config.tick_seconds;
         let mut report = TickReport {
             now: self.clock,
             ..TickReport::default()
         };
-        for (id, pos) in self.population.step_all(self.config.tick_seconds) {
-            let out = self
-                .system
-                .process_update(id, pos, self.clock)
-                .expect("every simulated user is registered");
+        let rows: Vec<_> = self
+            .population
+            .step_all(self.config.tick_seconds)
+            .into_iter()
+            .map(|(id, pos)| (id, pos, self.clock))
+            .collect();
+        for out in self.engine.process_updates(&rows) {
+            let u = out.expect("every simulated user is registered");
             report.updates += 1;
-            if let Some(u) = out {
-                if !u.region.fully_satisfied() {
-                    report.unsatisfied += 1;
-                }
-            }
+            report.unsatisfied += usize::from(!u.region.fully_satisfied());
         }
         // Query phase.
         let n_queries = (self.config.users as f64 * self.config.query_fraction) as usize;
         for q in 0..n_queries {
             let id = self.rng.random_range(0..self.config.users as UserId);
-            if q % 2 == 0 {
-                self.system
-                    .private_range_query(id, self.config.query_radius, self.clock)
-                    .expect("registered user");
+            let pos = self.population.position_of(id).expect("simulated user");
+            let radius = self.config.query_radius;
+            let exact = if q % 2 == 0 {
                 report.range_queries += 1;
+                let ans = self.engine.range_query(id, self.clock, radius);
+                refine_range(&ans.expect("registered user").candidates, pos, radius).len()
             } else {
-                self.system
-                    .private_nn_query(id, self.clock)
-                    .expect("registered user");
                 report.nn_queries += 1;
-            }
+                let ans = self.engine.nn_query(id, self.clock);
+                usize::from(refine_nn(&ans.expect("registered user").candidates, pos).is_some())
+            };
+            report.exact_answers += exact;
         }
         report
     }
@@ -194,20 +200,16 @@ impl<A: CloakingAlgorithm> SimulationEngine<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lbsp_anonymizer::{CloakRequirement, GridCloak, QuadCloak};
+    use lbsp_anonymizer::CloakRequirement;
 
-    fn world() -> Rect {
-        Rect::new_unchecked(0.0, 0.0, 1.0, 1.0)
+    fn grid() -> EngineConfig {
+        EngineConfig::new(Rect::new_unchecked(0.0, 0.0, 1.0, 1.0))
     }
 
     #[test]
     fn engine_runs_and_reports() {
         let profile = PrivacyProfile::uniform(CloakRequirement::k_only(10)).unwrap();
-        let mut engine = SimulationEngine::new(
-            QuadCloak::new(world(), 5),
-            SimulationConfig::small(),
-            profile,
-        );
+        let mut engine = SimulationEngine::new(grid(), SimulationConfig::small(), profile);
         let reports = engine.run(3);
         assert_eq!(reports.len(), 3);
         for (i, r) in reports.iter().enumerate() {
@@ -216,7 +218,7 @@ mod tests {
             assert!((r.now.as_secs() - 60.0 * (i + 1) as f64).abs() < 1e-9);
         }
         // Metrics accumulated across ticks.
-        let m = engine.system().metrics_registry();
+        let m = engine.engine().metrics_registry();
         assert!(m.cloak_area().count() >= 600);
         assert!(m.candidate_set_size().count() >= 60);
     }
@@ -224,11 +226,7 @@ mod tests {
     #[test]
     fn k_is_satisfied_throughout_motion() {
         let profile = PrivacyProfile::uniform(CloakRequirement::k_only(20)).unwrap();
-        let mut engine = SimulationEngine::new(
-            GridCloak::new(world(), 16),
-            SimulationConfig::small(),
-            profile,
-        );
+        let mut engine = SimulationEngine::new(grid(), SimulationConfig::small(), profile);
         let reports = engine.run(5);
         let total_unsat: usize = reports.iter().map(|r| r.unsatisfied).sum();
         // 200 users, k=20: the population always suffices.
@@ -239,7 +237,7 @@ mod tests {
         // is why each new update re-cloaks.)
         assert!(
             engine
-                .system()
+                .engine()
                 .metrics_registry()
                 .achieved_k()
                 .summary()
@@ -255,19 +253,19 @@ mod tests {
         let mut cfg = SimulationConfig::small();
         cfg.tick_seconds = 6.0 * 3600.0; // 6-hour ticks
         let engine_profile = PrivacyProfile::paper_example();
-        let mut engine = SimulationEngine::new(QuadCloak::new(world(), 5), cfg, engine_profile);
+        let mut engine = SimulationEngine::new(grid(), cfg, engine_profile);
         // Tick 1 ends at 06:00 (night entry), tick 2 at 12:00 (day).
         engine.tick();
         let night_area = engine
-            .system()
+            .engine()
             .metrics_registry()
             .cloak_area()
             .summary()
             .max;
-        engine.system().metrics_registry().cloak_area().reset();
+        engine.engine().metrics_registry().cloak_area().reset();
         engine.tick();
         let noon_area = engine
-            .system()
+            .engine()
             .metrics_registry()
             .cloak_area()
             .summary()
@@ -279,16 +277,8 @@ mod tests {
     #[test]
     fn determinism_given_seed() {
         let profile = PrivacyProfile::uniform(CloakRequirement::k_only(5)).unwrap();
-        let mut a = SimulationEngine::new(
-            QuadCloak::new(world(), 4),
-            SimulationConfig::small(),
-            profile.clone(),
-        );
-        let mut b = SimulationEngine::new(
-            QuadCloak::new(world(), 4),
-            SimulationConfig::small(),
-            profile,
-        );
+        let mut a = SimulationEngine::new(grid(), SimulationConfig::small(), profile.clone());
+        let mut b = SimulationEngine::new(grid(), SimulationConfig::small(), profile);
         assert_eq!(a.run(2), b.run(2));
     }
 }

@@ -163,7 +163,7 @@ impl StandingPrivateRanges {
         self.entries.contains_key(&id)
     }
 
-    /// Called by the system when `user`'s cloak changes to `new_cloak`:
+    /// Called by the engine when `user`'s cloak changes to `new_cloak`:
     /// refreshes all of that user's standing queries (found through the
     /// per-user index — other users' queries are never visited).
     /// Queries whose cloak is unchanged keep their candidate set (the

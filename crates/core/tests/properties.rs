@@ -11,7 +11,7 @@ use lbsp_core::wire::{
     encode_exact_update, encode_range_query, encode_register, encode_user_query, ExactUpdateMsg,
     RangeQueryMsg, RegisterMsg, UserQueryMsg,
 };
-use lbsp_core::{EngineConfig, MobileUser, PrivacyAwareSystem, ShardedEngine};
+use lbsp_core::{EngineConfig, ShardedEngine};
 use lbsp_geom::{Point, Rect, SimTime};
 use proptest::prelude::*;
 
@@ -410,19 +410,21 @@ proptest! {
         k in 1u32..10,
     ) {
         let world = Rect::new_unchecked(0.0, 0.0, 1.0, 1.0);
-        let mut sys = PrivacyAwareSystem::new(QuadCloak::new(world, 5), 0xFEED, Vec::new());
+        let cfg = EngineConfig { secret: 0xFEED, ..EngineConfig::new(world) };
+        let mut engine = ShardedEngine::new(cfg, 1);
         let profile = PrivacyProfile::uniform(CloakRequirement::k_only(k)).unwrap();
         let mut pseudonyms = std::collections::HashSet::new();
         for (i, p) in pts.iter().enumerate() {
-            sys.register_user(MobileUser::active(i as u64, profile.clone()));
-            let u = sys.process_update(i as u64, *p, SimTime::ZERO).unwrap().unwrap();
+            engine.register(i as u64, profile.clone());
+            let row = (i as u64, *p, SimTime::ZERO);
+            let u = engine.process_updates(&[row]).pop().unwrap().unwrap();
             // Region contains the true position; pseudonym is unique and
             // differs from the true id.
             prop_assert!(u.region.region.contains_point(*p));
             prop_assert!(pseudonyms.insert(u.pseudonym));
             prop_assert_ne!(u.pseudonym.0, i as u64);
         }
-        prop_assert_eq!(sys.private_store().len(), pts.len());
+        prop_assert_eq!(engine.private_len(), pts.len());
     }
 
     #[test]

@@ -585,7 +585,7 @@ mod tests {
         for (pseudonym, region) in moves {
             let old = store.upsert(PrivateRecord::new(pseudonym, region));
             cont.on_update(pseudonym, old.as_ref(), Some(&region));
-            let full = PublicCountQuery::new(area).evaluate(&store);
+            let full = PublicCountQuery::new(area).evaluate(store.iter());
             let inc = cont.expected(q).unwrap();
             assert!(
                 (full.expected - inc).abs() < 1e-9,
@@ -634,7 +634,7 @@ mod tests {
             cont.on_update(id, old.as_ref(), Some(&r));
         }
         for (a, q) in areas.iter().zip(&ids) {
-            let full = PublicCountQuery::new(*a).evaluate(&store);
+            let full = PublicCountQuery::new(*a).evaluate(store.iter());
             let inc = cont.expected(*q).unwrap();
             assert!(
                 (full.expected - inc).abs() < 1e-9,
@@ -752,7 +752,7 @@ mod tests {
             let old = store.upsert(PrivateRecord::new(i, r));
             cont.on_update(i, old.as_ref(), Some(&r));
         }
-        let snapshot = PublicCountQuery::new(area).evaluate(&store);
+        let snapshot = PublicCountQuery::new(area).evaluate(store.iter());
         let live = cont.pdf(q).unwrap();
         for k in 0..=5 {
             assert!((snapshot.pdf.pmf(k) - live.pmf(k)).abs() < 1e-9, "k={k}");

@@ -53,7 +53,7 @@ fn incremental_equals_snapshot_under_churn() {
             cont.on_update(id, old.as_ref(), Some(&region));
         }
         for (q, area) in qs.iter().zip(&areas) {
-            let full = PublicCountQuery::new(*area).evaluate(&store);
+            let full = PublicCountQuery::new(*area).evaluate(store.iter());
             let inc = cont.expected(*q).unwrap();
             assert!(
                 (full.expected - inc).abs() < 1e-9,
@@ -147,7 +147,7 @@ fn pdf_stays_consistent_after_movement() {
         let old = store.upsert(PrivateRecord::new(id, region));
         cont.on_update(id, old.as_ref(), Some(&region));
     }
-    let snapshot = PublicCountQuery::new(area).evaluate(&store);
+    let snapshot = PublicCountQuery::new(area).evaluate(store.iter());
     let live = cont.pdf(q).unwrap();
     for k in 0..=3 {
         assert!(

@@ -104,7 +104,7 @@ proptest! {
         for (i, r) in regions.iter().enumerate() {
             store.upsert(PrivateRecord::new(i as u64, *r));
         }
-        let ans = PublicCountQuery::new(q).evaluate(&store);
+        let ans = PublicCountQuery::new(q).evaluate(store.iter());
         prop_assert!(ans.certain <= ans.possible);
         prop_assert!(ans.expected >= ans.certain as f64 - 1e-9);
         prop_assert!(ans.expected <= ans.possible as f64 + 1e-9);
@@ -135,7 +135,7 @@ proptest! {
             store.upsert(PrivateRecord::new(i as u64, cloak));
         }
         let truth = positions.iter().filter(|p| q.contains_point(**p)).count();
-        let ans = PublicCountQuery::new(q).evaluate(&store);
+        let ans = PublicCountQuery::new(q).evaluate(store.iter());
         prop_assert!(ans.certain <= truth, "certain {} > truth {}", ans.certain, truth);
         prop_assert!(truth <= ans.possible, "truth {} > possible {}", truth, ans.possible);
     }
@@ -168,7 +168,7 @@ proptest! {
         }
         let query = PublicNnQuery::new(from).with_seed(seed);
         let kept: std::collections::HashSet<u64> = query
-            .candidate_records(&store)
+            .candidate_records(store.iter())
             .into_iter()
             .map(|(id, _)| id)
             .collect();
@@ -191,7 +191,7 @@ proptest! {
             );
         }
         // Probabilities sum to ~1.
-        let ans = query.evaluate(&store);
+        let ans = query.evaluate(store.iter());
         prop_assert!((ans.total_probability() - 1.0).abs() < 1e-9);
     }
 }

@@ -607,7 +607,7 @@ fn a_log_in_the_striped_layout_fails_loudly_naming_the_segment() {
 
 #[test]
 fn a_system_journal_genesis_fails_to_open() {
-    // The genesis a `PrivacyAwareSystem` journal began with, tag 0xE1
+    // The genesis the retired in-memory system's journal began with, tag 0xE1
     // and no payload, framed with a valid CRC. No writer produces it
     // now, and its tag is retired: the log must be refused, not read.
     let dir = TempDir::new("system-genesis");

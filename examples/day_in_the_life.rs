@@ -14,10 +14,10 @@
 //!
 //! Run with: `cargo run --release --example day_in_the_life`
 
-use privacy_lbs::anonymizer::{PrivacyProfile, QuadCloak};
+use privacy_lbs::anonymizer::PrivacyProfile;
 use privacy_lbs::geom::Rect;
 use privacy_lbs::mobility::SpatialDistribution;
-use privacy_lbs::system::{SimulationConfig, SimulationEngine};
+use privacy_lbs::system::{EngineConfig, SimulationConfig, SimulationEngine};
 
 fn main() {
     // A 36-square-mile city (6 x 6), so the profile's area bounds in
@@ -33,15 +33,17 @@ fn main() {
         query_radius: 0.5,
         seed: 2026,
     };
-    let mut engine = SimulationEngine::new(
-        QuadCloak::new(world, 7),
-        config,
-        PrivacyProfile::paper_example(),
-    );
+    // The engine's cloaking grid: 64 x 64 cells, refined within a cell.
+    let grid = EngineConfig {
+        grid_side: 64,
+        refine: true,
+        ..EngineConfig::new(world)
+    };
+    let mut engine = SimulationEngine::new(grid, config, PrivacyProfile::paper_example());
 
     println!("hour | entry            | mean cloak area | mean candidates | QoS");
     println!("-----+------------------+-----------------+-----------------+--------");
-    let m = std::sync::Arc::clone(engine.system().metrics_registry());
+    let m = std::sync::Arc::clone(engine.engine().metrics_registry());
     for _hour in 1..=24u32 {
         m.cloak_area().reset();
         m.candidate_set_size().reset();

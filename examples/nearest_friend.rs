@@ -7,40 +7,48 @@
 //! probabilistic answers over rectangles only, and nobody — including
 //! Alice — learns anyone's exact location or identity.
 //!
+//! The engine answers the other three cells; this one runs on the
+//! sequential parts it is held equal to: a `LocationAnonymizer` over the
+//! grid cloak in front of a `Server`.
+//!
 //! Run with: `cargo run --release --example nearest_friend`
 
-use privacy_lbs::anonymizer::{CloakRequirement, GridCloak, PrivacyProfile};
+use privacy_lbs::anonymizer::{CloakRequirement, GridCloak, LocationAnonymizer, PrivacyProfile};
 use privacy_lbs::geom::{Point, Rect, SimTime};
 use privacy_lbs::mobility::SpatialDistribution;
-use privacy_lbs::system::{MobileUser, PrivacyAwareSystem};
+use privacy_lbs::server::Server;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
     let world = Rect::new_unchecked(0.0, 0.0, 1.0, 1.0);
-    let mut system = PrivacyAwareSystem::new(
-        GridCloak::new(world, 32).with_refinement(true),
-        0xF12E,
-        Vec::new(),
-    );
+    let grid = GridCloak::new(world, 32).with_refinement(true);
+    let mut anonymizer = LocationAnonymizer::new(grid, 0xF12E);
+    let mut server = Server::new(Vec::new());
 
-    // 2,000 users, everyone demanding k = 15.
+    // 2,000 users, everyone demanding k = 15. Each update reaches the
+    // server as a pseudonym and a rectangle.
     let dist = SpatialDistribution::three_cities(&world);
     let profile = PrivacyProfile::uniform(CloakRequirement::k_only(15)).unwrap();
     let mut rng = StdRng::seed_from_u64(21);
-    for id in 1..=2000u64 {
-        system.register_user(MobileUser::active(id, profile.clone()));
-        let pos = dist.sample(&mut rng, &world);
-        system.process_update(id, pos, SimTime::ZERO).unwrap();
+    let mut positions = Vec::new();
+    let alice = Point::new(0.27, 0.24); // downtown A
+    for id in 0..=2000u64 {
+        anonymizer.register(id, profile.clone());
+        let pos = if id == 0 {
+            alice
+        } else {
+            dist.sample(&mut rng, &world)
+        };
+        positions.push(pos);
+        let update = anonymizer.handle_update(id, pos, SimTime::ZERO).unwrap();
+        server.ingest(update.pseudonym.0, update.region.region);
     }
 
-    // Alice.
-    system.register_user(MobileUser::active(0, profile));
-    let alice = Point::new(0.27, 0.24); // downtown A
-    system.process_update(0, alice, SimTime::ZERO).unwrap();
-
     println!("Alice (cloaked among >= 15 users) asks: who is nearest to me?\n");
-    let nn = system.private_friend_nn_query(0, SimTime::ZERO).unwrap();
+    let query = anonymizer.cloak_query(0, SimTime::ZERO).unwrap();
+    let (cloak, me) = (query.region.region, query.pseudonym.0);
+    let nn = server.private_friend_nn(&cloak, me);
     println!(
         "{} candidate users could be her nearest (out of 2,000):",
         nn.candidates.len()
@@ -59,19 +67,16 @@ fn main() {
     }
 
     println!("\nAlice asks: how many users are within 0.1 of me?\n");
-    let cnt = system.private_friend_count(0, 0.1, SimTime::ZERO).unwrap();
+    let cnt = server.private_friend_count(&cloak, me, 0.1);
     println!(
         "expected {:.1}, certainly {}, possibly up to {}",
         cnt.expected, cnt.certain, cnt.possible
     );
 
     // Ground truth for the reader (never visible to the server).
-    let truth = (1..=2000u64)
-        .filter(|&id| {
-            system
-                .device_position(id)
-                .is_some_and(|p| p.dist(alice) <= 0.1)
-        })
+    let truth = positions[1..]
+        .iter()
+        .filter(|p| p.dist(alice) <= 0.1)
         .count();
     println!(
         "(ground truth, known only to this simulation: {truth} users — inside \

@@ -11,7 +11,8 @@
 //! * [`mobility`] — synthetic user populations and movement models.
 //! * [`anonymizer`] — privacy profiles, cloaking algorithms, attacks.
 //! * [`server`] — the privacy-aware query processor.
-//! * [`system`] — the end-to-end architecture of the paper's Fig. 1.
+//! * [`system`] — the end-to-end architecture of the paper's Fig. 1: the
+//!   engine, its wire codecs, journal and simulation driver.
 //! * [`net`] — the framed TCP transport deploying the system as a
 //!   real network service (`repro --serve` / `--connect`).
 //! * [`store`] — the durable write-ahead log and crash recovery
@@ -20,32 +21,36 @@
 //! # Example: the whole pipeline
 //!
 //! ```
-//! use privacy_lbs::anonymizer::{CloakRequirement, PrivacyProfile, QuadCloak};
+//! use privacy_lbs::anonymizer::{CloakRequirement, PrivacyProfile};
 //! use privacy_lbs::geom::{Point, Rect, SimTime};
-//! use privacy_lbs::server::PublicObject;
-//! use privacy_lbs::system::{MobileUser, PrivacyAwareSystem};
+//! use privacy_lbs::server::{refine_nn, PublicObject};
+//! use privacy_lbs::system::{EngineConfig, ShardedEngine};
 //!
 //! // A unit-square world with three gas stations.
 //! let world = Rect::new_unchecked(0.0, 0.0, 1.0, 1.0);
-//! let stations = vec![
+//! let mut engine = ShardedEngine::new(EngineConfig::new(world), 1);
+//! engine.load_public(vec![
 //!     PublicObject::new(0, Point::new(0.2, 0.2), 0),
 //!     PublicObject::new(1, Point::new(0.5, 0.6), 0),
 //!     PublicObject::new(2, Point::new(0.9, 0.1), 0),
-//! ];
-//! let mut system = PrivacyAwareSystem::new(QuadCloak::new(world, 5), 42, stations);
+//! ]);
 //!
 //! // A small crowd makes k-anonymity possible.
 //! let profile = PrivacyProfile::uniform(CloakRequirement::k_only(4)).unwrap();
-//! for id in 0..10u64 {
-//!     system.register_user(MobileUser::active(id, profile.clone()));
-//!     let pos = Point::new(0.4 + 0.01 * id as f64, 0.5);
-//!     system.process_update(id, pos, SimTime::ZERO).unwrap();
+//! let crowd: Vec<_> = (0..10u64)
+//!     .map(|id| (id, Point::new(0.4 + 0.01 * id as f64, 0.5), SimTime::ZERO))
+//!     .collect();
+//! for &(id, _, _) in &crowd {
+//!     engine.register(id, profile.clone());
 //! }
+//! engine.process_updates(&crowd);
 //!
-//! // "Find my nearest gas station" — the server sees only a rectangle.
-//! let outcome = system.private_nn_query(3, SimTime::ZERO).unwrap();
-//! assert!(outcome.cloak.area() > 0.0, "k=4 means a real region, not a point");
-//! assert_eq!(outcome.exact.unwrap().id, 1, "nearest station after local refinement");
+//! // "Find my nearest gas station" — the server sees only a rectangle,
+//! // and the device refines the candidates at its true position.
+//! let answer = engine.nn_query(3, SimTime::ZERO).unwrap();
+//! assert!(answer.region.area() > 0.0, "k=4 means a real region, not a point");
+//! let nearest = refine_nn(&answer.candidates, crowd[3].1).unwrap();
+//! assert_eq!(nearest.id, 1, "nearest station after local refinement");
 //! ```
 
 #![forbid(unsafe_code)]

@@ -1,7 +1,8 @@
 //! The cluster's headline guarantee: a K-node region-sharded cluster
 //! behind a [`Router`] answers the full workload — registrations,
 //! cloaked updates, standing-query registrations, deltas, snapshots —
-//! **byte-identically** to one sequential `PrivacyAwareSystem`, for
+//! **byte-identically** to one sequential pipeline (the grid
+//! anonymizer, `Server` and the standing private ranges), for
 //! K ∈ {1, 2, 4}, with a workload in which well over 10% of users
 //! cross partition boundaries (forcing `USER_HANDOFF` migrations) and
 //! standing-query deltas originate on whichever node owns the moving
@@ -10,11 +11,14 @@
 //! once the attempt budget is spent — never a hang or a masqueraded
 //! application error, and never an error text leaking node addresses.
 
+mod common;
+
+use common::Sequential;
 use lbsp_anonymizer::{CloakRequirement, GridCloak, PrivacyProfile};
 use lbsp_cluster::{PartitionMap, Router, RouterConfig};
 use lbsp_core::engine::{EngineConfig, ShardedEngine};
 use lbsp_core::wire::{self, StandingKind};
-use lbsp_core::{MobileUser, PrivacyAwareSystem, StandingRangesState};
+use lbsp_core::StandingRangesState;
 use lbsp_geom::{Point, Rect, SimTime};
 use lbsp_net::{
     is_retryable_route_failure, is_route_failure, NetClient, NetConfig, NetServer, Reply,
@@ -87,14 +91,13 @@ struct Reference {
 
 fn reference_run() -> Reference {
     let algo = GridCloak::new(world(), 16).with_refinement(true);
-    let mut sys = PrivacyAwareSystem::new(algo, SECRET, public_objects());
+    let mut sys = Sequential::new(algo, SECRET, public_objects());
     for i in 0..USERS {
-        let profile = PrivacyProfile::uniform(requirement_for(i)).unwrap();
-        sys.register_user(MobileUser::active(i, profile));
+        sys.register(i, PrivacyProfile::uniform(requirement_for(i)).unwrap());
     }
     let mut updates = Vec::new();
     for &(id, pos, time) in &wave(0) {
-        let u = sys.process_update(id, pos, time).unwrap().unwrap();
+        let u = sys.update(id, pos, time);
         updates.push(wire::encode_cloaked_update(&u).to_vec());
     }
     let mut keys: Vec<(StandingKind, u64)> = Vec::new();
@@ -103,12 +106,12 @@ fn reference_run() -> Reference {
         keys.push((StandingKind::Count, id));
     }
     for &(user, radius) in &RANGE_OWNERS {
-        let id = sys.add_standing_private_range(user, radius);
+        let id = sys.add_standing_range(user, radius);
         keys.push((StandingKind::Range, id));
     }
     for w in 1..WAVES {
         for &(id, pos, time) in &wave(w) {
-            let u = sys.process_update(id, pos, time).unwrap().unwrap();
+            let u = sys.update(id, pos, time);
             updates.push(wire::encode_cloaked_update(&u).to_vec());
         }
     }

@@ -7,10 +7,10 @@ use privacy_lbs::anonymizer::{
 };
 use privacy_lbs::geom::{Point, Rect, SimTime};
 use privacy_lbs::server::{
-    private_nn_candidates, private_range_candidates, PrivateRecord, PrivateStore, PublicCountQuery,
-    PublicNnQuery, PublicObject, PublicStore,
+    private_nn_candidates, private_range_candidates, refine_nn, PrivateRecord, PrivateStore,
+    PublicCountQuery, PublicNnQuery, PublicObject, PublicStore,
 };
-use privacy_lbs::system::{wire, MobileUser, PrivacyAwareSystem};
+use privacy_lbs::system::{wire, EngineConfig, ShardedEngine};
 
 fn world() -> Rect {
     Rect::new_unchecked(0.0, 0.0, 1.0, 1.0)
@@ -222,9 +222,9 @@ fn empty_server_queries() {
     assert!(private_nn_candidates(&empty_public, &cloak).is_empty());
 
     let empty_private = PrivateStore::new();
-    let count = PublicCountQuery::new(world()).evaluate(&empty_private);
+    let count = PublicCountQuery::new(world()).evaluate(empty_private.iter());
     assert_eq!(count.expected, 0.0);
-    let nn = PublicNnQuery::new(Point::new(0.5, 0.5)).evaluate(&empty_private);
+    let nn = PublicNnQuery::new(Point::new(0.5, 0.5)).evaluate(empty_private.iter());
     assert!(nn.candidates.is_empty());
 }
 
@@ -239,12 +239,13 @@ fn degenerate_private_records() {
             Rect::from_point(Point::new(0.1 * i as f64, 0.5)),
         ));
     }
-    let count = PublicCountQuery::new(Rect::new_unchecked(0.0, 0.0, 0.45, 1.0)).evaluate(&store);
+    let count =
+        PublicCountQuery::new(Rect::new_unchecked(0.0, 0.0, 0.45, 1.0)).evaluate(store.iter());
     // Points at x = 0.0..=0.4 are inside: 5 certain.
     assert_eq!(count.certain, 5);
     assert_eq!(count.possible, 5);
     assert_eq!(count.expected, 5.0);
-    let nn = PublicNnQuery::new(Point::new(0.21, 0.5)).evaluate(&store);
+    let nn = PublicNnQuery::new(Point::new(0.21, 0.5)).evaluate(store.iter());
     assert_eq!(nn.most_probable(), Some(2));
     assert_eq!(nn.candidates[0].probability, 1.0);
 }
@@ -264,29 +265,32 @@ fn wire_rejects_garbage() {
     }
 }
 
-/// The system rejects flows for unknown users but keeps serving others.
+/// The engine rejects flows for unknown users but keeps serving others.
 #[test]
 fn partial_failures_are_isolated() {
-    let mut sys = PrivacyAwareSystem::new(
-        QuadCloak::new(world(), 5),
-        1,
-        vec![PublicObject::new(0, Point::new(0.5, 0.5), 0)],
-    );
+    let mut engine = ShardedEngine::new(EngineConfig::new(world()), 1);
+    engine.load_public(vec![PublicObject::new(0, Point::new(0.5, 0.5), 0)]);
     let profile = PrivacyProfile::uniform(CloakRequirement::k_only(2)).unwrap();
-    sys.register_user(MobileUser::active(1, profile.clone()));
-    sys.register_user(MobileUser::active(2, profile));
-    sys.process_update(1, Point::new(0.4, 0.4), SimTime::ZERO)
-        .unwrap();
-    sys.process_update(2, Point::new(0.41, 0.41), SimTime::ZERO)
-        .unwrap();
+    engine.register(1, profile.clone());
+    engine.register(2, profile);
+    let rows = [
+        (1, Point::new(0.4, 0.4), SimTime::ZERO),
+        (99, Point::ORIGIN, SimTime::ZERO),
+        (2, Point::new(0.41, 0.41), SimTime::ZERO),
+    ];
+    let out = engine.process_updates(&rows);
     // Unknown user errors...
-    assert!(sys
-        .process_update(99, Point::ORIGIN, SimTime::ZERO)
-        .is_err());
-    assert!(sys.private_nn_query(99, SimTime::ZERO).is_err());
+    assert!(matches!(out[1], Err(CloakError::UnknownUser(99))));
+    assert!(engine.nn_query(99, SimTime::ZERO).is_err());
     // ...while known users keep working.
-    let out = sys.private_nn_query(1, SimTime::ZERO).unwrap();
-    assert!(out.exact.is_some());
+    assert!(out[0].is_ok() && out[2].is_ok());
+    let answer = engine.nn_query(1, SimTime::ZERO).unwrap();
+    assert_eq!(
+        refine_nn(&answer.candidates, Point::new(0.4, 0.4))
+            .unwrap()
+            .id,
+        0
+    );
 }
 
 /// Extreme k values: u32::MAX must not overflow or hang.

@@ -1,27 +1,28 @@
-//! End-to-end privacy verification: run the full system, then attack
-//! what the server stored, using every adversary in the toolbox.
+//! End-to-end privacy verification: run the anonymizer over a moving
+//! population, then attack the cloaks it sent the server, using every
+//! adversary in the toolbox. The tests are generic over the cloaking
+//! algorithm, so they drive `LocationAnonymizer<A>` directly.
 
 use privacy_lbs::anonymizer::attack::{
     BoundaryAttack, CenterAttack, IntersectionAttack, OccupancyAttack,
 };
 use privacy_lbs::anonymizer::{
-    CloakRequirement, CloakedRegion, GridCloak, PrivacyProfile, QuadCloak,
+    CloakRequirement, CloakedRegion, GridCloak, LocationAnonymizer, PrivacyProfile, QuadCloak,
 };
 use privacy_lbs::geom::{Point, Rect, SimTime};
 use privacy_lbs::mobility::{Population, SpatialDistribution};
-use privacy_lbs::system::{MobileUser, PrivacyAwareSystem};
 
 fn world() -> Rect {
     Rect::new_unchecked(0.0, 0.0, 1.0, 1.0)
 }
 
-/// Builds a system over a moving population, returning the cloaks the
-/// server received plus the ground-truth positions.
+/// Runs an anonymizer over a moving population, returning the cloaks
+/// the server received plus the ground-truth positions.
 fn run_system<A: privacy_lbs::anonymizer::CloakingAlgorithm>(
     algo: A,
     k: u32,
 ) -> (Vec<CloakedRegion>, Vec<Point>) {
-    let mut sys = PrivacyAwareSystem::new(algo, 0xBEEF, Vec::new());
+    let mut sys = LocationAnonymizer::new(algo, 0xBEEF);
     let mut pop = Population::generate(
         world(),
         1_000,
@@ -32,8 +33,8 @@ fn run_system<A: privacy_lbs::anonymizer::CloakingAlgorithm>(
     );
     let profile = PrivacyProfile::uniform(CloakRequirement::k_only(k)).unwrap();
     for u in pop.users() {
-        sys.register_user(MobileUser::active(u.id, profile.clone()));
-        sys.process_update(u.id, u.position(), SimTime::ZERO)
+        sys.register(u.id, profile.clone());
+        sys.handle_update(u.id, u.position(), SimTime::ZERO)
             .unwrap();
     }
     // One movement tick so the measured cloaks come from a warm index.
@@ -41,8 +42,7 @@ fn run_system<A: privacy_lbs::anonymizer::CloakingAlgorithm>(
     let mut truths = Vec::new();
     for (id, pos) in pop.step_all(10.0) {
         let u = sys
-            .process_update(id, pos, SimTime::from_secs(10.0))
-            .unwrap()
+            .handle_update(id, pos, SimTime::from_secs(10.0))
             .unwrap();
         cloaks.push(u.region);
         truths.push(pos);
@@ -82,28 +82,27 @@ fn grid_system_resists_attacks_too() {
     assert!(occupancy <= 1.0 / 15.0 + 1e-9);
 }
 
-/// Across snapshots: a user's cloak trace through the real system never
+/// Across snapshots: a user's cloak trace through the anonymizer never
 /// lets the intersection adversary isolate them below k users.
 #[test]
 fn trace_intersection_keeps_k_anonymity_for_slow_users() {
-    let mut sys = PrivacyAwareSystem::new(QuadCloak::new(world(), 6), 5, Vec::new());
+    let mut sys = LocationAnonymizer::new(QuadCloak::new(world(), 6), 5);
     let profile = PrivacyProfile::uniform(CloakRequirement::k_only(10)).unwrap();
     // A dense static crowd plus one slowly-drifting subject.
     for i in 1..300u64 {
-        sys.register_user(MobileUser::active(i, profile.clone()));
+        sys.register(i, profile.clone());
         let x = 0.3 + 0.001 * (i % 100) as f64;
         let y = 0.3 + 0.001 * (i / 100) as f64;
-        sys.process_update(i, Point::new(x, y), SimTime::ZERO)
+        sys.handle_update(i, Point::new(x, y), SimTime::ZERO)
             .unwrap();
     }
-    sys.register_user(MobileUser::active(0, profile));
+    sys.register(0, profile);
     let mut trace = Vec::new();
     let mut pos = Point::new(0.33, 0.33);
     for step in 0..20 {
         pos = Point::new(pos.x + 0.0005, pos.y);
         let u = sys
-            .process_update(0, pos, SimTime::from_secs(step as f64))
-            .unwrap()
+            .handle_update(0, pos, SimTime::from_secs(step as f64))
             .unwrap();
         trace.push(u.region);
     }
@@ -115,22 +114,19 @@ fn trace_intersection_keeps_k_anonymity_for_slow_users() {
 }
 
 /// The pseudonym mapping is consistent (one pseudonym per user across
-/// updates) yet uninvertible without the secret: two systems with
+/// updates) yet uninvertible without the secret: two anonymizers with
 /// different secrets assign unrelated pseudonyms.
 #[test]
 fn pseudonyms_are_stable_per_user_and_secret_dependent() {
     let mk = |secret: u64| {
-        let mut sys = PrivacyAwareSystem::new(QuadCloak::new(world(), 5), secret, Vec::new());
-        let profile = PrivacyProfile::default();
-        sys.register_user(MobileUser::active(1, profile));
+        let mut sys = LocationAnonymizer::new(QuadCloak::new(world(), 5), secret);
+        sys.register(1, PrivacyProfile::default());
         let a = sys
-            .process_update(1, Point::new(0.5, 0.5), SimTime::ZERO)
-            .unwrap()
+            .handle_update(1, Point::new(0.5, 0.5), SimTime::ZERO)
             .unwrap()
             .pseudonym;
         let b = sys
-            .process_update(1, Point::new(0.6, 0.6), SimTime::from_secs(1.0))
-            .unwrap()
+            .handle_update(1, Point::new(0.6, 0.6), SimTime::from_secs(1.0))
             .unwrap()
             .pseudonym;
         (a, b)

@@ -1,14 +1,17 @@
-//! Standing queries across the network are the sequential system in
+//! Standing queries across the network are the sequential pipeline in
 //! disguise: registering over TCP, moving users, and reading
 //! `STANDING_DELTA` pushes / `STANDING_SNAPSHOT` replies must produce
-//! bytes identical to a `PrivacyAwareSystem` driven in-process — at
+//! bytes identical to the sequential pipeline (the grid anonymizer,
+//! `Server` and the standing private ranges) driven in-process — at
 //! more than one server poller shard count — and the post-shutdown
 //! engine's registries must agree with what the client saw.
 
+mod common;
+
+use common::Sequential;
 use lbsp_anonymizer::{CloakRequirement, GridCloak, PrivacyProfile};
 use lbsp_core::engine::{EngineConfig, ShardedEngine};
 use lbsp_core::wire::{self, StandingKind};
-use lbsp_core::{MobileUser, PrivacyAwareSystem};
 use lbsp_geom::{Point, Rect, SimTime};
 use lbsp_net::{NetClient, NetConfig, NetServer, Reply};
 use lbsp_server::PublicObject;
@@ -80,14 +83,13 @@ struct Reference {
 
 fn reference_run() -> Reference {
     let algo = GridCloak::new(world(), 16).with_refinement(true);
-    let mut sys = PrivacyAwareSystem::new(algo, SECRET, public_objects());
+    let mut sys = Sequential::new(algo, SECRET, public_objects());
     for i in 0..USERS {
-        let profile = PrivacyProfile::uniform(requirement_for(i)).unwrap();
-        sys.register_user(MobileUser::active(i, profile));
+        sys.register(i, PrivacyProfile::uniform(requirement_for(i)).unwrap());
     }
     let mut updates = Vec::new();
     for &(id, pos, time) in &wave(0) {
-        let u = sys.process_update(id, pos, time).unwrap().unwrap();
+        let u = sys.update(id, pos, time);
         updates.push(wire::encode_cloaked_update(&u).to_vec());
     }
     let mut keys: Vec<(StandingKind, u64)> = Vec::new();
@@ -96,12 +98,12 @@ fn reference_run() -> Reference {
         keys.push((StandingKind::Count, id));
     }
     for &(user, radius) in &RANGE_OWNERS {
-        let id = sys.add_standing_private_range(user, radius);
+        let id = sys.add_standing_range(user, radius);
         keys.push((StandingKind::Range, id));
     }
     for w in 1..WAVES {
         for &(id, pos, time) in &wave(w) {
-            let u = sys.process_update(id, pos, time).unwrap().unwrap();
+            let u = sys.update(id, pos, time);
             updates.push(wire::encode_cloaked_update(&u).to_vec());
         }
     }
