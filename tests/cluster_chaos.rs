@@ -10,6 +10,8 @@
 //!   request: plane frames and broadcasts are absorbed into the
 //!   catch-up buffer and replayed in order on rejoin, keeping the
 //!   standing registries in lockstep;
+//! * **idle sever** — a node asked nothing whose link is cut is
+//!   noticed with no client traffic at all, and rejoins;
 //! * **slow node** — a node answering slower than `node_timeout` is
 //!   demoted and held in `Reconnecting` (RETRYABLE, never a hang)
 //!   until it speeds back up;
@@ -532,6 +534,42 @@ fn sever_mid_run_fails_every_frame_retryable_and_applies_nothing_twice() {
     );
     assert_eq!(planes1.positions, planes0.positions, "position plane");
     assert_eq!(planes1.records, planes0.records, "cloak plane");
+}
+
+#[test]
+fn idle_node_cut_with_nothing_outstanding_is_noticed_and_rejoins() {
+    let (node0, node1, proxy, router) = spawn(fast_recovery());
+    let mut reference = fresh_engine();
+    let mut client = connect(&router);
+    register_all(&mut client, &mut reference);
+    run_wave(&mut client, &mut reference, &all_users(), 0);
+    let before = router.metrics_registry().net().snapshot();
+
+    // No request is outstanding and the client sends nothing more: only
+    // the router itself can notice that node 1's link went away.
+    let severed = Instant::now();
+    proxy.sever();
+    std::thread::sleep(Duration::from_millis(20));
+    proxy.restore();
+    let rejoined = loop {
+        let snap = router.metrics_registry().net().snapshot();
+        if snap.reconnect_attempts > before.reconnect_attempts
+            && snap.node_rejoins > before.node_rejoins
+        {
+            break severed.elapsed();
+        }
+        assert!(
+            severed.elapsed() < Duration::from_millis(100),
+            "an idle cut must be noticed and healed within 100 ms, counters: {snap:?}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert!(rejoined < Duration::from_millis(100), "took {rejoined:?}");
+
+    run_wave(&mut client, &mut reference, &all_users(), 1);
+    let report = router.shutdown();
+    assert_eq!(report.route_failures, 0);
+    drop((node0.shutdown(), node1.shutdown()));
 }
 
 #[test]
