@@ -34,10 +34,13 @@
 
 use crate::metrics::LockHoldSummary;
 use std::fmt;
-use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{
+    Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
+use std::time::Duration;
 
 /// Number of declared lock ranks.
-pub const LOCK_RANK_COUNT: usize = 8;
+pub const LOCK_RANK_COUNT: usize = 9;
 
 /// The ordered lock registry. Declaration order *is* acquisition order:
 /// a thread holding a lock of some rank may only acquire locks of equal
@@ -62,6 +65,12 @@ pub enum LockRank {
     /// pipelined node channel (equal-rank array, acquired in ascending
     /// node-index order when a fan-out touches several nodes).
     ClusterNode,
+    /// `lbsp-cluster`: one per node connection — the inbox of replies:
+    /// the read half, the in-order ticket queue and the answers not yet
+    /// taken. Ranked after `ClusterNode` so a request may queue its
+    /// tickets while it holds the send half; nothing is acquired under
+    /// it, and no caller blocks in a read while holding it.
+    ClusterInbox,
     /// `lbsp-net`: the engine mutex serializing requests into the
     /// engine, which then runs on the thread holding it.
     Engine,
@@ -85,6 +94,7 @@ impl LockRank {
         LockRank::ClusterCore,
         LockRank::ClusterRecovery,
         LockRank::ClusterNode,
+        LockRank::ClusterInbox,
         LockRank::Engine,
         LockRank::NetStandingSubs,
         LockRank::HilbertRanks,
@@ -103,6 +113,7 @@ impl LockRank {
             LockRank::ClusterCore => "ClusterCore",
             LockRank::ClusterRecovery => "ClusterRecovery",
             LockRank::ClusterNode => "ClusterNode",
+            LockRank::ClusterInbox => "ClusterInbox",
             LockRank::Engine => "Engine",
             LockRank::NetStandingSubs => "NetStandingSubs",
             LockRank::HilbertRanks => "HilbertRanks",
@@ -318,6 +329,21 @@ impl<T> fmt::Debug for TrackedMutex<T> {
 pub struct TrackedMutexGuard<'a, T> {
     inner: MutexGuard<'a, T>,
     _hold: Hold,
+}
+
+impl<'a, T> TrackedMutexGuard<'a, T> {
+    /// Releases the lock and blocks on `cv` until notified or until
+    /// `timeout` passes, then re-acquires it (poison-recovering).
+    /// `true` when the wait timed out. The rank stays on the thread's
+    /// held stack throughout, so in debug builds the wait counts toward
+    /// the hold time.
+    pub fn wait_timeout(self, cv: &Condvar, timeout: Duration) -> (Self, bool) {
+        let TrackedMutexGuard { inner, _hold } = self;
+        let (inner, waited) = cv
+            .wait_timeout(inner, timeout)
+            .unwrap_or_else(PoisonError::into_inner);
+        (TrackedMutexGuard { inner, _hold }, waited.timed_out())
+    }
 }
 
 impl<T> std::ops::Deref for TrackedMutexGuard<'_, T> {
