@@ -6,6 +6,10 @@ cd "$(dirname "$0")"
 echo "== build (release, offline) =="
 cargo build --release --offline --workspace
 
+# Non-test lines of the product: each file under crates/*/src and src
+# counted up to its first `#[cfg(test)]`.
+echo "non-test lines: $(awk 'FNR == 1 { skip = 0 } /#\[cfg\(test\)\]/ { skip = 1 } !skip { n++ } END { print n }' $(find crates/*/src src -name '*.rs' | sort))"
+
 echo "== examples (release, one run each) =="
 # Clippy only compiles the examples; these walk the engine's private and
 # public queries, the sequential private-over-private path and the

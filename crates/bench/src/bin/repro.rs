@@ -1340,28 +1340,26 @@ fn e1_pipeline() {
         "mean cloak area",
         "k fail %",
     ]);
-    for (algo_name, refine) in [("grid", false), ("grid+multilevel", true)] {
-        let w = world();
-        let cfg = SimulationConfig {
-            users: 20_000,
-            pois: 1_000,
-            distribution: SpatialDistribution::three_cities(&w),
-            speed: (0.001, 0.01),
-            tick_seconds: 60.0,
-            query_fraction: 0.05,
-            query_radius: 0.05,
-            seed: 7,
-        };
-        let profile = PrivacyProfile::uniform(CloakRequirement::k_only(25)).unwrap();
-        let report = run_e1(pipeline_grid(w, refine), cfg, profile);
-        row(&[
-            algo_name.to_string(),
-            format!("{:.0}", report.0),
-            format!("{:.0}", report.1),
-            format!("{:.5}", report.2),
-            format!("{:.2}", report.3),
-        ]);
-    }
+    let w = world();
+    let cfg = SimulationConfig {
+        users: 20_000,
+        pois: 1_000,
+        distribution: SpatialDistribution::three_cities(&w),
+        speed: (0.001, 0.01),
+        tick_seconds: 60.0,
+        query_fraction: 0.05,
+        query_radius: 0.05,
+        seed: 7,
+    };
+    let profile = PrivacyProfile::uniform(CloakRequirement::k_only(25)).unwrap();
+    let report = run_e1(pipeline_grid(w, false), cfg, profile);
+    row(&[
+        "grid".to_string(),
+        format!("{:.0}", report.0),
+        format!("{:.0}", report.1),
+        format!("{:.5}", report.2),
+        format!("{:.2}", report.3),
+    ]);
     println!();
 }
 

@@ -103,17 +103,6 @@ impl Server {
             .on_update(pseudonym, old.as_ref(), Some(&region));
     }
 
-    /// Removes a pseudonym (user went passive).
-    pub fn forget(&mut self, pseudonym: PseudonymId) -> bool {
-        match self.private.remove(pseudonym) {
-            Some(old) => {
-                self.continuous.on_update(pseudonym, Some(&old), None);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Private range query over public data (Fig. 5a).
     pub fn private_range(&mut self, cloak: &Rect, radius: f64) -> Vec<PublicObject> {
         self.stats.private_range += 1;
@@ -247,19 +236,6 @@ mod tests {
         assert_eq!(st.public_count, 1);
         assert_eq!(st.public_nn, 1);
         assert_eq!(st.private_private, 2);
-    }
-
-    #[test]
-    fn forget_removes_and_updates_standing_queries() {
-        let mut s = Server::new(Vec::new());
-        let area = Rect::new_unchecked(0.0, 0.0, 1.0, 1.0);
-        let qid = s.add_standing_count(area);
-        s.ingest(7, Rect::new_unchecked(0.4, 0.4, 0.6, 0.6));
-        assert_eq!(s.continuous().expected(qid), Some(1.0));
-        assert!(s.forget(7));
-        assert!(!s.forget(7));
-        assert_eq!(s.continuous().expected(qid), Some(0.0));
-        assert_eq!(s.private().len(), 0);
     }
 
     #[test]
