@@ -283,8 +283,8 @@ fn route(addr: &str, nodes_csv: &str) {
     }
     let report = router.shutdown();
     println!(
-        "router: drained ({} requests, {} handoffs, {} route failures)",
-        report.requests_served, report.handoffs, report.route_failures
+        "router: drained ({} requests, {} route failures)",
+        report.requests_served, report.route_failures
     );
 }
 
@@ -293,11 +293,11 @@ fn route(addr: &str, nodes_csv: &str) {
 /// engine, and require every reply — cloaked updates, query candidates,
 /// standing registrations and snapshots — to be byte-identical. A
 /// closed-loop pass (registrations, a standing count and a standing
-/// range query, boundary-crossing updates, queries, both snapshots,
+/// range query, updates to random points, queries, both snapshots,
 /// both deregistrations and the unknown-query error after them) is
 /// followed by a pipelined one: registrations and range queries in
 /// 32-deep `send_only` / `read_reply` windows, which the router serves
-/// as same-node runs. Exits non-zero on the first divergence.
+/// as runs spanning both nodes. Exits non-zero on the first divergence.
 fn cluster_verify(addr: &str) {
     use lbsp_bench::netload::serve_engine;
     use lbsp_core::wire::{self, StandingKind};
@@ -332,7 +332,7 @@ fn cluster_verify(addr: &str) {
         }
 
         // Standing queries: registered through the router before the
-        // crossing workload, read back and deregistered after it.
+        // moving workload, read back and deregistered after it.
         let area = Rect::new_unchecked(0.2, 0.2, 0.7, 0.7);
         let standing = [
             (StandingKind::Count, engine.add_standing_count(area)),
@@ -510,22 +510,22 @@ fn cluster_verify(addr: &str) {
 /// self-healing story while comparing every reply byte-for-byte against
 /// a sequential reference engine:
 ///
-/// 1. healthy waves (including the initial owner migrations),
-/// 2. sever the proxy and crash node 1 — a raw request for its stripe
+/// 1. healthy waves,
+/// 2. sever the proxy and crash node 1 — a request for one of its users
 ///    must fail RETRYABLE (and redact the node's address),
-/// 3. keep serving node 0's stripe while the outage lasts (mirror
+/// 3. keep serving node 0's users while the outage lasts (mirror
 ///    frames accumulate in node 1's catch-up buffer),
 /// 4. restart node 1 from the same WAL directory on a fresh port,
 ///    retarget and heal the proxy, and retry the stranded request until
 ///    the supervisor completes the rejoin,
-/// 5. a final full wave over both stripes.
+/// 5. a final full wave over both nodes' users.
 ///
 /// Exits non-zero on the first divergence, on any *fatal* route
 /// failure, or if the recovery counters show the rejoin never happened.
 /// The proxy's timestamped event log is printed for the archive.
 fn cluster_chaos() {
     use lbsp_bench::netload::{retry_route, serve_engine};
-    use lbsp_cluster::{PartitionMap, Router, RouterConfig};
+    use lbsp_cluster::{owner_of, Router, RouterConfig};
     use lbsp_core::{Durability, EngineConfig};
     use lbsp_net::{
         is_retryable_route_failure, ChaosProxy, NetClient, NetConfig, NetServer, Reply,
@@ -556,10 +556,9 @@ fn cluster_chaos() {
     let node1_addr = node1.local_addr().to_string();
     let proxy = ChaosProxy::bind(node1.local_addr()).expect("bind chaos proxy");
 
-    // Deterministic per-user geometry: even users live in node 0's
-    // stripe, odd users in node 1's — so stripe ownership is explicit
-    // and the drill can keep the healthy stripe busy during the outage.
-    let parts = PartitionMap::new(world(), 2);
+    // Deterministic per-user geometry; ownership is by id, so the drill
+    // keeps node 0's users busy during the outage and probes with the
+    // first of node 1's.
     let pos = |i: u64, wave: u64| {
         let x = if i.is_multiple_of(2) {
             0.10 + i as f64 * 0.008
@@ -569,7 +568,10 @@ fn cluster_chaos() {
         Point::new(x + wave as f64 * 1e-3, 0.20 + i as f64 * 0.01)
     };
     let stamp = |i: u64, wave: u64| SimTime::from_secs(wave as f64 * 60.0 + i as f64 * 1e-3);
-    assert!(parts.node_of(pos(0, 0)) == 0 && parts.node_of(pos(1, 0)) == 1);
+    let on_node0: Vec<u64> = (0..users).filter(|&i| owner_of(i, 2) == 0).collect();
+    let probe = (0..users)
+        .find(|&i| owner_of(i, 2) == 1)
+        .expect("node 1 owns some user");
 
     let run = |node1: NetServer| -> Result<u64, String> {
         let mut reference = serve_engine();
@@ -659,29 +661,28 @@ fn cluster_chaos() {
         };
 
         let all: Vec<u64> = (0..users).collect();
-        let evens: Vec<u64> = (0..users).step_by(2).collect();
-        // Healthy baseline: wave 0 migrates every odd user to node 1,
-        // wave 1 is steady state.
+        // Healthy baseline: wave 0 places every user, wave 1 is steady
+        // state.
         wave(0, &all, &mut client, &mut reference, &mut compared)?;
         wave(1, &all, &mut client, &mut reference, &mut compared)?;
 
         // Crash node 1 behind a severed proxy, then prove the outage is
-        // loud, kinded, and address-free on its stripe...
+        // loud, kinded, and address-free for its users...
         eprintln!("cluster-chaos: severing proxy and crashing node 1");
         proxy.sever();
         node1.shutdown();
         std::thread::sleep(Duration::from_millis(50));
-        match client.update(1, pos(1, 2), stamp(1, 2)) {
+        match client.update(probe, pos(probe, 2), stamp(probe, 2)) {
             Err(e) if is_retryable_route_failure(&e) => {
                 if e.to_string().contains(&node1_addr) {
                     return Err(format!("route failure leaks the node address: {e}"));
                 }
             }
-            other => return Err(format!("severed stripe answered {other:?}")),
+            other => return Err(format!("severed node answered {other:?}")),
         }
-        // ...while the healthy stripe keeps serving byte-identically
-        // (its mirror frames accumulate in node 1's catch-up buffer).
-        wave(2, &evens, &mut client, &mut reference, &mut compared)?;
+        // ...while node 0 keeps serving byte-identically (its mirror
+        // frames accumulate in node 1's catch-up buffer).
+        wave(2, &on_node0, &mut client, &mut reference, &mut compared)?;
 
         // Restart from the same WAL directory on a fresh port, heal the
         // proxy, and retry the stranded request until the rejoin lands.
@@ -694,22 +695,22 @@ fn cluster_chaos() {
             .map_err(|e| format!("rebind chaos node 1: {e}"))?;
         proxy.set_upstream(node1.local_addr());
         proxy.restore();
-        let (p, t) = (pos(1, 2), stamp(1, 2));
+        let (p, t) = (pos(probe, 2), stamp(probe, 2));
         let want = match reference
-            .process_updates_wire(&[(1, p, t)])
+            .process_updates_wire(&[(probe, p, t)])
             .into_iter()
             .next()
         {
             Some(Ok(bytes)) => bytes.to_vec(),
             other => return Err(format!("reference probe update: {other:?}")),
         };
-        match retry_route(|| client.update(1, p, t))
+        match retry_route(|| client.update(probe, p, t))
             .map_err(|e| format!("post-rejoin probe: {e}"))?
         {
             Reply::Cloaked(bytes) if bytes == want => compared += 1,
             other => return Err(format!("post-rejoin probe diverged: {other:?}")),
         }
-        // Full steady-state wave over both stripes after the rejoin.
+        // Full steady-state wave over both nodes' users after the rejoin.
         wave(3, &all, &mut client, &mut reference, &mut compared)?;
 
         let snap = router.metrics_registry().net().snapshot();
@@ -729,9 +730,8 @@ fn cluster_chaos() {
             ));
         }
         eprintln!(
-            "cluster-chaos: counters — retryable {}, reconnect attempts {}, rejoins {}, \
-             handoffs {}",
-            snap.retryable_failures, snap.reconnect_attempts, snap.node_rejoins, report.handoffs
+            "cluster-chaos: counters — retryable {}, reconnect attempts {}, rejoins {}",
+            snap.retryable_failures, snap.reconnect_attempts, snap.node_rejoins
         );
         Ok(compared)
     };
@@ -805,7 +805,6 @@ fn cluster_sweep() {
             ("secs", Val::F((r.load.secs * 1e3).round() / 1e3)),
             ("rate", Val::F(r.load.rate().round())),
             ("errors", Val::U(r.load.errors)),
-            ("handoffs", Val::U(r.handoffs)),
             ("route_failures", Val::U(r.route_failures)),
         ]));
     }
@@ -964,11 +963,11 @@ fn conn_smoke(conns: usize) {
 /// router at K = 1, 2, 4 nodes, with the byte-identity claim restated.
 fn e15_cluster() {
     use lbsp_bench::clusterload::cluster_run;
-    println!("## E15 — region-sharded cluster (router + K nodes, loopback)\n");
+    println!("## E15 — cluster (router + K nodes, loopback)\n");
     println!(
-        "K NetServer nodes each own a vertical stripe of the world; a router\n\
-         fronts them, migrating boundary-crossing users with USER_HANDOFF\n\
-         frames and replicating the position/cloak planes so every cloak sees\n\
+        "K NetServer nodes each own a fixed share of the users, by a hash of\n\
+         the id; a router fronts them, sending each user's requests to its\n\
+         owner and replicating the position/cloak planes so every cloak sees\n\
          the global population. Claim: replies are byte-identical to one\n\
          sequential engine at every K (asserted by tests/cluster.rs); this\n\
          table prices the cluster layer for ONE closed-loop client — a\n\
@@ -977,14 +976,7 @@ fn e15_cluster() {
          concurrent steady-state sweep (repro --cluster, BENCH_cluster.json)\n\
          is where K nodes buy throughput back.\n"
     );
-    header(&[
-        "nodes",
-        "requests",
-        "req/s",
-        "handoffs",
-        "route failures",
-        "errors",
-    ]);
+    header(&["nodes", "requests", "req/s", "route failures", "errors"]);
     let mut failed = 0;
     for k in [1usize, 2, 4] {
         let r = cluster_run(k, 500, 2, 7).expect("cluster workload");
@@ -993,7 +985,6 @@ fn e15_cluster() {
             format!("{k}"),
             format!("{}", r.load.requests),
             format!("{:.0}", r.load.rate()),
-            format!("{}", r.handoffs),
             format!("{}", r.route_failures),
             format!("{}", r.load.errors),
         ]);

@@ -95,7 +95,7 @@ pub mod netload {
     /// 200 × 25 ms bounds the client's patience at five seconds — enough
     /// to ride out a node restart (WAL replay included) under the
     /// router's default reconnect schedule, and comfortably inside the
-    /// ten-second socket timeouts, so a genuinely dead stripe still
+    /// ten-second socket timeouts, so a genuinely dead node still
     /// fails the run loudly instead of hanging it.
     pub const RETRY_BUDGET: u32 = 200;
     /// Pause between RETRYABLE retries (see [`RETRY_BUDGET`]).
@@ -291,8 +291,6 @@ pub mod clusterload {
     pub struct ClusterReport {
         /// The client-side closed-loop measurements.
         pub load: LoadReport,
-        /// Boundary-crossing user migrations the router performed.
-        pub handoffs: u64,
         /// Requests answered with `ROUTE_FAIL` (0 on a healthy run).
         pub route_failures: u64,
     }
@@ -315,7 +313,6 @@ pub mod clusterload {
         }
         Ok(ClusterReport {
             load,
-            handoffs: report.handoffs,
             route_failures: report.route_failures,
         })
     }
@@ -326,9 +323,7 @@ pub mod clusterload {
     /// router can never overlap two requests no matter how it forwards.
     ///
     /// The run has two phases. An untimed warm-up registers every user
-    /// and places it at its home point — absorbing the one-time
-    /// owner migrations (users start on node 0 and hand off to their
-    /// home region on first update). The timed phase then measures
+    /// and places it at its home point. The timed phase then measures
     /// query serving: `rounds` passes issuing one private range query
     /// per user. Queries are the operation the paper's server exists to
     /// answer, and the one whose cost the cluster holds flat as K grows
@@ -365,7 +360,6 @@ pub mod clusterload {
         }
         Ok(ClusterReport {
             load,
-            handoffs: report.handoffs,
             route_failures: report.route_failures,
         })
     }

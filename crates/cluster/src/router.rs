@@ -28,7 +28,7 @@
 //!   Row and cloak are one [`wire::tag::MIRROR_UPDATE`] entry in each
 //!   other node's *outbox*. Nothing is sent for it: the entry rides
 //!   the next frame the router begins on that node — an update the
-//!   node owns, a query, a snapshot, a handoff pull — inside one
+//!   node owns, a query, a snapshot — inside one
 //!   [`wire::tag::CARRY`] envelope, which the node opens by applying
 //!   the carried entries in order and then serving the request, whose
 //!   reply acknowledges them. The router is a node's only writer and
@@ -38,12 +38,11 @@
 //!   asked nothing is sent its outbox once 32 rows are waiting, and
 //!   [`Router::shutdown`] sends what is left.
 //! * **User state (single copy)** — a user's privacy profile and
-//!   standing-range registrations live on exactly one node. When a
-//!   movement crosses a partition boundary the router performs an
-//!   explicit handoff: [`wire::tag::HANDOFF_PULL`] extracts the state
-//!   from the old owner as a [`wire::tag::USER_HANDOFF`] reply, and
-//!   [`wire::tag::HANDOFF_PUSH`], staged in the new owner's outbox,
-//!   installs it there in the envelope of the update itself.
+//!   standing-range registrations live on exactly one node for the
+//!   user's whole life, [`owner_of`] the user's id: a fixed hash, not
+//!   the user's position. The user's registration, queries and updates
+//!   all go to that node, so an update never crosses nodes and no
+//!   user's state ever moves from one node to another.
 //!
 //! Standing-query registrations and deregistrations go to node 0 alone,
 //! the sole id allocator, and the client sees its reply. What node 0
@@ -78,21 +77,23 @@
 //! flight at once; a shard's other connections wait behind a node round
 //! trip exactly as a node's wait behind its engine mutex. A sweep is
 //! served as *runs* (`Core::serve_run`): a maximal run of
-//! registrations, queries and in-stripe updates bound for one node — no
-//! user twice — is begun in one write and then waited in order; a
-//! snapshot, an unknown user's update, an undecodable payload or an
-//! unknown tag is a run of one, and so is every frame of a closed-loop
-//! client. Crossings and broadcasts are the only frames served outside
-//! a run, one at a time.
+//! registrations, queries and updates — no user twice — is begun as
+//! one write to each node it needs and then waited in arrival order.
+//! Once a run holds an update for node `n`, only frames for `n` may
+//! join it: the update's mirror rows are queued when its reply is in,
+//! and a frame for another node begun beside it would be served without
+//! them. Frames for other nodes that arrived before the update do not
+//! need them. A snapshot, an undecodable payload or an unknown tag is a
+//! run of one, and so is every frame of a closed-loop client. Standing
+//! broadcasts are the only frames served outside a run, one at a time.
 //!
 //! What replaces the old global request mutex is a single
 //! [`LockRank::ClusterRouter`] read/write gate. Runs hold it *shared*;
-//! operations whose correctness depends on every node observing them at
-//! the same point in the request stream — standing-query broadcasts,
-//! which every registry must observe in the same order, and ownership
-//! handoffs — hold it *exclusive*, quiescing in-flight updates first.
-//! The ownership tables themselves live under a short
-//! [`LockRank::ClusterCore`] mutex that is never held across node I/O.
+//! standing-query broadcasts, which every registry must observe at the
+//! same point in the request stream, and the bulk rejoin resync hold it
+//! *exclusive*, quiescing in-flight runs first. The routing tables
+//! themselves live under a short [`LockRank::ClusterCore`] mutex that is
+//! never held across node I/O.
 //!
 //! Single-connection ordering is unchanged: a closed-loop client still
 //! observes byte-identical replies to the sequential engine, because
@@ -113,7 +114,7 @@
 //!   the client should simply retry. These bump `retryable_failures`,
 //!   **not** `route_failures`.
 //! * Traffic the node merely *mirrors* (mirror rows, standing
-//!   installs and drops, staged handoff pushes) keeps accumulating in
+//!   installs and drops) keeps accumulating in
 //!   the node's outbox — bounded in bytes while the node is away — and
 //!   is replayed in the order it was produced on rejoin, an envelope
 //!   per round trip, so a transient outage is invisible to clients of
@@ -131,9 +132,8 @@
 //!   frames are dropped and the rejoin instead performs a bulk
 //!   [`wire::tag::RESYNC_PULL`] / [`wire::tag::RESYNC_PUSH`] transfer
 //!   from a healthy donor under the exclusive gate. Standing installs
-//!   and handoff pushes are retained across the overflow — they are
-//!   not reconstructible from plane state — and replayed after the
-//!   bulk image lands.
+//!   are retained across the overflow — they are not reconstructible
+//!   from plane state — and replayed after the bulk image lands.
 //!
 //! Only when every reconnect attempt is exhausted — or the node refuses
 //! a carried mirror frame, which no reconnect can mend — does the node
@@ -142,7 +142,6 @@
 //! `route_failures`. Failure text names nodes by *index only*: socket
 //! addresses are cluster topology and never cross the public socket.
 
-use crate::partition::PartitionMap;
 use lbsp_core::metrics::NetCounters;
 use lbsp_core::{wire, LockRank, MetricsRegistry, TrackedMutex, TrackedRwLock};
 use lbsp_geom::Rect;
@@ -212,8 +211,6 @@ impl Default for RouterConfig {
 /// [`Router::shutdown`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouterReport {
-    /// Boundary-crossing user migrations completed.
-    pub handoffs: u64,
     /// Requests answered with a *fatal* [`wire::tag::ROUTE_FAIL`]
     /// (kind `DOWN`); retryable failures are counted separately.
     pub route_failures: u64,
@@ -360,22 +357,9 @@ struct PendingCall<'a> {
 
 /// `true` for buffered frame tags that must survive a catch-up buffer
 /// overflow: unlike plane traffic they cannot be reconstructed from a
-/// donor's state image (id counters and single-copy user state would
-/// desynchronize).
+/// donor's state image (the standing id counters would desynchronize).
 fn retained_on_overflow(tag: u8) -> bool {
-    matches!(tag, wire::tag::STANDING_INSTALL | wire::tag::HANDOFF_PUSH)
-}
-
-/// `true` for the frames that wait in an `Up` node's outbox for the
-/// next frame to the node: mirror rows, standing installs and drops,
-/// and the handoff push staged for the update that crossed into the
-/// node's stripe. A payload no envelope can carry goes on its own
-/// instead.
-fn rides(tag: u8, payload: &[u8]) -> bool {
-    matches!(
-        tag,
-        wire::tag::MIRROR_UPDATE | wire::tag::STANDING_INSTALL | wire::tag::HANDOFF_PUSH
-    ) && payload.len() <= usize::from(u16::MAX)
+    tag == wire::tag::STANDING_INSTALL
 }
 
 /// Rough accounting cost of one buffered frame.
@@ -672,11 +656,12 @@ impl NodeChannel {
         Ok((stream, rstream))
     }
 
-    /// Appends a mirror frame to the node's outbox, if the node's state
-    /// lets it wait there: any frame while the node reconnects (replayed
-    /// on rejoin), a frame that [`rides`] while it is `Up` (it goes in
-    /// the envelope of the next frame to the node). `false` — nothing
-    /// queued — otherwise; the state is read under the outbox lock, the
+    /// Appends a mirror frame — a row, or a standing install or drop,
+    /// each small and fixed in size, so an envelope always carries it —
+    /// to the node's outbox: while the node reconnects, to be replayed
+    /// on rejoin; while it is `Up`, to ride the envelope of the next
+    /// frame to the node. `false` — nothing queued — once the node is
+    /// terminally `Down`. The state is read under the outbox lock, the
     /// same lock the supervisor holds when it flips the node back up, so
     /// a queued frame is never stranded.
     ///
@@ -690,8 +675,8 @@ impl NodeChannel {
     /// Overflow policy, while reconnecting: plane frames (mirrored
     /// updates) are dropped once the byte bound is hit — a bulk donor
     /// resync reconstructs them wholesale, and purges the ones already
-    /// queued — while standing installs and handoff pushes are retained
-    /// regardless, because no state image can replace them.
+    /// queued — while standing installs are retained regardless,
+    /// because no state image can replace them.
     fn queue(&self, tag: u8, payload: &[u8]) -> bool {
         let flush = {
             let mut rec = self.recovery.lock();
@@ -707,12 +692,10 @@ impl NodeChannel {
                     }
                     return true;
                 }
-                NODE_UP if rides(tag, payload) => {
+                NODE_UP => {
                     rec.push(tag, payload);
-                    // Only a row sends a flush: a staged handoff push has
-                    // its carrier right behind it (the update it was
-                    // pulled for), and a standing change waits with the
-                    // rows.
+                    // Only a row sends a flush: a standing change waits
+                    // with the rows.
                     if tag != wire::tag::MIRROR_UPDATE
                         || rec.buffer.len().saturating_sub(rec.sent) < FLUSH_AT
                     {
@@ -1048,17 +1031,31 @@ impl Drop for PendingCall<'_> {
     }
 }
 
-/// The ownership bookkeeping, held only for table lookups — never
-/// across node I/O.
+/// The routing bookkeeping, held only for table lookups — never across
+/// node I/O.
 #[derive(Default)]
 struct Tables {
-    /// Registered user → node currently holding the single-copy state.
-    owner: HashMap<u64, usize>,
+    /// Users some node accepted a registration of: only their updates
+    /// move a position, so only theirs are mirrored.
+    registered: HashSet<u64>,
     /// Standing-range query id → subject user (routes snapshots to the
     /// node owning that user).
     range_user: HashMap<u64, u64>,
-    /// Completed boundary-crossing migrations.
-    handoffs: u64,
+}
+
+/// The node that owns `user` for the user's whole life in a cluster of
+/// `nodes` (clamped to at least 1): the SplitMix64 finalizer of the id,
+/// modulo the node count. Fixed and unkeyed, so every router over the
+/// same nodes agrees; a hash rather than `user % nodes`, so ids that
+/// share a residue — one client's users, say — still spread over the
+/// nodes.
+pub fn owner_of(user: u64, nodes: usize) -> usize {
+    let mut z = user;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    let nodes = u64::try_from(nodes.max(1)).unwrap_or(u64::MAX);
+    usize::try_from(z % nodes).unwrap_or(0)
 }
 
 /// Subscription actions the core requests; applied after routing so the
@@ -1070,15 +1067,13 @@ enum SubAction {
     DropQuery((u8, u64)),
 }
 
-/// The router's routing core: the partition map, one pipelined channel
-/// per node, the request gate, and the ownership tables.
+/// The router's routing core: one pipelined channel per node, the
+/// request gate, and the routing tables.
 struct Core {
-    partition: PartitionMap,
     channels: Vec<NodeChannel>,
-    /// The request gate. Shared by per-user routes; exclusive quiesces
-    /// the cluster for operations every node must observe at the same
-    /// point in the request stream (standing broadcasts, handoffs,
-    /// bulk rejoin resyncs).
+    /// The request gate. Shared by runs; exclusive quiesces the cluster
+    /// for operations every node must observe at the same point in the
+    /// request stream (standing broadcasts, bulk rejoin resyncs).
     gate: TrackedRwLock<()>,
     tables: TrackedMutex<Tables>,
     /// Counter sink for transport accounting on paths that do not
@@ -1105,172 +1100,26 @@ impl Core {
     }
 
     /// Hands node `i` a mirror frame it is not being asked to answer:
-    /// into its outbox when the frame may wait there (anything while
-    /// the node reconnects, anything an envelope can carry while it is
-    /// up — see [`NodeChannel::queue`]), delivered inline otherwise (a
-    /// payload too large for an envelope), dropped only when the node
-    /// is terminally `Down`. Returns `false` on a drop;
-    /// doctrine-preserved frames (standing installs, handoff pushes)
-    /// additionally bump `mirror_drops` and log, because losing one
-    /// means state diverged and stays diverged.
-    ///
-    /// The loop is unbounded on purpose — a flapping node must not
-    /// shake a preserved frame loose — but it cannot spin hot: every
-    /// turn consumes a state transition. A failed `begin`/`wait`
-    /// demotes the node, a refused `queue` means the state changed
-    /// under the outbox lock, and `Down` is terminal.
+    /// into its outbox ([`NodeChannel::queue`]), dropped only when the
+    /// node is terminally `Down`. Returns `false` on a drop;
+    /// doctrine-preserved frames (standing installs) additionally bump
+    /// `mirror_drops` and log, because losing one means state diverged
+    /// and stays diverged.
     fn absorb_mirror(&self, i: usize, tag: u8, payload: &[u8]) -> bool {
         let Ok(ch) = self.channel(i) else {
             return false;
         };
-        let mut scratch: DeltaBatch = Vec::new();
-        loop {
-            if ch.queue(tag, payload) {
-                return true;
-            }
-            match ch.state.load(Ordering::SeqCst) {
-                NODE_UP => {
-                    if let Ok(call) = ch.begin(tag, payload) {
-                        if call.wait(&mut scratch).is_ok() {
-                            return true;
-                        }
-                    }
-                }
-                NODE_RECONNECTING => {}
-                _ => {
-                    if retained_on_overflow(tag) {
-                        NetCounters::add(&self.obs.net().mirror_drops, 1);
-                        eprintln!(
-                            "router: node {i} went down holding an undeliverable \
-                             preserved frame 0x{tag:02x}; state diverged"
-                        );
-                    }
-                    return false;
-                }
-            }
+        if ch.queue(tag, payload) {
+            return true;
         }
-    }
-
-    /// Migrates `user`'s single-copy state from node `from` to node `to`
-    /// and serves the update that crossed with it: the pull is one round
-    /// trip to `from`; the push is staged in `to`'s outbox, so it rides
-    /// the update's envelope — one round trip to `to` — and then the
-    /// ownership table flips. Caller holds the exclusive gate.
-    ///
-    /// A migration never *starts* toward a node that cannot take it —
-    /// the pull is destructive (the old owner forgets the user), so
-    /// extracting state with nowhere to put it would strand the user if
-    /// the target never comes back. But once the pull has happened, a
-    /// push lost to a transport cut stays in `to`'s outbox (handoff
-    /// frames survive overflow) and the table flips anyway: rejoin
-    /// replay installs the state before any retried update can reach
-    /// the node. If `to` instead turns terminally `Down` after the pull
-    /// — it refused the push, answered garbage, or ran out of
-    /// reconnects — the table does not flip: the state is pushed back
-    /// into `from`, still up, it just answered the pull, and the request
-    /// fails with the fatal kind, leaving ownership where the bytes are.
-    fn handoff(
-        &self,
-        from: usize,
-        to: usize,
-        frame: &Frame,
-        row: wire::ExactUpdateMsg,
-        deltas: &mut DeltaBatch,
-    ) -> io::Result<Outbound> {
-        let dest = self.channel(to)?;
-        match dest.state.load(Ordering::SeqCst) {
-            NODE_UP => {}
-            NODE_RECONNECTING => return Err(dest.retryable_error("is reconnecting")),
-            _ => return Err(dest.down_error()),
+        if retained_on_overflow(tag) {
+            NetCounters::add(&self.obs.net().mirror_drops, 1);
+            eprintln!(
+                "router: node {i} went down holding an undeliverable \
+                 preserved frame 0x{tag:02x}; state diverged"
+            );
         }
-        let (tag, state) = self.call(
-            from,
-            wire::tag::HANDOFF_PULL,
-            &wire::encode_handoff_pull(row.user),
-            deltas,
-        )?;
-        if tag != wire::tag::USER_HANDOFF {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "node {from} failed handoff pull for subject {}: {}",
-                    row.user,
-                    String::from_utf8_lossy(&state)
-                ),
-            ));
-        }
-        let served = if self.absorb_mirror(to, wire::tag::HANDOFF_PUSH, &state) {
-            self.fan_out_update(to, frame, row, deltas)
-        } else {
-            Err(dest.down_error())
-        };
-        if served.is_err() && dest.state.load(Ordering::SeqCst) == NODE_DOWN {
-            // If `from` cannot take the state back either, the drop is
-            // counted and the user's state is lost with the node.
-            self.absorb_mirror(from, wire::tag::HANDOFF_PUSH, &state);
-            return Err(match served {
-                Err(e) if e.kind() != io::ErrorKind::WouldBlock => e,
-                _ => dest.down_error(),
-            });
-        }
-        let mut tables = self.tables.lock();
-        tables.owner.insert(row.user, to);
-        tables.handoffs += 1;
-        served
-    }
-
-    /// Serves a frame no run takes — a crossing or a standing broadcast
-    /// — under the exclusive gate, which quiesces every run in flight so
-    /// that the cluster observes the frame alone. `Err` means a node
-    /// needed for the request is unavailable (or broke cluster
-    /// consistency); [`Core::answer`] turns it into a kinded
-    /// [`wire::tag::ROUTE_FAIL`] reply.
-    fn route(
-        &self,
-        frame: &Frame,
-        deltas: &mut DeltaBatch,
-        subs_out: &mut Vec<SubAction>,
-    ) -> io::Result<Outbound> {
-        let _gate = self.gate.write();
-        match wire::decode_exact_update(&frame.payload) {
-            Some(row) if frame.tag == wire::tag::EXACT_UPDATE => self.cross(frame, row, deltas),
-            _ => self.route_broadcast(frame, deltas, subs_out),
-        }
-    }
-
-    /// An update that leaves its owner's stripe. Re-checked under the
-    /// exclusive gate: another crossing of the same user may have won
-    /// the gate first, and then the update is in-stripe after all. (A
-    /// crossing is only ever planned for a user the tables know, and
-    /// the tables never forget one.)
-    fn cross(
-        &self,
-        frame: &Frame,
-        row: wire::ExactUpdateMsg,
-        deltas: &mut DeltaBatch,
-    ) -> io::Result<Outbound> {
-        let target = self.partition.node_of(row.position);
-        let owner = self.tables.lock().owner.get(&row.user).copied();
-        match owner {
-            Some(cur) if cur != target => self.handoff(cur, target, frame, row, deltas),
-            _ => self.fan_out_update(target, frame, row, deltas),
-        }
-    }
-
-    /// The update fan-out: one round trip to the owner, whose reply is
-    /// the client's; then [`Core::mirror_update`].
-    fn fan_out_update(
-        &self,
-        target: usize,
-        frame: &Frame,
-        row: wire::ExactUpdateMsg,
-        deltas: &mut DeltaBatch,
-    ) -> io::Result<Outbound> {
-        let reply = self
-            .channel(target)?
-            .begin(wire::tag::EXACT_UPDATE, &frame.payload)?
-            .wait(deltas)?;
-        self.mirror_update(target, row, reply)
+        false
     }
 
     /// What the other nodes need of an update node `target` answered
@@ -1320,12 +1169,18 @@ impl Core {
     /// reaches every node after the same mirror rows and before any
     /// later frame. (The narrow window where node 0 applied a
     /// registration but its ack was lost is documented in DESIGN.md.)
+    /// The exclusive gate quiesces every run in flight, so the cluster
+    /// observes the frame alone. `Err` means a node needed for the
+    /// request is unavailable (or broke cluster consistency);
+    /// [`Core::answer`] turns it into a kinded [`wire::tag::ROUTE_FAIL`]
+    /// reply.
     fn route_broadcast(
         &self,
         frame: &Frame,
         deltas: &mut DeltaBatch,
         subs_out: &mut Vec<SubAction>,
     ) -> io::Result<Outbound> {
+        let _gate = self.gate.write();
         let reply = self.call(0, frame.tag, &frame.payload, deltas)?;
         let granted = || wire::decode_standing_ref(&reply.1).map(|r| r.id);
         let change = match (frame.tag, reply.0) {
@@ -1388,7 +1243,6 @@ fn reply_frame(reply: Reply) -> Outbound {
         Reply::Stats(b) => (wire::tag::STATS_SNAPSHOT, b),
         Reply::StandingRegistered(b) => (wire::tag::STANDING_REGISTERED, b),
         Reply::StandingState(b) => (wire::tag::STANDING_STATE, b),
-        Reply::Handoff(b) => (wire::tag::USER_HANDOFF, b),
         Reply::ResyncState(b) => (wire::tag::RESYNC_STATE, b),
         Reply::Error(s) => (wire::tag::ERROR, s.into_bytes()),
     }
@@ -1410,8 +1264,6 @@ fn is_internal(tag: u8) -> bool {
         tag,
         wire::tag::MIRROR_UPDATE
             | wire::tag::CARRY
-            | wire::tag::HANDOFF_PULL
-            | wire::tag::HANDOFF_PUSH
             | wire::tag::RESYNC_PULL
             | wire::tag::RESYNC_PUSH
             | wire::tag::STANDING_INSTALL
@@ -1432,15 +1284,16 @@ pub struct Router {
 
 impl Router {
     /// Binds the public socket at `addr` and starts routing requests to
-    /// the nodes at `node_addrs`, which partition `world` into vertical
-    /// stripes in address order. Node connections are established
-    /// lazily, so nodes may come up after the router. One reconnect
-    /// supervisor per node heals transient outages per the recovery
-    /// doctrine in the module docs.
+    /// the nodes at `node_addrs`; the node at `node_addrs[i]` is node `i`
+    /// of [`owner_of`]. Node connections are established lazily, so
+    /// nodes may come up after the router. One reconnect supervisor per
+    /// node heals transient outages per the recovery doctrine in the
+    /// module docs. `_world` is ignored: ownership does not depend on
+    /// position, and the argument stays only for existing callers.
     pub fn bind<A: ToSocketAddrs>(
         addr: A,
         node_addrs: &[&str],
-        world: Rect,
+        _world: Rect,
         cfg: RouterConfig,
     ) -> io::Result<Router> {
         if node_addrs.is_empty() {
@@ -1451,7 +1304,6 @@ impl Router {
         }
         let obs = Arc::new(MetricsRegistry::new());
         let core: SharedCore = Arc::new(Core {
-            partition: PartitionMap::new(world, node_addrs.len()),
             channels: node_addrs
                 .iter()
                 .enumerate()
@@ -1503,9 +1355,10 @@ impl Router {
         &self.core.obs
     }
 
-    /// Boundary-crossing migrations completed so far.
+    /// Always 0: a user has one owner for life, so no user's state is
+    /// ever handed from node to node. Kept only for existing callers.
     pub fn handoffs(&self) -> u64 {
-        self.core.tables.lock().handoffs
+        0
     }
 
     /// Door first: draining connections finish their requests against
@@ -1542,7 +1395,6 @@ impl Router {
         self.stop();
         let snap = self.core.obs.net().snapshot();
         RouterReport {
-            handoffs: self.core.tables.lock().handoffs,
             route_failures: snap.route_failures,
             requests_served: snap.requests_served,
         }
@@ -1861,10 +1713,9 @@ fn sleep_backoff(cfg: &RouterConfig, node: usize, attempt: u32, shutdown: &Arc<A
     }
 }
 
-/// A frame's place in a same-node run, decoded once: the node serving
-/// it, whose it is — `None` for a frame that is a run of its own — and,
-/// for an update of the node's own user, the row the other nodes are
-/// owed.
+/// A frame's place in a run, decoded once: the node serving it, whose
+/// it is — `None` for a frame that is a run of its own — and, for an
+/// update of a registered user, the row the other nodes are owed.
 struct Lane {
     node: usize,
     user: Option<u64>,
@@ -1877,8 +1728,9 @@ type RunFrame = (u64, Frame, Lane);
 impl Service for Core {
     /// A sweep's frames in arrival order, each served as part of a run
     /// ([`Core::serve_run`]): a maximal run of registrations, queries
-    /// and in-stripe updates bound for one node, no user twice, or a run
-    /// of one. Crossings and broadcasts go through [`Core::route`]; a
+    /// and updates, no user twice — and, once it holds an update for a
+    /// node, nothing more for any other node — or a run of one.
+    /// Standing broadcasts go through [`Core::route_broadcast`]; a
     /// cluster-internal tag is refused before anything else.
     fn serve(&self, ready: Vec<(u64, Frame)>, subs: &SharedSubs) -> Vec<(u64, Outbound)> {
         let mut emitted = Vec::with_capacity(ready.len());
@@ -1895,31 +1747,41 @@ impl Service for Core {
                 drop(gate);
                 let mut deltas: DeltaBatch = Vec::new();
                 let mut sub_actions: Vec<SubAction> = Vec::new();
-                let result = self.route(&frame, &mut deltas, &mut sub_actions);
+                let result = self.route_broadcast(&frame, &mut deltas, &mut sub_actions);
                 self.answer(conn_id, result, deltas, sub_actions, subs, &mut emitted);
                 continue;
             };
-            let mut rest: Vec<RunFrame> = Vec::new();
-            if let Some(user) = lane.user {
+            // The node whose mirror rows the run will produce: frames for
+            // any other node must wait for the next run.
+            let mut updating = lane.row.map(|_| lane.node);
+            let first = lane.user;
+            let mut run: Vec<RunFrame> = vec![(conn_id, frame, lane)];
+            if let Some(user) = first {
                 // Built only when a second frame could join.
                 let mut users: Option<HashSet<u64>> = None;
                 while let Some((_, next)) = ready.peek() {
-                    let Some(next_lane) = self.lane(next).filter(|l| l.node == lane.node) else {
+                    let Some(next_lane) = self.lane(next) else {
                         break;
                     };
                     let Some(next_user) = next_lane.user else {
                         break;
                     };
+                    if updating.is_some_and(|n| n != next_lane.node) {
+                        break;
+                    }
                     let users = users.get_or_insert_with(|| HashSet::from([user]));
                     if !users.insert(next_user) {
                         break;
                     }
+                    if next_lane.row.is_some() {
+                        updating = Some(next_lane.node);
+                    }
                     if let Some((conn_id, frame)) = ready.next() {
-                        rest.push((conn_id, frame, next_lane));
+                        run.push((conn_id, frame, next_lane));
                     }
                 }
             }
-            self.serve_run((conn_id, frame, lane), rest, subs, &mut emitted);
+            self.serve_run(run, subs, &mut emitted);
             drop(gate);
         }
         emitted
@@ -1927,17 +1789,16 @@ impl Service for Core {
 }
 
 impl Core {
-    /// Where `frame` goes as part of a run: a registration or query to
-    /// its user's owner (node 0 for a new user), an update of a known
-    /// user to its owner when it stays in the owner's stripe. A run of
-    /// its own: a snapshot to the node answering it, an unknown user's
-    /// update to the stripe's node (which refuses it as the sequential
-    /// engine does, and no plane moves), an undecodable payload or an
-    /// unknown tag to node 0 (whose reply carries the error text a
-    /// single server gives). `None` for a crossing or a broadcast.
-    /// Caller holds the gate.
+    /// Where `frame` goes as part of a run: a registration, query or
+    /// update to its user's owner, an update carrying the row the other
+    /// nodes are owed when the user is registered (an unknown user's
+    /// update is refused by its owner as the sequential engine refuses
+    /// it, and no plane moves). A run of its own: a snapshot to the node
+    /// answering it, an undecodable payload or an unknown tag to node 0
+    /// (whose reply carries the error text a single server gives).
+    /// `None` for a standing broadcast. Caller holds the gate.
     fn lane(&self, frame: &Frame) -> Option<Lane> {
-        let owner = |user: u64| self.tables.lock().owner.get(&user).copied();
+        let nodes = self.channels.len();
         let alone = |node| {
             Some(Lane {
                 node,
@@ -1945,35 +1806,26 @@ impl Core {
                 row: None,
             })
         };
-        let user_lane = |user| {
+        let user_lane = |user, row| {
             Some(Lane {
-                node: owner(user).unwrap_or(0),
+                node: owner_of(user, nodes),
                 user: Some(user),
-                row: None,
+                row,
             })
         };
         match frame.tag {
             wire::tag::REGISTER => {
-                wire::decode_register(&frame.payload).map_or(alone(0), |m| user_lane(m.user))
+                wire::decode_register(&frame.payload).map_or(alone(0), |m| user_lane(m.user, None))
             }
-            wire::tag::USER_QUERY => {
-                wire::decode_user_query(&frame.payload).map_or(alone(0), |m| user_lane(m.user))
-            }
-            wire::tag::EXACT_UPDATE => {
-                let Some(row) = wire::decode_exact_update(&frame.payload) else {
-                    return alone(0);
-                };
-                let node = self.partition.node_of(row.position);
-                match owner(row.user) {
-                    None => alone(node),
-                    Some(cur) if cur == node => Some(Lane {
-                        node,
-                        user: Some(row.user),
-                        row: Some(row),
-                    }),
-                    Some(_) => None,
+            wire::tag::USER_QUERY => wire::decode_user_query(&frame.payload)
+                .map_or(alone(0), |m| user_lane(m.user, None)),
+            wire::tag::EXACT_UPDATE => match wire::decode_exact_update(&frame.payload) {
+                Some(row) => {
+                    let known = self.tables.lock().registered.contains(&row.user);
+                    user_lane(row.user, known.then_some(row))
                 }
-            }
+                None => alone(0),
+            },
             wire::tag::REGISTER_STANDING_COUNT
             | wire::tag::REGISTER_STANDING_RANGE
             | wire::tag::DEREGISTER_STANDING => None,
@@ -1982,14 +1834,8 @@ impl Core {
             // on the node owning its subject user.
             wire::tag::STANDING_SNAPSHOT => match wire::decode_standing_ref(&frame.payload) {
                 Some(r) if r.kind == wire::StandingKind::Range => {
-                    let tables = self.tables.lock();
-                    let subject = tables.range_user.get(&r.id);
-                    alone(
-                        subject
-                            .and_then(|u| tables.owner.get(u))
-                            .copied()
-                            .unwrap_or(0),
-                    )
+                    let subject = self.tables.lock().range_user.get(&r.id).copied();
+                    alone(subject.map_or(0, |u| owner_of(u, nodes)))
                 }
                 _ => alone(0),
             },
@@ -1997,46 +1843,43 @@ impl Core {
         }
     }
 
-    /// Serves a run: every frame begun back to back in one write — the
-    /// node's unsent outbox entries riding the first — then each reply
-    /// waited in order and settled: an update's mirror rows queued, a
-    /// registration's owner recorded. A run that cannot be begun answers
-    /// every frame with that failure. Caller holds the gate, so no
-    /// crossing or broadcast interleaves, and the next run is begun only
-    /// after this run's mirror rows are queued.
-    fn serve_run(
-        &self,
-        first: RunFrame,
-        rest: Vec<RunFrame>,
-        subs: &SharedSubs,
-        emitted: &mut Vec<(u64, Outbound)>,
-    ) {
-        let node = first.2.node;
-        let requests = std::iter::once(&first)
-            .chain(&rest)
-            .map(|(_, f, _)| (f.tag, f.payload.as_slice()));
-        let begun = self.channel(node).and_then(|ch| ch.begin_all(requests));
-        let run = std::iter::once(first).chain(rest);
-        let calls = match begun {
-            Ok(calls) => calls,
-            Err(e) => {
-                for (conn_id, _, _) in run {
-                    let failed = io::Error::new(e.kind(), e.to_string());
-                    self.answer(conn_id, Err(failed), Vec::new(), Vec::new(), subs, emitted);
-                }
-                return;
+    /// Serves a run: its frames for each node begun back to back in one
+    /// write — the node's unsent outbox entries riding the first — then
+    /// every reply waited in arrival order and settled: an update's
+    /// mirror rows queued, a registration recorded. A node that cannot
+    /// be begun on answers each of its frames with that failure. Caller
+    /// holds the gate, so no broadcast interleaves, and the next run is
+    /// begun only after this run's mirror rows are queued.
+    fn serve_run(&self, run: Vec<RunFrame>, subs: &SharedSubs, emitted: &mut Vec<(u64, Outbound)>) {
+        let mut nodes: Vec<usize> = run.iter().map(|(_, _, lane)| lane.node).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        // Each frame's call, keyed by its place in the run.
+        let mut begun: Vec<(usize, io::Result<PendingCall<'_>>)> = Vec::with_capacity(run.len());
+        for node in nodes {
+            let mine = || {
+                run.iter()
+                    .enumerate()
+                    .filter(|(_, (_, _, l))| l.node == node)
+            };
+            let requests = mine().map(|(_, (_, f, _))| (f.tag, f.payload.as_slice()));
+            match self.channel(node).and_then(|ch| ch.begin_all(requests)) {
+                Ok(calls) => begun.extend(mine().map(|(i, _)| i).zip(calls.into_iter().map(Ok))),
+                Err(e) => begun
+                    .extend(mine().map(|(i, _)| (i, Err(io::Error::new(e.kind(), e.to_string()))))),
             }
-        };
-        for ((conn_id, frame, lane), call) in run.zip(calls) {
+        }
+        begun.sort_unstable_by_key(|(i, _)| *i);
+        for ((conn_id, frame, lane), (_, call)) in run.into_iter().zip(begun) {
             let mut deltas: DeltaBatch = Vec::new();
             let result = call
-                .wait(&mut deltas)
+                .and_then(|call| call.wait(&mut deltas))
                 .and_then(|reply| match (lane.row, lane.user) {
-                    (Some(row), _) => self.mirror_update(node, row, reply),
+                    (Some(row), _) => self.mirror_update(lane.node, row, reply),
                     (None, Some(user))
                         if frame.tag == wire::tag::REGISTER && reply.0 == wire::tag::OK =>
                     {
-                        self.tables.lock().owner.insert(user, node);
+                        self.tables.lock().registered.insert(user);
                         Ok(reply)
                     }
                     _ => Ok(reply),
@@ -2126,7 +1969,6 @@ mod tests {
         let cfg = RouterConfig::default();
         let obs = Arc::new(MetricsRegistry::new());
         let core: SharedCore = Arc::new(Core {
-            partition: PartitionMap::new(Rect::new(0.0, 0.0, 1.0, 1.0).unwrap(), 1),
             channels: vec![NodeChannel::new(
                 0,
                 addr,

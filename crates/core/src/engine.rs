@@ -279,26 +279,20 @@ impl ShardedEngine {
 
     /// Registers a user with a privacy profile, or replaces the profile
     /// of one registered before. A user whose position this engine only
-    /// mirrored keeps that position.
+    /// mirrored keeps that position, so an id is never counted twice.
     pub fn register(&mut self, id: UserId, profile: PrivacyProfile) {
         self.journal_op(|| EngineOp::RegisterUser {
             id,
             profile: profile.clone(),
         });
-        self.own(id, profile);
-        self.maybe_snapshot();
-    }
-
-    /// Makes `id` an owned user with `profile`, adopting its mirrored
-    /// position, if any.
-    fn own(&mut self, id: UserId, profile: PrivacyProfile) {
         if let Some(user) = self.users.get_mut(&id) {
             user.profile = profile;
-            return;
+        } else {
+            let pos = self.shadow.remove(&id);
+            self.placed += usize::from(pos.is_some());
+            self.users.insert(id, User { profile, pos });
         }
-        let pos = self.shadow.remove(&id);
-        self.placed += usize::from(pos.is_some());
-        self.users.insert(id, User { profile, pos });
+        self.maybe_snapshot();
     }
 
     /// Number of registered users.
@@ -808,49 +802,6 @@ impl ShardedEngine {
         }
     }
 
-    /// Cluster handoff, outbound: extracts `user`'s single-copy state —
-    /// privacy profile, current private cloak, standing-range ids — and
-    /// removes the profile so this node stops answering for the user.
-    /// The position and private-record planes are replicated fleet-wide
-    /// and stay put: the position moves to the shadow map. Returns
-    /// `None` (after journaling, so replay drains the same no-op) when
-    /// the user is not registered here. The whole profile travels, every
-    /// time-of-day entry included.
-    pub fn handoff_export(&mut self, user: UserId) -> Option<wire::HandoffMsg> {
-        self.journal_op(|| EngineOp::HandoffOut { subject: user });
-        let owned = self.users.remove(&user);
-        if let Some(pos) = owned.as_ref().and_then(|u| u.pos) {
-            self.placed -= 1;
-            self.shadow.insert(user, pos);
-        }
-        let msg = owned.map(|User { profile, .. }| wire::HandoffMsg {
-            subject: user,
-            profile,
-            cloak: self.private.get(&self.pseudonym(user).0).copied(),
-            ranges: self.standing_ranges.queries_of(user),
-        });
-        self.maybe_snapshot();
-        msg
-    }
-
-    /// Cluster handoff, inbound: installs a migrated user's single-copy
-    /// state. The carried profile is installed as it was registered, and
-    /// the user's mirrored position becomes its owned one;
-    /// standing-range entries — already present here via the
-    /// registration broadcast — get their cloak, sequence number, and a
-    /// re-derived candidate set, without ever signalling a delta (the
-    /// installed state is `seq`-for-`seq` what the old owner last
-    /// pushed, not a change).
-    pub fn handoff_install(&mut self, msg: &wire::HandoffMsg) {
-        self.journal_op(|| EngineOp::HandoffIn { msg: msg.clone() });
-        self.own(msg.subject, msg.profile.clone());
-        for &(id, seq) in &msg.ranges {
-            self.standing_ranges
-                .install(id, msg.cloak, seq, &self.public);
-        }
-        self.maybe_snapshot();
-    }
-
     /// Cluster rejoin, donor side: dumps the two replicated planes —
     /// every tracked position and every private cloak record — in
     /// canonical (sorted) form for a [`wire::ResyncState`] transfer.
@@ -932,7 +883,7 @@ impl ShardedEngine {
     pub fn from_state(state: &EngineState) -> ShardedEngine {
         let mut e = ShardedEngine::new(state.config, 1);
         for (id, profile) in &state.profiles {
-            e.own(*id, profile.clone());
+            e.register(*id, profile.clone());
         }
         for &(id, p) in &state.positions {
             e.mirror(id, p);
@@ -973,10 +924,6 @@ impl ShardedEngine {
                 self.take_standing_changes();
             }
             EngineOp::Mirror(state) => self.apply_mirror(&state.rows, &state.cloaks),
-            EngineOp::HandoffOut { subject } => {
-                self.handoff_export(*subject);
-            }
-            EngineOp::HandoffIn { msg } => self.handoff_install(msg),
         }
     }
 }
@@ -1251,13 +1198,12 @@ mod tests {
 
     #[test]
     fn ownership_states_keep_positions_counted_and_bytes_equal() {
-        // A cluster node's view of user 7: first only mirrored, then
-        // owned (by registration or by an inbound handoff), then handed
-        // off again. Users 0..6 are owned throughout; each is cloaked
+        // A cluster node's view of user 7: first only mirrored, its
+        // mirrored position moved by a later row, then owned by
+        // registration. Users 0..6 are owned throughout; each is cloaked
         // with k = 8, so every cloak counts user 7 or falls short. User 7
-        // holds a uniform profile or Fig. 2's, whose time-of-day entries
-        // a handoff must carry: its queries at 03:00, 12:00 and 19:00
-        // are held to the reference's.
+        // holds a uniform profile or Fig. 2's: its queries at 03:00,
+        // 12:00 and 19:00 are held to the reference's.
         let k8 = || PrivacyProfile::uniform(CloakRequirement::k_only(8)).unwrap();
         let cfg = EngineConfig {
             grid_side: 4,
@@ -1298,65 +1244,50 @@ mod tests {
                 reference.register(i, k8());
             }
             reference.register(7, profile.clone());
-            reference.process_updates(&mover);
-            for adopt_by_handoff in [false, true] {
-                let mut e = ShardedEngine::new(cfg, 1);
-                for i in 0..7 {
-                    e.register(i, k8());
-                }
-                // Mirrored only: counted, not registered, and not served.
-                e.apply_mirror(&mover, &[]);
-                assert_eq!((e.population(), e.registered()), (1, 7));
-                assert!(matches!(
-                    e.process_updates(&mover)[0],
-                    Err(CloakError::UnknownUser(7))
-                ));
-                assert!(matches!(
-                    e.range_query(7, SimTime::ZERO, 0.1),
-                    Err(CloakError::UnknownUser(7))
-                ));
-                round_trips(&e);
-                same_cloaks(&mut e, &mut reference);
-                // Owned: the mirrored position is adopted, so user 7's
-                // next cloak, with no update of its own, matches the
-                // reference.
-                if adopt_by_handoff {
-                    let mut donor = ShardedEngine::from_state(&reference.export_state());
-                    let msg = donor.handoff_export(7).unwrap();
-                    e.handoff_install(&msg);
-                } else {
-                    e.register(7, profile.clone());
-                }
-                assert_eq!((e.population(), e.registered()), (8, 8));
-                same_queries(&e, &reference);
-                round_trips(&e);
-                same_cloaks(&mut e, &mut reference);
-                // A mirror row for an owned user moves the owned record.
-                let nudged = [(7, Point::new(0.2, 0.2), SimTime::ZERO)];
-                e.apply_mirror(&nudged, &[]);
-                reference.process_updates(&nudged);
-                assert_eq!((e.population(), e.registered()), (8, 8));
-                same_queries(&e, &reference);
-                assert_eq!(
-                    e.process_updates_wire(&mover),
-                    reference.process_updates_wire(&mover)
-                );
-                // Handed off: the position stays counted, the profile goes.
-                assert!(e.handoff_export(7).is_some());
-                assert_eq!((e.population(), e.registered()), (8, 7));
-                assert!(matches!(
-                    e.process_updates(&mover)[0],
-                    Err(CloakError::UnknownUser(7))
-                ));
-                round_trips(&e);
-                same_cloaks(&mut e, &mut reference);
-                // A later mirror row moves the mirrored position.
-                let moved = [(7, Point::new(0.9, 0.9), SimTime::ZERO)];
-                e.apply_mirror(&moved, &[]);
-                reference.process_updates(&moved);
-                same_cloaks(&mut e, &mut reference);
-                reference.process_updates(&mover);
+            let far = [(7, Point::new(0.9, 0.9), SimTime::ZERO)];
+            reference.process_updates(&far);
+            let mut e = ShardedEngine::new(cfg, 1);
+            for i in 0..7 {
+                e.register(i, k8());
             }
+            // Mirrored only: counted, not registered, and not served.
+            e.apply_mirror(&far, &[]);
+            assert_eq!((e.population(), e.registered()), (1, 7));
+            assert!(matches!(
+                e.process_updates(&mover)[0],
+                Err(CloakError::UnknownUser(7))
+            ));
+            assert!(matches!(
+                e.range_query(7, SimTime::ZERO, 0.1),
+                Err(CloakError::UnknownUser(7))
+            ));
+            round_trips(&e);
+            same_cloaks(&mut e, &mut reference);
+            // A later mirror row moves the mirrored position.
+            e.apply_mirror(&mover, &[]);
+            reference.process_updates(&mover);
+            assert_eq!((e.population(), e.registered()), (8, 7));
+            round_trips(&e);
+            same_cloaks(&mut e, &mut reference);
+            // Owned: the mirrored position is adopted, so user 7's next
+            // cloak, with no update of its own, matches the reference.
+            e.register(7, profile.clone());
+            assert_eq!((e.population(), e.registered()), (8, 8));
+            same_queries(&e, &reference);
+            round_trips(&e);
+            same_cloaks(&mut e, &mut reference);
+            // A mirror row for an owned user moves the owned record.
+            let nudged = [(7, Point::new(0.2, 0.2), SimTime::ZERO)];
+            e.apply_mirror(&nudged, &[]);
+            reference.process_updates(&nudged);
+            assert_eq!((e.population(), e.registered()), (8, 8));
+            same_queries(&e, &reference);
+            assert_eq!(
+                e.process_updates_wire(&mover),
+                reference.process_updates_wire(&mover)
+            );
+            round_trips(&e);
+            same_cloaks(&mut e, &mut reference);
         }
     }
 

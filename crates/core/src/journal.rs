@@ -203,18 +203,6 @@ pub enum EngineOp {
     /// to anonymizer tier — a trusted hop, like [`EngineOp::UpdateBatch`];
     /// the cloaks carry pseudonyms and rectangles only.
     Mirror(wire::ResyncState),
-    /// Cluster handoff: a user's single-copy state (profile + standing
-    /// range registrations) was extracted for migration to another node.
-    HandoffOut {
-        /// The migrating user.
-        subject: UserId,
-    },
-    /// Cluster handoff: a migrated user's single-copy state was
-    /// installed on this node.
-    HandoffIn {
-        /// The handoff payload, exactly as it crossed the wire.
-        msg: wire::HandoffMsg,
-    },
 }
 
 /// One record in the write-ahead log.
@@ -234,19 +222,18 @@ pub enum JournalRecord {
 // in a retired layout fails to decode instead of being misread.
 // Retired: 0x01 (registration with an activity flag), 0x08 (profile
 // update), 0x09 and 0x0A (mirror rows and mirror cloaks as two
-// records), 0x0C (handoff carrying one requirement), 0xE1 (a system
-// journal's genesis).
+// records), 0x0B and 0x10 (a user's state handed out to and in from
+// another node), 0x0C (handoff carrying one requirement), 0xE1 (a
+// system journal's genesis).
 const TAG_UPDATE_BATCH: u8 = 0x02;
 const TAG_LOAD_PUBLIC: u8 = 0x03;
 const TAG_ADD_STANDING_COUNT: u8 = 0x04;
 const TAG_ADD_STANDING_RANGE: u8 = 0x05;
 const TAG_DEREGISTER_STANDING: u8 = 0x06;
 const TAG_TAKE_STANDING_CHANGES: u8 = 0x07;
-const TAG_HANDOFF_OUT: u8 = 0x0B;
 const TAG_INSTALL_STANDING: u8 = 0x0D;
 const TAG_REGISTER_USER: u8 = 0x0E;
 const TAG_MIRROR: u8 = 0x0F;
-const TAG_HANDOFF_IN: u8 = 0x10;
 const TAG_INIT_ENGINE: u8 = 0xE0;
 
 /// Version byte leading every encoded [`EngineState`]; bumped on any
@@ -308,8 +295,6 @@ impl Put for JournalRecord {
             }
             EngineOp::TakeStandingChanges => TAG_TAKE_STANDING_CHANGES.put(b),
             EngineOp::Mirror(state) => (TAG_MIRROR, state).put(b),
-            EngineOp::HandoffOut { subject } => (TAG_HANDOFF_OUT, subject).put(b),
-            EngineOp::HandoffIn { msg } => (TAG_HANDOFF_IN, msg).put(b),
         }
     }
 }
@@ -352,8 +337,6 @@ impl Get for JournalRecord {
             },
             TAG_TAKE_STANDING_CHANGES => EngineOp::TakeStandingChanges,
             TAG_MIRROR => EngineOp::Mirror(r.get()?),
-            TAG_HANDOFF_OUT => EngineOp::HandoffOut { subject: r.get()? },
-            TAG_HANDOFF_IN => EngineOp::HandoffIn { msg: r.get()? },
             _ => return None,
         };
         Some(JournalRecord::Op(op))
@@ -565,15 +548,6 @@ mod tests {
                 cloaks: vec![cloaked()],
             })),
             JournalRecord::Op(EngineOp::Mirror(wire::ResyncState::default())),
-            JournalRecord::Op(EngineOp::HandoffOut { subject: 7 }),
-            JournalRecord::Op(EngineOp::HandoffIn {
-                msg: wire::HandoffMsg {
-                    subject: 7,
-                    profile: PrivacyProfile::paper_example(),
-                    cloak: Some(Rect::new_unchecked(0.25, 0.5, 0.375, 0.625)),
-                    ranges: vec![(3, 7), (9, 0)],
-                },
-            }),
         ]
     }
 
@@ -639,13 +613,28 @@ mod tests {
         // Retired tags, each in the layout it last had: a log in that
         // layout must fail to decode, never be misread. Registration
         // with an activity flag (0x01), a profile update (0x08), mirror
-        // rows (0x09), one mirror cloak (0x0A), a handoff carrying one
+        // rows (0x09), one mirror cloak (0x0A), a user handed out (0x0B)
+        // and in (0x10: subject, Fig. 2's profile, a cloak, two
+        // standing-range `(id, seq)` pairs), a handoff carrying one
         // `(k, a_min, a_max)` triple (0x0C), a system genesis (0xE1).
         let id = 7u64.to_le_bytes();
         let cloak = wire::encode_cloaked_update(&cloaked());
         let row = codec::to_bytes(&(7u64, Point::new(0.5, 0.5), SimTime::ZERO), 32);
         let triple = codec::to_bytes(&CloakRequirement::k_only(25), 20);
-        let retired: [(u8, Vec<u8>); 6] = [
+        let handed_in = codec::to_bytes(
+            &(
+                7u64,
+                &PrivacyProfile::paper_example(),
+                Some(Rect::new_unchecked(0.25, 0.5, 0.375, 0.625)),
+            ),
+            128,
+        );
+        let ranges = [
+            &2u32.to_le_bytes()[..],
+            &[3u64, 7, 9, 0].map(u64::to_le_bytes).concat(),
+        ]
+        .concat();
+        let retired: [(u8, Vec<u8>); 8] = [
             (
                 0x01,
                 [&id[..], &[1], &codec::to_bytes(&profile(), 64)].concat(),
@@ -653,6 +642,8 @@ mod tests {
             (0x08, [&id[..], &codec::to_bytes(&profile(), 64)].concat()),
             (0x09, [&1u32.to_le_bytes()[..], &row].concat()),
             (0x0A, cloak.to_vec()),
+            (0x0B, id.to_vec()),
+            (0x10, [&handed_in[..], &ranges].concat()),
             (0x0C, [&id[..], &triple, &[0], &0u32.to_le_bytes()].concat()),
             (0xE1, Vec::new()),
         ];

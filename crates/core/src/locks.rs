@@ -52,8 +52,8 @@ pub enum LockRank {
     /// round-trip; standing broadcasts hold it exclusive so every node
     /// seeds the new registration from the same quiesced state.
     ClusterRouter,
-    /// `lbsp-cluster`: the router's routing tables (user → owning node,
-    /// standing-range → subject user, handoff count). Held only for map
+    /// `lbsp-cluster`: the router's routing tables (registered users,
+    /// standing-range → subject user). Held only for map
     /// lookups/updates, never across node I/O.
     ClusterCore,
     /// `lbsp-cluster`: one per node — the reconnect supervisor's

@@ -136,11 +136,11 @@ pub struct NetCounters {
     pub node_rejoins: AtomicU64,
     /// Payload bytes transferred by bulk `NODE_RESYNC` plane copies.
     pub resync_bytes: AtomicU64,
-    /// Doctrine-preserved mirror frames (standing installs and drops,
-    /// handoff pushes) dropped because their node went terminally Down
-    /// before the frame could be delivered or buffered. Should stay 0
-    /// in a healthy cluster; any increment means replicated or
-    /// single-copy state diverged and is worth an operator's look.
+    /// Doctrine-preserved mirror frames (standing installs and drops)
+    /// dropped because their node went terminally Down before the frame
+    /// could be delivered or buffered. Should stay 0 in a healthy
+    /// cluster; any increment means replicated state diverged and is
+    /// worth an operator's look.
     pub mirror_drops: AtomicU64,
 }
 

@@ -224,48 +224,6 @@ impl StandingPrivateRanges {
         std::mem::take(&mut self.changed).into_iter().collect()
     }
 
-    /// `(id, seq)` of every standing query owned by `user`, ascending
-    /// by id — the standing-query payload of a cluster handoff.
-    pub fn queries_of(&self, user: UserId) -> Vec<(StandingQueryId, u64)> {
-        let Some(ids) = self.by_user.get(&user) else {
-            return Vec::new();
-        };
-        let mut out: Vec<(StandingQueryId, u64)> = ids
-            .iter()
-            .filter_map(|&id| self.entries.get(&id).map(|e| (id, e.seq)))
-            .collect();
-        out.sort_unstable_by_key(|&(id, _)| id);
-        out
-    }
-
-    /// Installs the migrated live state of an already-registered query
-    /// (cluster handoff): the authoritative cloak and change sequence
-    /// come off the wire, while the candidate set is re-derived from
-    /// `(cloak, radius, store)` — the same pure function
-    /// [`Self::on_cloak_update`] evaluates — so it never crosses the
-    /// wire. Unlike a refresh, an install signals no change and bumps
-    /// no counters: delta delivery is the owner's job, and the
-    /// handed-off `seq` already accounts for every signalled change.
-    /// Returns `false` for an unknown id.
-    pub fn install(
-        &mut self,
-        id: StandingQueryId,
-        cloak: Option<Rect>,
-        seq: u64,
-        store: &PublicStore,
-    ) -> bool {
-        let Some(e) = self.entries.get_mut(&id) else {
-            return false;
-        };
-        e.candidates = match &cloak {
-            Some(c) => private_range_candidates(store, c, e.radius),
-            None => Vec::new(),
-        };
-        e.cloak = cloak;
-        e.seq = seq;
-        true
-    }
-
     /// Fraction of refreshes served without recomputation.
     ///
     /// Well-defined for every state: before any refresh has happened
@@ -503,47 +461,6 @@ mod tests {
         assert_eq!(reg.recomputes, restored.recomputes);
         assert_eq!(reg.reuses, restored.reuses);
         assert_eq!(reg.take_changed(), restored.take_changed());
-    }
-
-    #[test]
-    fn queries_of_and_install_mirror_a_handoff() {
-        let store = store();
-        // "Old owner": registers and refreshes normally.
-        let mut old = StandingPrivateRanges::new();
-        let q1 = old.register(7, 0.15);
-        let q2 = old.register(7, 0.05);
-        let cloak = Rect::new_unchecked(0.4, 0.4, 0.6, 0.6);
-        old.on_cloak_update(7, &cloak, &store);
-        let _ = old.take_changed();
-        let handoff = old.queries_of(7);
-        assert_eq!(handoff.len(), 2);
-        assert_eq!(handoff[0].0, q1);
-        assert_eq!(handoff[1].0, q2);
-        assert!(old.queries_of(99).is_empty());
-        // "New owner": saw the same registrations (broadcast) but never
-        // refreshed; install brings each entry to the owner's state.
-        let mut new = StandingPrivateRanges::new();
-        assert_eq!(new.register(7, 0.15), q1);
-        assert_eq!(new.register(7, 0.05), q2);
-        for &(id, seq) in &handoff {
-            assert!(new.install(id, Some(cloak), seq, &store));
-        }
-        assert!(!new.install(999, Some(cloak), 0, &store), "unknown id");
-        for q in [q1, q2] {
-            assert_eq!(new.candidates(q), old.candidates(q));
-            assert_eq!(new.seq(q), old.seq(q));
-        }
-        assert!(new.take_changed().is_empty(), "install signals nothing");
-        // Both continue identically: a same-cloak refresh reuses on the
-        // old owner and recomputes-to-the-same-bytes path on the new.
-        let c2 = Rect::new_unchecked(0.1, 0.1, 0.3, 0.3);
-        old.on_cloak_update(7, &c2, &store);
-        new.on_cloak_update(7, &c2, &store);
-        for q in [q1, q2] {
-            assert_eq!(new.candidates(q), old.candidates(q));
-            assert_eq!(new.seq(q), old.seq(q));
-        }
-        assert_eq!(new.take_changed(), old.take_changed());
     }
 
     #[test]

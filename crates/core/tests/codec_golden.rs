@@ -54,15 +54,6 @@ fn exact() -> wire::ExactUpdateMsg {
     }
 }
 
-fn handoff() -> wire::HandoffMsg {
-    wire::HandoffMsg {
-        subject: 42,
-        profile: profile(),
-        cloak: Some(rect(0.25, 0.5, 0.375, 0.625)),
-        ranges: vec![(3, 7), (9, 0)],
-    }
-}
-
 fn profile() -> PrivacyProfile {
     PrivacyProfile::new(
         vec![ProfileEntry {
@@ -116,7 +107,10 @@ fn carry_bytes(msg: &wire::CarryMsg) -> Option<Bytes> {
 
 /// Every `encode_*` in `wire`, on fixed inputs.
 fn wire_cases() -> Vec<Case> {
-    let carried: [(u8, &[u8]); 2] = [(tag::MIRROR_UPDATE, &[1, 2, 3]), (tag::HANDOFF_PUSH, &[])];
+    let carried: [(u8, &[u8]); 2] = [
+        (tag::MIRROR_UPDATE, &[1, 2, 3]),
+        (tag::STANDING_INSTALL, &[]),
+    ];
     let mirror = |cloak| {
         wire::encode_mirror_update(&wire::MirrorUpdateMsg {
             row: exact(),
@@ -129,8 +123,6 @@ fn wire_cases() -> Vec<Case> {
         |b| wire::decode_standing_install(b).map(|m| wire::encode_standing_install(&m));
     let state_again: fn(&[u8]) -> Option<Bytes> =
         |b| wire::decode_standing_state(b).map(|m| wire::encode_standing_state(&m));
-    let handoff_again: fn(&[u8]) -> Option<Bytes> =
-        |b| wire::decode_handoff(b).map(|m| wire::encode_handoff(&m));
     vec![
         case("exact_update", wire::encode_exact_update(&exact()), |b| {
             wire::decode_exact_update(b).map(|m| wire::encode_exact_update(&m))
@@ -274,19 +266,6 @@ fn wire_cases() -> Vec<Case> {
             })),
             state_again,
         ),
-        case("handoff_pull", wire::encode_handoff_pull(99), |b| {
-            wire::decode_handoff_pull(b).map(wire::encode_handoff_pull)
-        }),
-        case("handoff", wire::encode_handoff(&handoff()), handoff_again),
-        case(
-            "handoff_bare",
-            wire::encode_handoff(&wire::HandoffMsg {
-                cloak: None,
-                ranges: Vec::new(),
-                ..handoff()
-            }),
-            handoff_again,
-        ),
         case(
             "route_fail",
             wire::encode_route_fail(wire::ROUTE_FAIL_DOWN, "node 1"),
@@ -373,14 +352,6 @@ fn journal_records() -> Vec<(&'static str, JournalRecord)> {
                 rows,
                 cloaks: vec![cloaked()],
             })),
-        ),
-        (
-            "handoff_out",
-            JournalRecord::Op(EngineOp::HandoffOut { subject: 7 }),
-        ),
-        (
-            "handoff_in",
-            JournalRecord::Op(EngineOp::HandoffIn { msg: handoff() }),
         ),
     ]
 }
@@ -542,7 +513,7 @@ const WIRE_GOLDEN: &[(&str, &[u8])] = &[
             0, 74, 147, 64, 42, 0, 0, 0, 1,
         ],
     ),
-    ("carry", &[2, 0, 39, 3, 0, 1, 2, 3, 35, 0, 0, 3, 9, 8]),
+    ("carry", &[2, 0, 39, 3, 0, 1, 2, 3, 38, 0, 0, 3, 9, 8]),
     ("carry_flush", &[0, 0]),
     (
         "carry_rejected",
@@ -618,25 +589,6 @@ const WIRE_GOLDEN: &[(&str, &[u8])] = &[
         &[
             1, 8, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
             0, 0, 0, 0, 0, 0, 224, 63, 0, 0, 0, 0, 0, 0, 208, 63,
-        ],
-    ),
-    ("handoff_pull", &[99, 0, 0, 0, 0, 0, 0, 0]),
-    (
-        "handoff",
-        &[
-            42, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 240,
-            127, 1, 0, 0, 0, 28, 2, 0, 0, 252, 3, 0, 0, 25, 0, 0, 0, 0, 0, 0, 0, 0, 0, 176, 63, 0,
-            0, 0, 0, 0, 0, 224, 63, 1, 0, 0, 0, 0, 0, 0, 208, 63, 0, 0, 0, 0, 0, 0, 224, 63, 0, 0,
-            0, 0, 0, 0, 216, 63, 0, 0, 0, 0, 0, 0, 228, 63, 2, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 7,
-            0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-        ],
-    ),
-    (
-        "handoff_bare",
-        &[
-            42, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 240,
-            127, 1, 0, 0, 0, 28, 2, 0, 0, 252, 3, 0, 0, 25, 0, 0, 0, 0, 0, 0, 0, 0, 0, 176, 63, 0,
-            0, 0, 0, 0, 0, 224, 63, 0, 0, 0, 0, 0,
         ],
     ),
     ("route_fail", &[1, 110, 111, 100, 101, 32, 49]),
@@ -719,17 +671,6 @@ const JOURNAL_GOLDEN: &[(&str, &[u8])] = &[
             216, 63, 0, 0, 0, 0, 0, 0, 228, 63, 0, 0, 0, 0, 0, 74, 147, 64, 42, 0, 0, 0, 1,
         ],
     ),
-    ("handoff_out", &[11, 7, 0, 0, 0, 0, 0, 0, 0]),
-    (
-        "handoff_in",
-        &[
-            16, 42, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 240,
-            127, 1, 0, 0, 0, 28, 2, 0, 0, 252, 3, 0, 0, 25, 0, 0, 0, 0, 0, 0, 0, 0, 0, 176, 63, 0,
-            0, 0, 0, 0, 0, 224, 63, 1, 0, 0, 0, 0, 0, 0, 208, 63, 0, 0, 0, 0, 0, 0, 224, 63, 0, 0,
-            0, 0, 0, 0, 216, 63, 0, 0, 0, 0, 0, 0, 228, 63, 2, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 7,
-            0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-        ],
-    ),
 ];
 
 /// Records the journal no longer writes, as their retired layouts wrote
@@ -774,6 +715,17 @@ const RETIRED_JOURNAL: &[(&str, &[u8])] = &[
             240, 127, 1, 0, 0, 0, 0, 0, 0, 208, 63, 0, 0, 0, 0, 0, 0, 224, 63, 0, 0, 0, 0, 0, 0,
             216, 63, 0, 0, 0, 0, 0, 0, 228, 63, 2, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0,
             0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        ],
+    ),
+    ("handoff_out", &[11, 7, 0, 0, 0, 0, 0, 0, 0]),
+    (
+        "handoff_in_profile",
+        &[
+            16, 42, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 240,
+            127, 1, 0, 0, 0, 28, 2, 0, 0, 252, 3, 0, 0, 25, 0, 0, 0, 0, 0, 0, 0, 0, 0, 176, 63, 0,
+            0, 0, 0, 0, 0, 224, 63, 1, 0, 0, 0, 0, 0, 0, 208, 63, 0, 0, 0, 0, 0, 0, 224, 63, 0, 0,
+            0, 0, 0, 0, 216, 63, 0, 0, 0, 0, 0, 0, 228, 63, 2, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 7,
+            0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
         ],
     ),
 ];

@@ -10,7 +10,10 @@
 //! that name anywhere. The fallback keeps the passes conservative
 //! (over-approximate, never miss a resolved flow) while the two
 //! preferred tiers stop ubiquitous names like `new` or `len` from
-//! unioning unrelated summaries across the workspace.
+//! unioning unrelated summaries across the workspace. A bare call
+//! `f(..)` — no receiver, no path — can only name a free function in
+//! Rust, so it never binds to a method: `drop(guard)` is not the
+//! file's `impl Drop`.
 
 use crate::symbols::{FnSym, SymbolTable};
 use crate::{is_keyword, Tok, TokKind};
@@ -55,6 +58,12 @@ pub(crate) fn qualifier_of(toks: &[Tok], idx: usize) -> Option<&str> {
         && toks[idx - 2].is_punct(':')
         && toks[idx - 3].kind == TokKind::Ident)
         .then(|| toks[idx - 3].text.as_str())
+}
+
+/// `true` when the callee identifier at `idx` is called bare: not a
+/// method (`x.f(`) and not a path (`Q::f(`).
+pub(crate) fn is_bare(toks: &[Tok], idx: usize) -> bool {
+    idx == 0 || !(toks[idx - 1].is_punct('.') || toks[idx - 1].is_punct(':'))
 }
 
 /// Method names every std container answers. A call to one of these
@@ -109,6 +118,9 @@ pub(crate) struct Resolver {
     by_owner: HashMap<(String, String), Vec<usize>>,
     by_file: HashMap<(usize, String), Vec<usize>>,
     by_name: HashMap<String, Vec<usize>>,
+    /// The same two tiers over free functions only, for bare calls.
+    free_by_file: HashMap<(usize, String), Vec<usize>>,
+    free_by_name: HashMap<String, Vec<usize>>,
 }
 
 impl Resolver {
@@ -116,12 +128,20 @@ impl Resolver {
         let mut by_owner: HashMap<(String, String), Vec<usize>> = HashMap::new();
         let mut by_file: HashMap<(usize, String), Vec<usize>> = HashMap::new();
         let mut by_name: HashMap<String, Vec<usize>> = HashMap::new();
+        let mut free_by_file: HashMap<(usize, String), Vec<usize>> = HashMap::new();
+        let mut free_by_name: HashMap<String, Vec<usize>> = HashMap::new();
         for (i, f) in syms.fns.iter().enumerate() {
             if let Some(o) = &f.owner {
                 by_owner
                     .entry((o.clone(), f.name.clone()))
                     .or_default()
                     .push(i);
+            } else {
+                free_by_file
+                    .entry((f.file, f.name.clone()))
+                    .or_default()
+                    .push(i);
+                free_by_name.entry(f.name.clone()).or_default().push(i);
             }
             by_file.entry((f.file, f.name.clone())).or_default().push(i);
             by_name.entry(f.name.clone()).or_default().push(i);
@@ -130,12 +150,20 @@ impl Resolver {
             by_owner,
             by_file,
             by_name,
+            free_by_file,
+            free_by_name,
         }
     }
 
-    /// Symbol indices a call to `name` (qualified by `qualifier`, made
-    /// from inside `caller`) can reach.
-    pub(crate) fn resolve(&self, qualifier: Option<&str>, caller: &FnSym, name: &str) -> &[usize] {
+    /// Symbol indices a call to `name` (qualified by `qualifier`, bare
+    /// when `bare`, made from inside `caller`) can reach.
+    pub(crate) fn resolve(
+        &self,
+        qualifier: Option<&str>,
+        bare: bool,
+        caller: &FnSym,
+        name: &str,
+    ) -> &[usize] {
         let q = match qualifier {
             Some("Self") => caller.owner.as_deref(),
             other => other,
@@ -148,12 +176,17 @@ impl Resolver {
                     .map_or(&[], Vec::as_slice);
             }
         }
-        if let Some(v) = self.by_file.get(&(caller.file, name.to_string())) {
+        let (by_file, by_name) = if bare {
+            (&self.free_by_file, &self.free_by_name)
+        } else {
+            (&self.by_file, &self.by_name)
+        };
+        if let Some(v) = by_file.get(&(caller.file, name.to_string())) {
             return v;
         }
         if UBIQUITOUS.contains(&name) {
             return &[];
         }
-        self.by_name.get(name).map_or(&[], Vec::as_slice)
+        by_name.get(name).map_or(&[], Vec::as_slice)
     }
 }

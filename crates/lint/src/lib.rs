@@ -191,11 +191,6 @@ pub(crate) const REQUIRED_SERVER_BOUND: &[(&str, &str)] = &[
     // positions), so they are deliberately absent here.
     ("crates/core/src/wire.rs", "RegisterStandingCountMsg"),
     ("crates/core/src/wire.rs", "StandingCountState"),
-    // Cluster handoff frames hop node→node inside the anonymizer tier,
-    // but they transit the same network as server traffic, so they are
-    // held to the boundary discipline: a cloaked rectangle may travel,
-    // an exact `Point` may not.
-    ("crates/core/src/wire.rs", "HandoffMsg"),
 ];
 
 /// Field names that may not appear in a server-bound struct.

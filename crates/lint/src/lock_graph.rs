@@ -19,7 +19,7 @@
 //! flows on what it resolves and stays silent on what it cannot, and
 //! the runtime checker still covers the remainder.
 
-use crate::callgraph::{calls_in, qualifier_of, CallSite, Resolver};
+use crate::callgraph::{calls_in, is_bare, qualifier_of, CallSite, Resolver};
 use crate::symbols::{SourceFile, SymbolTable};
 use crate::{allowed, annotations_above, Annotation, Finding, Tok, TokKind};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -99,7 +99,12 @@ pub(crate) fn check(
                 if matches!(c.callee.as_str(), "lock" | "read" | "write") {
                     continue;
                 }
-                for &ti in resolver.resolve(qualifier_of(toks, c.tok), f, &c.callee) {
+                for &ti in resolver.resolve(
+                    qualifier_of(toks, c.tok),
+                    is_bare(toks, c.tok),
+                    f,
+                    &c.callee,
+                ) {
                     for (rank, chain) in &may[ti] {
                         if may[i].contains_key(rank) {
                             continue;
@@ -188,7 +193,12 @@ pub(crate) fn check(
                 if matches!(c.callee.as_str(), "lock" | "read" | "write") {
                     continue;
                 }
-                for &ti in resolver.resolve(qualifier_of(&file.toks, c.tok), f, &c.callee) {
+                for &ti in resolver.resolve(
+                    qualifier_of(&file.toks, c.tok),
+                    is_bare(&file.toks, c.tok),
+                    f,
+                    &c.callee,
+                ) {
                     for (rank, chain) in &may[ti] {
                         push_edge(
                             &mut edges,

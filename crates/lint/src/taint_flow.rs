@@ -29,7 +29,7 @@
 //! Escape hatch: `// lint: allow(taint) -- why` above the sink line or
 //! the enclosing function.
 
-use crate::callgraph::{qualifier_of, Resolver};
+use crate::callgraph::{is_bare, qualifier_of, Resolver};
 use crate::symbols::{FnSym, SourceFile, SymbolTable};
 use crate::{allowed, is_keyword, item_anchor_line, Finding, Tok, TokKind};
 use std::collections::{BTreeMap, HashMap};
@@ -381,7 +381,9 @@ fn analyze_fn(
                 && !(i > 0 && toks[i - 1].is_ident("fn"))
             {
                 let close = match_delim(toks, i + 1, '(', ')', end);
-                let targets = ctx.resolver.resolve(qualifier_of(toks, i), f, &t.text);
+                let targets =
+                    ctx.resolver
+                        .resolve(qualifier_of(toks, i), is_bare(toks, i), f, &t.text);
                 if targets.iter().any(|&ti| ctx.is_encode_sink[ti]) {
                     let taint = eval_expr(toks, (i + 2, close), &vars, f, ctx, summaries, &site);
                     sink_hit(
@@ -547,7 +549,9 @@ fn eval_expr(
         let t = &toks[i];
         if t.kind == TokKind::Ident && !is_keyword(&t.text) {
             if toks.get(i + 1).is_some_and(|n| n.is_punct('(')) {
-                let targets = ctx.resolver.resolve(qualifier_of(toks, i), f, &t.text);
+                let targets =
+                    ctx.resolver
+                        .resolve(qualifier_of(toks, i), is_bare(toks, i), f, &t.text);
                 if targets.iter().any(|&ti| ctx.is_sanitizer[ti]) {
                     // Declassification: skip the whole call.
                     i = match_delim(toks, i + 1, '(', ')', e) + 1;

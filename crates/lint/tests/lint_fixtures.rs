@@ -103,38 +103,6 @@ fn standing_wire_structs_cannot_leak_identity_or_position() {
 }
 
 #[test]
-fn handoff_wire_struct_cannot_leak_position_or_identity() {
-    // The cluster handoff boundary: `HandoffMsg` carries a subject id,
-    // a requirement, a cloak, and standing-range registrations between
-    // anonymizer nodes. Growing it an exact position, a raw trail, or
-    // a banned identity field must be caught with file:line.
-    let f = lint_as("crates/core/src/wire.rs", &fixture("bad_handoff_leak.rs"));
-    let taint: Vec<_> = f.iter().filter(|x| x.rule == "taint").collect();
-    assert!(
-        taint.len() >= 3,
-        "position, exact_trail, and user all caught: {f:?}"
-    );
-    assert!(taint.iter().any(|x| x.message.contains("`position`")));
-    assert!(taint.iter().any(|x| x.message.contains("exact_trail")));
-    assert!(taint.iter().any(|x| x.message.contains("`user`")));
-    assert!(taint.iter().all(|x| x.line > 0));
-}
-
-#[test]
-fn handoff_struct_must_stay_marked() {
-    // The required-marker rule pins `HandoffMsg` in wire.rs: deleting
-    // its `// lint: server-bound` annotation (silently disabling the
-    // field check on the migration payload) is itself a finding.
-    let src = "pub struct HandoffMsg { pub subject: u64 }\n";
-    let f = lint_as("crates/core/src/wire.rs", src);
-    assert!(
-        f.iter()
-            .any(|x| x.message.contains("must carry") && x.message.contains("HandoffMsg")),
-        "{f:?}"
-    );
-}
-
-#[test]
 fn standing_boundary_structs_must_stay_marked() {
     // The required-marker rule pins the standing count structs in
     // wire.rs: deleting their `// lint: server-bound` annotations

@@ -703,24 +703,6 @@ impl EngineService {
                 engine.lock().apply_mirror(&[row], msg.cloak.as_slice());
                 (wire::tag::OK, Vec::new())
             }
-            wire::tag::HANDOFF_PULL => {
-                let Some(subject) = wire::decode_handoff_pull(&frame.payload) else {
-                    NetCounters::add(&counters.frames_rejected, 1);
-                    return err("malformed handoff-pull payload".into());
-                };
-                match engine.lock().handoff_export(subject) {
-                    Some(msg) => (wire::tag::USER_HANDOFF, wire::encode_handoff(&msg).to_vec()),
-                    None => err("handoff pull for a user not registered here".into()),
-                }
-            }
-            wire::tag::HANDOFF_PUSH => {
-                let Some(msg) = wire::decode_handoff(&frame.payload) else {
-                    NetCounters::add(&counters.frames_rejected, 1);
-                    return err("malformed handoff payload".into());
-                };
-                engine.lock().handoff_install(&msg);
-                (wire::tag::OK, Vec::new())
-            }
             wire::tag::STANDING_INSTALL => {
                 let Some(msg) = wire::decode_standing_install(&frame.payload) else {
                     NetCounters::add(&counters.frames_rejected, 1);

@@ -144,9 +144,8 @@ fn a_malformed_or_refused_envelope_is_loud_counted_and_stops_where_it_broke() {
     };
     let wants_an_answer = {
         let mut raw = 1u16.to_le_bytes().to_vec();
-        raw.push(tag::HANDOFF_PULL);
-        raw.extend((wire::HANDOFF_PULL_LEN as u16).to_le_bytes());
-        raw.extend(wire::encode_handoff_pull(3).iter());
+        raw.push(tag::RESYNC_PULL);
+        raw.extend(0u16.to_le_bytes());
         raw
     };
     let over_cap = (wire::CARRY_MAX_FRAMES as u16 + 1).to_le_bytes().to_vec();

@@ -637,6 +637,51 @@ fn a_system_journal_genesis_fails_to_open() {
 }
 
 #[test]
+fn a_log_holding_a_handoff_record_fails_to_open() {
+    // A user handed out to another node (0x0B: the user's id) and handed
+    // in from one (0x10: id, Fig. 2's profile, no cloak, no standing
+    // ranges), framed with valid CRCs behind a clean log. No writer
+    // produces them now — a user has one owner for life — and both tags
+    // are retired: the log must be refused, not read around.
+    let handed_in = [
+        &7u64.to_le_bytes()[..],
+        &journal::encode_record(&JournalRecord::Op(lbsp_core::EngineOp::RegisterUser {
+            id: 7,
+            profile: PrivacyProfile::paper_example(),
+        }))[9..],
+        &[0],
+        &0u32.to_le_bytes(),
+    ]
+    .concat();
+    for (tag, payload) in [(0x0Bu8, 7u64.to_le_bytes().to_vec()), (0x10, handed_in)] {
+        let dir = TempDir::new("handoff-record");
+        build_log(dir.path(), u64::MAX);
+        let seg = segments(dir.path()).pop().expect("segment exists");
+        let body = [&[tag][..], &payload].concat();
+        let mut frame = u32::try_from(body.len()).unwrap().to_le_bytes().to_vec();
+        frame.extend_from_slice(&crc32(&body).to_le_bytes());
+        frame.extend_from_slice(&body);
+        fs::OpenOptions::new()
+            .append(true)
+            .open(&seg)
+            .expect("open segment")
+            .write_all(&frame)
+            .expect("append handoff record");
+        expect_corrupt(dir.path(), &format!("tag 0x{tag:02X}"));
+        let opened = open_engine(
+            dir.path(),
+            EngineConfig::new(world()),
+            1,
+            Durability::default(),
+        );
+        assert!(
+            matches!(opened, Err(StoreError::Corrupt { .. })),
+            "open_engine must refuse tag 0x{tag:02X}"
+        );
+    }
+}
+
+#[test]
 fn a_version_one_snapshot_fails_loudly() {
     let dir = TempDir::new("snap-v1");
     let live = build_log(dir.path(), 16);

@@ -1,12 +1,13 @@
-//! The cluster's headline guarantee: a K-node region-sharded cluster
-//! behind a [`Router`] answers the full workload — registrations,
-//! cloaked updates, standing-query registrations, deltas, snapshots —
+//! The cluster's headline guarantee: a K-node cluster behind a
+//! [`Router`] answers the full workload — registrations, cloaked
+//! updates, standing-query registrations, deltas, snapshots —
 //! **byte-identically** to one sequential pipeline (the grid
 //! anonymizer, `Server` and the standing private ranges), for
-//! K ∈ {1, 2, 4}, with a workload in which well over 10% of users
-//! cross partition boundaries (forcing `USER_HANDOFF` migrations) and
-//! standing-query deltas originate on whichever node owns the moving
-//! user. An unreachable node must surface as a loud kinded
+//! K ∈ {1, 2, 4}, with a workload in which well over 10% of users move
+//! across the world from wave to wave and standing-query deltas
+//! originate on whichever node owns the moving user. Each user is
+//! registered on exactly one node, [`owner_of`] its id, whatever it
+//! does. An unreachable node must surface as a loud kinded
 //! `ROUTE_FAIL` — `RETRYABLE` while its supervisor reconnects, `DOWN`
 //! once the attempt budget is spent — never a hang or a masqueraded
 //! application error, and never an error text leaking node addresses.
@@ -15,7 +16,7 @@ mod common;
 
 use common::Sequential;
 use lbsp_anonymizer::{CloakRequirement, GridCloak, PrivacyProfile};
-use lbsp_cluster::{PartitionMap, Router, RouterConfig};
+use lbsp_cluster::{owner_of, Router, RouterConfig};
 use lbsp_core::engine::{EngineConfig, ShardedEngine};
 use lbsp_core::wire::{self, StandingKind};
 use lbsp_core::StandingRangesState;
@@ -26,7 +27,7 @@ use lbsp_net::{
 use lbsp_server::PublicObject;
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::net::TcpListener;
 use std::time::Duration;
 
@@ -136,16 +137,37 @@ fn spawn_cluster(k: usize) -> (Vec<NetServer>, Router) {
     (servers, router)
 }
 
-/// How many users' wave-to-wave movement crosses a K-way partition
-/// boundary (each crossing forces a handoff).
-fn boundary_crossers(k: usize) -> u64 {
-    let pm = PartitionMap::new(world(), k);
+/// How many users' wave-to-wave movement crosses one of the lines
+/// `x = j / k`: far travellers, which an owner by position would have
+/// handed from node to node.
+fn travellers(k: usize) -> u64 {
+    let band = |p: Point| ((p.x * k as f64) as usize).min(k - 1);
     (0..USERS as usize)
         .filter(|&i| {
-            let nodes: Vec<usize> = (0..WAVES).map(|w| pm.node_of(wave(w)[i].1)).collect();
-            nodes.windows(2).any(|w| w[0] != w[1])
+            let bands: Vec<usize> = (0..WAVES).map(|w| band(wave(w)[i].1)).collect();
+            bands.windows(2).any(|w| w[0] != w[1])
         })
         .count() as u64
+}
+
+/// Every user in `users` registered on exactly one engine: its owner.
+fn assert_one_owner_each(engines: &[ShardedEngine], users: impl Iterator<Item = u64>, what: &str) {
+    let k = engines.len();
+    let held: Vec<BTreeSet<u64>> = engines
+        .iter()
+        .map(|e| {
+            e.export_state()
+                .profiles
+                .iter()
+                .map(|(id, _)| *id)
+                .collect()
+        })
+        .collect();
+    let mut want = vec![BTreeSet::new(); k];
+    for u in users {
+        want[owner_of(u, k)].insert(u);
+    }
+    assert_eq!(held, want, "registrations by node ({what}, K={k})");
 }
 
 #[test]
@@ -153,13 +175,13 @@ fn cluster_is_byte_identical_to_the_sequential_system() {
     let reference = reference_run();
 
     for k in [1usize, 2, 4] {
-        // The workload itself guarantees boundary pressure: at K=2 and
-        // K=4 far more than 10% of users change stripes between waves.
+        // The workload itself moves users far: at K=2 and K=4 more than
+        // 10% of users cross one of the lines x = j/K between waves.
         if k > 1 {
-            let crossers = boundary_crossers(k);
+            let far = travellers(k);
             assert!(
-                crossers * 10 >= USERS,
-                "workload must move >=10% of users across boundaries (K={k}: {crossers})"
+                far * 10 >= USERS,
+                "workload must move >=10% of users far (K={k}: {far})"
             );
         }
 
@@ -273,7 +295,7 @@ fn cluster_is_byte_identical_to_the_sequential_system() {
         // Snapshots routed to whichever node answers authoritatively
         // (node 0 for counts, the subject's owner for ranges) are
         // byte-identical to the sequential path — including the `seq`
-        // counters, which survive handoffs intact.
+        // counters.
         for (key, expect) in &reference.standing {
             match client.standing_snapshot(key.0, key.1).unwrap() {
                 Reply::StandingState(bytes) => {
@@ -283,29 +305,17 @@ fn cluster_is_byte_identical_to_the_sequential_system() {
             }
         }
 
-        // Boundary crossings really happened and really migrated users.
-        if k > 1 {
-            assert!(
-                router.handoffs() >= boundary_crossers(k),
-                "handoffs (K={k}): {} < {}",
-                router.handoffs(),
-                boundary_crossers(k)
-            );
-        } else {
-            assert_eq!(router.handoffs(), 0, "K=1 is a plain proxy");
-        }
-
         drop(client);
         let report = router.shutdown();
         assert_eq!(report.route_failures, 0, "healthy cluster (K={k})");
-        assert_eq!(report.handoffs == 0, k == 1);
 
         // Lockstep proof: *every* node's count registries hold the
         // sequential final state — the replicated planes never drifted.
         // (Range registries live only on the subject's owner; the
         // snapshot check above already pinned those.)
-        for (n, server) in servers.into_iter().enumerate() {
-            let engine = server.shutdown();
+        let engines: Vec<ShardedEngine> = servers.into_iter().map(|s| s.shutdown()).collect();
+        assert_one_owner_each(&engines, 0..USERS, "after three waves");
+        for (n, engine) in engines.iter().enumerate() {
             for (key, expect) in &reference.standing {
                 if key.0 != StandingKind::Count {
                     continue;
@@ -322,11 +332,11 @@ fn cluster_is_byte_identical_to_the_sequential_system() {
 }
 
 /// A node that never answers walks the whole recovery ladder in plain
-/// sight: requests it owns fail `RETRYABLE` while the supervisor
+/// sight: requests for its users fail `RETRYABLE` while the supervisor
 /// retries, then fail `DOWN` once the attempt budget is spent — never a
-/// hang, never a masqueraded application error. Requests owned by the
-/// *healthy* node keep succeeding throughout (the dead mirror is
-/// absorbed), and no failure text ever leaks a node's socket address
+/// hang, never a masqueraded application error. Requests for the
+/// *healthy* node's users keep succeeding throughout (the dead mirror
+/// is absorbed), and no failure text ever leaks a node's socket address
 /// through the public socket.
 #[test]
 fn dead_node_is_a_loud_kinded_error() {
@@ -351,22 +361,19 @@ fn dead_node_is_a_loud_kinded_error() {
     )
     .unwrap();
     let mut client = NetClient::connect(router.local_addr()).unwrap();
+    let live = (0..).find(|&u| owner_of(u, 2) == 0).unwrap();
+    let stranded = (0..).find(|&u| owner_of(u, 2) == 1).unwrap();
 
-    // Registration touches only node 0 — it works.
+    // A user node 0 owns registers — node 1 is not asked.
     assert_eq!(
-        client.register(1, 2, 0.0, f64::INFINITY).unwrap(),
+        client.register(live, 2, 0.0, f64::INFINITY).unwrap(),
         Reply::Ok
     );
-    assert_eq!(
-        client.register(2, 2, 0.0, f64::INFINITY).unwrap(),
-        Reply::Ok
-    );
-    // (0.9, 0.9) lies in node 1's stripe: the request *needs* the dead
-    // node. The first failure is the demotion itself — RETRYABLE, the
-    // supervisor is about to try.
-    let err = match client.update(1, Point::new(0.9, 0.9), SimTime::from_secs(1.0)) {
+    // A user node 1 owns *needs* the dead node. The first failure is the
+    // demotion itself — RETRYABLE, the supervisor is about to try.
+    let err = match client.register(stranded, 2, 0.0, f64::INFINITY) {
         Err(e) => e,
-        Ok(r) => panic!("update owned by a dead node must not succeed: {r:?}"),
+        Ok(r) => panic!("registration owned by a dead node must not succeed: {r:?}"),
     };
     assert!(is_route_failure(&err), "kinded route failure, got {err}");
     assert!(
@@ -381,7 +388,7 @@ fn dead_node_is_a_loud_kinded_error() {
     // declares the node down; from then on the failure kind is DOWN.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     let down_err = loop {
-        match client.update(1, Point::new(0.9, 0.9), SimTime::from_secs(2.0)) {
+        match client.register(stranded, 2, 0.0, f64::INFINITY) {
             Err(e) if !is_retryable_route_failure(&e) => break e,
             Err(_) => {}
             Ok(r) => panic!("dead node must not answer: {r:?}"),
@@ -405,10 +412,8 @@ fn dead_node_is_a_loud_kinded_error() {
     );
     assert!(snap.reconnect_attempts >= 2, "the supervisor really tried");
     // A request owned by the *healthy* node sails through: its mirror
-    // to the dead node is skipped, not failed. (User 2 never migrated —
-    // user 1's single copy was mid-handoff toward the node that died,
-    // which is lost with it, exactly as the recovery doctrine says.)
-    match client.update(2, Point::new(0.1, 0.1), SimTime::from_secs(3.0)) {
+    // to the dead node is skipped, not failed.
+    match client.update(live, Point::new(0.1, 0.1), SimTime::from_secs(3.0)) {
         Ok(Reply::Cloaked(_)) => {}
         other => panic!("update owned by the live node must succeed: {other:?}"),
     }
@@ -523,8 +528,8 @@ fn router_serves_more_connections_than_workers() {
     drop(node.shutdown());
 }
 
-/// One node frame per update. `N` in-stripe updates over one connection
-/// cost the owning node `N` frames and every other node a flush per 32
+/// One node frame per update. `N` updates of node 0's users over one
+/// connection cost node 0 `N` frames and every other node a flush per 32
 /// rows — the mirror rows wait in the router's per-node outbox and ride
 /// the next frame to their node. They ride *ahead* of it: a query served
 /// by a node that was up to 31 rows behind still answers the sequential
@@ -535,14 +540,22 @@ fn router_serves_more_connections_than_workers() {
 /// cloaks and the same standing counts.
 #[test]
 fn an_update_costs_its_owner_one_frame_and_the_mirrors_a_thirty_second() {
-    const MOVERS: u64 = 24;
+    const MOVERS: usize = 24;
     const N: u64 = 200;
-    // Lives in the last stripe at every K, and never moves.
-    const ASKER: u64 = MOVERS;
-    let home = |i: u64, step: u64| Point::new(0.02 + 0.008 * i as f64 + 1e-4 * step as f64, 0.4);
+    let home = |j: usize, step: u64| Point::new(0.02 + 0.008 * j as f64 + 1e-4 * step as f64, 0.4);
     let profile = |i: u64| PrivacyProfile::uniform(requirement_for(i)).unwrap();
 
     for k in [2usize, 4] {
+        // Node 0 owns the movers; the asker, owned by the last node,
+        // never moves.
+        let movers: Vec<u64> = (0..)
+            .filter(|&u| owner_of(u, k) == 0)
+            .take(MOVERS)
+            .collect();
+        let asker = (0..).find(|&u| owner_of(u, k) == k - 1).unwrap();
+        let mut everyone = movers.clone();
+        everyone.push(asker);
+        everyone.sort_unstable();
         let (servers, router) = spawn_cluster(k);
         let mut reference = fresh_engine();
         let mut client = NetClient::connect(router.local_addr()).unwrap();
@@ -560,7 +573,7 @@ fn an_update_costs_its_owner_one_frame_and_the_mirrors_a_thirty_second() {
                 "update of user {i} (K={k})"
             );
         };
-        for i in 0..=ASKER {
+        for &i in &everyone {
             let r = requirement_for(i);
             reference.register(i, profile(i));
             assert_eq!(
@@ -568,9 +581,9 @@ fn an_update_costs_its_owner_one_frame_and_the_mirrors_a_thirty_second() {
                 Reply::Ok
             );
         }
-        update(&mut client, &mut reference, ASKER, Point::new(0.9, 0.6));
-        for i in 0..MOVERS {
-            update(&mut client, &mut reference, i, home(i, 0));
+        update(&mut client, &mut reference, asker, Point::new(0.9, 0.6));
+        for (j, &i) in movers.iter().enumerate() {
+            update(&mut client, &mut reference, i, home(j, 0));
         }
 
         let served = |servers: &[NetServer]| -> Vec<u64> {
@@ -587,13 +600,13 @@ fn an_update_costs_its_owner_one_frame_and_the_mirrors_a_thirty_second() {
             (StandingKind::Count, reference.add_standing_count(area)),
             (
                 StandingKind::Range,
-                reference.add_standing_range(ASKER, 0.3),
+                reference.add_standing_range(asker, 0.3),
             ),
         ];
         let before = served(&servers);
         let registered = [
             client.register_standing_count(area).unwrap(),
-            client.register_standing_range(ASKER, 0.3).unwrap(),
+            client.register_standing_range(asker, 0.3).unwrap(),
         ];
         for ((kind, id), got) in keys.iter().zip(registered) {
             let r = wire::StandingRefMsg {
@@ -619,17 +632,17 @@ fn an_update_costs_its_owner_one_frame_and_the_mirrors_a_thirty_second() {
         }
         // The asker's node is owed all four changes; they ride its query.
         let t = SimTime::from_secs(0.5);
-        let want = reference.range_query(ASKER, t, 0.8).unwrap().response;
+        let want = reference.range_query(asker, t, 0.8).unwrap().response;
         assert_eq!(
-            client.range_query(ASKER, 0.8, t).unwrap(),
+            client.range_query(asker, 0.8, t).unwrap(),
             Reply::Candidates(want.to_vec()),
             "query on a mirror after the broadcasts (K={k})"
         );
 
         let before = served(&servers);
         for step in 1..=N {
-            let i = step % MOVERS;
-            update(&mut client, &mut reference, i, home(i, step));
+            let j = step as usize % MOVERS;
+            update(&mut client, &mut reference, movers[j], home(j, step));
             if step == 100 {
                 // Asked nothing of its own, a node is still never more
                 // than 31 rows behind. (Nobody waits for a flush, so
@@ -667,32 +680,11 @@ fn an_update_costs_its_owner_one_frame_and_the_mirrors_a_thirty_second() {
         // The last node is some rows behind; the asker's query is
         // served there, and the rows ride in on it.
         let t = SimTime::from_secs(clock + 1.0);
-        let want = reference.range_query(ASKER, t, 0.8).unwrap().response;
+        let want = reference.range_query(asker, t, 0.8).unwrap().response;
         assert_eq!(
-            client.range_query(ASKER, 0.8, t).unwrap(),
+            client.range_query(asker, 0.8, t).unwrap(),
             Reply::Candidates(want.to_vec()),
             "query on a mirror (K={k})"
-        );
-
-        // A crossing costs the old owner the pull and the new owner one
-        // frame: the push rides the update, CARRY[HANDOFF_PUSH,
-        // EXACT_UPDATE].
-        let before = served(&servers);
-        let handoffs = router.handoffs();
-        let (p, t) = (Point::new(0.97, 0.4), SimTime::from_secs(clock + 2.0));
-        let want = reference.process_updates_wire(&[(0, p, t)]).remove(0);
-        assert_eq!(
-            client.update(0, p, t).unwrap(),
-            Reply::Cloaked(want.unwrap().to_vec()),
-            "the crossing update (K={k})"
-        );
-        let after = served(&servers);
-        assert_eq!(router.handoffs(), handoffs + 1, "a handoff (K={k})");
-        assert_eq!(after[0] - before[0], 1, "the old owner: the pull (K={k})");
-        assert_eq!(
-            after[k - 1] - before[k - 1],
-            1,
-            "the new owner: push and update in one frame (K={k})"
         );
 
         drop(client);
@@ -710,7 +702,65 @@ fn an_update_costs_its_owner_one_frame_and_the_mirrors_a_thirty_second() {
             assert_eq!(state.records, states[0].records, "node {n} cloaks (K={k})");
             assert_eq!(state.counts, states[0].counts, "node {n} counts (K={k})");
         }
-        assert_eq!(states[0].positions.len() as u64, MOVERS + 1);
+        assert_eq!(states[0].positions.len(), MOVERS + 1);
+    }
+}
+
+/// Placing a user costs its owner two frames and no other node one of
+/// its own: `N` users registered and placed through the router over one
+/// connection, at K = 2 and 4, cost the nodes together exactly `N`
+/// `REGISTER` and `N` `EXACT_UPDATE` frames, plus at most ⌈(K−1)·N/32⌉
+/// flushes of the mirror rows the placements owe the other nodes. Each
+/// node serves its own users' frames, every reply is the sequential
+/// engine's, and each user ends up registered on its owner alone.
+#[test]
+fn registering_and_placing_a_user_costs_its_owner_two_frames() {
+    const N: u64 = 150;
+    for k in [2usize, 4] {
+        let (servers, router) = spawn_cluster(k);
+        let mut reference = fresh_engine();
+        let mut client = NetClient::connect(router.local_addr()).unwrap();
+        let served = |servers: &[NetServer]| -> Vec<u64> {
+            servers
+                .iter()
+                .map(|s| s.counters().snapshot().requests_served)
+                .collect()
+        };
+        let before = served(&servers);
+        for &(i, p, t) in wave(0).iter().take(N as usize) {
+            let r = requirement_for(i);
+            reference.register(i, PrivacyProfile::uniform(r).unwrap());
+            assert_eq!(
+                client.register(i, r.k, r.a_min, r.a_max).unwrap(),
+                Reply::Ok,
+                "register {i} (K={k})"
+            );
+            let want = reference.process_updates_wire(&[(i, p, t)]).remove(0);
+            assert_eq!(
+                client.update(i, p, t).unwrap(),
+                Reply::Cloaked(want.unwrap().to_vec()),
+                "place {i} (K={k})"
+            );
+        }
+        let frames: Vec<u64> = served(&servers)
+            .iter()
+            .zip(&before)
+            .map(|(now, then)| now - then)
+            .collect();
+        for (n, &f) in frames.iter().enumerate() {
+            let own = (0..N).filter(|&u| owner_of(u, k) == n).count() as u64;
+            assert!(f >= 2 * own, "node {n}: {f} frames for {own} users (K={k})");
+        }
+        let total: u64 = frames.iter().sum();
+        let flushes = total.checked_sub(2 * N).expect("two frames per user");
+        assert!(
+            flushes <= ((k as u64 - 1) * N).div_ceil(32),
+            "{flushes} flushes for {N} placements (K={k}): {frames:?}"
+        );
+        drop(client);
+        assert_eq!(router.shutdown().route_failures, 0);
+        let engines: Vec<ShardedEngine> = servers.into_iter().map(|s| s.shutdown()).collect();
+        assert_one_owner_each(&engines, 0..N, "after placement");
     }
 }
 
@@ -906,9 +956,8 @@ fn spawn_refusing_node() -> String {
 
 /// A node that refuses a mirror row no longer holds the cluster's
 /// planes, and reconnecting cannot mend that: it is taken out of
-/// routing — its stripe answers `DOWN`, at once and from then on — while
-/// the other stripes keep serving. (The parent failed the one request
-/// and went on routing to the node.)
+/// routing — requests for its users answer `DOWN`, at once and from then
+/// on — while the other node keeps serving.
 #[test]
 fn a_node_that_refuses_a_mirror_row_is_taken_out_of_routing() {
     let good = NetServer::bind("127.0.0.1:0", fresh_engine(), NetConfig::default()).unwrap();
@@ -923,7 +972,10 @@ fn a_node_that_refuses_a_mirror_row_is_taken_out_of_routing() {
     .unwrap();
     let mut client = NetClient::connect(router.local_addr()).unwrap();
     let failures = || router.metrics_registry().net().snapshot().route_failures;
-    for user in [1, 2] {
+    let good_user = (0..).find(|&u| owner_of(u, 2) == 0).unwrap();
+    let bad_user = (0..).find(|&u| owner_of(u, 2) == 1).unwrap();
+    // Each registration goes to its owner, and no row is owed yet.
+    for user in [good_user, bad_user] {
         assert_eq!(
             client.register(user, 2, 0.0, f64::INFINITY).unwrap(),
             Reply::Ok
@@ -933,37 +985,37 @@ fn a_node_that_refuses_a_mirror_row_is_taken_out_of_routing() {
     let there = Point::new(0.9, 0.9);
     // Served by node 0; node 1 is owed the row.
     assert!(matches!(
-        client.update(1, here, SimTime::from_secs(1.0)),
+        client.update(good_user, here, SimTime::from_secs(1.0)),
         Ok(Reply::Cloaked(_))
     ));
     assert_eq!(failures(), 0);
-    // The first frame node 1 is sent — user 2 moving in — carries that
+    // The next frame node 1 is sent — its user's update — carries that
     // row, and node 1 refuses it.
     let err = client
-        .update(2, there, SimTime::from_secs(2.0))
-        .expect_err("the refusing node's stripe");
+        .update(bad_user, there, SimTime::from_secs(2.0))
+        .expect_err("the refusing node's user");
     assert!(is_route_failure(&err) && !is_retryable_route_failure(&err));
     assert!(err.to_string().contains("node 1"), "names the node: {err}");
     assert_eq!(failures(), 1, "one request failed, and was counted once");
-    // From then on the stripe is dark…
+    // From then on the node is dark…
     for secs in [3.0, 4.0] {
         let err = client
-            .update(2, there, SimTime::from_secs(secs))
+            .update(bad_user, there, SimTime::from_secs(secs))
             .expect_err("a condemned node is not asked again");
         assert!(
             is_route_failure(&err) && !is_retryable_route_failure(&err),
             "DOWN, not a retry: {err}"
         );
     }
-    // …and the other stripe is not.
+    // …and the other node is not.
     for secs in [5.0, 6.0] {
         assert!(matches!(
-            client.update(1, here, SimTime::from_secs(secs)),
+            client.update(good_user, here, SimTime::from_secs(secs)),
             Ok(Reply::Cloaked(_))
         ));
     }
     assert!(matches!(
-        client.range_query(1, 0.2, SimTime::from_secs(7.0)),
+        client.range_query(good_user, 0.2, SimTime::from_secs(7.0)),
         Ok(Reply::Candidates(_))
     ));
     let snap = router.metrics_registry().net().snapshot();

@@ -3,7 +3,7 @@
 //! puts node 1 of a two-node cluster behind the proxy and injects one
 //! fault class the recovery doctrine (DESIGN.md) promises to survive:
 //!
-//! * **sever mid-request** — the owner's stripe fails `RETRYABLE`
+//! * **sever mid-request** — the owner's users fail `RETRYABLE`
 //!   *fast* (no node-timeout burn), heals on restore, and every reply
 //!   before/after the fault is byte-identical to a sequential engine;
 //! * **sever mid-broadcast** — a dead *mirror* never fails a client
@@ -27,7 +27,7 @@
 //!   run that never crashed.
 
 use lbsp_anonymizer::{CloakRequirement, PrivacyProfile};
-use lbsp_cluster::{Router, RouterConfig};
+use lbsp_cluster::{owner_of, Router, RouterConfig};
 use lbsp_core::engine::{EngineConfig, ShardedEngine};
 use lbsp_core::wire::{self, StandingKind};
 use lbsp_core::Durability;
@@ -55,10 +55,8 @@ fn profile(i: u64) -> PrivacyProfile {
     PrivacyProfile::uniform(CloakRequirement::k_only(k)).expect("valid profile")
 }
 
-/// Deterministic geometry with explicit stripe ownership: even users
-/// live in node 0's stripe, odd users in node 1's, and per-wave drift
-/// never crosses the boundary (handoffs happen exactly once, on the
-/// first update).
+/// Deterministic geometry: a small drift per wave. Where a user is does
+/// not decide which node owns it; [`owner_of`] does.
 fn pos(i: u64, wave: u64) -> Point {
     let x = if i.is_multiple_of(2) {
         0.10 + i as f64 * 0.012
@@ -160,8 +158,11 @@ fn all_users() -> Vec<u64> {
     (0..USERS).collect()
 }
 
-fn even_users() -> Vec<u64> {
-    (0..USERS).step_by(2).collect()
+/// The users node `n` of the two owns. User 0 is node 0's and user 1
+/// node 1's, which the probes below rely on.
+fn users_of(n: usize) -> Vec<u64> {
+    assert_eq!((owner_of(0, 2), owner_of(1, 2)), (0, 1));
+    (0..USERS).filter(|&u| owner_of(u, 2) == n).collect()
 }
 
 #[test]
@@ -174,7 +175,7 @@ fn sever_mid_request_fails_retryable_fast_and_heals_byte_identical() {
 
     proxy.sever();
     std::thread::sleep(Duration::from_millis(30));
-    // The owner's stripe fails RETRYABLE, and it fails *fast*: the
+    // The owner's users fail RETRYABLE, and fail *fast*: the
     // demotion check in `begin` must answer from the state machine, not
     // burn the full node timeout against a channel whose reader is gone
     // (the dead-channel race this PR fixes).
@@ -187,11 +188,11 @@ fn sever_mid_request_fails_retryable_fast_and_heals_byte_identical() {
                 "no address leak: {e}"
             );
         }
-        Ok(r) => panic!("severed stripe answered {r:?}"),
+        Ok(r) => panic!("severed node answered {r:?}"),
     }
     assert!(
         started.elapsed() < Duration::from_millis(350),
-        "severed stripe must fail fast, took {:?}",
+        "severed node must fail fast, took {:?}",
         started.elapsed()
     );
 
@@ -219,10 +220,10 @@ fn sever_mid_broadcast_never_fails_the_client_and_replays_in_order() {
 
     proxy.sever();
     std::thread::sleep(Duration::from_millis(30));
-    // Node 1 is now only a *mirror* for this traffic: every update in
-    // node 0's stripe must succeed byte-identically (the mirror frames
+    // Node 1 is now only a *mirror* for this traffic: every update of
+    // node 0's users must succeed byte-identically (the mirror frames
     // are absorbed into the catch-up buffer, not failed)…
-    run_wave(&mut client, &mut reference, &even_users(), 1);
+    run_wave(&mut client, &mut reference, &users_of(0), 1);
     // …and a standing-query broadcast mid-outage succeeds too, with the
     // id the sequential registry assigns (node 0 — the sole allocator —
     // grants it; the STANDING_INSTALL mirror frame carrying that id is
@@ -236,7 +237,7 @@ fn sever_mid_broadcast_never_fails_the_client_and_replays_in_order() {
     assert_eq!((got.kind, got.id), (StandingKind::Count, want_id));
 
     proxy.restore();
-    // Odd stripe comes back (buffer replayed first, in order), and the
+    // Node 1 comes back (buffer replayed first, in order), and the
     // whole population keeps the sequential byte stream.
     run_wave(&mut client, &mut reference, &all_users(), 2);
     let want = reference
@@ -317,7 +318,7 @@ fn ack_lost_standing_install_replays_as_a_noop() {
     };
 
     // A standing change rides the next frame to node 1: a query of
-    // user 1, who lives in node 1's stripe. `carry` sends one and
+    // user 1, whom node 1 owns. `carry` sends one and
     // requires the reference's bytes; `carry_cut` sends one whose ack
     // the proxy cuts, so the client is told to retry.
     let t = stamp(1, 0);
@@ -434,13 +435,13 @@ fn rows_on_the_wire_when_the_link_dies_are_replayed_before_later_ones() {
     register_all(&mut client, &mut reference);
     run_wave(&mut client, &mut reference, &all_users(), 0);
 
-    // User 0 lives on node 0; node 1 is owed both rows and has been
-    // sent neither.
+    // Node 0 owns user 0; node 1 is owed both rows and has been sent
+    // neither.
     run_wave(&mut client, &mut reference, &[0], 1);
     run_wave(&mut client, &mut reference, &[0], 2);
     // The next thing node 1 says is lost, and the link with it.
     proxy.sever_after_downstream_bytes(0);
-    // User 1 lives on node 1: its query takes the two rows along. They
+    // Node 1 owns user 1: its query takes the two rows along. They
     // arrive; the answer does not.
     match client.range_query(1, 0.2, stamp(1, 2)) {
         Err(e) => assert!(is_retryable_route_failure(&e), "outcome unknown: {e}"),
@@ -472,10 +473,6 @@ fn rows_on_the_wire_when_the_link_dies_are_replayed_before_later_ones() {
     assert_eq!(planes1.records, planes0.records, "cloak plane");
 }
 
-fn odd_users() -> Vec<u64> {
-    (1..USERS).step_by(2).collect()
-}
-
 #[test]
 fn sever_mid_run_fails_every_frame_retryable_and_applies_nothing_twice() {
     let (node0, node1, proxy, router) = spawn(fast_recovery());
@@ -487,13 +484,13 @@ fn sever_mid_run_fails_every_frame_retryable_and_applies_nothing_twice() {
     // A window of wave-1 updates for node 1's users is one run: one
     // write to node 1, which the link carries four frames and a bit of
     // before it dies. What arrived whole is applied; no reply gets back.
-    let odd = odd_users();
+    let owned = users_of(1);
     let frame_len = (lbsp_net::FRAME_OVERHEAD + wire::EXACT_UPDATE_LEN) as u64;
     proxy.sever_after_upstream_bytes(4 * frame_len + 7);
-    for &i in &odd {
+    for &i in &owned {
         client.update_send_only(i, pos(i, 1), stamp(i, 1)).unwrap();
     }
-    for &i in &odd {
+    for &i in &owned {
         match client.read_reply() {
             Err(e) => assert!(is_retryable_route_failure(&e), "update {i}: {e}"),
             Ok(r) => panic!("update {i} answered through a cut link: {r:?}"),
@@ -503,7 +500,7 @@ fn sever_mid_run_fails_every_frame_retryable_and_applies_nothing_twice() {
     // The sequential doctrine for an unknown outcome: heal, retry.
     proxy.restore();
     let deadline = Instant::now() + Duration::from_secs(10);
-    for &i in &odd {
+    for &i in &owned {
         reference.process_updates_wire(&[(i, pos(i, 1), stamp(i, 1))]);
         loop {
             match client.update(i, pos(i, 1), stamp(i, 1)) {
@@ -516,12 +513,12 @@ fn sever_mid_run_fails_every_frame_retryable_and_applies_nothing_twice() {
         }
     }
     // Positions are all a cloak depends on: the next wave reads the
-    // sequential engine's bytes on both stripes.
+    // sequential engine's bytes on both nodes.
     run_wave(&mut client, &mut reference, &all_users(), 2);
 
     let snap = router.metrics_registry().net().snapshot();
     assert!(
-        snap.retryable_failures >= odd.len() as u64,
+        snap.retryable_failures >= owned.len() as u64,
         "every frame of the run"
     );
     assert!(snap.node_rejoins >= 1, "rejoin counted");
@@ -583,7 +580,7 @@ fn slow_node_is_demoted_retryable_and_heals_when_it_speeds_up() {
     run_wave(&mut client, &mut reference, &all_users(), 0);
 
     // Every forwarded chunk now takes far longer than the node timeout:
-    // the next request on node 1's stripe must time out into a
+    // the next request for node 1's users must time out into a
     // RETRYABLE demotion — bounded by `node_timeout`, never a hang —
     // and the liveness ping keeps the node in `Reconnecting` for as
     // long as it stays slow.
@@ -622,16 +619,16 @@ fn catchup_overflow_rejoins_through_bulk_resync() {
 
     proxy.sever();
     std::thread::sleep(Duration::from_millis(30));
-    // Two full waves of node-0-stripe traffic: far more plane bytes
-    // than the buffer holds, so the rejoin must go through the bulk
+    // Two full waves of node 0's traffic: far more plane bytes than
+    // the buffer holds, so the rejoin must go through the bulk
     // donor-resync path instead of ordered replay.
-    run_wave(&mut client, &mut reference, &even_users(), 1);
-    run_wave(&mut client, &mut reference, &even_users(), 2);
+    run_wave(&mut client, &mut reference, &users_of(0), 1);
+    run_wave(&mut client, &mut reference, &users_of(0), 2);
 
     proxy.restore();
-    // The stranded stripe heals — its first reply proves the bulk image
+    // The stranded node heals — its first reply proves the bulk image
     // (positions and cloaks are exact-bit codecs) reconstructed the
-    // planes, because the cloak for an odd user depends on the *whole*
+    // planes, because the cloak of a node-1 user depends on the *whole*
     // population's positions.
     run_wave(&mut client, &mut reference, &all_users(), 3);
 
@@ -708,19 +705,18 @@ fn killed_node_restarts_from_wal_rejoins_and_stays_byte_identical() {
         Err(e) => assert!(is_retryable_route_failure(&e), "outage is RETRYABLE: {e}"),
         Ok(r) => panic!("killed node answered {r:?}"),
     }
-    // The healthy stripe never notices (mirrors buffered).
-    run_wave(&mut client, &mut reference, &even_users(), 2);
+    // The healthy node never notices (mirrors buffered).
+    run_wave(&mut client, &mut reference, &users_of(0), 2);
 
     // Restart from the journal on a fresh port; retarget and heal the
     // proxy; the supervisor replays the buffered frames and the cluster
-    // output rejoins the uncrashed byte stream — odd stripe included.
+    // output rejoins the uncrashed byte stream — node 1's users included.
     let opened = open_node1();
     assert!(opened.recovered, "restart recovered WAL state");
     let node1 = NetServer::bind("127.0.0.1:0", opened.engine, NetConfig::default()).unwrap();
     proxy.set_upstream(node1.local_addr());
     proxy.restore();
-    let odd: Vec<u64> = (1..USERS).step_by(2).collect();
-    run_wave(&mut client, &mut reference, &odd, 2);
+    run_wave(&mut client, &mut reference, &users_of(1), 2);
     run_wave(&mut client, &mut reference, &all_users(), 3);
 
     let snap = router.metrics_registry().net().snapshot();

@@ -1,27 +1,22 @@
-//! Pipelined windows through the router. A sweep's run of
-//! registrations, queries and in-stripe updates bound for one node goes
-//! to it in one write; every other frame — and every run boundary: a
-//! repeated user, a crossing, a broadcast, a snapshot, an undecodable
-//! payload or an unknown tag — takes the one-round-trip-at-a-time path.
-//! Windows of registrations and of queries are byte-identical to the
-//! closed-loop sequential engine at K ∈ {2, 4}, and so is every window
-//! that crosses a boundary.
-//!
-//! A crossing's handoff push rides the update: when the new owner is
-//! condemned on that envelope — it refuses the push, or answers
-//! garbage — the request fails `DOWN`, the state goes back to the old
-//! owner, and the ownership table does not flip.
+//! Pipelined windows through the router. A sweep is served as runs: a
+//! run of registrations, queries and updates — no user twice, and once
+//! it holds an update for a node nothing more for any other node — goes
+//! to each node it needs as one write; every run boundary — a repeated
+//! user, a frame for another node after an update, a broadcast, a
+//! snapshot, an undecodable payload or an unknown tag — takes the
+//! one-run-at-a-time path. Windows of registrations and of queries,
+//! which span the nodes, are byte-identical to the closed-loop
+//! sequential engine at K ∈ {2, 4}, and so is every window that holds a
+//! run boundary.
 
 use lbsp_anonymizer::{CloakRequirement, PrivacyProfile};
-use lbsp_cluster::{PartitionMap, Router, RouterConfig};
+use lbsp_cluster::{owner_of, Router, RouterConfig};
 use lbsp_core::engine::{EngineConfig, ShardedEngine};
 use lbsp_core::wire::{self, StandingKind};
 use lbsp_geom::{Point, Rect, SimTime};
-use lbsp_net::{
-    is_retryable_route_failure, is_route_failure, NetClient, NetConfig, NetServer, Reply,
-};
+use lbsp_net::{NetClient, NetConfig, NetServer, Reply};
 use lbsp_server::PublicObject;
-use std::net::TcpListener;
+use std::collections::BTreeSet;
 
 const WINDOW: usize = 32;
 
@@ -184,7 +179,7 @@ fn home(user: u64) -> Point {
 
 /// 32-deep windows of registrations and of range queries through a
 /// K-node router are byte-identical to the closed-loop sequential
-/// engine — runs to one node, node changes mid-window, an invalid
+/// engine — windows spanning every node, windows to one node, an invalid
 /// registration, a query for a user nobody registered — and the state
 /// they leave serves the next closed-loop wave identically.
 #[test]
@@ -200,6 +195,10 @@ fn pipelined_registrations_and_queries_are_byte_identical() {
             .map(|u| Req::Register(u, if u == USERS - 1 { 0 } else { k_of(u) }))
             .collect();
         for (w, chunk) in registrations.chunks(WINDOW).enumerate() {
+            let owners: BTreeSet<usize> = (0..WINDOW as u64)
+                .map(|i| owner_of(w as u64 * WINDOW as u64 + i, k))
+                .collect();
+            assert_eq!(owners.len(), k, "window {w} spans every node (K={k})");
             window(
                 &mut client,
                 &mut reference,
@@ -217,13 +216,12 @@ fn pipelined_registrations_and_queries_are_byte_identical() {
             );
         }
 
-        // Grouped by stripe: long runs to one node, a node change at
-        // each stripe boundary. Then in id order: short runs.
-        let pm = PartitionMap::new(world(), k);
-        let mut by_stripe: Vec<u64> = (0..USERS).collect();
-        by_stripe.sort_by_key(|&u| (pm.node_of(home(u)), u));
+        // Grouped by owner: windows to one node, or to two. Then in id
+        // order: every window spans the nodes.
+        let mut by_owner: Vec<u64> = (0..USERS).collect();
+        by_owner.sort_by_key(|&u| (owner_of(u, k), u));
         let t = SimTime::from_secs(10.0);
-        for (pass, order) in [by_stripe, (0..USERS + 3).collect()].iter().enumerate() {
+        for (pass, order) in [by_owner, (0..USERS + 3).collect()].iter().enumerate() {
             let queries: Vec<Req> = order.iter().map(|&u| Req::Query(u, 0.15, t)).collect();
             for (w, chunk) in queries.chunks(WINDOW).enumerate() {
                 let what = format!("queries pass {pass} window {w} (K={k})");
@@ -250,19 +248,25 @@ fn pipelined_registrations_and_queries_are_byte_identical() {
     }
 }
 
-/// Every run boundary takes the sequential path, so a window that
-/// crosses one still reads the sequential engine's bytes: two updates
-/// of one user (batched on a node they would each settle against the
-/// last position), a registration and the user's first update, a
-/// crossing with its handoff, a standing broadcast, a snapshot, an
-/// unknown tag and an undecodable payload — each between runs of
-/// queries to the same node.
+/// Every run boundary takes the sequential path, so a window that holds
+/// one still reads the sequential engine's bytes: two updates of one
+/// user (batched on a node they would each settle against the last
+/// position), a registration and the user's first update, an update on
+/// one node followed by a query on the other that must count the
+/// update's row, a standing broadcast, a snapshot, an unknown tag and an
+/// undecodable payload — each between frames for both nodes. The window
+/// of registrations and the window of queries that open it span both
+/// nodes and are byte-identical too.
 #[test]
 fn run_boundaries_take_the_sequential_path() {
     let (servers, router) = spawn_cluster(2);
     let mut reference = fresh_engine();
     let mut client = NetClient::connect(router.local_addr()).unwrap();
-    // Users 0..4 live in node 0's stripe, 4 and 5 in node 1's.
+    let owned = |n: usize| (0u64..).filter(move |&u| owner_of(u, 2) == n);
+    let a: Vec<u64> = owned(0).take(4).collect();
+    let b: Vec<u64> = owned(1).take(3).collect();
+    let fresh = owned(1).nth(3).unwrap();
+    let users: Vec<u64> = a.iter().chain(&b).copied().collect();
     let spots = [
         (0.1, 0.2),
         (0.2, 0.4),
@@ -270,48 +274,63 @@ fn run_boundaries_take_the_sequential_path() {
         (0.4, 0.8),
         (0.35, 0.3),
         (0.8, 0.5),
+        (0.6, 0.7),
     ];
-    for (u, &(x, y)) in spots.iter().enumerate() {
-        let u = u as u64;
-        closed(
-            &mut client,
-            &mut reference,
-            Req::Register(u, k_of(u)),
-            "register",
-        );
-        let t = SimTime::from_secs(1.0 + u as f64);
-        closed(
-            &mut client,
-            &mut reference,
-            Req::Update(u, Point::new(x, y), t),
-            "place",
-        );
-    }
     let t = |s: f64| SimTime::from_secs(s);
     let q = |u: u64, s: f64| Req::Query(u, 0.2, SimTime::from_secs(s));
 
+    let registrations: Vec<Req> = users.iter().map(|&u| Req::Register(u, 2)).collect();
+    window(
+        &mut client,
+        &mut reference,
+        &registrations,
+        "registrations on both nodes",
+    );
+    for (&u, &(x, y)) in users.iter().zip(&spots) {
+        let place = Req::Update(u, Point::new(x, y), t(1.0 + u as f64 * 0.01));
+        closed(&mut client, &mut reference, place, "place");
+    }
+    let queries: Vec<Req> = users.iter().map(|&u| q(u, 9.0)).collect();
+    window(
+        &mut client,
+        &mut reference,
+        &queries,
+        "queries on both nodes",
+    );
+
     let repeated = [
-        q(1, 10.0),
-        Req::Update(0, Point::new(0.05, 0.05), t(10.1)),
-        Req::Update(0, Point::new(0.45, 0.95), t(10.2)),
-        q(2, 10.3),
-        Req::Register(9, 5),
-        Req::Update(9, Point::new(0.25, 0.25), t(10.4)),
-        q(3, 10.5),
+        q(a[1], 10.0),
+        Req::Update(a[0], Point::new(0.05, 0.05), t(10.1)),
+        Req::Update(a[0], Point::new(0.45, 0.95), t(10.2)),
+        q(b[0], 10.3),
+        Req::Register(fresh, 5),
+        Req::Update(fresh, Point::new(0.25, 0.25), t(10.4)),
+        q(a[2], 10.5),
     ];
     window(&mut client, &mut reference, &repeated, "repeated users");
 
-    let handoffs = router.handoffs();
-    let crossing = [
-        q(1, 11.0),
-        q(2, 11.0),
-        Req::Update(4, Point::new(0.7, 0.3), t(11.1)),
-        q(4, 11.2),
-        q(5, 11.2),
-        q(3, 11.2),
+    // a[3] moves next to b[1]; b[1]'s query after it reads the row, and
+    // would read other bytes without it.
+    let moved = Point::new(0.81, 0.51);
+    let probe = |e: &ShardedEngine| e.range_query(b[1], t(11.2), 0.2).unwrap().response;
+    let mut ahead = ShardedEngine::from_state(&reference.export_state());
+    let stale = probe(&ahead);
+    ahead.process_updates(&[(a[3], moved, t(11.1))]);
+    assert_ne!(probe(&ahead), stale, "the row changes b[1]'s answer");
+    let after_update = [
+        q(b[0], 11.0),
+        q(a[1], 11.0),
+        Req::Update(a[3], moved, t(11.1)),
+        q(a[2], 11.2),
+        q(b[1], 11.2),
+        q(b[2], 11.2),
     ];
-    window(&mut client, &mut reference, &crossing, "crossing");
-    assert_eq!(router.handoffs(), handoffs + 1, "user 4 crossed");
+    window(
+        &mut client,
+        &mut reference,
+        &after_update,
+        "an update, then the other node",
+    );
 
     let area = Rect::new_unchecked(0.0, 0.0, 0.5, 1.0);
     let id = reference.add_standing_count(area);
@@ -320,13 +339,13 @@ fn run_boundaries_take_the_sequential_path() {
         other => panic!("standing registration: {other:?}"),
     }
     let broadcast = [
-        q(1, 12.0),
-        q(2, 12.0),
+        q(a[1], 12.0),
+        q(b[0], 12.0),
         Req::StandingCount(Rect::new_unchecked(0.2, 0.2, 0.9, 0.9)),
-        q(3, 12.0),
-        q(0, 12.0),
+        q(a[3], 12.0),
+        q(b[1], 12.0),
         Req::Snapshot(id),
-        q(1, 12.0),
+        q(a[1], 12.0),
     ];
     window(
         &mut client,
@@ -336,12 +355,12 @@ fn run_boundaries_take_the_sequential_path() {
     );
 
     let odd = [
-        q(1, 13.0),
-        q(2, 13.0),
+        q(a[1], 13.0),
+        q(b[2], 13.0),
         Req::Raw(0x7E, b"??".to_vec()),
-        q(3, 13.0),
+        q(a[3], 13.0),
         Req::Raw(wire::tag::USER_QUERY, b"short".to_vec()),
-        q(0, 13.0),
+        q(b[0], 13.0),
     ];
     window(
         &mut client,
@@ -351,9 +370,8 @@ fn run_boundaries_take_the_sequential_path() {
     );
 
     // The state the windows left serves closed-loop traffic identically.
-    for (u, &(x, y)) in spots.iter().enumerate() {
+    for (&u, &(x, y)) in users.iter().zip(&spots) {
         let p = Point::new(x + 0.01, y);
-        let u = u as u64;
         closed(
             &mut client,
             &mut reference,
@@ -367,126 +385,4 @@ fn run_boundaries_take_the_sequential_path() {
     for server in servers {
         drop(server.shutdown());
     }
-}
-
-/// A stand-in for a new owner that is condemned on the envelope carrying
-/// a handoff push: `refuse` answers it with a carried-frame refusal
-/// naming the push, otherwise with a reply tag the protocol does not
-/// have. Everything else it acknowledges.
-fn spawn_condemned_node(refuse: bool) -> String {
-    use lbsp_net::frame::write_frame;
-    use lbsp_net::{FrameReader, Poll, MAX_FRAME_LEN};
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { return };
-            let mut reader = FrameReader::new(MAX_FRAME_LEN);
-            loop {
-                let frame = match reader.poll(&mut stream) {
-                    Ok(Poll::Frame(f)) => f,
-                    Ok(Poll::Pending | Poll::Drained) => continue,
-                    Ok(Poll::Eof) | Err(_) => break,
-                };
-                let push = (frame.tag == wire::tag::CARRY)
-                    .then(|| wire::decode_carry(&frame.payload))
-                    .flatten()
-                    .and_then(|m| {
-                        m.carried
-                            .iter()
-                            .position(|(tag, _)| *tag == wire::tag::HANDOFF_PUSH)
-                    });
-                let (tag, body) = match (frame.tag, push) {
-                    (wire::tag::PING, _) => (wire::tag::PONG, frame.payload),
-                    (_, Some(at)) if refuse => (
-                        wire::tag::ERROR,
-                        wire::encode_carry_rejected(at, "scripted refusal").to_vec(),
-                    ),
-                    (_, Some(_)) => (0x7F, Vec::new()),
-                    _ => (wire::tag::OK, Vec::new()),
-                };
-                if write_frame(&mut stream, tag, &body, MAX_FRAME_LEN).is_err() {
-                    break;
-                }
-            }
-        }
-    });
-    addr
-}
-
-/// The doctrine for a new owner that turns terminally `Down` once the
-/// push is staged: the crossing fails `DOWN`, the table does not flip,
-/// and the user's state — already pulled from the old owner — is pushed
-/// back there, where the user goes on being served. (The parent
-/// returned the refusal and left the state on no node at all.)
-fn a_crossing_into_a_condemned_node_gives_the_state_back(refuse: bool) {
-    let good = NetServer::bind("127.0.0.1:0", fresh_engine(), NetConfig::default()).unwrap();
-    let good_addr = good.local_addr().to_string();
-    let bad_addr = spawn_condemned_node(refuse);
-    let router = Router::bind(
-        "127.0.0.1:0",
-        &[good_addr.as_str(), bad_addr.as_str()],
-        world(),
-        RouterConfig::default(),
-    )
-    .unwrap();
-    let mut client = NetClient::connect(router.local_addr()).unwrap();
-    for user in [1, 2] {
-        assert_eq!(
-            client.register(user, 2, 0.0, f64::INFINITY).unwrap(),
-            Reply::Ok
-        );
-    }
-    let (here, there) = (Point::new(0.1, 0.1), Point::new(0.9, 0.9));
-    for user in [1, 2] {
-        let t = SimTime::from_secs(user as f64);
-        assert!(matches!(
-            client.update(user, here, t),
-            Ok(Reply::Cloaked(_))
-        ));
-    }
-
-    let err = client
-        .update(2, there, SimTime::from_secs(3.0))
-        .expect_err("the condemned node's stripe");
-    assert!(
-        is_route_failure(&err) && !is_retryable_route_failure(&err),
-        "DOWN, not a retry: {err}"
-    );
-    assert!(err.to_string().contains("node 1"), "names the node: {err}");
-    assert_eq!(router.handoffs(), 0, "the table did not flip");
-
-    // The new owner is out of routing: a crossing toward it fails
-    // before anything is pulled.
-    let err = client
-        .update(1, there, SimTime::from_secs(4.0))
-        .expect_err("a Down node is not handed anyone");
-    assert!(is_route_failure(&err) && !is_retryable_route_failure(&err));
-
-    // The state is back on node 0 and serves.
-    assert!(matches!(
-        client.update(2, Point::new(0.15, 0.1), SimTime::from_secs(5.0)),
-        Ok(Reply::Cloaked(_))
-    ));
-    assert!(matches!(
-        client.range_query(2, 0.2, SimTime::from_secs(6.0)),
-        Ok(Reply::Candidates(_))
-    ));
-    let snap = router.metrics_registry().net().snapshot();
-    assert_eq!(snap.route_failures, 2);
-    assert_eq!(snap.retryable_failures, 0, "nobody was told to retry");
-    assert_eq!(snap.mirror_drops, 0, "no state was lost");
-    drop(client);
-    router.shutdown();
-    assert_eq!(good.shutdown().registered(), 2, "both users live on node 0");
-}
-
-#[test]
-fn a_refused_handoff_push_fails_down_and_gives_the_state_back() {
-    a_crossing_into_a_condemned_node_gives_the_state_back(true);
-}
-
-#[test]
-fn a_new_owner_down_after_the_push_is_staged_gives_the_state_back() {
-    a_crossing_into_a_condemned_node_gives_the_state_back(false);
 }
