@@ -295,11 +295,14 @@ fn route(addr: &str, nodes_csv: &str) {
 /// closed-loop pass (registrations, a standing count and a standing
 /// range query, updates to random points, queries, both snapshots,
 /// both deregistrations and the unknown-query error after them) is
-/// followed by a pipelined one: registrations and range queries in
-/// 32-deep `send_only` / `read_reply` windows, which the router serves
-/// as runs spanning both nodes. Exits non-zero on the first divergence.
+/// followed by a pipelined one: registrations, range queries, updates
+/// whose owners alternate, and updates with a query on the other node
+/// behind each, in 32-deep `send_only` / `read_reply` windows, which the
+/// router serves as runs spanning both nodes of a two-node cluster.
+/// Exits non-zero on the first divergence.
 fn cluster_verify(addr: &str) {
     use lbsp_bench::netload::serve_engine;
+    use lbsp_cluster::owner_of;
     use lbsp_core::wire::{self, StandingKind};
     use lbsp_net::{NetClient, Reply};
     use rand::rngs::StdRng;
@@ -490,6 +493,64 @@ fn cluster_verify(addr: &str) {
                         return Err(format!("pipelined query {i}: candidate bytes diverge"))
                     }
                     other => return Err(format!("pipelined query {i}: {other:?}")),
+                }
+            }
+        }
+
+        // Pipelined updates whose owners alternate, then a query on the
+        // other node behind each: every update follows another node's,
+        // so its row rides ahead and the owner serves the update as a
+        // batch of one. Owners are a two-node cluster's, the one ci.sh
+        // starts; on another count, updates to one node would batch.
+        let (on0, on1): (Vec<u64>, Vec<u64>) = everyone.iter().partition(|&&u| owner_of(u, 2) == 0);
+        let alternating: Vec<u64> = on0.iter().zip(&on1).flat_map(|(&a, &b)| [a, b]).collect();
+        let updates = alternating
+            .chunks(WINDOW)
+            .map(|c| c.iter().map(|&i| (i, true)).collect::<Vec<_>>());
+        let mixed = (0..)
+            .step_by(WINDOW)
+            .take_while(|base| base + WINDOW < alternating.len())
+            .map(|base| {
+                (0..WINDOW / 2)
+                    .flat_map(|j| {
+                        [
+                            (alternating[base + j], true),
+                            (alternating[base + 17 + j], false),
+                        ]
+                    })
+                    .collect::<Vec<_>>()
+            });
+        let t = SimTime::from_secs((waves * users) as f64 * 0.25 + 1.0);
+        for (w, chunk) in updates.chain(mixed).enumerate() {
+            let mut want = Vec::with_capacity(chunk.len());
+            for &(i, update) in &chunk {
+                let sent = if update {
+                    let p = Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
+                    want.push(match engine.process_updates_wire(&[(i, p, t)]).remove(0) {
+                        Ok(bytes) => Reply::Cloaked(bytes.to_vec()),
+                        Err(e) => Reply::Error(e.to_string()),
+                    });
+                    client.update_send_only(i, p, t)
+                } else {
+                    let msg = wire::UserQueryMsg {
+                        user: i,
+                        radius: 0.05,
+                        time: t,
+                    };
+                    let a = engine.range_query(i, t, 0.05).map_err(|e| e.to_string())?;
+                    want.push(Reply::Candidates(a.response.to_vec()));
+                    client.send_only(wire::tag::USER_QUERY, &wire::encode_user_query(&msg))
+                };
+                sent.map_err(|e| format!("pipelined window {w}, user {i}: {e}"))?;
+            }
+            for (&(i, _), want) in chunk.iter().zip(want) {
+                match client.read_reply() {
+                    Ok(got) if got == want => compared += 1,
+                    other => {
+                        return Err(format!(
+                            "pipelined window {w}, user {i}: {other:?}, the engine says {want:?}"
+                        ))
+                    }
                 }
             }
         }

@@ -75,17 +75,35 @@
 //! owned by distinct nodes make progress concurrently. A front-door
 //! shard routes one sweep at a time, so `net.workers` sweeps are in
 //! flight at once; a shard's other connections wait behind a node round
-//! trip exactly as a node's wait behind its engine mutex. A sweep is
-//! served as *runs* (`Core::serve_run`): a maximal run of
+//! trip exactly as a node's wait behind its engine mutex.
+//!
+//! A sweep is served as *runs* (`Core::serve_run`): a maximal run of
 //! registrations, queries and updates — no user twice — is begun as
 //! one write to each node it needs and then waited in arrival order.
-//! Once a run holds an update for node `n`, only frames for `n` may
-//! join it: the update's mirror rows are queued when its reply is in,
-//! and a frame for another node begun beside it would be served without
-//! them. Frames for other nodes that arrived before the update do not
-//! need them. A snapshot, an undecodable payload or an unknown tag is a
-//! run of one, and so is every frame of a closed-loop client. Standing
-//! broadcasts are the only frames served outside a run, one at a time.
+//! A frame of node `m` must find placed the row of every earlier update
+//! of its run, yet another node's update is answered only after the run
+//! is begun. The row is known from the request, so it rides ahead: it
+//! joins `m`'s outbox, with no cloak, just before `m`'s next frame and
+//! travels in that frame's envelope. The full entry follows once the
+//! owner answers, and placing the row again changes nothing. An update
+//! after another node's row is served as a batch of one, every earlier
+//! row placed, so a window whose updates alternate owners reads the
+//! closed-loop sequential engine's bytes; consecutive updates to one
+//! node batch, as on a single node.
+//!
+//! Only standing counts read other users' cloaks. While one is
+//! registered — the router counts them as their broadcasts pass — a
+//! node pushing count deltas for its update must hold every earlier
+//! cloak of the run, and a cloak exists only once its owner answered:
+//! a run that holds an update for node `n` takes nothing more for any
+//! other node. (A count the router did not see registered, made on a
+//! node directly or through another router, is not fenced.) A row sent
+//! ahead of an owner that then fails — its begin refused, its reply
+//! lost — is the recovery doctrine's unknown outcome: the client
+//! retries, and the retry converges the planes. A snapshot, an
+//! undecodable payload or an unknown tag is a run of one, and so is
+//! every frame of a closed-loop client. Standing broadcasts are the
+//! only frames served outside a run, one at a time.
 //!
 //! What replaces the old global request mutex is a single
 //! [`LockRank::ClusterRouter`] read/write gate. Runs hold it *shared*;
@@ -246,6 +264,41 @@ const SUPERVISOR_TICK: Duration = Duration::from_millis(10);
 /// this fraction of `node_timeout`, so a caller that takes the reading
 /// role late still gives up close to its own deadline.
 const READS_PER_TIMEOUT: u32 = 4;
+
+/// One frame to begin on a node: the mirror rows it must find placed —
+/// they join the outbox ahead of it — and its request, `None` for a
+/// flush ([`NodeChannel::send_carrying`]).
+type Carrier<'f> = (Vec<&'f [u8]>, Option<(u8, &'f [u8])>);
+
+/// Frames framed for one write to a node, with the ticket each takes.
+#[derive(Default)]
+struct Outgoing {
+    bytes: Vec<u8>,
+    tickets: Vec<Framed>,
+}
+
+/// A framed frame's ticket: the outbox entries its envelope carries,
+/// and whether a caller waits for its reply.
+struct Framed {
+    carried: usize,
+    wanted: bool,
+}
+
+impl Outgoing {
+    fn frame(
+        &mut self,
+        ch: &NodeChannel,
+        tag: u8,
+        payload: &[u8],
+        carried: usize,
+        wanted: bool,
+    ) -> io::Result<()> {
+        append_frame(&mut self.bytes, tag, payload, MAX_FRAME_LEN)
+            .map_err(|e| ch.retryable_error(&format!("cannot frame a request ({e})")))?;
+        self.tickets.push(Framed { carried, wanted });
+        Ok(())
+    }
+}
 
 /// The mutable send half of a node channel, serialized so pipelined
 /// frames (and their tickets) leave in one well-defined order.
@@ -508,21 +561,20 @@ impl NodeChannel {
     /// reply, fast-failing with the kinded error the recovery doctrine
     /// promises when the node is reconnecting or down.
     fn begin(&self, tag: u8, payload: &[u8]) -> io::Result<PendingCall<'_>> {
-        self.single(self.begin_all(std::iter::once((tag, payload))))
+        self.single(self.begin_all(vec![(Vec::new(), Some((tag, payload)))]))
     }
 
-    /// [`NodeChannel::begin`] for a run of requests: the unsent outbox
-    /// entries ride the first, and every frame leaves in one write. The
-    /// calls come back in request order; all of them are begun or none.
+    /// [`NodeChannel::begin`] for a run's share of this node: before
+    /// each request, the rows it must find placed join the outbox, and
+    /// every entry still unsent rides that request's envelope. Every
+    /// frame leaves in one write. The calls come back in request order;
+    /// all of them are begun or none.
     ///
     /// The outbox lock is held from picking the entries to the write,
     /// so frames leave in the order their `begin`s were ordered: a node
     /// never serves a frame before every mirror row produced before
     /// that frame was begun.
-    fn begin_all<'f>(
-        &self,
-        requests: impl Iterator<Item = (u8, &'f [u8])>,
-    ) -> io::Result<Vec<PendingCall<'_>>> {
+    fn begin_all(&self, requests: Vec<Carrier<'_>>) -> io::Result<Vec<PendingCall<'_>>> {
         let begun = {
             let mut rec = self.recovery.lock();
             match self.state.load(Ordering::SeqCst) {
@@ -539,8 +591,11 @@ impl NodeChannel {
     /// replay go out exactly as written, while the node is still
     /// officially `Reconnecting`.
     fn begin_internal(&self, tag: u8, payload: &[u8]) -> io::Result<PendingCall<'_>> {
-        let begun = self.single(self.begin_locked(std::iter::once((tag, payload)), 0));
-        self.demote_on_err(begun)
+        let mut out = Outgoing::default();
+        let begun = out
+            .frame(self, tag, payload, 0, true)
+            .and_then(|()| self.begin_locked(&out));
+        self.demote_on_err(self.single(begun))
     }
 
     /// The call a one-frame begin began.
@@ -562,50 +617,62 @@ impl NodeChannel {
         begun
     }
 
-    /// Puts `requests` on the wire, the unsent outbox entries riding in
-    /// an envelope around the first (an envelope with no request when
-    /// there is none — a flush), and marks those entries sent. Caller
-    /// holds the outbox.
-    fn send_carrying<'f>(
+    /// Puts `carriers` on the wire in one write and marks the entries
+    /// they carried sent. For each, its rows join the outbox, then the
+    /// unsent entries ride in an envelope around its request — an
+    /// envelope with no request when it has none (a flush), a bare
+    /// request when nothing is unsent — preceded by request-less
+    /// envelopes while more are unsent than one envelope carries, so a
+    /// request never leaves ahead of an entry produced before it. Only
+    /// a carrier's own frame gets a call. Rows whose write fails stay
+    /// in the outbox, like every entry not acknowledged, for the
+    /// rejoin to replay. Caller holds the outbox.
+    fn send_carrying(
         &self,
         rec: &mut Recovery,
-        mut requests: impl Iterator<Item = (u8, &'f [u8])>,
+        carriers: Vec<Carrier<'_>>,
     ) -> io::Result<Vec<PendingCall<'_>>> {
         rec.acknowledge(self.acked.swap(0, Ordering::SeqCst));
-        let unsent = rec.buffer.len().saturating_sub(rec.sent);
-        let first = requests.next();
-        if let (0, Some(first)) = (unsent, first) {
-            return self.begin_locked(std::iter::once(first).chain(requests), 0);
+        let mut out = Outgoing::default();
+        let mut sent = rec.sent;
+        for (rows, request) in carriers {
+            for row in rows {
+                rec.push(wire::tag::MIRROR_UPDATE, row);
+            }
+            loop {
+                let unsent = rec.buffer.len().saturating_sub(sent);
+                let carried = unsent.min(wire::CARRY_MAX_FRAMES);
+                let last = carried == unsent;
+                let rides = request.filter(|_| last);
+                match rides {
+                    Some((tag, payload)) if carried == 0 => {
+                        out.frame(self, tag, payload, 0, true)?;
+                    }
+                    _ => {
+                        let entries = rec.buffer.iter().skip(sent).take(carried);
+                        let envelope =
+                            wire::encode_carry(entries.map(|(t, p)| (*t, p.as_slice())), rides)
+                                .ok_or_else(|| {
+                                    self.retryable_error("holds a frame no envelope can carry")
+                                })?;
+                        out.frame(self, wire::tag::CARRY, &envelope, carried, last)?;
+                    }
+                }
+                sent += carried;
+                if last {
+                    break;
+                }
+            }
         }
-        let carried = unsent.min(wire::CARRY_MAX_FRAMES);
-        let entries = rec.buffer.iter().skip(rec.sent).take(carried);
-        let envelope = wire::encode_carry(entries.map(|(t, p)| (*t, p.as_slice())), first)
-            .ok_or_else(|| self.retryable_error("holds a frame no envelope can carry"))?;
-        // The rest of the requests, their borrows shortened to the
-        // envelope's.
-        let rest = requests.map(|(tag, payload): (u8, &[u8])| (tag, payload));
-        let frames = std::iter::once((wire::tag::CARRY, envelope.as_ref())).chain(rest);
-        let calls = self.begin_locked(frames, carried)?;
-        rec.sent += carried;
+        let calls = self.begin_locked(&out)?;
+        rec.sent = sent;
         Ok(calls)
     }
 
     /// Lazy connect, tickets, frames — all under the send lock, the
     /// frames in one write; errors are returned pre-kinded but the
-    /// caller performs the demotion. `carried` outbox entries ride in
-    /// the first frame.
-    fn begin_locked<'f>(
-        &self,
-        frames: impl Iterator<Item = (u8, &'f [u8])>,
-        carried: usize,
-    ) -> io::Result<Vec<PendingCall<'_>>> {
-        let mut bytes = Vec::new();
-        let mut count = 0;
-        for (tag, payload) in frames {
-            append_frame(&mut bytes, tag, payload, MAX_FRAME_LEN)
-                .map_err(|e| self.retryable_error(&format!("cannot frame a request ({e})")))?;
-            count += 1;
-        }
+    /// caller performs the demotion.
+    fn begin_locked(&self, out: &Outgoing) -> io::Result<Vec<PendingCall<'_>>> {
         let mut send = self.send.lock();
         if send.stream.is_none() {
             match self.connect() {
@@ -628,17 +695,19 @@ impl NodeChannel {
         // tickets would burn the caller's full node timeout finding
         // that out.
         let first = inbox
-            .queue_tickets(count, carried)
+            .queue_tickets(&out.tickets)
             .ok_or_else(|| self.retryable_error("lost its connection"))?;
-        let calls = (first..first + count as u64)
-            .map(|seq| PendingCall {
+        let calls = (first..)
+            .zip(&out.tickets)
+            .filter(|(_, t)| t.wanted)
+            .map(|(seq, _)| PendingCall {
                 channel: self,
                 inbox: Arc::clone(inbox),
                 seq,
                 settled: false,
             })
             .collect();
-        if let Err(e) = stream.write_all(&bytes) {
+        if let Err(e) = stream.write_all(&out.bytes) {
             return Err(self.retryable_error(&format!("write failed ({e})")));
         }
         Ok(calls)
@@ -701,7 +770,7 @@ impl NodeChannel {
                     {
                         return true;
                     }
-                    self.send_carrying(&mut rec, std::iter::empty())
+                    self.send_carrying(&mut rec, vec![(Vec::new(), None)])
                 }
                 _ => return false,
             }
@@ -720,7 +789,7 @@ impl NodeChannel {
             if self.state.load(Ordering::SeqCst) != NODE_UP || rec.buffer.is_empty() {
                 return None;
             }
-            self.send_carrying(&mut rec, std::iter::empty())
+            self.send_carrying(&mut rec, vec![(Vec::new(), None)])
         };
         self.demote_on_err(flush).ok()?.pop()
     }
@@ -844,22 +913,21 @@ impl Slots {
 }
 
 impl Inbox {
-    /// Queues `count` tickets in send order, the first carrying
-    /// `carried` outbox entries, and returns the first one's number;
-    /// `None` once the connection is lost.
-    fn queue_tickets(&self, count: usize, carried: usize) -> Option<u64> {
+    /// Queues `tickets` in send order and returns the first one's
+    /// number; `None` once the connection is lost.
+    fn queue_tickets(&self, tickets: &[Framed]) -> Option<u64> {
         let mut slots = self.slots.lock();
         if slots.lost {
             return None;
         }
         let first = slots.next_seq;
-        for i in 0..count {
+        for t in tickets {
             let seq = slots.next_seq;
             slots.next_seq += 1;
             slots.tickets.push_back(Ticket {
                 seq,
-                carried: if i == 0 { carried } else { 0 },
-                abandoned: false,
+                carried: t.carried,
+                abandoned: !t.wanted,
             });
         }
         Some(first)
@@ -1076,6 +1144,10 @@ struct Core {
     /// request stream (standing broadcasts, bulk rejoin resyncs).
     gate: TrackedRwLock<()>,
     tables: TrackedMutex<Tables>,
+    /// Standing count queries registered through this router and not
+    /// dropped. Changed only under the exclusive gate, read once per
+    /// run: while one exists, runs keep to one updating node.
+    counts: AtomicUsize,
     /// Counter sink for transport accounting on paths that do not
     /// otherwise carry the registry (mirror-frame drops).
     obs: Arc<MetricsRegistry>,
@@ -1216,6 +1288,7 @@ impl Core {
         }
         match change {
             wire::StandingInstallMsg::Count { id, .. } => {
+                self.counts.fetch_add(1, Ordering::SeqCst);
                 subs_out.push(SubAction::Subscribe((wire::StandingKind::Count.code(), id)));
             }
             wire::StandingInstallMsg::Range { id, user, .. } => {
@@ -1224,8 +1297,17 @@ impl Core {
             }
             wire::StandingInstallMsg::Drop { kind, id } => {
                 subs_out.push(SubAction::DropQuery((kind.code(), id)));
-                if kind == wire::StandingKind::Range {
-                    self.tables.lock().range_user.remove(&id);
+                match kind {
+                    wire::StandingKind::Count => {
+                        let _ = self
+                            .counts
+                            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                                Some(n.saturating_sub(1))
+                            });
+                    }
+                    wire::StandingKind::Range => {
+                        self.tables.lock().range_user.remove(&id);
+                    }
                 }
             }
         }
@@ -1318,6 +1400,7 @@ impl Router {
                 .collect(),
             gate: TrackedRwLock::new(LockRank::ClusterRouter, ()),
             tables: TrackedMutex::new(LockRank::ClusterCore, Tables::default()),
+            counts: AtomicUsize::new(0),
             obs: Arc::clone(&obs),
         });
         let service: Arc<dyn Service> = core.clone();
@@ -1728,10 +1811,11 @@ type RunFrame = (u64, Frame, Lane);
 impl Service for Core {
     /// A sweep's frames in arrival order, each served as part of a run
     /// ([`Core::serve_run`]): a maximal run of registrations, queries
-    /// and updates, no user twice — and, once it holds an update for a
-    /// node, nothing more for any other node — or a run of one.
-    /// Standing broadcasts go through [`Core::route_broadcast`]; a
-    /// cluster-internal tag is refused before anything else.
+    /// and updates, no user twice — and, while a standing count is
+    /// registered, nothing more for any other node once it holds an
+    /// update for a node — or a run of one. Standing broadcasts go
+    /// through [`Core::route_broadcast`]; a cluster-internal tag is
+    /// refused before anything else.
     fn serve(&self, ready: Vec<(u64, Frame)>, subs: &SharedSubs) -> Vec<(u64, Outbound)> {
         let mut emitted = Vec::with_capacity(ready.len());
         let mut ready = ready.into_iter().peekable();
@@ -1751,9 +1835,13 @@ impl Service for Core {
                 self.answer(conn_id, result, deltas, sub_actions, subs, &mut emitted);
                 continue;
             };
-            // The node whose mirror rows the run will produce: frames for
-            // any other node must wait for the next run.
-            let mut updating = lane.row.map(|_| lane.node);
+            // A node that pushes count deltas for its update must hold
+            // every earlier cloak of the run, and a cloak exists only
+            // once its owner has answered: while a count is registered,
+            // a run holding an update for one node takes nothing more
+            // for another. Otherwise rows ride ahead and any node may.
+            let fenced = self.counts.load(Ordering::SeqCst) > 0;
+            let mut updating = lane.row.filter(|_| fenced).map(|_| lane.node);
             let first = lane.user;
             let mut run: Vec<RunFrame> = vec![(conn_id, frame, lane)];
             if let Some(user) = first {
@@ -1773,7 +1861,7 @@ impl Service for Core {
                     if !users.insert(next_user) {
                         break;
                     }
-                    if next_lane.row.is_some() {
+                    if fenced && next_lane.row.is_some() {
                         updating = Some(next_lane.node);
                     }
                     if let Some((conn_id, frame)) = ready.next() {
@@ -1843,30 +1931,60 @@ impl Core {
         }
     }
 
-    /// Serves a run: its frames for each node begun back to back in one
-    /// write — the node's unsent outbox entries riding the first — then
-    /// every reply waited in arrival order and settled: an update's
-    /// mirror rows queued, a registration recorded. A node that cannot
-    /// be begun on answers each of its frames with that failure. Caller
-    /// holds the gate, so no broadcast interleaves, and the next run is
-    /// begun only after this run's mirror rows are queued.
+    /// Serves a run: each node's frames begun back to back in one write
+    /// ([`NodeChannel::begin_all`]), then every reply waited in arrival
+    /// order and settled: an update's mirror entry queued, a
+    /// registration recorded. A node that cannot be begun on answers
+    /// each of its frames with that failure. Caller holds the gate, so
+    /// no broadcast interleaves, and the next run is begun only after
+    /// this run's mirror entries are queued.
+    ///
+    /// A frame of node `m` must find placed the row of every earlier
+    /// update of the run, and another node's update is answered only
+    /// after the run is begun: its row — no cloak yet — joins `m`'s
+    /// outbox just ahead of `m`'s next frame and rides that frame's
+    /// envelope. The full entry, cloak and row, follows once the owner
+    /// answers, and placing the row again changes nothing. A row after
+    /// `m`'s last frame of the run is not sent ahead.
     fn serve_run(&self, run: Vec<RunFrame>, subs: &SharedSubs, emitted: &mut Vec<(u64, Outbound)>) {
         let mut nodes: Vec<usize> = run.iter().map(|(_, _, lane)| lane.node).collect();
         nodes.sort_unstable();
         nodes.dedup();
+        let rows: Vec<Option<_>> = if nodes.len() > 1 {
+            run.iter()
+                .map(|(_, _, lane)| {
+                    let row = lane.row?;
+                    Some(wire::encode_mirror_update(&wire::MirrorUpdateMsg {
+                        row,
+                        cloak: None,
+                    }))
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         // Each frame's call, keyed by its place in the run.
         let mut begun: Vec<(usize, io::Result<PendingCall<'_>>)> = Vec::with_capacity(run.len());
         for node in nodes {
-            let mine = || {
-                run.iter()
-                    .enumerate()
-                    .filter(|(_, (_, _, l))| l.node == node)
-            };
-            let requests = mine().map(|(_, (_, f, _))| (f.tag, f.payload.as_slice()));
-            match self.channel(node).and_then(|ch| ch.begin_all(requests)) {
-                Ok(calls) => begun.extend(mine().map(|(i, _)| i).zip(calls.into_iter().map(Ok))),
-                Err(e) => begun
-                    .extend(mine().map(|(i, _)| (i, Err(io::Error::new(e.kind(), e.to_string()))))),
+            let mut places = Vec::new();
+            let mut carriers: Vec<Carrier<'_>> = Vec::new();
+            let mut ahead: Vec<&[u8]> = Vec::new();
+            for (i, (_, frame, lane)) in run.iter().enumerate() {
+                if lane.node == node {
+                    places.push(i);
+                    let request = (frame.tag, frame.payload.as_slice());
+                    carriers.push((std::mem::take(&mut ahead), Some(request)));
+                } else if let Some(Some(row)) = rows.get(i) {
+                    ahead.push(row);
+                }
+            }
+            match self.channel(node).and_then(|ch| ch.begin_all(carriers)) {
+                Ok(calls) => begun.extend(places.into_iter().zip(calls.into_iter().map(Ok))),
+                Err(e) => begun.extend(
+                    places
+                        .into_iter()
+                        .map(|i| (i, Err(io::Error::new(e.kind(), e.to_string())))),
+                ),
             }
         }
         begun.sort_unstable_by_key(|(i, _)| *i);
@@ -1964,6 +2082,36 @@ mod tests {
     }
 
     #[test]
+    fn a_share_with_more_unsent_entries_than_an_envelope_carries_leads_with_flushes() {
+        let (addr, answered) = ok_node();
+        let cfg = RouterConfig::default();
+        let ch = NodeChannel::new(0, addr, cfg.node_timeout, cfg.catchup_buffer_bytes);
+        let rows: Vec<[u8; 4]> = (0..wire::CARRY_MAX_FRAMES as u32 + 5)
+            .map(u32::to_le_bytes)
+            .collect();
+        let ahead = rows.iter().map(|r| r.as_slice()).collect();
+        let calls = ch
+            .begin_all(vec![(ahead, Some((wire::tag::PING, b"x".as_slice())))])
+            .expect("begun");
+        assert_eq!(calls.len(), 1, "only the request's frame has a caller");
+        for call in calls {
+            assert_eq!(
+                call.wait(&mut Vec::new()).expect("answered").0,
+                wire::tag::OK
+            );
+        }
+        // A flush of one envelope's worth, then the request's envelope
+        // with the rest; reading the request's reply filed the flush's.
+        for _ in 0..2 {
+            answered
+                .recv_timeout(Duration::from_secs(5))
+                .expect("the node answers each envelope");
+        }
+        assert_eq!(ch.acked.load(Ordering::SeqCst), rows.len());
+        ch.poison();
+    }
+
+    #[test]
     fn a_flush_nobody_waits_for_is_acknowledged_within_two_supervisor_ticks() {
         let (addr, answered) = ok_node();
         let cfg = RouterConfig::default();
@@ -1977,6 +2125,7 @@ mod tests {
             )],
             gate: TrackedRwLock::new(LockRank::ClusterRouter, ()),
             tables: TrackedMutex::new(LockRank::ClusterCore, Tables::default()),
+            counts: AtomicUsize::new(0),
             obs: Arc::clone(&obs),
         });
         let stopping = Arc::new(AtomicBool::new(false));

@@ -563,14 +563,22 @@ impl EngineService {
     }
 
     /// Opens a [`wire::tag::CARRY`] envelope from a router peer: the
-    /// carried frames go through [`EngineService::handle_request`] in
-    /// order, then the request the envelope was begun for is served as
-    /// if it had arrived bare — its reply (after any deltas of its own)
-    /// is the envelope's, and tells the router the carried frames
-    /// landed. A carried frame that answers anything but `OK` stops the
-    /// envelope there: nothing after it is applied and the reply names
-    /// it, because the router takes a refused mirror frame as this node
-    /// having diverged.
+    /// carried frames are applied in order, then the request the
+    /// envelope was begun for is served as if it had arrived bare — its
+    /// reply (after any deltas of its own) is the envelope's, and tells
+    /// the router the carried frames landed. Consecutive mirror rows are
+    /// one [`ShardedEngine::apply_mirror`]: one engine lock, one journal
+    /// record, one sync. Rows move only positions and cloaks touch only
+    /// the private map and the counts, so all the rows, then all the
+    /// cloaks, end where each entry in turn would. A carried frame that
+    /// answers anything but `OK` stops the envelope there: what came
+    /// before it stands, nothing after it is applied, and the reply
+    /// names it, because the router takes a refused mirror frame as this
+    /// node having diverged.
+    ///
+    /// Kept out of line: only a router sends envelopes, and inlined
+    /// into [`Service::serve`] it grows the single-node dispatch.
+    #[inline(never)]
     fn handle_carry(
         &self,
         payload: &[u8],
@@ -585,10 +593,35 @@ impl EngineService {
             NetCounters::add(&self.obs.net().frames_rejected, 1);
             return rejected(0, "malformed carry envelope");
         };
-        for (index, (tag, payload)) in msg.carried.into_iter().enumerate() {
-            let (rtag, body) = self.handle_request(Frame { tag, payload }, conn_id, subs);
-            if rtag != wire::tag::OK {
-                return rejected(index, &String::from_utf8_lossy(&body));
+        let mut carried = msg.carried.into_iter().enumerate().peekable();
+        while let Some((index, (tag, payload))) = carried.next() {
+            if tag != wire::tag::MIRROR_UPDATE {
+                let (rtag, body) = self.handle_request(Frame { tag, payload }, conn_id, subs);
+                if rtag != wire::tag::OK {
+                    return rejected(index, &String::from_utf8_lossy(&body));
+                }
+                continue;
+            }
+            let (mut rows, mut cloaks) = (Vec::new(), Vec::new());
+            let mut malformed = None;
+            let mut next = Some((index, payload));
+            while let Some((i, payload)) = next {
+                let Some(m) = wire::decode_mirror_update(&payload) else {
+                    malformed = Some(i);
+                    break;
+                };
+                rows.push((m.row.user, m.row.position, m.row.time));
+                cloaks.extend(m.cloak);
+                next = carried
+                    .next_if(|(_, (t, _))| *t == wire::tag::MIRROR_UPDATE)
+                    .map(|(i, (_, p))| (i, p));
+            }
+            if !rows.is_empty() {
+                self.engine.lock().apply_mirror(&rows, &cloaks);
+            }
+            if let Some(i) = malformed {
+                NetCounters::add(&self.obs.net().frames_rejected, 1);
+                return rejected(i, "malformed mirror-update payload");
             }
         }
         match msg.request {

@@ -2,13 +2,15 @@
 //! frames are applied in order and before the request, the request is
 //! answered as if it had come bare, and an envelope that is malformed —
 //! or carries a frame the node refuses — is refused loudly, counted, and
-//! stops where it broke.
+//! stops where it broke. A run of carried rows is one engine crossing.
 
 use lbsp_anonymizer::{CloakRequirement, PrivacyProfile};
 use lbsp_core::engine::{EngineConfig, ShardedEngine};
 use lbsp_core::wire::{self, tag};
+use lbsp_core::{Durability, DurabilitySink, EngineOp, JournalRecord};
 use lbsp_geom::{Point, Rect, SimTime};
 use lbsp_net::{NetClient, NetConfig, NetServer, Reply};
+use std::sync::{Arc, Mutex};
 
 fn engine() -> ShardedEngine {
     let world = Rect::new_unchecked(0.0, 0.0, 1.0, 1.0);
@@ -106,6 +108,87 @@ fn carried_frames_land_in_order_before_the_request_they_ride_on() {
     let engine = server.shutdown();
     assert_eq!(position_of(&engine, 7), Some(Point::new(0.32, 0.5)));
     assert_eq!(position_of(&engine, 4), Some(Point::new(0.7, 0.5)));
+}
+
+/// A journal that keeps every record it is handed and counts its syncs.
+#[derive(Clone, Default)]
+struct Recorder(Arc<Mutex<(Vec<JournalRecord>, usize)>>);
+
+impl DurabilitySink for Recorder {
+    fn append(&mut self, rec: &JournalRecord) -> std::io::Result<()> {
+        self.0.lock().unwrap().0.push(rec.clone());
+        Ok(())
+    }
+    fn sync(&mut self) -> std::io::Result<()> {
+        self.0.lock().unwrap().1 += 1;
+        Ok(())
+    }
+    fn snapshot(&mut self, _state: &[u8]) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// 32 carried rows on a durable node — half with the owner's cloak —
+/// are one `apply_mirror`: one journal record holding every row and
+/// cloak in order, and one sync.
+#[test]
+fn a_32_row_envelope_is_one_journal_record() {
+    let journal = Recorder::default();
+    let mut durable = engine();
+    durable.attach_durability(
+        Durability {
+            snapshot_every: 0,
+            fsync: true,
+        },
+        Box::new(journal.clone()),
+    );
+    let server = NetServer::bind("127.0.0.1:0", durable, NetConfig::default()).unwrap();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+
+    let mut reference = engine();
+    let cloaked: Vec<wire::MirrorUpdateMsg> = (0..32u64)
+        .map(|i| {
+            let row = row(100 + i, 0.01 + 0.03 * i as f64, 1.0);
+            let cloak = (i % 2 == 0).then(|| {
+                reference.register(
+                    row.user,
+                    PrivacyProfile::uniform(CloakRequirement::k_only(1)).unwrap(),
+                );
+                let bytes = reference
+                    .process_updates_wire(&[(row.user, row.position, row.time)])
+                    .remove(0)
+                    .unwrap();
+                wire::decode_cloaked_update(&bytes).unwrap()
+            });
+            wire::MirrorUpdateMsg { row, cloak }
+        })
+        .collect();
+    let carried: Vec<(u8, Vec<u8>)> = cloaked
+        .iter()
+        .map(|m| (tag::MIRROR_UPDATE, wire::encode_mirror_update(m).to_vec()))
+        .collect();
+    let reply = client
+        .request(tag::CARRY, &envelope(&carried, None))
+        .unwrap();
+    assert_eq!(reply, Reply::Ok);
+
+    let (records, syncs) = journal.0.lock().unwrap().clone();
+    assert_eq!(records.len(), 1, "one record for the envelope");
+    assert_eq!(syncs, 1, "one sync for the envelope");
+    let JournalRecord::Op(EngineOp::Mirror(state)) = &records[0] else {
+        panic!("not a mirror record: {:?}", records[0]);
+    };
+    let rows: Vec<_> = cloaked
+        .iter()
+        .map(|m| (m.row.user, m.row.position, m.row.time))
+        .collect();
+    let cloaks: Vec<_> = cloaked.iter().filter_map(|m| m.cloak).collect();
+    assert_eq!((state.rows.clone(), state.cloaks.clone()), (rows, cloaks));
+
+    drop(client);
+    let engine = server.shutdown();
+    assert_eq!(engine.private_len(), 16, "every cloak landed");
+    assert_eq!(position_of(&engine, 131), Some(cloaked[31].row.position));
 }
 
 #[test]

@@ -60,7 +60,7 @@ pub use private_private::{
 pub use private_range::{private_range_candidates, refine_range};
 pub use public_count::{CountAnswer, PublicCountQuery};
 pub use public_nn::{NnProbability, PublicNnAnswer, PublicNnQuery};
-pub use server::{Server, ServerStats};
+pub use server::Server;
 pub use store::{PrivateStore, PublicStore};
 
 /// Identifier for a public object.

@@ -3,8 +3,8 @@
 //! Fig. 1 draws the server as one box with two inputs — cloaked updates
 //! from the location anonymizer and public queries from untrusted
 //! parties — and this type is that box: it owns the public and private
-//! stores, the standing-query registry, and per-query-class statistics,
-//! and exposes one typed method per supported operation. It is driven
+//! stores and the standing-query registry, and exposes one typed method
+//! per supported operation. It is driven
 //! directly (see the crate tests), which is exactly what an untrusted
 //! third party does. The `lbsp-core` engine answers the same queries
 //! with the same processors over stores of its own, and the equivalence
@@ -17,40 +17,6 @@ use crate::{
     PublicCountQuery, PublicNnAnswer, PublicNnQuery, PublicObject, PublicStore,
 };
 use lbsp_geom::{Point, Rect};
-use std::time::Instant;
-
-/// Counters per query class, for operations dashboards and experiments.
-///
-/// Besides the per-class request counts, the server accumulates the
-/// time spent *inside* its query processors (`private_micros` /
-/// `public_micros`), so callers that aggregate into the streaming
-/// observability registry (`lbsp-core::obs`) can attribute latency to
-/// the server stage without this crate depending on it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Cloaked updates ingested.
-    pub updates: u64,
-    /// Private range queries served (Fig. 5a).
-    pub private_range: u64,
-    /// Private NN / kNN queries served (Fig. 5b).
-    pub private_nn: u64,
-    /// Public count/report queries served (Fig. 6a).
-    pub public_count: u64,
-    /// Public NN queries served (Fig. 6b).
-    pub public_nn: u64,
-    /// Private-over-private queries served (Sec. 6.1, fourth cell).
-    pub private_private: u64,
-    /// Total microseconds spent evaluating private-side queries
-    /// (range/NN/kNN and private-over-private).
-    pub private_micros: u64,
-    /// Total microseconds spent evaluating public-side queries.
-    pub public_micros: u64,
-}
-
-/// Microseconds elapsed since `t`, saturating into a u64.
-fn micros_since(t: Instant) -> u64 {
-    u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
 
 /// The assembled privacy-aware database server.
 #[derive(Debug, Default)]
@@ -58,7 +24,6 @@ pub struct Server {
     public: PublicStore,
     private: PrivateStore,
     continuous: ContinuousRangeCount,
-    stats: ServerStats,
 }
 
 impl Server {
@@ -68,7 +33,6 @@ impl Server {
             public: PublicStore::bulk_load(public_objects),
             private: PrivateStore::new(),
             continuous: ContinuousRangeCount::new(),
-            stats: ServerStats::default(),
         }
     }
 
@@ -89,97 +53,59 @@ impl Server {
         &self.private
     }
 
-    /// Query-class counters.
-    pub fn stats(&self) -> ServerStats {
-        self.stats
-    }
-
     /// Ingests a cloaked update from the anonymizer: replaces the
     /// pseudonym's stored region and feeds the standing queries.
     pub fn ingest(&mut self, pseudonym: PseudonymId, region: Rect) {
-        self.stats.updates += 1;
         let old = self.private.upsert(PrivateRecord::new(pseudonym, region));
         self.continuous
             .on_update(pseudonym, old.as_ref(), Some(&region));
     }
 
     /// Private range query over public data (Fig. 5a).
-    pub fn private_range(&mut self, cloak: &Rect, radius: f64) -> Vec<PublicObject> {
-        self.stats.private_range += 1;
-        let t = Instant::now();
-        let out = private_range_candidates(&self.public, cloak, radius);
-        self.stats.private_micros += micros_since(t);
-        out
+    pub fn private_range(&self, cloak: &Rect, radius: f64) -> Vec<PublicObject> {
+        private_range_candidates(&self.public, cloak, radius)
     }
 
     /// Private NN query over public data (Fig. 5b).
-    pub fn private_nn(&mut self, cloak: &Rect) -> Vec<PublicObject> {
-        self.stats.private_nn += 1;
-        let t = Instant::now();
-        let out = private_nn_candidates(&self.public, cloak);
-        self.stats.private_micros += micros_since(t);
-        out
+    pub fn private_nn(&self, cloak: &Rect) -> Vec<PublicObject> {
+        private_nn_candidates(&self.public, cloak)
     }
 
     /// Private k-NN query over public data (extension).
-    pub fn private_knn(&mut self, cloak: &Rect, k: usize) -> Vec<PublicObject> {
-        self.stats.private_nn += 1;
-        let t = Instant::now();
-        let out = private_knn_candidates(&self.public, cloak, k);
-        self.stats.private_micros += micros_since(t);
-        out
+    pub fn private_knn(&self, cloak: &Rect, k: usize) -> Vec<PublicObject> {
+        private_knn_candidates(&self.public, cloak, k)
     }
 
     /// Public count query over private data (Fig. 6a).
-    pub fn public_count(&mut self, area: Rect) -> CountAnswer {
-        self.stats.public_count += 1;
-        let t = Instant::now();
-        let out = PublicCountQuery::new(area).evaluate(self.private.intersecting(&area));
-        self.stats.public_micros += micros_since(t);
-        out
+    pub fn public_count(&self, area: Rect) -> CountAnswer {
+        PublicCountQuery::new(area).evaluate(self.private.intersecting(&area))
     }
 
     /// Public NN query over private data (Fig. 6b).
-    pub fn public_nn(&mut self, from: Point) -> PublicNnAnswer {
-        self.stats.public_nn += 1;
-        let t = Instant::now();
-        let out = PublicNnQuery::new(from).evaluate(self.private.iter());
-        self.stats.public_micros += micros_since(t);
-        out
+    pub fn public_nn(&self, from: Point) -> PublicNnAnswer {
+        PublicNnQuery::new(from).evaluate(self.private.iter())
     }
 
     /// Private NN over private data (Sec. 6.1's fourth cell).
-    pub fn private_friend_nn(
-        &mut self,
-        cloak: &Rect,
-        querier: PseudonymId,
-    ) -> PrivatePrivateNnAnswer {
-        self.stats.private_private += 1;
-        let t = Instant::now();
-        let out = PrivatePrivateNnQuery::new(*cloak, querier).evaluate(&self.private);
-        self.stats.private_micros += micros_since(t);
-        out
+    pub fn private_friend_nn(&self, cloak: &Rect, querier: PseudonymId) -> PrivatePrivateNnAnswer {
+        PrivatePrivateNnQuery::new(*cloak, querier).evaluate(&self.private)
     }
 
     /// Private range count over private data.
     pub fn private_friend_count(
-        &mut self,
+        &self,
         cloak: &Rect,
         querier: PseudonymId,
         radius: f64,
     ) -> PrivatePrivateCountAnswer {
-        self.stats.private_private += 1;
-        let t = Instant::now();
-        let out = private_private_range_count(
+        private_private_range_count(
             &self.private,
             cloak,
             querier,
             radius,
             2048,
             querier ^ 0xC0DE,
-        );
-        self.stats.private_micros += micros_since(t);
-        out
+        )
     }
 
     /// Registers a standing count query seeded from the current records.
@@ -215,7 +141,7 @@ mod tests {
         }
         assert_eq!(s.private().len(), 3);
         assert_eq!(s.continuous().expected(qid), Some(3.0));
-        // Query classes all function and count.
+        // Every query class answers.
         let cloak = Rect::new_unchecked(0.3, 0.45, 0.5, 0.55);
         assert!(!s.private_range(&cloak, 0.1).is_empty());
         assert!(!s.private_nn(&cloak).is_empty());
@@ -228,14 +154,6 @@ mod tests {
         assert!(!friends.candidates.is_empty());
         let fc = s.private_friend_count(&cloak, 100, 0.5);
         assert!(fc.possible >= 1);
-        // Stats tracked everything.
-        let st = s.stats();
-        assert_eq!(st.updates, 3);
-        assert_eq!(st.private_range, 1);
-        assert_eq!(st.private_nn, 2, "nn + knn");
-        assert_eq!(st.public_count, 1);
-        assert_eq!(st.public_nn, 1);
-        assert_eq!(st.private_private, 2);
     }
 
     #[test]

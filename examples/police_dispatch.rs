@@ -103,9 +103,9 @@ fn main() {
         );
     }
 
-    let stats = server.stats();
     println!(
-        "\nserver handled {} updates, {} private NN queries, {} public counts",
-        stats.updates, stats.private_nn, stats.public_count
+        "\nserver holds {} cloaked citizens and {} patrol cars",
+        server.private().len(),
+        server.public().len()
     );
 }

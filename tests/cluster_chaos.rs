@@ -18,6 +18,11 @@
 //! * **sever under a loaded envelope** — mirror rows that were on the
 //!   wire when the link died are replayed *ahead of* the rows produced
 //!   during the outage, never after them: the latest position wins;
+//! * **sever mid-spanning-window** — a window whose updates alternate
+//!   owners sends each node the other's rows ahead of its own frames;
+//!   cut one owner mid-write and its frames fail `RETRYABLE` while the
+//!   other node's read the sequential bytes, and the retry converges
+//!   the planes;
 //! * **catch-up overflow** — a tiny buffer forces the rejoin through
 //!   the bulk `NODE_RESYNC` path (`resync_bytes` moves) and replies
 //!   stay byte-identical after it;
@@ -520,6 +525,81 @@ fn sever_mid_run_fails_every_frame_retryable_and_applies_nothing_twice() {
     assert!(
         snap.retryable_failures >= owned.len() as u64,
         "every frame of the run"
+    );
+    assert!(snap.node_rejoins >= 1, "rejoin counted");
+    assert_eq!(snap.mirror_drops, 0, "nothing was dropped");
+    let report = router.shutdown();
+    assert_eq!(report.route_failures, 0, "no fatal failures");
+    let (planes0, planes1) = (
+        node0.shutdown().export_state(),
+        node1.shutdown().export_state(),
+    );
+    assert_eq!(planes1.positions, planes0.positions, "position plane");
+    assert_eq!(planes1.records, planes0.records, "cloak plane");
+}
+
+#[test]
+fn sever_mid_spanning_window_fails_the_owner_retryable_and_the_retry_converges() {
+    let (node0, node1, proxy, router) = spawn(fast_recovery());
+    let mut reference = fresh_engine();
+    let mut client = connect(&router);
+    register_all(&mut client, &mut reference);
+    run_wave(&mut client, &mut reference, &all_users(), 0);
+
+    // Owners alternate, so each node's share of the window is its own
+    // updates with the other node's rows riding ahead of them, all in
+    // one write. Node 1's is cut a few frames in: what arrived whole is
+    // applied, and no reply gets back.
+    let (mine, theirs) = (users_of(0), users_of(1));
+    let window: Vec<u64> = mine
+        .iter()
+        .zip(&theirs)
+        .flat_map(|(&a, &b)| [a, b])
+        .collect();
+    proxy.sever_after_upstream_bytes(300);
+    for &i in &window {
+        client.update_send_only(i, pos(i, 1), stamp(i, 1)).unwrap();
+    }
+    for &i in &window {
+        // Node 0's replies read every row before them, node 1's
+        // included, which is all a cloak depends on.
+        let want = reference
+            .process_updates_wire(&[(i, pos(i, 1), stamp(i, 1))])
+            .remove(0)
+            .unwrap()
+            .to_vec();
+        match (owner_of(i, 2), client.read_reply()) {
+            (0, Ok(Reply::Cloaked(bytes))) => assert_eq!(bytes, want, "update {i}"),
+            (1, Err(e)) => assert!(is_retryable_route_failure(&e), "update {i}: {e}"),
+            (owner, other) => panic!("update {i} (node {owner}): {other:?}"),
+        }
+    }
+
+    // The outcome of node 1's updates is unknown: heal and retry.
+    proxy.restore();
+    let cut: Vec<u64> = window
+        .iter()
+        .copied()
+        .filter(|&i| owner_of(i, 2) == 1)
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    for &i in &cut {
+        loop {
+            match client.update(i, pos(i, 1), stamp(i, 1)) {
+                Ok(Reply::Cloaked(_)) => break,
+                Err(e) if is_retryable_route_failure(&e) && Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                other => panic!("retried update {i}: {other:?}"),
+            }
+        }
+    }
+    run_wave(&mut client, &mut reference, &all_users(), 2);
+
+    let snap = router.metrics_registry().net().snapshot();
+    assert!(
+        snap.retryable_failures >= cut.len() as u64,
+        "every frame node 1 was sent"
     );
     assert!(snap.node_rejoins >= 1, "rejoin counted");
     assert_eq!(snap.mirror_drops, 0, "nothing was dropped");

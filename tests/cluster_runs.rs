@@ -1,13 +1,25 @@
 //! Pipelined windows through the router. A sweep is served as runs: a
-//! run of registrations, queries and updates — no user twice, and once
-//! it holds an update for a node nothing more for any other node — goes
-//! to each node it needs as one write; every run boundary — a repeated
-//! user, a frame for another node after an update, a broadcast, a
-//! snapshot, an undecodable payload or an unknown tag — takes the
-//! one-run-at-a-time path. Windows of registrations and of queries,
-//! which span the nodes, are byte-identical to the closed-loop
-//! sequential engine at K ∈ {2, 4}, and so is every window that holds a
-//! run boundary.
+//! run of registrations, queries and updates — no user twice — goes to
+//! each node it needs as one write. A frame of one node must find placed
+//! the row of every earlier update of its run, and another node's
+//! update is answered only after the run is begun, so that row rides
+//! ahead, without its cloak, in the envelope of the frame; the cloak
+//! follows once the owner answers. Only standing counts read other
+//! users' cloaks, so while one is registered a run that holds an update
+//! for a node takes nothing more for any other node. Every other run
+//! boundary — a repeated user, a broadcast, a snapshot, an undecodable
+//! payload or an unknown tag — takes the one-run-at-a-time path.
+//!
+//! An update after another node's row is served as a batch of one with
+//! every earlier row placed, so windows whose updates alternate owners,
+//! mixed with queries on the other nodes, read the closed-loop
+//! sequential engine's bytes at K ∈ {2, 4}, as do windows of
+//! registrations and of queries, every window that holds a run boundary,
+//! and every window while a count is registered, its deltas included.
+//! (Consecutive updates to one node batch, as on a single node.) A row
+//! sent ahead of an owner that then fails leaves the outcome unknown;
+//! the client retries, and the retry converges the planes
+//! (`tests/cluster_chaos.rs`).
 
 use lbsp_anonymizer::{CloakRequirement, PrivacyProfile};
 use lbsp_cluster::{owner_of, Router, RouterConfig};
@@ -17,6 +29,11 @@ use lbsp_geom::{Point, Rect, SimTime};
 use lbsp_net::{NetClient, NetConfig, NetServer, Reply};
 use lbsp_server::PublicObject;
 use std::collections::BTreeSet;
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 
 const WINDOW: usize = 32;
 
@@ -384,5 +401,276 @@ fn run_boundaries_take_the_sequential_path() {
     assert_eq!(report.route_failures, 0);
     for server in servers {
         drop(server.shutdown());
+    }
+}
+
+/// `per_node` users of each of `k` nodes, interleaved — node 0's first,
+/// node 1's first, …, node 0's second, … — so the user at place `i` is
+/// node `i % k`'s, and `owned[n]` lists node `n`'s in the same order.
+fn alternating(k: usize, per_node: usize) -> (Vec<u64>, Vec<Vec<u64>>) {
+    let owned: Vec<Vec<u64>> = (0..k)
+        .map(|n| {
+            (0u64..)
+                .filter(|&u| owner_of(u, k) == n)
+                .take(per_node)
+                .collect()
+        })
+        .collect();
+    let users = (0..per_node)
+        .flat_map(|i| owned.iter().map(move |o| o[i]))
+        .collect();
+    (users, owned)
+}
+
+/// Where wave `w` puts `user`.
+fn spot(user: u64, w: u64) -> Point {
+    let h = home(user);
+    Point::new(
+        (h.x + 0.13 * w as f64) % 0.98 + 0.005,
+        (h.y + 0.07 * w as f64) % 0.98 + 0.005,
+    )
+}
+
+/// Every node's planes after shutdown: the positions and cloaks the
+/// sequential engine holds.
+fn planes_match(servers: Vec<NetServer>, reference: &ShardedEngine, what: &str) {
+    let want = reference.export_state();
+    for (n, server) in servers.into_iter().enumerate() {
+        let got = server.shutdown().export_state();
+        assert_eq!(got.positions, want.positions, "{what}: node {n} positions");
+        assert_eq!(got.records, want.records, "{what}: node {n} cloaks");
+    }
+}
+
+/// Windows of updates whose owners alternate — placements first — and
+/// windows that put a query on the next node before and after each
+/// update, at K ∈ {2, 4}: every update is served after the row of every
+/// earlier one of its window, so the replies are the closed-loop
+/// sequential engine's and every node ends holding its planes.
+#[test]
+fn windows_whose_updates_alternate_owners_are_byte_identical() {
+    for k in [2usize, 4] {
+        let (servers, router) = spawn_cluster(k);
+        let mut reference = fresh_engine();
+        let mut client = NetClient::connect(router.local_addr()).unwrap();
+        let (users, owned) = alternating(k, 48);
+
+        let registrations: Vec<Req> = users.iter().map(|&u| Req::Register(u, k_of(u))).collect();
+        for (w, chunk) in registrations.chunks(WINDOW).enumerate() {
+            let what = format!("registrations {w} (K={k})");
+            window(&mut client, &mut reference, chunk, &what);
+        }
+        let mut clock = 1.0;
+        let mut tick = || {
+            clock += 0.01;
+            SimTime::from_secs(clock)
+        };
+        for wave in 0..3u64 {
+            let updates: Vec<Req> = users
+                .iter()
+                .map(|&u| Req::Update(u, spot(u, wave), tick()))
+                .collect();
+            for (w, chunk) in updates.chunks(WINDOW).enumerate() {
+                let what = format!("update wave {wave} window {w} (K={k})");
+                window(&mut client, &mut reference, chunk, &what);
+            }
+        }
+
+        // Per block: a query on the next node, an update, another query
+        // on the next node; ten blocks to a window, no user twice.
+        for wave in 3..5u64 {
+            let mixed: Vec<Req> = (0..10)
+                .flat_map(|j| {
+                    let (n, next) = (j % k, (j + 1) % k);
+                    let u = owned[n][j / k + 8 * (wave as usize - 3)];
+                    [
+                        Req::Query(owned[next][16 + j], 0.15, tick()),
+                        Req::Update(u, spot(u, wave), tick()),
+                        Req::Query(owned[next][32 + j], 0.15, tick()),
+                    ]
+                })
+                .collect();
+            let what = format!("mixed wave {wave} (K={k})");
+            window(&mut client, &mut reference, &mixed, &what);
+        }
+
+        for &u in &users {
+            let what = format!("closed loop after (K={k})");
+            closed(
+                &mut client,
+                &mut reference,
+                Req::Update(u, spot(u, 5), tick()),
+                &what,
+            );
+        }
+        drop(client);
+        assert_eq!(router.shutdown().route_failures, 0, "healthy (K={k})");
+        planes_match(servers, &reference, &format!("K={k}"));
+    }
+}
+
+/// While a standing count is registered, a run that holds an update for
+/// one node takes nothing for another: the node pushing the count's
+/// deltas for an update holds every earlier cloak. Alternating windows
+/// that move users in and out of the count's area read the sequential
+/// engine's replies, and ahead of each the sequential engine's deltas.
+/// Once the count is dropped, windows span the nodes again.
+#[test]
+fn a_registered_count_keeps_each_run_to_one_updating_node() {
+    let (servers, router) = spawn_cluster(2);
+    let mut reference = fresh_engine();
+    let mut client = NetClient::connect(router.local_addr()).unwrap();
+    let (users, _) = alternating(2, 24);
+    let registrations: Vec<Req> = users.iter().map(|&u| Req::Register(u, 2)).collect();
+    for chunk in registrations.chunks(WINDOW) {
+        window(&mut client, &mut reference, chunk, "registrations");
+    }
+    let t = |i: usize, wave: u64| SimTime::from_secs(wave as f64 * 10.0 + i as f64 * 0.01);
+    let placements: Vec<Req> = users
+        .iter()
+        .enumerate()
+        .map(|(i, &u)| Req::Update(u, spot(u, 0), t(i, 0)))
+        .collect();
+    for chunk in placements.chunks(WINDOW) {
+        window(&mut client, &mut reference, chunk, "placements");
+    }
+
+    let area = Rect::new_unchecked(0.0, 0.0, 0.5, 1.0);
+    let id = reference.add_standing_count(area);
+    reference.take_standing_changes();
+    match client.register_standing_count(area).unwrap() {
+        Reply::StandingRegistered(b) => assert_eq!(wire::decode_standing_ref(&b).unwrap().id, id),
+        other => panic!("standing registration: {other:?}"),
+    }
+
+    let mut pushed = 0;
+    for wave in 1..4u64 {
+        // Users cross the area's edge: in, out, and back in.
+        let x = [0.3, 0.7, 0.2][wave as usize - 1];
+        let reqs: Vec<Req> = users
+            .iter()
+            .enumerate()
+            .map(|(i, &u)| Req::Update(u, Point::new(x + 0.004 * i as f64, home(u).y), t(i, wave)))
+            .collect();
+        for (w, chunk) in reqs.chunks(WINDOW).enumerate() {
+            for req in chunk {
+                let (tag, payload) = req.frame();
+                client.send_only(tag, &payload).unwrap();
+            }
+            for (i, req) in chunk.iter().enumerate() {
+                let want = req.answer(&mut reference);
+                let want_deltas: Vec<Vec<u8>> = reference
+                    .take_standing_changes()
+                    .into_iter()
+                    .filter_map(|(kind, id)| reference.standing_state(kind, id))
+                    .map(|state| wire::encode_standing_state(&state).to_vec())
+                    .collect();
+                let what = format!("wave {wave} window {w} request {i}");
+                assert_eq!(client.read_reply().unwrap(), want, "{what}");
+                pushed += want_deltas.len();
+                assert_eq!(client.take_standing_deltas(), want_deltas, "{what}: deltas");
+            }
+        }
+    }
+    assert!(pushed > users.len(), "the windows moved the count");
+
+    let snapshot = [Req::Snapshot(id)];
+    window(&mut client, &mut reference, &snapshot, "snapshot");
+    reference.deregister_standing(StandingKind::Count, id);
+    assert_eq!(
+        client.deregister_standing(StandingKind::Count, id).unwrap(),
+        Reply::Ok
+    );
+    let after: Vec<Req> = users
+        .iter()
+        .enumerate()
+        .map(|(i, &u)| Req::Update(u, spot(u, 4), t(i, 4)))
+        .collect();
+    for chunk in after.chunks(WINDOW) {
+        window(&mut client, &mut reference, chunk, "after the drop");
+    }
+    drop(client);
+    assert_eq!(router.shutdown().route_failures, 0);
+    planes_match(servers, &reference, "count");
+}
+
+/// A relay in front of a node that counts the reads its router→node
+/// direction takes: one write of a few kilobytes on loopback is one
+/// read. The pump ends when the router closes its side.
+struct Tap {
+    addr: SocketAddr,
+    reads: Arc<AtomicUsize>,
+    pump: JoinHandle<()>,
+}
+
+fn tap(node: SocketAddr) -> Tap {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let reads = Arc::new(AtomicUsize::new(0));
+    let counted = Arc::clone(&reads);
+    let pump = std::thread::spawn(move || {
+        let (mut router_side, _) = listener.accept().unwrap();
+        let mut node_side = TcpStream::connect(node).unwrap();
+        let (mut from_node, mut to_router) = (
+            node_side.try_clone().unwrap(),
+            router_side.try_clone().unwrap(),
+        );
+        let back = std::thread::spawn(move || {
+            let _ = std::io::copy(&mut from_node, &mut to_router);
+        });
+        let mut buf = vec![0u8; 1 << 16];
+        while let Ok(n @ 1..) = router_side.read(&mut buf) {
+            counted.fetch_add(1, Ordering::SeqCst);
+            if node_side.write_all(&buf[..n]).is_err() {
+                break;
+            }
+        }
+        let _ = node_side.shutdown(Shutdown::Both);
+        back.join().unwrap();
+    });
+    Tap { addr, reads, pump }
+}
+
+/// A window of 32 placements whose owners alternate is one run: each
+/// node is sent its share — its updates, the other nodes' rows riding
+/// ahead of them — in one write.
+#[test]
+fn thirty_two_pipelined_placements_cost_each_node_one_write() {
+    for k in [2usize, 4] {
+        let servers: Vec<NetServer> = (0..k)
+            .map(|_| NetServer::bind("127.0.0.1:0", fresh_engine(), NetConfig::default()).unwrap())
+            .collect();
+        let taps: Vec<Tap> = servers.iter().map(|s| tap(s.local_addr())).collect();
+        let addrs: Vec<String> = taps.iter().map(|t| t.addr.to_string()).collect();
+        let refs: Vec<&str> = addrs.iter().map(|s| s.as_str()).collect();
+        let router = Router::bind("127.0.0.1:0", &refs, world(), RouterConfig::default()).unwrap();
+        let mut reference = fresh_engine();
+        let mut client = NetClient::connect(router.local_addr()).unwrap();
+        let (users, _) = alternating(k, WINDOW / k);
+
+        let registrations: Vec<Req> = users.iter().map(|&u| Req::Register(u, k_of(u))).collect();
+        window(&mut client, &mut reference, &registrations, "registrations");
+        let before: Vec<usize> = taps
+            .iter()
+            .map(|t| t.reads.load(Ordering::SeqCst))
+            .collect();
+        let placements: Vec<Req> = users
+            .iter()
+            .map(|&u| Req::Update(u, home(u), SimTime::from_secs(1.0)))
+            .collect();
+        window(&mut client, &mut reference, &placements, "placements");
+        for (n, (t, before)) in taps.iter().zip(before).enumerate() {
+            let writes = t.reads.load(Ordering::SeqCst) - before;
+            assert_eq!(
+                writes, 1,
+                "node {n} of {k} was sent the window in {writes} writes"
+            );
+        }
+        drop(client);
+        assert_eq!(router.shutdown().route_failures, 0);
+        for t in taps {
+            t.pump.join().unwrap();
+        }
+        planes_match(servers, &reference, &format!("K={k}"));
     }
 }

@@ -144,7 +144,7 @@ fn range_queries_match_unsharded_server() {
         .collect();
     let updates = random_updates(11, 120);
     let mut seq = sequential(false, 120);
-    let mut server = Server::new(objects.clone());
+    let server = Server::new(objects.clone());
     let mut eng = engine(false, 120);
     eng.load_public(objects);
     seq.handle_updates_batch(&updates);
