@@ -240,6 +240,12 @@ wait "$NODE0_PID" "$NODE1_PID" 2>/dev/null || true
 rm -rf "$CLUSTER_DIR"
 trap - EXIT
 
+echo "== E15 shape check (router + K = 1, 2, 4 nodes, release) =="
+# Exits 1 on an error reply, a route failure, or a K = 4 rate below a
+# quarter of K = 1's (a quiet node that sleeps instead of waking on its
+# router connection reads ~1/100).
+./target/release/repro e15
+
 echo "== high-connection smoke (1k+ concurrent loopback connections) =="
 # Each connection costs the server one fd (plus one on the client side
 # inside the same process); skip rather than fail on boxes with a tiny
@@ -263,14 +269,17 @@ echo "== lbsbench self-tests + smoke (every workload and the ladder, 1 s each) =
 # update still costs about one node frame (3.07 before mirror rows rode
 # along), that no mirror frame was dropped, and that no cloak failed (so
 # a change to the cloak's count kernel cannot start failing cloaks
-# unseen).
+# unseen), and that a ping after 50 ms of quiet is answered within 1 ms
+# (`net.wake_after_idle_us`: a lone connection's shard waits on its
+# socket, where a timer nap read 1.3–1.6 ms).
 CARGO_TARGET_DIR=target/lbsbench-build \
   cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --smoke | tee /tmp/lbsp_lbsbench_smoke.txt
 awk '$1 == "cluster.node_frames_per_update" { frames = $2; seen++ }
      $1 == "cluster.mirror_drops" { drops = $2; seen++ }
      $1 == "anonymizer.fail_ratio" { fails = $2; seen++ }
-     END { exit !(seen == 3 && frames < 1.5 && drops == 0 && fails == 0) }' /tmp/lbsp_lbsbench_smoke.txt
+     $1 == "net.wake_after_idle_us" { wake = $2; seen++ }
+     END { exit !(seen == 4 && frames < 1.5 && drops == 0 && fails == 0 && wake < 1000) }' /tmp/lbsp_lbsbench_smoke.txt
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings

@@ -26,7 +26,7 @@ use crate::{CloakError, UserId};
 use lbsp_geom::{hilbert_d, Point, Rect};
 use lbsp_index::UniformGrid;
 use std::collections::BTreeMap;
-use std::sync::RwLock;
+use std::sync::OnceLock;
 
 /// Hilbert order used for indexing (2^10 × 2^10 cells is finer than any
 /// realistic cloak resolution while keeping indexes in `u64`).
@@ -41,8 +41,9 @@ pub struct HilbertCloak {
     order: BTreeMap<(u64, UserId), Point>,
     /// Hilbert key of each user (to locate its order entry on update).
     keys: std::collections::HashMap<UserId, u64>,
-    /// Lazily rebuilt rank array: the order flattened to a Vec.
-    ranks: RwLock<Option<Vec<(u64, UserId)>>>,
+    /// Lazily rebuilt rank array: the order flattened to a Vec, built
+    /// by the first cloak after a change.
+    ranks: OnceLock<Vec<(u64, UserId)>>,
 }
 
 impl HilbertCloak {
@@ -53,9 +54,7 @@ impl HilbertCloak {
             grid: UniformGrid::new(world, grid_side, grid_side),
             order: BTreeMap::new(),
             keys: std::collections::HashMap::new(),
-            // lint: lock(HilbertRanks) -- leaf lock (never held across a
-            // call into another lock); rank declared in lbsp_core::locks.
-            ranks: RwLock::new(None),
+            ranks: OnceLock::new(),
         }
     }
 
@@ -83,20 +82,13 @@ impl HilbertCloak {
         (start, end)
     }
 
-    fn with_ranks<T>(&self, f: impl FnOnce(&[(u64, UserId)]) -> T) -> T {
-        {
-            let cached = self.ranks.read().unwrap();
-            if let Some(v) = cached.as_ref() {
-                return f(v);
-            }
-        }
-        let mut w = self.ranks.write().unwrap();
-        let v = w.get_or_insert_with(|| self.order.keys().copied().collect());
-        f(v)
+    fn ranks(&self) -> &[(u64, UserId)] {
+        self.ranks
+            .get_or_init(|| self.order.keys().copied().collect())
     }
 
     fn invalidate(&mut self) {
-        *self.ranks.get_mut().unwrap() = None;
+        self.ranks.take();
     }
 }
 
@@ -160,18 +152,17 @@ impl CloakingAlgorithm for HilbertCloak {
             let achieved = self.grid.count_in_rect(&mbr) as u32;
             return Ok(finalize_region(mbr, achieved, req));
         }
-        let region = self.with_ranks(|ranks| {
-            let rank = ranks
-                .binary_search(&(key, id))
-                .expect("order and keys are in sync");
-            let (start, end) = Self::bucket_range(n, k, rank);
-            Rect::mbr_of_points(
-                ranks[start..end]
-                    .iter()
-                    .map(|(hkey, uid)| self.order[&(*hkey, *uid)]),
-            )
-            .expect("bucket is non-empty")
-        });
+        let ranks = self.ranks();
+        let rank = ranks
+            .binary_search(&(key, id))
+            .expect("order and keys are in sync");
+        let (start, end) = Self::bucket_range(n, k, rank);
+        let region = Rect::mbr_of_points(
+            ranks[start..end]
+                .iter()
+                .map(|(hkey, uid)| self.order[&(*hkey, *uid)]),
+        )
+        .expect("bucket is non-empty");
         // Deterministic a_min padding preserves reciprocity: it is a
         // function of the bucket MBR alone.
         let region = pad_rect_to_area(region, req.a_min, &self.grid.world());

@@ -1039,9 +1039,11 @@ fn e15_cluster() {
     );
     header(&["nodes", "requests", "req/s", "route failures", "errors"]);
     let mut failed = 0;
+    let mut rates = Vec::new();
     for k in [1usize, 2, 4] {
         let r = cluster_run(k, 500, 2, 7).expect("cluster workload");
         failed += r.load.errors + r.route_failures;
+        rates.push(r.load.rate());
         row(&[
             format!("{k}"),
             format!("{}", r.load.requests),
@@ -1054,6 +1056,13 @@ fn e15_cluster() {
     require(
         failed == 0,
         "E15: the cluster answered with an error or failed a route",
+    );
+    // At K = 4 a node idles between the requests it owns, so it must
+    // wake when its router connection speaks: one that sleeps out timer
+    // naps instead reads ~1/100 of K = 1.
+    require(
+        rates[2] >= rates[0] / 4.0,
+        "E15: K = 4 reads below a quarter of K = 1's rate",
     );
 }
 

@@ -40,7 +40,7 @@ use std::sync::{
 use std::time::Duration;
 
 /// Number of declared lock ranks.
-pub const LOCK_RANK_COUNT: usize = 9;
+pub const LOCK_RANK_COUNT: usize = 8;
 
 /// The ordered lock registry. Declaration order *is* acquisition order:
 /// a thread holding a lock of some rank may only acquire locks of equal
@@ -79,9 +79,6 @@ pub enum LockRank {
     /// node and router tiers. Ranked after `Engine` so delta
     /// fan-out may acquire it while the engine is held.
     NetStandingSubs,
-    /// `lbsp-anonymizer`: the `HilbertCloak` lazily rebuilt rank array
-    /// (annotated at its raw `RwLock` site).
-    HilbertRanks,
     /// `lbsp-net`: the chaos proxy's upstream address and fault-event
     /// log. Innermost: each is held for one read or one push.
     ChaosProxy,
@@ -97,7 +94,6 @@ impl LockRank {
         LockRank::ClusterInbox,
         LockRank::Engine,
         LockRank::NetStandingSubs,
-        LockRank::HilbertRanks,
         LockRank::ChaosProxy,
     ];
 
@@ -116,7 +112,6 @@ impl LockRank {
             LockRank::ClusterInbox => "ClusterInbox",
             LockRank::Engine => "Engine",
             LockRank::NetStandingSubs => "NetStandingSubs",
-            LockRank::HilbertRanks => "HilbertRanks",
             LockRank::ChaosProxy => "ChaosProxy",
         }
     }
@@ -504,9 +499,9 @@ mod tests {
     #[cfg(debug_assertions)]
     fn release_restores_the_acquisition_stack() {
         {
-            let a = TrackedMutex::new(LockRank::HilbertRanks, ());
+            let a = TrackedMutex::new(LockRank::ChaosProxy, ());
             let _g = a.lock();
-            assert_eq!(debug_check::held_now(), vec![LockRank::HilbertRanks]);
+            assert_eq!(debug_check::held_now(), vec![LockRank::ChaosProxy]);
         }
         assert!(debug_check::held_now().is_empty(), "guard drop pops");
         // After a full acquire/release cycle, descending order on fresh
@@ -536,7 +531,7 @@ mod tests {
     fn hold_stats_accumulate_in_debug() {
         // A rank no other test in this binary takes, so no concurrent
         // test moves its counts between the two reads below.
-        let m = TrackedMutex::new(LockRank::HilbertRanks, ());
+        let m = TrackedMutex::new(LockRank::ClusterRecovery, ());
         for _ in 0..5 {
             drop(m.lock());
         }
@@ -544,7 +539,7 @@ mod tests {
         assert_eq!(stats.len(), LOCK_RANK_COUNT);
         let row = stats
             .iter()
-            .find(|s| s.rank == "HilbertRanks")
+            .find(|s| s.rank == "ClusterRecovery")
             .expect("every rank reported");
         if cfg!(debug_assertions) {
             assert!(row.acquisitions >= 5, "acquisitions counted");

@@ -4,8 +4,8 @@
 //! forbidden) there is no `epoll`, so readiness is discovered by
 //! *sweeping* — each of N poller shards owns a set of **nonblocking**
 //! sockets and loops over them, pulling whatever bytes are available,
-//! writing whatever the sockets will take, and sleeping only when a
-//! whole sweep made no progress. A shard serves hundreds of
+//! writing whatever the sockets will take, and idling (below) only
+//! when a whole sweep made no progress. A shard serves hundreds of
 //! connections from one thread; idle connections cost one nonblocking
 //! `read` per sweep instead of a dedicated blocked thread each, and
 //! the sweep cadence (bounded by `read_poll`) is paid per *shard*, not
@@ -48,6 +48,35 @@
 //! its socket (two consecutive quiet polls with nothing buffered and
 //! nothing queued = drained), then exits once its connection set is
 //! empty and the acceptor has hung up.
+//!
+//! Idle: a sweep that did nothing climbs one rung of a ladder
+//! ([`idle_step`]); any work drops the shard back to the bottom.
+//!
+//! * **Sweeps 1–8 spin**, but only when the shard's CPU budget
+//!   (`available_parallelism`, which honours the affinity mask and the
+//!   cgroup quota) is more than one CPU, or unknown. The bytes a spin
+//!   waits for come from a peer — a client, the router, another
+//!   shard's service — and with one CPU that peer cannot run while the
+//!   shard spins, so there these sweeps yield instead.
+//! * **Sweeps 9–63 yield.**
+//! * **From sweep 64 the shard naps**, 100 µs doubling to `read_poll`
+//!   (1 ms while draining). A shard holding exactly one open
+//!   connection with nothing queued to write spends the nap waiting on
+//!   that socket: a blocking one-byte `peek` with the nap as its read
+//!   timeout, so bytes, EOF or an error end it at once. That is every
+//!   cluster node's shard holding its router connection, and a
+//!   front door with one client. A shard with no connection, or
+//!   several, sleeps. Either way a new connection, a standing-delta
+//!   push from another shard, the idle timeout and the shutdown flag
+//!   are seen when the nap ends. Only epoll could wake a shard with
+//!   several sockets, and that needs `unsafe`.
+//!
+//! The kernel keeps a socket read timeout in scheduler ticks and rounds
+//! it up, so a wait that times out runs past its nap: with 4 ms ticks
+//! (a two-vCPU x86-64 VM) a 100 µs wait timed out after 4.3–12.3 ms and
+//! a 25 ms one after 29–32 ms, where a sleep overran by 50–150 µs.
+//! Events other than bytes on the socket are therefore seen within one
+//! nap plus up to two ticks.
 
 use crate::frame::{frame_bytes, Frame, FrameReader, Poll};
 use crate::server::{
@@ -177,6 +206,9 @@ fn written_out(conn: &mut Conn, mut n: usize, obs: &MetricsRegistry) {
 /// Serves one shard's connection set to completion. Adopts connections
 /// from `incoming` until the acceptor hangs up; exits after shutdown
 /// once every connection has drained (bounded by `drain_grace`).
+/// `cpus` is the CPU budget the shard runs under, if known (see
+/// [`idle_step`]).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_shard(
     service: Arc<dyn Service>,
     obs: Arc<MetricsRegistry>,
@@ -185,6 +217,7 @@ pub(crate) fn run_shard(
     subs: SharedSubs,
     conn_ids: Arc<AtomicU64>,
     incoming: mpsc::Receiver<TcpStream>,
+    cpus: Option<usize>,
 ) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut rotate: usize = 0;
@@ -462,28 +495,253 @@ pub(crate) fn run_shard(
             break;
         }
 
-        // Phase 8: adaptive backoff. A sweep that did anything resets
-        // to hot spinning; consecutive empty sweeps escalate spin →
-        // yield → sleep, capped at `read_poll` (which thereby bounds
-        // idle-timeout detection and shutdown latency) and at 1 ms
-        // while draining so the grace deadline is honored promptly.
+        // Phase 8: the idle ladder (module docs, "Idle").
         if did_work {
             spins = 0;
             continue;
         }
         spins = spins.saturating_add(1);
-        if spins < 8 {
-            std::hint::spin_loop();
-        } else if spins < 64 {
-            std::thread::yield_now();
-        } else {
-            let exp = spins.saturating_sub(64).min(8);
-            let mut nap = Duration::from_micros(100u64 << exp);
-            nap = nap.min(cfg.read_poll.max(Duration::from_micros(100)));
-            if draining {
-                nap = nap.min(Duration::from_millis(1));
+        let open = conns.iter().filter(|c| c.close.is_none()).count();
+        let queued = conns.iter().any(|c| !c.outbound.is_empty());
+        match idle_step(spins, cpus, open, queued, cfg.read_poll, draining) {
+            Idle::Spin => std::hint::spin_loop(),
+            Idle::Yield => std::thread::yield_now(),
+            Idle::Sleep(nap) => std::thread::sleep(nap),
+            Idle::Wait(nap) => {
+                if let Some(conn) = conns.iter_mut().find(|c| c.close.is_none()) {
+                    if !wait_readable(&conn.stream, nap) {
+                        conn.close = Some(CloseReason::Normal);
+                    }
+                }
             }
-            std::thread::sleep(nap);
         }
+    }
+}
+
+/// What a shard does after a sweep that found nothing to do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Idle {
+    /// Busy-wait one sweep.
+    Spin,
+    /// Offer the CPU to another thread for one sweep.
+    Yield,
+    /// Sleep this long.
+    Sleep(Duration),
+    /// Block on the shard's one connection until it is readable, or
+    /// this long.
+    Wait(Duration),
+}
+
+/// The idle ladder, for the `empty`th consecutive sweep that found
+/// nothing (counted from 1). Sweeps 1–8 spin, or yield when `cpus` says
+/// the shard has one CPU to itself (`None`: unknown, spin); sweeps
+/// 9–63 yield; from sweep 64 the shard naps 100 µs, doubling each sweep
+/// up to `read_poll` (1 ms while draining). A nap is a [`Idle::Wait`]
+/// on the socket when the shard holds exactly one open connection and
+/// nothing is queued to write, and a [`Idle::Sleep`] otherwise.
+fn idle_step(
+    empty: u32,
+    cpus: Option<usize>,
+    open: usize,
+    queued: bool,
+    read_poll: Duration,
+    draining: bool,
+) -> Idle {
+    if empty <= 8 {
+        return if cpus == Some(1) {
+            Idle::Yield
+        } else {
+            Idle::Spin
+        };
+    }
+    if empty < 64 {
+        return Idle::Yield;
+    }
+    let mut nap = Duration::from_micros(100u64 << empty.saturating_sub(64).min(8));
+    nap = nap.min(read_poll.max(Duration::from_micros(100)));
+    if draining {
+        nap = nap.min(Duration::from_millis(1));
+    }
+    if open == 1 && !queued {
+        Idle::Wait(nap)
+    } else {
+        Idle::Sleep(nap)
+    }
+}
+
+/// Blocks until `stream` has bytes, reads EOF or fails, or `nap` has
+/// passed: a blocking one-byte `peek` with `nap` as its read timeout,
+/// between two mode switches. The socket keeps whatever arrived for the
+/// next sweep's read. Returns `false` when the socket could not be put
+/// back into nonblocking mode, so the caller closes it rather than let
+/// a later read block the shard.
+fn wait_readable(stream: &TcpStream, nap: Duration) -> bool {
+    let armed = stream
+        .set_nonblocking(false)
+        .and_then(|()| stream.set_read_timeout(Some(nap)));
+    match armed {
+        Ok(()) => drop(stream.peek(&mut [0u8; 1])),
+        Err(_) => std::thread::sleep(nap),
+    }
+    stream.set_nonblocking(true).is_ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    const POLL: Duration = Duration::from_millis(25);
+
+    fn us(n: u64) -> Duration {
+        Duration::from_micros(n)
+    }
+
+    #[test]
+    fn one_cpu_never_spins() {
+        for empty in 1..200 {
+            for open in 0..3 {
+                for queued in [false, true] {
+                    for draining in [false, true] {
+                        assert_ne!(
+                            idle_step(empty, Some(1), open, queued, POLL, draining),
+                            Idle::Spin,
+                            "sweep {empty}, {open} open"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(idle_step(1, Some(1), 1, false, POLL, false), Idle::Yield);
+        assert_eq!(idle_step(8, Some(1), 1, false, POLL, false), Idle::Yield);
+    }
+
+    #[test]
+    fn two_cpus_or_an_unknown_count_spin_for_eight_sweeps() {
+        for cpus in [Some(2), Some(64), None] {
+            for empty in 1..=8 {
+                assert_eq!(idle_step(empty, cpus, 1, false, POLL, false), Idle::Spin);
+            }
+            for empty in 9..64 {
+                assert_eq!(idle_step(empty, cpus, 1, false, POLL, false), Idle::Yield);
+            }
+            assert_eq!(
+                idle_step(64, cpus, 0, false, POLL, false),
+                Idle::Sleep(us(100))
+            );
+        }
+    }
+
+    #[test]
+    fn only_one_open_connection_with_nothing_queued_waits_on_its_socket() {
+        for cpus in [Some(1), Some(2)] {
+            assert_eq!(
+                idle_step(64, cpus, 1, false, POLL, false),
+                Idle::Wait(us(100))
+            );
+            assert_eq!(
+                idle_step(64, cpus, 1, true, POLL, false),
+                Idle::Sleep(us(100))
+            );
+            for open in [0, 2, 3, 500] {
+                for queued in [false, true] {
+                    assert_eq!(
+                        idle_step(64, cpus, open, queued, POLL, false),
+                        Idle::Sleep(us(100)),
+                        "{open} open"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn naps_double_from_100us_capped_by_read_poll_and_by_1ms_while_draining() {
+        let nap = |empty, read_poll, draining| match idle_step(
+            empty, None, 0, false, read_poll, draining,
+        ) {
+            Idle::Sleep(d) => d,
+            other => panic!("sweep {empty}: {other:?}"),
+        };
+        let wanted = [
+            100, 200, 400, 800, 1_600, 3_200, 6_400, 12_800, 25_000, 25_000,
+        ];
+        for (i, want) in wanted.into_iter().enumerate() {
+            assert_eq!(nap(64 + i as u32, POLL, false), us(want), "nap {i}");
+        }
+        assert_eq!(nap(u32::MAX, POLL, false), POLL);
+        assert_eq!(nap(66, us(300), false), us(300));
+        assert_eq!(nap(70, us(300), false), us(300));
+        // A read_poll under the floor does not shorten the first nap.
+        assert_eq!(nap(64, us(10), false), us(100));
+        assert_eq!(nap(67, POLL, true), us(800));
+        assert_eq!(nap(68, POLL, true), Duration::from_millis(1));
+        assert_eq!(nap(u32::MAX, POLL, true), Duration::from_millis(1));
+        assert_eq!(
+            idle_step(90, Some(1), 1, false, POLL, true),
+            Idle::Wait(Duration::from_millis(1))
+        );
+    }
+
+    /// A connected pair, the server half nonblocking as a shard holds it.
+    fn pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
+        (server, client)
+    }
+
+    #[test]
+    fn a_wait_ends_when_bytes_arrive_and_leaves_them_for_the_read() {
+        let (server, mut client) = pair();
+        let writer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            client.write_all(b"x").unwrap();
+            client
+        });
+        let started = Instant::now();
+        assert!(wait_readable(&server, Duration::from_secs(10)));
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "the byte woke the wait"
+        );
+        let _client = writer.join().unwrap();
+        let mut byte = [0u8; 1];
+        assert_eq!(io::Read::read(&mut &server, &mut byte).unwrap(), 1);
+        assert_eq!(&byte, b"x");
+        // Back in nonblocking mode: an empty socket does not block.
+        let err = io::Read::read(&mut &server, &mut byte).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+    }
+
+    #[test]
+    fn a_wait_ends_at_eof() {
+        let (server, client) = pair();
+        drop(client);
+        let started = Instant::now();
+        assert!(wait_readable(&server, Duration::from_secs(10)));
+        assert!(started.elapsed() < Duration::from_secs(5));
+    }
+
+    /// A quiet wait times out. The read timeout counts scheduler ticks,
+    /// so it overruns its nap by up to two of them (8 ms at 250 Hz,
+    /// 20 ms at 100 Hz); the bound here leaves room for a loaded box.
+    #[test]
+    fn a_quiet_wait_times_out_near_its_nap() {
+        let (server, _client) = pair();
+        for nap in [us(100), Duration::from_millis(1), Duration::from_millis(25)] {
+            let started = Instant::now();
+            assert!(wait_readable(&server, nap));
+            let took = started.elapsed();
+            assert!(took >= nap, "{nap:?} wait ended after {took:?}");
+            assert!(
+                took < nap + Duration::from_millis(100),
+                "{nap:?} wait ended after {took:?}"
+            );
+        }
+        let mut byte = [0u8; 1];
+        let err = io::Read::read(&mut &server, &mut byte).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
     }
 }

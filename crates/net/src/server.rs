@@ -104,10 +104,15 @@ pub struct NetConfig {
     /// before the acceptor starts refusing new ones (it tries every
     /// shard once around before giving up).
     pub accept_backlog: usize,
-    /// Upper bound on a shard's sleep between readiness sweeps when
-    /// every connection is quiet. Bounds idle-timeout detection and
-    /// shutdown latency; an idle *shard* pays one wakeup per interval,
-    /// regardless of how many connections it holds.
+    /// Upper bound on a quiet shard's nap between readiness sweeps.
+    /// Naps start at 100 µs and double up to this. A shard holding one
+    /// connection naps waiting on that socket, so the connection's own
+    /// bytes wake it at once; any other shard sleeps. The nap bounds
+    /// when the shard sees a new connection, a standing-delta push from
+    /// another shard, an idle timeout or shutdown: within one nap, plus
+    /// up to two scheduler ticks when it waited on a socket (the
+    /// kernel's read timeout counts ticks). An idle *shard* pays one
+    /// wakeup per interval, regardless of how many connections it holds.
     pub read_poll: Duration,
     /// Disconnect a connection with no complete frame for this long.
     pub idle_timeout: Duration,
@@ -198,6 +203,9 @@ impl FrontDoor {
         // channel is single-producer single-consumer, so no lock sits
         // on the accept path.
         let shard_count = cfg.workers.max(1);
+        // The CPU budget (affinity mask and quota) every shard inherits
+        // from this thread, read once per door.
+        let cpus = std::thread::available_parallelism().ok().map(usize::from);
         let mut shard_txs = Vec::with_capacity(shard_count);
         let shards = (0..shard_count)
             .map(|_| {
@@ -209,7 +217,9 @@ impl FrontDoor {
                 let subs = Arc::clone(&subs);
                 let conn_ids = Arc::clone(&conn_ids);
                 std::thread::spawn(move || {
-                    crate::poller::run_shard(service, obs, cfg, shutdown, subs, conn_ids, conn_rx);
+                    crate::poller::run_shard(
+                        service, obs, cfg, shutdown, subs, conn_ids, conn_rx, cpus,
+                    );
                 })
             })
             .collect();

@@ -1,8 +1,9 @@
 //! Edge-case tests for the sharded readiness poller: partial frames at
 //! every split point, decode-time accounting, idle-connection cost,
-//! hostile framing, slow consumers, and graceful drain with a batch in
-//! flight. These pin the behaviors the event-driven rewrite must keep
-//! identical to the thread-per-connection server it replaced.
+//! hostile framing, slow consumers, graceful drain with a batch in
+//! flight, and what a quiet shard wakes for. These pin the behaviors the
+//! event-driven rewrite must keep identical to the thread-per-connection
+//! server it replaced.
 
 use lbsp_core::engine::{EngineConfig, ShardedEngine};
 use lbsp_core::{wire, Stage};
@@ -274,4 +275,163 @@ fn graceful_drain_answers_requests_already_on_the_socket() {
     assert_eq!(answered, BURST);
     let engine = drainer.join().unwrap();
     assert_eq!(engine.registered(), 2);
+}
+
+/// A quiet shard that waited on its socket sees everything else (a new
+/// connection, another shard's push, shutdown) when its nap ends. The
+/// kernel counts the wait's timeout in scheduler ticks and overruns it
+/// by up to two (8 ms at 250 Hz, 20 ms at 100 Hz); the rest of this is
+/// room for a loaded box.
+const TICKS: Duration = Duration::from_millis(50);
+
+/// A lone client on a shard that went quiet is answered at once: its
+/// shard waits on the socket, not on a timer. Timer naps had reached
+/// 12.8 – 25 ms after 30 ms of quiet, and such a ping waited about 21 ms.
+#[test]
+fn a_lone_client_after_quiet_is_answered_at_once() {
+    let server = NetServer::bind("127.0.0.1:0", engine(), NetConfig::with_workers(1)).unwrap();
+    let mut c = NetClient::connect(server.local_addr()).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut rtts: Vec<Duration> = (0..20)
+        .map(|i| {
+            std::thread::sleep(Duration::from_millis(30));
+            let probe = format!("quiet-{i}").into_bytes();
+            let sent = Instant::now();
+            assert_eq!(c.ping(&probe).unwrap(), Reply::Pong(probe));
+            sent.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    assert!(
+        rtts[10] < Duration::from_millis(5),
+        "median round trip after quiet {:?} (all: {rtts:?})",
+        rtts[10]
+    );
+    drop(c);
+    server.shutdown();
+}
+
+/// The subscriber is alone on its shard and sends nothing, so the shard
+/// waits on that quiet socket; a delta pushed from the other shard still
+/// reaches it when the nap ends, within `read_poll`.
+#[test]
+fn a_push_reaches_a_subscriber_whose_shard_waits_on_its_quiet_socket() {
+    let cfg = NetConfig {
+        workers: 2,
+        read_poll: Duration::from_millis(100),
+        ..NetConfig::default()
+    };
+    let server = NetServer::bind("127.0.0.1:0", engine(), cfg).unwrap();
+    let addr = server.local_addr();
+    // Round-robin placement: the watcher on one shard, the mover on the
+    // other.
+    let mut watcher = TcpStream::connect(addr).unwrap();
+    watcher.set_nodelay(true).unwrap();
+    watcher
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut mover = NetClient::connect(addr).unwrap();
+    mover
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+
+    let world = Rect::new_unchecked(0.0, 0.0, 1.0, 1.0);
+    let msg = wire::RegisterStandingCountMsg { area: world };
+    watcher
+        .write_all(&raw_frame(
+            wire::tag::REGISTER_STANDING_COUNT,
+            &wire::encode_register_standing_count(&msg),
+        ))
+        .unwrap();
+    let (tag, _) = read_raw_frame(&mut watcher).unwrap();
+    assert_eq!(tag, wire::tag::STANDING_REGISTERED);
+    assert_eq!(mover.register(1, 1, 0.0, f64::INFINITY).unwrap(), Reply::Ok);
+
+    // Long enough for the watcher's shard to reach its longest nap.
+    std::thread::sleep(Duration::from_millis(250));
+    match mover
+        .update(1, Point::new(0.5, 0.5), SimTime::from_secs(1.0))
+        .unwrap()
+    {
+        Reply::Cloaked(_) => {}
+        other => panic!("update: {other:?}"),
+    }
+    let moved = Instant::now();
+    let (tag, payload) = read_raw_frame(&mut watcher).unwrap();
+    let took = moved.elapsed();
+    assert_eq!(tag, wire::tag::STANDING_DELTA);
+    let Some(wire::StandingState::Count(state)) = wire::decode_standing_state(&payload) else {
+        panic!("count delta expected");
+    };
+    assert_eq!(state.possible, 1);
+    assert!(
+        took < cfg.read_poll + TICKS,
+        "the push waited {took:?} for a shard with read_poll {:?}",
+        cfg.read_poll
+    );
+    drop(watcher);
+    drop(mover);
+    server.shutdown();
+}
+
+/// An idle client's shard waits on its socket; shutdown is still seen
+/// when the nap ends, and the quiet connection drains at once.
+#[test]
+fn shutdown_with_an_idle_client_returns_within_drain_grace_and_one_nap() {
+    let cfg = NetConfig {
+        workers: 1,
+        read_poll: Duration::from_millis(50),
+        drain_grace: Duration::from_millis(200),
+        ..NetConfig::default()
+    };
+    let server = NetServer::bind("127.0.0.1:0", engine(), cfg).unwrap();
+    let mut idle = NetClient::connect(server.local_addr()).unwrap();
+    assert_eq!(idle.ping(b"hi").unwrap(), Reply::Pong(b"hi".to_vec()));
+    std::thread::sleep(Duration::from_millis(200));
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let started = Instant::now();
+    std::thread::spawn(move || {
+        drop(server.shutdown());
+        let _ = done_tx.send(());
+    });
+    let bound = cfg.drain_grace + cfg.read_poll + TICKS;
+    assert!(
+        done_rx.recv_timeout(bound * 10).is_ok(),
+        "shutdown did not return"
+    );
+    let took = started.elapsed();
+    assert!(took < bound, "shutdown took {took:?}, bound {bound:?}");
+    drop(idle);
+}
+
+/// Two connections on one shard: the shard cannot wait on both sockets,
+/// so it sleeps its naps, and after quiet each is still answered within
+/// one nap.
+#[test]
+fn a_shard_holding_two_connections_answers_both() {
+    let cfg = NetConfig {
+        workers: 1,
+        read_poll: Duration::from_millis(20),
+        ..NetConfig::default()
+    };
+    let server = NetServer::bind("127.0.0.1:0", engine(), cfg).unwrap();
+    let mut clients: Vec<NetClient> = (0..2)
+        .map(|_| NetClient::connect(server.local_addr()).unwrap())
+        .collect();
+    for round in 0..5 {
+        std::thread::sleep(Duration::from_millis(30));
+        for (i, c) in clients.iter_mut().enumerate() {
+            let probe = format!("{round}-{i}").into_bytes();
+            let sent = Instant::now();
+            assert_eq!(c.ping(&probe).unwrap(), Reply::Pong(probe));
+            let took = sent.elapsed();
+            assert!(
+                took < cfg.read_poll + TICKS,
+                "client {i} waited {took:?} in round {round}"
+            );
+        }
+    }
+    drop(clients);
+    server.shutdown();
 }
