@@ -175,7 +175,15 @@ done
 # write end of the FIFO would mask the router's stdin EOF forever.)
 ./target/release/repro --connect 127.0.0.1:7657 >/tmp/lbsp_heal_load.txt 2>&1 9>&- &
 LOAD_PID=$!
-sleep 1
+# Wait until the router has decoded 200 frames (of the load's 4,300):
+# a fixed sleep let a fast box finish the load before the kill, and the
+# router then drained before node 1 could rejoin.
+for _ in $(seq 1 250); do
+  decoded=$(./target/release/repro --stats 127.0.0.1:7657 2>/dev/null |
+    sed -n 's/^lbsp_stage_micros_count{stage="frame_decode"} //p')
+  if [ "${decoded:-0}" -ge 200 ]; then break; fi
+  sleep 0.02
+done
 # Pull the plug on node 1 mid-load: SIGKILL, no drain, no flush beyond
 # what its WAL already fsynced. The router supervisor keeps dialing.
 kill -9 "$NODE1_PID" 2>/dev/null || true
@@ -197,48 +205,65 @@ wait "$NODE0_PID" "$NODE1_PID" 2>/dev/null || true
 rm -rf "$HEAL_DIR"
 trap - EXIT
 
-echo "== cluster smoke (router + 2 nodes, byte-identity, clean drain) =="
+echo "== cluster smoke (router + 2 and 4 nodes, byte-identity, clean drain) =="
 # Runs after the chaos stages on purpose: --cluster-verify passing here
 # is the post-chaos byte-identity gate the self-healing smoke defers to.
-CLUSTER_DIR=$(mktemp -d)
-mkfifo "$CLUSTER_DIR/router_stdin"
-./target/release/repro --serve 127.0.0.1:7645 --wal-dir "$CLUSTER_DIR/n0" >/tmp/lbsp_cluster_n0.txt 2>&1 &
-NODE0_PID=$!
-./target/release/repro --serve 127.0.0.1:7646 --wal-dir "$CLUSTER_DIR/n1" >/tmp/lbsp_cluster_n1.txt 2>&1 &
-NODE1_PID=$!
-trap 'kill -9 "$NODE0_PID" "$NODE1_PID" 2>/dev/null || true; rm -rf "$CLUSTER_DIR"' EXIT
-for _ in $(seq 1 50); do
-  if ./target/release/repro --stats 127.0.0.1:7645 >/dev/null 2>&1 &&
-     ./target/release/repro --stats 127.0.0.1:7646 >/dev/null 2>&1; then break; fi
-  sleep 0.1
+# K = 2 on ports 7645-7647, K = 4 on 7660-7664 (the router last).
+for K in 2 4; do
+  BASE=$([ "$K" = 2 ] && echo 7645 || echo 7660)
+  ROUTER_ADDR=127.0.0.1:$((BASE + K))
+  CLUSTER_DIR=$(mktemp -d)
+  mkfifo "$CLUSTER_DIR/router_stdin"
+  NODE_PIDS=()
+  NODE_ADDRS=()
+  for n in $(seq 0 $((K - 1))); do
+    NODE_ADDRS+=("127.0.0.1:$((BASE + n))")
+    ./target/release/repro --serve "${NODE_ADDRS[$n]}" --wal-dir "$CLUSTER_DIR/n$n" \
+      >"/tmp/lbsp_cluster_n$n.txt" 2>&1 &
+    NODE_PIDS+=($!)
+  done
+  trap 'kill -9 "${NODE_PIDS[@]}" 2>/dev/null || true; rm -rf "$CLUSTER_DIR"' EXIT
+  for _ in $(seq 1 50); do
+    up=0
+    for addr in "${NODE_ADDRS[@]}"; do
+      if ./target/release/repro --stats "$addr" >/dev/null 2>&1; then up=$((up + 1)); fi
+    done
+    if [ "$up" = "$K" ]; then break; fi
+    sleep 0.1
+  done
+  ./target/release/repro --route "$ROUTER_ADDR" --nodes "$(IFS=,; echo "${NODE_ADDRS[*]}")" \
+    <"$CLUSTER_DIR/router_stdin" >/tmp/lbsp_cluster_router.txt 2>&1 &
+  ROUTER_PID=$!
+  # Hold the router's stdin open for its lifetime; closing fd 9 is the
+  # shutdown signal.
+  exec 9>"$CLUSTER_DIR/router_stdin"
+  for _ in $(seq 1 50); do
+    if grep -q "routing for $K node(s)" /tmp/lbsp_cluster_router.txt; then break; fi
+    sleep 0.1
+  done
+  # Users moving anywhere through the router, byte-compared against an
+  # in-process sequential engine; exits non-zero on any divergence.
+  ./target/release/repro --cluster-verify "$ROUTER_ADDR" --nodes "$K" | tee /tmp/lbsp_cluster_verify.txt
+  grep -q "byte-identical to the sequential engine" /tmp/lbsp_cluster_verify.txt
+  # The router serves through the same front door as a node, so its own
+  # STATS attributes the router hop: replies were written, and timed.
+  ./target/release/repro --stats "$ROUTER_ADDR" >/tmp/lbsp_cluster_router_stats.txt
+  grep -Eq 'lbsp_stage_micros_count\{stage="outbound_wait"\} [1-9]' /tmp/lbsp_cluster_router_stats.txt
+  # EOF on stdin must drain the router cleanly, with zero route failures.
+  exec 9>&-
+  wait "$ROUTER_PID"
+  grep -Eq "router: drained \([1-9][0-9]* requests, 0 route failures\)" /tmp/lbsp_cluster_router.txt
+  kill "${NODE_PIDS[@]}" 2>/dev/null || true
+  wait "${NODE_PIDS[@]}" 2>/dev/null || true
+  rm -rf "$CLUSTER_DIR"
+  trap - EXIT
 done
-./target/release/repro --route 127.0.0.1:7647 \
-  --nodes 127.0.0.1:7645,127.0.0.1:7646 \
-  <"$CLUSTER_DIR/router_stdin" >/tmp/lbsp_cluster_router.txt 2>&1 &
-ROUTER_PID=$!
-# Hold the router's stdin open for its lifetime; closing fd 9 is the
-# shutdown signal.
-exec 9>"$CLUSTER_DIR/router_stdin"
-for _ in $(seq 1 50); do
-  if grep -q "routing for 2 node(s)" /tmp/lbsp_cluster_router.txt; then break; fi
-  sleep 0.1
-done
-# Users moving anywhere through the router, byte-compared against an
-# in-process sequential engine; exits non-zero on any divergence.
-./target/release/repro --cluster-verify 127.0.0.1:7647 | tee /tmp/lbsp_cluster_verify.txt
-grep -q "byte-identical to the sequential engine" /tmp/lbsp_cluster_verify.txt
-# The router serves through the same front door as a node, so its own
-# STATS attributes the router hop: replies were written, and timed.
-./target/release/repro --stats 127.0.0.1:7647 >/tmp/lbsp_cluster_router_stats.txt
-grep -Eq 'lbsp_stage_micros_count\{stage="outbound_wait"\} [1-9]' /tmp/lbsp_cluster_router_stats.txt
-# EOF on stdin must drain the router cleanly, with zero route failures.
-exec 9>&-
-wait "$ROUTER_PID"
-grep -Eq "router: drained \([1-9][0-9]* requests, 0 route failures\)" /tmp/lbsp_cluster_router.txt
-kill "$NODE0_PID" "$NODE1_PID" 2>/dev/null || true
-wait "$NODE0_PID" "$NODE1_PID" 2>/dev/null || true
-rm -rf "$CLUSTER_DIR"
-trap - EXIT
+
+echo "== E7 and E14 checks (Fig. 6a's worked example, standing-count cost) =="
+# E7 exits 1 unless the snapshot count and a standing count over the
+# same six records both read 2.7 and [1, 5] with one PDF; E14 exits 1
+# if 16x more registered counts cost 2x the examined work per update.
+./target/release/repro e7 e14
 
 echo "== E15 shape check (router + K = 1, 2, 4 nodes, release) =="
 # Exits 1 on an error reply, a route failure, or a K = 4 rate below a

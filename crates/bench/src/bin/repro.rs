@@ -107,9 +107,13 @@ const COMMANDS: &[Command] = &[
     ),
     mode(
         "--cluster-verify",
-        "ADDR",
-        "drive a router and an in-process engine alike; exit 1 on the first difference",
-        |a| cluster_verify(a.operand()),
+        "ADDR --nodes K",
+        "drive a router over K nodes and an in-process engine alike; exit 1 on the first \
+         difference",
+        |a| match a.option("--nodes") {
+            Some(k) => cluster_verify(a.operand(), count(Some(k), 0)),
+            None => usage_error("--cluster-verify needs --nodes K"),
+        },
     ),
     mode(
         "--cluster-chaos",
@@ -288,22 +292,23 @@ fn route(addr: &str, nodes_csv: &str) {
     );
 }
 
-/// `--cluster-verify ADDR`: drive a deterministic workload through a
-/// running router AND through an identically-configured in-process
+/// `--cluster-verify ADDR --nodes K`: drive a deterministic workload
+/// through a running router over K nodes AND through an
+/// identically-configured in-process
 /// engine, and require every reply — cloaked updates, query candidates,
 /// standing registrations and snapshots — to be byte-identical. A
 /// closed-loop pass (registrations, a standing count and a standing
 /// range query, updates to random points, queries, both snapshots,
 /// both deregistrations and the unknown-query error after them) is
 /// followed by a pipelined one: registrations, range queries, updates
-/// whose owners alternate, and updates with a query on the other node
-/// behind each, in 32-deep `send_only` / `read_reply` windows, which the
-/// router serves as runs spanning both nodes of a two-node cluster.
-/// Exits non-zero on the first divergence.
-fn cluster_verify(addr: &str) {
+/// whose owners take turns over the K nodes, and updates with a query
+/// on another node behind each, in 32-deep `send_only` / `read_reply`
+/// windows, which the router serves as runs spanning the nodes. Exits
+/// non-zero on the first divergence.
+fn cluster_verify(addr: &str, nodes: usize) {
     use lbsp_bench::netload::serve_engine;
     use lbsp_cluster::owner_of;
-    use lbsp_core::wire::{self, StandingKind};
+    use lbsp_core::wire;
     use lbsp_net::{NetClient, Reply};
     use rand::rngs::StdRng;
     use rand::{RngExt as _, SeedableRng};
@@ -338,25 +343,24 @@ fn cluster_verify(addr: &str) {
         // moving workload, read back and deregistered after it.
         let area = Rect::new_unchecked(0.2, 0.2, 0.7, 0.7);
         let standing = [
-            (StandingKind::Count, engine.add_standing_count(area)),
-            (StandingKind::Range, engine.add_standing_range(7, 0.1)),
+            ("count", engine.add_standing_count(area)),
+            ("range", engine.add_standing_range(7, 0.1)),
         ];
         let registered = [
             client.register_standing_count(area),
             client.register_standing_range(7, 0.1),
         ];
         for (&(kind, id), got) in standing.iter().zip(registered) {
-            let want = wire::encode_standing_ref(&wire::StandingRefMsg { kind, id }).to_vec();
-            match got.map_err(|e| format!("standing {kind:?} registration: {e}"))? {
+            let want = wire::encode_standing_ref(&wire::StandingRefMsg { id }).to_vec();
+            match got.map_err(|e| format!("standing {kind} registration: {e}"))? {
                 Reply::StandingRegistered(bytes) if bytes == want => compared += 1,
-                other => return Err(format!("standing {kind:?} registration: {other:?}")),
+                other => return Err(format!("standing {kind} registration: {other:?}")),
             }
         }
-        let snapshot =
-            |engine: &lbsp_core::ShardedEngine, kind, id| match engine.standing_state(kind, id) {
-                Some(state) => Reply::StandingState(wire::encode_standing_state(&state).to_vec()),
-                None => Reply::Error("unknown standing query".into()),
-            };
+        let snapshot = |engine: &lbsp_core::ShardedEngine, id| match engine.standing_state(id) {
+            Some(state) => Reply::StandingState(wire::encode_standing_state(&state).to_vec()),
+            None => Reply::Error("unknown standing query".into()),
+        };
         let mut rng = StdRng::seed_from_u64(20060406);
         for w in 0..waves {
             for i in 0..users {
@@ -397,32 +401,32 @@ fn cluster_verify(addr: &str) {
         }
         for &(kind, id) in &standing {
             let got = client
-                .standing_snapshot(kind, id)
-                .map_err(|e| format!("standing {kind:?} snapshot: {e}"))?;
-            if got != snapshot(&engine, kind, id) {
-                return Err(format!("standing {kind:?} snapshot diverges: {got:?}"));
+                .standing_snapshot(id)
+                .map_err(|e| format!("standing {kind} snapshot: {e}"))?;
+            if got != snapshot(&engine, id) {
+                return Err(format!("standing {kind} snapshot diverges: {got:?}"));
             }
             compared += 1;
         }
         for &(kind, id) in &standing {
-            engine.deregister_standing(kind, id);
+            engine.deregister_standing(id);
             match client
-                .deregister_standing(kind, id)
-                .map_err(|e| format!("standing {kind:?} deregistration: {e}"))?
+                .deregister_standing(id)
+                .map_err(|e| format!("standing {kind} deregistration: {e}"))?
             {
                 Reply::Ok => compared += 1,
-                other => return Err(format!("standing {kind:?} deregistration: {other:?}")),
+                other => return Err(format!("standing {kind} deregistration: {other:?}")),
             }
         }
         for &(kind, id) in &standing {
             let got = client
-                .standing_snapshot(kind, id)
-                .map_err(|e| format!("deregistered {kind:?} snapshot: {e}"))?;
-            match snapshot(&engine, kind, id) {
+                .standing_snapshot(id)
+                .map_err(|e| format!("deregistered {kind} snapshot: {e}"))?;
+            match snapshot(&engine, id) {
                 want @ Reply::Error(_) if got == want => compared += 1,
                 want => {
                     return Err(format!(
-                        "deregistered {kind:?} snapshot: {got:?}, the engine says {want:?}"
+                        "deregistered {kind} snapshot: {got:?}, the engine says {want:?}"
                     ))
                 }
             }
@@ -497,13 +501,23 @@ fn cluster_verify(addr: &str) {
             }
         }
 
-        // Pipelined updates whose owners alternate, then a query on the
-        // other node behind each: every update follows another node's,
-        // so its row rides ahead and the owner serves the update as a
-        // batch of one. Owners are a two-node cluster's, the one ci.sh
-        // starts; on another count, updates to one node would batch.
-        let (on0, on1): (Vec<u64>, Vec<u64>) = everyone.iter().partition(|&&u| owner_of(u, 2) == 0);
-        let alternating: Vec<u64> = on0.iter().zip(&on1).flat_map(|(&a, &b)| [a, b]).collect();
+        // Pipelined updates whose owners take turns, then a query behind
+        // each: every update follows another node's, so its row rides
+        // ahead and the owner serves the update as a batch of one. One
+        // node has no turns to take: its consecutive updates would batch.
+        let by_owner: Vec<Vec<u64>> = (0..nodes)
+            .map(|n| {
+                everyone
+                    .iter()
+                    .copied()
+                    .filter(|&u| owner_of(u, nodes) == n)
+                    .collect()
+            })
+            .collect();
+        let turns = by_owner.iter().map(Vec::len).min().filter(|_| nodes > 1);
+        let alternating: Vec<u64> = (0..turns.unwrap_or(0))
+            .flat_map(|t| by_owner.iter().map(move |users| users[t]))
+            .collect();
         let updates = alternating
             .chunks(WINDOW)
             .map(|c| c.iter().map(|&i| (i, true)).collect::<Vec<_>>());
@@ -1225,7 +1239,7 @@ fn e13_network() {
 /// per-update cost proportional to *overlapping* queries, not to the
 /// number registered.
 fn e14_standing() {
-    use lbsp_server::ContinuousRangeCount;
+    use lbsp_core::{StandingQuery, StandingRegistry};
     use std::collections::HashMap;
     println!("## E14 — standing count maintenance (area index)\n");
     println!(
@@ -1254,11 +1268,11 @@ fn e14_standing() {
     ]);
     let mut examined_rates: Vec<f64> = Vec::new();
     for q_total in [64usize, 1024] {
-        let mut reg = ContinuousRangeCount::new();
+        let mut reg = StandingRegistry::new();
         for (j, p) in uniform_positions(q_total, 31).into_iter().enumerate() {
             // The last 32 queries sit in the busy right half.
-            let left = j < q_total - 32;
-            reg.register(query_rect(p, left), std::iter::empty());
+            let area = query_rect(p, j < q_total - 32);
+            reg.register(StandingQuery::Count { area }, []);
         }
         // Updates confined to the right half: each user's cloak drifts
         // among seeded positions, so every update has an old and a new
@@ -1273,7 +1287,7 @@ fn e14_standing() {
             let y = p.y * 0.9;
             let new = Rect::new_unchecked(x, y, (x + 0.03).min(1.0), (y + 0.03).min(1.0));
             let old = cloaks.insert(user, new);
-            adjusted += reg.on_update(user, old.as_ref(), Some(&new)) as u64;
+            adjusted += reg.on_record(user, old.as_ref(), Some(&new), true) as u64;
         }
         let elapsed = start.elapsed().as_secs_f64();
         let examined = reg.examined_total() as f64 / reg.updates_processed() as f64;
@@ -1287,10 +1301,12 @@ fn e14_standing() {
         ]);
     }
     let ratio = examined_rates[1] / examined_rates[0].max(f64::MIN_POSITIVE);
-    assert!(
+    require(
         ratio < 2.0,
-        "per-update examined work must track overlapping queries, not the \
-         registry: 16x more queries cost {ratio:.2}x"
+        &format!(
+            "E14: per-update examined work must track overlapping queries, not the \
+             registry: 16x more queries cost {ratio:.2}x"
+        ),
     );
     println!(
         "\n16x more registered queries -> {ratio:.2}x examined per update\n\
@@ -1745,44 +1761,57 @@ fn e6_private_nn() {
 fn e7_public_count() {
     println!("## E7 — public count over private data (Fig. 6a)\n");
     println!("### Worked example (must match the paper exactly)\n");
+    use lbsp_core::{StandingQuery, StandingRegistry};
+    let rect = Rect::new_unchecked;
+    let records = [
+        (3, rect(0.4, 0.4, 0.6, 0.6)),  // D: 1.0
+        (0, rect(-0.1, 0.0, 0.3, 0.2)), // A: .75
+        (1, rect(0.8, 0.2, 1.2, 0.4)),  // B: .5
+        (4, rect(0.9, 0.6, 1.4, 0.8)),  // E: .2
+        (5, rect(0.9, 0.9, 1.1, 1.1)),  // F: .25
+        (2, rect(1.5, 1.5, 1.7, 1.7)),  // C: 0
+    ];
+    // The same records answer the snapshot query and, one cloak record
+    // at a time, a standing count over the same area.
+    let unit = rect(0.0, 0.0, 1.0, 1.0);
     let mut store = PrivateStore::new();
-    store.upsert(PrivateRecord::new(
-        3,
-        Rect::new_unchecked(0.4, 0.4, 0.6, 0.6),
-    )); // D: 1.0
-    store.upsert(PrivateRecord::new(
-        0,
-        Rect::new_unchecked(-0.1, 0.0, 0.3, 0.2),
-    )); // A: .75
-    store.upsert(PrivateRecord::new(
-        1,
-        Rect::new_unchecked(0.8, 0.2, 1.2, 0.4),
-    )); // B: .5
-    store.upsert(PrivateRecord::new(
-        4,
-        Rect::new_unchecked(0.9, 0.6, 1.4, 0.8),
-    )); // E: .2
-    store.upsert(PrivateRecord::new(
-        5,
-        Rect::new_unchecked(0.9, 0.9, 1.1, 1.1),
-    )); // F: .25
-    store.upsert(PrivateRecord::new(
-        2,
-        Rect::new_unchecked(1.5, 1.5, 1.7, 1.7),
-    )); // C: 0
-    let ans = PublicCountQuery::new(Rect::new_unchecked(0.0, 0.0, 1.0, 1.0)).evaluate(store.iter());
-    println!("paper: expected = 2.7, interval = [1, 5]");
+    let mut reg = StandingRegistry::new();
+    let q = reg.register(StandingQuery::Count { area: unit }, []);
+    for (pseudonym, region) in records {
+        store.upsert(PrivateRecord::new(pseudonym, region));
+        reg.on_record(pseudonym, None, Some(&region), true);
+    }
+    let ans = PublicCountQuery::new(unit).evaluate(store.iter());
+    let live = (reg.expected(q), reg.interval(q), reg.pdf(q));
+    let (Some(expected), Some((certain, possible)), Some(pdf)) = live else {
+        return require(false, "E7: the standing count is not registered");
+    };
+    println!("paper   : expected = 2.7, interval = [1, 5]");
     println!(
-        "ours : expected = {:.4}, interval = [{}, {}], naive = {}",
+        "ours    : expected = {:.4}, interval = [{}, {}], naive = {}",
         ans.expected,
         ans.certain,
         ans.possible,
         ans.naive_count()
     );
-    print!("PDF  : ");
+    println!("standing: expected = {expected:.4}, interval = [{certain}, {possible}]");
+    print!("PDF     : ");
     for kk in 0..=5 {
         print!("P({kk}) = {:.4}  ", ans.probability_of(kk));
     }
+    let fig6a = |expected: f64, interval| (expected - 2.7).abs() < 1e-12 && interval == (1, 5);
+    require(
+        fig6a(ans.expected, (ans.certain, ans.possible)),
+        "E7: the snapshot count misses Fig. 6a's 2.7 and [1, 5]",
+    );
+    require(
+        fig6a(expected, (certain, possible)),
+        "E7: the standing count misses Fig. 6a's 2.7 and [1, 5]",
+    );
+    require(
+        (0..=5).all(|k| (ans.pdf.pmf(k) - pdf.pmf(k)).abs() < 1e-12),
+        "E7: the standing count's PDF differs from the snapshot's",
+    );
     println!("\n\n### Accuracy vs privacy level\n");
     println!(
         "5,000 users; 200 aligned 0.2x0.2 query rects. Claim: count accuracy\n\

@@ -21,9 +21,9 @@
 //!   advance even when the cloak failed, exactly like the sequential
 //!   engine).
 //! * **Cloak plane** — when the owner answered with a cloak, every
-//!   other node is owed that too, so the private stores and
-//!   standing-count registries stay in lockstep. Non-owners drain the
-//!   resulting changed-set internally; only the owner pushes deltas.
+//!   other node is owed that too, so the private stores and standing
+//!   counts stay in lockstep. A mirrored cloak queues no delta on a
+//!   non-owner; only the owner pushes deltas.
 //!
 //!   Row and cloak are one [`wire::tag::MIRROR_UPDATE`] entry in each
 //!   other node's *outbox*. Nothing is sent for it: the entry rides
@@ -161,7 +161,7 @@
 //! addresses are cluster topology and never cross the public socket.
 
 use lbsp_core::metrics::NetCounters;
-use lbsp_core::{wire, LockRank, MetricsRegistry, TrackedMutex, TrackedRwLock};
+use lbsp_core::{wire, LockRank, MetricsRegistry, StandingQuery, TrackedMutex, TrackedRwLock};
 use lbsp_geom::Rect;
 use lbsp_net::frame::append_frame;
 use lbsp_net::{
@@ -177,8 +177,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Changed standing-query states drained from node connections during
-/// one routed request: ((kind code, query id), state bytes).
-type DeltaBatch = Vec<((u8, u64), Vec<u8>)>;
+/// one routed request: (query id, state bytes).
+type DeltaBatch = Vec<(u64, Vec<u8>)>;
 
 /// Node lifecycle states (the `state` atomic of a [`NodeChannel`]).
 /// `Up → Reconnecting` on any transport fault, `Reconnecting → Up` when
@@ -1053,8 +1053,8 @@ impl PendingCall<'_> {
         match answer {
             Some(Ok((frame, pushed))) => {
                 for bytes in pushed {
-                    if let Some(key) = delta_key(&bytes) {
-                        deltas.push((key, bytes));
+                    if let Some(id) = delta_key(&bytes) {
+                        deltas.push((id, bytes));
                     }
                 }
                 match classify_reply(frame) {
@@ -1107,7 +1107,8 @@ struct Tables {
     /// move a position, so only theirs are mirrored.
     registered: HashSet<u64>,
     /// Standing-range query id → subject user (routes snapshots to the
-    /// node owning that user).
+    /// node owning that user). A standing id not here is a count's: the
+    /// two kinds share one id space.
     range_user: HashMap<u64, u64>,
 }
 
@@ -1129,10 +1130,10 @@ pub fn owner_of(user: u64, nodes: usize) -> usize {
 /// Subscription actions the core requests; applied after routing so the
 /// subscription table never nests inside the routing path.
 enum SubAction {
-    /// Subscribe the requesting connection to a standing-query key.
-    Subscribe((u8, u64)),
+    /// Subscribe the requesting connection to a standing query.
+    Subscribe(u64),
     /// Forget every subscription to a deregistered query.
-    DropQuery((u8, u64)),
+    DropQuery(u64),
 }
 
 /// The router's routing core: one pipelined channel per node, the
@@ -1254,24 +1255,27 @@ impl Core {
     ) -> io::Result<Outbound> {
         let _gate = self.gate.write();
         let reply = self.call(0, frame.tag, &frame.payload, deltas)?;
-        let granted = || wire::decode_standing_ref(&reply.1).map(|r| r.id);
+        let granted = |query| {
+            let id = wire::decode_standing_ref(&reply.1)?.id;
+            Some(wire::StandingInstallMsg::Install { id, query })
+        };
         let change = match (frame.tag, reply.0) {
             (wire::tag::DEREGISTER_STANDING, wire::tag::OK) => {
-                wire::decode_standing_ref(&frame.payload).map(|r| wire::StandingInstallMsg::Drop {
-                    kind: r.kind,
-                    id: r.id,
+                wire::decode_standing_ref(&frame.payload)
+                    .map(|r| wire::StandingInstallMsg::Drop { id: r.id })
+            }
+            (wire::tag::REGISTER_STANDING_COUNT, wire::tag::STANDING_REGISTERED) => {
+                wire::decode_register_standing_count(&frame.payload)
+                    .and_then(|m| granted(StandingQuery::Count { area: m.area }))
+            }
+            (wire::tag::REGISTER_STANDING_RANGE, wire::tag::STANDING_REGISTERED) => {
+                wire::decode_register_standing_range(&frame.payload).and_then(|m| {
+                    granted(StandingQuery::Range {
+                        subject: m.user,
+                        radius: m.radius,
+                    })
                 })
             }
-            (wire::tag::REGISTER_STANDING_COUNT, wire::tag::STANDING_REGISTERED) => granted()
-                .zip(wire::decode_register_standing_count(&frame.payload))
-                .map(|(id, m)| wire::StandingInstallMsg::Count { id, area: m.area }),
-            (wire::tag::REGISTER_STANDING_RANGE, wire::tag::STANDING_REGISTERED) => granted()
-                .zip(wire::decode_register_standing_range(&frame.payload))
-                .map(|(id, m)| wire::StandingInstallMsg::Range {
-                    id,
-                    user: m.user,
-                    radius: m.radius,
-                }),
             _ => return Ok(reply),
         }
         .ok_or_else(|| {
@@ -1287,27 +1291,27 @@ impl Core {
             self.absorb_mirror(i, wire::tag::STANDING_INSTALL, &payload);
         }
         match change {
-            wire::StandingInstallMsg::Count { id, .. } => {
-                self.counts.fetch_add(1, Ordering::SeqCst);
-                subs_out.push(SubAction::Subscribe((wire::StandingKind::Count.code(), id)));
-            }
-            wire::StandingInstallMsg::Range { id, user, .. } => {
-                subs_out.push(SubAction::Subscribe((wire::StandingKind::Range.code(), id)));
-                self.tables.lock().range_user.insert(id, user);
-            }
-            wire::StandingInstallMsg::Drop { kind, id } => {
-                subs_out.push(SubAction::DropQuery((kind.code(), id)));
-                match kind {
-                    wire::StandingKind::Count => {
-                        let _ = self
-                            .counts
-                            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                                Some(n.saturating_sub(1))
-                            });
+            wire::StandingInstallMsg::Install { id, query } => {
+                subs_out.push(SubAction::Subscribe(id));
+                match query {
+                    StandingQuery::Count { .. } => {
+                        self.counts.fetch_add(1, Ordering::SeqCst);
                     }
-                    wire::StandingKind::Range => {
-                        self.tables.lock().range_user.remove(&id);
+                    StandingQuery::Range { subject, .. } => {
+                        self.tables.lock().range_user.insert(id, subject);
                     }
+                }
+            }
+            // Node 0 dropped an id: a range's if this router holds its
+            // subject, a count's otherwise.
+            wire::StandingInstallMsg::Drop { id } => {
+                subs_out.push(SubAction::DropQuery(id));
+                if self.tables.lock().range_user.remove(&id).is_none() {
+                    let _ = self
+                        .counts
+                        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                            Some(n.saturating_sub(1))
+                        });
                 }
             }
         }
@@ -1330,12 +1334,9 @@ fn reply_frame(reply: Reply) -> Outbound {
     }
 }
 
-/// The subscription key of a standing-delta payload.
-fn delta_key(payload: &[u8]) -> Option<(u8, u64)> {
-    match wire::decode_standing_state(payload)? {
-        wire::StandingState::Count(s) => Some((wire::StandingKind::Count.code(), s.id)),
-        wire::StandingState::Range(s) => Some((wire::StandingKind::Range.code(), s.id)),
-    }
+/// The query id of a standing-delta payload.
+fn delta_key(payload: &[u8]) -> Option<u64> {
+    wire::decode_standing_state(payload).map(|s| s.id())
 }
 
 /// `true` for tags that only router→node hops may carry; a client
@@ -1917,16 +1918,14 @@ impl Core {
             wire::tag::REGISTER_STANDING_COUNT
             | wire::tag::REGISTER_STANDING_RANGE
             | wire::tag::DEREGISTER_STANDING => None,
-            // Count registries are replicated in lockstep, so any node
-            // can answer; node 0 does. A range query is maintained only
-            // on the node owning its subject user.
-            wire::tag::STANDING_SNAPSHOT => match wire::decode_standing_ref(&frame.payload) {
-                Some(r) if r.kind == wire::StandingKind::Range => {
-                    let subject = self.tables.lock().range_user.get(&r.id).copied();
-                    alone(subject.map_or(0, |u| owner_of(u, nodes)))
-                }
-                _ => alone(0),
-            },
+            // Counts are replicated in lockstep, so any node can answer;
+            // node 0 does. A range query is maintained only on the node
+            // owning its subject user.
+            wire::tag::STANDING_SNAPSHOT => {
+                let subject = wire::decode_standing_ref(&frame.payload)
+                    .and_then(|r| self.tables.lock().range_user.get(&r.id).copied());
+                alone(subject.map_or(0, |u| owner_of(u, nodes)))
+            }
             _ => alone(0),
         }
     }

@@ -50,8 +50,8 @@ use crate::journal::{
     self, Durability, DurabilitySink, DurableHook, EngineOp, EngineState, JournalRecord,
 };
 use crate::obs::{MetricsRegistry, Stage};
-use crate::standing::{StandingPrivateRanges, StandingQueryId};
-use crate::wire::{self, RangeQueryMsg, StandingCountState, StandingKind, StandingRangeState};
+use crate::standing::{StandingQuery, StandingQueryId, StandingRegistry};
+use crate::wire::{self, RangeQueryMsg};
 use crate::UserId;
 use bytes::Bytes;
 use lbsp_anonymizer::{
@@ -61,9 +61,8 @@ use lbsp_anonymizer::{
 use lbsp_geom::{Point, Rect, SimTime};
 use lbsp_index::SubCellCounts;
 use lbsp_server::{
-    private_knn_candidates, private_nn_candidates, private_range_candidates, ContinuousRangeCount,
-    CountAnswer, PrivateRecord, PublicCountQuery, PublicNnAnswer, PublicNnQuery, PublicObject,
-    PublicStore,
+    private_knn_candidates, private_nn_candidates, private_range_candidates, CountAnswer,
+    PrivateRecord, PublicCountQuery, PublicNnAnswer, PublicNnQuery, PublicObject, PublicStore,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -168,11 +167,10 @@ pub struct ShardedEngine {
     /// Every pseudonym's current cloaked rectangle. No query reads it by
     /// area, so it is a map, not a spatial index.
     private: HashMap<u64, Rect>,
-    /// Standing count queries over the private population, maintained
-    /// incrementally from per-row `(old, new)` cloak deltas.
-    standing_counts: ContinuousRangeCount,
-    /// Standing private range queries, refreshed per updating user.
-    standing_ranges: StandingPrivateRanges,
+    /// Standing queries: counts over the private population, maintained
+    /// from per-row `(old, new)` cloak deltas, and private ranges,
+    /// refreshed per updating user.
+    standing: StandingRegistry,
     /// The public dataset, read by range queries and standing-range
     /// recomputes.
     public: PublicStore,
@@ -200,8 +198,7 @@ impl ShardedEngine {
             shadow: HashMap::new(),
             anon: SubCellCounts::new(cfg.world, cfg.grid_side, cfg.grid_side),
             private: HashMap::new(),
-            standing_counts: ContinuousRangeCount::new(),
-            standing_ranges: StandingPrivateRanges::new(),
+            standing: StandingRegistry::new(),
             public: PublicStore::new(),
             obs: Arc::new(MetricsRegistry::new()),
             durable: None,
@@ -394,20 +391,17 @@ impl ShardedEngine {
             }
         }
         // Standing-query maintenance: replay the per-row deltas in input
-        // order, exactly as a sequential `Server` and
-        // `StandingPrivateRanges` apply them (count registry first, then
-        // the updating user's private ranges).
-        if !(self.standing_counts.is_empty() && self.standing_ranges.is_empty()) {
+        // order, exactly as the sequential parts apply them (the counts
+        // first, then the updating user's private ranges).
+        if !self.standing.is_empty() {
             let start = Instant::now();
             for ((res, old), &(user, _, _)) in results.iter().zip(&displaced).zip(updates) {
                 let Ok(u) = res else { continue };
                 let region = &u.region.region;
                 let fan_count =
-                    self.standing_counts
-                        .on_update(u.pseudonym.0, old.as_ref(), Some(region));
-                let fan_range = self
-                    .standing_ranges
-                    .on_cloak_update(user, region, &self.public);
+                    self.standing
+                        .on_record(u.pseudonym.0, old.as_ref(), Some(region), true);
+                let fan_range = self.standing.on_cloak(user, region, &self.public);
                 self.obs
                     .standing_fanout()
                     .record((fan_count + fan_range) as f64);
@@ -622,69 +616,48 @@ impl ShardedEngine {
     }
 
     /// Registers a standing count query over `area`, seeded from every
-    /// private record. The registry sorts seeds by pseudonym before
-    /// accumulating, so the engine and the sequential server agree
-    /// bit-for-bit on the expected count no matter which order either
-    /// store iterates.
+    /// private record.
     pub fn add_standing_count(&mut self, area: Rect) -> u64 {
-        self.journal_op(|| EngineOp::AddStandingCount { area });
-        let id = self.standing_counts.register(area, self.private_records());
-        self.maybe_snapshot();
-        id
+        self.add_standing(StandingQuery::Count { area })
     }
 
     /// Registers a standing private range query for `user` ("keep me
     /// updated on objects within `radius` of me").
     pub fn add_standing_range(&mut self, user: UserId, radius: f64) -> StandingQueryId {
-        self.journal_op(|| EngineOp::AddStandingRange { user, radius });
-        let id = self.standing_ranges.register(user, radius);
-        self.maybe_snapshot();
+        self.add_standing(StandingQuery::Range {
+            subject: user,
+            radius,
+        })
+    }
+
+    /// Registers `query` under the registry's next id, journaled as the
+    /// install of that id.
+    fn add_standing(&mut self, query: StandingQuery) -> StandingQueryId {
+        let id = self.standing.next_id();
+        self.install_standing(id, query);
         id
     }
 
-    /// Installs a standing count query under the id node 0 granted
-    /// (cluster mirror path; local clients go through
-    /// [`Self::add_standing_count`], which allocates). Seeds from the
-    /// private map exactly like the allocating path. Idempotent: returns
-    /// `false` and changes nothing if `id` is already registered, so an
-    /// ack-lost mirror frame can be replayed safely.
-    pub fn install_standing_count(&mut self, id: u64, area: Rect) -> bool {
-        if self.standing_counts.contains(id) {
+    /// Installs `query` under `id`, the id node 0 granted (the cluster
+    /// path; local clients go through [`Self::add_standing_count`] or
+    /// [`Self::add_standing_range`], which allocate). A count is seeded
+    /// from the private map. Idempotent: returns `false` and changes
+    /// nothing if `id` is already registered, so an ack-lost cluster
+    /// frame can be replayed safely.
+    pub fn install_standing(&mut self, id: StandingQueryId, query: StandingQuery) -> bool {
+        if self.standing.contains(id) {
             return false;
         }
-        self.journal_op(|| EngineOp::InstallStandingCount { id, area });
-        let installed = self
-            .standing_counts
-            .register_at(id, area, self.private_records());
+        self.journal_op(|| EngineOp::InstallStanding { id, query });
+        let installed = self.standing.install(id, query, self.private_records());
         self.maybe_snapshot();
         installed
     }
 
-    /// Installs a standing private range query under the id node 0
-    /// granted. Same mirror-path idempotence contract as
-    /// [`Self::install_standing_count`].
-    pub fn install_standing_range(
-        &mut self,
-        id: StandingQueryId,
-        user: UserId,
-        radius: f64,
-    ) -> bool {
-        if self.standing_ranges.contains(id) {
-            return false;
-        }
-        self.journal_op(|| EngineOp::InstallStandingRange { id, user, radius });
-        let installed = self.standing_ranges.register_at(id, user, radius);
-        self.maybe_snapshot();
-        installed
-    }
-
-    /// Drops a standing query from the registry `kind` addresses.
-    pub fn deregister_standing(&mut self, kind: StandingKind, id: u64) -> bool {
-        self.journal_op(|| EngineOp::DeregisterStanding { kind, id });
-        let hit = match kind {
-            StandingKind::Count => self.standing_counts.deregister(id),
-            StandingKind::Range => self.standing_ranges.deregister(id),
-        };
+    /// Drops a standing query of either kind.
+    pub fn deregister_standing(&mut self, id: StandingQueryId) -> bool {
+        self.journal_op(|| EngineOp::DropStanding { id });
+        let hit = self.standing.deregister(id);
         self.maybe_snapshot();
         hit
     }
@@ -694,50 +667,18 @@ impl ShardedEngine {
     /// [`wire::tag::STANDING_DELTA`] frames and returned by snapshot
     /// requests, so sequential and sharded paths can be compared
     /// byte-for-byte through [`wire::encode_standing_state`].
-    pub fn standing_state(&self, kind: StandingKind, id: u64) -> Option<wire::StandingState> {
-        match kind {
-            StandingKind::Count => {
-                let (certain, possible) = self.standing_counts.interval(id)?;
-                Some(wire::StandingState::Count(StandingCountState {
-                    id,
-                    seq: self.standing_counts.seq(id)?,
-                    expected: self.standing_counts.expected(id)?,
-                    certain: certain as u64,
-                    possible: possible as u64,
-                }))
-            }
-            StandingKind::Range => Some(wire::StandingState::Range(StandingRangeState {
-                id,
-                seq: self.standing_ranges.seq(id)?,
-                candidates: self
-                    .standing_ranges
-                    .candidates(id)?
-                    .iter()
-                    .map(|o| (o.id, o.pos))
-                    .collect(),
-            })),
-        }
+    pub fn standing_state(&self, id: StandingQueryId) -> Option<wire::StandingState> {
+        self.standing.state(id)
     }
 
-    /// Drains the queries whose answer changed since the last call:
-    /// count queries first, then range queries, each in ascending id
-    /// order — the deterministic fan-out order for delta pushes.
-    pub fn take_standing_changes(&mut self) -> Vec<(StandingKind, u64)> {
-        // Draining mutates the registries' `changed` sets, so replay has
-        // to drain at the same points — journal before applying.
+    /// Drains the queries whose answer changed since the last call, in
+    /// ascending id order — the deterministic fan-out order for delta
+    /// pushes.
+    pub fn take_standing_changes(&mut self) -> Vec<StandingQueryId> {
+        // Draining mutates the registry's changed set, so replay has to
+        // drain at the same points — journal before applying.
         self.journal_op(|| EngineOp::TakeStandingChanges);
-        let mut out: Vec<(StandingKind, u64)> = self
-            .standing_counts
-            .take_changed()
-            .into_iter()
-            .map(|id| (StandingKind::Count, id))
-            .collect();
-        out.extend(
-            self.standing_ranges
-                .take_changed()
-                .into_iter()
-                .map(|id| (StandingKind::Range, id)),
-        );
+        let out = self.standing.take_changed();
         self.maybe_snapshot();
         out
     }
@@ -753,13 +694,13 @@ impl ShardedEngine {
     /// lives on the owning node, not here. A row for a user this engine
     /// owns moves the owned record; any other goes to the shadow map.
     ///
-    /// The count registry's changed set is drained once, after the
-    /// cloaks, and discarded: every node's accumulators track the full
-    /// fleet, but only the owning node pushes deltas, so a mirrored
-    /// change must never queue a second push here. Standing *range*
-    /// entries are untouched — they key on true user ids, which a
-    /// pseudonymized record deliberately cannot name. One call is one
-    /// journal record.
+    /// A count a mirrored cloak changes bumps its `seq` but queues no
+    /// push: every node's counts track the full fleet, but only the
+    /// owning node pushes deltas, so a mirrored change must never queue
+    /// a second push here, nor discard a change this node's own batch
+    /// queued. Standing *range* entries are untouched — they key on true
+    /// user ids, which a pseudonymized record deliberately cannot name.
+    /// One call is one journal record.
     pub fn apply_mirror(&mut self, rows: &[(UserId, Point, SimTime)], cloaks: &[CloakedUpdate]) {
         self.journal_op(|| {
             EngineOp::Mirror(wire::ResyncState {
@@ -772,19 +713,16 @@ impl ShardedEngine {
         }
         // Same guard as the batch path, so the registry's bookkeeping
         // counters advance in lockstep with the owning node's.
-        let counted = !(self.standing_counts.is_empty() && self.standing_ranges.is_empty());
+        let counted = !self.standing.is_empty();
         for update in cloaks {
             let (key, region) = (update.pseudonym.0, update.region.region);
             let old = self.private.insert(key, region);
             if counted {
                 let fan = self
-                    .standing_counts
-                    .on_update(key, old.as_ref(), Some(&region));
+                    .standing
+                    .on_record(key, old.as_ref(), Some(&region), false);
                 self.obs.standing_fanout().record(fan as f64);
             }
-        }
-        if counted && !cloaks.is_empty() {
-            let _ = self.standing_counts.take_changed();
         }
         self.maybe_snapshot();
     }
@@ -838,22 +776,17 @@ impl ShardedEngine {
         wire::ResyncState { rows, cloaks }
     }
 
-    /// The standing count registry (read-only).
-    pub fn standing_counts(&self) -> &ContinuousRangeCount {
-        &self.standing_counts
-    }
-
-    /// The standing private-range registry (read-only).
-    pub fn standing_ranges(&self) -> &StandingPrivateRanges {
-        &self.standing_ranges
+    /// The standing registry (read-only), both kinds. The name predates
+    /// the merged registry; `lbsbench` reads it under this name.
+    pub fn standing_counts(&self) -> &StandingRegistry {
+        &self.standing
     }
 
     /// Dumps the engine's full logical state in canonical (sorted) form.
     /// [`Self::from_state`] of this dump rebuilds an engine whose every
     /// externally visible byte — cloaks, query answers, standing-state
     /// frames — matches this one exactly: outputs never expose internal
-    /// iteration order, and the standing registries dump their accumulators
-    /// bit-for-bit (Neumaier compensation terms included).
+    /// iteration order, and the standing registry dumps its entries.
     pub fn export_state(&self) -> EngineState {
         let mut profiles: Vec<(UserId, PrivacyProfile)> = self
             .users
@@ -872,8 +805,7 @@ impl ShardedEngine {
             positions,
             records,
             public,
-            counts: self.standing_counts.export_state(),
-            ranges: self.standing_ranges.export_state(),
+            standing: self.standing.export_state(),
         }
     }
 
@@ -890,8 +822,7 @@ impl ShardedEngine {
         }
         e.private.extend(state.records.iter().copied());
         e.load_public(state.public.clone());
-        e.standing_counts = ContinuousRangeCount::restore_state(&state.counts);
-        e.standing_ranges = StandingPrivateRanges::restore_state(&state.ranges);
+        e.standing = StandingRegistry::restore_state(&state.standing);
         e
     }
 
@@ -905,20 +836,11 @@ impl ShardedEngine {
                 self.process_updates(rows);
             }
             EngineOp::LoadPublic { objects } => self.load_public(objects.clone()),
-            EngineOp::AddStandingCount { area } => {
-                self.add_standing_count(*area);
+            EngineOp::InstallStanding { id, query } => {
+                self.install_standing(*id, *query);
             }
-            EngineOp::AddStandingRange { user, radius } => {
-                self.add_standing_range(*user, *radius);
-            }
-            EngineOp::InstallStandingCount { id, area } => {
-                self.install_standing_count(*id, *area);
-            }
-            EngineOp::InstallStandingRange { id, user, radius } => {
-                self.install_standing_range(*id, *user, *radius);
-            }
-            EngineOp::DeregisterStanding { kind, id } => {
-                self.deregister_standing(*kind, *id);
+            EngineOp::DropStanding { id } => {
+                self.deregister_standing(*id);
             }
             EngineOp::TakeStandingChanges => {
                 self.take_standing_changes();
@@ -1380,25 +1302,63 @@ mod tests {
         e.load_public(objects.clone());
         e.process_updates(&lattice_updates(64));
         let q = e.add_standing_range(7, 0.2);
-        assert!(e.standing_ranges().candidates(q).unwrap().is_empty());
+        assert!(e.standing_counts().candidates(q).unwrap().is_empty());
         let at = |x: f64, y: f64, t: f64| [(7, Point::new(x, y), SimTime::from_secs(t))];
         e.process_updates(&at(0.55, 0.55, 1.0));
-        assert!(!e.standing_ranges().candidates(q).unwrap().is_empty());
+        assert!(!e.standing_counts().candidates(q).unwrap().is_empty());
         // A move inside the same cell keeps the cloak: reuse.
         e.process_updates(&at(0.551, 0.551, 2.0));
-        assert_eq!(e.standing_ranges().recomputes, 1, "same cloak reused");
-        assert!(e.standing_ranges().reuses >= 1);
+        assert_eq!(e.standing_counts().recomputes, 1, "same cloak reused");
+        assert!(e.standing_counts().reuses >= 1);
         // A jump across the world changes the cloak: recompute.
         e.process_updates(&at(0.05, 0.95, 3.0));
-        assert_eq!(e.standing_ranges().recomputes, 2);
+        assert_eq!(e.standing_counts().recomputes, 2);
         // The candidates hold the exact answer at the new position.
-        let cands = e.standing_ranges().candidates(q).unwrap();
+        let cands = e.standing_counts().candidates(q).unwrap();
         for o in objects
             .iter()
             .filter(|o| o.pos.dist(Point::new(0.05, 0.95)) <= 0.2)
         {
             assert!(cands.iter().any(|c| c.id == o.id), "object {}", o.id);
         }
+    }
+
+    #[test]
+    fn a_mirrored_cloak_queues_no_push_and_keeps_a_pending_range_change() {
+        let mut e = engine();
+        e.load_public(
+            (0..100)
+                .map(|i| {
+                    let p = Point::new(0.05 + 0.1 * (i % 10) as f64, 0.05 + 0.1 * (i / 10) as f64);
+                    PublicObject::new(i, p, 0)
+                })
+                .collect(),
+        );
+        e.process_updates(&lattice_updates(64));
+        let qc = e.add_standing_count(world());
+        let qr = e.add_standing_range(7, 0.2);
+        assert_ne!(qc, qr, "one id space");
+        // User 7's own cloak fills its range's candidates: a change
+        // queued. Its cloak stays inside the world: the count's interval
+        // holds.
+        e.process_updates(&[(7, Point::new(0.55, 0.55), SimTime::from_secs(1.0))]);
+        let seq = |e: &ShardedEngine| e.standing_state(qc).unwrap().seq();
+        let before = seq(&e);
+        // A peer's user enters the count: its seq moves, but only the
+        // peer pushes.
+        let cloak = CloakedUpdate {
+            pseudonym: Pseudonym(1 << 40),
+            region: CloakedRegion {
+                region: Rect::new_unchecked(0.1, 0.1, 0.2, 0.2),
+                achieved_k: 5,
+                k_satisfied: true,
+                area_satisfied: true,
+            },
+            time: SimTime::from_secs(1.0),
+        };
+        e.apply_mirror(&[(99, Point::new(0.15, 0.15), SimTime::ZERO)], &[cloak]);
+        assert_eq!(seq(&e), before + 1);
+        assert_eq!(e.take_standing_changes(), vec![qr]);
     }
 
     #[test]
@@ -1439,9 +1399,8 @@ mod tests {
         );
         let inc = e.standing_counts().expected(qc).unwrap();
         assert!((inc - full.expected).abs() < 1e-9);
-        // Deregistration works through the typed kind.
-        assert!(e.deregister_standing(StandingKind::Count, qc));
-        assert!(e.standing_state(StandingKind::Count, qc).is_none());
+        assert!(e.deregister_standing(qc));
+        assert!(e.standing_state(qc).is_none());
     }
 
     #[test]
@@ -1482,10 +1441,10 @@ mod tests {
         for (x, y) in wa.iter().zip(&wb) {
             assert_eq!(x.as_ref().unwrap().to_vec(), y.as_ref().unwrap().to_vec());
         }
-        for (kind, id) in [(StandingKind::Count, qc), (StandingKind::Range, qr)] {
+        for id in [qc, qr] {
             assert_eq!(
-                wire::encode_standing_state(&a.standing_state(kind, id).unwrap()),
-                wire::encode_standing_state(&b.standing_state(kind, id).unwrap())
+                wire::encode_standing_state(&a.standing_state(id).unwrap()),
+                wire::encode_standing_state(&b.standing_state(id).unwrap())
             );
         }
         assert_eq!(a.take_standing_changes(), b.take_standing_changes());
@@ -1551,7 +1510,7 @@ mod tests {
         );
         assert!(matches!(
             log[1],
-            JournalRecord::Op(EngineOp::AddStandingCount { .. })
+            JournalRecord::Op(EngineOp::InstallStanding { id: 0, .. })
         ));
         assert_eq!(syncs.load(Ordering::Relaxed), 4);
         // Cadence of 3: the 3rd logged mutation triggered one snapshot.

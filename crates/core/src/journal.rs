@@ -11,12 +11,11 @@
 //!   acknowledged.
 //! * [`EngineState`] — a bit-exact export of everything a
 //!   [`crate::ShardedEngine`] needs to resume: profiles, positions,
-//!   private records, public objects, and the *raw* accumulator state of
-//!   both standing-query registries. Compacting the registries from ops
-//!   would not do: the Neumaier `sum`/`comp` bits, the reconcile
-//!   counters, and the change sequence numbers all depend on the full
-//!   delta history, and the acceptance bar is byte-identical wire
-//!   output after recovery.
+//!   private records, public objects, and the standing registry's
+//!   entries. Compacting the registry from ops would not do: its change
+//!   sequence numbers, pending changes and cached candidates depend on
+//!   the full delta history, and the acceptance bar is byte-identical
+//!   wire output after recovery.
 //! * [`DurabilitySink`] — the interface the engine logs through. The
 //!   file-backed implementation lives in `lbsp-store`; keeping the trait
 //!   here lets the engine stay free of file I/O and lets tests inject
@@ -30,13 +29,13 @@
 
 use crate::codec::{self, Get, Put, Reader};
 use crate::engine::EngineConfig;
-use crate::standing::{StandingRangeEntryState, StandingRangesState};
-use crate::wire::{self, StandingKind, EXACT_UPDATE_LEN};
+use crate::standing::{StandingEntry, StandingEntryState, StandingQuery, StandingRegistryState};
+use crate::wire::{self, StandingInstallMsg, EXACT_UPDATE_LEN, STANDING_COUNT, STANDING_RANGE};
 use crate::UserId;
 use bytes::{BufMut, Bytes};
 use lbsp_anonymizer::PrivacyProfile;
 use lbsp_geom::{Point, Rect, SimTime};
-use lbsp_server::{ContinuousCountState, PublicObject, StandingCountQueryState};
+use lbsp_server::PublicObject;
 
 /// Durability policy: when to log and when to compact.
 #[derive(Debug, Clone, Copy)]
@@ -153,48 +152,23 @@ pub enum EngineOp {
         /// The full object set.
         objects: Vec<PublicObject>,
     },
-    /// A standing count query was registered over an area.
-    AddStandingCount {
-        /// The monitored area.
-        area: Rect,
-    },
-    /// A standing private range query was registered for a user.
-    AddStandingRange {
-        /// Owning user.
-        user: UserId,
-        /// Query radius in world units.
-        radius: f64,
-    },
-    /// Cluster mirror: a standing count query installed under the id
-    /// node 0 granted (mirrors never allocate ids). Idempotent — if
-    /// the id is already present the registry leaves it untouched — so
-    /// an ack-lost replay of the mirror frame is a no-op.
-    InstallStandingCount {
-        /// The node-0-granted query id.
+    /// A standing query was installed under `id`: the id a local
+    /// registration allocated, or the one node 0 granted a cluster peer.
+    /// Idempotent — an id already present is left untouched — so an
+    /// ack-lost replay of the cluster frame is a no-op.
+    InstallStanding {
+        /// The query id.
         id: u64,
-        /// The monitored area.
-        area: Rect,
+        /// What the query asks.
+        query: StandingQuery,
     },
-    /// Cluster mirror: a standing private range query installed under
-    /// the id node 0 granted. Same idempotence contract as
-    /// [`EngineOp::InstallStandingCount`].
-    InstallStandingRange {
-        /// The node-0-granted query id.
-        id: u64,
-        /// Owning user.
-        user: UserId,
-        /// Query radius in world units.
-        radius: f64,
-    },
-    /// A standing query was deregistered.
-    DeregisterStanding {
-        /// Which registry the id lives in.
-        kind: StandingKind,
-        /// Query id within that registry.
+    /// A standing query was dropped.
+    DropStanding {
+        /// The query id.
         id: u64,
     },
-    /// The changed-query sets were drained (this mutates the registries,
-    /// so replay must drain at the same points).
+    /// The changed-query set was drained (this mutates the registry, so
+    /// replay must drain at the same points).
     TakeStandingChanges,
     /// Cluster mirror: other nodes' exact-update rows for the position
     /// plane and the owners' cloaked replies for the private store, as
@@ -220,25 +194,25 @@ pub enum JournalRecord {
 // shuffled log cannot alias an op into an init. A record whose layout
 // changes takes a fresh tag and its old one is never reused, so a log
 // in a retired layout fails to decode instead of being misread.
-// Retired: 0x01 (registration with an activity flag), 0x08 (profile
-// update), 0x09 and 0x0A (mirror rows and mirror cloaks as two
-// records), 0x0B and 0x10 (a user's state handed out to and in from
-// another node), 0x0C (handoff carrying one requirement), 0xE1 (a
-// system journal's genesis).
+// Retired: 0x01 (registration with an activity flag), 0x04 and 0x05
+// (a standing count and range allocated by the replaying engine), 0x06
+// (a drop naming the query's kind), 0x08 (profile update), 0x09 and
+// 0x0A (mirror rows and mirror cloaks as two records), 0x0B and 0x10
+// (a user's state handed out to and in from another node), 0x0C
+// (handoff carrying one requirement), 0xE1 (a system journal's
+// genesis).
 const TAG_UPDATE_BATCH: u8 = 0x02;
 const TAG_LOAD_PUBLIC: u8 = 0x03;
-const TAG_ADD_STANDING_COUNT: u8 = 0x04;
-const TAG_ADD_STANDING_RANGE: u8 = 0x05;
-const TAG_DEREGISTER_STANDING: u8 = 0x06;
 const TAG_TAKE_STANDING_CHANGES: u8 = 0x07;
 const TAG_INSTALL_STANDING: u8 = 0x0D;
 const TAG_REGISTER_USER: u8 = 0x0E;
 const TAG_MIRROR: u8 = 0x0F;
+const TAG_DROP_STANDING: u8 = 0x11;
 const TAG_INIT_ENGINE: u8 = 0xE0;
 
 /// Version byte leading every encoded [`EngineState`]; bumped on any
 /// layout change so recovery fails loudly instead of misreading state.
-pub const ENGINE_STATE_VERSION: u8 = 2;
+pub const ENGINE_STATE_VERSION: u8 = 3;
 
 /// A bit-exact export of a [`crate::ShardedEngine`]. Every vector is
 /// sorted by its id so the encoding is canonical: two engines with the
@@ -256,10 +230,8 @@ pub struct EngineState {
     pub records: Vec<(u64, Rect)>,
     /// Public objects, sorted by id.
     pub public: Vec<PublicObject>,
-    /// Raw accumulator state of the standing count registry.
-    pub counts: ContinuousCountState,
-    /// Raw state of the standing private-range registry.
-    pub ranges: StandingRangesState,
+    /// Raw state of the standing registry.
+    pub standing: StandingRegistryState,
 }
 
 impl Put for JournalRecord {
@@ -278,21 +250,15 @@ impl Put for JournalRecord {
                 TAG_LOAD_PUBLIC.put(b);
                 codec::put_list_u32(b, objects.iter());
             }
-            EngineOp::AddStandingCount { area } => (TAG_ADD_STANDING_COUNT, area).put(b),
-            EngineOp::AddStandingRange { user, radius } => {
-                (TAG_ADD_STANDING_RANGE, user, radius).put(b);
+            // The wire's `STANDING_INSTALL` layout.
+            &EngineOp::InstallStanding { id, query } => {
+                (
+                    TAG_INSTALL_STANDING,
+                    StandingInstallMsg::Install { id, query },
+                )
+                    .put(b);
             }
-            // Both installs share the wire's `STANDING_INSTALL` layout.
-            EngineOp::InstallStandingCount { id, area } => {
-                (TAG_INSTALL_STANDING, StandingKind::Count, id, area).put(b);
-            }
-            EngineOp::InstallStandingRange { id, user, radius } => {
-                (TAG_INSTALL_STANDING, StandingKind::Range).put(b);
-                (id, user, radius).put(b);
-            }
-            EngineOp::DeregisterStanding { kind, id } => {
-                (TAG_DEREGISTER_STANDING, kind, id).put(b);
-            }
+            EngineOp::DropStanding { id } => (TAG_DROP_STANDING, id).put(b),
             EngineOp::TakeStandingChanges => TAG_TAKE_STANDING_CHANGES.put(b),
             EngineOp::Mirror(state) => (TAG_MIRROR, state).put(b),
         }
@@ -315,26 +281,13 @@ impl Get for JournalRecord {
             TAG_LOAD_PUBLIC => EngineOp::LoadPublic {
                 objects: r.list_u32(28)?,
             },
-            TAG_ADD_STANDING_COUNT => EngineOp::AddStandingCount { area: r.get()? },
-            TAG_ADD_STANDING_RANGE => EngineOp::AddStandingRange {
-                user: r.get()?,
-                radius: r.radius()?,
-            },
             TAG_INSTALL_STANDING => match r.get()? {
-                StandingKind::Count => EngineOp::InstallStandingCount {
-                    id: r.get()?,
-                    area: r.get()?,
-                },
-                StandingKind::Range => EngineOp::InstallStandingRange {
-                    id: r.get()?,
-                    user: r.get()?,
-                    radius: r.radius()?,
-                },
+                StandingInstallMsg::Install { id, query } => {
+                    EngineOp::InstallStanding { id, query }
+                }
+                StandingInstallMsg::Drop { .. } => return None,
             },
-            TAG_DEREGISTER_STANDING => EngineOp::DeregisterStanding {
-                kind: r.get()?,
-                id: r.get()?,
-            },
+            TAG_DROP_STANDING => EngineOp::DropStanding { id: r.get()? },
             TAG_TAKE_STANDING_CHANGES => EngineOp::TakeStandingChanges,
             TAG_MIRROR => EngineOp::Mirror(r.get()?),
             _ => return None,
@@ -357,46 +310,48 @@ pub fn decode_record(buf: &[u8]) -> Option<JournalRecord> {
     codec::decode(buf, Reader::get)
 }
 
-impl Put for StandingCountQueryState {
+/// Id and seq, then a kind byte and the entry's fields.
+impl Put for StandingEntryState {
     fn put(&self, b: &mut impl BufMut) {
-        (self.id, self.area).put(b);
-        codec::put_list_u64(b, self.contributions.iter());
-        (self.sum, self.comp, self.mutations, self.seq).put(b);
+        (self.id, self.seq).put(b);
+        match &self.entry {
+            StandingEntry::Count {
+                area,
+                contributions,
+            } => {
+                (STANDING_COUNT, area).put(b);
+                codec::put_list_u64(b, contributions.iter());
+            }
+            StandingEntry::Range {
+                subject,
+                radius,
+                cloak,
+                candidates,
+            } => {
+                (STANDING_RANGE, subject, radius, cloak).put(b);
+                codec::put_list_u64(b, candidates.iter());
+            }
+        }
     }
 }
 
-impl Get for StandingCountQueryState {
-    fn get(r: &mut Reader<'_>) -> Option<StandingCountQueryState> {
-        Some(StandingCountQueryState {
-            id: r.get()?,
-            area: r.get()?,
-            contributions: r.list_u64(16)?,
-            sum: r.get()?,
-            comp: r.get()?,
-            mutations: r.get()?,
-            seq: r.get()?,
-        })
-    }
-}
-
-impl Put for StandingRangeEntryState {
-    fn put(&self, b: &mut impl BufMut) {
-        (self.id, self.user, self.radius, self.cloak).put(b);
-        codec::put_list_u64(b, self.candidates.iter());
-        self.seq.put(b);
-    }
-}
-
-impl Get for StandingRangeEntryState {
-    fn get(r: &mut Reader<'_>) -> Option<StandingRangeEntryState> {
-        Some(StandingRangeEntryState {
-            id: r.get()?,
-            user: r.get()?,
-            radius: r.get()?,
-            cloak: r.get()?,
-            candidates: r.list_u64(28)?,
-            seq: r.get()?,
-        })
+impl Get for StandingEntryState {
+    fn get(r: &mut Reader<'_>) -> Option<StandingEntryState> {
+        let (id, seq) = r.get()?;
+        let entry = match r.get()? {
+            STANDING_COUNT => StandingEntry::Count {
+                area: r.get()?,
+                contributions: r.list_u64(16)?,
+            },
+            STANDING_RANGE => StandingEntry::Range {
+                subject: r.get()?,
+                radius: r.get()?,
+                cloak: r.get()?,
+                candidates: r.list_u64(28)?,
+            },
+            _ => return None,
+        };
+        Some(StandingEntryState { id, seq, entry })
     }
 }
 
@@ -407,18 +362,17 @@ impl Put for EngineState {
         codec::put_list_u64(b, self.positions.iter());
         codec::put_list_u64(b, self.records.iter());
         codec::put_list_u64(b, self.public.iter());
-        // Standing count registry: raw accumulators, bit for bit.
-        let c = &self.counts;
-        codec::put_list_u64(b, c.queries.iter());
-        c.next_id.put(b);
-        codec::put_list_u64(b, c.changed.iter());
-        (c.updates_processed, c.examined_total).put(b);
-        // Standing private-range registry.
-        let g = &self.ranges;
+        let g = &self.standing;
         codec::put_list_u64(b, g.entries.iter());
         g.next_id.put(b);
         codec::put_list_u64(b, g.changed.iter());
-        (g.recomputes, g.reuses).put(b);
+        (
+            g.updates_processed,
+            g.examined_total,
+            g.recomputes,
+            g.reuses,
+        )
+            .put(b);
     }
 }
 
@@ -434,17 +388,12 @@ impl Get for EngineState {
             positions: r.list_u64(24)?,
             records: r.list_u64(40)?,
             public: r.list_u64(28)?,
-            counts: ContinuousCountState {
-                queries: r.list_u64(72)?,
+            standing: StandingRegistryState {
+                entries: r.list_u64(42)?,
                 next_id: r.get()?,
                 changed: r.list_u64(8)?,
                 updates_processed: r.get()?,
                 examined_total: r.get()?,
-            },
-            ranges: StandingRangesState {
-                entries: r.list_u64(33)?,
-                next_id: r.get()?,
-                changed: r.list_u64(8)?,
                 recomputes: r.get()?,
                 reuses: r.get()?,
             },
@@ -462,9 +411,9 @@ pub fn encode_engine_state(state: &EngineState) -> Bytes {
 
 /// Decodes an engine state snapshot. Strict: version byte, every length
 /// prefix guarded before allocation, rectangles validated, and trailing
-/// bytes rejected. Raw float accumulators (contribution probabilities,
-/// Neumaier sum/compensation) round-trip bit-exactly — they are state,
-/// not input, and altering them would break byte-identical recovery.
+/// bytes rejected. Contribution probabilities round-trip bit-exactly —
+/// they are state, not input, and altering them would break
+/// byte-identical recovery.
 pub fn decode_engine_state(buf: &[u8]) -> Option<EngineState> {
     codec::decode(buf, Reader::get)
 }
@@ -519,26 +468,20 @@ mod tests {
             JournalRecord::Op(EngineOp::LoadPublic {
                 objects: vec![PublicObject::new(1, Point::new(0.1, 0.2), 3)],
             }),
-            JournalRecord::Op(EngineOp::AddStandingCount {
-                area: Rect::new_unchecked(0.2, 0.2, 0.8, 0.8),
-            }),
-            JournalRecord::Op(EngineOp::AddStandingRange {
-                user: 7,
-                radius: 0.125,
-            }),
-            JournalRecord::Op(EngineOp::InstallStandingCount {
+            JournalRecord::Op(EngineOp::InstallStanding {
                 id: 11,
-                area: Rect::new_unchecked(0.1, 0.1, 0.9, 0.9),
+                query: StandingQuery::Count {
+                    area: Rect::new_unchecked(0.1, 0.1, 0.9, 0.9),
+                },
             }),
-            JournalRecord::Op(EngineOp::InstallStandingRange {
+            JournalRecord::Op(EngineOp::InstallStanding {
                 id: 12,
-                user: 9,
-                radius: 0.25,
+                query: StandingQuery::Range {
+                    subject: 9,
+                    radius: 0.25,
+                },
             }),
-            JournalRecord::Op(EngineOp::DeregisterStanding {
-                kind: StandingKind::Count,
-                id: 0,
-            }),
+            JournalRecord::Op(EngineOp::DropStanding { id: 0 }),
             JournalRecord::Op(EngineOp::TakeStandingChanges),
             JournalRecord::Op(EngineOp::Mirror(wire::ResyncState {
                 rows: vec![
@@ -612,7 +555,10 @@ mod tests {
         assert_eq!(decode_record(&[0x7F]), None);
         // Retired tags, each in the layout it last had: a log in that
         // layout must fail to decode, never be misread. Registration
-        // with an activity flag (0x01), a profile update (0x08), mirror
+        // with an activity flag (0x01), a standing count and range the
+        // replaying engine allocated (0x04: an area; 0x05: a user and a
+        // radius), a drop naming its kind (0x06: a kind code and an id),
+        // a profile update (0x08), mirror
         // rows (0x09), one mirror cloak (0x0A), a user handed out (0x0B)
         // and in (0x10: subject, Fig. 2's profile, a cloak, two
         // standing-range `(id, seq)` pairs), a handoff carrying one
@@ -634,11 +580,15 @@ mod tests {
             &[3u64, 7, 9, 0].map(u64::to_le_bytes).concat(),
         ]
         .concat();
-        let retired: [(u8, Vec<u8>); 8] = [
+        let area = codec::to_bytes(&world(), 32);
+        let retired: [(u8, Vec<u8>); 11] = [
             (
                 0x01,
                 [&id[..], &[1], &codec::to_bytes(&profile(), 64)].concat(),
             ),
+            (0x04, area.to_vec()),
+            (0x05, [&id[..], &0.125f64.to_le_bytes()].concat()),
+            (0x06, [&[STANDING_RANGE][..], &id].concat()),
             (0x08, [&id[..], &codec::to_bytes(&profile(), 64)].concat()),
             (0x09, [&1u32.to_le_bytes()[..], &row].concat()),
             (0x0A, cloak.to_vec()),
@@ -651,14 +601,19 @@ mod tests {
             let rec = [&[tag][..], &payload].concat();
             assert_eq!(decode_record(&rec), None, "retired tag 0x{tag:02X}");
         }
-        // Invalid standing kind.
-        let mut bad = encode_record(&JournalRecord::Op(EngineOp::DeregisterStanding {
-            kind: StandingKind::Range,
+        // An unknown standing kind, and a drop in the install layout.
+        let install = EngineOp::InstallStanding {
             id: 3,
-        }))
-        .to_vec();
+            query: StandingQuery::Count { area: world() },
+        };
+        let mut bad = encode_record(&JournalRecord::Op(install)).to_vec();
         bad[1] = 9;
         assert_eq!(decode_record(&bad), None);
+        let drop = codec::to_bytes(&StandingInstallMsg::Drop { id: 3 }, 9);
+        assert_eq!(
+            decode_record(&[&[TAG_INSTALL_STANDING][..], &drop].concat()),
+            None
+        );
         // A lying batch-row count.
         let mut lying = encode_record(&JournalRecord::Op(EngineOp::UpdateBatch {
             rows: vec![(1, Point::new(0.1, 0.1), SimTime::ZERO)],
@@ -695,32 +650,31 @@ mod tests {
                 PublicObject::new(1, Point::new(0.3, 0.3), 0),
                 PublicObject::new(2, Point::new(0.7, 0.7), 5),
             ],
-            counts: ContinuousCountState {
-                queries: vec![StandingCountQueryState {
-                    id: 0,
-                    area: Rect::new_unchecked(0.1, 0.1, 0.9, 0.9),
-                    contributions: vec![(11, 1.0), (42, 0.25)],
-                    sum: 1.25,
-                    comp: -1e-18,
-                    mutations: 3,
-                    seq: 2,
-                }],
-                next_id: 1,
-                changed: vec![0],
+            standing: StandingRegistryState {
+                entries: vec![
+                    StandingEntryState {
+                        id: 0,
+                        seq: 2,
+                        entry: StandingEntry::Count {
+                            area: Rect::new_unchecked(0.1, 0.1, 0.9, 0.9),
+                            contributions: vec![(11, 1.0), (42, 0.25)],
+                        },
+                    },
+                    StandingEntryState {
+                        id: 1,
+                        seq: 1,
+                        entry: StandingEntry::Range {
+                            subject: 1,
+                            radius: 0.2,
+                            cloak: Some(Rect::new_unchecked(0.2, 0.2, 0.4, 0.4)),
+                            candidates: vec![PublicObject::new(1, Point::new(0.3, 0.3), 0)],
+                        },
+                    },
+                ],
+                next_id: 2,
+                changed: vec![0, 1],
                 updates_processed: 7,
                 examined_total: 9,
-            },
-            ranges: StandingRangesState {
-                entries: vec![StandingRangeEntryState {
-                    id: 0,
-                    user: 1,
-                    radius: 0.2,
-                    cloak: Some(Rect::new_unchecked(0.2, 0.2, 0.4, 0.4)),
-                    candidates: vec![PublicObject::new(1, Point::new(0.3, 0.3), 0)],
-                    seq: 1,
-                }],
-                next_id: 1,
-                changed: vec![0],
                 recomputes: 4,
                 reuses: 2,
             },
@@ -733,14 +687,13 @@ mod tests {
         let bytes = encode_engine_state(&state);
         let decoded = decode_engine_state(&bytes).unwrap();
         // Canonical encoding: re-encoding the decoded state reproduces
-        // the same bytes, including the raw float accumulators.
+        // the same bytes, including the raw contribution probabilities.
         assert_eq!(encode_engine_state(&decoded), bytes);
         assert_eq!(decoded.profiles, state.profiles);
         assert_eq!(decoded.positions, state.positions);
         assert_eq!(decoded.records, state.records);
         assert_eq!(decoded.public, state.public);
-        assert_eq!(decoded.counts, state.counts);
-        assert_eq!(decoded.ranges, state.ranges);
+        assert_eq!(decoded.standing, state.standing);
     }
 
     #[test]
@@ -755,6 +708,9 @@ mod tests {
         // Wrong version byte.
         let mut wrong = bytes.to_vec();
         wrong[0] = ENGINE_STATE_VERSION + 1;
+        assert_eq!(decode_engine_state(&wrong), None);
+        // Version 2 kept two registries and their float accumulators.
+        wrong[0] = 2;
         assert_eq!(decode_engine_state(&wrong), None);
         // A hostile length prefix cannot force a huge allocation: the
         // profile count sits right after the config (1 + 33 bytes).

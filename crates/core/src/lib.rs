@@ -58,7 +58,8 @@ pub use locks::{LockRank, TrackedMutex, TrackedRwLock};
 pub use obs::{Histogram, HistogramSnapshot, MetricsRegistry, RegistrySnapshot, Stage};
 pub use sim::{SimulationConfig, SimulationEngine, TickReport};
 pub use standing::{
-    StandingPrivateRanges, StandingQueryId, StandingRangeEntryState, StandingRangesState,
+    StandingEntry, StandingEntryState, StandingQuery, StandingQueryId, StandingRegistry,
+    StandingRegistryState,
 };
 
 /// Identifier for a mobile user (mirrors `lbsp_mobility::UserId`).

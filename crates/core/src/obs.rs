@@ -352,7 +352,7 @@ pub enum Stage {
     /// Wait for space in a connection's bounded outbound queue.
     OutboundWait,
     /// Standing-query maintenance: applying one batch of cloak deltas
-    /// to the continuous-count and standing-range registries.
+    /// to the standing counts and ranges.
     StandingUpdate,
     /// Encoding + appending one record to the write-ahead log.
     WalAppend,
@@ -471,7 +471,7 @@ impl MetricsRegistry {
     }
 
     /// Standing-query fan-out histogram: queries touched per cloak
-    /// update across both standing registries.
+    /// update, counts and ranges together.
     pub fn standing_fanout(&self) -> &Histogram {
         &self.standing_fanout
     }

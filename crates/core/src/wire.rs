@@ -14,6 +14,7 @@
 //! rectangles and requirements).
 
 use crate::codec::{self, Get, Put, Reader};
+use crate::standing::StandingQuery;
 use bytes::{BufMut, Bytes, BytesMut};
 use lbsp_anonymizer::{CloakRequirement, CloakedUpdate, Pseudonym};
 use lbsp_geom::{Point, Rect, SimTime};
@@ -470,46 +471,11 @@ pub fn decode_user_query(buf: &[u8]) -> Option<UserQueryMsg> {
     })
 }
 
-/// Which standing-query registry a reference addresses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StandingKind {
-    /// A continuous public range-count query over an area.
-    Count,
-    /// A standing private range query owned by a user.
-    Range,
-}
-
-impl StandingKind {
-    /// Wire code of the kind.
-    pub fn code(self) -> u8 {
-        match self {
-            StandingKind::Count => 0,
-            StandingKind::Range => 1,
-        }
-    }
-
-    /// Parses a wire code.
-    pub fn from_code(code: u8) -> Option<StandingKind> {
-        match code {
-            0 => Some(StandingKind::Count),
-            1 => Some(StandingKind::Range),
-            _ => None,
-        }
-    }
-}
-
-/// The kind's code byte; an unknown code is refused.
-impl Put for StandingKind {
-    fn put(&self, b: &mut impl BufMut) {
-        self.code().put(b);
-    }
-}
-
-impl Get for StandingKind {
-    fn get(r: &mut Reader<'_>) -> Option<StandingKind> {
-        StandingKind::from_code(r.get()?)
-    }
-}
+/// Lead bytes of the standing layouts: an install's or a state's kind
+/// (a count or a range), or a drop.
+pub(crate) const STANDING_COUNT: u8 = 0;
+pub(crate) const STANDING_RANGE: u8 = 1;
+const STANDING_DROP: u8 = 2;
 
 /// Byte length of an encoded standing-count registration.
 pub const REGISTER_STANDING_COUNT_LEN: usize = 32;
@@ -567,33 +533,25 @@ pub fn decode_register_standing_range(buf: &[u8]) -> Option<RegisterStandingRang
 }
 
 /// Byte length of an encoded standing-query reference.
-pub const STANDING_REF_LEN: usize = 1 + 8;
+pub const STANDING_REF_LEN: usize = 8;
 
-/// A reference to a registered standing query: its registry kind and
-/// id. Payload of [`tag::DEREGISTER_STANDING`] /
-/// [`tag::STANDING_SNAPSHOT`] requests and of the
-/// [`tag::STANDING_REGISTERED`] reply.
+/// A reference to a registered standing query, of either kind: its id.
+/// Payload of [`tag::DEREGISTER_STANDING`] / [`tag::STANDING_SNAPSHOT`]
+/// requests and of the [`tag::STANDING_REGISTERED`] reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StandingRefMsg {
-    /// Which registry the id lives in.
-    pub kind: StandingKind,
-    /// Query id within that registry.
+    /// Query id.
     pub id: u64,
 }
 
 /// Encodes a standing-query reference.
 pub fn encode_standing_ref(msg: &StandingRefMsg) -> Bytes {
-    codec::to_bytes(&(msg.kind, msg.id), STANDING_REF_LEN)
+    codec::to_bytes(&msg.id, STANDING_REF_LEN)
 }
 
 /// Decodes a standing-query reference.
 pub fn decode_standing_ref(buf: &[u8]) -> Option<StandingRefMsg> {
-    codec::decode(buf, |r| {
-        Some(StandingRefMsg {
-            kind: r.get()?,
-            id: r.get()?,
-        })
-    })
+    codec::decode(buf, |r| Some(StandingRefMsg { id: r.get()? }))
 }
 
 /// Byte length of an encoded standing-count install.
@@ -603,82 +561,78 @@ pub const STANDING_INSTALL_RANGE_LEN: usize = 1 + 8 + REGISTER_STANDING_RANGE_LE
 /// Byte length of an encoded standing-query drop.
 pub const STANDING_INSTALL_DROP_LEN: usize = 1 + STANDING_REF_LEN;
 
-/// Lead byte of a [`StandingInstallMsg::Drop`]: past every kind code.
-const STANDING_DROP: u8 = 2;
-
-/// A change node 0 made to its standing registries, as handed on to
-/// the other nodes in a [`tag::STANDING_INSTALL`] frame: a registration
-/// with the id node 0 granted, so the mirror installs *that* id instead
+/// A change node 0 made to its standing registry, as handed on to the
+/// other nodes in a [`tag::STANDING_INSTALL`] frame: a registration
+/// with the id node 0 granted, so the node installs *that* id instead
 /// of allocating one, or a deregistration naming the id to drop. Keyed
 /// by id, each is idempotent — a replay after an ack-lost outage is a
 /// no-op — which is what lets the router keep these frames in a node's
 /// outbox without knowing whether the first delivery landed.
-/// Cluster-internal trusted hop (the range variant carries a true user
+/// Cluster-internal trusted hop (a range install carries a true user
 /// id), same doctrine as [`RegisterStandingRangeMsg`] on the client hop.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StandingInstallMsg {
-    /// Install a standing count query under `id`.
-    Count {
+    /// Install `query` under `id`.
+    Install {
         /// The node-0-granted query id.
         id: u64,
-        /// The monitored area.
-        area: Rect,
+        /// What the query asks.
+        query: StandingQuery,
     },
-    /// Install a standing private range query under `id`.
-    Range {
-        /// The node-0-granted query id.
-        id: u64,
-        /// Owning user (true id; trusted hop only).
-        user: u64,
-        /// Query radius in world units.
-        radius: f64,
-    },
-    /// Drop the standing query `id` from the registry `kind` addresses;
-    /// dropping an id the node does not hold changes nothing.
+    /// Drop the standing query `id`; dropping an id the node does not
+    /// hold changes nothing.
     Drop {
-        /// The registry.
-        kind: StandingKind,
         /// The id node 0 deregistered.
         id: u64,
     },
 }
 
-/// Encodes a standing-query install: the registry kind code, the
-/// granted id, then the same parameter bytes the client registration
-/// carried. A drop is a lead byte no kind has, then the
-/// [`StandingRefMsg`] bytes.
-pub fn encode_standing_install(msg: &StandingInstallMsg) -> Bytes {
-    let mut b = BytesMut::with_capacity(STANDING_INSTALL_COUNT_LEN);
-    match *msg {
-        StandingInstallMsg::Count { id, area } => (StandingKind::Count, id, area).put(&mut b),
-        StandingInstallMsg::Range { id, user, radius } => {
-            (StandingKind::Range, id, user, radius).put(&mut b);
+/// An install is the kind's lead byte, the granted id, then the same
+/// parameter bytes the client registration carried; a drop is a lead
+/// byte no kind has, then the id. The journal logs an install in this
+/// layout too.
+impl Put for StandingInstallMsg {
+    fn put(&self, b: &mut impl BufMut) {
+        match *self {
+            StandingInstallMsg::Install {
+                id,
+                query: StandingQuery::Count { area },
+            } => (STANDING_COUNT, id, area).put(b),
+            StandingInstallMsg::Install {
+                id,
+                query: StandingQuery::Range { subject, radius },
+            } => (STANDING_RANGE, id, subject, radius).put(b),
+            StandingInstallMsg::Drop { id } => (STANDING_DROP, id).put(b),
         }
-        StandingInstallMsg::Drop { kind, id } => (STANDING_DROP, kind, id).put(&mut b),
     }
-    b.freeze()
 }
 
-/// Decodes a standing-query install: the lead byte picks the layout, and
-/// the parameters are held to the client registration's rules.
-pub fn decode_standing_install(buf: &[u8]) -> Option<StandingInstallMsg> {
-    codec::decode(buf, |r| match r.get()? {
-        STANDING_DROP => Some(StandingInstallMsg::Drop {
-            kind: r.get()?,
-            id: r.get()?,
-        }),
-        code => match StandingKind::from_code(code)? {
-            StandingKind::Count => Some(StandingInstallMsg::Count {
-                id: r.get()?,
-                area: r.get()?,
-            }),
-            StandingKind::Range => Some(StandingInstallMsg::Range {
-                id: r.get()?,
-                user: r.get()?,
+/// The parameters are held to the client registration's rules.
+impl Get for StandingInstallMsg {
+    fn get(r: &mut Reader<'_>) -> Option<StandingInstallMsg> {
+        let code = r.get()?;
+        let id = r.get()?;
+        let query = match code {
+            STANDING_DROP => return Some(StandingInstallMsg::Drop { id }),
+            STANDING_COUNT => StandingQuery::Count { area: r.get()? },
+            STANDING_RANGE => StandingQuery::Range {
+                subject: r.get()?,
                 radius: r.radius()?,
-            }),
-        },
-    })
+            },
+            _ => return None,
+        };
+        Some(StandingInstallMsg::Install { id, query })
+    }
+}
+
+/// Encodes a standing-query install or drop.
+pub fn encode_standing_install(msg: &StandingInstallMsg) -> Bytes {
+    codec::to_bytes(msg, STANDING_INSTALL_COUNT_LEN)
+}
+
+/// Decodes a standing-query install or drop.
+pub fn decode_standing_install(buf: &[u8]) -> Option<StandingInstallMsg> {
+    codec::decode(buf, Reader::get)
 }
 
 /// Byte length of an encoded standing-count state.
@@ -729,14 +683,6 @@ pub enum StandingState {
 }
 
 impl StandingState {
-    /// The registry kind of this state.
-    pub fn kind(&self) -> StandingKind {
-        match self {
-            StandingState::Count(_) => StandingKind::Count,
-            StandingState::Range(_) => StandingKind::Range,
-        }
-    }
-
     /// The query id of this state.
     pub fn id(&self) -> u64 {
         match self {
@@ -758,10 +704,15 @@ impl StandingState {
 /// state's expectation and interval or a range state's candidate list.
 pub fn encode_standing_state(state: &StandingState) -> Bytes {
     let mut b = BytesMut::with_capacity(STANDING_COUNT_STATE_LEN);
-    (state.kind(), state.id(), state.seq()).put(&mut b);
     match state {
-        StandingState::Count(c) => (c.expected, c.certain, c.possible).put(&mut b),
-        StandingState::Range(r) => codec::put_list_u32(&mut b, r.candidates.iter()),
+        StandingState::Count(c) => {
+            (STANDING_COUNT, c.id, c.seq).put(&mut b);
+            (c.expected, c.certain, c.possible).put(&mut b);
+        }
+        StandingState::Range(r) => {
+            (STANDING_RANGE, r.id, r.seq).put(&mut b);
+            codec::put_list_u32(&mut b, r.candidates.iter());
+        }
     }
     b.freeze()
 }
@@ -771,9 +722,9 @@ pub fn encode_standing_state(state: &StandingState) -> Bytes {
 /// is refused.
 pub fn decode_standing_state(buf: &[u8]) -> Option<StandingState> {
     codec::decode(buf, |r| {
-        let (kind, id, seq) = r.get::<(StandingKind, u64, u64)>()?;
+        let (kind, id, seq) = r.get::<(u8, u64, u64)>()?;
         match kind {
-            StandingKind::Count => {
+            STANDING_COUNT => {
                 let (expected, certain, possible) = r.get::<(f64, u64, u64)>()?;
                 (expected.is_finite() && certain <= possible).then_some(StandingState::Count(
                     StandingCountState {
@@ -785,11 +736,12 @@ pub fn decode_standing_state(buf: &[u8]) -> Option<StandingState> {
                     },
                 ))
             }
-            StandingKind::Range => Some(StandingState::Range(StandingRangeState {
+            STANDING_RANGE => Some(StandingState::Range(StandingRangeState {
                 id,
                 seq,
                 candidates: r.list_u32(24)?,
             })),
+            _ => None,
         }
     })
 }
@@ -1237,31 +1189,23 @@ mod tests {
 
     #[test]
     fn standing_ref_roundtrip_and_validation() {
-        for kind in [StandingKind::Count, StandingKind::Range] {
-            let msg = StandingRefMsg { kind, id: 77 };
-            let bytes = encode_standing_ref(&msg);
-            assert_eq!(bytes.len(), STANDING_REF_LEN);
-            assert_eq!(decode_standing_ref(&bytes), Some(msg));
-            assert_eq!(decode_standing_ref(&bytes[..bytes.len() - 1]), None);
-            let mut long = bytes.to_vec();
-            long.push(0);
-            assert_eq!(decode_standing_ref(&long), None);
-        }
-        // An unknown kind byte is rejected.
-        let mut bad = encode_standing_ref(&StandingRefMsg {
-            kind: StandingKind::Count,
-            id: 1,
-        })
-        .to_vec();
-        bad[0] = 9;
-        assert_eq!(decode_standing_ref(&bad), None);
+        let msg = StandingRefMsg { id: 77 };
+        let bytes = encode_standing_ref(&msg);
+        assert_eq!(bytes.len(), STANDING_REF_LEN);
+        assert_eq!(decode_standing_ref(&bytes), Some(msg));
+        assert_eq!(decode_standing_ref(&bytes[..bytes.len() - 1]), None);
+        let mut long = bytes.to_vec();
+        long.push(0);
+        assert_eq!(decode_standing_ref(&long), None);
     }
 
     #[test]
     fn standing_install_roundtrip_and_validation() {
-        let count = StandingInstallMsg::Count {
+        let count = StandingInstallMsg::Install {
             id: 41,
-            area: Rect::new_unchecked(-3.0, 1.5, 9.0, 4.0),
+            query: StandingQuery::Count {
+                area: Rect::new_unchecked(-3.0, 1.5, 9.0, 4.0),
+            },
         };
         let bytes = encode_standing_install(&count);
         assert_eq!(bytes.len(), STANDING_INSTALL_COUNT_LEN);
@@ -1271,10 +1215,12 @@ mod tests {
         long.push(0);
         assert_eq!(decode_standing_install(&long), None);
 
-        let range = StandingInstallMsg::Range {
+        let range = StandingInstallMsg::Install {
             id: 42,
-            user: 7,
-            radius: 2.25,
+            query: StandingQuery::Range {
+                subject: 7,
+                radius: 2.25,
+            },
         };
         let bytes = encode_standing_install(&range);
         assert_eq!(bytes.len(), STANDING_INSTALL_RANGE_LEN);
@@ -1286,22 +1232,15 @@ mod tests {
         let mut bad = encode_standing_install(&count).to_vec();
         bad[0] = 9;
         assert_eq!(decode_standing_install(&bad), None);
-        bad[0] = StandingKind::Range.code();
+        bad[0] = STANDING_RANGE;
         assert_eq!(decode_standing_install(&bad), None);
         assert_eq!(decode_standing_install(&[]), None);
 
-        let drop = StandingInstallMsg::Drop {
-            kind: StandingKind::Range,
-            id: 43,
-        };
+        let drop = StandingInstallMsg::Drop { id: 43 };
         let bytes = encode_standing_install(&drop);
         assert_eq!(bytes.len(), STANDING_INSTALL_DROP_LEN);
         assert_eq!(decode_standing_install(&bytes), Some(drop));
         assert_eq!(decode_standing_install(&bytes[..bytes.len() - 1]), None);
-        // A drop names a registry the kind code knows.
-        let mut bad = bytes.to_vec();
-        bad[1] = 9;
-        assert_eq!(decode_standing_install(&bad), None);
     }
 
     #[test]

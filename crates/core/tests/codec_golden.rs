@@ -14,13 +14,13 @@ use lbsp_anonymizer::{
 use lbsp_core::journal::{decode_engine_state, decode_record, encode_engine_state, encode_record};
 use lbsp_core::metrics::NetCountersSnapshot;
 use lbsp_core::obs::LockHoldRow;
-use lbsp_core::wire::{self, tag, StandingKind};
+use lbsp_core::wire::{self, tag};
 use lbsp_core::{
     EngineConfig, EngineOp, EngineState, HistogramSnapshot, JournalRecord, RegistrySnapshot,
-    StandingRangeEntryState, StandingRangesState,
+    StandingEntry, StandingEntryState, StandingQuery, StandingRegistryState,
 };
 use lbsp_geom::{Point, Rect, SimTime, TimeInterval, TimeOfDay};
-use lbsp_server::{ContinuousCountState, PublicObject, StandingCountQueryState};
+use lbsp_server::PublicObject;
 
 /// 64-bit FNV-1a.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -215,35 +215,33 @@ fn wire_cases() -> Vec<Case> {
         ),
         case(
             "standing_ref",
-            wire::encode_standing_ref(&wire::StandingRefMsg {
-                kind: StandingKind::Range,
-                id: 77,
-            }),
+            wire::encode_standing_ref(&wire::StandingRefMsg { id: 77 }),
             |b| wire::decode_standing_ref(b).map(|m| wire::encode_standing_ref(&m)),
         ),
         case(
             "standing_install_count",
-            wire::encode_standing_install(&wire::StandingInstallMsg::Count {
+            wire::encode_standing_install(&wire::StandingInstallMsg::Install {
                 id: 41,
-                area: rect(-3.0, 1.5, 9.0, 4.0),
+                query: StandingQuery::Count {
+                    area: rect(-3.0, 1.5, 9.0, 4.0),
+                },
             }),
             install_again,
         ),
         case(
             "standing_install_range",
-            wire::encode_standing_install(&wire::StandingInstallMsg::Range {
+            wire::encode_standing_install(&wire::StandingInstallMsg::Install {
                 id: 42,
-                user: 7,
-                radius: 2.25,
+                query: StandingQuery::Range {
+                    subject: 7,
+                    radius: 2.25,
+                },
             }),
             install_again,
         ),
         case(
             "standing_install_drop",
-            wire::encode_standing_install(&wire::StandingInstallMsg::Drop {
-                kind: StandingKind::Range,
-                id: 43,
-            }),
+            wire::encode_standing_install(&wire::StandingInstallMsg::Drop { id: 43 }),
             install_again,
         ),
         case(
@@ -308,39 +306,27 @@ fn journal_records() -> Vec<(&'static str, JournalRecord)> {
             }),
         ),
         (
-            "add_standing_count",
-            JournalRecord::Op(EngineOp::AddStandingCount {
-                area: rect(0.25, 0.25, 0.75, 0.75),
-            }),
-        ),
-        (
-            "add_standing_range",
-            JournalRecord::Op(EngineOp::AddStandingRange {
-                user: 7,
-                radius: 0.125,
-            }),
-        ),
-        (
             "install_standing_count",
-            JournalRecord::Op(EngineOp::InstallStandingCount {
+            JournalRecord::Op(EngineOp::InstallStanding {
                 id: 11,
-                area: rect(0.125, 0.125, 0.875, 0.875),
+                query: StandingQuery::Count {
+                    area: rect(0.125, 0.125, 0.875, 0.875),
+                },
             }),
         ),
         (
             "install_standing_range",
-            JournalRecord::Op(EngineOp::InstallStandingRange {
+            JournalRecord::Op(EngineOp::InstallStanding {
                 id: 12,
-                user: 9,
-                radius: 0.25,
+                query: StandingQuery::Range {
+                    subject: 9,
+                    radius: 0.25,
+                },
             }),
         ),
         (
-            "deregister_standing",
-            JournalRecord::Op(EngineOp::DeregisterStanding {
-                kind: StandingKind::Count,
-                id: 5,
-            }),
+            "drop_standing",
+            JournalRecord::Op(EngineOp::DropStanding { id: 5 }),
         ),
         (
             "take_standing_changes",
@@ -412,42 +398,41 @@ fn engine_state() -> EngineState {
             (42, rect(0.5, 0.5, 1.0, 1.0)),
         ],
         public: vec![object(1, 0.25, 0.25, 0), object(2, 0.75, 0.75, 5)],
-        counts: ContinuousCountState {
-            queries: vec![StandingCountQueryState {
-                id: 0,
-                area: rect(0.125, 0.125, 0.875, 0.875),
-                contributions: vec![(11, 1.0), (42, 0.25)],
-                sum: 1.25,
-                comp: -1e-18,
-                mutations: 3,
-                seq: 2,
-            }],
-            next_id: 1,
-            changed: vec![0],
-            updates_processed: 7,
-            examined_total: 9,
-        },
-        ranges: StandingRangesState {
+        standing: StandingRegistryState {
             entries: vec![
-                StandingRangeEntryState {
+                StandingEntryState {
                     id: 0,
-                    user: 1,
-                    radius: 0.25,
-                    cloak: Some(rect(0.25, 0.25, 0.5, 0.5)),
-                    candidates: vec![object(1, 0.25, 0.25, 0)],
-                    seq: 1,
+                    seq: 2,
+                    entry: StandingEntry::Count {
+                        area: rect(0.125, 0.125, 0.875, 0.875),
+                        contributions: vec![(11, 1.0), (42, 0.25)],
+                    },
                 },
-                StandingRangeEntryState {
+                StandingEntryState {
                     id: 1,
-                    user: 2,
-                    radius: 0.5,
-                    cloak: None,
-                    candidates: Vec::new(),
+                    seq: 1,
+                    entry: StandingEntry::Range {
+                        subject: 1,
+                        radius: 0.25,
+                        cloak: Some(rect(0.25, 0.25, 0.5, 0.5)),
+                        candidates: vec![object(1, 0.25, 0.25, 0)],
+                    },
+                },
+                StandingEntryState {
+                    id: 2,
                     seq: 0,
+                    entry: StandingEntry::Range {
+                        subject: 2,
+                        radius: 0.5,
+                        cloak: None,
+                        candidates: Vec::new(),
+                    },
                 },
             ],
-            next_id: 2,
-            changed: vec![0, 1],
+            next_id: 3,
+            changed: vec![0, 1, 2],
+            updates_processed: 7,
+            examined_total: 9,
             recomputes: 4,
             reuses: 2,
         },
@@ -562,7 +547,7 @@ const WIRE_GOLDEN: &[(&str, &[u8])] = &[
         "register_standing_range",
         &[9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 192, 63],
     ),
-    ("standing_ref", &[1, 77, 0, 0, 0, 0, 0, 0, 0]),
+    ("standing_ref", &[77, 0, 0, 0, 0, 0, 0, 0]),
     (
         "standing_install_count",
         &[
@@ -576,7 +561,7 @@ const WIRE_GOLDEN: &[(&str, &[u8])] = &[
             1, 42, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 64,
         ],
     ),
-    ("standing_install_drop", &[2, 1, 43, 0, 0, 0, 0, 0, 0, 0]),
+    ("standing_install_drop", &[2, 43, 0, 0, 0, 0, 0, 0, 0]),
     (
         "standing_state_count",
         &[
@@ -636,17 +621,6 @@ const JOURNAL_GOLDEN: &[(&str, &[u8])] = &[
         ],
     ),
     (
-        "add_standing_count",
-        &[
-            4, 0, 0, 0, 0, 0, 0, 208, 63, 0, 0, 0, 0, 0, 0, 208, 63, 0, 0, 0, 0, 0, 0, 232, 63, 0,
-            0, 0, 0, 0, 0, 232, 63,
-        ],
-    ),
-    (
-        "add_standing_range",
-        &[5, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 192, 63],
-    ),
-    (
         "install_standing_count",
         &[
             13, 0, 11, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 192, 63, 0, 0, 0, 0, 0, 0, 192, 63,
@@ -659,7 +633,7 @@ const JOURNAL_GOLDEN: &[(&str, &[u8])] = &[
             13, 1, 12, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 208, 63,
         ],
     ),
-    ("deregister_standing", &[6, 0, 5, 0, 0, 0, 0, 0, 0, 0]),
+    ("drop_standing", &[17, 5, 0, 0, 0, 0, 0, 0, 0]),
     ("take_standing_changes", &[7]),
     (
         "mirror",
@@ -677,6 +651,18 @@ const JOURNAL_GOLDEN: &[(&str, &[u8])] = &[
 /// them: a log holding one must fail to decode, never be misread.
 const RETIRED_JOURNAL: &[(&str, &[u8])] = &[
     ("init_system", &[225]),
+    (
+        "add_standing_count",
+        &[
+            4, 0, 0, 0, 0, 0, 0, 208, 63, 0, 0, 0, 0, 0, 0, 208, 63, 0, 0, 0, 0, 0, 0, 232, 63, 0,
+            0, 0, 0, 0, 0, 232, 63,
+        ],
+    ),
+    (
+        "add_standing_range",
+        &[5, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 192, 63],
+    ),
+    ("deregister_standing", &[6, 0, 5, 0, 0, 0, 0, 0, 0, 0]),
     (
         "register_user",
         &[
@@ -733,7 +719,7 @@ const RETIRED_JOURNAL: &[(&str, &[u8])] = &[
 /// `(name, length, FNV-1a digest)` of each [`snapshot_cases`] encoding.
 const SNAPSHOT_GOLDEN: &[(&str, usize, u64)] = &[
     ("stats_snapshot", 8473, 0xc9f8_05d9_de1f_59ee),
-    ("engine_state", 712, 0x0088_b2e1_f6fa_02a4),
+    ("engine_state", 667, 0x9593_566f_afe9_9728),
 ];
 
 /// Checks each case against its pinned bytes, and that its decoder reads

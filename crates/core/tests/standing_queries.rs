@@ -1,9 +1,9 @@
 //! Integration tests for user-side standing private range queries
-//! (`lbsp_core::standing`): the full register → move → incremental
-//! refresh → deregister lifecycle, driven through the public API with
-//! realistic movement sequences.
+//! (`lbsp_core`'s standing registry): the full register → move →
+//! incremental refresh → deregister lifecycle, driven through the public
+//! API with realistic movement sequences.
 
-use lbsp_core::StandingPrivateRanges;
+use lbsp_core::{StandingQuery, StandingQueryId, StandingRegistry};
 use lbsp_geom::{Point, Rect};
 use lbsp_server::{private_range_candidates, PublicObject, PublicStore};
 use rand::rngs::StdRng;
@@ -24,6 +24,15 @@ fn grid_store() -> PublicStore {
     )
 }
 
+fn range(reg: &mut StandingRegistry, subject: u64, radius: f64) -> StandingQueryId {
+    reg.register(StandingQuery::Range { subject, radius }, [])
+}
+
+/// The share of refreshes served from the cached candidate set.
+fn reuse_rate(reg: &StandingRegistry) -> f64 {
+    reg.reuses as f64 / (reg.recomputes + reg.reuses) as f64
+}
+
 fn cloak_at(x: f64, y: f64) -> Rect {
     Rect::new_unchecked(x, y, (x + 0.2).min(1.0), (y + 0.2).min(1.0))
 }
@@ -34,8 +43,8 @@ fn cloak_at(x: f64, y: f64) -> Rect {
 #[test]
 fn movement_triggers_recompute_stationary_reuses() {
     let store = grid_store();
-    let mut reg = StandingPrivateRanges::new();
-    let q = reg.register(1, 0.12);
+    let mut reg = StandingRegistry::new();
+    let q = range(&mut reg, 1, 0.12);
 
     let mut recomputes_expected = 0;
     let mut reuses_expected = 0;
@@ -43,7 +52,7 @@ fn movement_triggers_recompute_stationary_reuses() {
         // Move on even steps, stand still on odd steps.
         let x = 0.04 * f64::from(step / 2);
         let cloak = cloak_at(x, 0.4);
-        reg.on_cloak_update(1, &cloak, &store);
+        reg.on_cloak(1, &cloak, &store);
         if step % 2 == 0 {
             recomputes_expected += 1;
         } else {
@@ -56,7 +65,7 @@ fn movement_triggers_recompute_stationary_reuses() {
         assert_eq!(reg.candidates(q).unwrap(), expect.as_slice(), "step {step}");
     }
     // Half the refreshes were free.
-    assert!((reg.reuse_rate() - 0.5).abs() < 1e-12);
+    assert!((reuse_rate(&reg) - 0.5).abs() < 1e-12);
 }
 
 /// Several users with several queries each: a cloak update refreshes
@@ -65,14 +74,14 @@ fn movement_triggers_recompute_stationary_reuses() {
 #[test]
 fn refresh_is_scoped_to_the_moving_user() {
     let store = grid_store();
-    let mut reg = StandingPrivateRanges::new();
-    let q_small = reg.register(1, 0.05);
-    let q_large = reg.register(1, 0.3);
-    let q_other = reg.register(2, 0.1);
+    let mut reg = StandingRegistry::new();
+    let q_small = range(&mut reg, 1, 0.05);
+    let q_large = range(&mut reg, 1, 0.3);
+    let q_other = range(&mut reg, 2, 0.1);
     assert_eq!(reg.len(), 3);
 
     let c1 = cloak_at(0.4, 0.4);
-    reg.on_cloak_update(1, &c1, &store);
+    reg.on_cloak(1, &c1, &store);
     assert_eq!(reg.recomputes, 2, "both of user 1's queries refreshed");
     assert!(
         reg.candidates(q_other).unwrap().is_empty(),
@@ -88,7 +97,7 @@ fn refresh_is_scoped_to_the_moving_user() {
 
     // User 2 appears far away; user 1's answers must not change.
     let before_small = reg.candidates(q_small).unwrap().to_vec();
-    reg.on_cloak_update(2, &cloak_at(0.0, 0.0), &store);
+    reg.on_cloak(2, &cloak_at(0.0, 0.0), &store);
     assert_eq!(reg.candidates(q_small).unwrap(), before_small.as_slice());
     assert_eq!(reg.recomputes, 3);
 }
@@ -98,25 +107,25 @@ fn refresh_is_scoped_to_the_moving_user() {
 #[test]
 fn deregister_mid_stream() {
     let store = grid_store();
-    let mut reg = StandingPrivateRanges::new();
-    let q1 = reg.register(1, 0.1);
-    let q2 = reg.register(1, 0.1);
-    reg.on_cloak_update(1, &cloak_at(0.4, 0.4), &store);
+    let mut reg = StandingRegistry::new();
+    let q1 = range(&mut reg, 1, 0.1);
+    let q2 = range(&mut reg, 1, 0.1);
+    reg.on_cloak(1, &cloak_at(0.4, 0.4), &store);
     assert_eq!(reg.recomputes, 2);
 
     assert!(reg.deregister(q1));
     assert!(!reg.deregister(q1), "double deregister is a no-op");
     assert!(reg.candidates(q1).is_none());
-    assert_eq!(reg.user_of(q1), None);
+    assert_eq!(reg.subject(q1), None);
     assert_eq!(reg.len(), 1);
 
     // Subsequent movement refreshes only the survivor.
-    reg.on_cloak_update(1, &cloak_at(0.6, 0.6), &store);
+    reg.on_cloak(1, &cloak_at(0.6, 0.6), &store);
     assert_eq!(reg.recomputes, 3);
     assert!(!reg.candidates(q2).unwrap().is_empty());
 
     // A fresh registration gets a fresh id.
-    let q3 = reg.register(3, 0.1);
+    let q3 = range(&mut reg, 3, 0.1);
     assert_ne!(q3, q1);
     assert_ne!(q3, q2);
 }
@@ -128,9 +137,9 @@ fn deregister_mid_stream() {
 fn cached_answers_always_match_from_scratch() {
     let store = grid_store();
     let mut rng = StdRng::seed_from_u64(99);
-    let mut reg = StandingPrivateRanges::new();
+    let mut reg = StandingRegistry::new();
     let queries: Vec<(u64, u64)> = (0..6u64)
-        .map(|user| (user, reg.register(user, 0.08 + 0.02 * user as f64)))
+        .map(|user| (user, range(&mut reg, user, 0.08 + 0.02 * user as f64)))
         .collect();
 
     let mut refreshes = 0u64;
@@ -139,7 +148,7 @@ fn cached_answers_always_match_from_scratch() {
         // Quantized positions so repeated cloaks (reuses) actually occur.
         let x = f64::from(rng.random_range(0..4u32)) * 0.2;
         let y = f64::from(rng.random_range(0..4u32)) * 0.2;
-        reg.on_cloak_update(user, &cloak_at(x, y), &store);
+        reg.on_cloak(user, &cloak_at(x, y), &store);
         refreshes += 1;
 
         let (_, q) = queries[user as usize];
@@ -152,5 +161,5 @@ fn cached_answers_always_match_from_scratch() {
         reg.reuses > 0,
         "quantized walk must produce repeated cloaks"
     );
-    assert!(reg.reuse_rate() > 0.0 && reg.reuse_rate() < 1.0);
+    assert!(reuse_rate(&reg) > 0.0 && reuse_rate(&reg) < 1.0);
 }

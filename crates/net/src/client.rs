@@ -266,8 +266,8 @@ impl NetClient {
     }
 
     /// Drops a standing query.
-    pub fn deregister_standing(&mut self, kind: wire::StandingKind, id: u64) -> io::Result<Reply> {
-        let msg = wire::StandingRefMsg { kind, id };
+    pub fn deregister_standing(&mut self, id: u64) -> io::Result<Reply> {
+        let msg = wire::StandingRefMsg { id };
         self.request(
             wire::tag::DEREGISTER_STANDING,
             &wire::encode_standing_ref(&msg),
@@ -276,8 +276,8 @@ impl NetClient {
 
     /// Reads a standing query's current state; on success the reply
     /// carries bytes for [`wire::decode_standing_state`].
-    pub fn standing_snapshot(&mut self, kind: wire::StandingKind, id: u64) -> io::Result<Reply> {
-        let msg = wire::StandingRefMsg { kind, id };
+    pub fn standing_snapshot(&mut self, id: u64) -> io::Result<Reply> {
+        let msg = wire::StandingRefMsg { id };
         self.request(
             wire::tag::STANDING_SNAPSHOT,
             &wire::encode_standing_ref(&msg),

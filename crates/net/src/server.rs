@@ -67,8 +67,8 @@ pub type Outbound = (u8, Vec<u8>);
 /// backpressure treatment (see [`route_deltas`]).
 #[derive(Default)]
 pub struct StandingSubs {
-    /// (kind code, query id) → subscribed connection ids.
-    by_query: HashMap<(u8, u64), Vec<u64>>,
+    /// Query id → subscribed connection ids.
+    by_query: HashMap<u64, Vec<u64>>,
     /// Live connections' delta-push channels, by connection id.
     pub(crate) senders: HashMap<u64, mpsc::SyncSender<Outbound>>,
 }
@@ -405,29 +405,29 @@ pub(crate) fn unsubscribe_connection(subs: &SharedSubs, conn_id: u64) {
     });
 }
 
-/// Subscribes `conn_id` to a standing query key (idempotent).
-pub fn subscribe(subs: &SharedSubs, conn_id: u64, key: (u8, u64)) {
+/// Subscribes `conn_id` to standing query `id` (idempotent).
+pub fn subscribe(subs: &SharedSubs, conn_id: u64, id: u64) {
     let mut subs = subs.lock();
-    let conns = subs.by_query.entry(key).or_default();
+    let conns = subs.by_query.entry(id).or_default();
     if !conns.contains(&conn_id) {
         conns.push(conn_id);
     }
 }
 
 /// Forgets every subscription to a deregistered standing query.
-pub fn drop_query(subs: &SharedSubs, key: (u8, u64)) {
-    subs.lock().by_query.remove(&key);
+pub fn drop_query(subs: &SharedSubs, id: u64) {
+    subs.lock().by_query.remove(&id);
 }
 
-/// Fans changed standing-query states — `((kind code, query id), state
-/// bytes)` — out to their subscribers. Deltas for a connection the
+/// Fans changed standing-query states — `(query id, state bytes)` — out
+/// to their subscribers. Deltas for a connection the
 /// current `serve` call is answering (`is_own`) are returned, to be
 /// emitted ahead of its reply per the standing-delta contract; every
 /// other subscriber gets a best-effort push through its channel, dropped
 /// when full — the `seq` field lets those subscribers resynchronize.
 pub fn route_deltas(
     subs: &SharedSubs,
-    deltas: Vec<((u8, u64), Vec<u8>)>,
+    deltas: Vec<(u64, Vec<u8>)>,
     is_own: impl Fn(u64) -> bool,
 ) -> Vec<(u64, Outbound)> {
     let mut own = Vec::new();
@@ -435,8 +435,8 @@ pub fn route_deltas(
         return own;
     }
     let subs = subs.lock();
-    for (key, bytes) in deltas {
-        for &cid in subs.by_query.get(&key).into_iter().flatten() {
+    for (id, bytes) in deltas {
+        for &cid in subs.by_query.get(&id).into_iter().flatten() {
             if is_own(cid) {
                 own.push((cid, (wire::tag::STANDING_DELTA, bytes.clone())));
             } else if let Some(tx) = subs.senders.get(&cid) {
@@ -534,15 +534,13 @@ impl EngineService {
             let mut eng = self.engine.lock();
             let out = eng.process_updates_wire(&rows);
             let changed = eng.take_standing_changes();
-            let mut deltas: Vec<((u8, u64), Vec<u8>)> = Vec::with_capacity(changed.len());
-            for (kind, id) in changed {
-                if let Some(state) = eng.standing_state(kind, id) {
-                    deltas.push((
-                        (kind.code(), id),
-                        wire::encode_standing_state(&state).to_vec(),
-                    ));
-                }
-            }
+            let deltas: Vec<(u64, Vec<u8>)> = changed
+                .into_iter()
+                .filter_map(|id| {
+                    let state = eng.standing_state(id)?;
+                    Some((id, wire::encode_standing_state(&state).to_vec()))
+                })
+                .collect();
             NetCounters::add(&counters.engine_batches, 1);
             self.obs.net_batch_size().record(rows.len() as f64);
             (out, deltas)
@@ -684,11 +682,10 @@ impl EngineService {
                     return err("malformed standing-count registration".into());
                 };
                 let id = engine.lock().add_standing_count(msg.area);
-                let kind = wire::StandingKind::Count;
-                subscribe(subs, conn_id, (kind.code(), id));
+                subscribe(subs, conn_id, id);
                 (
                     wire::tag::STANDING_REGISTERED,
-                    wire::encode_standing_ref(&wire::StandingRefMsg { kind, id }).to_vec(),
+                    wire::encode_standing_ref(&wire::StandingRefMsg { id }).to_vec(),
                 )
             }
             wire::tag::REGISTER_STANDING_RANGE => {
@@ -697,11 +694,10 @@ impl EngineService {
                     return err("malformed standing-range registration".into());
                 };
                 let id = engine.lock().add_standing_range(msg.user, msg.radius);
-                let kind = wire::StandingKind::Range;
-                subscribe(subs, conn_id, (kind.code(), id));
+                subscribe(subs, conn_id, id);
                 (
                     wire::tag::STANDING_REGISTERED,
-                    wire::encode_standing_ref(&wire::StandingRefMsg { kind, id }).to_vec(),
+                    wire::encode_standing_ref(&wire::StandingRefMsg { id }).to_vec(),
                 )
             }
             wire::tag::DEREGISTER_STANDING => {
@@ -709,8 +705,8 @@ impl EngineService {
                     NetCounters::add(&counters.frames_rejected, 1);
                     return err("malformed standing-query reference".into());
                 };
-                if engine.lock().deregister_standing(msg.kind, msg.id) {
-                    drop_query(subs, (msg.kind.code(), msg.id));
+                if engine.lock().deregister_standing(msg.id) {
+                    drop_query(subs, msg.id);
                     (wire::tag::OK, Vec::new())
                 } else {
                     err("unknown standing query".into())
@@ -721,7 +717,7 @@ impl EngineService {
                     NetCounters::add(&counters.frames_rejected, 1);
                     return err("malformed standing-query reference".into());
                 };
-                match engine.lock().standing_state(msg.kind, msg.id) {
+                match engine.lock().standing_state(msg.id) {
                     Some(state) => (
                         wire::tag::STANDING_STATE,
                         wire::encode_standing_state(&state).to_vec(),
@@ -757,17 +753,13 @@ impl EngineService {
                 // idempotent — so delta push survives the replayed path.
                 // A drop of an id already gone is such a replay too: `OK`.
                 match msg {
-                    wire::StandingInstallMsg::Count { id, area } => {
-                        engine.lock().install_standing_count(id, area);
-                        subscribe(subs, conn_id, (wire::StandingKind::Count.code(), id));
+                    wire::StandingInstallMsg::Install { id, query } => {
+                        engine.lock().install_standing(id, query);
+                        subscribe(subs, conn_id, id);
                     }
-                    wire::StandingInstallMsg::Range { id, user, radius } => {
-                        engine.lock().install_standing_range(id, user, radius);
-                        subscribe(subs, conn_id, (wire::StandingKind::Range.code(), id));
-                    }
-                    wire::StandingInstallMsg::Drop { kind, id } => {
-                        engine.lock().deregister_standing(kind, id);
-                        drop_query(subs, (kind.code(), id));
+                    wire::StandingInstallMsg::Drop { id } => {
+                        engine.lock().deregister_standing(id);
+                        drop_query(subs, id);
                     }
                 }
                 (wire::tag::OK, Vec::new())

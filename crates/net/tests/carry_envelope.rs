@@ -7,7 +7,7 @@
 use lbsp_anonymizer::{CloakRequirement, PrivacyProfile};
 use lbsp_core::engine::{EngineConfig, ShardedEngine};
 use lbsp_core::wire::{self, tag};
-use lbsp_core::{Durability, DurabilitySink, EngineOp, JournalRecord};
+use lbsp_core::{Durability, DurabilitySink, EngineOp, JournalRecord, StandingQuery};
 use lbsp_geom::{Point, Rect, SimTime};
 use lbsp_net::{NetClient, NetConfig, NetServer, Reply};
 use std::sync::{Arc, Mutex};
@@ -312,23 +312,22 @@ fn a_replayed_standing_install_or_drop_is_a_no_op() {
             wire::encode_standing_install(&msg).to_vec(),
         )
     };
-    let area = Rect::new_unchecked(0.0, 0.0, 0.5, 1.0);
+    let query = StandingQuery::Count {
+        area: Rect::new_unchecked(0.0, 0.0, 0.5, 1.0),
+    };
     let install = [
-        standing(wire::StandingInstallMsg::Count { id: 4, area }),
-        standing(wire::StandingInstallMsg::Count { id: 6, area }),
+        standing(wire::StandingInstallMsg::Install { id: 4, query }),
+        standing(wire::StandingInstallMsg::Install { id: 6, query }),
     ];
-    let dropped = [standing(wire::StandingInstallMsg::Drop {
-        kind: wire::StandingKind::Count,
-        id: 4,
-    })];
+    let dropped = [standing(wire::StandingInstallMsg::Drop { id: 4 })];
     for carried in [&install[..], &install[..], &dropped[..], &dropped[..]] {
         let reply = client.request(tag::CARRY, &envelope(carried, None));
         assert_eq!(reply.unwrap(), Reply::Ok);
     }
     assert_eq!(server.counters().snapshot().frames_rejected, 0);
     drop(client);
-    let counts = server.shutdown().export_state().counts;
-    let ids: Vec<u64> = counts.queries.iter().map(|q| q.id).collect();
+    let standing = server.shutdown().export_state().standing;
+    let ids: Vec<u64> = standing.entries.iter().map(|q| q.id).collect();
     assert_eq!(ids, [6], "one install each, and the drop");
-    assert_eq!(counts.next_id, 7, "ids keep clear of the installed ones");
+    assert_eq!(standing.next_id, 7, "ids keep clear of the installed ones");
 }

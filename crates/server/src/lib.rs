@@ -31,14 +31,12 @@
 //!     cloaked rectangles (min/max-dist pruning + Monte-Carlo win
 //!     probabilities under the paper's uniform-position assumption).
 //!
-//! [`ContinuousRangeCount`] adds the incremental continuous-query
-//! machinery (Sec. 5.3) for standing public count queries over the
-//! moving private population.
+//! The standing (continuous) forms of these queries, maintained
+//! incrementally (Sec. 5.3), live in `lbsp-core`'s standing registry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod continuous;
 mod object;
 mod pdf;
 mod private_nn;
@@ -49,7 +47,6 @@ mod public_nn;
 mod server;
 mod store;
 
-pub use continuous::{ContinuousCountState, ContinuousRangeCount, StandingCountQueryState};
 pub use object::{PrivateRecord, PublicObject};
 pub use pdf::PoissonBinomial;
 pub use private_nn::{private_knn_candidates, private_nn_candidates, refine_knn, refine_nn};

@@ -3,8 +3,7 @@
 //! Fig. 1 draws the server as one box with two inputs — cloaked updates
 //! from the location anonymizer and public queries from untrusted
 //! parties — and this type is that box: it owns the public and private
-//! stores and the standing-query registry, and exposes one typed method
-//! per supported operation. It is driven
+//! stores, and exposes one typed method per supported operation. It is driven
 //! directly (see the crate tests), which is exactly what an untrusted
 //! third party does. The `lbsp-core` engine answers the same queries
 //! with the same processors over stores of its own, and the equivalence
@@ -12,9 +11,9 @@
 
 use crate::{
     private_knn_candidates, private_nn_candidates, private_private_range_count,
-    private_range_candidates, ContinuousRangeCount, CountAnswer, PrivatePrivateCountAnswer,
-    PrivatePrivateNnAnswer, PrivatePrivateNnQuery, PrivateRecord, PrivateStore, PseudonymId,
-    PublicCountQuery, PublicNnAnswer, PublicNnQuery, PublicObject, PublicStore,
+    private_range_candidates, CountAnswer, PrivatePrivateCountAnswer, PrivatePrivateNnAnswer,
+    PrivatePrivateNnQuery, PrivateRecord, PrivateStore, PseudonymId, PublicCountQuery,
+    PublicNnAnswer, PublicNnQuery, PublicObject, PublicStore,
 };
 use lbsp_geom::{Point, Rect};
 
@@ -23,7 +22,6 @@ use lbsp_geom::{Point, Rect};
 pub struct Server {
     public: PublicStore,
     private: PrivateStore,
-    continuous: ContinuousRangeCount,
 }
 
 impl Server {
@@ -32,7 +30,6 @@ impl Server {
         Server {
             public: PublicStore::bulk_load(public_objects),
             private: PrivateStore::new(),
-            continuous: ContinuousRangeCount::new(),
         }
     }
 
@@ -54,11 +51,10 @@ impl Server {
     }
 
     /// Ingests a cloaked update from the anonymizer: replaces the
-    /// pseudonym's stored region and feeds the standing queries.
-    pub fn ingest(&mut self, pseudonym: PseudonymId, region: Rect) {
-        let old = self.private.upsert(PrivateRecord::new(pseudonym, region));
-        self.continuous
-            .on_update(pseudonym, old.as_ref(), Some(&region));
+    /// pseudonym's stored region, returning the one it displaced (the
+    /// `old` half of a standing count's delta).
+    pub fn ingest(&mut self, pseudonym: PseudonymId, region: Rect) -> Option<Rect> {
+        self.private.upsert(PrivateRecord::new(pseudonym, region))
     }
 
     /// Private range query over public data (Fig. 5a).
@@ -107,17 +103,6 @@ impl Server {
             querier ^ 0xC0DE,
         )
     }
-
-    /// Registers a standing count query seeded from the current records.
-    pub fn add_standing_count(&mut self, area: Rect) -> u64 {
-        self.continuous
-            .register(area, self.private.iter().map(|r| (r.pseudonym, r.region)))
-    }
-
-    /// The standing-query registry.
-    pub fn continuous(&self) -> &ContinuousRangeCount {
-        &self.continuous
-    }
 }
 
 #[cfg(test)]
@@ -134,13 +119,14 @@ mod tests {
     fn ingest_and_query_lifecycle() {
         let mut s = Server::new(pois());
         assert_eq!(s.public().len(), 50);
-        let qid = s.add_standing_count(Rect::new_unchecked(0.0, 0.0, 1.0, 1.0));
         // Ingest three cloaked users.
         for i in 0..3u64 {
-            s.ingest(100 + i, Rect::new_unchecked(0.2, 0.2, 0.4, 0.4));
+            assert_eq!(
+                s.ingest(100 + i, Rect::new_unchecked(0.2, 0.2, 0.4, 0.4)),
+                None
+            );
         }
         assert_eq!(s.private().len(), 3);
-        assert_eq!(s.continuous().expected(qid), Some(3.0));
         // Every query class answers.
         let cloak = Rect::new_unchecked(0.3, 0.45, 0.5, 0.55);
         assert!(!s.private_range(&cloak, 0.1).is_empty());

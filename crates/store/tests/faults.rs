@@ -47,7 +47,7 @@ fn updates(n: u64, salt: u64) -> Vec<(UserId, Point, SimTime)> {
 
 /// The standard mixed workload: registrations, public data, two update
 /// waves, standing queries, a drain. The final mutation is a small
-/// `AddStandingCount` record so the truncation sweep stays cheap.
+/// `InstallStanding` record so the truncation sweep stays cheap.
 fn drive(engine: &mut ShardedEngine) {
     for i in 0..24u64 {
         engine.register(i, profile());
@@ -636,13 +636,42 @@ fn a_system_journal_genesis_fails_to_open() {
     );
 }
 
+/// Appends a record of `tag` and `payload`, framed with a valid CRC,
+/// behind a clean log, and requires recovery and reopening to refuse it.
+fn expect_retired_tag_refused(tag: u8, payload: &[u8]) {
+    let dir = TempDir::new("retired-record");
+    build_log(dir.path(), u64::MAX);
+    let seg = segments(dir.path()).pop().expect("segment exists");
+    let body = [&[tag][..], payload].concat();
+    let mut frame = u32::try_from(body.len()).unwrap().to_le_bytes().to_vec();
+    frame.extend_from_slice(&crc32(&body).to_le_bytes());
+    frame.extend_from_slice(&body);
+    fs::OpenOptions::new()
+        .append(true)
+        .open(&seg)
+        .expect("open segment")
+        .write_all(&frame)
+        .expect("append retired record");
+    expect_corrupt(dir.path(), &format!("tag 0x{tag:02X}"));
+    let opened = open_engine(
+        dir.path(),
+        EngineConfig::new(world()),
+        1,
+        Durability::default(),
+    );
+    assert!(
+        matches!(opened, Err(StoreError::Corrupt { .. })),
+        "open_engine must refuse tag 0x{tag:02X}"
+    );
+}
+
 #[test]
 fn a_log_holding_a_handoff_record_fails_to_open() {
     // A user handed out to another node (0x0B: the user's id) and handed
     // in from one (0x10: id, Fig. 2's profile, no cloak, no standing
-    // ranges), framed with valid CRCs behind a clean log. No writer
-    // produces them now — a user has one owner for life — and both tags
-    // are retired: the log must be refused, not read around.
+    // ranges). No writer produces them now — a user has one owner for
+    // life — and both tags are retired: the log must be refused, not
+    // read around.
     let handed_in = [
         &7u64.to_le_bytes()[..],
         &journal::encode_record(&JournalRecord::Op(lbsp_core::EngineOp::RegisterUser {
@@ -653,32 +682,22 @@ fn a_log_holding_a_handoff_record_fails_to_open() {
         &0u32.to_le_bytes(),
     ]
     .concat();
-    for (tag, payload) in [(0x0Bu8, 7u64.to_le_bytes().to_vec()), (0x10, handed_in)] {
-        let dir = TempDir::new("handoff-record");
-        build_log(dir.path(), u64::MAX);
-        let seg = segments(dir.path()).pop().expect("segment exists");
-        let body = [&[tag][..], &payload].concat();
-        let mut frame = u32::try_from(body.len()).unwrap().to_le_bytes().to_vec();
-        frame.extend_from_slice(&crc32(&body).to_le_bytes());
-        frame.extend_from_slice(&body);
-        fs::OpenOptions::new()
-            .append(true)
-            .open(&seg)
-            .expect("open segment")
-            .write_all(&frame)
-            .expect("append handoff record");
-        expect_corrupt(dir.path(), &format!("tag 0x{tag:02X}"));
-        let opened = open_engine(
-            dir.path(),
-            EngineConfig::new(world()),
-            1,
-            Durability::default(),
-        );
-        assert!(
-            matches!(opened, Err(StoreError::Corrupt { .. })),
-            "open_engine must refuse tag 0x{tag:02X}"
-        );
-    }
+    expect_retired_tag_refused(0x0B, &7u64.to_le_bytes());
+    expect_retired_tag_refused(0x10, &handed_in);
+}
+
+#[test]
+fn a_log_holding_a_retired_standing_record_fails_to_open() {
+    // A standing count and range the replaying engine allocated (0x04:
+    // an area; 0x05: a user and a radius) and a drop naming the query's
+    // kind (0x06: a kind code and an id). Registrations are journaled as
+    // installs of the id they got, and a drop names an id alone.
+    let area = [0.0f64, 0.0, 1.0, 1.0].map(f64::to_le_bytes).concat();
+    let range = [7u64.to_le_bytes(), 0.125f64.to_le_bytes()].concat();
+    let drop = [&[1u8][..], &5u64.to_le_bytes()].concat();
+    expect_retired_tag_refused(0x04, &area);
+    expect_retired_tag_refused(0x05, &range);
+    expect_retired_tag_refused(0x06, &drop);
 }
 
 #[test]
@@ -705,6 +724,11 @@ fn a_version_one_snapshot_fails_loudly() {
     v1[0] = 1;
     rewrite(&v1);
     expect_corrupt(dir.path(), "version-1 snapshot");
+    // Version byte 2: two standing registries and their float sums.
+    let mut v2 = payload.to_vec();
+    v2[0] = 2;
+    rewrite(&v2);
+    expect_corrupt(dir.path(), "version-2 snapshot");
 }
 
 // ---------------------------------------------------------------------

@@ -15,7 +15,6 @@
 
 use lbsp_anonymizer::{CloakRequirement, CloakedRegion, CloakedUpdate, PrivacyProfile};
 use lbsp_core::journal;
-use lbsp_core::wire::StandingKind;
 use lbsp_core::{Durability, EngineConfig, JournalRecord, ShardedEngine, UserId};
 use lbsp_geom::{Point, Rect, SimTime};
 use lbsp_server::PublicObject;
@@ -71,7 +70,7 @@ fn square(cx: f64, cy: f64, half: f64) -> Rect {
 /// Applies one op deterministically. `issued` tracks live standing
 /// registrations so `Deregister` picks a real target; the same vector
 /// evolution happens in every run of the same op sequence.
-fn apply(engine: &mut ShardedEngine, issued: &mut Vec<(StandingKind, u64)>, op: &TestOp) {
+fn apply(engine: &mut ShardedEngine, issued: &mut Vec<u64>, op: &TestOp) {
     match op {
         // k = 5 registers Fig. 2's profile, every time-of-day entry of
         // which the log must carry.
@@ -101,20 +100,18 @@ fn apply(engine: &mut ShardedEngine, issued: &mut Vec<(StandingKind, u64)>, op: 
             engine.load_public(objects);
         }
         TestOp::StandingCount { cx, cy, half } => {
-            let id = engine.add_standing_count(square(*cx, *cy, *half));
-            issued.push((StandingKind::Count, id));
+            issued.push(engine.add_standing_count(square(*cx, *cy, *half)));
         }
         TestOp::StandingRange { user, radius } => {
-            let id = engine.add_standing_range(*user, *radius);
-            issued.push((StandingKind::Range, id));
+            issued.push(engine.add_standing_range(*user, *radius));
         }
         TestOp::Drain => {
             engine.take_standing_changes();
         }
         TestOp::Deregister { sel } => {
             if !issued.is_empty() {
-                let (kind, id) = issued.remove(*sel as usize % issued.len());
-                engine.deregister_standing(kind, id);
+                let id = issued.remove(*sel as usize % issued.len());
+                engine.deregister_standing(id);
             }
         }
         TestOp::Mirror { rows, secs, cloak } => {

@@ -18,8 +18,8 @@ use common::Sequential;
 use lbsp_anonymizer::{CloakRequirement, GridCloak, PrivacyProfile};
 use lbsp_cluster::{owner_of, Router, RouterConfig};
 use lbsp_core::engine::{EngineConfig, ShardedEngine};
-use lbsp_core::wire::{self, StandingKind};
-use lbsp_core::StandingRangesState;
+use lbsp_core::wire;
+use lbsp_core::StandingRegistryState;
 use lbsp_geom::{Point, Rect, SimTime};
 use lbsp_net::{
     is_retryable_route_failure, is_route_failure, NetClient, NetConfig, NetServer, Reply,
@@ -87,7 +87,7 @@ fn fresh_engine() -> ShardedEngine {
 /// wire state of every standing query.
 struct Reference {
     updates: Vec<Vec<u8>>,
-    standing: Vec<((StandingKind, u64), Vec<u8>)>,
+    standing: Vec<(u64, Vec<u8>)>,
 }
 
 fn reference_run() -> Reference {
@@ -101,14 +101,12 @@ fn reference_run() -> Reference {
         let u = sys.update(id, pos, time);
         updates.push(wire::encode_cloaked_update(&u).to_vec());
     }
-    let mut keys: Vec<(StandingKind, u64)> = Vec::new();
+    let mut keys: Vec<u64> = Vec::new();
     for &(x0, y0, x1, y1) in &COUNT_AREAS {
-        let id = sys.add_standing_count(Rect::new_unchecked(x0, y0, x1, y1));
-        keys.push((StandingKind::Count, id));
+        keys.push(sys.add_standing_count(Rect::new_unchecked(x0, y0, x1, y1)));
     }
     for &(user, radius) in &RANGE_OWNERS {
-        let id = sys.add_standing_range(user, radius);
-        keys.push((StandingKind::Range, id));
+        keys.push(sys.add_standing_range(user, radius));
     }
     for w in 1..WAVES {
         for &(id, pos, time) in &wave(w) {
@@ -118,9 +116,9 @@ fn reference_run() -> Reference {
     }
     let standing = keys
         .into_iter()
-        .map(|(kind, id)| {
-            let state = sys.standing_state(kind, id).unwrap();
-            ((kind, id), wire::encode_standing_state(&state).to_vec())
+        .map(|id| {
+            let state = sys.standing_state(id).unwrap();
+            (id, wire::encode_standing_state(&state).to_vec())
         })
         .collect();
     Reference { updates, standing }
@@ -212,14 +210,12 @@ fn cluster_is_byte_identical_to_the_sequential_system() {
 
         // Standing registrations broadcast through the router come back
         // with the same ids the sequential registries produced.
-        let mut keys: Vec<(StandingKind, u64)> = Vec::new();
+        let mut keys: Vec<u64> = Vec::new();
         for &(x0, y0, x1, y1) in &COUNT_AREAS {
             let area = Rect::new_unchecked(x0, y0, x1, y1);
             match client.register_standing_count(area).unwrap() {
                 Reply::StandingRegistered(bytes) => {
-                    let r = wire::decode_standing_ref(&bytes).unwrap();
-                    assert_eq!(r.kind, StandingKind::Count);
-                    keys.push((r.kind, r.id));
+                    keys.push(wire::decode_standing_ref(&bytes).unwrap().id);
                 }
                 other => panic!("standing-count registration (K={k}): {other:?}"),
             }
@@ -227,9 +223,7 @@ fn cluster_is_byte_identical_to_the_sequential_system() {
         for &(user, radius) in &RANGE_OWNERS {
             match client.register_standing_range(user, radius).unwrap() {
                 Reply::StandingRegistered(bytes) => {
-                    let r = wire::decode_standing_ref(&bytes).unwrap();
-                    assert_eq!(r.kind, StandingKind::Range);
-                    keys.push((r.kind, r.id));
+                    keys.push(wire::decode_standing_ref(&bytes).unwrap().id);
                 }
                 other => panic!("standing-range registration (K={k}): {other:?}"),
             }
@@ -264,14 +258,10 @@ fn cluster_is_byte_identical_to_the_sequential_system() {
         // same per-kind comparison the single-node test uses.
         let deltas = client.take_standing_deltas();
         assert!(!deltas.is_empty(), "movement pushed deltas (K={k})");
-        let mut last: HashMap<(StandingKind, u64), Vec<u8>> = HashMap::new();
+        let mut last: HashMap<u64, Vec<u8>> = HashMap::new();
         for bytes in &deltas {
             let state = wire::decode_standing_state(bytes).expect("delta decodes");
-            let kind = match state {
-                wire::StandingState::Count(_) => StandingKind::Count,
-                wire::StandingState::Range(_) => StandingKind::Range,
-            };
-            last.insert((kind, state.id()), bytes.clone());
+            last.insert(state.id(), bytes.clone());
         }
         for (key, expect) in &reference.standing {
             let Some(bytes) = last.get(key) else { continue };
@@ -297,7 +287,7 @@ fn cluster_is_byte_identical_to_the_sequential_system() {
         // byte-identical to the sequential path — including the `seq`
         // counters.
         for (key, expect) in &reference.standing {
-            match client.standing_snapshot(key.0, key.1).unwrap() {
+            match client.standing_snapshot(*key).unwrap() {
                 Reply::StandingState(bytes) => {
                     assert_eq!(&bytes, expect, "snapshot {key:?} (K={k})")
                 }
@@ -309,18 +299,19 @@ fn cluster_is_byte_identical_to_the_sequential_system() {
         let report = router.shutdown();
         assert_eq!(report.route_failures, 0, "healthy cluster (K={k})");
 
-        // Lockstep proof: *every* node's count registries hold the
-        // sequential final state — the replicated planes never drifted.
-        // (Range registries live only on the subject's owner; the
-        // snapshot check above already pinned those.)
+        // Lockstep proof: *every* node's counts hold the sequential
+        // final state — the replicated planes never drifted. (A range
+        // is kept current only on its subject's owner; the snapshot
+        // check above already pinned those.)
         let engines: Vec<ShardedEngine> = servers.into_iter().map(|s| s.shutdown()).collect();
         assert_one_owner_each(&engines, 0..USERS, "after three waves");
         for (n, engine) in engines.iter().enumerate() {
             for (key, expect) in &reference.standing {
-                if key.0 != StandingKind::Count {
+                let Some(wire::StandingState::Count(_)) = wire::decode_standing_state(expect)
+                else {
                     continue;
-                }
-                let state = engine.standing_state(key.0, key.1).unwrap();
+                };
+                let state = engine.standing_state(*key).unwrap();
                 assert_eq!(
                     &wire::encode_standing_state(&state).to_vec(),
                     expect,
@@ -597,22 +588,16 @@ fn an_update_costs_its_owner_one_frame_and_the_mirrors_a_thirty_second() {
         // counts below are the broadcasts' own.
         let area = Rect::new_unchecked(0.0, 0.0, 0.5, 1.0);
         let keys = [
-            (StandingKind::Count, reference.add_standing_count(area)),
-            (
-                StandingKind::Range,
-                reference.add_standing_range(asker, 0.3),
-            ),
+            reference.add_standing_count(area),
+            reference.add_standing_range(asker, 0.3),
         ];
         let before = served(&servers);
         let registered = [
             client.register_standing_count(area).unwrap(),
             client.register_standing_range(asker, 0.3).unwrap(),
         ];
-        for ((kind, id), got) in keys.iter().zip(registered) {
-            let r = wire::StandingRefMsg {
-                kind: *kind,
-                id: *id,
-            };
+        for (&id, got) in keys.iter().zip(registered) {
+            let r = wire::StandingRefMsg { id };
             let want = Reply::StandingRegistered(wire::encode_standing_ref(&r).to_vec());
             assert_eq!(got, want, "registration (K={k})");
         }
@@ -621,9 +606,9 @@ fn an_update_costs_its_owner_one_frame_and_the_mirrors_a_thirty_second() {
         for n in 1..k {
             assert_eq!(after[n], before[n], "node {n}: registrations (K={k})");
         }
-        for &(kind, id) in &keys {
-            assert!(reference.deregister_standing(kind, id));
-            assert_eq!(client.deregister_standing(kind, id).unwrap(), Reply::Ok);
+        for &id in &keys {
+            assert!(reference.deregister_standing(id));
+            assert_eq!(client.deregister_standing(id).unwrap(), Reply::Ok);
         }
         let before = served(&servers);
         assert_eq!(before[0] - after[0], 2, "node 0: a frame each (K={k})");
@@ -700,7 +685,10 @@ fn an_update_costs_its_owner_one_frame_and_the_mirrors_a_thirty_second() {
                 "node {n} positions (K={k})"
             );
             assert_eq!(state.records, states[0].records, "node {n} cloaks (K={k})");
-            assert_eq!(state.counts, states[0].counts, "node {n} counts (K={k})");
+            assert_eq!(
+                state.standing, states[0].standing,
+                "node {n} standing (K={k})"
+            );
         }
         assert_eq!(states[0].positions.len(), MOVERS + 1);
     }
@@ -770,25 +758,27 @@ fn engine_deltas(engine: &mut ShardedEngine) -> Vec<Vec<u8>> {
     engine
         .take_standing_changes()
         .into_iter()
-        .filter_map(|(kind, id)| engine.standing_state(kind, id))
+        .filter_map(|id| engine.standing_state(id))
         .map(|state| wire::encode_standing_state(&state).to_vec())
         .collect()
 }
 
 /// A snapshot as the engine would answer it over the wire.
-fn engine_snapshot(engine: &ShardedEngine, kind: StandingKind, id: u64) -> Reply {
-    match engine.standing_state(kind, id) {
+fn engine_snapshot(engine: &ShardedEngine, id: u64) -> Reply {
+    match engine.standing_state(id) {
         Some(state) => Reply::StandingState(wire::encode_standing_state(&state).to_vec()),
         None => Reply::Error("unknown standing query".into()),
     }
 }
 
 /// Deregistration through a router. A count query and a range query
-/// are registered, users move, both are deregistered — the second
-/// attempt at one of them too — and users move again: every reply, every
-/// delta and every snapshot, the unknown-query errors included, is the
-/// in-process engine's. After shutdown every node's standing registries
-/// are node 0's.
+/// are registered under distinct ids of the one id space, and users
+/// move. The count is dropped, and the range lives on: its snapshot is
+/// still its subject's owner's, and its deltas still reach the
+/// subscriber as users move. Then the range is dropped, the count a
+/// second time, and users move again: every reply, every delta and
+/// every snapshot, the unknown-query errors included, is the in-process
+/// engine's. After shutdown every node's standing registry is node 0's.
 #[test]
 fn deregistration_through_a_router_matches_the_engine() {
     const MOVERS: u64 = 40;
@@ -828,65 +818,69 @@ fn deregistration_through_a_router_matches_the_engine() {
 
         let (x0, y0, x1, y1) = COUNT_AREAS[0];
         let area = Rect::new_unchecked(x0, y0, x1, y1);
-        let (user, radius) = RANGE_OWNERS[0];
-        let keys = [
-            (StandingKind::Count, reference.add_standing_count(area)),
-            (
-                StandingKind::Range,
-                reference.add_standing_range(user, radius),
-            ),
-        ];
+        // User 13's owner is node 1 at K = 2 and 4, so a range snapshot
+        // sent to node 0, which answers counts, would read a stale copy.
+        let (user, radius) = RANGE_OWNERS[1];
+        let (count, range) = (
+            reference.add_standing_count(area),
+            reference.add_standing_range(user, radius),
+        );
+        assert_ne!(count, range, "one id space");
         let registered = [
             client.register_standing_count(area).unwrap(),
             client.register_standing_range(user, radius).unwrap(),
         ];
-        for ((kind, id), got) in keys.iter().zip(registered) {
-            let r = wire::StandingRefMsg {
-                kind: *kind,
-                id: *id,
-            };
+        for (id, got) in [count, range].into_iter().zip(registered) {
+            let r = wire::StandingRefMsg { id };
             assert_eq!(
                 got,
                 Reply::StandingRegistered(wire::encode_standing_ref(&r).to_vec()),
                 "registration (K={k})"
             );
         }
+        let snapshots = |client: &mut NetClient, reference: &ShardedEngine, what: &str| {
+            for id in [count, range] {
+                assert_eq!(
+                    client.standing_snapshot(id).unwrap(),
+                    engine_snapshot(reference, id),
+                    "snapshot of {id} {what} (K={k})"
+                );
+            }
+        };
         assert!(
             move_all(&mut client, &mut reference, 1) > 0,
             "deltas (K={k})"
         );
-        for &(kind, id) in &keys {
-            assert_eq!(
-                client.standing_snapshot(kind, id).unwrap(),
-                engine_snapshot(&reference, kind, id),
-                "snapshot of {kind:?} {id} (K={k})"
-            );
-        }
+        snapshots(&mut client, &reference, "while both live");
 
-        for &(kind, id) in &keys {
-            assert!(reference.deregister_standing(kind, id));
-            assert_eq!(
-                client.deregister_standing(kind, id).unwrap(),
-                Reply::Ok,
-                "deregistration of {kind:?} {id} (K={k})"
-            );
-        }
-        let (kind, id) = keys[0];
-        assert!(!reference.deregister_standing(kind, id));
+        // Dropping the count leaves the range routed and pushing.
+        assert!(reference.deregister_standing(count));
         assert_eq!(
-            client.deregister_standing(kind, id).unwrap(),
+            client.deregister_standing(count).unwrap(),
+            Reply::Ok,
+            "deregistration of the count (K={k})"
+        );
+        assert!(
+            move_all(&mut client, &mut reference, 2) > 0,
+            "range deltas after the count's drop (K={k})"
+        );
+        snapshots(&mut client, &reference, "after the count's drop");
+
+        assert!(reference.deregister_standing(range));
+        assert_eq!(
+            client.deregister_standing(range).unwrap(),
+            Reply::Ok,
+            "deregistration of the range (K={k})"
+        );
+        assert!(!reference.deregister_standing(count));
+        assert_eq!(
+            client.deregister_standing(count).unwrap(),
             Reply::Error("unknown standing query".into()),
             "second deregistration (K={k})"
         );
-        for &(kind, id) in &keys {
-            assert_eq!(
-                client.standing_snapshot(kind, id).unwrap(),
-                engine_snapshot(&reference, kind, id),
-                "snapshot of deregistered {kind:?} {id} (K={k})"
-            );
-        }
+        snapshots(&mut client, &reference, "after both drops");
         assert_eq!(
-            move_all(&mut client, &mut reference, 2),
+            move_all(&mut client, &mut reference, 3),
             0,
             "no deltas (K={k})"
         );
@@ -899,19 +893,18 @@ fn deregistration_through_a_router_matches_the_engine() {
             .map(|s| s.shutdown().export_state())
             .collect();
         // A range query's refreshes run on its subject's owner alone, so
-        // the registries' refresh counters are the one thing the nodes
+        // the registry's refresh counters are the one thing the nodes
         // may differ in.
-        let registry = |ranges: &StandingRangesState| StandingRangesState {
+        let registry = |standing: &StandingRegistryState| StandingRegistryState {
             recomputes: 0,
             reuses: 0,
-            ..ranges.clone()
+            ..standing.clone()
         };
         for (n, state) in states.iter().enumerate().skip(1) {
-            assert_eq!(state.counts, states[0].counts, "node {n} counts (K={k})");
             assert_eq!(
-                registry(&state.ranges),
-                registry(&states[0].ranges),
-                "node {n} ranges (K={k})"
+                registry(&state.standing),
+                registry(&states[0].standing),
+                "node {n} standing (K={k})"
             );
         }
     }

@@ -34,7 +34,7 @@
 use lbsp_anonymizer::{CloakRequirement, PrivacyProfile};
 use lbsp_cluster::{owner_of, Router, RouterConfig};
 use lbsp_core::engine::{EngineConfig, ShardedEngine};
-use lbsp_core::wire::{self, StandingKind};
+use lbsp_core::wire;
 use lbsp_core::Durability;
 use lbsp_geom::{Point, Rect, SimTime};
 use lbsp_net::{is_retryable_route_failure, ChaosProxy, NetClient, NetConfig, NetServer, Reply};
@@ -239,19 +239,14 @@ fn sever_mid_broadcast_never_fails_the_client_and_replays_in_order() {
         Reply::StandingRegistered(bytes) => wire::decode_standing_ref(&bytes).unwrap(),
         other => panic!("standing registration during outage: {other:?}"),
     };
-    assert_eq!((got.kind, got.id), (StandingKind::Count, want_id));
+    assert_eq!(got.id, want_id);
 
     proxy.restore();
     // Node 1 comes back (buffer replayed first, in order), and the
     // whole population keeps the sequential byte stream.
     run_wave(&mut client, &mut reference, &all_users(), 2);
-    let want = reference
-        .standing_state(StandingKind::Count, want_id)
-        .unwrap();
-    match client
-        .standing_snapshot(StandingKind::Count, want_id)
-        .unwrap()
-    {
+    let want = reference.standing_state(want_id).unwrap();
+    match client.standing_snapshot(want_id).unwrap() {
         Reply::StandingState(bytes) => {
             assert_eq!(
                 bytes,
@@ -269,17 +264,14 @@ fn sever_mid_broadcast_never_fails_the_client_and_replays_in_order() {
     );
     drop(node0.shutdown());
     // Lockstep proof at the node level: the replayed registry on the
-    // rejoined mirror carries the same observable counters (`expected`
-    // is summation-order-sensitive f64, so integers pin the claim).
+    // rejoined mirror carries the same observable counters.
     let engine1 = node1.shutdown();
-    let state = engine1
-        .standing_state(StandingKind::Count, want_id)
-        .unwrap();
+    let state = engine1.standing_state(want_id).unwrap();
     match (state, want) {
         (wire::StandingState::Count(g), wire::StandingState::Count(w)) => {
             assert_eq!(
-                (g.seq, g.certain, g.possible),
-                (w.seq, w.certain, w.possible),
+                (g.seq, g.expected.to_bits(), g.certain, g.possible),
+                (w.seq, w.expected.to_bits(), w.certain, w.possible),
                 "rejoined mirror registry in lockstep"
             );
         }
@@ -311,7 +303,7 @@ fn ack_lost_standing_install_replays_as_a_noop() {
             match client.register_standing_count(area) {
                 Ok(Reply::StandingRegistered(bytes)) => {
                     let got = wire::decode_standing_ref(&bytes).unwrap();
-                    assert_eq!((got.kind, got.id), (StandingKind::Count, want_id));
+                    assert_eq!(got.id, want_id);
                     return want_id;
                 }
                 Err(e) if is_retryable_route_failure(&e) && Instant::now() < deadline => {
@@ -380,13 +372,8 @@ fn ack_lost_standing_install_replays_as_a_noop() {
         Rect::new_unchecked(0.10, 0.10, 0.90, 0.50),
     );
     carry(&mut client, &reference);
-    assert!(reference.deregister_standing(StandingKind::Count, id_d));
-    assert_eq!(
-        client
-            .deregister_standing(StandingKind::Count, id_d)
-            .unwrap(),
-        Reply::Ok
-    );
+    assert!(reference.deregister_standing(id_d));
+    assert_eq!(client.deregister_standing(id_d).unwrap(), Reply::Ok);
     proxy.sever_after_downstream_bytes(0);
     carry_cut(&mut client);
     proxy.restore();
@@ -401,22 +388,21 @@ fn ack_lost_standing_install_replays_as_a_noop() {
 
     // Node-level proof on the rejoined mirror: exactly the three
     // queries, under exactly the reference's ids — no phantom duplicate
-    // from the replayed install, no skewed counter. (`expected` is
-    // summation-order-sensitive f64; integers pin the claim.)
+    // from the replayed install, no skewed counter.
     let engine1 = node1.shutdown();
     assert_eq!(engine1.standing_counts().len(), 3, "no phantom queries");
     assert!(
-        engine1.standing_state(StandingKind::Count, id_d).is_none(),
+        engine1.standing_state(id_d).is_none(),
         "the dropped query stays dropped"
     );
     for id in [id_a, id_b, id_c] {
-        let want = reference.standing_state(StandingKind::Count, id).unwrap();
-        let got = engine1.standing_state(StandingKind::Count, id).unwrap();
+        let want = reference.standing_state(id).unwrap();
+        let got = engine1.standing_state(id).unwrap();
         match (got, want) {
             (wire::StandingState::Count(g), wire::StandingState::Count(w)) => {
                 assert_eq!(
-                    (g.id, g.seq, g.certain, g.possible),
-                    (w.id, w.seq, w.certain, w.possible),
+                    (g.id, g.seq, g.expected.to_bits(), g.certain, g.possible),
+                    (w.id, w.seq, w.expected.to_bits(), w.certain, w.possible),
                     "query {id} on the rejoined mirror"
                 );
             }
@@ -696,6 +682,15 @@ fn catchup_overflow_rejoins_through_bulk_resync() {
     let mut client = connect(&router);
     register_all(&mut client, &mut reference);
     run_wave(&mut client, &mut reference, &all_users(), 0);
+    // A standing count every node keeps: the resync must rebuild it.
+    let area = Rect::new_unchecked(0.05, 0.05, 0.65, 0.95);
+    let id = reference.add_standing_count(area);
+    match client.register_standing_count(area).unwrap() {
+        Reply::StandingRegistered(bytes) => {
+            assert_eq!(wire::decode_standing_ref(&bytes).unwrap().id, id);
+        }
+        other => panic!("standing registration: {other:?}"),
+    }
 
     proxy.sever();
     std::thread::sleep(Duration::from_millis(30));
@@ -720,7 +715,21 @@ fn catchup_overflow_rejoins_through_bulk_resync() {
     assert!(snap.node_rejoins >= 1);
     let report = router.shutdown();
     assert_eq!(report.route_failures, 0);
-    drop((node0.shutdown(), node1.shutdown()));
+    drop(node0.shutdown());
+    // The resynced mirror's count is the reference's, `expected` to the
+    // bit: the sum depends on the contributions alone, not on the order
+    // the resync applied them in.
+    let got = node1.shutdown().standing_state(id);
+    match (got, reference.standing_state(id)) {
+        (Some(wire::StandingState::Count(g)), Some(wire::StandingState::Count(w))) => {
+            assert_eq!(
+                (g.expected.to_bits(), g.certain, g.possible),
+                (w.expected.to_bits(), w.certain, w.possible),
+                "resynced count"
+            );
+        }
+        other => panic!("count query answered with {other:?}"),
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -24,7 +24,7 @@
 use lbsp_anonymizer::{CloakRequirement, PrivacyProfile};
 use lbsp_cluster::{owner_of, Router, RouterConfig};
 use lbsp_core::engine::{EngineConfig, ShardedEngine};
-use lbsp_core::wire::{self, StandingKind};
+use lbsp_core::wire;
 use lbsp_geom::{Point, Rect, SimTime};
 use lbsp_net::{NetClient, NetConfig, NetServer, Reply};
 use lbsp_server::PublicObject;
@@ -112,11 +112,7 @@ impl Req {
             ),
             Req::Snapshot(id) => (
                 wire::tag::STANDING_SNAPSHOT,
-                wire::encode_standing_ref(&wire::StandingRefMsg {
-                    kind: StandingKind::Count,
-                    id,
-                })
-                .to_vec(),
+                wire::encode_standing_ref(&wire::StandingRefMsg { id }).to_vec(),
             ),
             Req::Raw(tag, ref payload) => (tag, payload.clone()),
         }
@@ -145,14 +141,11 @@ impl Req {
             },
             Req::StandingCount(area) => {
                 let id = reference.add_standing_count(area);
-                let r = wire::StandingRefMsg {
-                    kind: StandingKind::Count,
-                    id,
-                };
+                let r = wire::StandingRefMsg { id };
                 Reply::StandingRegistered(wire::encode_standing_ref(&r).to_vec())
             }
             Req::Snapshot(id) => {
-                let state = reference.standing_state(StandingKind::Count, id).unwrap();
+                let state = reference.standing_state(id).unwrap();
                 Reply::StandingState(wire::encode_standing_state(&state).to_vec())
             }
             Req::Raw(tag, ref payload) => match tag {
@@ -562,7 +555,7 @@ fn a_registered_count_keeps_each_run_to_one_updating_node() {
                 let want_deltas: Vec<Vec<u8>> = reference
                     .take_standing_changes()
                     .into_iter()
-                    .filter_map(|(kind, id)| reference.standing_state(kind, id))
+                    .filter_map(|id| reference.standing_state(id))
                     .map(|state| wire::encode_standing_state(&state).to_vec())
                     .collect();
                 let what = format!("wave {wave} window {w} request {i}");
@@ -576,11 +569,8 @@ fn a_registered_count_keeps_each_run_to_one_updating_node() {
 
     let snapshot = [Req::Snapshot(id)];
     window(&mut client, &mut reference, &snapshot, "snapshot");
-    reference.deregister_standing(StandingKind::Count, id);
-    assert_eq!(
-        client.deregister_standing(StandingKind::Count, id).unwrap(),
-        Reply::Ok
-    );
+    reference.deregister_standing(id);
+    assert_eq!(client.deregister_standing(id).unwrap(), Reply::Ok);
     let after: Vec<Req> = users
         .iter()
         .enumerate()

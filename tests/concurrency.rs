@@ -13,7 +13,7 @@ use lbsp_anonymizer::{
     PrivacyProfile,
 };
 use lbsp_core::engine::{EngineConfig, ShardedEngine};
-use lbsp_core::wire::{self, StandingKind};
+use lbsp_core::wire;
 use lbsp_core::Stage;
 use lbsp_geom::{Point, Rect, SimTime};
 use lbsp_server::{
@@ -247,7 +247,7 @@ struct Transcript {
     /// The sequential anonymizer's replies to the same batches.
     sequential: Vec<Result<Vec<u8>, String>>,
     /// Every drained standing change, one list per batch.
-    changes: Vec<Vec<(StandingKind, u64)>>,
+    changes: Vec<Vec<u64>>,
     /// `cloak` and `standing_update` stage counts, `cloak_area` and
     /// `achieved_k` sample counts.
     samples: [u64; 4],

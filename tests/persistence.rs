@@ -13,7 +13,7 @@ use privacy_lbs::geom::{Point, Rect, SimTime};
 use privacy_lbs::server::PublicObject;
 use privacy_lbs::store::{open_engine, recover_engine, Wal};
 use privacy_lbs::system::journal;
-use privacy_lbs::system::wire::{self, StandingKind};
+use privacy_lbs::system::wire;
 use privacy_lbs::system::{
     Durability, EngineConfig, EngineOp, JournalRecord, ShardedEngine, UserId,
 };
@@ -111,21 +111,15 @@ fn phase_after(engine: &mut ShardedEngine, qc: u64, qr: u64) -> Vec<Vec<u8>> {
             out.push(frame.expect("registered users cloak").to_vec());
         }
     }
-    for (kind, id) in [(StandingKind::Count, qc), (StandingKind::Range, qr)] {
-        let state = engine
-            .standing_state(kind, id)
-            .expect("standing query live");
+    for id in [qc, qr] {
+        let state = engine.standing_state(id).expect("standing query live");
         out.push(wire::encode_standing_state(&state).to_vec());
     }
     out.push(
         engine
             .take_standing_changes()
             .into_iter()
-            .flat_map(|(kind, id)| {
-                let mut row = vec![kind as u8];
-                row.extend_from_slice(&id.to_le_bytes());
-                row
-            })
+            .flat_map(u64::to_le_bytes)
             .collect(),
     );
     let answer = engine

@@ -11,7 +11,7 @@ mod common;
 use common::Sequential;
 use lbsp_anonymizer::{CloakRequirement, GridCloak, PrivacyProfile};
 use lbsp_core::engine::{EngineConfig, ShardedEngine};
-use lbsp_core::wire::{self, StandingKind};
+use lbsp_core::wire;
 use lbsp_geom::{Point, Rect, SimTime};
 use lbsp_net::{NetClient, NetConfig, NetServer, Reply};
 use lbsp_server::PublicObject;
@@ -78,7 +78,7 @@ fn fresh_engine() -> ShardedEngine {
 /// wire state of every standing query.
 struct Reference {
     updates: Vec<Vec<u8>>,
-    standing: Vec<((StandingKind, u64), Vec<u8>)>,
+    standing: Vec<(u64, Vec<u8>)>,
 }
 
 fn reference_run() -> Reference {
@@ -92,14 +92,12 @@ fn reference_run() -> Reference {
         let u = sys.update(id, pos, time);
         updates.push(wire::encode_cloaked_update(&u).to_vec());
     }
-    let mut keys: Vec<(StandingKind, u64)> = Vec::new();
+    let mut keys: Vec<u64> = Vec::new();
     for &(x0, y0, x1, y1) in &COUNT_AREAS {
-        let id = sys.add_standing_count(Rect::new_unchecked(x0, y0, x1, y1));
-        keys.push((StandingKind::Count, id));
+        keys.push(sys.add_standing_count(Rect::new_unchecked(x0, y0, x1, y1)));
     }
     for &(user, radius) in &RANGE_OWNERS {
-        let id = sys.add_standing_range(user, radius);
-        keys.push((StandingKind::Range, id));
+        keys.push(sys.add_standing_range(user, radius));
     }
     for w in 1..WAVES {
         for &(id, pos, time) in &wave(w) {
@@ -109,9 +107,9 @@ fn reference_run() -> Reference {
     }
     let standing = keys
         .into_iter()
-        .map(|(kind, id)| {
-            let state = sys.standing_state(kind, id).unwrap();
-            ((kind, id), wire::encode_standing_state(&state).to_vec())
+        .map(|id| {
+            let state = sys.standing_state(id).unwrap();
+            (id, wire::encode_standing_state(&state).to_vec())
         })
         .collect();
     Reference { updates, standing }
@@ -151,14 +149,12 @@ fn standing_queries_over_the_network_match_the_sequential_system() {
         // Register the standing queries in the reference order; the
         // server names them with the same ids the sequential
         // registries produced.
-        let mut keys: Vec<(StandingKind, u64)> = Vec::new();
+        let mut keys: Vec<u64> = Vec::new();
         for &(x0, y0, x1, y1) in &COUNT_AREAS {
             let area = Rect::new_unchecked(x0, y0, x1, y1);
             match client.register_standing_count(area).unwrap() {
                 Reply::StandingRegistered(bytes) => {
-                    let r = wire::decode_standing_ref(&bytes).unwrap();
-                    assert_eq!(r.kind, StandingKind::Count);
-                    keys.push((r.kind, r.id));
+                    keys.push(wire::decode_standing_ref(&bytes).unwrap().id);
                 }
                 other => panic!("standing-count registration: {other:?}"),
             }
@@ -166,9 +162,7 @@ fn standing_queries_over_the_network_match_the_sequential_system() {
         for &(user, radius) in &RANGE_OWNERS {
             match client.register_standing_range(user, radius).unwrap() {
                 Reply::StandingRegistered(bytes) => {
-                    let r = wire::decode_standing_ref(&bytes).unwrap();
-                    assert_eq!(r.kind, StandingKind::Range);
-                    keys.push((r.kind, r.id));
+                    keys.push(wire::decode_standing_ref(&bytes).unwrap().id);
                 }
                 other => panic!("standing-range registration: {other:?}"),
             }
@@ -200,14 +194,10 @@ fn standing_queries_over_the_network_match_the_sequential_system() {
         // the sequential system's final state for that query.
         let deltas = client.take_standing_deltas();
         assert!(!deltas.is_empty(), "movement pushed deltas");
-        let mut last: HashMap<(StandingKind, u64), Vec<u8>> = HashMap::new();
+        let mut last: HashMap<u64, Vec<u8>> = HashMap::new();
         for bytes in &deltas {
             let state = wire::decode_standing_state(bytes).expect("delta decodes");
-            let kind = match state {
-                wire::StandingState::Count(_) => StandingKind::Count,
-                wire::StandingState::Range(_) => StandingKind::Range,
-            };
-            last.insert((kind, state.id()), bytes.clone());
+            last.insert(state.id(), bytes.clone());
         }
         for (key, expect) in &reference.standing {
             // A query whose answer never changed after registration has
@@ -242,7 +232,7 @@ fn standing_queries_over_the_network_match_the_sequential_system() {
         // Snapshots over the network are byte-identical to the
         // sequential path.
         for (key, expect) in &reference.standing {
-            match client.standing_snapshot(key.0, key.1).unwrap() {
+            match client.standing_snapshot(*key).unwrap() {
                 Reply::StandingState(bytes) => {
                     assert_eq!(&bytes, expect, "snapshot {key:?} (workers={workers})")
                 }
@@ -255,7 +245,7 @@ fn standing_queries_over_the_network_match_the_sequential_system() {
         drop(client);
         let engine = server.shutdown();
         for (key, expect) in &reference.standing {
-            let state = engine.standing_state(key.0, key.1).unwrap();
+            let state = engine.standing_state(*key).unwrap();
             assert_eq!(
                 &wire::encode_standing_state(&state).to_vec(),
                 expect,
@@ -325,15 +315,12 @@ fn deltas_reach_subscribers_on_other_connections() {
     assert_eq!(state.possible, 51);
 
     // Deregistration over the wire: the query disappears for everyone.
-    assert_eq!(
-        watcher.deregister_standing(key.kind, key.id).unwrap(),
-        Reply::Ok
-    );
-    match watcher.standing_snapshot(key.kind, key.id).unwrap() {
+    assert_eq!(watcher.deregister_standing(key.id).unwrap(), Reply::Ok);
+    match watcher.standing_snapshot(key.id).unwrap() {
         Reply::Error(msg) => assert!(!msg.is_empty()),
         other => panic!("snapshot after deregister: {other:?}"),
     }
     drop(mover);
     drop(watcher);
-    assert!(server.shutdown().standing_state(key.kind, key.id).is_none());
+    assert!(server.shutdown().standing_state(key.id).is_none());
 }
