@@ -83,6 +83,11 @@ filtered -p lbsp-index --test properties -- sub_cell_counts_match_brute_force_me
 filtered -p lbsp-anonymizer --test properties -- quad_cloak_matches_a_brute_force_climb
 filtered -p lbsp-server --lib -- public_store_edits_match_a_brute_force_scan
 cargo test -q --offline -p lbsp-store --test recovery_prop
+# The outbox explorer walks every interleaving of its scope (about 6 s
+# in debug) and the router's unit tests pin the envelope arithmetic.
+filtered -p lbsp-cluster --lib -- every_interleaving_keeps_the_outbox_oracles \
+  a_share_with_more_unsent_entries_than_an_envelope_carries_leads_with_flushes \
+  a_flush_nobody_waits_for_is_acknowledged_within_two_supervisor_ticks
 cargo test -q --offline --test net_loopback
 
 echo "== loopback byte-identity (network vs in-process) =="
@@ -259,11 +264,13 @@ for K in 2 4; do
   trap - EXIT
 done
 
-echo "== E7 and E14 checks (Fig. 6a's worked example, standing-count cost) =="
-# E7 exits 1 unless the snapshot count and a standing count over the
-# same six records both read 2.7 and [1, 5] with one PDF; E14 exits 1
-# if 16x more registered counts cost 2x the examined work per update.
-./target/release/repro e7 e14
+echo "== E5, E6, E7 and E14 checks (Fig. 5a/5b recall, Fig. 6a's worked example, standing-count cost) =="
+# E5 exits 1 unless every range row's recall is 1.0 and E6 unless every
+# NN probe finds the true nearest neighbour; E7 exits 1 unless the
+# snapshot count and a standing count over the same six records both
+# read 2.7 and [1, 5] with one PDF; E14 exits 1 if 16x more registered
+# counts cost 2x the examined work per update.
+./target/release/repro e5 e6 e7 e14
 
 echo "== E15 shape check (router + K = 1, 2, 4 nodes, release) =="
 # Exits 1 on an error reply, a route failure, or a K = 4 rate below a

@@ -1699,6 +1699,7 @@ fn e5_private_range() {
                 format!("{:.3}", hits as f64 / total.max(1) as f64),
                 format!("{:.1}", us),
             ]);
+            require(hits == total, "E5: a candidate set missed an exact answer");
         }
     }
     println!();
@@ -1753,6 +1754,7 @@ fn e6_private_nn() {
             format!("{:.3}", ok as f64 / trials as f64),
             format!("{:.1}", us),
         ]);
+        require(ok == trials, "E6: a candidate set missed the true NN");
     }
     println!();
 }

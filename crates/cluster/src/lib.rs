@@ -31,6 +31,7 @@
     allow(clippy::cast_possible_truncation, clippy::indexing_slicing)
 )]
 
+mod outbox;
 pub mod router;
 
 pub use router::{owner_of, Router, RouterConfig, RouterReport};

@@ -5,161 +5,93 @@
 //! [`lbsp_net::NetServer`] serves through — whose [`Service`] forwards
 //! each request to the node owning it over one pipelined connection per
 //! cluster node, plus one reconnect supervisor per node. Clients never
-//! learn the cluster topology: they connect to the router exactly as
-//! they would to a single node.
+//! learn the cluster topology.
 //!
 //! ## Replication and ownership
 //!
-//! The cloaking algorithm is *global*: every cloak is computed against
-//! the summed population of the whole world, so a partitioned cluster
-//! can only answer byte-identically to one sequential engine if every
-//! node sees the full position plane. The router therefore maintains
-//! two replicated planes and one single-copy plane:
+//! Every cloak counts the whole world's population, so a partitioned
+//! cluster answers byte-identically to one sequential engine only if
+//! every node sees the full position plane:
 //!
-//! * **Position plane** — once the owning node has answered an
-//!   `EXACT_UPDATE`, every other node is owed the same row (positions
-//!   advance even when the cloak failed, exactly like the sequential
-//!   engine).
-//! * **Cloak plane** — when the owner answered with a cloak, every
-//!   other node is owed that too, so the private stores and standing
-//!   counts stay in lockstep. A mirrored cloak queues no delta on a
-//!   non-owner; only the owner pushes deltas.
+//! * **Position and cloak planes** — once the owning node has answered
+//!   an `EXACT_UPDATE`, every other node is owed the row (positions
+//!   advance even when the cloak failed) and the owner's cloak, as one
+//!   [`wire::tag::MIRROR_UPDATE`] entry in its *outbox*
+//!   ([`crate::outbox`]). Nothing is sent for it: the entry rides the
+//!   next frame the router begins on that node inside one
+//!   [`wire::tag::CARRY`] envelope, which the node opens by applying the
+//!   carried entries in order and then serving the request. The router
+//!   is a node's only writer and each channel is FIFO, so a node never
+//!   serves a frame before every mirror row the router produced before
+//!   that frame. A node that is asked nothing is sent its outbox once 32
+//!   rows are waiting, and [`Router::shutdown`] sends what is left.
+//! * **User state (single copy)** — a user's profile and standing-range
+//!   registrations live on [`owner_of`] the user's id for the user's
+//!   whole life, so no user's state ever moves between nodes.
 //!
-//!   Row and cloak are one [`wire::tag::MIRROR_UPDATE`] entry in each
-//!   other node's *outbox*. Nothing is sent for it: the entry rides
-//!   the next frame the router begins on that node — an update the
-//!   node owns, a query, a snapshot — inside one
-//!   [`wire::tag::CARRY`] envelope, which the node opens by applying
-//!   the carried entries in order and then serving the request, whose
-//!   reply acknowledges them. The router is a node's only writer and
-//!   each channel is FIFO, so a node never serves a frame before every
-//!   mirror row the router produced before that frame: a closed-loop
-//!   client still reads the sequential engine's bytes. A node that is
-//!   asked nothing is sent its outbox once 32 rows are waiting, and
-//!   [`Router::shutdown`] sends what is left.
-//! * **User state (single copy)** — a user's privacy profile and
-//!   standing-range registrations live on exactly one node for the
-//!   user's whole life, [`owner_of`] the user's id: a fixed hash, not
-//!   the user's position. The user's registration, queries and updates
-//!   all go to that node, so an update never crosses nodes and no
-//!   user's state ever moves from one node to another.
-//!
-//! Standing-query registrations and deregistrations go to node 0 alone,
-//! the sole id allocator, and the client sees its reply. What node 0
-//! changed then waits in every other node's outbox as one
-//! [`wire::tag::STANDING_INSTALL`] entry and rides the next frame to
-//! the node like a mirror row: the query installed *under the granted
-//! id* rather than allocated, or the deregistered id dropped. Every
-//! outbox entry is therefore idempotent by key — a replay after an
-//! ack-lost outage is a no-op — instead of depending on every node
-//! allocating in lockstep. Deltas pushed by
-//! whichever node processed an update are fanned out to subscribed
-//! router connections through the front door's subscription registry
+//! Standing registrations and deregistrations go to node 0 alone, the
+//! sole id allocator; what node 0 changed then waits in every other
+//! node's outbox as one [`wire::tag::STANDING_INSTALL`] entry — the
+//! query installed under the granted id, or the id dropped. Every
+//! outbox entry is therefore idempotent by key, though not commutative.
+//! Deltas are fanned out through the front door's subscription registry
 //! ([`lbsp_net::route_deltas`]), as on a single node.
 //!
 //! ## Concurrency
 //!
 //! Each node connection is a [`NodeChannel`]: a pipelined send half
-//! (serialized by a [`LockRank::ClusterNode`] mutex) plus an *inbox*
-//! (a [`LockRank::ClusterInbox`] mutex and a condvar) that matches reply
-//! frames to an in-order ticket queue. The router runs no reader
-//! thread: a caller whose reply is not in reads the node socket itself
-//! when nobody else does, filing each frame it reads to the ticket it
-//! answers, and parks on the condvar while another caller reads. So a
-//! reply usually wakes the caller that needs it straight from the
-//! socket, with no hand-off between threads. What nobody waits for —
-//! the reply to an outbox flush, the close of an idle connection — the
-//! node's supervisor reads, without blocking, on each tick.
-//! An update costs one node round trip — the owner's — whatever the
-//! cluster size, and so does a standing broadcast — node 0's; requests
-//! owned by distinct nodes make progress concurrently. A front-door
-//! shard routes one sweep at a time, so `net.workers` sweeps are in
-//! flight at once; a shard's other connections wait behind a node round
-//! trip exactly as a node's wait behind its engine mutex.
+//! ([`LockRank::ClusterNode`]) behind the node's outbox
+//! ([`LockRank::ClusterRecovery`]), and an *inbox*
+//! ([`LockRank::ClusterInbox`] and a condvar) that matches replies to an
+//! in-order ticket queue. There is no reader thread: a caller whose
+//! reply is not in reads the socket itself when nobody else does, filing
+//! each frame to the ticket it answers, and parks while another caller
+//! reads. What nobody waits for — a flush's reply, the close of an idle
+//! connection — the node's supervisor reads, without blocking, each
+//! tick. Each ticket records the last outbox sequence number its
+//! envelope carried; filing its reply raises the connection's
+//! acknowledgement mark to it, and the outbox takes that mark, as a max,
+//! at its next look, and only while the connection is its current one.
 //!
 //! A sweep is served as *runs* (`Core::serve_run`): a maximal run of
-//! registrations, queries and updates — no user twice — is begun as
-//! one write to each node it needs and then waited in arrival order.
-//! A frame of node `m` must find placed the row of every earlier update
-//! of its run, yet another node's update is answered only after the run
-//! is begun. The row is known from the request, so it rides ahead: it
-//! joins `m`'s outbox, with no cloak, just before `m`'s next frame and
-//! travels in that frame's envelope. The full entry follows once the
-//! owner answers, and placing the row again changes nothing. An update
-//! after another node's row is served as a batch of one, every earlier
-//! row placed, so a window whose updates alternate owners reads the
-//! closed-loop sequential engine's bytes; consecutive updates to one
-//! node batch, as on a single node.
-//!
-//! Only standing counts read other users' cloaks. While one is
-//! registered — the router counts them as their broadcasts pass — a
-//! node pushing count deltas for its update must hold every earlier
-//! cloak of the run, and a cloak exists only once its owner answered:
-//! a run that holds an update for node `n` takes nothing more for any
-//! other node. (A count the router did not see registered, made on a
-//! node directly or through another router, is not fenced.) A row sent
-//! ahead of an owner that then fails — its begin refused, its reply
-//! lost — is the recovery doctrine's unknown outcome: the client
-//! retries, and the retry converges the planes. A snapshot, an
-//! undecodable payload or an unknown tag is a run of one, and so is
-//! every frame of a closed-loop client. Standing broadcasts are the
-//! only frames served outside a run, one at a time.
-//!
-//! What replaces the old global request mutex is a single
-//! [`LockRank::ClusterRouter`] read/write gate. Runs hold it *shared*;
-//! standing-query broadcasts, which every registry must observe at the
-//! same point in the request stream, and the bulk rejoin resync hold it
-//! *exclusive*, quiescing in-flight runs first. The routing tables
-//! themselves live under a short [`LockRank::ClusterCore`] mutex that is
-//! never held across node I/O.
-//!
-//! Single-connection ordering is unchanged: a closed-loop client still
-//! observes byte-identical replies to the sequential engine, because
-//! its own requests never overlap. Requests racing on *different*
-//! connections for the *same* user keep the single-node doctrine — one
-//! device is one connection, and cross-device races settle on whichever
-//! hop reaches the owner first.
+//! registrations, queries and updates — no user twice — is begun as one
+//! write to each node it needs, then waited in arrival order. A frame
+//! of node `m` must find placed the row of every earlier update of its
+//! run, which is known from the request: it rides ahead in `m`'s outbox
+//! with no cloak, and the full entry follows once the owner answers.
+//! While a standing count is registered a run that holds an update for
+//! node `n` takes nothing more for any other node, since a count reads
+//! other users' cloaks. A row sent ahead of an owner that then fails is
+//! the recovery doctrine's unknown outcome: the client retries. A
+//! [`LockRank::ClusterRouter`] gate is held shared by runs and exclusive
+//! by standing broadcasts and bulk resyncs; the routing tables live
+//! under a short [`LockRank::ClusterCore`] mutex never held across I/O.
 //!
 //! ## Recovery doctrine
 //!
-//! A node that cannot be reached (connect failure, I/O error, timeout)
-//! is *demoted*, not executed: its channel enters `Reconnecting` and a
-//! per-node supervisor thread retries the connection under capped
-//! exponential backoff with deterministic jitter. While a node is away:
-//!
-//! * Requests the node *owns* answer a kinded
-//!   [`wire::tag::ROUTE_FAIL`] marked [`wire::ROUTE_FAIL_RETRYABLE`] —
-//!   the client should simply retry. These bump `retryable_failures`,
-//!   **not** `route_failures`.
-//! * Traffic the node merely *mirrors* (mirror rows, standing
-//!   installs and drops) keeps accumulating in
-//!   the node's outbox — bounded in bytes while the node is away — and
-//!   is replayed in the order it was produced on rejoin, an envelope
-//!   per round trip, so a transient outage is invisible to clients of
-//!   other nodes. The outbox is one structure, not an in-flight list
-//!   and a backlog: an entry leaves it only when the reply to the
-//!   frame that carried it arrives, and demotion moves nothing, so
-//!   rows that were on the wire when the link died are replayed ahead
-//!   of rows produced later, never after them. Every such frame is
-//!   idempotent by key — but not commutative — so replaying, in
-//!   order, some that already landed before the cut ends in the same
-//!   state. A preserved-class frame is dropped only when its node
-//!   turns terminally `Down`; the drop bumps the `mirror_drops`
-//!   counter and logs, because it marks real divergence.
-//! * If the outbox overflows its byte bound, reconstructible plane
-//!   frames are dropped and the rejoin instead performs a bulk
-//!   [`wire::tag::RESYNC_PULL`] / [`wire::tag::RESYNC_PUSH`] transfer
-//!   from a healthy donor under the exclusive gate. Standing installs
-//!   are retained across the overflow — they are not reconstructible
-//!   from plane state — and replayed after the bulk image lands.
+//! A node that cannot be reached is *demoted* to `Reconnecting`, and a
+//! per-node supervisor retries under capped exponential backoff with
+//! deterministic jitter. While a node is away, requests it owns answer
+//! [`wire::tag::ROUTE_FAIL`] [`wire::ROUTE_FAIL_RETRYABLE`]
+//! (`retryable_failures`), and what it mirrors keeps accumulating in its
+//! outbox, bounded in bytes. The outbox is every entry the node has not
+//! acknowledged, in production order; a reply acknowledges through the
+//! last sequence number its envelope carried, and a new connection
+//! rewinds the sent mark to the acknowledgement mark, so entries on the
+//! wire when the link died are replayed ahead of later ones. One rule
+//! cuts every envelope — a request's, a flush's, the shutdown's and the
+//! rejoin replay's: at most 1,024 entries each, request-less ones first.
+//! If the outbox overflows its bound, plane rows are dropped and the
+//! rejoin bulk-resyncs from a healthy donor
+//! ([`wire::tag::RESYNC_PULL`] / [`wire::tag::RESYNC_PUSH`]) under the
+//! exclusive gate before replaying the retained standing installs.
 //!
 //! Only when every reconnect attempt is exhausted — or the node refuses
-//! a carried mirror frame, which no reconnect can mend — does the node
-//! turn `Down`, terminally, and requests needing it answer
-//! `ROUTE_FAIL` kind [`wire::ROUTE_FAIL_DOWN`], bumping
-//! `route_failures`. Failure text names nodes by *index only*: socket
-//! addresses are cluster topology and never cross the public socket.
+//! a carried frame — does the node turn terminally `Down`, and requests
+//! needing it answer [`wire::ROUTE_FAIL_DOWN`] (`route_failures`).
+//! Failure text names nodes by index only.
 
+use crate::outbox::{retained_on_overflow, Outbox};
 use lbsp_core::metrics::NetCounters;
 use lbsp_core::{wire, LockRank, MetricsRegistry, StandingQuery, TrackedMutex, TrackedRwLock};
 use lbsp_geom::Rect;
@@ -244,18 +176,14 @@ type TicketResult = io::Result<(Frame, Vec<Vec<u8>>)>;
 struct Ticket {
     /// Names the ticket to its [`PendingCall`].
     seq: u64,
-    /// Outbox entries that left in this request's envelope: its reply
-    /// acknowledges them, whether or not anyone still waits for it.
-    carried: usize,
+    /// The last outbox sequence number its envelope carried (0: none):
+    /// its reply acknowledges through it, whether or not anyone still
+    /// waits for it.
+    through: u64,
     /// The call was dropped without waiting: the reply is still read
     /// and counted, then discarded.
     abandoned: bool,
 }
-
-/// Unsent outbox entries at which an `Up` node is sent an envelope with
-/// no request: a node with no traffic of its own is never more rows
-/// behind than this, and pays one hop per this many.
-const FLUSH_AT: usize = 32;
 
 /// How long a node's supervisor dozes between looks at an `Up` node.
 const SUPERVISOR_TICK: Duration = Duration::from_millis(10);
@@ -265,37 +193,28 @@ const SUPERVISOR_TICK: Duration = Duration::from_millis(10);
 /// role late still gives up close to its own deadline.
 const READS_PER_TIMEOUT: u32 = 4;
 
-/// One frame to begin on a node: the mirror rows it must find placed —
-/// they join the outbox ahead of it — and its request, `None` for a
-/// flush ([`NodeChannel::send_carrying`]).
+/// One frame to begin on a node: the mirror rows that join the outbox
+/// ahead of it, and its request (`None`: a flush).
 type Carrier<'f> = (Vec<&'f [u8]>, Option<(u8, &'f [u8])>);
 
-/// Frames framed for one write to a node, with the ticket each takes.
+/// Frames for one write to a node, with each one's ticket: (through, wanted).
 #[derive(Default)]
 struct Outgoing {
     bytes: Vec<u8>,
-    tickets: Vec<Framed>,
-}
-
-/// A framed frame's ticket: the outbox entries its envelope carries,
-/// and whether a caller waits for its reply.
-struct Framed {
-    carried: usize,
-    wanted: bool,
+    tickets: Vec<(u64, bool)>,
 }
 
 impl Outgoing {
     fn frame(
         &mut self,
         ch: &NodeChannel,
-        tag: u8,
-        payload: &[u8],
-        carried: usize,
+        (tag, payload): (u8, &[u8]),
+        through: u64,
         wanted: bool,
     ) -> io::Result<()> {
         append_frame(&mut self.bytes, tag, payload, MAX_FRAME_LEN)
             .map_err(|e| ch.retryable_error(&format!("cannot frame a request ({e})")))?;
-        self.tickets.push(Framed { carried, wanted });
+        self.tickets.push((through, wanted));
         Ok(())
     }
 }
@@ -307,18 +226,17 @@ struct SendHalf {
     stream: Option<TcpStream>,
     /// The reply side of the same connection.
     inbox: Option<Arc<Inbox>>,
+    /// When the current outage began (drives the downtime histogram).
+    down_since: Option<Instant>,
 }
 
-/// The read half of a node connection and its frame decoder.
 struct ReadHalf {
     stream: TcpStream,
     frames: FrameReader,
 }
 
 /// The reply side of one node connection, read by the callers waiting
-/// on it (module docs, "Concurrency"): a caller whose reply is not in
-/// takes the *reading role* if nobody holds it, and otherwise parks on
-/// `filed`.
+/// on it (module docs, "Concurrency").
 struct Inbox {
     slots: TrackedMutex<Slots>,
     /// Notified when a frame is filed, the reading role comes free, or
@@ -342,34 +260,15 @@ struct Slots {
     /// Standing-delta payloads read since the last reply: they go to
     /// the caller of the next one.
     pushed: Vec<Vec<u8>>,
+    /// This connection's number and the outbox sequence number its
+    /// replies have acknowledged through, for the outbox to take at its
+    /// next look (filing a reply takes no outbox lock).
+    acked: (u64, u64),
     /// The connection is gone: every ticket not yet answered fails, and
     /// nothing more is filed.
     lost: bool,
     /// Callers parked on [`Inbox::filed`].
     parked: usize,
-}
-
-/// A node's outbox, under [`LockRank::ClusterRecovery`]: every mirror
-/// frame the router produced for the node that the node has not
-/// acknowledged, oldest first. While the node is `Up` these are
-/// [`wire::tag::MIRROR_UPDATE`] rows waiting for (or riding) the next
-/// frame to it; while it reconnects, everything it misses. An entry
-/// leaves only when the reply to the frame that carried it arrives, so
-/// whatever happens to the connection the outbox is what a rejoin has
-/// to replay, in the order it was produced.
-struct Recovery {
-    /// The unacknowledged frames, in the order they were produced.
-    buffer: VecDeque<Outbound>,
-    /// How many at the head are on the wire, their carrier's reply
-    /// outstanding; the rest are unsent.
-    sent: usize,
-    /// Approximate bytes queued (payload + per-frame overhead).
-    buffered_bytes: usize,
-    /// The buffer overflowed: plane frames were dropped and the rejoin
-    /// must bulk-resync from a donor before replaying what remains.
-    overflowed: bool,
-    /// When the current outage began (drives the downtime histogram).
-    down_since: Option<Instant>,
 }
 
 /// A pipelined connection to one cluster node: requests are written
@@ -387,14 +286,8 @@ struct NodeChannel {
     /// node out of `Reconnecting`.
     state: AtomicU8,
     send: TrackedMutex<SendHalf>,
-    recovery: TrackedMutex<Recovery>,
-    /// Outbox entries seen acknowledged (their carrier's reply arrived)
-    /// that the outbox has yet to drop: filing a reply takes no outbox
-    /// lock, so acknowledging does not wait on a request mid-send.
-    acked: AtomicUsize,
-    /// Byte bound on the outbox of a reconnecting node (from
-    /// [`RouterConfig`]).
-    catchup_buffer_bytes: usize,
+    /// Under [`LockRank::ClusterRecovery`], taken before the send lock.
+    outbox: TrackedMutex<Outbox>,
 }
 
 /// A begun call on a [`NodeChannel`]; [`PendingCall::wait`] blocks for
@@ -408,64 +301,25 @@ struct PendingCall<'a> {
     settled: bool,
 }
 
-/// `true` for buffered frame tags that must survive a catch-up buffer
-/// overflow: unlike plane traffic they cannot be reconstructed from a
-/// donor's state image (the standing id counters would desynchronize).
-fn retained_on_overflow(tag: u8) -> bool {
-    tag == wire::tag::STANDING_INSTALL
-}
-
-/// Rough accounting cost of one buffered frame.
-fn frame_cost(payload: &[u8]) -> usize {
-    payload.len() + 8
-}
-
-impl Recovery {
-    fn push(&mut self, tag: u8, payload: &[u8]) {
-        self.buffered_bytes += frame_cost(payload);
-        self.buffer.push_back((tag, payload.to_vec()));
-    }
-
-    /// Drops the `n` oldest entries: their carrier was answered.
-    fn acknowledge(&mut self, n: usize) {
-        for (_, payload) in self.buffer.drain(..n.min(self.buffer.len())) {
-            self.buffered_bytes = self.buffered_bytes.saturating_sub(frame_cost(&payload));
-        }
-        self.sent = self.sent.saturating_sub(n);
-    }
-}
-
 impl NodeChannel {
-    fn new(
-        index: usize,
-        addr: String,
-        node_timeout: Duration,
-        catchup_buffer_bytes: usize,
-    ) -> NodeChannel {
+    fn new(index: usize, addr: String, cfg: &RouterConfig) -> NodeChannel {
         NodeChannel {
             index,
             addr,
-            node_timeout,
+            node_timeout: cfg.node_timeout,
             state: AtomicU8::new(NODE_UP),
             send: TrackedMutex::new(
                 LockRank::ClusterNode,
                 SendHalf {
                     stream: None,
                     inbox: None,
-                },
-            ),
-            recovery: TrackedMutex::new(
-                LockRank::ClusterRecovery,
-                Recovery {
-                    buffer: VecDeque::new(),
-                    sent: 0,
-                    buffered_bytes: 0,
-                    overflowed: false,
                     down_since: None,
                 },
             ),
-            acked: AtomicUsize::new(0),
-            catchup_buffer_bytes,
+            outbox: TrackedMutex::new(
+                LockRank::ClusterRecovery,
+                Outbox::new(cfg.catchup_buffer_bytes),
+            ),
         }
     }
 
@@ -499,8 +353,7 @@ impl NodeChannel {
     }
 
     /// Cuts the socket and closes its inbox: every outstanding ticket
-    /// fails at once, and nothing read from the old connection is filed
-    /// any more — no acknowledgement from it can reach a later outbox.
+    /// fails at once, and nothing more is filed from it.
     fn cut(&self) {
         cut_connection(&mut self.send.lock());
     }
@@ -509,7 +362,7 @@ impl NodeChannel {
     /// start, and cut the socket. The supervisor takes it from here. A
     /// node already reconnecting (or down) just gets the cut.
     fn demote(&self) {
-        if self
+        let demoted = self
             .state
             .compare_exchange(
                 NODE_UP,
@@ -517,14 +370,12 @@ impl NodeChannel {
                 Ordering::SeqCst,
                 Ordering::SeqCst,
             )
-            .is_ok()
-        {
-            let mut rec = self.recovery.lock();
-            if rec.down_since.is_none() {
-                rec.down_since = Some(Instant::now());
-            }
+            .is_ok();
+        let mut send = self.send.lock();
+        if demoted {
+            send.down_since.get_or_insert_with(Instant::now);
         }
-        self.cut();
+        cut_connection(&mut send);
     }
 
     /// Terminal: the node is down for the router's lifetime.
@@ -533,42 +384,33 @@ impl NodeChannel {
         self.cut();
     }
 
-    /// The supervisor's look at an `Up` node: reads, without blocking,
+    /// The supervisor's look at the node: reads, without blocking,
     /// whatever the node sent that no caller is reading — the reply to
     /// a flush nobody waits for, the end of a connection the node cut —
-    /// and drops the entries those replies acknowledged from the outbox.
-    /// The send lock is held throughout, so no write ever meets the
-    /// socket in nonblocking mode.
+    /// and hands the outbox what the connection's replies acknowledged.
+    /// The send lock is held throughout the read, so no write ever meets
+    /// the socket in nonblocking mode.
     fn reap_idle(&self) {
-        {
+        let acked = {
             let mut send = self.send.lock();
-            let lost = match (&send.stream, &send.inbox) {
+            let (lost, acked) = match (&send.stream, &send.inbox) {
                 (Some(_), Some(inbox)) => inbox.read_ready(self),
-                _ => false,
+                _ => (false, (0, 0)),
             };
             if lost {
                 cut_connection(&mut send);
             }
-        }
-        if self.acked.load(Ordering::SeqCst) > 0 {
-            let mut rec = self.recovery.lock();
-            rec.acknowledge(self.acked.swap(0, Ordering::SeqCst));
-        }
+            acked
+        };
+        self.outbox.lock().acknowledge(acked);
     }
 
-    /// Sends one request frame — and, in the same envelope, every
-    /// outbox entry not yet sent — and returns a handle to its future
-    /// reply, fast-failing with the kinded error the recovery doctrine
-    /// promises when the node is reconnecting or down.
-    fn begin(&self, tag: u8, payload: &[u8]) -> io::Result<PendingCall<'_>> {
-        self.single(self.begin_all(vec![(Vec::new(), Some((tag, payload)))]))
-    }
-
-    /// [`NodeChannel::begin`] for a run's share of this node: before
-    /// each request, the rows it must find placed join the outbox, and
-    /// every entry still unsent rides that request's envelope. Every
-    /// frame leaves in one write. The calls come back in request order;
-    /// all of them are begun or none.
+    /// Begins a run's share of this node: before each request, the rows
+    /// it must find placed join the outbox, and every entry still unsent
+    /// rides that request's envelope, all in one write. The calls come
+    /// back in request order; all of them are begun or none, failing
+    /// with the kinded error the recovery doctrine promises when the
+    /// node is reconnecting or down.
     ///
     /// The outbox lock is held from picking the entries to the write,
     /// so frames leave in the order their `begin`s were ordered: a node
@@ -576,9 +418,9 @@ impl NodeChannel {
     /// that frame was begun.
     fn begin_all(&self, requests: Vec<Carrier<'_>>) -> io::Result<Vec<PendingCall<'_>>> {
         let begun = {
-            let mut rec = self.recovery.lock();
+            let mut outbox = self.outbox.lock();
             match self.state.load(Ordering::SeqCst) {
-                NODE_UP => self.send_carrying(&mut rec, requests),
+                NODE_UP => self.send_carrying(&mut outbox, requests),
                 NODE_RECONNECTING => return Err(self.retryable_error("is reconnecting")),
                 _ => return Err(self.down_error()),
             }
@@ -586,16 +428,14 @@ impl NodeChannel {
         self.demote_on_err(begun)
     }
 
-    /// [`NodeChannel::begin`] without the state gate and with nothing
-    /// riding along: the supervisor's liveness `PING`, resync image and
-    /// replay go out exactly as written, while the node is still
-    /// officially `Reconnecting`.
+    /// One bare frame, with no state gate: the supervisor's liveness
+    /// `PING` and resync image, while the node is still `Reconnecting`.
     fn begin_internal(&self, tag: u8, payload: &[u8]) -> io::Result<PendingCall<'_>> {
         let mut out = Outgoing::default();
         let begun = out
-            .frame(self, tag, payload, 0, true)
+            .frame(self, (tag, payload), 0, true)
             .and_then(|()| self.begin_locked(&out));
-        self.demote_on_err(self.single(begun))
+        self.demote_on_err(self.single(begun.map(|(calls, _)| calls)))
     }
 
     /// The call a one-frame begin began.
@@ -606,10 +446,8 @@ impl NodeChannel {
     }
 
     /// Every failure to put a frame on the wire is a transport fault:
-    /// demote. The demotion lives here — outside any guard scope — so
-    /// the locked halves never reach for the recovery lock (rank
-    /// `ClusterRecovery`) while the send lock (rank `ClusterNode`) is
-    /// live.
+    /// demote, outside any guard scope, so the send lock is never held
+    /// while the demotion takes it again.
     fn demote_on_err<T>(&self, begun: io::Result<T>) -> io::Result<T> {
         if begun.is_err() {
             self.demote();
@@ -617,74 +455,60 @@ impl NodeChannel {
         begun
     }
 
-    /// Puts `carriers` on the wire in one write and marks the entries
-    /// they carried sent. For each, its rows join the outbox, then the
-    /// unsent entries ride in an envelope around its request — an
-    /// envelope with no request when it has none (a flush), a bare
-    /// request when nothing is unsent — preceded by request-less
-    /// envelopes while more are unsent than one envelope carries, so a
-    /// request never leaves ahead of an entry produced before it. Only
-    /// a carrier's own frame gets a call. Rows whose write fails stay
-    /// in the outbox, like every entry not acknowledged, for the
+    /// Builds every envelope the router sends and puts `carriers` on the
+    /// wire in one write. For each, its rows join the outbox, then the
+    /// unsent entries leave as [`Outbox::send`] cuts them, its request
+    /// riding the last envelope (a bare request when nothing is unsent;
+    /// no request for a flush). Only a carrier's last frame gets a call.
+    /// Entries whose write fails stay in the outbox, like every entry
+    /// not acknowledged, and the next connection rewinds them for the
     /// rejoin to replay. Caller holds the outbox.
     fn send_carrying(
         &self,
-        rec: &mut Recovery,
+        outbox: &mut Outbox,
         carriers: Vec<Carrier<'_>>,
     ) -> io::Result<Vec<PendingCall<'_>>> {
-        rec.acknowledge(self.acked.swap(0, Ordering::SeqCst));
+        if self.send.lock().stream.is_none() {
+            let pair = self
+                .connect()
+                .map_err(|e| self.retryable_error(&format!("is unreachable ({e})")))?;
+            self.reconnect(outbox, pair);
+        }
         let mut out = Outgoing::default();
-        let mut sent = rec.sent;
         for (rows, request) in carriers {
             for row in rows {
-                rec.push(wire::tag::MIRROR_UPDATE, row);
+                outbox.push((wire::tag::MIRROR_UPDATE, row.to_vec()), false);
             }
-            loop {
-                let unsent = rec.buffer.len().saturating_sub(sent);
-                let carried = unsent.min(wire::CARRY_MAX_FRAMES);
-                let last = carried == unsent;
-                let rides = request.filter(|_| last);
+            for env in outbox.send() {
+                let rides = request.filter(|_| env.last);
                 match rides {
-                    Some((tag, payload)) if carried == 0 => {
-                        out.frame(self, tag, payload, 0, true)?;
+                    Some(bare) if env.seqs.is_empty() => {
+                        out.frame(self, bare, env.through(), true)?
                     }
                     _ => {
-                        let entries = rec.buffer.iter().skip(sent).take(carried);
                         let envelope =
-                            wire::encode_carry(entries.map(|(t, p)| (*t, p.as_slice())), rides)
-                                .ok_or_else(|| {
-                                    self.retryable_error("holds a frame no envelope can carry")
-                                })?;
-                        out.frame(self, wire::tag::CARRY, &envelope, carried, last)?;
+                            wire::encode_carry(outbox.carried(&env), rides).ok_or_else(|| {
+                                self.retryable_error("holds a frame no envelope can carry")
+                            })?;
+                        out.frame(self, (wire::tag::CARRY, &envelope), env.through(), env.last)?;
                     }
-                }
-                sent += carried;
-                if last {
-                    break;
                 }
             }
         }
-        let calls = self.begin_locked(&out)?;
-        rec.sent = sent;
+        let (calls, acked) = self.begin_locked(&out)?;
+        outbox.acknowledge(acked);
         Ok(calls)
     }
 
-    /// Lazy connect, tickets, frames — all under the send lock, the
-    /// frames in one write; errors are returned pre-kinded but the
-    /// caller performs the demotion.
-    fn begin_locked(&self, out: &Outgoing) -> io::Result<Vec<PendingCall<'_>>> {
+    /// Tickets and frames, under the send lock, the frames in one write,
+    /// and the connection's acknowledgement mark. Errors are returned
+    /// pre-kinded but the caller performs the demotion.
+    fn begin_locked(&self, out: &Outgoing) -> io::Result<(Vec<PendingCall<'_>>, (u64, u64))> {
         let mut send = self.send.lock();
-        if send.stream.is_none() {
-            match self.connect() {
-                Ok((wstream, rstream)) => install_connection(&mut send, wstream, rstream),
-                Err(e) => {
-                    return Err(self.retryable_error(&format!("is unreachable ({e})")));
-                }
-            }
-        }
         let SendHalf {
             stream: Some(stream),
             inbox: Some(inbox),
+            ..
         } = &mut *send
         else {
             return Err(self.retryable_error("has no live connection"));
@@ -694,12 +518,12 @@ impl NodeChannel {
         // already queued. A lost inbox fails the begin at once: its
         // tickets would burn the caller's full node timeout finding
         // that out.
-        let first = inbox
+        let (first, acked) = inbox
             .queue_tickets(&out.tickets)
             .ok_or_else(|| self.retryable_error("lost its connection"))?;
         let calls = (first..)
             .zip(&out.tickets)
-            .filter(|(_, t)| t.wanted)
+            .filter(|(_, (_, wanted))| *wanted)
             .map(|(seq, _)| PendingCall {
                 channel: self,
                 inbox: Arc::clone(inbox),
@@ -710,7 +534,7 @@ impl NodeChannel {
         if let Err(e) = stream.write_all(&out.bytes) {
             return Err(self.retryable_error(&format!("write failed ({e})")));
         }
-        Ok(calls)
+        Ok((calls, acked))
     }
 
     /// Establishes the node connection: write half + cloned read half
@@ -725,55 +549,44 @@ impl NodeChannel {
         Ok((stream, rstream))
     }
 
+    /// Installs a new connection under the outbox lock, which rewinds
+    /// the sent mark and numbers the connection: what left on the old
+    /// one leaves again, first, and nothing the old one files counts.
+    fn reconnect(&self, outbox: &mut Outbox, (wstream, rstream): (TcpStream, TcpStream)) {
+        let conn = outbox.cut();
+        install_connection(&mut self.send.lock(), wstream, rstream, conn);
+    }
+
     /// Appends a mirror frame — a row, or a standing install or drop,
     /// each small and fixed in size, so an envelope always carries it —
     /// to the node's outbox: while the node reconnects, to be replayed
-    /// on rejoin; while it is `Up`, to ride the envelope of the next
-    /// frame to the node. `false` — nothing queued — once the node is
-    /// terminally `Down`. The state is read under the outbox lock, the
-    /// same lock the supervisor holds when it flips the node back up, so
-    /// a queued frame is never stranded.
+    /// on rejoin, within the outbox's byte bound; while it is `Up`, to
+    /// ride the envelope of the next frame to the node. `false` —
+    /// nothing queued — once the node is terminally `Down`. The state is
+    /// read under the outbox lock, the same lock the supervisor holds
+    /// when it flips the node back up, so a queued frame is never
+    /// stranded.
     ///
-    /// The [`FLUSH_AT`]th unsent row of an `Up` node sends the outbox
-    /// in an envelope of its own. Nobody waits for it: whoever reads the
+    /// A row that leaves [`Outbox::flush_due`] sends the outbox in an
+    /// envelope of its own. Nobody waits for it: whoever reads the
     /// node's socket next — a caller, or the supervisor within a tick —
-    /// acknowledges its entries when the node answers, and a node that
-    /// has stopped answering is found out by whoever next waits on it,
-    /// or by the write that fills its socket (`node_timeout`).
-    ///
-    /// Overflow policy, while reconnecting: plane frames (mirrored
-    /// updates) are dropped once the byte bound is hit — a bulk donor
-    /// resync reconstructs them wholesale, and purges the ones already
-    /// queued — while standing installs are retained regardless,
-    /// because no state image can replace them.
+    /// files its reply, and a node that has stopped answering is found
+    /// out by whoever next waits on it, or by the write that fills its
+    /// socket (`node_timeout`).
     fn queue(&self, tag: u8, payload: &[u8]) -> bool {
         let flush = {
-            let mut rec = self.recovery.lock();
-            match self.state.load(Ordering::SeqCst) {
-                NODE_RECONNECTING => {
-                    let cost = frame_cost(payload);
-                    let over =
-                        rec.overflowed || rec.buffered_bytes + cost > self.catchup_buffer_bytes;
-                    if !over || retained_on_overflow(tag) {
-                        rec.push(tag, payload);
-                    } else {
-                        rec.overflowed = true;
-                    }
-                    return true;
-                }
-                NODE_UP => {
-                    rec.push(tag, payload);
-                    // Only a row sends a flush: a standing change waits
-                    // with the rows.
-                    if tag != wire::tag::MIRROR_UPDATE
-                        || rec.buffer.len().saturating_sub(rec.sent) < FLUSH_AT
-                    {
-                        return true;
-                    }
-                    self.send_carrying(&mut rec, vec![(Vec::new(), None)])
-                }
-                _ => return false,
+            let mut outbox = self.outbox.lock();
+            let state = self.state.load(Ordering::SeqCst);
+            if state == NODE_DOWN {
+                return false;
             }
+            outbox.push((tag, payload.to_vec()), state != NODE_UP);
+            // Only a row sends a flush: a standing change waits with
+            // the rows.
+            if state != NODE_UP || tag != wire::tag::MIRROR_UPDATE || !outbox.flush_due() {
+                return true;
+            }
+            self.send_carrying(&mut outbox, vec![(Vec::new(), None)])
         };
         // A flush that did not get out costs nothing: the rows are
         // still in the outbox of a node that is now reconnecting.
@@ -781,23 +594,26 @@ impl NodeChannel {
         true
     }
 
-    /// Sends whatever the outbox of an `Up` node still holds unsent;
-    /// the reply also says that everything sent before it has landed.
-    fn flush(&self) -> Option<PendingCall<'_>> {
+    /// Sends whatever the outbox still holds unsent — an empty envelope
+    /// when everything already left — and returns the last envelope's
+    /// call: its reply says that everything sent before it has landed.
+    /// `None` when nothing is held or the send failed. With `gated`, only
+    /// an `Up` node is flushed (shutdown); the rejoin replay is not.
+    fn flush(&self, gated: bool) -> Option<PendingCall<'_>> {
         let flush = {
-            let mut rec = self.recovery.lock();
-            if self.state.load(Ordering::SeqCst) != NODE_UP || rec.buffer.is_empty() {
+            let mut outbox = self.outbox.lock();
+            if (gated && self.state.load(Ordering::SeqCst) != NODE_UP) || outbox.is_empty() {
                 return None;
             }
-            self.send_carrying(&mut rec, vec![(Vec::new(), None)])
+            self.send_carrying(&mut outbox, vec![(Vec::new(), None)])
         };
         self.demote_on_err(flush).ok()?.pop()
     }
 }
 
-/// Installs a fresh connection on a locked send half: the write stream,
-/// and a new inbox over the read half.
-fn install_connection(send: &mut SendHalf, wstream: TcpStream, rstream: TcpStream) {
+/// Installs fresh connection `conn` on a locked send half: the write
+/// stream, and a new inbox over the read half.
+fn install_connection(send: &mut SendHalf, wstream: TcpStream, rstream: TcpStream, conn: u64) {
     send.stream = Some(wstream);
     send.inbox = Some(Arc::new(Inbox {
         slots: TrackedMutex::new(
@@ -811,6 +627,7 @@ fn install_connection(send: &mut SendHalf, wstream: TcpStream, rstream: TcpStrea
                 next_seq: 0,
                 answered: Vec::new(),
                 pushed: Vec::new(),
+                acked: (conn, 0),
                 lost: false,
                 parked: 0,
             },
@@ -838,8 +655,8 @@ fn cut_connection(send: &mut SendHalf) {
 impl Slots {
     /// Files one frame read from the node: a standing-delta push is
     /// stashed for the next reply's caller; any other frame answers the
-    /// oldest ticket, counting the outbox entries it acknowledges — so
-    /// a reply nobody waits for still acknowledges. A reply with no
+    /// oldest ticket and raises the acknowledgement mark to the ticket's
+    /// — so a reply nobody waits for still acknowledges. A reply with no
     /// ticket outstanding means the stream desynchronized. A reply that
     /// says the node refused a carried frame condemns the node: its
     /// planes no longer match the cluster's, and no reconnect mends
@@ -873,7 +690,7 @@ impl Slots {
             self.fail();
             return true;
         }
-        ch.acked.fetch_add(ticket.carried, Ordering::SeqCst);
+        self.acked.1 = self.acked.1.max(ticket.through);
         let pushed = std::mem::take(&mut self.pushed);
         self.settle(ticket, Ok((frame, pushed)));
         false
@@ -914,23 +731,24 @@ impl Slots {
 
 impl Inbox {
     /// Queues `tickets` in send order and returns the first one's
-    /// number; `None` once the connection is lost.
-    fn queue_tickets(&self, tickets: &[Framed]) -> Option<u64> {
+    /// number, with the connection's acknowledgement mark; `None` once
+    /// the connection is lost.
+    fn queue_tickets(&self, tickets: &[(u64, bool)]) -> Option<(u64, (u64, u64))> {
         let mut slots = self.slots.lock();
         if slots.lost {
             return None;
         }
         let first = slots.next_seq;
-        for t in tickets {
+        for &(through, wanted) in tickets {
             let seq = slots.next_seq;
             slots.next_seq += 1;
             slots.tickets.push_back(Ticket {
                 seq,
-                carried: t.carried,
-                abandoned: !t.wanted,
+                through,
+                abandoned: !wanted,
             });
         }
-        Some(first)
+        Some((first, slots.acked))
     }
 
     /// Wakes the parked callers, if there are any.
@@ -1002,14 +820,15 @@ impl Inbox {
     /// Reads and files, without blocking, every frame the socket holds
     /// while no caller holds the reading role. Caller holds the send
     /// half, so no write is in flight while the socket is nonblocking.
-    /// `true` when the connection turned out lost.
-    fn read_ready(&self, ch: &NodeChannel) -> bool {
+    /// Returns whether the connection turned out lost, and its
+    /// acknowledgement mark.
+    fn read_ready(&self, ch: &NodeChannel) -> (bool, (u64, u64)) {
         let mut slots = self.slots.lock();
         if slots.lost {
-            return true;
+            return (true, slots.acked);
         }
         let Some(mut half) = slots.reader.take() else {
-            return false;
+            return (false, slots.acked);
         };
         let mut lost = half.stream.set_nonblocking(true).is_err();
         let mut filed = false;
@@ -1036,7 +855,7 @@ impl Inbox {
         if filed || lost {
             self.wake(&slots);
         }
-        lost
+        (lost, slots.acked)
     }
 }
 
@@ -1169,7 +988,9 @@ impl Core {
         payload: &[u8],
         deltas: &mut DeltaBatch,
     ) -> io::Result<Outbound> {
-        self.channel(i)?.begin(tag, payload)?.wait(deltas)
+        let ch = self.channel(i)?;
+        ch.single(ch.begin_all(vec![(Vec::new(), Some((tag, payload)))]))?
+            .wait(deltas)
     }
 
     /// Hands node `i` a mirror frame it is not being asked to answer:
@@ -1233,20 +1054,12 @@ impl Core {
 
     /// A standing registration or deregistration: one round trip to
     /// node 0, the sole id allocator, whose reply is the client's. If
-    /// node 0 is away the broadcast fails before any other node sees
-    /// it; if it refuses, nothing changed, and nothing changes anywhere.
-    /// Otherwise what it changed — the id it granted, installed under
-    /// that id, or the id it dropped — goes into every other node's
-    /// outbox as one idempotent [`wire::tag::STANDING_INSTALL`] entry.
-    /// Queued under the exclusive gate once node 0 has answered, it
-    /// reaches every node after the same mirror rows and before any
-    /// later frame. (The narrow window where node 0 applied a
-    /// registration but its ack was lost is documented in DESIGN.md.)
-    /// The exclusive gate quiesces every run in flight, so the cluster
-    /// observes the frame alone. `Err` means a node needed for the
-    /// request is unavailable (or broke cluster consistency);
-    /// [`Core::answer`] turns it into a kinded [`wire::tag::ROUTE_FAIL`]
-    /// reply.
+    /// node 0 is away or refuses, nothing changes anywhere. Otherwise
+    /// what it changed goes into every other node's outbox as one
+    /// idempotent [`wire::tag::STANDING_INSTALL`] entry, queued under
+    /// the exclusive gate, so every node applies it after the same
+    /// mirror rows and before any later frame. `Err` means a node the
+    /// request needs is unavailable (or broke cluster consistency).
     fn route_broadcast(
         &self,
         frame: &Frame,
@@ -1390,14 +1203,7 @@ impl Router {
             channels: node_addrs
                 .iter()
                 .enumerate()
-                .map(|(i, a)| {
-                    NodeChannel::new(
-                        i,
-                        (*a).to_string(),
-                        cfg.node_timeout,
-                        cfg.catchup_buffer_bytes,
-                    )
-                })
+                .map(|(i, a)| NodeChannel::new(i, (*a).to_string(), &cfg))
                 .collect(),
             gate: TrackedRwLock::new(LockRank::ClusterRouter, ()),
             tables: TrackedMutex::new(LockRank::ClusterCore, Tables::default()),
@@ -1457,7 +1263,7 @@ impl Router {
             .core
             .channels
             .iter()
-            .filter_map(NodeChannel::flush)
+            .filter_map(|ch| ch.flush(true))
             .collect();
         for call in flushes {
             let _ = call.wait(&mut Vec::new());
@@ -1533,12 +1339,7 @@ fn supervise_outage(
     shutdown: &Arc<AtomicBool>,
 ) {
     let Ok(ch) = core.channel(index) else { return };
-    {
-        let mut rec = ch.recovery.lock();
-        if rec.down_since.is_none() {
-            rec.down_since = Some(Instant::now());
-        }
-    }
+    ch.send.lock().down_since.get_or_insert_with(Instant::now);
     eprintln!("router: node {index} connection lost; reconnecting");
     let mut attempt: u32 = 0;
     loop {
@@ -1557,8 +1358,8 @@ fn supervise_outage(
         }
         NetCounters::add(&obs.net().reconnect_attempts, 1);
         match ch.connect() {
-            Ok((wstream, rstream)) => {
-                install_connection(&mut ch.send.lock(), wstream, rstream);
+            Ok(pair) => {
+                ch.reconnect(&mut ch.outbox.lock(), pair);
                 match resync_node(core, index, obs) {
                     Ok(summary) => {
                         let ms = finish_outage(ch, obs);
@@ -1596,8 +1397,8 @@ fn supervise_outage(
 /// returns the outage length in milliseconds.
 fn finish_outage(ch: &NodeChannel, obs: &MetricsRegistry) -> u64 {
     let ms = {
-        let mut rec = ch.recovery.lock();
-        rec.down_since
+        let mut send = ch.send.lock();
+        send.down_since
             .take()
             .map(|t| u64::try_from(t.elapsed().as_millis()).unwrap_or(u64::MAX))
             .unwrap_or(0)
@@ -1628,37 +1429,23 @@ fn resync_node(core: &SharedCore, index: usize, obs: &Arc<MetricsRegistry>) -> i
             format!("node {index} failed the rejoin liveness check"),
         ));
     }
-    let overflowed = {
-        // The connection the outbox was last sent on is gone and its
-        // inbox lost, so it files nothing more: nothing is on the wire,
-        // and no acknowledgement counted from here on is for an entry
-        // of this outbox.
-        let mut rec = ch.recovery.lock();
-        rec.sent = 0;
-        ch.acked.store(0, Ordering::SeqCst);
-        rec.overflowed
-    };
+    let overflowed = ch.outbox.lock().overflowed();
     if overflowed {
         // Quiesce routing: the donor's image and the replayed tail must
         // land as one atomic step in the cluster's request stream.
         let _gate = core.gate.write();
-        {
-            // The image supersedes every plane frame still queued.
-            let mut rec = ch.recovery.lock();
-            rec.buffer.retain(|(t, _)| retained_on_overflow(*t));
-            rec.buffered_bytes = rec.buffer.iter().map(|(_, p)| frame_cost(p)).sum();
-        }
+        ch.outbox.lock().purge();
         let bulk = bulk_resync(core, ch)?;
         NetCounters::add(
             &obs.net().resync_bytes,
             u64::try_from(bulk).unwrap_or(u64::MAX),
         );
-        let replayed = replay_buffer(ch, true)?;
+        let replayed = replay(ch, true)?;
         Ok(format!(
             "bulk resync {bulk} bytes + {replayed} retained frames"
         ))
     } else {
-        let replayed = replay_buffer(ch, false)?;
+        let replayed = replay(ch, false)?;
         Ok(format!("replayed {replayed} buffered frames"))
     }
 }
@@ -1705,68 +1492,47 @@ fn bulk_resync(core: &Core, ch: &NodeChannel) -> io::Result<usize> {
     Ok(body.len())
 }
 
-/// How many entries at the head of an outbox one replay envelope takes:
-/// those that fit the envelope's framing, within half a frame's bytes.
-/// 0: the head goes bare — a payload past the envelope's `u16` length.
-fn replay_run(buffer: &VecDeque<Outbound>) -> usize {
-    let mut bytes = 0usize;
-    buffer
-        .iter()
-        .take(wire::CARRY_MAX_FRAMES)
-        .take_while(|(_, payload)| {
-            bytes += frame_cost(payload);
-            payload.len() <= usize::from(u16::MAX) && bytes <= MAX_FRAME_LEN / 2
-        })
-        .count()
-}
-
-/// Replays the outbox head-first, an envelope of entries per round trip,
-/// until it drains, then flips the node `Up` *under the outbox lock* —
-/// the same lock appenders hold — so no frame can slip in behind the
-/// flip and strand. Mirror traffic arriving mid-replay simply queues
-/// behind the head and is replayed in turn. An entry is dropped only
-/// once the node answered for it; a transport failure propagates
-/// (retryable) and the supervisor starts the outage over with the
-/// outbox as it stands.
+/// Replays the outbox: every unsent entry in the envelopes the one rule
+/// cuts, in one write, then a wait for the last envelope's reply —
+/// again, until every entry is acknowledged. Then it flips the node `Up`
+/// *under the outbox lock* — the same lock appenders hold — so no frame
+/// can slip in behind the flip. Mirror traffic arriving mid-replay
+/// queues behind the rest and leaves in the next round. A transport
+/// failure propagates (retryable) and the supervisor starts the outage
+/// over with the outbox as it stands.
 ///
 /// `after_bulk`: a donor image was just installed under the exclusive
-/// gate, which is what clears the overflow mark. Without one, an outbox
-/// that overflowed *while* it was being replayed has dropped rows no
-/// replay will bring back, and the rejoin must start over through the
-/// bulk path.
-fn replay_buffer(ch: &NodeChannel, after_bulk: bool) -> io::Result<usize> {
+/// gate. Without one, an outbox that overflowed *while* it was being
+/// replayed has dropped rows no replay brings back, and the rejoin must
+/// start over through the bulk path ([`Outbox::rejoined`]).
+fn replay(ch: &NodeChannel, after_bulk: bool) -> io::Result<usize> {
     let mut replayed = 0usize;
     loop {
-        let (tag, payload, run) = {
-            let mut rec = ch.recovery.lock();
-            let Some((tag, payload)) = rec.buffer.front() else {
-                if rec.overflowed && !after_bulk {
+        ch.reap_idle();
+        {
+            let mut outbox = ch.outbox.lock();
+            if outbox.is_empty() {
+                if !outbox.rejoined(after_bulk) {
                     return Err(ch.retryable_error("overflowed its outbox mid-replay"));
                 }
-                rec.overflowed = false;
                 ch.state.store(NODE_UP, Ordering::SeqCst);
                 return Ok(replayed);
-            };
-            let run = replay_run(&rec.buffer);
-            let entries = rec.buffer.iter().take(run);
-            match wire::encode_carry(entries.map(|(t, p)| (*t, p.as_slice())), None) {
-                Some(envelope) if run > 0 => (wire::tag::CARRY, envelope.to_vec(), run),
-                _ => (*tag, payload.clone(), 0),
             }
-        };
-        let mut scratch: DeltaBatch = Vec::new();
-        let reply = ch.begin_internal(tag, &payload)?.wait(&mut scratch)?;
+            replayed += outbox.unsent();
+        }
+        let call = ch
+            .flush(false)
+            .ok_or_else(|| ch.retryable_error("lost its connection mid-replay"))?;
         // Every outbox entry is idempotent by key, so `OK` is the only
         // answer to a replay, an envelope's refusal included (the
         // inbox already turned that into a fatal error).
+        let reply = call.wait(&mut Vec::new())?;
         if reply.0 != wire::tag::OK {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("node {} answered a replay with 0x{:02x}", ch.index, reply.0),
             ));
         }
-        ch.recovery.lock().acknowledge(run.max(1));
-        replayed += run.max(1);
     }
 }
 
@@ -1931,20 +1697,12 @@ impl Core {
     }
 
     /// Serves a run: each node's frames begun back to back in one write
-    /// ([`NodeChannel::begin_all`]), then every reply waited in arrival
-    /// order and settled: an update's mirror entry queued, a
-    /// registration recorded. A node that cannot be begun on answers
-    /// each of its frames with that failure. Caller holds the gate, so
-    /// no broadcast interleaves, and the next run is begun only after
-    /// this run's mirror entries are queued.
-    ///
-    /// A frame of node `m` must find placed the row of every earlier
-    /// update of the run, and another node's update is answered only
-    /// after the run is begun: its row — no cloak yet — joins `m`'s
-    /// outbox just ahead of `m`'s next frame and rides that frame's
-    /// envelope. The full entry, cloak and row, follows once the owner
-    /// answers, and placing the row again changes nothing. A row after
-    /// `m`'s last frame of the run is not sent ahead.
+    /// ([`NodeChannel::begin_all`]), each after the rows of the run's
+    /// earlier updates of other nodes (no cloak yet; module docs), then
+    /// every reply waited in arrival order and settled: an update's
+    /// mirror entry queued, a registration recorded. A node that cannot
+    /// be begun on answers each of its frames with that failure. Caller
+    /// holds the gate, so no broadcast interleaves.
     fn serve_run(&self, run: Vec<RunFrame>, subs: &SharedSubs, emitted: &mut Vec<(u64, Outbound)>) {
         let mut nodes: Vec<usize> = run.iter().map(|(_, _, lane)| lane.node).collect();
         nodes.sort_unstable();
@@ -2083,8 +1841,7 @@ mod tests {
     #[test]
     fn a_share_with_more_unsent_entries_than_an_envelope_carries_leads_with_flushes() {
         let (addr, answered) = ok_node();
-        let cfg = RouterConfig::default();
-        let ch = NodeChannel::new(0, addr, cfg.node_timeout, cfg.catchup_buffer_bytes);
+        let ch = NodeChannel::new(0, addr, &RouterConfig::default());
         let rows: Vec<[u8; 4]> = (0..wire::CARRY_MAX_FRAMES as u32 + 5)
             .map(u32::to_le_bytes)
             .collect();
@@ -2100,13 +1857,16 @@ mod tests {
             );
         }
         // A flush of one envelope's worth, then the request's envelope
-        // with the rest; reading the request's reply filed the flush's.
+        // with the rest; reading the request's reply filed the flush's,
+        // and the next look hands the outbox the connection's mark.
         for _ in 0..2 {
             answered
                 .recv_timeout(Duration::from_secs(5))
                 .expect("the node answers each envelope");
         }
-        assert_eq!(ch.acked.load(Ordering::SeqCst), rows.len());
+        ch.reap_idle();
+        assert_eq!(ch.outbox.lock().acked(), rows.len() as u64);
+        assert!(ch.outbox.lock().is_empty());
         ch.poison();
     }
 
@@ -2116,12 +1876,7 @@ mod tests {
         let cfg = RouterConfig::default();
         let obs = Arc::new(MetricsRegistry::new());
         let core: SharedCore = Arc::new(Core {
-            channels: vec![NodeChannel::new(
-                0,
-                addr,
-                cfg.node_timeout,
-                cfg.catchup_buffer_bytes,
-            )],
+            channels: vec![NodeChannel::new(0, addr, &cfg)],
             gate: TrackedRwLock::new(LockRank::ClusterRouter, ()),
             tables: TrackedMutex::new(LockRank::ClusterCore, Tables::default()),
             counts: AtomicUsize::new(0),
@@ -2131,18 +1886,16 @@ mod tests {
         let supervisor = spawn_supervisor(Arc::clone(&core), 0, obs, cfg, Arc::clone(&stopping));
         let ch = &core.channels[0];
 
-        // The node is asked nothing: the FLUSH_AT-th row sends the
-        // outbox in an envelope of its own, and no caller waits for it.
-        for i in 0..FLUSH_AT {
-            assert!(ch.queue(wire::tag::MIRROR_UPDATE, &[i as u8]));
+        // The node is asked nothing: the 32nd row sends the outbox in
+        // an envelope of its own, and no caller waits for it.
+        let rows: u8 = 32;
+        for i in 0..rows {
+            assert!(ch.queue(wire::tag::MIRROR_UPDATE, &[i]));
         }
         let replied = answered
             .recv_timeout(Duration::from_secs(5))
             .expect("the node answers the flush");
-        let unacknowledged = || {
-            let held = ch.recovery.lock().buffer.len();
-            held.saturating_sub(ch.acked.load(Ordering::SeqCst))
-        };
+        let unacknowledged = || u64::from(rows) - ch.outbox.lock().acked();
         // Two ticks, and room for a loaded test host's scheduler.
         let bound = 2 * SUPERVISOR_TICK + Duration::from_millis(30);
         while unacknowledged() > 0 {

@@ -68,6 +68,18 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// A failed WAL write aborts the process (DESIGN.md, "Durability"):
+/// serving on would answer from state its log disagrees with.
+fn wal_failed(what: &str, rec: &JournalRecord, e: &std::io::Error) -> ! {
+    let rec = format!("{rec:?}");
+    let op: String = rec[3..]
+        .chars()
+        .take_while(char::is_ascii_alphanumeric)
+        .collect();
+    eprintln!("durability: WAL {what} of a {op} op failed ({e}); aborting");
+    std::process::abort();
+}
+
 /// Configuration of a [`ShardedEngine`].
 #[derive(Clone, Copy, PartialEq)]
 pub struct EngineConfig {
@@ -223,21 +235,25 @@ impl ShardedEngine {
 
     /// Journals one logical mutation (write-ahead: call before applying).
     /// The closure defers building the record so the non-durable path
-    /// pays nothing. Failures are fail-stop by design.
+    /// pays nothing. A failed append or sync aborts the process
+    /// ([`wal_failed`]).
     fn journal_op(&mut self, build: impl FnOnce() -> EngineOp) {
-        if self.durable.is_none() {
+        let Some(hook) = self.durable.as_mut() else {
             return;
-        }
+        };
         let rec = JournalRecord::Op(build());
-        let hook = self.durable.as_mut().expect("durability checked above");
         let start = Instant::now();
-        hook.append(&rec).expect("durability: WAL append failed");
+        if let Err(e) = hook.append(&rec) {
+            wal_failed("append", &rec, &e);
+        }
         self.obs
             .stage(Stage::WalAppend)
             .record_duration(start.elapsed());
         if hook.policy().fsync {
             let start = Instant::now();
-            hook.sync().expect("durability: WAL fsync failed");
+            if let Err(e) = hook.sync() {
+                wal_failed("fsync", &rec, &e);
+            }
             self.obs
                 .stage(Stage::WalFsync)
                 .record_duration(start.elapsed());
@@ -253,9 +269,10 @@ impl ShardedEngine {
         }
         let start = Instant::now();
         let state = journal::encode_engine_state(&self.export_state());
-        let hook = self.durable.as_mut().expect("durability checked above");
-        hook.install_snapshot(&state)
-            .expect("durability: snapshot install failed");
+        if let Some(Err(e)) = self.durable.as_mut().map(|h| h.install_snapshot(&state)) {
+            eprintln!("durability: snapshot install failed ({e}); aborting");
+            std::process::abort();
+        }
         self.obs
             .stage(Stage::Snapshot)
             .record_duration(start.elapsed());

@@ -256,3 +256,93 @@ fn a_refused_duplicate_load_leaves_the_log_replayable() {
     assert!(reopened.recovered);
     assert_eq!(reopened.engine.export_state().public, kept);
 }
+
+// ---------------------------------------------------------------------
+// A failed WAL write stops the node: no shard dies alone, and nobody is
+// served from an engine that lacks an op its log holds.
+// ---------------------------------------------------------------------
+
+/// A sink whose second sync fails, as a disk that fills up would.
+struct SecondSyncFails {
+    syncs: u32,
+}
+
+impl privacy_lbs::system::DurabilitySink for SecondSyncFails {
+    fn append(&mut self, _: &JournalRecord) -> std::io::Result<()> {
+        Ok(())
+    }
+
+    fn sync(&mut self) -> std::io::Result<()> {
+        self.syncs += 1;
+        if self.syncs == 2 {
+            return Err(std::io::Error::other("no space left on device"));
+        }
+        Ok(())
+    }
+
+    fn snapshot(&mut self, _: &[u8]) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Set in the child process of [`a_failed_wal_sync_stops_the_node`].
+const WAL_CHILD: &str = "LBSP_PERSISTENCE_WAL_CHILD";
+
+/// The test re-runs itself in a child process: a two-shard node over a
+/// sink whose second sync fails, fed updates on two connections. The
+/// child returns only if the node keeps serving for 6 s; the parent
+/// wants it gone, with a failure status, within 5.
+#[test]
+fn a_failed_wal_sync_stops_the_node() {
+    use privacy_lbs::net::{NetClient, NetConfig, NetServer};
+    use std::process::{Command, Stdio};
+    use std::time::{Duration, Instant};
+
+    if std::env::var_os(WAL_CHILD).is_some() {
+        let mut engine = ShardedEngine::new(EngineConfig::new(world()), 1);
+        engine.attach_durability(
+            Durability::default(),
+            Box::new(SecondSyncFails { syncs: 0 }),
+        );
+        let cfg = NetConfig {
+            workers: 2,
+            ..NetConfig::default()
+        };
+        let server = NetServer::bind("127.0.0.1:0", engine, cfg).expect("bind");
+        let mut clients: Vec<NetClient> = (0..2)
+            .map(|_| NetClient::connect(server.local_addr()).expect("connect"))
+            .collect();
+        for round in 0..60u64 {
+            for (user, client) in (0u64..).zip(&mut clients) {
+                let _ = client.register(user, 1, 0.0, f64::INFINITY);
+                let at = Point::new(0.1 + user as f64 * 0.5, 0.2 + round as f64 * 1e-3);
+                let _ = client.update(user, at, SimTime::from_secs(round as f64));
+            }
+            std::thread::sleep(Duration::from_millis(100));
+        }
+        return;
+    }
+    let exe = std::env::current_exe().expect("test binary");
+    let mut child = Command::new(exe)
+        .args([
+            "a_failed_wal_sync_stops_the_node",
+            "--exact",
+            "--test-threads=1",
+        ])
+        .env(WAL_CHILD, "1")
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn the child");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while Instant::now() < deadline {
+        if let Some(status) = child.try_wait().expect("poll the child") {
+            assert!(!status.success(), "the child exited cleanly: {status}");
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let _ = child.kill();
+    let _ = child.wait();
+    panic!("the node kept serving 5 s after its WAL sync failed");
+}
